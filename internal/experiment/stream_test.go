@@ -90,6 +90,12 @@ func TestStreamedMatchesMaterializedTable1(t *testing.T) {
 				// streamed path keeps the cross-worker determinism contract.
 				if ref == "" {
 					ref = streamed
+					if seed == 1 {
+						// The pin that outlives the materialized path: seed 1's
+						// full observed output, recorded at the commit that
+						// still had both paths.
+						checkGolden(t, "table1_observed_seed1.sha256", sha256Hex([]byte(streamed))+"\n")
+					}
 				} else if streamed != ref {
 					t.Fatalf("workers=%d shuffle=%d diverges from workers=1", v.workers, v.shuffle)
 				}
