@@ -47,27 +47,14 @@ func runHighPower(cfg FleetSimConfig, sys baselines.System) (ablationPoint, erro
 	// separates per-day aggregation from raw replay (§IV-B).
 	fcfg.RackTemplate.OutlierDayProb = 0.6
 	fcfg.RackTemplate.OutlierWithinDays = cfg.TrainDays
-	// Stream: each worker generates its rack (a pure function of seed and
-	// index), simulates it and drops it — the single-class mix means every
-	// index is a High-Power rack, so no materialized fleet is needed.
-	type out struct {
-		m   rackMetrics
-		err error
-	}
-	results := parallel.Map(fcfg.NumRacks(), fleetOpts(cfg), func(i int) out {
-		fr, err := trace.GenFleetRack(fcfg, i)
-		if err != nil {
-			return out{err: err}
-		}
-		return out{m: rackRun(fr.RackTrace, sys, cfg)}
+	// The single-class mix means every index is a High-Power rack.
+	outs, err := streamRacks(fcfg.NumRacks(), cfg, func(i int) rackShard {
+		return rackShard{fcfg: &fcfg, rackIdx: i, sys: sys}
 	})
-	var agg rackMetrics
-	for _, o := range results {
-		if o.err != nil {
-			return ablationPoint{}, o.err
-		}
-		agg.accumulate(o.m)
+	if err != nil {
+		return ablationPoint{}, err
 	}
+	agg := foldRacks(outs)
 	pt := ablationPoint{caps: agg.caps}
 	if agg.requests > 0 {
 		pt.success = 100 * float64(agg.successes) / float64(agg.requests)
@@ -252,12 +239,9 @@ func RunDatacenterRebalance(base FleetSimConfig) (*Table, error) {
 			demand := 0
 			ts := fleetStart.Add(time.Duration(t) * base.Step)
 			for _, st := range fr.Servers {
-				for _, vm := range st.Spec.VMs {
-					switch vm.Service.Pattern {
-					case trace.PatternSpiky, trace.PatternBroadPeak, trace.PatternDiurnal:
-						if vm.Service.UtilAt(ts, nil) >= base.OCThreshold {
-							demand += vm.Cores
-						}
+				for i := range st.Spec.VMs {
+					if vm := &st.Spec.VMs[i]; wantsOC(vm, ts, base.OCThreshold) {
+						demand += vm.Cores
 					}
 				}
 			}

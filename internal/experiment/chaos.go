@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"time"
@@ -9,19 +8,14 @@ import (
 	"smartoclock/internal/agent"
 	"smartoclock/internal/alert"
 	"smartoclock/internal/chaos"
-	"smartoclock/internal/cluster"
 	"smartoclock/internal/core"
 	"smartoclock/internal/invariant"
-	"smartoclock/internal/lifetime"
 	"smartoclock/internal/machine"
 	"smartoclock/internal/metrics"
 	"smartoclock/internal/obs"
 	"smartoclock/internal/power"
-	"smartoclock/internal/predict"
 	"smartoclock/internal/sim"
-	"smartoclock/internal/stats"
 	"smartoclock/internal/store"
-	"smartoclock/internal/timeseries"
 )
 
 // ChaosConfig parameterizes the fault-injection experiment: a rack of
@@ -137,28 +131,6 @@ func (c ChaosConfig) Validate() error {
 	return nil
 }
 
-// Control-plane payloads. They cross the faulty transport as JSON — the
-// same encode/decode path the TCP transport uses — so chaos runs exercise
-// real (de)serialization, not Go pointers.
-
-type profileMsg struct {
-	Server      string  `json:"server"`
-	MedianWatts float64 `json:"median_watts"`
-	Requested   float64 `json:"requested_cores"`
-	Granted     float64 `json:"granted_cores"`
-	CoreCost    float64 `json:"core_cost"`
-}
-
-type budgetMsg struct {
-	Watts float64 `json:"watts"`
-}
-
-type rackEventMsg struct {
-	Kind  int     `json:"kind"`
-	Power float64 `json:"power"`
-	Limit float64 `json:"limit"`
-}
-
 // ChaosResult aggregates one chaos run.
 type ChaosResult struct {
 	Ticks     int
@@ -199,29 +171,34 @@ type ChaosResult struct {
 	Alerts []alert.Alert
 }
 
-// chaosServer bundles one server's durable and volatile control state.
-type chaosServer struct {
-	srv     *cluster.Server
-	agentID string
-	// budgets is durable (it survives sOA crashes, like NVRAM-backed wear
-	// accounting would); soa is volatile and nil while crashed.
-	budgets *lifetime.CoreBudgets
-	soa     *core.SOA
-	// lastBudgetAt is when the last gOA budget push was applied.
-	lastBudgetAt time.Time
-	hasBudget    bool
-	requests     int
-	granted      int
-	// ckpt is the last encoded checkpoint envelope (warm-restart mode).
-	ckpt []byte
+// soaCheckpoint is the chaos rig's checkpoint payload: the agent snapshot
+// plus the slot's budget-freshness bookkeeping that must survive with it.
+type soaCheckpoint struct {
+	SOA      *core.SOAState `json:"soa"`
+	Budget   float64        `json:"budget"`
+	BudgetAt time.Time      `json:"budget_at"`
 }
 
-// soaCheckpoint is the chaos rig's checkpoint payload: the agent snapshot
-// plus the rig-level budget-freshness bookkeeping that must survive with it.
-type soaCheckpoint struct {
-	SOA          *core.SOAState `json:"soa"`
-	HasBudget    bool           `json:"has_budget"`
-	LastBudgetAt time.Time      `json:"last_budget_at"`
+// squareWaveDemand reports whether server i of n wants to overclock at the
+// given offset into the run: 20-minute square waves, 9 minutes on (~45%
+// duty), phase-shifted evenly across the servers.
+func squareWaveDemand(i, n int, since time.Duration) bool {
+	const period = 20 * time.Minute
+	phase := time.Duration(i) * period / time.Duration(n)
+	return (since+phase)%period < 9*time.Minute
+}
+
+// partialOCLimit sizes a rack limit with headroom for some, not all, servers
+// to overclock at once: scale × (current draw + half the all-server
+// overclock delta).
+func partialOCLimit(servers []*rigServer, scale float64) float64 {
+	est := 0.0
+	for _, s := range servers {
+		est += s.srv.Power()
+	}
+	s0 := servers[0]
+	fullOC := float64(len(servers)) * s0.srv.OCDeltaWatts(len(s0.vmCores), s0.srv.MaxOCMHz(), 0.9)
+	return scale * (est + 0.5*fullOC)
 }
 
 // RunChaos executes the fault-injection experiment.
@@ -231,7 +208,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	}
 	eng := sim.NewEngine(cfg.Start, cfg.Seed)
 	end := cfg.Start.Add(cfg.Duration)
-	maxOC := cfg.HW.MaxOCMHz
 
 	// --- Transport with fault injection -----------------------------------
 	var outages []chaos.Window
@@ -265,185 +241,78 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 
 	// --- Servers and workload ---------------------------------------------
 	// Each server hosts one latency-critical VM spanning half its cores;
-	// overclock demand arrives in phase-shifted square waves (~45% duty),
-	// deliberately exceeding the per-epoch overclock time budget so the
+	// overclock demand arrives in phase-shifted square waves, deliberately
+	// exceeding the per-epoch overclock time budget so the
 	// lifetime-exhaustion path runs too.
-	servers := make([]*chaosServer, cfg.Servers)
-	bcfg := lifetime.BudgetConfig{Epoch: cfg.BudgetEpoch, Fraction: cfg.OCBudgetFraction, CarryOver: true, MaxCarryOver: 1}
+	servers := make([]*rigServer, cfg.Servers)
 	for i := range servers {
-		s := cluster.NewServer(fmt.Sprintf("ch-%02d", i), cfg.HW, 0)
-		servers[i] = &chaosServer{
-			srv:     s,
-			agentID: "soa/" + s.Name(),
-			budgets: lifetime.NewCoreBudgets(bcfg, s.NumCores(), cfg.Start),
-		}
+		servers[i] = newRigServer(fmt.Sprintf("ch-%02d", i), cfg.HW, cfg.HW.Cores/2)
 	}
-	vmCores := make([]int, cfg.HW.Cores/2)
-	for i := range vmCores {
-		vmCores[i] = i
-	}
-	demandPeriod := 20 * time.Minute
 	demandAt := func(i int, now time.Time) bool {
-		phase := time.Duration(i) * demandPeriod / time.Duration(cfg.Servers)
-		into := (now.Sub(cfg.Start) + phase) % demandPeriod
-		return into < 9*time.Minute
+		return squareWaveDemand(i, cfg.Servers, now.Sub(cfg.Start))
 	}
 	utilRng := rand.New(rand.NewSource(cfg.Seed + 2))
 	setUtil := func(i int, now time.Time) {
-		cs := servers[i]
 		base := 0.35 + 0.05*utilRng.Float64()
 		hot := base
 		if demandAt(i, now) {
 			hot = 0.80 + 0.10*utilRng.Float64()
 		}
-		for c := 0; c < cs.srv.NumCores(); c++ {
-			if c < len(vmCores) {
-				cs.srv.SetCoreUtil(c, hot)
-			} else {
-				cs.srv.SetCoreUtil(c, base)
-			}
-		}
+		servers[i].setUtil(hot, base)
 	}
 	for i := range servers {
 		setUtil(i, cfg.Start)
 	}
 
-	// --- Rack: headroom for some, not all, servers to overclock at once ---
-	est := 0.0
-	members := make([]power.Server, 0, cfg.Servers)
-	for _, cs := range servers {
-		est += cs.srv.Power()
-		members = append(members, cs.srv)
-	}
-	fullOC := float64(cfg.Servers) * servers[0].srv.OCDeltaWatts(len(vmCores), maxOC, 0.9)
-	limit := cfg.RackLimitScale * (est + 0.5*fullOC)
-	rack := power.NewRack(power.DefaultRackConfig("rack-chaos", limit), members...)
-	rack.Instrument(reg, tracer)
-	for _, cs := range servers {
-		cs.srv.Instrument(reg)
-	}
-
-	// --- gOA ---------------------------------------------------------------
-	goa := core.NewGOA("rack-chaos", limit)
-	goa.Instrument(reg, tracer)
-	evenShare := limit / float64(cfg.Servers)
-
-	// --- sOAs: volatile agents over durable budgets ------------------------
-	soaCfg := core.DefaultSOAConfig()
-	soaCfg.ProfileStep = time.Minute
-	soaCfg.ExploreConfirm = 30 * time.Second
-	soaCfg.ExploitTime = 5 * time.Minute
+	// --- The rack's control plane: volatile sOAs over durable ledgers ------
+	soaCfg := rigSOAConfig()
 	soaCfg.InitialBackoff = time.Minute
 	soaCfg.MaxBackoff = 15 * time.Minute
-	soaCfg.DefaultOCHorizon = 5 * time.Minute
 	soaCfg.ExhaustionWindow = 5 * time.Minute
 	soaCfg.AdmissionUtil = 0.7
-
-	res := &ChaosResult{}
-	bootSOA := func(cs *chaosServer, now time.Time) {
-		cs.soa = core.NewSOA(soaCfg, cs.srv, cs.budgets, evenShare, now)
-		// Rebooted agents resolve the same series (registry identity is
-		// name+labels), so counters accumulate across crash/restart cycles.
-		cs.soa.Instrument(reg, tracer)
-		cs.hasBudget = false
-		tr.Register(cs.agentID, func(m agent.Message) {
-			if cs.soa == nil {
-				return // crashed in the same tick the message landed
-			}
-			switch m.Type {
-			case "goa.budget":
-				b, err := agent.Decode[budgetMsg](m)
-				if err != nil || b.Watts <= 0 {
-					return
-				}
-				cs.soa.SetStaticBudget(b.Watts, true)
-				cs.lastBudgetAt = eng.Now()
-				cs.hasBudget = true
-			case "rack.event":
-				ev, err := agent.Decode[rackEventMsg](m)
-				if err != nil {
-					return
-				}
-				cs.soa.OnRackEvent(eng.Now(), power.Event{
-					Kind: power.EventKind(ev.Kind), Time: eng.Now(),
-					Rack: "rack-chaos", Power: ev.Power, Limit: ev.Limit,
-				})
-			}
-		})
+	rg := &rig{
+		goaID:   "goa",
+		limit:   partialOCLimit(servers, cfg.RackLimitScale),
+		soaCfg:  soaCfg,
+		bcfg:    rigBudgetConfig(cfg.BudgetEpoch, cfg.OCBudgetFraction),
+		start:   cfg.Start,
+		servers: servers,
+		reg:     reg,
+		tracer:  tracer,
 	}
-	for _, cs := range servers {
-		bootSOA(cs, cfg.Start)
+	rg.assemble("rack-chaos")
+
+	// Every message travels the faulty transport, rack notifications
+	// included: a lost warning means the sOA keeps exploring and gets capped
+	// again — safe but slower, exactly the decentralized-enforcement story.
+	// Bursts cross in one batched call; the transport draws its fault rng per
+	// message in batch order, so results match unbatched sends byte for byte.
+	deliver := func(m agent.Message) { rg.deliver(eng.Now(), m) }
+	tr.Register(rg.goaID, deliver)
+	agentNames := make([]string, len(servers))
+	for i, s := range servers {
+		tr.Register(s.agentID, deliver)
+		agentNames[i] = s.agentID
 	}
-
-	// --- Rack events travel the faulty transport ---------------------------
-	// Capping itself is enforced in hardware (the rack manager throttles
-	// directly); only the notifications to the sOAs are messages. A lost
-	// warning means the sOA keeps exploring and gets capped again — safe
-	// but slower, exactly the decentralized-enforcement story.
-	// The event payload is identical for every recipient: encode it once and
-	// fan the batch out in one transport call. The scratch slice is reused
-	// across events — the rack fires at most one event per tick, and the
-	// subscription runs on the single simulation goroutine.
-	var rackEventBatch []agent.Message
-	rack.Subscribe(func(ev power.Event) {
-		payload, err := json.Marshal(rackEventMsg{Kind: int(ev.Kind), Power: ev.Power, Limit: ev.Limit})
-		if err != nil {
-			return
-		}
-		batch := rackEventBatch[:0]
-		for _, cs := range servers {
-			batch = append(batch, agent.Message{Type: "rack.event", From: "rack", To: cs.agentID, Payload: payload})
-		}
-		rackEventBatch = batch
-		_ = agent.SendAll(tr, batch)
-	})
-
-	// --- gOA inbox ---------------------------------------------------------
-	tr.Register("goa", func(m agent.Message) {
-		if m.Type != "soa.profile" {
-			return
-		}
-		p, err := agent.Decode[profileMsg](m)
-		if err != nil {
-			return
-		}
-		goa.SetProfile(p.Server, core.ServerProfile{
-			Power: timeseries.FlatWeek(p.MedianWatts, time.Hour),
-			OC: &predict.OCTemplate{
-				Requested: timeseries.FlatWeek(p.Requested, time.Hour),
-				Granted:   timeseries.FlatWeek(p.Granted, time.Hour),
-			},
-			OCCoreCost: p.CoreCost,
-		})
-	})
+	rg.rack.Subscribe(func(ev power.Event) { _ = agent.SendAll(tr, rg.rackEventFanout(ev)) })
 
 	// --- Crash/restart plan ------------------------------------------------
-	agentNames := make([]string, len(servers))
-	byAgent := make(map[string]*chaosServer, len(servers))
-	for i, cs := range servers {
-		agentNames[i] = cs.agentID
-		byAgent[cs.agentID] = cs
-	}
+	res := &ChaosResult{}
 	plan := chaos.GenPlan(cfg.Seed+3, agentNames, cfg.Start.Add(5*time.Minute),
 		cfg.Duration-15*time.Minute, cfg.SOACrashes, cfg.MaxCrashDown)
 	plan.WarmRestart = cfg.WarmRestart
 	plan.CheckpointEvery = cfg.CheckpointEvery
+	// ckpts holds each agent's last encoded checkpoint envelope.
+	ckpts := make(map[string][]byte, len(servers))
 	if plan.WarmRestart && plan.CheckpointEvery > 0 {
 		eng.Every(cfg.Start.Add(plan.CheckpointEvery), plan.CheckpointEvery, func(now time.Time) {
-			for _, cs := range servers {
-				if cs.soa == nil {
+			for _, s := range servers {
+				if s.soa == nil {
 					continue // crashed agents keep their previous checkpoint
 				}
-				snap := cs.soa.Snapshot()
-				// The lifetime ledger is durable in this rig (NVRAM-style,
-				// it survives crashes on its own); restoring a stale copy
-				// would roll back consumed wear, so it is excluded.
-				snap.Budgets = nil
-				data, err := store.Encode(now, &soaCheckpoint{
-					SOA: snap, HasBudget: cs.hasBudget, LastBudgetAt: cs.lastBudgetAt,
-				})
+				data, err := store.Encode(now, &soaCheckpoint{SOA: s.volatileState(), Budget: s.budget, BudgetAt: s.budgetAt})
 				if err == nil {
-					cs.ckpt = data
+					ckpts[s.agentID] = data
 					res.Checkpoints++
 				}
 			}
@@ -451,34 +320,25 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	}
 	plan.Schedule(eng, tr,
 		func(name string) {
-			cs := byAgent[name]
-			if cs.soa == nil {
-				return // already down (overlapping faults)
+			if s := rg.byAgent[name]; s.soa != nil { // else already down (overlapping faults)
+				s.crash()
+				res.Crashes++
 			}
-			// The host watchdog fail-safes overclocking when its agent
-			// dies: cores return to turbo, so an unsupervised server can
-			// never burn budget or power it wouldn't be granted.
-			for c := 0; c < cs.srv.NumCores(); c++ {
-				cs.srv.SetDesiredFreq(c, cs.srv.TurboMHz())
-			}
-			cs.soa = nil
-			res.Crashes++
 		},
 		func(name string) {
-			cs := byAgent[name]
-			if cs.soa != nil {
+			s := rg.byAgent[name]
+			if s.soa != nil {
 				return
 			}
-			bootSOA(cs, eng.Now())
-			if plan.WarmRestart && cs.ckpt != nil {
+			rg.boot(s, eng.Now())
+			if data := ckpts[name]; plan.WarmRestart && data != nil {
 				// Warm restart: restore the rebooted agent from its last
 				// checkpoint. A decode/restore failure degrades to the cold
 				// boot that already happened — never worse than cold.
 				var ck soaCheckpoint
-				if _, err := store.Decode(cs.ckpt, &ck); err == nil {
-					if err := cs.soa.Restore(ck.SOA); err == nil {
-						cs.hasBudget = ck.HasBudget
-						cs.lastBudgetAt = ck.LastBudgetAt
+				if _, err := store.Decode(data, &ck); err == nil {
+					if err := s.soa.Restore(ck.SOA); err == nil {
+						s.budget, s.budgetAt = ck.Budget, ck.BudgetAt
 						res.WarmRestores++
 					}
 				}
@@ -489,103 +349,44 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	// --- Invariants --------------------------------------------------------
 	checker := invariant.NewChecker()
 	checker.Instrument(reg, tracer)
-	invariant.RackPowerWithinLimit(checker, rack, cfg.EnforcementGrace)
-	invariant.BudgetConservation(checker, goa, 1e-3)
-	for _, cs := range servers {
-		cs := cs
-		invariant.CoreBudgetsNeverOverdrawn(checker, "rack-chaos", cs.srv, bcfg, cfg.Start, 12*cfg.Tick)
-		invariant.SessionsWithinGrant(checker, "rack-chaos", cs.srv, func() *core.SOA { return cs.soa })
-	}
+	rg.watch(checker, cfg.EnforcementGrace)
+	rg.watchLedgers(checker, 12*cfg.Tick)
 
 	// --- Periodic control planes -------------------------------------------
 	// sOA → gOA profile reports (staggered one tick apart per server).
-	for i, cs := range servers {
-		cs := cs
+	for i, s := range servers {
 		eng.Every(cfg.Start.Add(cfg.ProfileEvery+time.Duration(i)*cfg.Tick), cfg.ProfileEvery, func(now time.Time) {
-			if cs.soa == nil {
-				return
-			}
-			window := lastSamples(cs.soa.PowerRecord().Values, 10)
-			med := stats.Median(window)
-			if len(window) == 0 {
-				med = cs.srv.Power()
-			}
-			granted := float64(cs.soa.ActiveOCCores())
-			requested := cs.soa.RecentRequestedCores(5)
-			if granted > requested {
-				requested = granted
-			}
-			payload := profileMsg{
-				Server: cs.srv.Name(), MedianWatts: med,
-				Requested: requested, Granted: granted,
-				CoreCost: cs.srv.Machine().Config().OCCoreCost(),
-			}
-			if msg, err := agent.NewMessage("soa.profile", cs.agentID, "goa", payload); err == nil {
+			if msg, ok := rg.profileReport(s, now); ok {
 				_ = tr.Send(msg)
 			}
 		})
 	}
 	// gOA → sOA budget pushes. While the gOA is down it computes nothing.
-	// The per-tick burst accumulates into a reused scratch batch and crosses
-	// the transport in one call; the chaos transport draws its fault rng per
-	// message in batch order, so results match unbatched sends byte for byte.
-	var budgetBatch []agent.Message
 	eng.Every(cfg.Start.Add(cfg.BudgetEvery), cfg.BudgetEvery, func(now time.Time) {
-		if tr.Down("goa") {
-			return
+		if !tr.Down(rg.goaID) {
+			_ = agent.SendAll(tr, rg.budgetPushes(now))
 		}
-		budgets := goa.BudgetsAt(now)
-		batch := budgetBatch[:0]
-		for _, cs := range servers {
-			b, ok := budgets[cs.srv.Name()]
-			if !ok || b <= 0 {
-				continue
-			}
-			goa.TraceBroadcast(now, cs.srv.Name(), b)
-			if msg, err := agent.NewMessage("goa.budget", "goa", cs.agentID, budgetMsg{Watts: b}); err == nil {
-				batch = append(batch, msg)
-			}
-		}
-		budgetBatch = batch
-		_ = agent.SendAll(tr, batch)
 	})
 
 	// --- Main control tick -------------------------------------------------
 	staleAfter := 2 * cfg.BudgetEvery
 	eng.Every(cfg.Start.Add(cfg.Tick), cfg.Tick, func(now time.Time) {
 		res.Ticks++
-		for i, cs := range servers {
+		for i, s := range servers {
 			setUtil(i, now)
-			if cs.soa == nil {
+			if s.soa == nil {
 				continue // crashed: nobody to ask, VM runs at turbo
 			}
-			want := demandAt(i, now)
-			_, active := cs.soa.Sessions()["vm"]
-			if want && !active {
-				cs.requests++
-				d := cs.soa.Request(now, core.Request{
-					VM: "vm", Cores: len(vmCores), TargetMHz: maxOC,
-					Priority: core.PriorityMetric, PreferredCores: vmCores,
-				})
-				if d.Granted {
-					cs.granted++
-				}
-			} else if !want && active {
-				cs.soa.Stop(now, "vm")
+			rg.stepServer(s, now, demandAt(i, now))
+			fresh := s.budgetAt
+			if fresh.IsZero() {
+				fresh = cfg.Start // no push since boot: stale once the run is old enough
 			}
-			cs.soa.Tick(now)
-			if !cs.hasBudget {
-				if now.Sub(cfg.Start) > staleAfter {
-					res.StaleBudgetTicks++
-				}
-			} else if now.Sub(cs.lastBudgetAt) > staleAfter {
+			if now.Sub(fresh) > staleAfter {
 				res.StaleBudgetTicks++
 			}
 		}
-		for _, cs := range servers {
-			cs.srv.Advance(cfg.Tick)
-		}
-		rack.Tick(now)
+		rg.tickRack(now, cfg.Tick)
 		checker.Check(now)
 		// The callback fires at Start+k*Tick, so `now` is already the
 		// tick's end boundary.
@@ -598,12 +399,10 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 
 	// --- Aggregate ---------------------------------------------------------
 	res.Transport = tr.Stats()
-	res.CapEvents = rack.CapEvents()
-	res.Warnings = rack.Warnings()
-	for _, cs := range servers {
-		res.Requests += cs.requests
-		res.Granted += cs.granted
-	}
+	res.CapEvents = rg.rack.CapEvents()
+	res.Warnings = rg.rack.Warnings()
+	res.Requests = rg.requests
+	res.Granted = rg.granted
 	res.InvariantChecks = checker.Checks()
 	res.Violations = checker.Violations()
 	res.Err = checker.Err()

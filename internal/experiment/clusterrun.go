@@ -13,9 +13,7 @@ import (
 	"smartoclock/internal/metrics"
 	"smartoclock/internal/obs"
 	"smartoclock/internal/power"
-	"smartoclock/internal/predict"
 	"smartoclock/internal/stats"
-	"smartoclock/internal/timeseries"
 	"smartoclock/internal/workload"
 )
 
@@ -826,14 +824,6 @@ func scaleApp(app *appState, want int, takeSlot func() *spareSlot,
 	}
 }
 
-// lastSamples returns the trailing n entries of xs.
-func lastSamples(xs []float64, n int) []float64 {
-	if len(xs) <= n {
-		return xs
-	}
-	return xs[len(xs)-n:]
-}
-
 // refreshBudgets recomputes heterogeneous budgets from each sOA's recent
 // profile window — the cluster-scale analogue of the weekly template
 // exchange (§IV-C) compressed to the emulation's time scale.
@@ -844,31 +834,14 @@ func refreshBudgets(goa *core.GOA, snServers, mlServers []*cluster.Server, soas 
 		isSN[s.Name()] = true
 	}
 	for _, s := range all {
-		a := soas[s.Name()]
-		window := lastSamples(a.PowerRecord().Values, 10)
-		med := stats.Median(window)
-		if len(window) == 0 {
-			med = s.Power()
-		}
-		granted := float64(a.ActiveOCCores())
-		requested := a.RecentRequestedCores(5)
-		if granted > requested {
-			requested = granted
-		}
-		if isSN[s.Name()] && requested < 16 {
+		p := recentProfile(soas[s.Name()], s, s.Machine().Config().OCCoreCost())
+		if isSN[s.Name()] && p.Requested < 16 {
 			// Latency-critical servers keep a floor reserve: their load
 			// waves are phase-shifted, so demand can arrive on servers
 			// that were quiet during the profiling window.
-			requested = 16
+			p.Requested = 16
 		}
-		goa.SetProfile(s.Name(), core.ServerProfile{
-			Power: timeseries.FlatWeek(med, time.Hour),
-			OC: &predict.OCTemplate{
-				Requested: timeseries.FlatWeek(requested, time.Hour),
-				Granted:   timeseries.FlatWeek(granted, time.Hour),
-			},
-			OCCoreCost: s.Machine().Config().OCCoreCost(),
-		})
+		goa.SetProfile(s.Name(), flatProfile(p))
 	}
 	budgets := goa.BudgetsAt(now)
 	for _, s := range all {

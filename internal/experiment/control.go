@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -15,19 +14,8 @@ import (
 	"smartoclock/internal/invariant"
 	"smartoclock/internal/metrics"
 	"smartoclock/internal/power"
-	"smartoclock/internal/predict"
 	"smartoclock/internal/store"
-	"smartoclock/internal/timeseries"
 )
-
-// liveServer is one emulated server of the live plane with its sOA and its
-// control-plane identity.
-type liveServer struct {
-	srv     *cluster.Server
-	agentID string
-	soa     *core.SOA
-	rng     *rand.Rand
-}
 
 // liveDeployment is an API-registered workload owning cores on one server.
 // Its cores run at util each tick (overriding the background pattern), and
@@ -54,11 +42,9 @@ type liveWorld struct {
 	now time.Time
 	end time.Time
 
-	servers []*liveServer
-	byName  map[string]*liveServer
-	goa     *core.GOA
-	rack    *power.Rack
-	vmCores []int
+	// rig is the rack's control plane: servers with their sOAs, the gOA and
+	// the rack manager.
+	rig *rig
 
 	deployments map[string]*liveDeployment
 	// coreOwner maps server → core index → deployment name for the free
@@ -79,7 +65,6 @@ type liveWorld struct {
 	ckptErrors *metrics.Counter
 	ckptBytes  *metrics.Gauge
 
-	buildCheckpoint func() *store.Checkpoint
 	// doTick runs exactly one simulation tick (set by RunLive).
 	doTick   func()
 	shutdown bool
@@ -89,14 +74,28 @@ type liveWorld struct {
 	// equality so tick N+1 always drains everything tick N sent.
 	sent     atomic.Int64
 	received atomic.Int64
+	// lost counts what voids that guarantee: messages a full inbox shed and
+	// barriers that timed out. Hold mode reports each as a violation.
+	lost atomic.Int64
+}
+
+// violations is the invariant battery's total plus, in hold mode, every
+// silent message loss — either one means the run is no longer the pure
+// function of its script that hold mode promises.
+func (w *liveWorld) violations() int {
+	n := w.checker.Total()
+	if w.cfg.Hold {
+		n += int(w.lost.Load())
+	}
+	return n
 }
 
 // do runs fn under the shared registry lock.
 func (w *liveWorld) do(fn func()) { w.lk.Do(func(*metrics.Registry) { fn() }) }
 
-// server resolves a server name (byName is immutable after setup).
-func (w *liveWorld) server(name string) (*liveServer, error) {
-	ls, ok := w.byName[name]
+// server resolves a server name (the rig's slots are fixed after setup).
+func (w *liveWorld) server(name string) (*rigServer, error) {
+	ls, ok := w.rig.byAgent["soa/"+name]
 	if !ok {
 		return nil, api.NotFoundf("no server %q", name)
 	}
@@ -120,15 +119,16 @@ func (w *liveWorld) buildStatus() *api.ClusterStatus {
 		Now:      w.now,
 		Hold:     w.cfg.Hold,
 		Ticks:    w.res.Ticks,
-		Requests: w.res.Requests,
-		Granted:  w.res.Granted,
+		Requests: w.rig.requests,
+		Granted:  w.rig.granted,
 		Rack: api.RackStatus{
-			Name:       w.rack.Name(),
-			LimitWatts: w.rack.Config().LimitWatts,
-			PowerWatts: w.rack.Power(),
-			CapEvents:  w.rack.CapEvents(),
-			Warnings:   w.rack.Warnings(),
+			Name:       w.rig.rack.Name(),
+			LimitWatts: w.rig.rack.Config().LimitWatts,
+			PowerWatts: w.rig.rack.Power(),
+			CapEvents:  w.rig.rack.CapEvents(),
+			Warnings:   w.rig.rack.Warnings(),
 		},
+		Violations:   w.violations(),
 		ChaosDropped: w.dropped,
 		Checkpoint: api.CheckpointInfo{
 			Path:         w.stateInfo.CheckpointPath,
@@ -138,15 +138,12 @@ func (w *liveWorld) buildStatus() *api.ClusterStatus {
 			RestoredFrom: w.stateInfo.RestoredFrom,
 		},
 	}
-	if w.checker != nil {
-		st.Violations = w.checker.Total()
-	}
-	st.ProfiledServers = w.goa.Servers()
+	st.ProfiledServers = w.rig.goa.Servers()
 	for a := range w.chaosDown {
 		st.ChaosDown = append(st.ChaosDown, a)
 	}
 	sort.Strings(st.ChaosDown)
-	for _, ls := range w.servers {
+	for _, ls := range w.rig.servers {
 		ss := api.ServerStatus{
 			Name:         ls.srv.Name(),
 			Severity:     int(ls.srv.Severity()),
@@ -201,7 +198,7 @@ func (w *liveWorld) registerDeployment(spec api.DeploymentSpec) (*api.Deployment
 	}
 	owners := w.coreOwner[spec.Server]
 	var free []int
-	for c := len(w.vmCores); c < ls.srv.NumCores(); c++ {
+	for c := len(ls.vmCores); c < ls.srv.NumCores(); c++ {
 		if owners[c] == "" {
 			free = append(free, c)
 		}
@@ -228,7 +225,7 @@ func (w *liveWorld) drainDeployment(name string) error {
 	if !ok {
 		return api.NotFoundf("no deployment %q", name)
 	}
-	ls := w.byName[dep.server]
+	ls, _ := w.server(dep.server) // deployments only register on known servers
 	w.do(func() {
 		ls.soa.Stop(w.now, name)
 		owners := w.coreOwner[dep.server]
@@ -251,14 +248,10 @@ func (w *liveWorld) setProfile(spec api.ProfileSpec) error {
 		cost = ls.srv.Machine().Config().OCCoreCost()
 	}
 	w.do(func() {
-		w.goa.SetProfile(spec.Server, core.ServerProfile{
-			Power: timeseries.FlatWeek(spec.MedianWatts, time.Hour),
-			OC: &predict.OCTemplate{
-				Requested: timeseries.FlatWeek(spec.RequestedCores, time.Hour),
-				Granted:   timeseries.FlatWeek(spec.GrantedCores, time.Hour),
-			},
-			OCCoreCost: cost,
-		})
+		w.rig.goa.SetProfile(spec.Server, flatProfile(profileMsg{
+			Server: spec.Server, MedianWatts: spec.MedianWatts,
+			Requested: spec.RequestedCores, Granted: spec.GrantedCores, CoreCost: cost,
+		}))
 	})
 	return nil
 }
@@ -280,20 +273,18 @@ func (w *liveWorld) assignBudgets(spec api.AssignSpec) (*api.AssignStatus, error
 	st := &api.AssignStatus{}
 	var err error
 	w.do(func() {
-		templates := w.goa.BudgetTemplates(step)
+		templates := w.rig.goa.BudgetTemplates(step)
 		if len(templates) == 0 {
 			err = api.Unavailablef("no server profiles reported yet")
 			return
 		}
 		for name, tmpl := range templates {
-			ls, ok := w.byName[name]
-			if !ok {
-				continue
+			if ls, lerr := w.server(name); lerr == nil {
+				ls.soa.SetAssignedBudget(tmpl)
+				st.Servers++
 			}
-			ls.soa.SetAssignedBudget(tmpl)
-			st.Servers++
 		}
-		st.Budgets = w.goa.BudgetsAt(w.now)
+		st.Budgets = w.rig.goa.BudgetsAt(w.now)
 	})
 	if err != nil {
 		return nil, err
@@ -318,7 +309,7 @@ func (w *liveWorld) startOverclock(spec api.OCSpec) (*api.OCStatus, error) {
 	var owned []int
 	switch {
 	case spec.VM == "vm":
-		owned = w.vmCores
+		owned = ls.vmCores
 	default:
 		dep, ok := w.deployments[spec.VM]
 		if !ok || dep.server != spec.Server {
@@ -339,7 +330,7 @@ func (w *liveWorld) startOverclock(spec api.OCSpec) (*api.OCStatus, error) {
 	}
 	var d core.Decision
 	w.do(func() {
-		w.res.Requests++
+		w.rig.requests++
 		d = ls.soa.Request(w.now, core.Request{
 			VM: spec.VM, Cores: n, TargetMHz: target,
 			Priority:       core.PriorityMetric,
@@ -347,7 +338,7 @@ func (w *liveWorld) startOverclock(spec api.OCSpec) (*api.OCStatus, error) {
 			PreferredCores: append([]int(nil), owned[:n]...),
 		})
 		if d.Granted {
-			w.res.Granted++
+			w.rig.granted++
 		}
 	})
 	return &api.OCStatus{Granted: d.Granted, Reason: string(d.Reason),
@@ -374,18 +365,13 @@ func (w *liveWorld) stopOverclock(spec api.StopSpec) error {
 
 func (w *liveWorld) setChaos(spec api.ChaosSpec) (*api.ChaosStatus, error) {
 	agent := spec.Agent
-	switch {
-	case agent == "goa":
-	case strings.HasPrefix(agent, "soa/"):
-		if _, ok := w.byName[strings.TrimPrefix(agent, "soa/")]; !ok {
-			return nil, api.NotFoundf("no agent %q", agent)
+	if agent != w.rig.goaID {
+		if !strings.HasPrefix(agent, "soa/") {
+			agent = "soa/" + agent // a bare server name is shorthand for its sOA
 		}
-	default:
-		// A bare server name is shorthand for its sOA.
-		if _, ok := w.byName[agent]; !ok {
-			return nil, api.NotFoundf("no agent %q", agent)
+		if _, ok := w.rig.byAgent[agent]; !ok {
+			return nil, api.NotFoundf("no agent %q", spec.Agent)
 		}
-		agent = "soa/" + agent
 	}
 	st := &api.ChaosStatus{Agent: agent, Down: spec.Down}
 	w.do(func() {
@@ -402,9 +388,25 @@ func (w *liveWorld) setChaos(spec api.ChaosSpec) (*api.ChaosStatus, error) {
 	return st, nil
 }
 
-// checkpointNow writes a durable checkpoint immediately, sharing the
-// periodic path's metrics and state publication. The snapshot is taken
-// under the lock, the disk write outside it.
+// buildCheckpoint snapshots the whole control plane: gOA, sOAs with their
+// lifetime ledgers, server cap/wear state. Must run under the lock.
+func (w *liveWorld) buildCheckpoint() *store.Checkpoint {
+	cp := &store.Checkpoint{
+		GOA:     w.rig.goa.Snapshot(),
+		SOAs:    make(map[string]*core.SOAState, len(w.rig.servers)),
+		Servers: make(map[string]*cluster.ServerState, len(w.rig.servers)),
+	}
+	for _, ls := range w.rig.servers {
+		cp.SOAs[ls.srv.Name()] = ls.soa.Snapshot()
+		cp.Servers[ls.srv.Name()] = ls.srv.Snapshot()
+	}
+	return cp
+}
+
+// checkpointNow writes a durable checkpoint — the periodic path and the
+// ForceCheckpoint command share it. The snapshot is taken under the lock,
+// the disk write outside it (atomic rename: a crash mid-write leaves the
+// previous checkpoint intact).
 func (w *liveWorld) checkpointNow() (*api.CheckpointStatus, error) {
 	if w.cfg.CheckpointPath == "" {
 		return nil, api.Unavailablef("run has no -checkpoint path configured")

@@ -584,3 +584,60 @@ func TestControlPlaneLoadSmoke(t *testing.T) {
 		t.Fatalf("server states differ across identical seeds:\n%s\n%s", b1, b2)
 	}
 }
+
+// holdLargeRackRun drives a held 300-server cluster up to its first budget
+// push and one tick past it (the tick that drains the push), then returns the
+// forced final checkpoint with the run result.
+func holdLargeRackRun(t *testing.T) ([]byte, *LiveResult) {
+	t.Helper()
+	ckptPath := filepath.Join(t.TempDir(), "state.json")
+	h := startLiveHarness(t, func(cfg *LiveConfig) {
+		cfg.Servers = 300
+		cfg.CheckpointPath = ckptPath
+	})
+	ctx := context.Background()
+	admin := h.client("tok-admin")
+	// Profiles go up at tick 24 and land at 25; the push at tick 36 is the
+	// first the gOA can fund; tick 37 applies it.
+	for _, ticks := range []int{24, 12, 1} {
+		if _, err := admin.Advance(ctx, api.AdvanceSpec{Ticks: ticks}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp, err := admin.ForceCheckpoint(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(cp.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, h.stop(t)
+}
+
+// TestHoldModeLargeRackLosesNoMessages is the regression test for silent
+// message loss: a budget push to more servers than the (once fixed, 256-deep)
+// inbox holds used to shed the excess without a trace, leaving hold mode's
+// "the next tick drains exactly what this tick sent" untrue. Every server
+// must see the push, and two same-seed runs must stay violation-free and
+// land on byte-identical checkpoints.
+func TestHoldModeLargeRackLosesNoMessages(t *testing.T) {
+	data1, res1 := holdLargeRackRun(t)
+	data2, res2 := holdLargeRackRun(t)
+	if res1.Violations != 0 || res2.Violations != 0 {
+		t.Fatalf("violations = %d / %d, want 0 (a shed message or a timed-out delivery barrier counts)",
+			res1.Violations, res2.Violations)
+	}
+	budgeted := map[string]bool{}
+	for _, r := range res1.Provenance.Records {
+		if r.Site == "soa.budget" {
+			budgeted[r.Subject] = true
+		}
+	}
+	if len(budgeted) != 300 {
+		t.Fatalf("%d of 300 sOAs applied the budget push", len(budgeted))
+	}
+	if !bytes.Equal(data1, data2) {
+		t.Fatalf("checkpoints differ across identical runs: %d vs %d bytes", len(data1), len(data2))
+	}
+}

@@ -143,7 +143,7 @@ func Fig5(racks int, seed int64) (*Table, error) {
 		a, m, p float64
 		err     error
 	}
-	outs := parallel.Map(cfg.NumRacks(), parallel.Options{Workers: cfg.Workers}, func(i int) rackStats {
+	outs := parallel.Map(cfg.NumRacks(), parallel.Options{}, func(i int) rackStats {
 		fr, err := trace.GenFleetRack(cfg, i)
 		if err != nil {
 			return rackStats{err: err}
@@ -273,14 +273,13 @@ func Fig8(racksPerRegion int, seed int64) (*Table, error) {
 	cfg.RackTemplate.OutlierWithinDays = 14
 	split := figStart.Add(14 * 24 * time.Hour)
 	// Stream: one rack per worker, reduced to (region, RMSE). Folding in
-	// rack-index order keeps each region's RMSE list in the exact order the
-	// materialized loop produced.
+	// rack-index order keeps each region's RMSE list in generation order.
 	type rackRMSE struct {
 		region string
 		rmse   float64
 		err    error
 	}
-	outs := parallel.Map(cfg.NumRacks(), parallel.Options{Workers: cfg.Workers}, func(i int) rackRMSE {
+	outs := parallel.Map(cfg.NumRacks(), parallel.Options{}, func(i int) rackRMSE {
 		fr, err := trace.GenFleetRack(cfg, i)
 		if err != nil {
 			return rackRMSE{err: err}
@@ -371,7 +370,7 @@ func Fig15(racks int, seed int64) (*Table, error) {
 		evs []predict.Evaluation
 		err error
 	}
-	outs := parallel.Map(cfg.NumRacks(), parallel.Options{Workers: cfg.Workers}, func(i int) rackEvals {
+	outs := parallel.Map(cfg.NumRacks(), parallel.Options{}, func(i int) rackEvals {
 		fr, err := trace.GenFleetRack(cfg, i)
 		if err != nil {
 			return rackEvals{err: err}

@@ -64,14 +64,6 @@ type FleetSimConfig struct {
 	// change; the determinism and race tests set it to prove that.
 	ShuffleShards int64
 
-	// MaterializeFleet forces the pre-streaming behavior: every per-class
-	// fleet is generated eagerly up front and shards borrow the
-	// materialized racks, making memory O(fleet) instead of O(active
-	// shards). Results are byte-identical to the default streamed path —
-	// each rack is a pure function of (seed, index) — and the equivalence
-	// suite runs both to prove it. Only tests should set this.
-	MaterializeFleet bool
-
 	// Observe enables the observability layer: every shard runs with its
 	// own metrics registry and event tracer, merged in shard-index order so
 	// the combined snapshot and trace are byte-identical for any worker
@@ -296,25 +288,26 @@ type Table1Row struct {
 	RacksTested int
 }
 
-// demandSeries precomputes, per server, the number of cores demanding
-// overclocking at each evaluation tick: the user-facing VMs whose service
-// utilization exceeds the threshold.
-func demandSeries(st *trace.ServerTrace, cfg FleetSimConfig, evalStart time.Time, ticks int) []int {
-	return fillDemand(make([]int, ticks), st, cfg, evalStart)
+// wantsOC reports whether a VM demands overclocking at ts: a user-facing
+// service whose utilization is at or above the threshold.
+func wantsOC(vm *trace.VMSpec, ts time.Time, threshold float64) bool {
+	switch vm.Service.Pattern {
+	case trace.PatternSpiky, trace.PatternBroadPeak, trace.PatternDiurnal:
+		return vm.Service.UtilAt(ts, nil) >= threshold
+	}
+	return false
 }
 
-// fillDemand is demandSeries into a caller-owned buffer (len(out) ticks),
-// so shards can carve per-server demand out of one arena allocation.
+// fillDemand precomputes, into a caller-owned buffer (len(out) ticks from
+// start), the number of a server's cores demanding overclocking at each
+// tick, so shards can carve per-server demand out of one arena allocation.
 func fillDemand(out []int, st *trace.ServerTrace, cfg FleetSimConfig, start time.Time) []int {
 	for t := range out {
 		ts := start.Add(time.Duration(t) * cfg.Step)
 		demand := 0
-		for _, vm := range st.Spec.VMs {
-			switch vm.Service.Pattern {
-			case trace.PatternSpiky, trace.PatternBroadPeak, trace.PatternDiurnal:
-				if vm.Service.UtilAt(ts, nil) >= cfg.OCThreshold {
-					demand += vm.Cores
-				}
+		for i := range st.Spec.VMs {
+			if vm := &st.Spec.VMs[i]; wantsOC(vm, ts, cfg.OCThreshold) {
+				demand += vm.Cores
 			}
 		}
 		if demand > st.Spec.HW.Cores {
@@ -424,13 +417,24 @@ func newShardTracer(only []obs.Component) *obs.Tracer {
 	return obs.New()
 }
 
+// shardOut is one rack shard's result: its metric contributions plus, for an
+// observed run, the shard-local telemetry the caller merges in shard-index
+// order. err is set when the shard's rack could not be generated.
+type shardOut struct {
+	m    rackMetrics
+	snap *metrics.Snapshot
+	tr   *obs.Tracer
+	rec  *metrics.Recording
+	prov *causal.Log
+	err  error
+}
+
 // rackRun simulates one rack under one system for the evaluation window
 // and returns its metric contributions. It is a pure function of its
 // arguments — no shared state, no random draws — which is what makes the
 // rack the unit of parallel sharding.
 func rackRun(rt *trace.RackTrace, sys baselines.System, cfg FleetSimConfig) rackMetrics {
-	m, _, _, _, _ := rackRunObserved(rt, sys, cfg, "", 0)
-	return m
+	return rackRunObserved(rt, sys, cfg, "", 0).m
 }
 
 // rackRunObserved is rackRun plus per-shard telemetry: when cfg.Observe is
@@ -442,7 +446,7 @@ func rackRun(rt *trace.RackTrace, sys baselines.System, cfg FleetSimConfig) rack
 // shard is the shard's fixed matrix index, which (with the root seed)
 // derives the shard-local provenance recorder so span IDs never depend on
 // dispatch order.
-func rackRunObserved(rt *trace.RackTrace, sys baselines.System, cfg FleetSimConfig, class string, shard int) (rackMetrics, *metrics.Snapshot, *obs.Tracer, *metrics.Recording, *causal.Log) {
+func rackRunObserved(rt *trace.RackTrace, sys baselines.System, cfg FleetSimConfig, class string, shard int) shardOut {
 	var requests, successes, penaltyN, perfN int
 	var penaltySum, perfSum float64
 	var reg *metrics.Registry
@@ -503,9 +507,12 @@ func rackRunObserved(rt *trace.RackTrace, sys baselines.System, cfg FleetSimConf
 	// Training demand is consumed immediately per server, so one scratch
 	// buffer serves every server in turn.
 	trainScratch := make([]int, cfg.TrainDays*int(24*time.Hour/cfg.Step))
+	// Each server's power template is fitted once and shared: the gOA
+	// splits budgets from it, the server's own sOA predicts from it.
+	powerTpls := make([]*timeseries.WeekTemplate, len(rt.Servers))
 	for i, st := range rt.Servers {
 		train := st.Power.Slice(fleetStart, trainEnd)
-		powerTpl := templateFromPredictor(predictorFor(cfg.TemplateStrategy), train)
+		powerTpls[i] = templateFromPredictor(predictorFor(cfg.TemplateStrategy), train)
 		// Overclock template from the training week's demand (granted = 0
 		// during training: the baseline trace has no overclocking).
 		rec := predict.NewOCRecorder(fleetStart, cfg.Step)
@@ -514,11 +521,10 @@ func rackRunObserved(rt *trace.RackTrace, sys baselines.System, cfg FleetSimConf
 			rec.Record(d, 0)
 		}
 		goa.SetProfile(st.Spec.Name, core.ServerProfile{
-			Power:      powerTpl,
+			Power:      powerTpls[i],
 			OC:         rec.Template(),
 			OCCoreCost: st.Spec.HW.OCCoreCost(),
 		})
-		_ = i
 	}
 	budgetTpls := goa.BudgetTemplates(cfg.Step)
 
@@ -589,8 +595,7 @@ func rackRunObserved(rt *trace.RackTrace, sys baselines.System, cfg FleetSimConf
 		default:
 			soas[i].SetAssignedBudget(budgetTpls[st.Spec.Name])
 		}
-		train := st.Power.Slice(fleetStart, trainEnd)
-		soas[i].SetPowerTemplate(templateFromPredictor(predictorFor(cfg.TemplateStrategy), train))
+		soas[i].SetPowerTemplate(powerTpls[i])
 		instrumentSOA(soas[i])
 	}
 
@@ -734,19 +739,20 @@ func rackRunObserved(rt *trace.RackTrace, sys baselines.System, cfg FleetSimConf
 		penaltySum: penaltySum, penaltyN: penaltyN,
 		perfSum: perfSum, perfN: perfN,
 	}
+	out := shardOut{m: m}
 	if reg == nil {
-		return m, nil, nil, nil, nil
+		return out
 	}
 	// Critical-path and fan-out profile of the shard's causal log, plus the
 	// tracer's drop counter, become ordinary (sum-mergeable) series.
-	log := &causal.Log{Records: prov.Records()}
-	log.Register(reg, shardLabels...)
+	out.prov = &causal.Log{Records: prov.Records()}
+	out.prov.Register(reg, shardLabels...)
 	reg.Counter("trace_dropped_total", shardLabels...).Add(float64(tracer.Dropped()))
-	var recording *metrics.Recording
 	if recorder != nil {
-		recording = recorder.Recording()
+		out.rec = recorder.Recording()
 	}
-	return m, reg.Snapshot(), tracer, recording, log
+	out.snap, out.tr = reg.Snapshot(), tracer
+	return out
 }
 
 // fleetOpts returns the parallel scheduling options for a fleet sim config.
@@ -754,21 +760,47 @@ func fleetOpts(cfg FleetSimConfig) parallel.Options {
 	return parallel.Options{Workers: cfg.Workers, ShuffleSeed: cfg.ShuffleShards}
 }
 
-// table1Shard is one unit of parallel work in RunTable1: a single rack
-// simulated under a single system. The shard carries the recipe for its
-// rack (fleet config + index), not the rack itself: the worker generates
-// the trace on entry and drops it on exit, so a paper-scale fleet holds
-// O(workers) rack traces in memory instead of O(fleet). rack is non-nil
-// only when cfg.MaterializeFleet pre-generated the fleet.
-type table1Shard struct {
-	class trace.ClusterClass
-	sys   baselines.System
-	fcfg  trace.FleetConfig
-	// rackIdx is the rack's index within its per-class mini-fleet.
+// rackShard is the recipe for one unit of streamed fleet work: rack rackIdx
+// of the fleet fcfg describes, simulated under sys. It carries the recipe,
+// not the rack: the worker generates the trace on entry and drops it on
+// exit, so a paper-scale fleet holds O(workers) rack traces in memory
+// instead of O(fleet).
+type rackShard struct {
+	fcfg    *trace.FleetConfig
 	rackIdx int
-	rack    *trace.RackTrace
-	// cell indexes the (class, system) aggregate the shard contributes to.
-	cell int
+	sys     baselines.System
+}
+
+// streamRacks runs n rack shards across cfg.Workers goroutines. Shard i
+// generates its rack from recipe(i) — byte-identical wherever and whenever it
+// runs, since a rack is a pure function of (seed, index) — and simulates it;
+// results come back in shard-index order, never completion order, so folds
+// over them are bit-identical for any worker count. The first generation
+// error fails the whole run.
+func streamRacks(n int, cfg FleetSimConfig, recipe func(i int) rackShard) ([]shardOut, error) {
+	outs := parallel.Map(n, fleetOpts(cfg), func(i int) shardOut {
+		sh := recipe(i)
+		fr, err := trace.GenFleetRack(*sh.fcfg, sh.rackIdx)
+		if err != nil {
+			return shardOut{err: err}
+		}
+		return rackRunObserved(fr.RackTrace, sh.sys, cfg, fr.Class.String(), i)
+	})
+	for _, o := range outs {
+		if o.err != nil {
+			return nil, o.err
+		}
+	}
+	return outs, nil
+}
+
+// foldRacks sums shard metrics in shard-index order.
+func foldRacks(outs []shardOut) rackMetrics {
+	var agg rackMetrics
+	for _, o := range outs {
+		agg.accumulate(o.m)
+	}
+	return agg
 }
 
 // table1FleetConfig builds the per-class mini-fleet config for class index
@@ -782,28 +814,7 @@ func table1FleetConfig(cfg FleetSimConfig, class trace.ClusterClass, ci int) tra
 	fcfg.RacksPerRegion = cfg.RacksPerClass
 	fcfg.Step = cfg.Step
 	fcfg.ClassMix = map[trace.ClusterClass]float64{class: 1}
-	fcfg.Workers = cfg.Workers
 	return fcfg
-}
-
-// shardRack returns the shard's rack trace: the materialized one when the
-// fleet was pre-generated, otherwise generated on demand from the shard's
-// (config, index) recipe — byte-identical either way, since a rack is a
-// pure function of its seed and position.
-func (s *table1Shard) shardRack() (*trace.RackTrace, error) {
-	if s.rack != nil {
-		return s.rack, nil
-	}
-	fr, err := trace.GenFleetRack(s.fcfg, s.rackIdx)
-	if err != nil {
-		return nil, err
-	}
-	if fr.Class != s.class {
-		// Single-class mixes always draw their class; anything else means
-		// the shard recipe and the generator disagree.
-		return nil, fmt.Errorf("experiment: rack %d drew class %v, want %v", s.rackIdx, fr.Class, s.class)
-	}
-	return fr.RackTrace, nil
 }
 
 // RunTable1 reproduces Table I: five systems across the three power
@@ -829,61 +840,25 @@ func runTable1(cfg FleetSimConfig) (*Table, []Table1Row, *FleetObservation, erro
 
 	// Flatten every (class, system, rack) triple into the shard list. Each
 	// per-class mini-fleet has a single-class mix, so it guarantees exact
-	// class coverage at any scale. By default no trace is generated here:
-	// shards stream their racks inside the worker (memory O(active
-	// shards)); MaterializeFleet pre-generates everything for the
-	// streamed-vs-materialized equivalence suite.
-	var shards []table1Shard
+	// class coverage at any scale. No trace is generated here: shards stream
+	// their racks inside the worker (memory O(active shards)). cellOf maps a
+	// shard to the (class, system) aggregate it contributes to.
+	var shards []rackShard
+	var cellOf []int
 	racksPerClass := make([]int, len(classes))
 	for ci, class := range classes {
 		fcfg := table1FleetConfig(cfg, class, ci)
 		racksPerClass[ci] = fcfg.NumRacks()
-		var racks []*trace.FleetRack
-		if cfg.MaterializeFleet {
-			fleet, err := trace.GenFleet(fcfg)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			racks = fleet.ByClass(class)
-			if len(racks) != fcfg.NumRacks() {
-				return nil, nil, nil, fmt.Errorf("experiment: class %v drew %d racks, want %d", class, len(racks), fcfg.NumRacks())
-			}
-		}
 		for si, sys := range systems {
 			for ri := 0; ri < fcfg.NumRacks(); ri++ {
-				sh := table1Shard{
-					class: class, sys: sys, fcfg: fcfg, rackIdx: ri,
-					cell: ci*len(systems) + si,
-				}
-				if racks != nil {
-					sh.rack = racks[ri].RackTrace
-				}
-				shards = append(shards, sh)
+				shards = append(shards, rackShard{fcfg: &fcfg, rackIdx: ri, sys: sys})
+				cellOf = append(cellOf, ci*len(systems)+si)
 			}
 		}
 	}
-
-	// Fan out. Each shard is pure; results land in index-addressed slots.
-	type shardResult struct {
-		m    rackMetrics
-		snap *metrics.Snapshot
-		tr   *obs.Tracer
-		rec  *metrics.Recording
-		prov *causal.Log
-		err  error
-	}
-	results := parallel.Map(len(shards), fleetOpts(cfg), func(i int) shardResult {
-		rt, err := shards[i].shardRack()
-		if err != nil {
-			return shardResult{err: err}
-		}
-		m, snap, tr, rec, prov := rackRunObserved(rt, shards[i].sys, cfg, shards[i].class.String(), i)
-		return shardResult{m: m, snap: snap, tr: tr, rec: rec, prov: prov}
-	})
-	for _, r := range results {
-		if r.err != nil {
-			return nil, nil, nil, r.err
-		}
+	results, err := streamRacks(len(shards), cfg, func(i int) rackShard { return shards[i] })
+	if err != nil {
+		return nil, nil, nil, err
 	}
 
 	// Reduce in shard order: shards are grouped by cell, so this fold
@@ -922,7 +897,7 @@ func runTable1(cfg FleetSimConfig) (*Table, []Table1Row, *FleetObservation, erro
 		}
 	}
 	for i, r := range results {
-		cells[shards[i].cell].accumulate(r.m)
+		cells[cellOf[i]].accumulate(r.m)
 	}
 
 	var rows []Table1Row

@@ -7,18 +7,12 @@ import (
 
 	"smartoclock/internal/agent"
 	"smartoclock/internal/causal"
-	"smartoclock/internal/cluster"
-	"smartoclock/internal/core"
 	"smartoclock/internal/invariant"
-	"smartoclock/internal/lifetime"
 	"smartoclock/internal/machine"
 	"smartoclock/internal/metrics"
 	"smartoclock/internal/obs"
 	"smartoclock/internal/power"
-	"smartoclock/internal/predict"
-	"smartoclock/internal/stats"
 	"smartoclock/internal/store"
-	"smartoclock/internal/timeseries"
 )
 
 // LiveSink receives the periodic publications of a live run — typically a
@@ -131,9 +125,9 @@ func (r *LiveResult) Format() string {
 	return tbl.Format()
 }
 
-// RunLive executes the live networked mode. The world is a scaled-down
-// chaos rig without the faults: each server hosts one latency-critical VM
-// whose overclock demand arrives in phase-shifted square waves, the rack
+// RunLive executes the live networked mode. The world is the chaos rig's,
+// scaled down and without the faults: each server hosts one latency-critical
+// VM whose overclock demand arrives in phase-shifted square waves, the rack
 // limit leaves headroom for only some servers to overclock at once, and
 // every control message — sOA profile reports to the gOA, gOA budget
 // pushes back, rack warning/cap notifications — travels a real TCP link
@@ -156,7 +150,6 @@ func RunLive(cfg LiveConfig, sink LiveSink) (*LiveResult, error) {
 	}
 	lk := metrics.NewLocked()
 	tracer := newShardTracer(cfg.TraceOnly)
-	maxOC := cfg.HW.MaxOCMHz
 	checker := invariant.NewChecker()
 	// Live runs are long-lived: the provenance recorder is a bounded ring so
 	// memory stays flat while the latest decisions remain explorable via
@@ -178,104 +171,70 @@ func RunLive(cfg LiveConfig, sink LiveSink) (*LiveResult, error) {
 	goaNode.Instrument(lk, metrics.L("node", "goa"))
 	soaNode.Instrument(lk, metrics.L("node", "soa"))
 
-	// --- Servers, workload, rack, gOA --------------------------------------
-	servers := make([]*liveServer, cfg.Servers)
-	bcfg := lifetime.BudgetConfig{Epoch: time.Hour, Fraction: 0.25, CarryOver: true, MaxCarryOver: 1}
-	for i := range servers {
-		s := cluster.NewServer(fmt.Sprintf("lv-%02d", i), cfg.HW, 0)
-		servers[i] = &liveServer{
-			srv:     s,
-			agentID: "soa/" + s.Name(),
-			rng:     rand.New(rand.NewSource(cfg.Seed + int64(i))),
-		}
-	}
-	vmCores := make([]int, cfg.HW.Cores/2)
-	for i := range vmCores {
-		vmCores[i] = i
-	}
-
+	// --- Servers, workload, rack control plane -----------------------------
+	servers := make([]*rigServer, cfg.Servers)
+	rngs := make([]*rand.Rand, cfg.Servers)
 	res := &LiveResult{}
 	w := &liveWorld{
 		cfg:         cfg,
 		lk:          lk,
 		now:         cfg.Start.Add(cfg.Tick),
 		end:         cfg.Start.Add(cfg.Duration),
-		servers:     servers,
-		byName:      make(map[string]*liveServer, len(servers)),
-		vmCores:     vmCores,
 		deployments: make(map[string]*liveDeployment),
 		coreOwner:   make(map[string]map[int]string, len(servers)),
 		chaosDown:   make(map[string]bool),
 		res:         res,
 		checker:     checker,
 	}
-	for _, ls := range servers {
-		w.byName[ls.srv.Name()] = ls
-		w.coreOwner[ls.srv.Name()] = make(map[int]string)
-	}
-
-	demandPeriod := 20 * time.Minute
-	demandAt := func(i int, now time.Time) bool {
-		phase := time.Duration(i) * demandPeriod / time.Duration(cfg.Servers)
-		into := (now.Sub(cfg.Start) + phase) % demandPeriod
-		return into < 9*time.Minute
+	for i := range servers {
+		servers[i] = newRigServer(fmt.Sprintf("lv-%02d", i), cfg.HW, cfg.HW.Cores/2)
+		rngs[i] = rand.New(rand.NewSource(cfg.Seed + int64(i)))
+		w.coreOwner[servers[i].srv.Name()] = make(map[int]string)
 	}
 	// setUtil drives the background pattern; cores owned by an API-registered
 	// deployment keep the utilization the deployment pinned.
-	setUtil := func(ls *liveServer, i int, now time.Time) {
-		owners := w.coreOwner[ls.srv.Name()]
-		base := 0.35 + 0.05*ls.rng.Float64()
+	setUtil := func(i int, want bool) {
+		s := servers[i]
+		owners := w.coreOwner[s.srv.Name()]
+		base := 0.35 + 0.05*rngs[i].Float64()
 		hot := base
-		if demandAt(i, now) {
-			hot = 0.80 + 0.10*ls.rng.Float64()
+		if want {
+			hot = 0.80 + 0.10*rngs[i].Float64()
 		}
-		for c := 0; c < ls.srv.NumCores(); c++ {
+		for c := 0; c < s.srv.NumCores(); c++ {
 			if owners[c] != "" {
 				continue
 			}
-			if c < len(vmCores) {
-				ls.srv.SetCoreUtil(c, hot)
+			if c < len(s.vmCores) {
+				s.srv.SetCoreUtil(c, hot)
 			} else {
-				ls.srv.SetCoreUtil(c, base)
+				s.srv.SetCoreUtil(c, base)
 			}
 		}
 	}
-
-	est := 0.0
-	members := make([]power.Server, 0, cfg.Servers)
-	for _, ls := range servers {
-		setUtil(ls, 0, cfg.Start)
-		est += ls.srv.Power()
-		members = append(members, ls.srv)
+	for i := range servers {
+		setUtil(i, true) // the rack limit is sized with every VM hot
 	}
-	fullOC := float64(cfg.Servers) * servers[0].srv.OCDeltaWatts(len(vmCores), maxOC, 0.9)
-	limit := 0.9 * (est + 0.5*fullOC)
-	rack := power.NewRack(power.DefaultRackConfig("rack-live", limit), members...)
-	rack.AttachProvenance(prov)
-	goa := core.NewGOA("rack-live", limit)
-	goa.AttachProvenance(prov)
-	evenShare := limit / float64(cfg.Servers)
-	w.rack, w.goa = rack, goa
 
-	soaCfg := core.DefaultSOAConfig()
-	soaCfg.ProfileStep = time.Minute
-	soaCfg.ExploreConfirm = 30 * time.Second
-	soaCfg.ExploitTime = 5 * time.Minute
-	soaCfg.DefaultOCHorizon = 5 * time.Minute
+	soaCfg := rigSOAConfig()
 	soaCfg.OnAdmit = invariant.AdmissionWithinBudget(checker, "rack-live", 1e-6)
-
+	rg := &rig{
+		goaID:   "goa",
+		limit:   partialOCLimit(servers, 0.9),
+		soaCfg:  soaCfg,
+		bcfg:    rigBudgetConfig(time.Hour, 0.25),
+		start:   cfg.Start,
+		servers: servers,
+		tracer:  tracer,
+		prov:    prov,
+	}
+	w.rig = rg
 	// Instrumentation resolves handles into the shared registry under the
 	// lock; the simulation later updates them under the same lock.
 	lk.Do(func(reg *metrics.Registry) {
-		rack.Instrument(reg, tracer)
-		goa.Instrument(reg, tracer)
+		rg.reg = reg
+		rg.assemble("rack-live")
 		checker.Instrument(reg, tracer)
-		for _, ls := range servers {
-			ls.srv.Instrument(reg)
-			ls.soa = core.NewSOA(soaCfg, ls.srv, lifetime.NewCoreBudgets(bcfg, ls.srv.NumCores(), cfg.Start), evenShare, cfg.Start)
-			ls.soa.Instrument(reg, tracer)
-			ls.soa.AttachProvenance(prov)
-		}
 		w.ckptWrites = reg.Counter("checkpoint_writes_total")
 		w.ckptErrors = reg.Counter("checkpoint_errors_total")
 		w.ckptBytes = reg.Gauge("checkpoint_bytes")
@@ -284,36 +243,24 @@ func RunLive(cfg LiveConfig, sink LiveSink) (*LiveResult, error) {
 	// --- Durable state: warm start and periodic checkpoints ----------------
 	stateInfo := store.StateInfo{CheckpointPath: cfg.CheckpointPath}
 	w.stateInfo = &stateInfo
-	w.buildCheckpoint = func() *store.Checkpoint {
-		cp := &store.Checkpoint{
-			GOA:     goa.Snapshot(),
-			SOAs:    make(map[string]*core.SOAState, len(servers)),
-			Servers: make(map[string]*cluster.ServerState, len(servers)),
-		}
-		for _, ls := range servers {
-			cp.SOAs[ls.srv.Name()] = ls.soa.Snapshot()
-			cp.Servers[ls.srv.Name()] = ls.srv.Snapshot()
-		}
-		return cp
-	}
 	if cfg.RestorePath != "" {
 		var cp store.Checkpoint
 		savedAt, err := store.Load(cfg.RestorePath, &cp)
 		if err != nil {
 			return nil, err
 		}
-		lk.Do(func(*metrics.Registry) {
+		w.do(func() {
 			if cp.GOA != nil {
-				goa.Restore(cp.GOA)
+				rg.goa.Restore(cp.GOA)
 			}
-			for _, ls := range servers {
-				if st, ok := cp.Servers[ls.srv.Name()]; ok {
-					if rerr := ls.srv.Restore(st); rerr != nil && err == nil {
+			for _, s := range servers {
+				if st, ok := cp.Servers[s.srv.Name()]; ok {
+					if rerr := s.srv.Restore(st); rerr != nil && err == nil {
 						err = rerr
 					}
 				}
-				if st, ok := cp.SOAs[ls.srv.Name()]; ok {
-					if rerr := ls.soa.Restore(st); rerr != nil && err == nil {
+				if st, ok := cp.SOAs[s.srv.Name()]; ok {
+					if rerr := s.soa.Restore(st); rerr != nil && err == nil {
 						err = rerr
 					}
 				}
@@ -328,10 +275,9 @@ func RunLive(cfg LiveConfig, sink LiveSink) (*LiveResult, error) {
 	}
 	// Sinks that understand durable-state status (the telemetry server's
 	// /statez) get it pushed alongside snapshots.
-	statePub, _ := sink.(interface{ PublishState(store.StateInfo) })
-	w.statePub = statePub
-	if statePub != nil {
-		statePub.PublishState(stateInfo)
+	w.statePub, _ = sink.(interface{ PublishState(store.StateInfo) })
+	if w.statePub != nil {
+		w.statePub.PublishState(stateInfo)
 	}
 
 	// Register the invariant battery after the (possible) restore so the
@@ -340,59 +286,51 @@ func RunLive(cfg LiveConfig, sink LiveSink) (*LiveResult, error) {
 	if g := 3 * cfg.Tick; g > grace {
 		grace = g
 	}
-	invariant.RackPowerWithinLimit(checker, rack, grace)
-	invariant.BudgetConservation(checker, goa, 1e-3)
-	for _, ls := range servers {
-		ls := ls
-		invariant.SessionsWithinGrant(checker, "rack-live", ls.srv, func() *core.SOA { return ls.soa })
-		if cfg.RestorePath == "" {
-			// The independent lifetime accounting assumes it watched the run
-			// from its start; a warm restore carries spend it never saw.
-			invariant.CoreBudgetsNeverOverdrawn(checker, "rack-live", ls.srv, bcfg, cfg.Start, 12*cfg.Tick)
-		}
+	rg.watch(checker, grace)
+	if cfg.RestorePath == "" {
+		rg.watchLedgers(checker, 12*cfg.Tick)
 	}
 
 	// --- Inboxes: TCP read loops hand off, the main loop applies ----------
-	// The received counter ticks on every delivered message (even ones a
-	// full inbox sheds): hold mode barriers on received == sent so a tick's
-	// sends are all visible to the next tick's drain.
-	goaInbox := make(chan agent.Message, 256)
-	soaInbox := make(chan agent.Message, 256)
-	goaNode.Register("goa", func(m agent.Message) {
-		w.received.Add(1)
-		select {
-		case goaInbox <- m:
-		default: // full inbox sheds load rather than blocking the link
-		}
-	})
-	for _, ls := range servers {
-		soaNode.Register(ls.agentID, func(m agent.Message) {
+	// One tick sends at most a couple of rack-event fan-outs plus a budget
+	// push to the sOAs and one profile report per server to the gOA, so an
+	// inbox this deep holds everything a tick sent. The received counter
+	// ticks on every delivered message (even ones a full inbox sheds): hold
+	// mode barriers on received == sent so a tick's sends are all visible to
+	// the next tick's drain.
+	inboxDepth := max(256, 4*cfg.Servers)
+	goaInbox := make(chan agent.Message, inboxDepth)
+	soaInbox := make(chan agent.Message, inboxDepth)
+	enqueue := func(inbox chan agent.Message) agent.Handler {
+		return func(m agent.Message) {
 			w.received.Add(1)
 			select {
-			case soaInbox <- m:
-			default:
+			case inbox <- m:
+			default: // full inbox sheds load rather than blocking the link
+				w.lost.Add(1)
 			}
-		})
-		goaNode.AddPeer(ls.agentID, soaNode.Addr())
+		}
 	}
-	soaNode.AddPeer("goa", goaNode.Addr())
-
-	byAgent := make(map[string]*liveServer, len(servers))
-	for _, ls := range servers {
-		byAgent[ls.agentID] = ls
+	goaNode.Register(rg.goaID, enqueue(goaInbox))
+	for _, s := range servers {
+		soaNode.Register(s.agentID, enqueue(soaInbox))
+		goaNode.AddPeer(s.agentID, soaNode.Addr())
 	}
+	soaNode.AddPeer(rg.goaID, goaNode.Addr())
 
 	// Rack events queue locally during Tick (which runs under the lock) and
 	// are flushed over TCP afterwards, outside it.
 	var pendingRack []power.Event
-	rack.Subscribe(func(ev power.Event) { pendingRack = append(pendingRack, ev) })
+	rg.rack.Subscribe(func(ev power.Event) { pendingRack = append(pendingRack, ev) })
 
-	send := func(node *agent.TCPNode, msg agent.Message, from, to string) {
-		if !w.sendAllowed(from, to) {
-			return
-		}
-		if node.Send(msg) == nil {
-			w.sent.Add(1)
+	// sendAll moves a batch over TCP, outside the lock (the transport
+	// instrumentation takes it per message). Chaos gates drop sends from or
+	// to downed agents.
+	sendAll := func(node *agent.TCPNode, batch []agent.Message) {
+		for _, msg := range batch {
+			if w.sendAllowed(msg.From, msg.To) && node.Send(msg) == nil {
+				w.sent.Add(1)
+			}
 		}
 	}
 
@@ -419,41 +357,7 @@ func RunLive(cfg LiveConfig, sink LiveSink) (*LiveResult, error) {
 				w.dropped++
 				return
 			}
-			switch m.Type {
-			case "goa.budget":
-				ls := byAgent[m.To]
-				b, err := agent.Decode[budgetMsg](m)
-				if ls == nil || err != nil || b.Watts <= 0 {
-					return
-				}
-				ls.soa.SetStaticBudget(b.Watts, true)
-				ls.soa.NoteBudget(now, b.Watts, m.Span)
-			case "rack.event":
-				ls := byAgent[m.To]
-				ev, err := agent.Decode[rackEventMsg](m)
-				if ls == nil || err != nil {
-					return
-				}
-				ls.soa.OnRackEvent(now, power.Event{
-					Kind: power.EventKind(ev.Kind), Time: now,
-					Rack: "rack-live", Power: ev.Power, Limit: ev.Limit,
-					Span: m.Span,
-				})
-			case "soa.profile":
-				p, err := agent.Decode[profileMsg](m)
-				if err != nil {
-					return
-				}
-				goa.NoteProfile(m.Span)
-				goa.SetProfile(p.Server, core.ServerProfile{
-					Power: timeseries.FlatWeek(p.MedianWatts, time.Hour),
-					OC: &predict.OCTemplate{
-						Requested: timeseries.FlatWeek(p.Requested, time.Hour),
-						Granted:   timeseries.FlatWeek(p.Granted, time.Hour),
-					},
-					OCCoreCost: p.CoreCost,
-				})
-			}
+			rg.deliver(now, m)
 		}
 		lk.Do(func(*metrics.Registry) {
 			for drained := false; !drained; {
@@ -468,145 +372,39 @@ func RunLive(cfg LiveConfig, sink LiveSink) (*LiveResult, error) {
 			}
 
 			// 2. Tick the world.
-			for i, ls := range servers {
-				setUtil(ls, i, now)
-				want := demandAt(i, now)
-				_, active := ls.soa.Sessions()["vm"]
-				if want && !active {
-					res.Requests++
-					req := core.Request{
-						VM: "vm", Cores: len(vmCores), TargetMHz: maxOC,
-						Priority: core.PriorityMetric, PreferredCores: vmCores,
-					}
-					req.Span = uint64(prov.Emit(causal.Record{
-						Time:      now,
-						Kind:      causal.KindMessage,
-						Component: "wi",
-						Site:      "wi.request",
-						Subject:   ls.srv.Name() + "/vm",
-					}))
-					d := ls.soa.Request(now, req)
-					if d.Granted {
-						res.Granted++
-					}
-				} else if !want && active {
-					ls.soa.Stop(now, "vm")
-				}
-				ls.soa.Tick(now)
+			for i, s := range servers {
+				want := squareWaveDemand(i, cfg.Servers, now.Sub(cfg.Start))
+				setUtil(i, want)
+				rg.stepServer(s, now, want)
 			}
-			for _, ls := range servers {
-				ls.srv.Advance(cfg.Tick)
-			}
-			rack.Tick(now)
+			rg.tickRack(now, cfg.Tick)
 			checker.Check(now)
 		})
 
-		// 3. Control-plane traffic over TCP, outside the lock (the
-		// transport instrumentation takes it per message). Chaos gates
-		// drop sends from or to downed agents.
+		// 3. Control-plane traffic: batches build under the lock, cross TCP
+		// outside it.
 		for _, ev := range pendingRack {
-			payload := rackEventMsg{Kind: int(ev.Kind), Power: ev.Power, Limit: ev.Limit}
-			for _, ls := range servers {
-				if msg, err := agent.NewMessage("rack.event", "rack", ls.agentID, payload); err == nil {
-					msg.Span = uint64(prov.Emit(causal.Record{
-						Parent:    causal.SpanID(ev.Span),
-						Time:      ev.Time,
-						Kind:      causal.KindMessage,
-						Component: "rack",
-						Site:      "msg.rack.event",
-						Subject:   ls.agentID,
-					}))
-					send(goaNode, msg, "rack", ls.agentID)
-				}
-			}
+			sendAll(goaNode, rg.rackEventFanout(ev))
 		}
 		pendingRack = pendingRack[:0]
 		if !now.Before(nextProfile) {
 			nextProfile = nextProfile.Add(profileEvery)
-			for _, ls := range servers {
-				var payload profileMsg
-				lk.Do(func(*metrics.Registry) {
-					window := lastSamples(ls.soa.PowerRecord().Values, 10)
-					med := stats.Median(window)
-					if len(window) == 0 {
-						med = ls.srv.Power()
-					}
-					granted := float64(ls.soa.ActiveOCCores())
-					requested := ls.soa.RecentRequestedCores(5)
-					if granted > requested {
-						requested = granted
-					}
-					payload = profileMsg{
-						Server: ls.srv.Name(), MedianWatts: med,
-						Requested: requested, Granted: granted,
-						CoreCost: ls.srv.Machine().Config().OCCoreCost(),
-					}
-				})
-				if msg, err := agent.NewMessage("soa.profile", ls.agentID, "goa", payload); err == nil {
-					msg.Span = uint64(prov.Emit(causal.Record{
-						Time:      now,
-						Kind:      causal.KindMessage,
-						Component: "soa",
-						Site:      "msg.soa.profile",
-						Subject:   ls.srv.Name(),
-					}))
-					send(soaNode, msg, ls.agentID, "goa")
-				}
-			}
+			var batch []agent.Message
+			w.do(func() { batch = rg.profileReports(now) })
+			sendAll(soaNode, batch)
 		}
 		if !now.Before(nextBudget) {
 			nextBudget = nextBudget.Add(budgetEvery)
-			var budgets map[string]float64
-			budgetSpans := make(map[string]uint64, len(servers))
-			lk.Do(func(*metrics.Registry) {
-				budgets = goa.BudgetsAt(now)
-				for _, ls := range servers {
-					if b, ok := budgets[ls.srv.Name()]; ok && b > 0 {
-						goa.TraceBroadcast(now, ls.srv.Name(), b)
-						budgetSpans[ls.srv.Name()] = goa.ProvenanceBroadcast(now, ls.srv.Name(), b)
-					}
-				}
-			})
-			for _, ls := range servers {
-				b, ok := budgets[ls.srv.Name()]
-				if !ok || b <= 0 {
-					continue
-				}
-				if msg, err := agent.NewMessage("goa.budget", "goa", ls.agentID, budgetMsg{Watts: b}); err == nil {
-					msg.Span = budgetSpans[ls.srv.Name()]
-					send(goaNode, msg, "goa", ls.agentID)
-				}
-			}
+			var batch []agent.Message
+			w.do(func() { batch = rg.budgetPushes(now) })
+			sendAll(goaNode, batch)
 		}
 
-		// 4. Periodic checkpoint: snapshot under the lock, write to disk
-		// outside it (atomic rename — a crash mid-write leaves the previous
-		// checkpoint intact).
+		// 4. Periodic checkpoint. A failed write is counted in
+		// checkpoint_errors_total and leaves the previous file intact.
 		if checkpointing && !now.Before(nextCkpt) {
 			nextCkpt = nextCkpt.Add(cfg.CheckpointEvery)
-			var cp *store.Checkpoint
-			lk.Do(func(*metrics.Registry) { cp = w.buildCheckpoint() })
-			data, err := store.Encode(now, cp)
-			if err == nil {
-				err = store.SaveEncoded(cfg.CheckpointPath, data)
-			}
-			lk.Do(func(*metrics.Registry) {
-				if err != nil {
-					w.ckptErrors.Inc()
-				} else {
-					w.ckptWrites.Inc()
-					w.ckptBytes.Set(float64(len(data)))
-				}
-			})
-			if err == nil {
-				res.Checkpoints++
-				stateInfo.Writes = res.Checkpoints
-				stateInfo.LastSavedAt = now
-				stateInfo.LastBytes = len(data)
-				if statePub != nil {
-					statePub.PublishState(stateInfo)
-				}
-			}
+			_, _ = w.checkpointNow()
 		}
 
 		// 5. Publish to the sink.
@@ -632,10 +430,15 @@ func RunLive(cfg LiveConfig, sink LiveSink) (*LiveResult, error) {
 
 		// 6. In hold mode, barrier on loopback delivery: the next tick must
 		// drain exactly what this tick sent, whenever it runs. TCP per-peer
-		// connections deliver in order, so equality means all arrived.
+		// connections deliver in order, so equality means all arrived. A
+		// barrier that gives up voids that guarantee, so it is counted.
 		if cfg.Hold {
 			deadline := time.Now().Add(5 * time.Second)
-			for w.received.Load() < w.sent.Load() && time.Now().Before(deadline) {
+			for w.received.Load() < w.sent.Load() {
+				if time.Now().After(deadline) {
+					w.lost.Add(1)
+					break
+				}
 				time.Sleep(100 * time.Microsecond)
 			}
 		}
@@ -684,9 +487,11 @@ func RunLive(cfg LiveConfig, sink LiveSink) (*LiveResult, error) {
 		}
 	}
 
-	res.CapEvents = rack.CapEvents()
-	res.Warnings = rack.Warnings()
-	res.Violations = checker.Total()
+	res.Requests = rg.requests
+	res.Granted = rg.granted
+	res.CapEvents = rg.rack.CapEvents()
+	res.Warnings = rg.rack.Warnings()
+	res.Violations = w.violations()
 	res.Metrics = lk.Snapshot()
 	res.Trace = tracer
 	res.Provenance = &causal.Log{Records: prov.Records()}

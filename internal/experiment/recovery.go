@@ -4,15 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"smartoclock/internal/cluster"
 	"smartoclock/internal/core"
-	"smartoclock/internal/lifetime"
 	"smartoclock/internal/machine"
-	"smartoclock/internal/predict"
 	"smartoclock/internal/sim"
-	"smartoclock/internal/stats"
 	"smartoclock/internal/store"
-	"smartoclock/internal/timeseries"
 )
 
 // RecoveryConfig parameterizes the crash-recovery experiment: a rack whose
@@ -162,35 +157,20 @@ type recoveryOutcome struct {
 // staleness before the crash.
 func runRecoveryOnce(cfg RecoveryConfig, mode string, staleness time.Duration) recoveryOutcome {
 	eng := sim.NewEngine(cfg.Start, cfg.Seed)
-	end := cfg.Start.Add(cfg.Duration)
 	crashAt := cfg.Start.Add(cfg.CrashAt)
 	restartAt := crashAt.Add(cfg.DownFor)
-	maxOC := cfg.HW.MaxOCMHz
 
 	// Hot servers (the first half) host a latency-critical VM on half their
 	// cores with constant overclock demand; cool servers idle. Utilization
 	// is constant — the only dynamics in this rig are control-plane ones.
 	hot := func(i int) bool { return i < cfg.Servers/2 }
-	vmCores := make([]int, cfg.HW.Cores/2)
-	for i := range vmCores {
-		vmCores[i] = i
-	}
-
-	srvs := make([]*cluster.Server, cfg.Servers)
-	ledgers := make([]*lifetime.CoreBudgets, cfg.Servers)
-	bcfg := lifetime.BudgetConfig{Epoch: cfg.BudgetEpoch, Fraction: cfg.OCBudgetFraction, CarryOver: true, MaxCarryOver: 1}
-	for i := range srvs {
-		srvs[i] = cluster.NewServer(fmt.Sprintf("rec-%02d", i), cfg.HW, 0)
-		ledgers[i] = lifetime.NewCoreBudgets(bcfg, srvs[i].NumCores(), cfg.Start)
-		for c := 0; c < srvs[i].NumCores(); c++ {
-			util := 0.35
-			if hot(i) {
-				util = 0.45
-				if c < len(vmCores) {
-					util = 0.85
-				}
-			}
-			srvs[i].SetCoreUtil(c, util)
+	servers := make([]*rigServer, cfg.Servers)
+	for i := range servers {
+		servers[i] = newRigServer(fmt.Sprintf("rec-%02d", i), cfg.HW, cfg.HW.Cores/2)
+		if hot(i) {
+			servers[i].setUtil(0.85, 0.45)
+		} else {
+			servers[i].setUtil(0.35, 0.35)
 		}
 	}
 
@@ -198,18 +178,14 @@ func runRecoveryOnce(cfg RecoveryConfig, mode string, staleness time.Duration) r
 	// The gOA can fund every hot server once profiled; the even share a
 	// cold sOA starts from cannot cover a hot server's baseline + delta.
 	est, fullOC := 0.0, 0.0
-	for i, s := range srvs {
-		est += s.Power()
+	for i, s := range servers {
+		est += s.srv.Power()
 		if hot(i) {
-			fullOC += s.OCDeltaWatts(len(vmCores), maxOC, 0.9)
+			fullOC += s.srv.OCDeltaWatts(len(s.vmCores), s.srv.MaxOCMHz(), 0.9)
 		}
 	}
-	limit := cfg.RackLimitScale * (est + fullOC)
-	evenShare := limit / float64(cfg.Servers)
 
-	soaCfg := core.DefaultSOAConfig()
-	soaCfg.ProfileStep = time.Minute
-	soaCfg.DefaultOCHorizon = 5 * time.Minute
+	soaCfg := rigSOAConfig()
 	soaCfg.AdmissionUtil = 0.7
 	// No exploration: grants return exactly when budgets do, which keeps
 	// the recovery signal clean (exploration recovery is measured by the
@@ -217,26 +193,25 @@ func runRecoveryOnce(cfg RecoveryConfig, mode string, staleness time.Duration) r
 	soaCfg.NoExplore = true
 	soaCfg.ExploreStepWatts = 0
 
-	goa := core.NewGOA("rack-recovery", limit)
-	soas := make([]*core.SOA, cfg.Servers)
-	bootSOA := func(i int, now time.Time) {
-		soas[i] = core.NewSOA(soaCfg, srvs[i], ledgers[i], evenShare, now)
+	// The rack manager never ticks here: the limit leaves headroom by
+	// construction, so only the gOA's split and the sOAs' admission act.
+	rg := &rig{
+		goaID:   "goa",
+		limit:   cfg.RackLimitScale * (est + fullOC),
+		soaCfg:  soaCfg,
+		bcfg:    rigBudgetConfig(cfg.BudgetEpoch, cfg.OCBudgetFraction),
+		start:   cfg.Start,
+		servers: servers,
 	}
-	for i := range soas {
-		bootSOA(i, cfg.Start)
-	}
+	rg.assemble("rack-recovery")
 
 	// --- Durable checkpoint (warm mode only) -------------------------------
 	var ckptBytes []byte
 	if mode == "warm" {
 		eng.At(crashAt.Add(-staleness), func() {
-			cp := &store.Checkpoint{GOA: goa.Snapshot(), SOAs: make(map[string]*core.SOAState, cfg.Servers)}
-			for i, a := range soas {
-				snap := a.Snapshot()
-				// The lifetime ledger is durable on its own; restoring a
-				// stale copy would roll back consumed wear.
-				snap.Budgets = nil
-				cp.SOAs[srvs[i].Name()] = snap
+			cp := &store.Checkpoint{GOA: rg.goa.Snapshot(), SOAs: make(map[string]*core.SOAState, cfg.Servers)}
+			for _, s := range servers {
+				cp.SOAs[s.srv.Name()] = s.volatileState()
 			}
 			data, err := store.Encode(eng.Now(), cp)
 			if err != nil {
@@ -247,36 +222,28 @@ func runRecoveryOnce(cfg RecoveryConfig, mode string, staleness time.Duration) r
 	}
 
 	// --- Crash and restart -------------------------------------------------
-	down := false
 	if mode != "oracle" {
 		eng.At(crashAt, func() {
-			down = true
-			for i := range soas {
-				// Host watchdog fail-safe: cores return to turbo when the
-				// supervising agent dies.
-				for c := 0; c < srvs[i].NumCores(); c++ {
-					srvs[i].SetDesiredFreq(c, srvs[i].TurboMHz())
-				}
-				soas[i] = nil
+			for _, s := range servers {
+				s.crash()
 			}
-			goa = nil
+			rg.goa = nil
 		})
 		eng.At(restartAt, func() {
-			down = false
-			goa = core.NewGOA("rack-recovery", limit)
-			for i := range soas {
-				bootSOA(i, eng.Now())
+			rg.bootGOA()
+			for _, s := range servers {
+				rg.boot(s, eng.Now())
 			}
 			if mode == "warm" && ckptBytes != nil {
 				var cp store.Checkpoint
 				if _, err := store.Decode(ckptBytes, &cp); err != nil {
 					panic(fmt.Sprintf("experiment: recovery restore: %v", err))
 				}
-				goa.Restore(cp.GOA)
-				for i := range soas {
-					if st, ok := cp.SOAs[srvs[i].Name()]; ok {
-						if err := soas[i].Restore(st); err != nil {
-							panic(fmt.Sprintf("experiment: recovery restore %s: %v", srvs[i].Name(), err))
+				rg.goa.Restore(cp.GOA)
+				for _, s := range servers {
+					if st, ok := cp.SOAs[s.srv.Name()]; ok {
+						if err := s.soa.Restore(st); err != nil {
+							panic(fmt.Sprintf("experiment: recovery restore %s: %v", s.srv.Name(), err))
 						}
 					}
 				}
@@ -284,76 +251,48 @@ func runRecoveryOnce(cfg RecoveryConfig, mode string, staleness time.Duration) r
 		})
 	}
 
-	// --- Synchronous control plane -----------------------------------------
+	// --- Synchronous control plane: messages are applied as they are built --
 	// sOA → gOA profile reports.
 	eng.Every(cfg.Start.Add(cfg.ProfileEvery), cfg.ProfileEvery, func(now time.Time) {
-		if down {
+		if rg.goa == nil {
 			return
 		}
-		for i, a := range soas {
-			window := lastSamples(a.PowerRecord().Values, 10)
-			med := stats.Median(window)
-			if len(window) == 0 {
-				med = srvs[i].Power()
-			}
-			granted := float64(a.ActiveOCCores())
-			requested := a.RecentRequestedCores(5)
-			if granted > requested {
-				requested = granted
-			}
-			goa.SetProfile(srvs[i].Name(), core.ServerProfile{
-				Power: timeseries.FlatWeek(med, time.Hour),
-				OC: &predict.OCTemplate{
-					Requested: timeseries.FlatWeek(requested, time.Hour),
-					Granted:   timeseries.FlatWeek(granted, time.Hour),
-				},
-				OCCoreCost: srvs[i].Machine().Config().OCCoreCost(),
-			})
+		for _, m := range rg.profileReports(now) {
+			rg.deliver(now, m)
 		}
 	})
-	// gOA → sOA budget pushes, logged for the divergence comparison.
-	pushes := make(recoveryPushLog)
+	// gOA → sOA budget pushes, logged for the divergence comparison. A cold
+	// gOA with no profiles has nothing to split and logs nothing.
+	out := recoveryOutcome{firstGrantAfter: -1, pushes: make(recoveryPushLog)}
 	eng.Every(cfg.Start.Add(cfg.BudgetEvery), cfg.BudgetEvery, func(now time.Time) {
-		if down {
+		if rg.goa == nil {
 			return
 		}
-		budgets := goa.BudgetsAt(now)
-		if len(budgets) == 0 {
-			return // a cold gOA with no profiles has nothing to split
+		batch := rg.budgetPushes(now)
+		if len(batch) == 0 {
+			return
 		}
-		logged := make(map[string]float64, len(budgets))
-		for i, a := range soas {
-			b, ok := budgets[srvs[i].Name()]
-			if !ok || b <= 0 {
-				continue
-			}
-			a.SetStaticBudget(b, true)
-			logged[srvs[i].Name()] = b
+		logged := make(map[string]float64, len(batch))
+		for _, m := range batch {
+			rg.deliver(now, m)
+			s := rg.byAgent[m.To]
+			logged[s.srv.Name()] = s.budget
 		}
-		pushes[now.UnixNano()] = logged
+		out.pushes[now.UnixNano()] = logged
 	})
 
 	// --- Main tick ---------------------------------------------------------
-	out := recoveryOutcome{firstGrantAfter: -1}
 	eng.Every(cfg.Start.Add(cfg.Tick), cfg.Tick, func(now time.Time) {
 		active := 0
-		for i := range srvs {
-			if soas[i] == nil {
+		for i, s := range servers {
+			if s.soa == nil {
 				continue
 			}
-			if hot(i) {
-				if _, ok := soas[i].Sessions()["oc"]; !ok {
-					soas[i].Request(now, core.Request{
-						VM: "oc", Cores: len(vmCores), TargetMHz: maxOC,
-						Priority: core.PriorityMetric, PreferredCores: vmCores,
-					})
-				}
-			}
-			soas[i].Tick(now)
-			active += soas[i].ActiveOCCores()
+			rg.stepServer(s, now, hot(i))
+			active += s.soa.ActiveOCCores()
 		}
-		for _, s := range srvs {
-			s.Advance(cfg.Tick)
+		for _, s := range servers {
+			s.srv.Advance(cfg.Tick)
 		}
 		if !now.Before(crashAt) {
 			out.grantedCoreTicks += active
@@ -363,8 +302,7 @@ func runRecoveryOnce(cfg RecoveryConfig, mode string, staleness time.Duration) r
 		}
 	})
 
-	eng.Run(end)
-	out.pushes = pushes
+	eng.Run(cfg.Start.Add(cfg.Duration))
 	return out
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"smartoclock/internal/baselines"
-	"smartoclock/internal/parallel"
 	"smartoclock/internal/trace"
 )
 
@@ -33,18 +32,16 @@ type ScaleConfig struct {
 	// ServersPerRack overrides the rack template density; <= 0 keeps the
 	// paper default (28).
 	ServersPerRack int
-	// System selects the simulated control system; the zero value is
-	// replaced by SmartOClock (the full system).
+	// System selects the simulated control system; DefaultScaleConfig picks
+	// SmartOClock (the full system).
 	System baselines.System
-	// UseDefaultSystem keeps System's zero value (Central) instead of
-	// substituting SmartOClock.
-	UseDefaultSystem bool
 
 	Workers       int
 	ShuffleShards int64
-	// SampleEvery is the heap sampling cadence; <= 0 selects 20ms.
-	SampleEvery time.Duration
 }
+
+// heapSamplePeriod is the peak-heap sampling cadence of a scale run.
+const heapSamplePeriod = 20 * time.Millisecond
 
 // DefaultScaleConfig returns a scale point sized so the 7.1k-rack run
 // finishes in minutes on one core: a 2-day training window and 1 evaluated
@@ -151,12 +148,6 @@ func RunFleetScale(cfg ScaleConfig) (*ScaleResult, error) {
 	if cfg.Step <= 0 {
 		cfg.Step = base.Step
 	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 20 * time.Millisecond
-	}
-	if cfg.System == baselines.Central && !cfg.UseDefaultSystem {
-		cfg.System = baselines.SmartOClock
-	}
 
 	fs := DefaultFleetSimConfig()
 	fs.Seed = cfg.Seed
@@ -180,33 +171,21 @@ func RunFleetScale(cfg ScaleConfig) (*ScaleResult, error) {
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
-	sampler := startHeapSampler(cfg.SampleEvery)
+	sampler := startHeapSampler(heapSamplePeriod)
 
-	type out struct {
-		m   rackMetrics
-		err error
-	}
 	start := time.Now()
-	outs := parallel.Map(cfg.Racks, fleetOpts(fs), func(i int) out {
-		fr, err := trace.GenFleetRack(fcfg, i)
-		if err != nil {
-			return out{err: err}
-		}
-		return out{m: rackRun(fr.RackTrace, cfg.System, fs)}
+	outs, err := streamRacks(cfg.Racks, fs, func(i int) rackShard {
+		return rackShard{fcfg: &fcfg, rackIdx: i, sys: cfg.System}
 	})
 	wall := time.Since(start)
 
 	peak := sampler.halt()
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
-
-	var agg rackMetrics
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-		agg.accumulate(o.m)
+	if err != nil {
+		return nil, err
 	}
+	agg := foldRacks(outs)
 
 	res := &ScaleResult{
 		Racks:          cfg.Racks,

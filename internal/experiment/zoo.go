@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -11,14 +10,10 @@ import (
 	"smartoclock/internal/cluster"
 	"smartoclock/internal/core"
 	"smartoclock/internal/invariant"
-	"smartoclock/internal/lifetime"
 	"smartoclock/internal/parallel"
 	"smartoclock/internal/policy"
 	"smartoclock/internal/power"
-	"smartoclock/internal/predict"
 	"smartoclock/internal/sim"
-	"smartoclock/internal/stats"
-	"smartoclock/internal/timeseries"
 	"smartoclock/internal/trace"
 )
 
@@ -158,15 +153,6 @@ type driftHost struct {
 
 func (h *driftHost) Power() float64 { return h.gain() * h.Server.Power() }
 
-// zooServer bundles one server's control state inside a cell.
-type zooServer struct {
-	srv     *cluster.Server
-	host    core.Host
-	agentID string
-	soa     *core.SOA
-	vmCores []int
-}
-
 // RunZooCell executes one (policy, scenario) cell with the given seed.
 func RunZooCell(cfg ZooConfig, f policy.Factory, sc trace.ZooScenario, seed int64) *ZooCellResult {
 	res := &ZooCellResult{Policy: f.Name, Scenario: sc.Name}
@@ -184,7 +170,7 @@ func RunZooCell(cfg ZooConfig, f policy.Factory, sc trace.ZooScenario, seed int6
 
 	// One recorder per cell: single-goroutine engine, deterministic span
 	// sequence derived from the cell seed. nil when provenance is off —
-	// every Emit/Span call below degrades to a no-op.
+	// every Emit/Span call in the rig degrades to a no-op.
 	var prov *causal.Recorder
 	if cfg.Provenance {
 		prov = causal.NewRecorder(seed, 0)
@@ -192,219 +178,78 @@ func RunZooCell(cfg ZooConfig, f policy.Factory, sc trace.ZooScenario, seed int6
 
 	checker := invariant.NewChecker()
 	checker.AttachProvenance(prov)
-	bcfg := lifetime.BudgetConfig{Epoch: cfg.BudgetEpoch, Fraction: cfg.OCBudgetFraction, CarryOver: true, MaxCarryOver: 1}
 
-	soaCfg := core.DefaultSOAConfig()
-	soaCfg.ProfileStep = time.Minute
-	soaCfg.ExploreConfirm = 30 * time.Second
-	soaCfg.ExploitTime = 5 * time.Minute
+	soaCfg := rigSOAConfig()
 	soaCfg.InitialBackoff = time.Minute
 	soaCfg.MaxBackoff = 15 * time.Minute
-	soaCfg.DefaultOCHorizon = 5 * time.Minute
 	soaCfg.ExhaustionWindow = 5 * time.Minute
 	soaCfg.AdmissionUtil = 0.7
 	soaCfg.Policies = f
 
-	type zooRack struct {
-		name    string
-		rack    *power.Rack
-		goa     *core.GOA
-		servers []*zooServer
-	}
-	racks := make([]*zooRack, sc.Racks)
-	for r := 0; r < sc.Racks; r++ {
-		r := r
-		zr := &zooRack{name: fmt.Sprintf("zoo-r%d", r)}
-		audit := invariant.AdmissionWithinBudget(checker, zr.name, 0)
-		members := make([]power.Server, 0, sc.ServersPerRack)
+	racks := make([]*rig, sc.Racks)
+	for r := range racks {
+		name := fmt.Sprintf("zoo-r%d", r)
+		audit := invariant.AdmissionWithinBudget(checker, name, 0)
+		servers := make([]*rigServer, sc.ServersPerRack)
 		est, fullOC := 0.0, 0.0
-		for i := 0; i < sc.ServersPerRack; i++ {
-			i := i
-			srv := cluster.NewServer(fmt.Sprintf("%s-s%02d", zr.name, i), sc.HW(r, i), 0)
-			zs := &zooServer{
-				srv:     srv,
-				agentID: fmt.Sprintf("soa/%s", srv.Name()),
-			}
-			zs.host = &driftHost{Server: srv, gain: func() float64 {
+		for i := range servers {
+			hw := sc.HW(r, i)
+			s := newRigServer(fmt.Sprintf("%s-s%02d", name, i), hw, hw.Cores/4)
+			s.host = &driftHost{Server: s.srv, gain: func() float64 {
 				return sc.SensorGain(r, i, since(eng.Now()))
 			}}
-			zs.vmCores = make([]int, srv.NumCores()/4)
-			for c := range zs.vmCores {
-				zs.vmCores[c] = c
-			}
 			// Limit estimate: halfway between all-quiet and VM-hot draw
 			// (demand waves run roughly half duty), plus half the fleet
 			// overclocking at once.
-			hot := sc.Util(r, i, 0, true)
 			base := sc.Util(r, i, 0, false)
-			for c := 0; c < srv.NumCores(); c++ {
-				if c < len(zs.vmCores) {
-					srv.SetCoreUtil(c, hot)
-				} else {
-					srv.SetCoreUtil(c, base)
-				}
-			}
-			est += 0.5 * srv.Power()
-			for c := 0; c < srv.NumCores(); c++ {
-				srv.SetCoreUtil(c, base)
-			}
-			est += 0.5 * srv.Power()
-			fullOC += srv.OCDeltaWatts(len(zs.vmCores), srv.MaxOCMHz(), 0.9)
-			members = append(members, srv)
-			zr.servers = append(zr.servers, zs)
+			s.setUtil(sc.Util(r, i, 0, true), base)
+			est += 0.5 * s.srv.Power()
+			s.setUtil(base, base)
+			est += 0.5 * s.srv.Power()
+			fullOC += s.srv.OCDeltaWatts(len(s.vmCores), s.srv.MaxOCMHz(), 0.9)
+			servers[i] = s
 		}
-		limit := cfg.RackLimitScale * (est + 0.5*fullOC)
-		zr.rack = power.NewRack(power.DefaultRackConfig(zr.name, limit), members...)
-		zr.goa = core.NewGOA(zr.name, limit)
-		evenShare := limit / float64(sc.ServersPerRack)
-
-		sCfg := soaCfg
-		sCfg.OnAdmit = func(a core.AdmissionAudit) {
+		zr := &rig{
+			goaID:   "goa/" + name,
+			limit:   cfg.RackLimitScale * (est + 0.5*fullOC),
+			soaCfg:  soaCfg,
+			bcfg:    rigBudgetConfig(cfg.BudgetEpoch, cfg.OCBudgetFraction),
+			start:   cfg.Start,
+			servers: servers,
+			prov:    prov,
+		}
+		zr.soaCfg.OnAdmit = func(a core.AdmissionAudit) {
 			res.AdmissionAudits++
 			audit(a)
 		}
-		for _, zs := range zr.servers {
-			zs := zs
-			zs.soa = core.NewSOA(sCfg, zs.host, lifetime.NewCoreBudgets(bcfg, zs.srv.NumCores(), cfg.Start), evenShare, cfg.Start)
-			zs.soa.AttachProvenance(prov)
-			tr.Register(zs.agentID, func(m agent.Message) {
-				switch m.Type {
-				case "goa.budget":
-					b, err := agent.Decode[budgetMsg](m)
-					if err != nil || b.Watts <= 0 {
-						return
-					}
-					zs.soa.SetStaticBudget(b.Watts, true)
-					zs.soa.NoteBudget(eng.Now(), b.Watts, m.Span)
-				case "rack.event":
-					ev, err := agent.Decode[rackEventMsg](m)
-					if err != nil {
-						return
-					}
-					zs.soa.OnRackEvent(eng.Now(), power.Event{
-						Kind: power.EventKind(ev.Kind), Time: eng.Now(),
-						Rack: zr.name, Power: ev.Power, Limit: ev.Limit,
-						Span: m.Span,
-					})
-				}
-			})
+		zr.assemble(name)
+
+		// Every message, rack notifications included, crosses the (lossy)
+		// transport like the chaos rig's; bursts go in one batched call,
+		// byte-identical to per-message sends.
+		deliver := func(m agent.Message) { zr.deliver(eng.Now(), m) }
+		tr.Register(zr.goaID, deliver)
+		for _, s := range servers {
+			tr.Register(s.agentID, deliver)
 		}
-
-		// Rack events cross the (lossy) transport, like the chaos rig. The
-		// event's provenance span (assigned by the rack's recorder) rides
-		// each relayed message so sOA setbacks chain back to the event.
-		zr.rack.AttachProvenance(prov)
-		// The payload is identical per recipient: encode once, stamp each
-		// copy with its own provenance span (spans are drawn in server order,
-		// exactly like the unbatched loop) and cross the transport in one
-		// batched call. Scratch is reused across events; the zoo runs on the
-		// single engine goroutine.
-		var rackEventBatch []agent.Message
-		zr.rack.Subscribe(func(ev power.Event) {
-			payload, err := json.Marshal(rackEventMsg{Kind: int(ev.Kind), Power: ev.Power, Limit: ev.Limit})
-			if err != nil {
-				return
-			}
-			batch := rackEventBatch[:0]
-			for _, zs := range zr.servers {
-				msg := agent.Message{Type: "rack.event", From: zr.name, To: zs.agentID, Payload: payload}
-				msg.Span = uint64(prov.Emit(causal.Record{
-					Parent:    causal.SpanID(ev.Span),
-					Time:      ev.Time,
-					Kind:      causal.KindMessage,
-					Component: "rack",
-					Site:      "msg.rack.event",
-					Subject:   zs.agentID,
-				}))
-				batch = append(batch, msg)
-			}
-			rackEventBatch = batch
-			_ = agent.SendAll(tr, batch)
-		})
-
-		// gOA inbox.
-		goaID := "goa/" + zr.name
-		zr.goa.AttachProvenance(prov)
-		tr.Register(goaID, func(m agent.Message) {
-			if m.Type != "soa.profile" {
-				return
-			}
-			p, err := agent.Decode[profileMsg](m)
-			if err != nil {
-				return
-			}
-			zr.goa.NoteProfile(m.Span)
-			zr.goa.SetProfile(p.Server, core.ServerProfile{
-				Power: timeseries.FlatWeek(p.MedianWatts, time.Hour),
-				OC: &predict.OCTemplate{
-					Requested: timeseries.FlatWeek(p.Requested, time.Hour),
-					Granted:   timeseries.FlatWeek(p.Granted, time.Hour),
-				},
-				OCCoreCost: p.CoreCost,
-			})
-		})
+		zr.rack.Subscribe(func(ev power.Event) { _ = agent.SendAll(tr, zr.rackEventFanout(ev)) })
 
 		// sOA → gOA profile reports (staggered one tick per server).
-		for i, zs := range zr.servers {
-			zs := zs
+		for i, s := range servers {
 			eng.Every(cfg.Start.Add(cfg.ProfileEvery+time.Duration(i)*cfg.Tick), cfg.ProfileEvery, func(now time.Time) {
-				window := lastSamples(zs.soa.PowerRecord().Values, 10)
-				med := stats.Median(window)
-				if len(window) == 0 {
-					med = zs.host.Power()
-				}
-				granted := float64(zs.soa.ActiveOCCores())
-				requested := zs.soa.RecentRequestedCores(5)
-				if granted > requested {
-					requested = granted
-				}
-				payload := profileMsg{
-					Server: zs.srv.Name(), MedianWatts: med,
-					Requested: requested, Granted: granted,
-					CoreCost: zs.srv.Machine().Config().OCCoreCost(),
-				}
-				if msg, err := agent.NewMessage("soa.profile", zs.agentID, goaID, payload); err == nil {
-					msg.Span = uint64(prov.Emit(causal.Record{
-						Time:      now,
-						Kind:      causal.KindMessage,
-						Component: "soa",
-						Site:      "msg.soa.profile",
-						Subject:   zs.srv.Name(),
-					}))
+				if msg, ok := zr.profileReport(s, now); ok {
 					_ = tr.Send(msg)
 				}
 			})
 		}
-
-		// gOA → sOA budget pushes, batched per tick: provenance spans are
-		// drawn in server order as the batch builds, then the burst crosses
-		// the transport in one call — byte-identical to per-message sends.
-		var budgetBatch []agent.Message
+		// gOA → sOA budget pushes.
 		eng.Every(cfg.Start.Add(cfg.BudgetEvery), cfg.BudgetEvery, func(now time.Time) {
-			budgets := zr.goa.BudgetsAt(now)
-			batch := budgetBatch[:0]
-			for _, zs := range zr.servers {
-				b, ok := budgets[zs.srv.Name()]
-				if !ok || b <= 0 {
-					continue
-				}
-				if msg, err := agent.NewMessage("goa.budget", goaID, zs.agentID, budgetMsg{Watts: b}); err == nil {
-					msg.Span = zr.goa.ProvenanceBroadcast(now, zs.srv.Name(), b)
-					batch = append(batch, msg)
-				}
-			}
-			budgetBatch = batch
-			_ = agent.SendAll(tr, batch)
+			_ = agent.SendAll(tr, zr.budgetPushes(now))
 		})
 
 		// Invariants: the zoo's bar is all of them, every tick.
-		invariant.RackPowerWithinLimit(checker, zr.rack, cfg.EnforcementGrace)
-		invariant.BudgetConservation(checker, zr.goa, 1e-3)
-		for _, zs := range zr.servers {
-			zs := zs
-			invariant.CoreBudgetsNeverOverdrawn(checker, zr.name, zs.srv, bcfg, cfg.Start, 12*cfg.Tick)
-			invariant.SessionsWithinGrant(checker, zr.name, zs.srv, func() *core.SOA { return zs.soa })
-		}
+		zr.watch(checker, cfg.EnforcementGrace)
+		zr.watchLedgers(checker, 12*cfg.Tick)
 		racks[r] = zr
 	}
 
@@ -413,46 +258,17 @@ func RunZooCell(cfg ZooConfig, f policy.Factory, sc trace.ZooScenario, seed int6
 		res.Ticks++
 		off := since(now)
 		for r, zr := range racks {
-			for i, zs := range zr.servers {
-				hot := sc.Util(r, i, off, true)
+			for i, s := range zr.servers {
 				base := sc.Util(r, i, off, false)
+				vm := base
 				want := sc.Demand(r, i, off)
-				for c := 0; c < zs.srv.NumCores(); c++ {
-					if want && c < len(zs.vmCores) {
-						zs.srv.SetCoreUtil(c, hot)
-					} else {
-						zs.srv.SetCoreUtil(c, base)
-					}
+				if want {
+					vm = sc.Util(r, i, off, true)
 				}
-				_, active := zs.soa.Sessions()["vm"]
-				if want && !active {
-					res.Requests++
-					req := core.Request{
-						VM: "vm", Cores: len(zs.vmCores), TargetMHz: zs.srv.MaxOCMHz(),
-						Priority: core.PriorityMetric, PreferredCores: zs.vmCores,
-					}
-					// The WI's ask is the root of the admission chain: the
-					// sOA's verdict record names this span as its parent.
-					req.Span = uint64(prov.Emit(causal.Record{
-						Time:      now,
-						Kind:      causal.KindMessage,
-						Component: "wi",
-						Site:      "wi.request",
-						Subject:   zs.srv.Name() + "/vm",
-					}))
-					d := zs.soa.Request(now, req)
-					if d.Granted {
-						res.Granted++
-					}
-				} else if !want && active {
-					zs.soa.Stop(now, "vm")
-				}
-				zs.soa.Tick(now)
+				s.setUtil(vm, base)
+				zr.stepServer(s, now, want)
 			}
-			for _, zs := range zr.servers {
-				zs.srv.Advance(cfg.Tick)
-			}
-			zr.rack.Tick(now)
+			zr.tickRack(now, cfg.Tick)
 		}
 		checker.Check(now)
 	})
@@ -460,6 +276,8 @@ func RunZooCell(cfg ZooConfig, f policy.Factory, sc trace.ZooScenario, seed int6
 	eng.Run(end)
 
 	for _, zr := range racks {
+		res.Requests += zr.requests
+		res.Granted += zr.granted
 		res.Warnings += zr.rack.Warnings()
 		res.CapEvents += zr.rack.CapEvents()
 	}

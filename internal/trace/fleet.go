@@ -72,11 +72,6 @@ type FleetConfig struct {
 	// RackTemplate provides all remaining rack-level knobs; Name, Start,
 	// Step, Duration and TargetP99Util are overridden per rack.
 	RackTemplate RackGenConfig
-	// Workers bounds the number of racks generated concurrently;
-	// <= 0 selects GOMAXPROCS. Any value yields identical fleets: each
-	// rack's stream is derived from (Seed, rack index), never from how
-	// much randomness its siblings consumed.
-	Workers int
 }
 
 // DefaultFleetConfig returns a fleet sized for simulation experiments:
@@ -94,33 +89,6 @@ func DefaultFleetConfig(start time.Time, duration time.Duration) FleetConfig {
 		Duration:     duration,
 		RackTemplate: DefaultRackGenConfig("", start, duration),
 	}
-}
-
-// Fleet is a generated set of rack traces across regions and classes.
-type Fleet struct {
-	Racks []*FleetRack
-}
-
-// ByClass returns the fleet's racks in the given class.
-func (f *Fleet) ByClass(c ClusterClass) []*FleetRack {
-	var out []*FleetRack
-	for _, r := range f.Racks {
-		if r.Class == c {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// ByRegion returns the fleet's racks in the given region.
-func (f *Fleet) ByRegion(region string) []*FleetRack {
-	var out []*FleetRack
-	for _, r := range f.Racks {
-		if r.Region == region {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // NumRacks returns the fleet's total rack count (regions x racks/region).
@@ -157,11 +125,11 @@ func (c FleetConfig) classWeights() (classes []ClusterClass, weights []float64, 
 
 // GenFleetRack generates rack idx (0 <= idx < cfg.NumRacks()) of the fleet
 // described by cfg, without materializing any sibling. The rack's random
-// stream is seeded from (cfg.Seed, idx) via parallel.ChildSeed, so the
-// result is a pure function of the config and the index: GenFleet(cfg) is
-// exactly [GenFleetRack(cfg, 0), ..., GenFleetRack(cfg, n-1)], and callers
-// that can fold racks one at a time get memory O(1 rack) instead of
-// O(fleet).
+// stream — and its class draw — is seeded from (cfg.Seed, idx) via
+// parallel.ChildSeed, so the result is a pure function of the config and
+// the index: adding racks, removing regions, or generating across any number
+// of workers never perturbs the racks that remain, and callers that fold
+// racks one at a time get memory O(1 rack) instead of O(fleet).
 func GenFleetRack(cfg FleetConfig, idx int) (*FleetRack, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -196,37 +164,4 @@ func GenFleetRack(cfg FleetConfig, idx int) (*FleetRack, error) {
 		return nil, err
 	}
 	return &FleetRack{RackTrace: rack, Region: region, Class: class}, nil
-}
-
-// GenFleet generates a deterministic fleet of rack traces.
-//
-// Every rack owns an independent random stream seeded from (cfg.Seed,
-// global rack index) via parallel.ChildSeed, so rack i's trace — and its
-// class draw — is a pure function of the seed and its position: adding
-// racks, removing regions, or generating across any number of workers
-// never perturbs the racks that remain. GenFleet materializes the whole
-// fleet; memory-bound callers should stream racks via GenFleetRack instead.
-func GenFleet(cfg FleetConfig) (*Fleet, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-
-	type rackOut struct {
-		rack *FleetRack
-		err  error
-	}
-	n := cfg.NumRacks()
-	outs := parallel.Map(n, parallel.Options{Workers: cfg.Workers}, func(idx int) rackOut {
-		rack, err := GenFleetRack(cfg, idx)
-		return rackOut{rack: rack, err: err}
-	})
-
-	fleet := &Fleet{Racks: make([]*FleetRack, 0, n)}
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-		fleet.Racks = append(fleet.Racks, o.rack)
-	}
-	return fleet, nil
 }

@@ -238,32 +238,45 @@ func TestRackPowerPredictable(t *testing.T) {
 	}
 }
 
+// genRacks generates every rack of cfg, one GenFleetRack call per index.
+func genRacks(t *testing.T, cfg FleetConfig) []*FleetRack {
+	t.Helper()
+	racks := make([]*FleetRack, cfg.NumRacks())
+	for i := range racks {
+		fr, err := GenFleetRack(cfg, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		racks[i] = fr
+	}
+	return racks
+}
+
 func TestGenFleetClassesAndRegions(t *testing.T) {
 	cfg := DefaultFleetConfig(genStart, 24*time.Hour)
 	cfg.RacksPerRegion = 6
 	cfg.Regions = []string{"R1", "R2"}
 	cfg.RackTemplate.Servers = 4
-	fleet, err := GenFleet(cfg)
-	if err != nil {
-		t.Fatal(err)
+	racks := genRacks(t, cfg)
+	if len(racks) != 12 {
+		t.Fatalf("racks = %d", len(racks))
 	}
-	if len(fleet.Racks) != 12 {
-		t.Fatalf("racks = %d", len(fleet.Racks))
+	byRegion := map[string]int{}
+	byClass := map[ClusterClass]int{}
+	for _, r := range racks {
+		byRegion[r.Region]++
+		byClass[r.Class]++
 	}
-	if len(fleet.ByRegion("R1")) != 6 {
-		t.Fatalf("R1 racks = %d", len(fleet.ByRegion("R1")))
+	if byRegion["R1"] != 6 || byRegion["R2"] != 6 {
+		t.Fatalf("racks per region = %v", byRegion)
 	}
-	total := 0
-	for _, c := range []ClusterClass{HighPower, MediumPower, LowPower} {
-		total += len(fleet.ByClass(c))
-	}
-	if total != 12 {
+	if total := byClass[HighPower] + byClass[MediumPower] + byClass[LowPower]; total != 12 {
 		t.Fatalf("class partition covers %d racks", total)
 	}
 }
 
 func TestGenFleetEmptyConfig(t *testing.T) {
-	if _, err := GenFleet(FleetConfig{}); err == nil {
+	if _, err := GenFleetRack(FleetConfig{}, 0); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -355,16 +368,9 @@ func TestGenFleetDeterministic(t *testing.T) {
 	cfg.Regions = []string{"R1"}
 	cfg.RacksPerRegion = 3
 	cfg.RackTemplate.Servers = 3
-	a, err := GenFleet(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenFleet(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Racks {
-		if a.Racks[i].Class != b.Racks[i].Class || a.Racks[i].LimitWatts != b.Racks[i].LimitWatts {
+	a, b := genRacks(t, cfg), genRacks(t, cfg)
+	for i := range a {
+		if a[i].Class != b[i].Class || a[i].LimitWatts != b[i].LimitWatts {
 			t.Fatalf("fleet differs at rack %d", i)
 		}
 	}
@@ -439,45 +445,35 @@ func TestRackGenConfigValidation(t *testing.T) {
 
 // TestGenFleetRackStreamsIndependent proves the seed-derivation hygiene the
 // parallel runner depends on: rack i's trace is a pure function of (seed,
-// rack index), unaffected by how many sibling racks exist or how many
-// workers generate them.
+// rack index), unaffected by how many sibling racks the fleet has.
 func TestGenFleetRackStreamsIndependent(t *testing.T) {
 	base := DefaultFleetConfig(genStart, 24*time.Hour)
 	base.Regions = []string{"R1"}
 	base.RackTemplate.Servers = 3
 
-	gen := func(racks, workers int) *Fleet {
+	gen := func(racks int) []*FleetRack {
 		cfg := base
 		cfg.RacksPerRegion = racks
-		cfg.Workers = workers
-		f, err := GenFleet(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
+		return genRacks(t, cfg)
 	}
 
-	small := gen(2, 1)
-	big := gen(5, 1)
-	wide := gen(5, 8)
-	for i, want := range small.Racks {
-		for fi, other := range []*Fleet{big, wide} {
-			got := other.Racks[i]
-			if got.Class != want.Class || got.Name != want.Name ||
-				got.LimitWatts != want.LimitWatts {
-				t.Fatalf("fleet %d rack %d header differs: %v/%v vs %v/%v",
-					fi, i, got.Class, got.LimitWatts, want.Class, want.LimitWatts)
+	small, big := gen(2), gen(5)
+	for i, want := range small {
+		got := big[i]
+		if got.Class != want.Class || got.Name != want.Name ||
+			got.LimitWatts != want.LimitWatts {
+			t.Fatalf("rack %d header differs: %v/%v vs %v/%v",
+				i, got.Class, got.LimitWatts, want.Class, want.LimitWatts)
+		}
+		for si, st := range want.Servers {
+			ost := got.Servers[si]
+			if len(ost.Power.Values) != len(st.Power.Values) {
+				t.Fatalf("rack %d server %d length differs", i, si)
 			}
-			for si, st := range want.Servers {
-				ost := got.Servers[si]
-				if len(ost.Power.Values) != len(st.Power.Values) {
-					t.Fatalf("fleet %d rack %d server %d length differs", fi, i, si)
-				}
-				for k := range st.Power.Values {
-					if ost.Power.Values[k] != st.Power.Values[k] ||
-						ost.Util.Values[k] != st.Util.Values[k] {
-						t.Fatalf("fleet %d rack %d server %d sample %d differs", fi, i, si, k)
-					}
+			for k := range st.Power.Values {
+				if ost.Power.Values[k] != st.Power.Values[k] ||
+					ost.Util.Values[k] != st.Util.Values[k] {
+					t.Fatalf("rack %d server %d sample %d differs", i, si, k)
 				}
 			}
 		}
