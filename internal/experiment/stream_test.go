@@ -91,6 +91,27 @@ func TestStreamedMatchesMaterializedTable1(t *testing.T) {
 	}
 }
 
+// TestTable1TwoRacksPerClassPin pins seed 1's observed bytes with two racks
+// per class. At one rack per class every (class, system, rack) index formula
+// that keeps class-major order gives the same shard numbering, so only a
+// multi-rack fleet can catch a shard landing in the wrong slot — its child
+// seed, its provenance stream, or its place in the fold and merge order.
+// Seven training days are the fewest that give every server a weekday and a
+// weekend template.
+func TestTable1TwoRacksPerClassPin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet simulation")
+	}
+	cfg := smokeFleetCfg()
+	cfg.RacksPerClass = 2
+	cfg.TrainDays = 7
+	cfg.EvalDays = 1
+	cfg.Workers = 2
+	cfg.ShuffleShards = 27182
+	cfg.RecordEvery = 2 * cfg.Step
+	checkGolden(t, "table1_observed_2racks_seed1.sha256", sha256Hex([]byte(renderObserved(t, cfg)))+"\n")
+}
+
 // TestGenFleetRackIsPureInIndex pins the generator-level identity the
 // streamed path is built on: rack i is a pure function of (config, i) —
 // regenerating it, in any order, yields the same identity and the same
