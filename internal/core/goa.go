@@ -88,11 +88,48 @@ func (g *GOA) BudgetsAt(ts time.Time) map[string]float64 {
 	if len(names) == 0 {
 		return nil
 	}
-	regular := make(map[string]float64, len(names))
-	need := make(map[string]float64, len(names))
+	sp := newBudgetSplit(g.profilesOf(names))
+	g.split(ts, sp)
+	budgets := make(map[string]float64, len(names))
+	for i, name := range names {
+		budgets[name] = sp.budgets[i]
+	}
+	return budgets
+}
+
+// budgetSplit is the working set of one budget computation, indexed like
+// profiles (sorted server names). BudgetTemplates reuses one across every
+// slot.
+type budgetSplit struct {
+	profiles               []ServerProfile
+	regular, need, budgets []float64
+}
+
+func newBudgetSplit(profiles []ServerProfile) *budgetSplit {
+	n := len(profiles)
+	return &budgetSplit{
+		profiles: profiles,
+		regular:  make([]float64, n),
+		need:     make([]float64, n),
+		budgets:  make([]float64, n),
+	}
+}
+
+// profilesOf returns the profiles of names, in order.
+func (g *GOA) profilesOf(names []string) []ServerProfile {
+	out := make([]ServerProfile, len(names))
+	for i, name := range names {
+		out[i] = g.profiles[name]
+	}
+	return out
+}
+
+// split runs BudgetsAt's three phases for ts into sp.budgets and records
+// the computation. Sums run in sorted-name order, so every budget is
+// bit-identical however the caller keys the result.
+func (g *GOA) split(ts time.Time, sp *budgetSplit) {
 	var sumRegular, sumNeed float64
-	for _, name := range names {
-		p := g.profiles[name]
+	for i, p := range sp.profiles {
 		total := 0.0
 		if p.Power != nil {
 			total = p.Power.At(ts)
@@ -102,47 +139,48 @@ func (g *GOA) BudgetsAt(ts time.Time) map[string]float64 {
 		if reg < 0 {
 			reg = 0
 		}
-		regular[name] = reg
+		sp.regular[i] = reg
 		sumRegular += reg
 		n := p.OC.RequestedAt(ts) * p.OCCoreCost
 		if n < 0 {
 			n = 0
 		}
-		need[name] = n
+		sp.need[i] = n
 		sumNeed += n
 	}
 
-	budgets := make(map[string]float64, len(names))
+	count := float64(len(sp.profiles))
 	if sumRegular >= g.limit {
 		// No headroom: scale regular demand into the limit.
-		for _, name := range names {
+		for i := range sp.budgets {
 			if sumRegular > 0 {
-				budgets[name] = g.limit * regular[name] / sumRegular
+				sp.budgets[i] = g.limit * sp.regular[i] / sumRegular
 			} else {
-				budgets[name] = g.limit / float64(len(names))
+				sp.budgets[i] = g.limit / count
 			}
 		}
 		g.obsBudgets(g.limit)
-		return budgets
+		return
 	}
 	headroom := g.limit - sumRegular
 	sum := 0.0
-	for _, name := range names {
-		extra := headroom / float64(len(names))
+	for i := range sp.budgets {
+		extra := headroom / count
 		if sumNeed > 0 {
-			extra = headroom * need[name] / sumNeed
+			extra = headroom * sp.need[i] / sumNeed
 		}
-		budgets[name] = regular[name] + extra
-		sum += budgets[name]
+		sp.budgets[i] = sp.regular[i] + extra
+		sum += sp.budgets[i]
 	}
 	g.obsBudgets(sum)
-	return budgets
 }
 
 // BudgetTemplates evaluates BudgetsAt across every time-of-day slot and
 // returns one budget WeekTemplate per server — the artifact the gOA pushes
 // to each sOA on the (e.g. weekly) assignment cadence. step is the slot
-// width, typically the profile recording step.
+// width, typically the profile recording step. The server names are sorted
+// once and one working set serves every slot; each slot is still one
+// recorded budget computation, bit-identical to BudgetsAt at that instant.
 func (g *GOA) BudgetTemplates(step time.Duration) map[string]*timeseries.WeekTemplate {
 	names := g.Servers()
 	if len(names) == 0 {
@@ -153,23 +191,28 @@ func (g *GOA) BudgetTemplates(step time.Duration) map[string]*timeseries.WeekTem
 		slots = 1
 	}
 	out := make(map[string]*timeseries.WeekTemplate, len(names))
-	for _, name := range names {
-		out[name] = &timeseries.WeekTemplate{
+	tpls := make([]*timeseries.WeekTemplate, len(names))
+	for i, name := range names {
+		tpls[i] = &timeseries.WeekTemplate{
 			Weekday: &timeseries.DayTemplate{Step: step, Kind: timeseries.Weekdays, Slots: make([]float64, slots)},
 			Weekend: &timeseries.DayTemplate{Step: step, Kind: timeseries.Weekends, Slots: make([]float64, slots)},
 		}
+		out[name] = tpls[i]
 	}
 	// Reference days: a Monday and a Saturday (any instances work — only
 	// time-of-day and weekday-kind matter).
 	monday := time.Date(2023, 4, 10, 0, 0, 0, 0, time.UTC)
 	saturday := time.Date(2023, 4, 15, 0, 0, 0, 0, time.UTC)
+	sp := newBudgetSplit(g.profilesOf(names))
 	for i := 0; i < slots; i++ {
 		offset := time.Duration(i) * step
-		wk := g.BudgetsAt(monday.Add(offset))
-		we := g.BudgetsAt(saturday.Add(offset))
-		for _, name := range names {
-			out[name].Weekday.Slots[i] = wk[name]
-			out[name].Weekend.Slots[i] = we[name]
+		g.split(monday.Add(offset), sp)
+		for k, tpl := range tpls {
+			tpl.Weekday.Slots[i] = sp.budgets[k]
+		}
+		g.split(saturday.Add(offset), sp)
+		for k, tpl := range tpls {
+			tpl.Weekend.Slots[i] = sp.budgets[k]
 		}
 	}
 	return out

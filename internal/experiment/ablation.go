@@ -48,9 +48,7 @@ func runHighPower(cfg FleetSimConfig, sys baselines.System) (ablationPoint, erro
 	fcfg.RackTemplate.OutlierDayProb = 0.6
 	fcfg.RackTemplate.OutlierWithinDays = cfg.TrainDays
 	// The single-class mix means every index is a High-Power rack.
-	outs, err := streamRacks(fcfg.NumRacks(), cfg, func(i int) rackShard {
-		return rackShard{fcfg: &fcfg, rackIdx: i, sys: sys}
-	})
+	outs, err := streamRacks(fcfg.NumRacks(), fcfg.NumRacks(), cfg, oneSystem(&fcfg, sys))
 	if err != nil {
 		return ablationPoint{}, err
 	}
@@ -171,6 +169,9 @@ func RunAblationWarnThreshold(base FleetSimConfig) (*Table, error) {
 // High-Power rack full of overclock-hungry services next to a quiet
 // Low-Power rack — rebalancing should move headroom toward the demand.
 func RunDatacenterRebalance(base FleetSimConfig) (*Table, error) {
+	if _, err := predictorFor(base.TemplateStrategy); err != nil {
+		return nil, err
+	}
 	days := base.TrainDays + base.EvalDays
 	gen := func(name string, profiles []trace.ServiceProfile, servers int, seedOff int64) (*trace.RackTrace, error) {
 		rcfg := trace.DefaultRackGenConfig(name, fleetStart, time.Duration(days)*24*time.Hour)
@@ -212,7 +213,7 @@ func RunDatacenterRebalance(base FleetSimConfig) (*Table, error) {
 		results := parallel.Map(len(pairs), fleetOpts(base), func(i int) rackMetrics {
 			rt := *pairs[i].rt // shallow copy so the limit override is local
 			rt.LimitWatts = pairs[i].limit
-			return rackRun(&rt, baselines.SmartOClock, base)
+			return runSystem(prepareRack(&rt, base), baselines.SmartOClock, base, "", 0).m
 		})
 		var agg rackMetrics
 		for _, m := range results {

@@ -455,3 +455,28 @@ func TestDatacenterRebalance(t *testing.T) {
 		t.Fatalf("headroom did not move toward demand: hot %v quiet %v", hotL, quietL)
 	}
 }
+
+// TestUnknownTemplateStrategyFails checks that a misspelled strategy is
+// refused before any rack is simulated, instead of quietly running the
+// default predictor. The fleet is sized so that running it would take
+// minutes: only a check ahead of the fan-out returns in time.
+func TestUnknownTemplateStrategyFails(t *testing.T) {
+	cfg := DefaultFleetSimConfig()
+	cfg.TemplateStrategy = "dailymedian"
+	cfg.RacksPerClass = 1000
+	runs := map[string]func() error{
+		"RunTable1": func() error { _, _, err := RunTable1(cfg); return err },
+		"RunTable1Observed": func() error {
+			_, _, _, err := RunTable1Observed(cfg)
+			return err
+		},
+		"runHighPower":           func() error { _, err := runHighPower(cfg, baselines.SmartOClock); return err },
+		"RunDatacenterRebalance": func() error { _, err := RunDatacenterRebalance(cfg); return err },
+	}
+	for name, run := range runs {
+		err := run()
+		if err == nil || !strings.Contains(err.Error(), `"dailymedian"`) {
+			t.Errorf("%s with TemplateStrategy %q: err = %v, want an unknown-strategy error", name, cfg.TemplateStrategy, err)
+		}
+	}
+}

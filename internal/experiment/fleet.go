@@ -318,22 +318,23 @@ func fillDemand(out []int, st *trace.ServerTrace, cfg FleetSimConfig, start time
 	return out
 }
 
-// predictorFor returns a fresh predictor for the configured strategy.
-func predictorFor(strategy string) predict.Predictor {
+// predictorFor returns a fresh predictor for the configured strategy. An
+// unknown strategy is an error: quietly substituting a default would produce
+// a plausible table for the wrong predictor.
+func predictorFor(strategy string) (predict.Predictor, error) {
 	switch strategy {
 	case "", "dailymed":
-		return predict.NewDailyMed()
+		return predict.NewDailyMed(), nil
 	case "dailymax":
-		return predict.NewDailyMax()
+		return predict.NewDailyMax(), nil
 	case "flatmed":
-		return &predict.FlatMed{}
+		return &predict.FlatMed{}, nil
 	case "flatmax":
-		return &predict.FlatMax{}
+		return &predict.FlatMax{}, nil
 	case "weekly":
-		return &predict.Weekly{}
-	default:
-		return predict.NewDailyMed()
+		return &predict.Weekly{}, nil
 	}
+	return nil, fmt.Errorf("experiment: unknown TemplateStrategy %q (want dailymed, dailymax, flatmed, flatmax or weekly)", strategy)
 }
 
 // templateFromPredictor fits p on train and materializes it as a week
@@ -429,50 +430,178 @@ type shardOut struct {
 	err  error
 }
 
-// rackRun simulates one rack under one system for the evaluation window
-// and returns its metric contributions. It is a pure function of its
-// arguments — no shared state, no random draws — which is what makes the
-// rack the unit of parallel sharding.
-func rackRun(rt *trace.RackTrace, sys baselines.System, cfg FleetSimConfig) rackMetrics {
-	return rackRunObserved(rt, sys, cfg, "", 0).m
+// rackPrep is everything about simulating one rack that does not depend on
+// the system under test: the evaluation window's per-server overclock
+// demand, each server's training-week profile and — for unobserved runs —
+// the gOA's budget split of those profiles. A Table I unit prepares its rack
+// once and runs all five systems over it, so the prep is strictly
+// read-only: hosts, rack manager, gOA and sOAs are built fresh per system
+// (see runSystem), and the templates and demand slices here are shared by
+// pointer and never written after prepareRack returns.
+type rackPrep struct {
+	rt        *trace.RackTrace
+	evalStart time.Time
+	ticks     int
+	// demands[i][t] is server i's overclock demand (cores) at evaluation
+	// tick t. One arena backs every row, so the whole block is one
+	// allocation that frees with the unit.
+	demands [][]int
+	// profiles[i] is server i's training-week profile. Its power template is
+	// fitted once and shared: the gOA splits budgets from it, the server's
+	// own sOA predicts from it.
+	profiles []core.ServerProfile
+	// budgetTpls is the gOA's per-server budget split of profiles. Only an
+	// unobserved run uses it; an observed run recomputes the split on its
+	// own instrumented gOA, whose budget-computation series are per system,
+	// so prepareRack leaves it nil then.
+	budgetTpls map[string]*timeseries.WeekTemplate
 }
 
-// rackRunObserved is rackRun plus per-shard telemetry: when cfg.Observe is
-// set the rack, gOA and every sOA are instrumented against a shard-local
-// registry and tracer (single-goroutine, like the shard itself) whose
-// snapshot the caller merges in shard-index order. class labels the shard's
-// cluster class — rack names repeat across the per-class mini-fleets, so
-// class+system+rack is the unique series identity.
-// shard is the shard's fixed matrix index, which (with the root seed)
-// derives the shard-local provenance recorder so span IDs never depend on
-// dispatch order.
-func rackRunObserved(rt *trace.RackTrace, sys baselines.System, cfg FleetSimConfig, class string, shard int) shardOut {
-	var requests, successes, penaltyN, perfN int
-	var penaltySum, perfSum float64
-	var reg *metrics.Registry
-	var tracer *obs.Tracer
-	var prov *causal.Recorder
-	var shardLabels []metrics.Label
+// prepareRack does the system-independent work of simulating rt: demand,
+// power and overclock templates, and (unobserved) budget templates. It is a
+// pure function of its arguments and emits nothing to any observer. The
+// config's TemplateStrategy must already be valid (streamRacks and
+// RunDatacenterRebalance check it before any shard runs).
+func prepareRack(rt *trace.RackTrace, cfg FleetSimConfig) *rackPrep {
+	evalStart := fleetStart.Add(time.Duration(cfg.TrainDays) * 24 * time.Hour)
+	ticks := cfg.EvalDays * int(24*time.Hour/cfg.Step)
+	p := &rackPrep{
+		rt: rt, evalStart: evalStart, ticks: ticks,
+		demands:  make([][]int, len(rt.Servers)),
+		profiles: make([]core.ServerProfile, len(rt.Servers)),
+	}
+	arena := make([]int, len(rt.Servers)*ticks)
+	// Training demand is consumed immediately per server, so one scratch
+	// buffer serves every server in turn.
+	trainScratch := make([]int, cfg.TrainDays*int(24*time.Hour/cfg.Step))
+	for i, st := range rt.Servers {
+		p.demands[i] = fillDemand(arena[i*ticks:(i+1)*ticks:(i+1)*ticks], st, cfg, evalStart)
+		pred, err := predictorFor(cfg.TemplateStrategy)
+		if err != nil {
+			panic(err) // a caller skipped the strategy check
+		}
+		// Overclock template from the training week's demand (granted = 0
+		// during training: the baseline trace has no overclocking).
+		rec := predict.NewOCRecorder(fleetStart, cfg.Step)
+		for _, d := range fillDemand(trainScratch, st, cfg, fleetStart) {
+			rec.Record(d, 0)
+		}
+		p.profiles[i] = core.ServerProfile{
+			Power:      templateFromPredictor(pred, st.Power.Slice(fleetStart, evalStart)),
+			OC:         rec.Template(),
+			OCCoreCost: st.Spec.HW.OCCoreCost(),
+		}
+	}
+	if !cfg.Observe {
+		p.budgetTpls = p.newGOA().BudgetTemplates(cfg.Step)
+	}
+	return p
+}
+
+// newGOA returns a fresh, uninstrumented Global Overclocking Agent for the
+// rack holding every server's training-week profile.
+func (p *rackPrep) newGOA() *core.GOA {
+	goa := core.NewGOA(p.rt.Name, p.rt.LimitWatts)
+	for i, st := range p.rt.Servers {
+		goa.SetProfile(st.Spec.Name, p.profiles[i])
+	}
+	return goa
+}
+
+// fleetSOAConfig is the sOA recipe shared by every server of a fleet run,
+// before baselines.SOAConfig specializes it per system.
+func fleetSOAConfig(cfg FleetSimConfig) core.SOAConfig {
+	c := core.DefaultSOAConfig()
+	c.ProfileStep = cfg.Step
+	c.ExploreConfirm = cfg.Step
+	c.ExploitTime = 6 * cfg.Step
+	c.InitialBackoff = cfg.Step
+	c.MaxBackoff = 12 * cfg.Step
+	// One tick stands for ~10 of the paper's 30-second exploration rounds,
+	// so each bump is correspondingly larger.
+	c.ExploreStepWatts = 40
+	if cfg.ExploreStepWatts > 0 {
+		c.ExploreStepWatts = cfg.ExploreStepWatts
+	}
+	if cfg.ExploreStepWatts < 0 {
+		c.ExploreStepWatts = 0
+		c.NoExplore = true
+	}
+	c.DefaultOCHorizon = 15 * time.Minute
+	c.AdmissionUtil = 0.7
+	c.BufferWatts = 15
+	return c
+}
+
+// systemRun is one system's simulation of a prepared rack: the per-system
+// state runSystem builds fresh — hosts, rack manager, gOA, sOAs and, when
+// observed, the shard-local registry, tracer, provenance recorder and
+// series recorder — plus the Table I accumulators.
+type systemRun struct {
+	prep *rackPrep
+	sys  baselines.System
+	cfg  FleetSimConfig
+
+	hosts   []*traceHost
+	soas    []*core.SOA
+	rack    *power.Rack
+	goa     *core.GOA
+	soaBase core.SOAConfig
+	bcfg    lifetime.BudgetConfig
+
+	reg      *metrics.Registry
+	tracer   *obs.Tracer
+	prov     *causal.Recorder
+	labels   []metrics.Label
+	recorder *metrics.Recorder
+
+	now time.Time
+	m   rackMetrics
+}
+
+// runSystem simulates prep's rack under sys for the evaluation window. When
+// cfg.Observe is set the rack, gOA and every sOA are instrumented against a
+// shard-local registry and tracer (single-goroutine, like the shard itself)
+// whose snapshot the caller merges in shard-index order. class labels the
+// shard's cluster class — rack names repeat across the per-class
+// mini-fleets, so class+system+rack is the unique series identity.
+// shard is the flattened (class, system, rack) index, which (with the root
+// seed) derives the shard-local provenance recorder so span IDs never depend
+// on dispatch order or on which systems share the prep.
+func runSystem(prep *rackPrep, sys baselines.System, cfg FleetSimConfig, class string, shard int) shardOut {
+	r := newSystemRun(prep, sys, cfg, class, shard)
+	for t := 0; t < prep.ticks; t++ {
+		r.tick(t)
+	}
+	return r.finish()
+}
+
+// newSystemRun builds the per-system control plane over prep in the order
+// the observers see it: rack manager, gOA and its budget split, then sOAs.
+func newSystemRun(prep *rackPrep, sys baselines.System, cfg FleetSimConfig, class string, shard int) *systemRun {
+	rt := prep.rt
+	r := &systemRun{
+		prep: prep, sys: sys, cfg: cfg,
+		hosts:   make([]*traceHost, len(rt.Servers)),
+		soas:    make([]*core.SOA, len(rt.Servers)),
+		soaBase: fleetSOAConfig(cfg),
+		bcfg: lifetime.BudgetConfig{
+			Epoch: 7 * 24 * time.Hour, Fraction: cfg.OCBudgetFraction,
+			CarryOver: true, MaxCarryOver: 1,
+		},
+	}
 	if cfg.Observe {
-		reg = metrics.NewRegistry()
-		tracer = newShardTracer(cfg.TraceOnly)
-		prov = causal.NewRecorder(parallel.ChildSeed(cfg.Seed, uint64(shard)), 1)
-		shardLabels = []metrics.Label{
+		r.reg = metrics.NewRegistry()
+		r.tracer = newShardTracer(cfg.TraceOnly)
+		r.prov = causal.NewRecorder(parallel.ChildSeed(cfg.Seed, uint64(shard)), 1)
+		r.labels = []metrics.Label{
 			metrics.L("class", class),
 			metrics.L("system", sys.String()),
 		}
+		if cfg.RecordEvery > 0 {
+			r.recorder = metrics.NewRecorder(r.reg, prep.evalStart, cfg.RecordEvery)
+		}
 	}
-	evalStart := fleetStart.Add(time.Duration(cfg.TrainDays) * 24 * time.Hour)
-	ticks := cfg.EvalDays * int(24*time.Hour/cfg.Step)
-	var recorder *metrics.Recorder
-	if reg != nil && cfg.RecordEvery > 0 {
-		recorder = metrics.NewRecorder(reg, evalStart, cfg.RecordEvery)
-	}
-
-	// Build hosts, templates and demand.
-	hosts := make([]*traceHost, len(rt.Servers))
-	demands := make([][]int, len(rt.Servers))
-	soas := make([]*core.SOA, len(rt.Servers))
 
 	rackCfg := power.DefaultRackConfig(rt.Name, rt.LimitWatts)
 	if cfg.WarnFraction > 0 {
@@ -481,277 +610,245 @@ func rackRunObserved(rt *trace.RackTrace, sys baselines.System, cfg FleetSimConf
 			rackCfg.RestoreFraction = cfg.WarnFraction - 0.03
 		}
 	}
-	// One arena allocation backs every server's demand series: the shard
-	// makes 1 slice instead of len(Servers), and the whole block frees at
-	// once when the shard ends.
-	demandArena := make([]int, len(rt.Servers)*ticks)
-	servers := make([]power.Server, 0, len(rt.Servers))
+	servers := make([]power.Server, len(rt.Servers))
 	for i, st := range rt.Servers {
-		hosts[i] = newTraceHost(st, 0)
-		servers = append(servers, hosts[i])
-		demands[i] = fillDemand(demandArena[i*ticks:(i+1)*ticks:(i+1)*ticks], st, cfg, evalStart)
+		r.hosts[i] = newTraceHost(st, 0)
+		servers[i] = r.hosts[i]
 	}
-	rack := power.NewRack(rackCfg, servers...)
-	rack.AttachProvenance(prov)
-	if reg != nil {
-		rack.Instrument(reg, tracer, shardLabels...)
+	r.rack = power.NewRack(rackCfg, servers...)
+	r.rack.AttachProvenance(r.prov)
+	if r.reg != nil {
+		r.rack.Instrument(r.reg, r.tracer, r.labels...)
 	}
 
-	// Global Overclocking Agent: training-week templates per server.
-	goa := core.NewGOA(rt.Name, rt.LimitWatts)
-	goa.AttachProvenance(prov)
-	if reg != nil {
-		goa.Instrument(reg, tracer, shardLabels...)
+	r.goa = r.instrumentGOA(prep.newGOA())
+	budgetTpls := prep.budgetTpls
+	if r.reg != nil {
+		budgetTpls = r.goa.BudgetTemplates(cfg.Step)
 	}
-	trainEnd := evalStart
-	// Training demand is consumed immediately per server, so one scratch
-	// buffer serves every server in turn.
-	trainScratch := make([]int, cfg.TrainDays*int(24*time.Hour/cfg.Step))
-	// Each server's power template is fitted once and shared: the gOA
-	// splits budgets from it, the server's own sOA predicts from it.
-	powerTpls := make([]*timeseries.WeekTemplate, len(rt.Servers))
-	for i, st := range rt.Servers {
-		train := st.Power.Slice(fleetStart, trainEnd)
-		powerTpls[i] = templateFromPredictor(predictorFor(cfg.TemplateStrategy), train)
-		// Overclock template from the training week's demand (granted = 0
-		// during training: the baseline trace has no overclocking).
-		rec := predict.NewOCRecorder(fleetStart, cfg.Step)
-		trainDemand := fillDemand(trainScratch, st, cfg, fleetStart)
-		for _, d := range trainDemand {
-			rec.Record(d, 0)
-		}
-		goa.SetProfile(st.Spec.Name, core.ServerProfile{
-			Power:      powerTpls[i],
-			OC:         rec.Template(),
-			OCCoreCost: st.Spec.HW.OCCoreCost(),
-		})
-	}
-	budgetTpls := goa.BudgetTemplates(cfg.Step)
 
-	// Server Overclocking Agents.
-	soaBase := core.DefaultSOAConfig()
-	soaBase.ProfileStep = cfg.Step
-	soaBase.ExploreConfirm = cfg.Step
-	soaBase.ExploitTime = 6 * cfg.Step
-	soaBase.InitialBackoff = cfg.Step
-	soaBase.MaxBackoff = 12 * cfg.Step
-	// One tick stands for ~10 of the paper's 30-second exploration rounds,
-	// so each bump is correspondingly larger.
-	soaBase.ExploreStepWatts = 40
-	if cfg.ExploreStepWatts > 0 {
-		soaBase.ExploreStepWatts = cfg.ExploreStepWatts
-	}
-	if cfg.ExploreStepWatts < 0 {
-		soaBase.ExploreStepWatts = 0
-		soaBase.NoExplore = true
-	}
-	soaBase.DefaultOCHorizon = 15 * time.Minute
-	soaBase.AdmissionUtil = 0.7
-	soaBase.BufferWatts = 15
-
-	oracle := func(extra float64) bool {
-		return rack.Power()+extra <= rt.LimitWatts
-	}
-	bcfg := lifetime.BudgetConfig{
-		Epoch: 7 * 24 * time.Hour, Fraction: cfg.OCBudgetFraction,
-		CarryOver: true, MaxCarryOver: 1,
-	}
-	// buildSOA constructs server i's agent from configuration alone — the
-	// same recipe whether it is the initial boot or a post-checkpoint
-	// rebuild. Config is code, state is data: closures (the oracle), host
-	// bindings and cadences come from here; learned state comes from
-	// SetAssignedBudget/SetPowerTemplate at boot or Restore after a
-	// checkpoint.
-	buildSOA := func(i int) *core.SOA {
-		st := rt.Servers[i]
-		scfg := baselines.SOAConfig(sys, soaBase, oracle)
-		budgets := lifetime.NewCoreBudgets(bcfg, st.Spec.HW.Cores, evalStart)
-		even := rt.LimitWatts / float64(len(rt.Servers))
-		if sys == baselines.Central {
-			// The oracle performs all admission; no local budget
-			// enforcement should second-guess it.
-			even = 1e9
-		}
-		return core.NewSOA(scfg, hosts[i], budgets, even, evalStart)
-	}
-	// instrumentSOA binds an agent to the shard registry. Rebuilt agents
-	// resolve the same series (identity is name+labels), so counters keep
-	// accumulating across a checkpoint/restore cycle.
-	instrumentSOA := func(a *core.SOA) {
-		a.AttachProvenance(prov)
-		if reg == nil {
-			return
-		}
-		soaLabels := make([]metrics.Label, 0, len(shardLabels)+1)
-		soaLabels = append(soaLabels, shardLabels...)
-		soaLabels = append(soaLabels, metrics.L("rack", rt.Name))
-		a.Instrument(reg, tracer, soaLabels...)
-	}
 	for i, st := range rt.Servers {
-		soas[i] = buildSOA(i)
+		r.soas[i] = r.buildSOA(i)
 		switch sys {
 		case baselines.NaiveOClock, baselines.Central:
 			// Even share; Central admits via the oracle anyway.
 		default:
-			soas[i].SetAssignedBudget(budgetTpls[st.Spec.Name])
+			r.soas[i].SetAssignedBudget(budgetTpls[st.Spec.Name])
 		}
-		soas[i].SetPowerTemplate(powerTpls[i])
-		instrumentSOA(soas[i])
+		r.soas[i].SetPowerTemplate(prep.profiles[i].Power)
+		r.instrumentSOA(r.soas[i])
 	}
 
 	// Rack events feed every sOA; caps are counted by the rack itself.
-	var now time.Time
-	rack.Subscribe(func(ev power.Event) {
-		for _, a := range soas {
-			a.OnRackEvent(now, ev)
+	r.rack.Subscribe(func(ev power.Event) {
+		for _, a := range r.soas {
+			a.OnRackEvent(r.now, ev)
 		}
 	})
+	return r
+}
 
-	trainOffset := cfg.TrainDays * int(24*time.Hour/cfg.Step)
-	for t := 0; t < ticks; t++ {
-		now = evalStart.Add(time.Duration(t) * cfg.Step)
-		// 0. Optional mid-run checkpoint/restore cycle: snapshot the whole
-		// control plane, push it through the serialized envelope, and swap
-		// in fresh agents restored from the decoded bytes. The remainder of
-		// the run must be indistinguishable from never having restarted.
-		if cfg.CheckpointTick > 0 && t == cfg.CheckpointTick {
-			cp := &store.Checkpoint{GOA: goa.Snapshot(), SOAs: make(map[string]*core.SOAState, len(rt.Servers))}
-			for i, st := range rt.Servers {
-				cp.SOAs[st.Spec.Name] = soas[i].Snapshot()
-			}
-			data, err := store.Encode(now, cp)
-			var got store.Checkpoint
-			if err == nil {
-				_, err = store.Decode(data, &got)
-			}
-			if err == nil {
-				g := core.NewGOA(rt.Name, rt.LimitWatts)
-				g.Restore(got.GOA)
-				g.AttachProvenance(prov)
-				if reg != nil {
-					g.Instrument(reg, tracer, shardLabels...)
-				}
-				goa = g
-				for i, st := range rt.Servers {
-					a := buildSOA(i)
-					if rerr := a.Restore(got.SOAs[st.Spec.Name]); rerr != nil {
-						err = rerr
-						break
-					}
-					instrumentSOA(a)
-					soas[i] = a
-				}
-			}
-			if err != nil {
-				// A checkpoint that cannot roundtrip is a store-layer bug,
-				// not a simulation outcome — fail loudly.
-				panic(fmt.Sprintf("experiment: fleet checkpoint roundtrip at tick %d: %v", t, err))
-			}
+// instrumentGOA binds a gOA to the shard's provenance recorder and registry.
+func (r *systemRun) instrumentGOA(g *core.GOA) *core.GOA {
+	g.AttachProvenance(r.prov)
+	if r.reg != nil {
+		g.Instrument(r.reg, r.tracer, r.labels...)
+	}
+	return g
+}
+
+// buildSOA constructs server i's agent from configuration alone — the same
+// recipe whether it is the initial boot or a post-checkpoint rebuild. Config
+// is code, state is data: closures (the oracle), host bindings and cadences
+// come from here; learned state comes from SetAssignedBudget/SetPowerTemplate
+// at boot or Restore after a checkpoint.
+func (r *systemRun) buildSOA(i int) *core.SOA {
+	rt := r.prep.rt
+	oracle := func(extra float64) bool {
+		return r.rack.Power()+extra <= rt.LimitWatts
+	}
+	scfg := baselines.SOAConfig(r.sys, r.soaBase, oracle)
+	budgets := lifetime.NewCoreBudgets(r.bcfg, rt.Servers[i].Spec.HW.Cores, r.prep.evalStart)
+	even := rt.LimitWatts / float64(len(rt.Servers))
+	if r.sys == baselines.Central {
+		// The oracle performs all admission; no local budget enforcement
+		// should second-guess it.
+		even = 1e9
+	}
+	return core.NewSOA(scfg, r.hosts[i], budgets, even, r.prep.evalStart)
+}
+
+// instrumentSOA binds an agent to the shard registry. Rebuilt agents resolve
+// the same series (identity is name+labels), so counters keep accumulating
+// across a checkpoint/restore cycle.
+func (r *systemRun) instrumentSOA(a *core.SOA) {
+	a.AttachProvenance(r.prov)
+	if r.reg == nil {
+		return
+	}
+	soaLabels := make([]metrics.Label, 0, len(r.labels)+1)
+	soaLabels = append(soaLabels, r.labels...)
+	soaLabels = append(soaLabels, metrics.L("rack", r.prep.rt.Name))
+	a.Instrument(r.reg, r.tracer, soaLabels...)
+}
+
+// tick advances the rack by evaluation tick t.
+func (r *systemRun) tick(t int) {
+	r.now = r.prep.evalStart.Add(time.Duration(t) * r.cfg.Step)
+	// 0. Optional mid-run checkpoint/restore cycle.
+	if r.cfg.CheckpointTick > 0 && t == r.cfg.CheckpointTick {
+		r.checkpointRestore(t)
+	}
+	// 1. Update baselines from the trace.
+	idx := r.cfg.TrainDays*int(24*time.Hour/r.cfg.Step) + t
+	for i, st := range r.prep.rt.Servers {
+		j := idx
+		if j >= st.Power.Len() {
+			j = st.Power.Len() - 1
 		}
-		// 1. Update baselines from the trace.
+		r.hosts[i].setTick(st.Power.Values[j], st.Util.Values[j])
+	}
+	// 2. Demand changes → session management + admission.
+	r.serveDemand(t)
+	// 3. sOA control loops.
+	for _, a := range r.soas {
+		a.Tick(r.now)
+	}
+	// 4. Rack manager: warnings, caps, restores.
+	capsBefore := r.rack.CapEvents()
+	r.rack.Tick(r.now)
+	// 5. Metrics.
+	r.measure(t, r.rack.CapEvents() > capsBefore)
+	// 6. Telemetry recording at the end of the tick: the sampled state
+	// covers everything up to the tick's end boundary.
+	if r.recorder != nil {
+		r.recorder.Tick(r.now.Add(r.cfg.Step))
+	}
+}
+
+// checkpointRestore snapshots the whole control plane, pushes it through
+// the serialized envelope, and swaps in fresh agents restored from the
+// decoded bytes. The remainder of the run must be indistinguishable from
+// never having restarted.
+func (r *systemRun) checkpointRestore(t int) {
+	rt := r.prep.rt
+	cp := &store.Checkpoint{GOA: r.goa.Snapshot(), SOAs: make(map[string]*core.SOAState, len(rt.Servers))}
+	for i, st := range rt.Servers {
+		cp.SOAs[st.Spec.Name] = r.soas[i].Snapshot()
+	}
+	data, err := store.Encode(r.now, cp)
+	var got store.Checkpoint
+	if err == nil {
+		_, err = store.Decode(data, &got)
+	}
+	if err == nil {
+		g := core.NewGOA(rt.Name, rt.LimitWatts)
+		g.Restore(got.GOA)
+		r.goa = r.instrumentGOA(g)
 		for i, st := range rt.Servers {
-			idx := trainOffset + t
-			if idx >= st.Power.Len() {
-				idx = st.Power.Len() - 1
+			a := r.buildSOA(i)
+			if rerr := a.Restore(got.SOAs[st.Spec.Name]); rerr != nil {
+				err = rerr
+				break
 			}
-			hosts[i].setTick(st.Power.Values[idx], st.Util.Values[idx])
+			r.instrumentSOA(a)
+			r.soas[i] = a
 		}
-		// 2. Demand changes → session management + admission. Unmet
-		// demand retries every tick (the WI agent keeps asking), which
-		// is also what drives the sOA's exploration.
-		for i := range rt.Servers {
-			d := demands[i][t]
-			sessions := soas[i].Sessions()
-			_, active := sessions["oc"]
-			prev := 0
+	}
+	if err != nil {
+		// A checkpoint that cannot roundtrip is a store-layer bug, not a
+		// simulation outcome — fail loudly.
+		panic(fmt.Sprintf("experiment: fleet checkpoint roundtrip at tick %d: %v", t, err))
+	}
+}
+
+// serveDemand turns tick t's demand changes into session management and
+// admission. Unmet demand retries every tick (the WI agent keeps asking),
+// which is also what drives the sOA's exploration.
+func (r *systemRun) serveDemand(t int) {
+	for i, a := range r.soas {
+		d := r.prep.demands[i][t]
+		sessions := a.Sessions()
+		_, active := sessions["oc"]
+		prev := 0
+		if active {
+			prev = len(sessions["oc"].Cores)
+		}
+		if d != prev {
 			if active {
-				prev = len(sessions["oc"].Cores)
-			}
-			if d != prev {
-				if active {
-					soas[i].Stop(now, "oc")
-				}
-				if d > 0 {
-					req := core.Request{
-						VM: "oc", Cores: d, TargetMHz: hosts[i].maxOC,
-						Priority: core.PriorityMetric,
-					}
-					// The demand signal plays the WI: its span roots the
-					// admission chain for this request.
-					req.Span = uint64(prov.Emit(causal.Record{
-						Time:      now,
-						Kind:      causal.KindMessage,
-						Component: "wi",
-						Site:      "wi.request",
-						Subject:   hosts[i].name + "/oc",
-					}))
-					soas[i].Request(now, req)
-				}
+				a.Stop(r.now, "oc")
 			}
 			if d > 0 {
-				requests++
-				s, ok := soas[i].Sessions()["oc"]
-				if ok && sessionEffectiveRatio(hosts[i], s) > 1 {
-					successes++
+				req := core.Request{
+					VM: "oc", Cores: d, TargetMHz: r.hosts[i].maxOC,
+					Priority: core.PriorityMetric,
 				}
+				// The demand signal plays the WI: its span roots the
+				// admission chain for this request.
+				req.Span = uint64(r.prov.Emit(causal.Record{
+					Time:      r.now,
+					Kind:      causal.KindMessage,
+					Component: "wi",
+					Site:      "wi.request",
+					Subject:   r.hosts[i].name + "/oc",
+				}))
+				a.Request(r.now, req)
 			}
 		}
-		// 3. sOA control loops.
-		for _, a := range soas {
-			a.Tick(now)
-		}
-		// 4. Rack manager: warnings, caps, restores.
-		capsBefore := rack.CapEvents()
-		rack.Tick(now)
-		capped := rack.CapEvents() > capsBefore
-		// 5. Metrics. Performance is measured over the overclock-candidate
-		// VMs: their effective frequency relative to turbo, including any
-		// capping penalty. The capping penalty itself is measured on the
-		// servers with no overclock demand.
-		for i := range hosts {
-			if demands[i][t] > 0 {
-				if s, ok := soas[i].Sessions()["oc"]; ok {
-					perfSum += sessionEffectiveRatio(hosts[i], s)
-				} else {
-					ceil := hosts[i].capCeiling()
-					if ceil > hosts[i].turbo {
-						ceil = hosts[i].turbo
-					}
-					perfSum += float64(ceil) / float64(hosts[i].turbo)
-				}
-				perfN++
-			} else if capped && !hosts[i].hasOC() {
-				ceil := hosts[i].capCeiling()
-				if ceil < hosts[i].turbo {
-					penaltySum += 1 - float64(ceil)/float64(hosts[i].turbo)
-					penaltyN++
-				}
+		if d > 0 {
+			r.m.requests++
+			s, ok := a.Sessions()["oc"]
+			if ok && sessionEffectiveRatio(r.hosts[i], s) > 1 {
+				r.m.successes++
 			}
 		}
-		// 6. Telemetry recording at the end of the tick: the sampled state
-		// covers everything up to the tick's end boundary.
-		if recorder != nil {
-			recorder.Tick(now.Add(cfg.Step))
+	}
+}
+
+// measure accumulates tick t's Table I metrics. Performance is measured over
+// the overclock-candidate VMs: their effective frequency relative to turbo,
+// including any capping penalty. The capping penalty itself is measured on
+// the servers with no overclock demand.
+func (r *systemRun) measure(t int, capped bool) {
+	for i, h := range r.hosts {
+		if r.prep.demands[i][t] > 0 {
+			if s, ok := r.soas[i].Sessions()["oc"]; ok {
+				r.m.perfSum += sessionEffectiveRatio(h, s)
+			} else {
+				ceil := h.capCeiling()
+				if ceil > h.turbo {
+					ceil = h.turbo
+				}
+				r.m.perfSum += float64(ceil) / float64(h.turbo)
+			}
+			r.m.perfN++
+		} else if capped && !h.hasOC() {
+			ceil := h.capCeiling()
+			if ceil < h.turbo {
+				r.m.penaltySum += 1 - float64(ceil)/float64(h.turbo)
+				r.m.penaltyN++
+			}
 		}
 	}
-	m := rackMetrics{
-		caps: rack.CapEvents(), requests: requests, successes: successes,
-		penaltySum: penaltySum, penaltyN: penaltyN,
-		perfSum: perfSum, perfN: perfN,
-	}
-	out := shardOut{m: m}
-	if reg == nil {
+}
+
+// finish returns the run's metric contributions and, when observed, its
+// shard-local telemetry.
+func (r *systemRun) finish() shardOut {
+	r.m.caps = r.rack.CapEvents()
+	out := shardOut{m: r.m}
+	if r.reg == nil {
 		return out
 	}
 	// Critical-path and fan-out profile of the shard's causal log, plus the
 	// tracer's drop counter, become ordinary (sum-mergeable) series.
-	out.prov = &causal.Log{Records: prov.Records()}
-	out.prov.Register(reg, shardLabels...)
-	reg.Counter("trace_dropped_total", shardLabels...).Add(float64(tracer.Dropped()))
-	if recorder != nil {
-		out.rec = recorder.Recording()
+	out.prov = &causal.Log{Records: r.prov.Records()}
+	out.prov.Register(r.reg, r.labels...)
+	r.reg.Counter("trace_dropped_total", r.labels...).Add(float64(r.tracer.Dropped()))
+	if r.recorder != nil {
+		out.rec = r.recorder.Recording()
 	}
-	out.snap, out.tr = reg.Snapshot(), tracer
+	out.snap, out.tr = r.reg.Snapshot(), r.tracer
 	return out
 }
 
@@ -760,38 +857,74 @@ func fleetOpts(cfg FleetSimConfig) parallel.Options {
 	return parallel.Options{Workers: cfg.Workers, ShuffleSeed: cfg.ShuffleShards}
 }
 
-// rackShard is the recipe for one unit of streamed fleet work: rack rackIdx
-// of the fleet fcfg describes, simulated under sys. It carries the recipe,
-// not the rack: the worker generates the trace on entry and drops it on
-// exit, so a paper-scale fleet holds O(workers) rack traces in memory
-// instead of O(fleet).
-type rackShard struct {
+// rackUnit is the recipe for one unit of streamed fleet work: rack rackIdx
+// of the fleet fcfg describes, generated and prepared once, then simulated
+// under each of runs' systems in turn. It carries the recipe, not the rack:
+// the worker generates the trace on entry and drops it (and its prep) on
+// exit, so a paper-scale fleet holds O(workers) racks in memory instead of
+// O(fleet).
+type rackUnit struct {
 	fcfg    *trace.FleetConfig
 	rackIdx int
-	sys     baselines.System
+	runs    []systemShard
 }
 
-// streamRacks runs n rack shards across cfg.Workers goroutines. Shard i
-// generates its rack from recipe(i) — byte-identical wherever and whenever it
-// runs, since a rack is a pure function of (seed, index) — and simulates it;
-// results come back in shard-index order, never completion order, so folds
-// over them are bit-identical for any worker count. The first generation
-// error fails the whole run.
-func streamRacks(n int, cfg FleetSimConfig, recipe func(i int) rackShard) ([]shardOut, error) {
-	outs := parallel.Map(n, fleetOpts(cfg), func(i int) shardOut {
-		sh := recipe(i)
-		fr, err := trace.GenFleetRack(*sh.fcfg, sh.rackIdx)
+// systemShard is one system's run inside a rackUnit. shard is its flattened
+// index in the caller's result slice: it seeds the run's provenance stream
+// and fixes its place in every fold and merge.
+type systemShard struct {
+	sys   baselines.System
+	shard int
+}
+
+// oneSystem is the recipe of a fleet that runs sys alone: unit i is rack i
+// and its single run is shard i.
+func oneSystem(fcfg *trace.FleetConfig, sys baselines.System) func(i int) rackUnit {
+	return func(i int) rackUnit {
+		return rackUnit{fcfg: fcfg, rackIdx: i, runs: []systemShard{{sys: sys, shard: i}}}
+	}
+}
+
+// streamRacks runs units rack units across cfg.Workers goroutines and
+// returns shards results, slot k holding the run whose shard index is k.
+// Unit u generates its rack from recipe(u) — byte-identical wherever and
+// whenever it runs, since a rack is a pure function of (seed, index) —
+// prepares it once and simulates each of its systems over that prep. Results
+// are placed by shard index, never completion order, so folds over them are
+// bit-identical for any worker count. An unknown TemplateStrategy fails the
+// run before any unit starts; otherwise the first generation error does.
+func streamRacks(units, shards int, cfg FleetSimConfig, recipe func(u int) rackUnit) ([]shardOut, error) {
+	if _, err := predictorFor(cfg.TemplateStrategy); err != nil {
+		return nil, err
+	}
+	type unitOut struct {
+		runs []systemShard
+		outs []shardOut
+		err  error
+	}
+	done := parallel.Map(units, fleetOpts(cfg), func(u int) unitOut {
+		unit := recipe(u)
+		fr, err := trace.GenFleetRack(*unit.fcfg, unit.rackIdx)
 		if err != nil {
-			return shardOut{err: err}
+			return unitOut{err: err}
 		}
-		return rackRunObserved(fr.RackTrace, sh.sys, cfg, fr.Class.String(), i)
+		prep := prepareRack(fr.RackTrace, cfg)
+		outs := make([]shardOut, len(unit.runs))
+		for k, run := range unit.runs {
+			outs[k] = runSystem(prep, run.sys, cfg, fr.Class.String(), run.shard)
+		}
+		return unitOut{runs: unit.runs, outs: outs}
 	})
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
+	results := make([]shardOut, shards)
+	for _, d := range done {
+		if d.err != nil {
+			return nil, d.err
+		}
+		for k, run := range d.runs {
+			results[run.shard] = d.outs[k]
 		}
 	}
-	return outs, nil
+	return results, nil
 }
 
 // foldRacks sums shard metrics in shard-index order.
@@ -818,9 +951,10 @@ func table1FleetConfig(cfg FleetSimConfig, class trace.ClusterClass, ci int) tra
 }
 
 // RunTable1 reproduces Table I: five systems across the three power
-// classes. Every (rack, system) pair is an independent shard fanned out
-// across cfg.Workers goroutines; shard results are folded in shard-index
-// order so the table is bit-identical to the serial sweep.
+// classes. Every (class, rack) pair is an independent unit fanned out
+// across cfg.Workers goroutines; it prepares its rack once and runs all five
+// systems over it. Per-(rack, system) results are folded in flattened
+// shard-index order so the table is bit-identical to the serial sweep.
 func RunTable1(cfg FleetSimConfig) (*Table, []Table1Row, error) {
 	tbl, rows, _, err := runTable1(cfg)
 	return tbl, rows, err
@@ -838,25 +972,37 @@ func runTable1(cfg FleetSimConfig) (*Table, []Table1Row, *FleetObservation, erro
 	classes := []trace.ClusterClass{trace.HighPower, trace.MediumPower, trace.LowPower}
 	systems := baselines.All()
 
-	// Flatten every (class, system, rack) triple into the shard list. Each
-	// per-class mini-fleet has a single-class mix, so it guarantees exact
-	// class coverage at any scale. No trace is generated here: shards stream
-	// their racks inside the worker (memory O(active shards)). cellOf maps a
-	// shard to the (class, system) aggregate it contributes to.
-	var shards []rackShard
+	// Every (class, system, rack) triple keeps its flattened shard index —
+	// class-major, then system, then rack — which seeds its provenance
+	// stream and fixes its place in the fold and merge order. The unit of
+	// work is (class, rack): it generates and prepares the rack once and
+	// runs the five systems over that one prep. Each per-class mini-fleet
+	// has a single-class mix, so it guarantees exact class coverage at any
+	// scale. No trace is generated here: units stream their racks inside
+	// the worker (memory O(active units)). cellOf maps a shard to the
+	// (class, system) aggregate it contributes to.
+	var units []rackUnit
 	var cellOf []int
 	racksPerClass := make([]int, len(classes))
 	for ci, class := range classes {
 		fcfg := table1FleetConfig(cfg, class, ci)
-		racksPerClass[ci] = fcfg.NumRacks()
-		for si, sys := range systems {
-			for ri := 0; ri < fcfg.NumRacks(); ri++ {
-				shards = append(shards, rackShard{fcfg: &fcfg, rackIdx: ri, sys: sys})
+		nr := fcfg.NumRacks()
+		racksPerClass[ci] = nr
+		base := len(cellOf)
+		for si := range systems {
+			for ri := 0; ri < nr; ri++ {
 				cellOf = append(cellOf, ci*len(systems)+si)
 			}
 		}
+		for ri := 0; ri < nr; ri++ {
+			runs := make([]systemShard, len(systems))
+			for si, sys := range systems {
+				runs[si] = systemShard{sys: sys, shard: base + si*nr + ri}
+			}
+			units = append(units, rackUnit{fcfg: &fcfg, rackIdx: ri, runs: runs})
+		}
 	}
-	results, err := streamRacks(len(shards), cfg, func(i int) rackShard { return shards[i] })
+	results, err := streamRacks(len(units), len(cellOf), cfg, func(u int) rackUnit { return units[u] })
 	if err != nil {
 		return nil, nil, nil, err
 	}

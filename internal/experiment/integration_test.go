@@ -244,8 +244,12 @@ func TestIntegrationTemplateFromPredictor(t *testing.T) {
 		}
 	}
 	for _, strategy := range []string{"dailymed", "dailymax", "flatmed", "flatmax", "weekly"} {
-		tpl := templateFromPredictor(predictorFor(strategy), train)
-		ref := predictorFor(strategy)
+		p, err := predictorFor(strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tpl := templateFromPredictor(p, train)
+		ref, _ := predictorFor(strategy)
 		ref.Fit(train)
 		at := start.Add(8*24*time.Hour + 9*time.Hour) // Tuesday 9:00 next week
 		want := ref.Predict(at)
@@ -253,7 +257,7 @@ func TestIntegrationTemplateFromPredictor(t *testing.T) {
 			t.Fatalf("%s: template %v != predictor %v", strategy, got, want)
 		}
 	}
-	if p := predictorFor("bogus"); p.Name() != "DailyMed" {
-		t.Fatal("unknown strategy must default to DailyMed")
+	if p, err := predictorFor("bogus"); err == nil {
+		t.Fatalf("unknown strategy returned %s, want an error", p.Name())
 	}
 }

@@ -174,9 +174,7 @@ func RunFleetScale(cfg ScaleConfig) (*ScaleResult, error) {
 	sampler := startHeapSampler(heapSamplePeriod)
 
 	start := time.Now()
-	outs, err := streamRacks(cfg.Racks, fs, func(i int) rackShard {
-		return rackShard{fcfg: &fcfg, rackIdx: i, sys: cfg.System}
-	})
+	outs, err := streamRacks(cfg.Racks, cfg.Racks, fs, oneSystem(&fcfg, cfg.System))
 	wall := time.Since(start)
 
 	peak := sampler.halt()

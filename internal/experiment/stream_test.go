@@ -55,11 +55,12 @@ func renderObserved(t *testing.T, cfg FleetSimConfig) string {
 	return b.String()
 }
 
-// TestStreamedMatchesMaterializedTable1 is the streamed path's determinism
-// claim: identical bytes at workers 1/2/8 and under shuffled dispatch, for
-// two seeds — and, for seed 1, the same bytes the materialized path produced
-// at the commit that deleted it.
-func TestStreamedMatchesMaterializedTable1(t *testing.T) {
+// TestTable1ObservedIdenticalAcrossWorkers is the streamed path's
+// determinism claim: identical observed bytes at workers 1/2/8 and under
+// shuffled dispatch, for two seeds — and, for seed 1, the bytes pinned in
+// table1_observed_seed1.sha256, which an eager, materialized fleet path also
+// produced until it was deleted.
+func TestTable1ObservedIdenticalAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulations x8")
 	}

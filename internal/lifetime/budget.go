@@ -165,6 +165,14 @@ func (b *Budget) TimeToExhaustion() time.Duration { return b.Remaining() }
 // the sOA looks for other cores with headroom (§IV-D).
 type CoreBudgets struct {
 	cores []*Budget
+	// due is a lower bound on the earliest epoch rollover among the cores:
+	// until now reaches it no core can roll, so Advance is one compare.
+	// NewCoreBudgets, Restore and the slow path of Advance recompute it.
+	// Rolling a single core forward through Core(i) only moves that core's
+	// rollover later, so the bound stays valid; moving a core's epoch start
+	// backwards through Core(i).Restore would not, which is why a ledger is
+	// reset only through CoreBudgets.Restore.
+	due time.Time
 	// candScratch backs FindCoresFiltered's candidate selection, which
 	// runs on every admission attempt; reuse keeps the request hot path
 	// from allocating a candidate list per call.
@@ -183,20 +191,39 @@ func NewCoreBudgets(cfg BudgetConfig, n int, start time.Time) *CoreBudgets {
 	for i := range cb.cores {
 		cb.cores[i] = NewBudget(cfg, start)
 	}
+	cb.resetDue()
 	return cb
+}
+
+// resetDue recomputes due as the exact earliest rollover instant.
+func (cb *CoreBudgets) resetDue() {
+	for i, b := range cb.cores {
+		if next := b.epochStart.Add(b.cfg.Epoch); i == 0 || next.Before(cb.due) {
+			cb.due = next
+		}
+	}
 }
 
 // Len returns the number of cores.
 func (cb *CoreBudgets) Len() int { return len(cb.cores) }
 
-// Core returns core i's budget.
+// Core returns core i's budget for reading, reserving and consuming. To
+// reset a ledger use CoreBudgets.Restore, not Core(i).Restore: the set
+// keeps a bound on its earliest epoch rollover that only its own Restore
+// recomputes, and a core rewound behind that bound would not roll over.
 func (cb *CoreBudgets) Core(i int) *Budget { return cb.cores[i] }
 
-// Advance rolls every core's budget forward to now.
+// Advance rolls every core's budget forward to now. Until the earliest
+// rollover it is a single compare; once that instant passes it advances
+// each core and recomputes the bound.
 func (cb *CoreBudgets) Advance(now time.Time) {
+	if now.Before(cb.due) {
+		return
+	}
 	for _, b := range cb.cores {
 		b.Advance(now)
 	}
+	cb.resetDue()
 }
 
 // TotalRemaining sums unreserved budget across cores.

@@ -52,6 +52,7 @@ func (cb *CoreBudgets) Restore(st *CoreBudgetsState) error {
 	for i, b := range cb.cores {
 		b.Restore(st.Cores[i])
 	}
+	cb.resetDue()
 	return nil
 }
 
