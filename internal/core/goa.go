@@ -39,6 +39,12 @@ type GOA struct {
 	// (see provenance.go).
 	prov            *causal.Recorder
 	lastProfileSpan causal.SpanID
+
+	// scratch is the working set every budget computation reuses, so the
+	// per-tick BudgetsAt and the 2×slots computations of BudgetTemplates
+	// allocate no per-server buffers. Like the metric handles, it makes a
+	// GOA a one-goroutine value even for its read-style methods.
+	scratch budgetSplit
 }
 
 // NewGOA creates a gOA for the named rack with the given power limit.
@@ -88,7 +94,7 @@ func (g *GOA) BudgetsAt(ts time.Time) map[string]float64 {
 	if len(names) == 0 {
 		return nil
 	}
-	sp := newBudgetSplit(g.profilesOf(names))
+	sp := g.splitFor(names)
 	g.split(ts, sp)
 	budgets := make(map[string]float64, len(names))
 	for i, name := range names {
@@ -98,30 +104,26 @@ func (g *GOA) BudgetsAt(ts time.Time) map[string]float64 {
 }
 
 // budgetSplit is the working set of one budget computation, indexed like
-// profiles (sorted server names). BudgetTemplates reuses one across every
-// slot.
+// the sorted server names.
 type budgetSplit struct {
 	profiles               []ServerProfile
 	regular, need, budgets []float64
 }
 
-func newBudgetSplit(profiles []ServerProfile) *budgetSplit {
-	n := len(profiles)
-	return &budgetSplit{
-		profiles: profiles,
-		regular:  make([]float64, n),
-		need:     make([]float64, n),
-		budgets:  make([]float64, n),
+// splitFor loads the profiles of names, in order, into the gOA's scratch
+// working set and sizes its buffers.
+func (g *GOA) splitFor(names []string) *budgetSplit {
+	sp := &g.scratch
+	sp.profiles = sp.profiles[:0]
+	for _, name := range names {
+		sp.profiles = append(sp.profiles, g.profiles[name])
 	}
-}
-
-// profilesOf returns the profiles of names, in order.
-func (g *GOA) profilesOf(names []string) []ServerProfile {
-	out := make([]ServerProfile, len(names))
-	for i, name := range names {
-		out[i] = g.profiles[name]
+	n := len(names)
+	if cap(sp.budgets) < n {
+		sp.regular, sp.need, sp.budgets = make([]float64, n), make([]float64, n), make([]float64, n)
 	}
-	return out
+	sp.regular, sp.need, sp.budgets = sp.regular[:n], sp.need[:n], sp.budgets[:n]
+	return sp
 }
 
 // split runs BudgetsAt's three phases for ts into sp.budgets and records
@@ -203,7 +205,7 @@ func (g *GOA) BudgetTemplates(step time.Duration) map[string]*timeseries.WeekTem
 	// time-of-day and weekday-kind matter).
 	monday := time.Date(2023, 4, 10, 0, 0, 0, 0, time.UTC)
 	saturday := time.Date(2023, 4, 15, 0, 0, 0, 0, time.UTC)
-	sp := newBudgetSplit(g.profilesOf(names))
+	sp := g.splitFor(names)
 	for i := 0; i < slots; i++ {
 		offset := time.Duration(i) * step
 		g.split(monday.Add(offset), sp)

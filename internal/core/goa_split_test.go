@@ -124,3 +124,17 @@ func TestBudgetTemplatesMatchBudgetsAt(t *testing.T) {
 		}
 	}
 }
+
+// TestBudgetsAtAllocs guards the live plane's per-tick budget check
+// (invariant.BudgetConservation calls BudgetsAt every tick): beyond the
+// sorted names and the returned map, a computation allocates nothing.
+func TestBudgetsAtAllocs(t *testing.T) {
+	g := NewGOA("r", 3000)
+	for i := 0; i < 8; i++ {
+		g.SetProfile(fmt.Sprintf("s%d", i), ServerProfile{Power: flatTemplate(200), OC: flatOC(2, 1), OCCoreCost: 10})
+	}
+	g.BudgetsAt(monday9) // size the scratch working set
+	if a := testing.AllocsPerRun(100, func() { g.BudgetsAt(monday9) }); a > 3 {
+		t.Fatalf("BudgetsAt allocates %.1f objects per call, want <= 3 (the names and the returned map)", a)
+	}
+}
