@@ -48,7 +48,7 @@ func runHighPower(cfg FleetSimConfig, sys baselines.System) (ablationPoint, erro
 	fcfg.RackTemplate.OutlierDayProb = 0.6
 	fcfg.RackTemplate.OutlierWithinDays = cfg.TrainDays
 	// The single-class mix means every index is a High-Power rack.
-	outs, err := streamRacks(fcfg.NumRacks(), fcfg.NumRacks(), cfg, oneSystem(&fcfg, sys))
+	outs, err := streamRacks(cfg, oneSystem(&fcfg, fcfg.NumRacks(), sys))
 	if err != nil {
 		return ablationPoint{}, err
 	}

@@ -877,23 +877,25 @@ type systemShard struct {
 	shard int
 }
 
-// oneSystem is the recipe of a fleet that runs sys alone: unit i is rack i
-// and its single run is shard i.
-func oneSystem(fcfg *trace.FleetConfig, sys baselines.System) func(i int) rackUnit {
-	return func(i int) rackUnit {
-		return rackUnit{fcfg: fcfg, rackIdx: i, runs: []systemShard{{sys: sys, shard: i}}}
+// oneSystem returns the units of a fleet of n racks that runs sys alone:
+// unit i is rack i and its single run is shard i.
+func oneSystem(fcfg *trace.FleetConfig, n int, sys baselines.System) []rackUnit {
+	units := make([]rackUnit, n)
+	for i := range units {
+		units[i] = rackUnit{fcfg: fcfg, rackIdx: i, runs: []systemShard{{sys: sys, shard: i}}}
 	}
+	return units
 }
 
-// streamRacks runs units rack units across cfg.Workers goroutines and
-// returns shards results, slot k holding the run whose shard index is k.
-// Unit u generates its rack from recipe(u) — byte-identical wherever and
-// whenever it runs, since a rack is a pure function of (seed, index) —
-// prepares it once and simulates each of its systems over that prep. Results
-// are placed by shard index, never completion order, so folds over them are
-// bit-identical for any worker count. An unknown TemplateStrategy fails the
-// run before any unit starts; otherwise the first generation error does.
-func streamRacks(units, shards int, cfg FleetSimConfig, recipe func(u int) rackUnit) ([]shardOut, error) {
+// streamRacks runs units across cfg.Workers goroutines and returns one
+// result per run, slot k holding the run whose shard index is k. A unit
+// generates its rack — byte-identical wherever and whenever it runs, since a
+// rack is a pure function of (seed, index) — prepares it once and simulates
+// each of its systems over that prep. Results are placed by shard index,
+// never completion order, so folds over them are bit-identical for any
+// worker count. An unknown TemplateStrategy fails the run before any unit
+// starts; otherwise the first generation error does.
+func streamRacks(cfg FleetSimConfig, units []rackUnit) ([]shardOut, error) {
 	if _, err := predictorFor(cfg.TemplateStrategy); err != nil {
 		return nil, err
 	}
@@ -902,8 +904,12 @@ func streamRacks(units, shards int, cfg FleetSimConfig, recipe func(u int) rackU
 		outs []shardOut
 		err  error
 	}
-	done := parallel.Map(units, fleetOpts(cfg), func(u int) unitOut {
-		unit := recipe(u)
+	shards := 0
+	for _, u := range units {
+		shards += len(u.runs)
+	}
+	done := parallel.Map(len(units), fleetOpts(cfg), func(u int) unitOut {
+		unit := units[u]
 		fr, err := trace.GenFleetRack(*unit.fcfg, unit.rackIdx)
 		if err != nil {
 			return unitOut{err: err}
@@ -1002,7 +1008,7 @@ func runTable1(cfg FleetSimConfig) (*Table, []Table1Row, *FleetObservation, erro
 			units = append(units, rackUnit{fcfg: &fcfg, rackIdx: ri, runs: runs})
 		}
 	}
-	results, err := streamRacks(len(units), len(cellOf), cfg, func(u int) rackUnit { return units[u] })
+	results, err := streamRacks(cfg, units)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -174,7 +174,7 @@ func RunFleetScale(cfg ScaleConfig) (*ScaleResult, error) {
 	sampler := startHeapSampler(heapSamplePeriod)
 
 	start := time.Now()
-	outs, err := streamRacks(cfg.Racks, cfg.Racks, fs, oneSystem(&fcfg, cfg.System))
+	outs, err := streamRacks(fs, oneSystem(&fcfg, cfg.Racks, cfg.System))
 	wall := time.Since(start)
 
 	peak := sampler.halt()
