@@ -240,10 +240,11 @@ func BenchmarkTable1Comparison(b *testing.B) {
 }
 
 // BenchmarkTable1Observed runs the same Table I workload with the metrics
-// registry and event tracer attached. Compare against
-// BenchmarkTable1Comparison: the acceptance bar for the observability
-// layer is under 5% wall-clock overhead, which the allocation-free handle
-// design keeps comfortably met.
+// registry, event tracer and provenance recorder attached, and reports the
+// merged snapshot's series count. It sets no RecordEvery, so it records no
+// series: compared against BenchmarkTable1Comparison it measures the cost
+// of the handles, the tracer, provenance and the shard merge only, which
+// was 1.64x the unobserved wall time when last measured.
 func BenchmarkTable1Observed(b *testing.B) {
 	var snapSeries int
 	for i := 0; i < b.N; i++ {

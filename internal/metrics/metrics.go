@@ -139,6 +139,18 @@ type instrument struct {
 	h      *Histogram
 }
 
+// labelMap renders the instrument's labels as a map, nil when unlabeled.
+func (ins *instrument) labelMap() map[string]string {
+	if len(ins.labels) == 0 {
+		return nil
+	}
+	m := make(map[string]string, len(ins.labels))
+	for _, l := range ins.labels {
+		m[l.Key] = l.Value
+	}
+	return m
+}
+
 // Registry holds instruments keyed by name + sorted labels. Registering the
 // same identity twice returns the same handle, so re-instrumented
 // components (e.g. an sOA rebooted after a chaos crash) keep accumulating

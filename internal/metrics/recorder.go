@@ -3,8 +3,10 @@ package metrics
 import (
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -50,22 +52,8 @@ type RecordedSeries struct {
 	CountDeltas []uint64   `json:"count_deltas,omitempty"`
 }
 
-// id reconstructs the canonical sort identity of the recorded series.
-func (s *RecordedSeries) id() string {
-	keys := make([]string, 0, len(s.Labels))
-	for k := range s.Labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	ls := make([]Label, len(keys))
-	for i, k := range keys {
-		ls[i] = Label{Key: k, Value: s.Labels[k]}
-	}
-	return seriesID(s.Name, ls)
-}
-
 // ID renders the canonical "name{k=v,...}" identity of the series.
-func (s *RecordedSeries) ID() string { return s.id() }
+func (s *RecordedSeries) ID() string { return mapSeriesID(s.Name, s.Labels) }
 
 // Quantile returns the per-interval q-quantile series of a recorded
 // histogram, estimated Prometheus-style: linear interpolation inside the
@@ -76,12 +64,7 @@ func (s *RecordedSeries) Quantile(q float64) []float64 {
 	if s.Type != "histogram" {
 		return nil
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
+	q = math.Min(math.Max(q, 0), 1)
 	out := make([]float64, len(s.Buckets))
 	for i, deltas := range s.Buckets {
 		total := s.CountDeltas[i]
@@ -91,7 +74,8 @@ func (s *RecordedSeries) Quantile(q float64) []float64 {
 		rank := q * float64(total)
 		var prevCum uint64
 		prevUB := 0.0
-		found := false
+		// A rank in the +Inf bucket clamps to the last finite bound.
+		out[i] = s.Uppers[len(s.Uppers)-1]
 		for j, cum := range deltas {
 			if float64(cum) >= rank {
 				inBucket := cum - prevCum
@@ -101,15 +85,10 @@ func (s *RecordedSeries) Quantile(q float64) []float64 {
 				} else {
 					out[i] = lo + (hi-lo)*(rank-float64(prevCum))/float64(inBucket)
 				}
-				found = true
 				break
 			}
 			prevCum = cum
 			prevUB = s.Uppers[j]
-		}
-		if !found {
-			// Rank falls in the +Inf bucket: clamp to the last finite bound.
-			out[i] = s.Uppers[len(s.Uppers)-1]
 		}
 	}
 	return out
@@ -140,10 +119,9 @@ func (r *Recording) TimeAt(i int) time.Time {
 
 // Find returns the recorded series with the given name and labels, or nil.
 func (r *Recording) Find(name string, labels map[string]string) *RecordedSeries {
-	want := RecordedSeries{Name: name, Labels: labels}
-	id := want.id()
+	id := mapSeriesID(name, labels)
 	for i := range r.Series {
-		if r.Series[i].id() == id {
+		if r.Series[i].ID() == id {
 			return &r.Series[i]
 		}
 	}
@@ -153,23 +131,34 @@ func (r *Recording) Find(name string, labels map[string]string) *RecordedSeries 
 // ToSeries converts one recorded series' samples into a timeseries.Series
 // on the recording's timeline.
 func (r *Recording) ToSeries(s *RecordedSeries) *timeseries.Series {
-	vals := make([]float64, len(s.Samples))
-	copy(vals, s.Samples)
-	return timeseries.FromValues(r.Start, r.Step, vals)
+	return timeseries.FromValues(r.Start, r.Step, append([]float64(nil), s.Samples...))
 }
 
 // Recorder samples a registry into a Recording. Like the registry it is
 // single-goroutine: each parallel shard owns its own recorder, and the
 // shard recordings are merged afterwards with MergeRecordings.
+//
+// A sample reads the instrument handles directly. Registries never drop
+// instruments, so the recorder keeps one slot per instrument, in step with
+// rec.Series, and rescans the registry only when it has grown: a sample is
+// one pass over the slots with no sort and no string work.
 type Recorder struct {
-	reg  *Registry
-	rec  *Recording
-	next time.Time
-	prev *Snapshot
-	// index maps series identity to its slot in rec.Series. New series may
-	// appear mid-run (e.g. an agent instrumented after a restart); their
-	// history is backfilled with zeros so every series shares the timeline.
-	index map[string]int
+	reg   *Registry
+	rec   *Recording
+	next  time.Time
+	slots []recSlot
+	known map[string]struct{}
+}
+
+// recSlot is one instrument as the recorder sees it: the handle, its
+// canonical identity (computed once) and its reading at the last sample.
+type recSlot struct {
+	ins       *instrument
+	id        string
+	series    int      // index in rec.Series
+	prevValue float64  // counter total or histogram sum
+	prevCount uint64   // histogram observation count
+	prevCum   []uint64 // histogram cumulative bucket counts
 }
 
 // NewRecorder starts recording reg on a fixed step. The first sample is
@@ -184,8 +173,7 @@ func NewRecorder(reg *Registry, start time.Time, step time.Duration) *Recorder {
 		reg:   reg,
 		rec:   &Recording{Start: start, Step: step},
 		next:  start.Add(step),
-		prev:  &Snapshot{},
-		index: make(map[string]int),
+		known: make(map[string]struct{}),
 	}
 }
 
@@ -199,102 +187,84 @@ func (r *Recorder) Tick(now time.Time) {
 	}
 }
 
-// sample appends one interval to every series.
-func (r *Recorder) sample() {
-	snap := r.reg.Snapshot()
+// discover appends a slot and a zero-backfilled series for every
+// instrument registered since the last scan, in canonical identity order.
+// New series may appear mid-run (e.g. an agent instrumented after a
+// restart); the backfill keeps every series on the shared timeline.
+func (r *Recorder) discover() {
+	var ids []string
+	for id := range r.reg.byID {
+		if _, ok := r.known[id]; !ok {
+			ids = append(ids, id)
+		}
+	}
+	sort.Strings(ids)
 	n := r.rec.Intervals()
-	stepSecs := r.rec.Step.Seconds()
-
-	prevByID := make(map[string]*Series, len(r.prev.Series))
-	for i := range r.prev.Series {
-		prevByID[r.prev.Series[i].id()] = &r.prev.Series[i]
-	}
-
-	for i := range snap.Series {
-		sr := &snap.Series[i]
-		id := sr.id()
-		slot, ok := r.index[id]
-		if !ok {
-			rs := RecordedSeries{
-				Name: sr.Name, Type: sr.Type, Labels: sr.Labels,
-				Samples: make([]float64, n),
+	for _, id := range ids {
+		ins := r.reg.byID[id]
+		r.known[id] = struct{}{}
+		rs := RecordedSeries{Name: ins.name, Type: ins.kind.String(), Labels: ins.labelMap(),
+			Samples: make([]float64, n)}
+		slot := recSlot{ins: ins, id: id, series: len(r.rec.Series)}
+		if ins.kind == KindHistogram {
+			rs.Uppers = append([]float64(nil), ins.h.uppers...)
+			rs.Buckets = make([][]uint64, n)
+			for k := range rs.Buckets {
+				rs.Buckets[k] = make([]uint64, len(rs.Uppers))
 			}
-			if sr.Type == "histogram" {
-				rs.Uppers = append([]float64(nil), bucketUppers(sr)...)
-				rs.Buckets = make([][]uint64, n)
-				for k := range rs.Buckets {
-					rs.Buckets[k] = make([]uint64, len(rs.Uppers))
-				}
-				rs.Sums = make([]float64, n)
-				rs.CountDeltas = make([]uint64, n)
-			}
-			slot = len(r.rec.Series)
-			r.rec.Series = append(r.rec.Series, rs)
-			r.index[id] = slot
+			rs.Sums = make([]float64, n)
+			rs.CountDeltas = make([]uint64, n)
+			slot.prevCum = make([]uint64, len(rs.Uppers))
 		}
-		rs := &r.rec.Series[slot]
-		prev := prevByID[id]
-		switch sr.Type {
-		case "counter":
-			base := 0.0
-			if prev != nil {
-				base = prev.Value
-			}
-			rs.Samples = append(rs.Samples, (sr.Value-base)/stepSecs)
-		case "gauge":
-			rs.Samples = append(rs.Samples, sr.Value)
-		case "histogram":
-			var baseCount uint64
-			baseSum := 0.0
-			if prev != nil {
-				baseCount = prev.Count
-				baseSum = prev.Value
-			}
-			countDelta := sr.Count - baseCount
-			rs.Samples = append(rs.Samples, float64(countDelta)/stepSecs)
-			rs.CountDeltas = append(rs.CountDeltas, countDelta)
-			rs.Sums = append(rs.Sums, sr.Value-baseSum)
-			row := make([]uint64, len(rs.Uppers))
-			for j := range rs.Uppers {
-				var b uint64
-				if j < len(sr.Buckets) {
-					b = sr.Buckets[j].Count
-				}
-				if prev != nil && j < len(prev.Buckets) {
-					b -= prev.Buckets[j].Count
-				}
-				row[j] = b
-			}
-			rs.Buckets = append(rs.Buckets, row)
-		}
+		r.rec.Series = append(r.rec.Series, rs)
+		r.slots = append(r.slots, slot)
 	}
-
-	// Series that vanished from the snapshot cannot happen (registries never
-	// drop instruments), so every recorded series either got a new sample
-	// above or was just created; nothing to pad here. Sort order is restored
-	// lazily in Recording().
-	r.prev = snap
 }
 
-// bucketUppers extracts the finite upper bounds of a snapshot histogram.
-func bucketUppers(sr *Series) []float64 {
-	out := make([]float64, len(sr.Buckets))
-	for i, b := range sr.Buckets {
-		out[i] = b.LE
+// sample appends one interval to every series.
+func (r *Recorder) sample() {
+	if len(r.reg.byID) != len(r.slots) {
+		r.discover()
 	}
-	return out
+	stepSecs := r.rec.Step.Seconds()
+	for i := range r.slots {
+		sl := &r.slots[i]
+		rs := &r.rec.Series[sl.series]
+		switch sl.ins.kind {
+		case KindCounter:
+			v := sl.ins.c.v
+			rs.Samples = append(rs.Samples, (v-sl.prevValue)/stepSecs)
+			sl.prevValue = v
+		case KindGauge:
+			rs.Samples = append(rs.Samples, sl.ins.g.v)
+		case KindHistogram:
+			h := sl.ins.h
+			countDelta := h.count - sl.prevCount
+			rs.Samples = append(rs.Samples, float64(countDelta)/stepSecs)
+			rs.CountDeltas = append(rs.CountDeltas, countDelta)
+			rs.Sums = append(rs.Sums, h.sum-sl.prevValue)
+			row := make([]uint64, len(sl.prevCum))
+			var cum uint64
+			for j := range row {
+				cum += h.counts[j]
+				row[j] = cum - sl.prevCum[j]
+				sl.prevCum[j] = cum
+			}
+			rs.Buckets = append(rs.Buckets, row)
+			sl.prevValue, sl.prevCount = h.sum, h.count
+		}
+	}
 }
 
 // Recording returns the accumulated recording with series sorted by
 // canonical identity. The returned value shares storage with the recorder;
 // take it once, after the run.
 func (r *Recorder) Recording() *Recording {
-	sort.Slice(r.rec.Series, func(i, j int) bool {
-		return r.rec.Series[i].id() < r.rec.Series[j].id()
-	})
-	// The index is invalidated by the sort; rebuild for any further Ticks.
-	for i := range r.rec.Series {
-		r.index[r.rec.Series[i].id()] = i
+	sort.Slice(r.slots, func(i, j int) bool { return r.slots[i].id < r.slots[j].id })
+	unsorted := append([]RecordedSeries(nil), r.rec.Series...)
+	for i := range r.slots {
+		r.rec.Series[i] = unsorted[r.slots[i].series]
+		r.slots[i].series = i
 	}
 	return r.rec
 }
@@ -320,7 +290,7 @@ func MergeRecordings(recs ...*Recording) *Recording {
 		}
 		for i := range rec.Series {
 			sr := &rec.Series[i]
-			id := sr.id()
+			id := sr.ID()
 			prev, ok := merged[id]
 			if !ok {
 				// Deep-copy every reference field — including Labels and
@@ -369,11 +339,7 @@ func MergeRecordings(recs ...*Recording) *Recording {
 	if out == nil {
 		return nil
 	}
-	ids := make([]string, 0, len(merged))
-	for id := range merged {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := sortedKeys(merged)
 	out.Series = make([]RecordedSeries, 0, len(ids))
 	for _, id := range ids {
 		out.Series = append(out.Series, *merged[id])
@@ -402,8 +368,10 @@ func (r *Recording) WriteCSV(w io.Writer) error {
 		vals []float64
 	}
 	quantiles := make(map[int][]qset)
+	ids := make([]string, len(r.Series))
 	for si := range r.Series {
 		sr := &r.Series[si]
+		ids[si] = sr.ID()
 		if sr.Type != "histogram" {
 			continue
 		}
@@ -419,8 +387,7 @@ func (r *Recording) WriteCSV(w io.Writer) error {
 	for i := 0; i < n; i++ {
 		ts := r.TimeAt(i).UTC().Format(time.RFC3339)
 		for si := range r.Series {
-			sr := &r.Series[si]
-			id := sr.id()
+			sr, id := &r.Series[si], ids[si]
 			kind := "level"
 			if sr.Type != "gauge" {
 				kind = "rate"
@@ -451,12 +418,45 @@ func (r *Recording) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// ReadRecording parses a recording previously written by WriteJSON.
+// ReadRecording parses a recording previously written by WriteJSON. It
+// rejects a recording whose shape the exporters could not index.
 func ReadRecording(rd io.Reader) (*Recording, error) {
 	var r Recording
 	dec := json.NewDecoder(rd)
 	if err := dec.Decode(&r); err != nil {
 		return nil, fmt.Errorf("metrics: decode recording: %w", err)
 	}
+	for i := range r.Series {
+		if err := r.Series[i].checkShape(r.Intervals()); err != nil {
+			return nil, fmt.Errorf("metrics: decode recording: series %s: %w", r.Series[i].ID(), err)
+		}
+	}
 	return &r, nil
+}
+
+// checkShape reports why s cannot sit on an n-interval timeline, or nil.
+func (s *RecordedSeries) checkShape(n int) error {
+	switch {
+	case s.Type != "counter" && s.Type != "gauge" && s.Type != "histogram":
+		return fmt.Errorf("unknown type %q", s.Type)
+	case len(s.Samples) != n:
+		return fmt.Errorf("%d samples, want %d", len(s.Samples), n)
+	case s.Type != "histogram":
+		return nil
+	case len(s.Uppers) == 0:
+		return errors.New("histogram without buckets")
+	case len(s.Buckets) != n || len(s.Sums) != n || len(s.CountDeltas) != n:
+		return fmt.Errorf("histogram rows %d/%d/%d, want %d", len(s.Buckets), len(s.Sums), len(s.CountDeltas), n)
+	}
+	for j := 1; j < len(s.Uppers); j++ {
+		if !(s.Uppers[j] > s.Uppers[j-1]) {
+			return errors.New("histogram buckets not strictly ascending")
+		}
+	}
+	for k, row := range s.Buckets {
+		if len(row) != len(s.Uppers) {
+			return fmt.Errorf("interval %d has %d buckets, want %d", k, len(row), len(s.Uppers))
+		}
+	}
+	return nil
 }

@@ -3,6 +3,10 @@ package metrics
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"math/rand"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -429,4 +433,283 @@ func TestLockedRegistry(t *testing.T) {
 	if got := snap.SumByName("ops_total"); got != 400 {
 		t.Errorf("ops_total = %v, want 400", got)
 	}
+}
+
+// snapshotDiffRecorder is the sampler Recorder replaced: every sample takes
+// a full Registry.Snapshot and diffs it against the previous one by
+// identity. It lives only here, as the oracle the in-place recorder must
+// match byte for byte.
+type snapshotDiffRecorder struct {
+	reg   *Registry
+	rec   *Recording
+	next  time.Time
+	prev  *Snapshot
+	index map[string]int
+}
+
+func newSnapshotDiffRecorder(reg *Registry, start time.Time, step time.Duration) *snapshotDiffRecorder {
+	return &snapshotDiffRecorder{reg: reg, rec: &Recording{Start: start, Step: step},
+		next: start.Add(step), prev: &Snapshot{}, index: make(map[string]int)}
+}
+
+func (r *snapshotDiffRecorder) Tick(now time.Time) {
+	for !now.Before(r.next) {
+		r.sample()
+		r.next = r.next.Add(r.rec.Step)
+	}
+}
+
+func (r *snapshotDiffRecorder) sample() {
+	snap := r.reg.Snapshot()
+	n := r.rec.Intervals()
+	stepSecs := r.rec.Step.Seconds()
+	prevByID := make(map[string]*Series, len(r.prev.Series))
+	for i := range r.prev.Series {
+		prevByID[r.prev.Series[i].id()] = &r.prev.Series[i]
+	}
+	for i := range snap.Series {
+		sr := &snap.Series[i]
+		id := sr.id()
+		slot, ok := r.index[id]
+		if !ok {
+			rs := RecordedSeries{Name: sr.Name, Type: sr.Type, Labels: sr.Labels, Samples: make([]float64, n)}
+			if sr.Type == "histogram" {
+				for _, b := range sr.Buckets {
+					rs.Uppers = append(rs.Uppers, b.LE)
+				}
+				rs.Buckets = make([][]uint64, n)
+				for k := range rs.Buckets {
+					rs.Buckets[k] = make([]uint64, len(rs.Uppers))
+				}
+				rs.Sums = make([]float64, n)
+				rs.CountDeltas = make([]uint64, n)
+			}
+			slot = len(r.rec.Series)
+			r.rec.Series = append(r.rec.Series, rs)
+			r.index[id] = slot
+		}
+		rs := &r.rec.Series[slot]
+		prev := prevByID[id]
+		switch sr.Type {
+		case "counter":
+			base := 0.0
+			if prev != nil {
+				base = prev.Value
+			}
+			rs.Samples = append(rs.Samples, (sr.Value-base)/stepSecs)
+		case "gauge":
+			rs.Samples = append(rs.Samples, sr.Value)
+		case "histogram":
+			var baseCount uint64
+			baseSum := 0.0
+			if prev != nil {
+				baseCount, baseSum = prev.Count, prev.Value
+			}
+			countDelta := sr.Count - baseCount
+			rs.Samples = append(rs.Samples, float64(countDelta)/stepSecs)
+			rs.CountDeltas = append(rs.CountDeltas, countDelta)
+			rs.Sums = append(rs.Sums, sr.Value-baseSum)
+			row := make([]uint64, len(rs.Uppers))
+			for j := range rs.Uppers {
+				row[j] = sr.Buckets[j].Count
+				if prev != nil {
+					row[j] -= prev.Buckets[j].Count
+				}
+			}
+			rs.Buckets = append(rs.Buckets, row)
+		}
+	}
+	r.prev = snap
+}
+
+func (r *snapshotDiffRecorder) Recording() *Recording {
+	sort.Slice(r.rec.Series, func(i, j int) bool { return r.rec.Series[i].ID() < r.rec.Series[j].ID() })
+	for i := range r.rec.Series {
+		r.index[r.rec.Series[i].ID()] = i
+	}
+	return r.rec
+}
+
+// recordingJSON renders rec as WriteJSON does.
+func recordingJSON(t testing.TB, rec *Recording) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rec.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestRecorderMatchesSnapshotDiff runs seeded random programs against the
+// in-place recorder and the snapshot-diff oracle sharing one registry:
+// counter adds, gauge sets and histogram observes (the +Inf bucket
+// included), registrations and re-registrations between samples, coarse
+// ticks spanning several boundaries, and ticks after a mid-run Recording.
+// Every Recording must be byte-equal JSON.
+func TestRecorderMatchesSnapshotDiff(t *testing.T) {
+	layouts := [][]float64{{1, 2, 4}, {0.5}, WattBuckets}
+	labelKeys := []string{"a", "b", "c"}
+	for seed := int64(1); seed <= 80; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		reg := NewRegistry()
+		step := time.Duration(1+rng.Intn(60)) * time.Second
+		got, want := NewRecorder(reg, t0, step), newSnapshotDiffRecorder(reg, t0, step)
+		var counters []*Counter
+		var gauges []*Gauge
+		var hists []*Histogram
+		now := t0
+		compare := func(when string) {
+			if g, w := recordingJSON(t, got.Recording()), recordingJSON(t, want.Recording()); g != w {
+				t.Fatalf("seed %d, %s: recorder diverges from snapshot diff:\n--- got ---\n%s--- want ---\n%s", seed, when, g, w)
+			}
+		}
+		for op := 0; op < 250; op++ {
+			switch k := rng.Intn(12); {
+			case k < 3:
+				var ls []Label
+				for _, i := range rng.Perm(len(labelKeys))[:rng.Intn(len(labelKeys)+1)] {
+					ls = append(ls, L(labelKeys[i], strconv.Itoa(rng.Intn(2))))
+				}
+				name := rng.Intn(len(layouts))
+				switch rng.Intn(3) {
+				case 0:
+					counters = append(counters, reg.Counter(fmt.Sprintf("c%d_total", name), ls...))
+				case 1:
+					gauges = append(gauges, reg.Gauge(fmt.Sprintf("g%d", name), ls...))
+				default:
+					hists = append(hists, reg.Histogram(fmt.Sprintf("h%d", name), layouts[name], ls...))
+				}
+			case k < 5 && len(counters) > 0:
+				counters[rng.Intn(len(counters))].Add(float64(rng.Intn(5)) + rng.Float64())
+			case k < 6 && len(gauges) > 0:
+				gauges[rng.Intn(len(gauges))].Set(rng.NormFloat64() * 1e3)
+			case k < 8 && len(hists) > 0:
+				h := hists[rng.Intn(len(hists))]
+				top := h.uppers[len(h.uppers)-1]
+				if rng.Intn(4) == 0 {
+					h.Observe(h.uppers[rng.Intn(len(h.uppers))]) // exactly on a bound
+				} else {
+					h.Observe(rng.Float64() * 2 * top) // up to half in +Inf
+				}
+			case k < 11:
+				// Anywhere from inside the current interval to four boundaries on.
+				now = now.Add(time.Duration(rng.Int63n(int64(4 * step))))
+				got.Tick(now)
+				want.Tick(now)
+			default:
+				if rng.Intn(4) == 0 {
+					compare(fmt.Sprintf("mid-run at op %d", op))
+				}
+			}
+		}
+		now = now.Add(2 * step)
+		got.Tick(now)
+		want.Tick(now)
+		compare("end of run")
+	}
+}
+
+// TestRecorderSampleAllocs guards the per-sample cost on a steady registry
+// shaped like one fleet shard: one bucket row per histogram, plus a little
+// amortized slice growth.
+func TestRecorderSampleAllocs(t *testing.T) {
+	const counters, histograms = 405, 31
+	reg := NewRegistry()
+	labels := func(i int) []Label {
+		return []Label{L("class", "web"), L("system", "smartoclock"), L("rack", "r0"), L("server", strconv.Itoa(i))}
+	}
+	cs := make([]*Counter, counters)
+	for i := range cs {
+		cs[i] = reg.Counter(fmt.Sprintf("soa_event_%d_total", i%27), labels(i/27)...)
+	}
+	for i := 0; i < histograms; i++ {
+		reg.Histogram(fmt.Sprintf("draw_%d_watts", i), WattBuckets, labels(i)...).Observe(float64(i * 100))
+	}
+	rec := NewRecorder(reg, t0, time.Hour)
+	now := t0
+	sample := func() {
+		cs[int(now.Sub(t0).Hours())%counters].Inc()
+		now = now.Add(time.Hour)
+		rec.Tick(now)
+	}
+	sample() // the first sample discovers every series
+	if allocs := testing.AllocsPerRun(1000, sample); allocs > histograms+8 {
+		t.Errorf("sample allocates %v times, want <= %d", allocs, histograms+8)
+	}
+}
+
+// badHistogramRecording is a 2-interval recording whose histogram carries a
+// single count delta: before decoding validated shapes, `socmetrics series`
+// panicked on it in Quantile.
+const badHistogramRecording = `{"start":"2026-01-01T00:00:00Z","step":1000000000,"series":[
+{"name":"lat","type":"histogram","samples":[1,0],"uppers":[1,2],
+"bucket_deltas":[[1,1],[0,0]],"sum_deltas":[0.5,0],"count_deltas":[1]}]}`
+
+// TestReadRecordingRejectsBadShape pins decode-time validation: every shape
+// the exporters index by is checked, and a consistent recording passes.
+func TestReadRecordingRejectsBadShape(t *testing.T) {
+	hist := func(fields string) string {
+		return `{"start":"2026-01-01T00:00:00Z","step":1000000000,"series":[
+{"name":"lat","type":"histogram","samples":[1,0],` + fields + `}]}`
+	}
+	cases := []struct {
+		name, in, wantErr string
+	}{
+		{"short count deltas", badHistogramRecording, "histogram rows 2/2/1, want 2"},
+		{"unknown type", `{"series":[{"name":"x","type":"summary","samples":[1]}]}`, `unknown type "summary"`},
+		{"series off the timeline", `{"series":[{"name":"a","type":"counter","samples":[1,2]},
+{"name":"b","type":"gauge","samples":[1]}]}`, "1 samples, want 2"},
+		{"no buckets", hist(`"bucket_deltas":[[],[]],"sum_deltas":[0,0],"count_deltas":[1,0]`), "without buckets"},
+		{"equal bounds", hist(`"uppers":[1,1],"bucket_deltas":[[1,1],[0,0]],"sum_deltas":[0,0],"count_deltas":[1,0]`), "not strictly ascending"},
+		{"descending bounds", hist(`"uppers":[2,1],"bucket_deltas":[[1,1],[0,0]],"sum_deltas":[0,0],"count_deltas":[1,0]`), "not strictly ascending"},
+		{"short sums", hist(`"uppers":[1,2],"bucket_deltas":[[1,1],[0,0]],"sum_deltas":[0],"count_deltas":[1,0]`), "histogram rows 2/1/2"},
+		{"short bucket row", hist(`"uppers":[1,2],"bucket_deltas":[[1,1],[0]],"sum_deltas":[0,0],"count_deltas":[1,0]`), "interval 1 has 1 buckets, want 2"},
+		{"consistent", hist(`"uppers":[1,2],"bucket_deltas":[[1,1],[0,0]],"sum_deltas":[0.5,0],"count_deltas":[1,0]`), ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec, err := ReadRecording(strings.NewReader(tc.in))
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("consistent recording rejected: %v", err)
+				}
+				if err := rec.WriteCSV(io.Discard); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("err = %v, want it to contain %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// FuzzReadRecording holds decoding to its promise: an accepted recording
+// writes back as JSON that reads to the same recording, and exports as CSV
+// without panicking.
+func FuzzReadRecording(f *testing.F) {
+	var seed bytes.Buffer
+	if err := shardRecording(2).WriteJSON(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte(badHistogramRecording))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := ReadRecording(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		first := recordingJSON(t, rec)
+		back, err := ReadRecording(strings.NewReader(first))
+		if err != nil {
+			t.Fatalf("written recording rejected: %v\n%s", err, first)
+		}
+		if again := recordingJSON(t, back); again != first {
+			t.Fatalf("round trip changed the recording:\n%s\nvs\n%s", first, again)
+		}
+		if err := rec.WriteCSV(io.Discard); err != nil {
+			t.Fatalf("CSV export of accepted recording: %v", err)
+		}
+	})
 }

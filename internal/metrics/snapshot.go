@@ -30,17 +30,16 @@ type Series struct {
 }
 
 // id reconstructs the canonical sort identity of the series.
-func (s *Series) id() string {
-	keys := make([]string, 0, len(s.Labels))
-	for k := range s.Labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+func (s *Series) id() string { return mapSeriesID(s.Name, s.Labels) }
+
+// mapSeriesID renders the canonical identity of a name and a label map.
+func mapSeriesID(name string, labels map[string]string) string {
+	keys := sortedKeys(labels)
 	ls := make([]Label, len(keys))
 	for i, k := range keys {
-		ls[i] = Label{Key: k, Value: s.Labels[k]}
+		ls[i] = Label{Key: k, Value: labels[k]}
 	}
-	return seriesID(s.Name, ls)
+	return seriesID(name, ls)
 }
 
 // Snapshot is an immutable, sorted copy of a registry's state, suitable for
@@ -53,21 +52,11 @@ type Snapshot struct {
 // (name, then sorted labels), so two registries holding the same values
 // produce byte-identical snapshots regardless of registration order.
 func (r *Registry) Snapshot() *Snapshot {
-	ids := make([]string, 0, len(r.byID))
-	for id := range r.byID {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := sortedKeys(r.byID)
 	snap := &Snapshot{Series: make([]Series, 0, len(ids))}
 	for _, id := range ids {
 		ins := r.byID[id]
-		s := Series{Name: ins.name, Type: ins.kind.String()}
-		if len(ins.labels) > 0 {
-			s.Labels = make(map[string]string, len(ins.labels))
-			for _, l := range ins.labels {
-				s.Labels[l.Key] = l.Value
-			}
-		}
+		s := Series{Name: ins.name, Type: ins.kind.String(), Labels: ins.labelMap()}
 		switch ins.kind {
 		case KindCounter:
 			s.Value = ins.c.v
@@ -89,6 +78,16 @@ func (r *Registry) Snapshot() *Snapshot {
 	return snap
 }
 
+// sortedKeys returns the keys of m in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // formatFloat renders v with the shortest exact representation, matching
 // the repo-wide convention for byte-stable float output.
 func formatFloat(v float64) string {
@@ -105,11 +104,7 @@ func escapeLabelValue(v string) string {
 // promLabels renders {k="v",...} with keys sorted, plus an optional extra
 // trailing label (used for histogram "le"). Returns "" for no labels.
 func promLabels(labels map[string]string, extraKey, extraVal string) string {
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sortedKeys(labels)
 	var b strings.Builder
 	writePair := func(k, v string) {
 		if b.Len() > 0 {
@@ -197,11 +192,6 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	return &s, nil
 }
 
-// Merge folds snapshots into one: counters and histograms sum, gauges take
-// the last snapshot's value (shard order is the caller's deterministic
-// order, so merge output is deterministic too). Series present in only some
-// snapshots pass through. Mismatched histogram layouts for the same
-// identity are a programming error and panic.
 // cloneLabels returns an independent copy of a label map (nil stays nil).
 func cloneLabels(labels map[string]string) map[string]string {
 	if labels == nil {
@@ -214,6 +204,11 @@ func cloneLabels(labels map[string]string) map[string]string {
 	return cp
 }
 
+// Merge folds snapshots into one: counters and histograms sum, gauges take
+// the last snapshot's value (shard order is the caller's deterministic
+// order, so merge output is deterministic too). Series present in only some
+// snapshots pass through. Mismatched histogram layouts for the same
+// identity are a programming error and panic.
 func Merge(snaps ...*Snapshot) *Snapshot {
 	merged := make(map[string]*Series)
 	for _, snap := range snaps {
@@ -251,11 +246,7 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 			}
 		}
 	}
-	ids := make([]string, 0, len(merged))
-	for id := range merged {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := sortedKeys(merged)
 	out := &Snapshot{Series: make([]Series, 0, len(ids))}
 	for _, id := range ids {
 		out.Series = append(out.Series, *merged[id])
@@ -265,8 +256,7 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 
 // Find returns the series with the given name and labels, or nil.
 func (s *Snapshot) Find(name string, labels map[string]string) *Series {
-	want := Series{Name: name, Labels: labels}
-	id := want.id()
+	id := mapSeriesID(name, labels)
 	for i := range s.Series {
 		if s.Series[i].id() == id {
 			return &s.Series[i]
@@ -327,11 +317,7 @@ func Diff(before, after *Snapshot) []DiffEntry {
 	}
 	collect(before, 0)
 	collect(after, 1)
-	ids := make([]string, 0, len(all))
-	for id := range all {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := sortedKeys(all)
 	out := make([]DiffEntry, 0, len(ids))
 	for _, id := range ids {
 		pair := all[id]
