@@ -225,9 +225,48 @@ func (r *Recorder) Dropped() uint64 {
 	return r.dropped
 }
 
+// Total returns how many records the recorder has emitted: the held ones
+// plus those a bounded ring overwrote. 0 on a nil recorder.
+func (r *Recorder) Total() uint64 {
+	if r == nil {
+		return 0
+	}
+	return uint64(len(r.records)) + r.dropped
+}
+
+// AppendSince appends the records emitted after the first seen ones to dst,
+// oldest first, and returns the extended slice. Records a bounded ring has
+// already overwritten are gone, so at most Len records are appended. It
+// reads only the (at most two) ring segments holding the new records, which
+// makes it the read path for incremental consumers: keep Total as the next
+// seen and the cost per call is what changed, not what is held.
+func (r *Recorder) AppendSince(dst []Record, seen uint64) []Record {
+	total := r.Total()
+	if seen >= total {
+		return dst
+	}
+	n := len(r.records)
+	fresh := n
+	if d := total - seen; d < uint64(n) {
+		fresh = int(d)
+	}
+	// The ring's oldest record sits at start (0 until a bounded ring wraps),
+	// so the first fresh one is n-fresh places after it.
+	i := r.start + n - fresh
+	if i >= n {
+		i -= n
+	}
+	if end := i + fresh; end <= n {
+		return append(dst, r.records[i:end]...)
+	}
+	dst = append(dst, r.records[i:]...)
+	return append(dst, r.records[:i+fresh-n]...)
+}
+
 // Records returns the held records in emission order. The slice is freshly
 // built for bounded recorders (to unwrap the ring) and shared otherwise;
-// callers must not mutate it.
+// callers must not mutate it. It is for end-of-run readers: a consumer
+// polling for new records should use AppendSince, which copies only those.
 func (r *Recorder) Records() []Record {
 	if r == nil {
 		return nil

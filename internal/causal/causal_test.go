@@ -2,6 +2,7 @@ package causal
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -212,5 +213,60 @@ func TestCollectShardOrder(t *testing.T) {
 	other.Append(l)
 	if other.Len() != 2 {
 		t.Fatalf("append len = %d", other.Len())
+	}
+}
+
+// TestAppendSinceMatchesRecordsTail pins the incremental read path against
+// Records: for every seen count, AppendSince returns exactly the held
+// records emitted after the first seen, oldest first — the last
+// min(Total-seen, Len) records of Records(). Bursts of random size drive
+// bounded rings across several wraps; an unbounded and a nil recorder
+// ride along.
+func TestAppendSinceMatchesRecordsTail(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, capacity := range []int{1, 3, 64, 0} {
+		r := NewRecorder(1, 0)
+		if capacity > 0 {
+			r = NewBounded(1, 0, capacity)
+		}
+		limit := 5*max(capacity, 8) + 7
+		for r.Total() < uint64(limit) {
+			for n := rng.Intn(max(capacity, 8)/2 + 2); n > 0; n-- {
+				r.Emit(Record{Time: t0, Site: "s", Verdict: "v"})
+			}
+			checkAppendSince(t, capacity, r)
+		}
+		if capacity > 0 && r.Dropped() == 0 {
+			t.Fatalf("capacity %d: ring never wrapped", capacity)
+		}
+	}
+	var nilRec *Recorder
+	if nilRec.Total() != 0 || nilRec.AppendSince(nil, 0) != nil {
+		t.Fatal("nil recorder must have nothing to append")
+	}
+}
+
+func checkAppendSince(t *testing.T, capacity int, r *Recorder) {
+	t.Helper()
+	recs := r.Records()
+	total := r.Total()
+	if total != uint64(len(recs))+r.Dropped() {
+		t.Fatalf("capacity %d: Total %d != held %d + dropped %d", capacity, total, len(recs), r.Dropped())
+	}
+	prefix := []Record{{Site: "prefix"}}
+	for seen := uint64(0); seen <= total+1; seen++ {
+		fresh := min(total-min(seen, total), uint64(len(recs)))
+		want := recs[uint64(len(recs))-fresh:]
+		got := r.AppendSince(prefix[:1:1], seen)
+		if len(got) != 1+len(want) || got[0].Site != "prefix" {
+			t.Fatalf("capacity %d total %d seen %d: got %d records after the prefix, want %d",
+				capacity, total, seen, len(got)-1, len(want))
+		}
+		for i := range want {
+			if got[1+i].Span != want[i].Span {
+				t.Fatalf("capacity %d total %d seen %d: record %d is span %v, want %v",
+					capacity, total, seen, i, got[1+i].Span, want[i].Span)
+			}
+		}
 	}
 }

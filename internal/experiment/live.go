@@ -16,7 +16,11 @@ import (
 )
 
 // LiveSink receives the periodic publications of a live run — typically a
-// telemetry.Server, but the interface keeps experiment free of HTTP.
+// telemetry.Server, but the interface keeps experiment free of HTTP. Each
+// tick publishes a fresh snapshot, then only the events (and, for sinks
+// with PublishProvenance, the records) emitted since the last publication.
+// The event and record slices are reused by the next tick: a sink copies
+// what it keeps.
 type LiveSink interface {
 	PublishSnapshot(*metrics.Snapshot)
 	PublishEvents([]obs.Event)
@@ -104,10 +108,17 @@ type LiveResult struct {
 	Checkpoints int
 	Restored    bool
 	Metrics     *metrics.Snapshot
-	Trace       *obs.Tracer
-	// Provenance holds the (ring-bounded) causal decision log of the run.
+	// Trace holds the run's most recent liveRing events; older ones are
+	// counted in trace_dropped_total.
+	Trace *obs.Tracer
+	// Provenance holds the run's most recent liveRing decision records;
+	// older ones are counted in causal_dropped_total.
 	Provenance *causal.Log
 }
+
+// liveRing bounds the live run's event trace and provenance log, so memory
+// stays flat however long the run is served.
+const liveRing = 4096
 
 // Format renders the live run as a report table.
 func (r *LiveResult) Format() string {
@@ -149,12 +160,13 @@ func RunLive(cfg LiveConfig, sink LiveSink) (*LiveResult, error) {
 		return nil, err
 	}
 	lk := metrics.NewLocked()
-	tracer := newShardTracer(cfg.TraceOnly)
+	// Live runs are long-lived: the tracer and the provenance recorder are
+	// bounded rings so memory stays flat while the latest events and
+	// decisions remain explorable via /trace/tail and /explain. Only the run
+	// goroutine touches them.
+	tracer := newShardTracer(cfg.TraceOnly).Bound(liveRing)
 	checker := invariant.NewChecker()
-	// Live runs are long-lived: the provenance recorder is a bounded ring so
-	// memory stays flat while the latest decisions remain explorable via
-	// /explain. Only the run goroutine touches it.
-	prov := causal.NewBounded(cfg.Seed, 2, 4096)
+	prov := causal.NewBounded(cfg.Seed, 2, liveRing)
 	checker.AttachProvenance(prov)
 
 	// --- Two nodes on loopback: the gOA's and the servers' ----------------
@@ -231,6 +243,7 @@ func RunLive(cfg LiveConfig, sink LiveSink) (*LiveResult, error) {
 	w.rig = rg
 	// Instrumentation resolves handles into the shared registry under the
 	// lock; the simulation later updates them under the same lock.
+	pub := &livePublisher{lk: lk, sink: sink, tracer: tracer, prov: prov}
 	lk.Do(func(reg *metrics.Registry) {
 		rg.reg = reg
 		rg.assemble("rack-live")
@@ -238,6 +251,8 @@ func RunLive(cfg LiveConfig, sink LiveSink) (*LiveResult, error) {
 		w.ckptWrites = reg.Counter("checkpoint_writes_total")
 		w.ckptErrors = reg.Counter("checkpoint_errors_total")
 		w.ckptBytes = reg.Gauge("checkpoint_bytes")
+		pub.traceDropped = reg.Counter("trace_dropped_total")
+		pub.provDropped = reg.Counter("causal_dropped_total")
 	})
 
 	// --- Durable state: warm start and periodic checkpoints ----------------
@@ -336,11 +351,9 @@ func RunLive(cfg LiveConfig, sink LiveSink) (*LiveResult, error) {
 
 	// Sinks that understand provenance (the telemetry server's /explain)
 	// get new records pushed after every tick.
-	provPub, _ := sink.(interface{ PublishProvenance([]causal.Record) })
+	pub.provPub, _ = sink.(interface{ PublishProvenance([]causal.Record) })
 
 	// --- One tick of the world ---------------------------------------------
-	published := 0             // events already handed to the sink
-	publishedProv := uint64(0) // records (kept + dropped) already handed over
 	profileEvery, budgetEvery := 2*time.Minute, time.Minute
 	nextProfile, nextBudget := cfg.Start.Add(profileEvery), cfg.Start.Add(budgetEvery)
 	checkpointing := cfg.CheckpointPath != "" && cfg.CheckpointEvery > 0
@@ -408,24 +421,7 @@ func RunLive(cfg LiveConfig, sink LiveSink) (*LiveResult, error) {
 		}
 
 		// 5. Publish to the sink.
-		if sink != nil {
-			sink.PublishSnapshot(lk.Snapshot())
-			if evs := tracer.Events(); len(evs) > published {
-				sink.PublishEvents(evs[published:])
-				published = len(evs)
-			}
-			if provPub != nil {
-				recs := prov.Records()
-				total := uint64(len(recs)) + prov.Dropped()
-				if fresh := total - publishedProv; fresh > 0 {
-					if fresh > uint64(len(recs)) {
-						fresh = uint64(len(recs)) // ring overwrote some unseen records
-					}
-					provPub.PublishProvenance(recs[uint64(len(recs))-fresh:])
-					publishedProv = total
-				}
-			}
-		}
+		pub.publish()
 		w.now = now.Add(cfg.Tick)
 
 		// 6. In hold mode, barrier on loopback delivery: the next tick must
@@ -492,8 +488,56 @@ func RunLive(cfg LiveConfig, sink LiveSink) (*LiveResult, error) {
 	res.CapEvents = rg.rack.CapEvents()
 	res.Warnings = rg.rack.Warnings()
 	res.Violations = w.violations()
-	res.Metrics = lk.Snapshot()
+	res.Metrics = pub.snapshot()
 	res.Trace = tracer
 	res.Provenance = &causal.Log{Records: prov.Records()}
 	return res, nil
+}
+
+// livePublisher hands the sink what each tick changed: a fresh snapshot,
+// then the events and provenance records emitted since the last
+// publication, copied into buffers it reuses. Only the run goroutine uses
+// it.
+type livePublisher struct {
+	lk           *metrics.Locked
+	sink         LiveSink // nil publishes nothing
+	provPub      interface{ PublishProvenance([]causal.Record) }
+	tracer       *obs.Tracer
+	prov         *causal.Recorder
+	traceDropped *metrics.Counter
+	provDropped  *metrics.Counter
+
+	// Events and records (held + dropped) already handed to the sink.
+	seenEvents, seenRecords uint64
+	events                  []obs.Event
+	records                 []causal.Record
+}
+
+// snapshot brings the drop counters up to the tracer's and the recorder's
+// and freezes the registry.
+func (p *livePublisher) snapshot() *metrics.Snapshot {
+	reg := p.lk.Lock()
+	defer p.lk.Unlock()
+	p.traceDropped.Add(float64(p.tracer.Dropped()) - p.traceDropped.Value())
+	p.provDropped.Add(float64(p.prov.Dropped()) - p.provDropped.Value())
+	return reg.Snapshot()
+}
+
+// publish runs once per tick, after the tick's last emission.
+func (p *livePublisher) publish() {
+	if p.sink == nil {
+		return
+	}
+	p.sink.PublishSnapshot(p.snapshot())
+	if p.events = p.tracer.AppendSince(p.events[:0], p.seenEvents); len(p.events) > 0 {
+		p.sink.PublishEvents(p.events)
+		p.seenEvents = p.tracer.Total()
+	}
+	if p.provPub == nil {
+		return
+	}
+	if p.records = p.prov.AppendSince(p.records[:0], p.seenRecords); len(p.records) > 0 {
+		p.provPub.PublishProvenance(p.records)
+		p.seenRecords = p.prov.Total()
+	}
 }

@@ -52,6 +52,9 @@ type check struct {
 	name string
 	rack string
 	fn   func(now time.Time, report Reporter)
+	// report is built once, in Register, and stamps violations with the
+	// checker's current tick.
+	report Reporter
 	// viol, when the checker is instrumented, counts this check's
 	// violations in the metrics registry.
 	viol *metrics.Counter
@@ -61,6 +64,7 @@ type check struct {
 type Checker struct {
 	checks []check
 	nRuns  int64
+	now    time.Time // tick of the Check in progress
 
 	// MaxRecord caps stored violations so a badly broken run doesn't eat
 	// memory; the total count keeps incrementing past it.
@@ -90,7 +94,9 @@ func NewChecker() *Checker { return &Checker{MaxRecord: 100} }
 // Register adds an invariant. fn is called on every Check with the current
 // tick time and a reporter for violations.
 func (c *Checker) Register(invariantName, rack string, fn func(now time.Time, report Reporter)) {
+	i := len(c.checks)
 	ck := check{name: invariantName, rack: rack, fn: fn}
+	ck.report = func(detail string) { c.violation(&c.checks[i], detail) }
 	if c.reg != nil {
 		ck.viol = c.violationCounter(invariantName)
 	}
@@ -122,39 +128,45 @@ func (c *Checker) violationCounter(invariantName string) *metrics.Counter {
 // Check runs every registered invariant at tick time now.
 func (c *Checker) Check(now time.Time) {
 	c.nRuns++
+	c.now = now
 	if c.checksRun != nil {
 		c.checksRun.Inc()
 	}
 	for i := range c.checks {
-		ck := &c.checks[i]
-		ck.fn(now, func(detail string) {
-			c.total++
-			var span causal.SpanID
-			if c.prov.Enabled() {
-				span = c.prov.Emit(causal.Record{
-					Time:      now,
-					Kind:      causal.KindDecision,
-					Component: "invariant",
-					Site:      "invariant.violation",
-					Subject:   ck.rack,
-					Policy:    ck.name,
-					Verdict:   "violation",
-					Detail:    detail,
-				})
-			}
-			if ck.viol != nil {
-				ck.viol.Inc()
-				c.tracer.Emit(obs.Event{
-					Time: now, Component: obs.Invariant, Kind: "violation",
-					Source: ck.rack, Detail: ck.name + ": " + detail,
-					Span: uint64(span),
-				})
-			}
-			if len(c.violations) < c.MaxRecord {
-				c.violations = append(c.violations, Violation{
-					Time: now, Rack: ck.rack, Invariant: ck.name, Detail: detail,
-				})
-			}
+		c.checks[i].fn(now, c.checks[i].report)
+	}
+}
+
+// violation records one failed assertion of ck at the current tick: a
+// provenance record, the violation counter and trace event when
+// instrumented, and the stored Violation while under MaxRecord.
+func (c *Checker) violation(ck *check, detail string) {
+	now := c.now
+	c.total++
+	var span causal.SpanID
+	if c.prov.Enabled() {
+		span = c.prov.Emit(causal.Record{
+			Time:      now,
+			Kind:      causal.KindDecision,
+			Component: "invariant",
+			Site:      "invariant.violation",
+			Subject:   ck.rack,
+			Policy:    ck.name,
+			Verdict:   "violation",
+			Detail:    detail,
+		})
+	}
+	if ck.viol != nil {
+		ck.viol.Inc()
+		c.tracer.Emit(obs.Event{
+			Time: now, Component: obs.Invariant, Kind: "violation",
+			Source: ck.rack, Detail: ck.name + ": " + detail,
+			Span: uint64(span),
+		})
+	}
+	if len(c.violations) < c.MaxRecord {
+		c.violations = append(c.violations, Violation{
+			Time: now, Rack: ck.rack, Invariant: ck.name, Detail: detail,
 		})
 	}
 }

@@ -1,12 +1,16 @@
 package invariant
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"smartoclock/internal/causal"
 	"smartoclock/internal/core"
 	"smartoclock/internal/lifetime"
+	"smartoclock/internal/metrics"
+	"smartoclock/internal/obs"
 	"smartoclock/internal/policy"
 	"smartoclock/internal/power"
 	"smartoclock/internal/predict"
@@ -74,6 +78,77 @@ func TestCheckerRecordsTickRackAndName(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q missing %q", err, want)
 		}
+	}
+}
+
+// TestCheckerReportersStampTickAndCheck registers checks before and after
+// Instrument (so the check slice regrows under the reporters built in
+// Register) and fails each at a different tick: every violation must carry
+// its own check's name and rack and the tick it was reported at, in the
+// stored violations, the per-invariant counters, the trace and the
+// provenance log alike.
+func TestCheckerReportersStampTickAndCheck(t *testing.T) {
+	c := NewChecker()
+	reg := metrics.NewRegistry()
+	tr := obs.New()
+	prov := causal.NewRecorder(1, 0)
+	c.AttachProvenance(prov)
+	const n = 6
+	for i := 0; i < n; i++ {
+		if i == n/2 {
+			c.Instrument(reg, tr)
+		}
+		c.Register(fmt.Sprintf("inv-%d", i), fmt.Sprintf("rack-%d", i), func(now time.Time, report Reporter) {
+			if int(now.Sub(invStart)/time.Second) == i {
+				report(fmt.Sprintf("detail-%d", i))
+			}
+		})
+	}
+	for i := 0; i < n; i++ {
+		c.Check(invStart.Add(time.Duration(i) * time.Second))
+	}
+	vs, evs, recs := c.Violations(), tr.Events(), prov.Records()
+	if len(vs) != n || len(evs) != n || len(recs) != n {
+		t.Fatalf("violations/events/records = %d/%d/%d, want %d each", len(vs), len(evs), len(recs), n)
+	}
+	for i := 0; i < n; i++ {
+		ts := invStart.Add(time.Duration(i) * time.Second)
+		name, rack, detail := fmt.Sprintf("inv-%d", i), fmt.Sprintf("rack-%d", i), fmt.Sprintf("detail-%d", i)
+		if v := vs[i]; v.Invariant != name || v.Rack != rack || v.Detail != detail || !v.Time.Equal(ts) {
+			t.Errorf("violation %d = %+v", i, v)
+		}
+		if ev := evs[i]; ev.Source != rack || ev.Detail != name+": "+detail || !ev.Time.Equal(ts) || ev.Span != uint64(recs[i].Span) {
+			t.Errorf("event %d = %+v", i, ev)
+		}
+		if r := recs[i]; r.Policy != name || r.Subject != rack || r.Detail != detail || !r.Time.Equal(ts) {
+			t.Errorf("record %d = %+v", i, r)
+		}
+		if got := reg.Counter("invariant_violations_total", metrics.L("invariant", name)).Value(); got != 1 {
+			t.Errorf("%s counted %v violations, want 1", name, got)
+		}
+	}
+}
+
+// TestCheckAllocs guards the per-tick cost of the battery: with every check
+// passing, Check allocates nothing, however many checks are registered.
+func TestCheckAllocs(t *testing.T) {
+	c := NewChecker()
+	c.Instrument(metrics.NewRegistry(), obs.New())
+	c.AttachProvenance(causal.NewRecorder(1, 0))
+	var limit float64
+	for i := 0; i < 8; i++ {
+		c.Register(fmt.Sprintf("inv-%d", i), "r", func(now time.Time, report Reporter) {
+			if limit < 0 {
+				report("negative limit")
+			}
+		})
+	}
+	now := invStart
+	if allocs := testing.AllocsPerRun(1000, func() { now = now.Add(time.Second); c.Check(now) }); allocs != 0 {
+		t.Errorf("Check allocates %v times per tick, want 0", allocs)
+	}
+	if c.Total() != 0 {
+		t.Fatalf("passing checks reported %d violations", c.Total())
 	}
 }
 

@@ -129,26 +129,18 @@ var (
 	LatencyBuckets = []float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1}
 )
 
-// instrument is one registered series.
+// instrument is one registered series. Its identity and label map are
+// built once, at registration, so snapshots need no string or map work.
 type instrument struct {
-	name   string
-	labels []Label // sorted by key
+	name string
+	id   string // canonical identity, see seriesID
+	// labels is nil when unlabeled. Snapshots share it, so it is never
+	// written after registration.
+	labels map[string]string
 	kind   Kind
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
-}
-
-// labelMap renders the instrument's labels as a map, nil when unlabeled.
-func (ins *instrument) labelMap() map[string]string {
-	if len(ins.labels) == 0 {
-		return nil
-	}
-	m := make(map[string]string, len(ins.labels))
-	for _, l := range ins.labels {
-		m[l.Key] = l.Value
-	}
-	return m
 }
 
 // Registry holds instruments keyed by name + sorted labels. Registering the
@@ -159,6 +151,13 @@ func (ins *instrument) labelMap() map[string]string {
 // own and snapshots are merged afterwards.
 type Registry struct {
 	byID map[string]*instrument
+	// sorted holds every instrument in identity order. Registration inserts
+	// at the sorted position and nothing is ever removed, so a snapshot is
+	// one pass over it.
+	sorted []*instrument
+	// buckets counts the finite buckets of every histogram, sizing the one
+	// bucket array a snapshot shares out among them.
+	buckets int
 }
 
 // NewRegistry returns an empty registry.
@@ -208,8 +207,18 @@ func (r *Registry) lookup(name string, kind Kind, labels []Label) *instrument {
 		}
 		return ins
 	}
-	ins := &instrument{name: name, labels: ls, kind: kind}
+	ins := &instrument{name: name, id: id, kind: kind}
+	if len(ls) > 0 {
+		ins.labels = make(map[string]string, len(ls))
+		for _, l := range ls {
+			ins.labels[l.Key] = l.Value
+		}
+	}
 	r.byID[id] = ins
+	at := sort.Search(len(r.sorted), func(i int) bool { return r.sorted[i].id > id })
+	r.sorted = append(r.sorted, nil)
+	copy(r.sorted[at+1:], r.sorted[at:])
+	r.sorted[at] = ins
 	return ins
 }
 
@@ -250,6 +259,7 @@ func (r *Registry) Histogram(name string, uppers []float64, labels ...Label) *Hi
 			uppers: append([]float64(nil), uppers...),
 			counts: make([]uint64, len(uppers)+1),
 		}
+		r.buckets += len(uppers)
 	}
 	return ins.h
 }

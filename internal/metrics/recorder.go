@@ -150,11 +150,10 @@ type Recorder struct {
 	known map[string]struct{}
 }
 
-// recSlot is one instrument as the recorder sees it: the handle, its
-// canonical identity (computed once) and its reading at the last sample.
+// recSlot is one instrument as the recorder sees it: the handle and its
+// reading at the last sample.
 type recSlot struct {
 	ins       *instrument
-	id        string
 	series    int      // index in rec.Series
 	prevValue float64  // counter total or histogram sum
 	prevCount uint64   // histogram observation count
@@ -192,20 +191,15 @@ func (r *Recorder) Tick(now time.Time) {
 // New series may appear mid-run (e.g. an agent instrumented after a
 // restart); the backfill keeps every series on the shared timeline.
 func (r *Recorder) discover() {
-	var ids []string
-	for id := range r.reg.byID {
-		if _, ok := r.known[id]; !ok {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
 	n := r.rec.Intervals()
-	for _, id := range ids {
-		ins := r.reg.byID[id]
-		r.known[id] = struct{}{}
-		rs := RecordedSeries{Name: ins.name, Type: ins.kind.String(), Labels: ins.labelMap(),
+	for _, ins := range r.reg.sorted {
+		if _, ok := r.known[ins.id]; ok {
+			continue
+		}
+		r.known[ins.id] = struct{}{}
+		rs := RecordedSeries{Name: ins.name, Type: ins.kind.String(), Labels: cloneLabels(ins.labels),
 			Samples: make([]float64, n)}
-		slot := recSlot{ins: ins, id: id, series: len(r.rec.Series)}
+		slot := recSlot{ins: ins, series: len(r.rec.Series)}
 		if ins.kind == KindHistogram {
 			rs.Uppers = append([]float64(nil), ins.h.uppers...)
 			rs.Buckets = make([][]uint64, n)
@@ -260,7 +254,7 @@ func (r *Recorder) sample() {
 // canonical identity. The returned value shares storage with the recorder;
 // take it once, after the run.
 func (r *Recorder) Recording() *Recording {
-	sort.Slice(r.slots, func(i, j int) bool { return r.slots[i].id < r.slots[j].id })
+	sort.Slice(r.slots, func(i, j int) bool { return r.slots[i].ins.id < r.slots[j].ins.id })
 	unsorted := append([]RecordedSeries(nil), r.rec.Series...)
 	for i := range r.slots {
 		r.rec.Series[i] = unsorted[r.slots[i].series]

@@ -20,6 +20,10 @@ type Bucket struct {
 // Series is one frozen metric series. For counters and gauges Value holds
 // the reading; for histograms Value holds the sum of observations and
 // Count/Buckets hold the distribution.
+//
+// Labels is nil when unlabeled. In a snapshot taken from a Registry it is
+// the registry's own map, shared read-only with every snapshot of that
+// registry: never write to it (Merge returns copies).
 type Series struct {
 	Name    string            `json:"name"`
 	Type    string            `json:"type"`
@@ -51,12 +55,21 @@ type Snapshot struct {
 // Snapshot freezes the registry. Series are ordered by canonical identity
 // (name, then sorted labels), so two registries holding the same values
 // produce byte-identical snapshots regardless of registration order.
+//
+// The registry keeps its instruments in that order, so this is one pass
+// with no sort and no string work. It allocates the Snapshot, its Series
+// slice and one bucket array carved up among the histograms. Each Series'
+// Labels map is the registry's own: it is shared, read-only, with every
+// snapshot taken, and must not be written.
 func (r *Registry) Snapshot() *Snapshot {
-	ids := sortedKeys(r.byID)
-	snap := &Snapshot{Series: make([]Series, 0, len(ids))}
-	for _, id := range ids {
-		ins := r.byID[id]
-		s := Series{Name: ins.name, Type: ins.kind.String(), Labels: ins.labelMap()}
+	snap := &Snapshot{Series: make([]Series, len(r.sorted))}
+	var arena []Bucket
+	if r.buckets > 0 {
+		arena = make([]Bucket, r.buckets)
+	}
+	for i, ins := range r.sorted {
+		s := &snap.Series[i]
+		s.Name, s.Type, s.Labels = ins.name, ins.kind.String(), ins.labels
 		switch ins.kind {
 		case KindCounter:
 			s.Value = ins.c.v
@@ -66,14 +79,14 @@ func (r *Registry) Snapshot() *Snapshot {
 			h := ins.h
 			s.Value = h.sum
 			s.Count = h.count
-			s.Buckets = make([]Bucket, len(h.uppers))
+			n := len(h.uppers)
+			s.Buckets, arena = arena[:n:n], arena[n:]
 			var cum uint64
-			for i, ub := range h.uppers {
-				cum += h.counts[i]
-				s.Buckets[i] = Bucket{LE: ub, Count: cum}
+			for j, ub := range h.uppers {
+				cum += h.counts[j]
+				s.Buckets[j] = Bucket{LE: ub, Count: cum}
 			}
 		}
-		snap.Series = append(snap.Series, s)
 	}
 	return snap
 }

@@ -2,8 +2,11 @@ package metrics
 
 import (
 	"flag"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -212,5 +215,155 @@ func TestDiff(t *testing.T) {
 	}
 	if e := byName["c_total"]; e.Labels != `{s="a"}` {
 		t.Errorf("rendered labels = %q", e.Labels)
+	}
+}
+
+// sortedSnapshot is Registry.Snapshot as it was before the registry kept
+// its instruments in identity order: sort every id, then build a fresh
+// label map and bucket slice per series. It lives only here, as the oracle
+// the one-pass snapshot must match byte for byte.
+func sortedSnapshot(r *Registry) *Snapshot {
+	ids := sortedKeys(r.byID)
+	snap := &Snapshot{Series: make([]Series, 0, len(ids))}
+	for _, id := range ids {
+		ins := r.byID[id]
+		s := Series{Name: ins.name, Type: ins.kind.String(), Labels: cloneLabels(ins.labels)}
+		switch ins.kind {
+		case KindCounter:
+			s.Value = ins.c.v
+		case KindGauge:
+			s.Value = ins.g.v
+		case KindHistogram:
+			h := ins.h
+			s.Value = h.sum
+			s.Count = h.count
+			s.Buckets = make([]Bucket, len(h.uppers))
+			var cum uint64
+			for i, ub := range h.uppers {
+				cum += h.counts[i]
+				s.Buckets[i] = Bucket{LE: ub, Count: cum}
+			}
+		}
+		snap.Series = append(snap.Series, s)
+	}
+	return snap
+}
+
+// snapshotJSON renders snap as WriteJSON does.
+func snapshotJSON(t testing.TB, snap *Snapshot) string {
+	t.Helper()
+	var b strings.Builder
+	if err := snap.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestSnapshotMatchesSortedOracle runs seeded random programs of
+// registrations (in random order, with label lists permuted), repeat
+// registrations, counter adds, gauge sets and histogram observes, taking
+// snapshots along the way. Every snapshot must be byte-equal JSON to the
+// sort-everything oracle, carry exactly the labels each series was
+// registered with, and stay unchanged by everything the program does after
+// it was taken — its label maps are the registry's, shared read-only.
+func TestSnapshotMatchesSortedOracle(t *testing.T) {
+	layouts := [][]float64{{1, 2, 4}, {0.5}, WattBuckets}
+	labelKeys := []string{"a", "b", "c"}
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		reg := NewRegistry()
+		var counters []*Counter
+		var gauges []*Gauge
+		var hists []*Histogram
+		registered := map[string]map[string]string{} // identity → labels
+		type taken struct {
+			snap *Snapshot
+			json string
+		}
+		var snaps []taken
+		check := func(when string) {
+			got := reg.Snapshot()
+			g, w := snapshotJSON(t, got), snapshotJSON(t, sortedSnapshot(reg))
+			if g != w {
+				t.Fatalf("seed %d, %s: snapshot diverges from the sorted oracle:\n--- got ---\n%s--- want ---\n%s", seed, when, g, w)
+			}
+			if len(got.Series) != len(registered) {
+				t.Fatalf("seed %d, %s: %d series, registered %d identities", seed, when, len(got.Series), len(registered))
+			}
+			for _, sr := range got.Series {
+				want, ok := registered[sr.id()]
+				if !ok || len(sr.Labels) != len(want) {
+					t.Fatalf("seed %d, %s: series %s has labels %v, registered %v", seed, when, sr.Name, sr.Labels, want)
+				}
+				for k, v := range want {
+					if sr.Labels[k] != v {
+						t.Fatalf("seed %d, %s: series %s has labels %v, registered %v", seed, when, sr.Name, sr.Labels, want)
+					}
+				}
+			}
+			snaps = append(snaps, taken{got, g})
+		}
+		for op := 0; op < 200; op++ {
+			switch k := rng.Intn(10); {
+			case k < 3:
+				var ls []Label
+				want := map[string]string{}
+				for _, i := range rng.Perm(len(labelKeys))[:rng.Intn(len(labelKeys)+1)] {
+					ls = append(ls, L(labelKeys[i], strconv.Itoa(rng.Intn(3))))
+					want[labelKeys[i]] = ls[len(ls)-1].Value
+				}
+				name := rng.Intn(len(layouts))
+				var id string
+				switch rng.Intn(3) {
+				case 0:
+					id = fmt.Sprintf("c%d_total", name)
+					counters = append(counters, reg.Counter(id, ls...))
+				case 1:
+					id = fmt.Sprintf("g%d", name)
+					gauges = append(gauges, reg.Gauge(id, ls...))
+				default:
+					id = fmt.Sprintf("h%d", name)
+					hists = append(hists, reg.Histogram(id, layouts[name], ls...))
+				}
+				registered[mapSeriesID(id, want)] = want
+			case k < 5 && len(counters) > 0:
+				counters[rng.Intn(len(counters))].Add(float64(rng.Intn(5)) + rng.Float64())
+			case k < 6 && len(gauges) > 0:
+				gauges[rng.Intn(len(gauges))].Set(rng.NormFloat64() * 1e3)
+			case k < 8 && len(hists) > 0:
+				h := hists[rng.Intn(len(hists))]
+				h.Observe(rng.Float64() * 2 * h.uppers[len(h.uppers)-1]) // up to half in +Inf
+			case k < 9:
+				check(fmt.Sprintf("op %d", op))
+			}
+		}
+		check("end of program")
+		for i, s := range snaps {
+			if g := snapshotJSON(t, s.snap); g != s.json {
+				t.Fatalf("seed %d: snapshot %d changed after it was taken:\n--- now ---\n%s--- then ---\n%s", seed, i, g, s.json)
+			}
+		}
+	}
+}
+
+// TestSnapshotAllocs guards the snapshot cost on a registry shaped like the
+// live plane's: it must not grow with the number of series or histograms.
+// A snapshot makes three allocations: the Snapshot, its Series slice and
+// one bucket array the histograms share.
+func TestSnapshotAllocs(t *testing.T) {
+	const counters, gauges, histograms = 300, 60, 12
+	reg := NewRegistry()
+	for i := 0; i < counters; i++ {
+		reg.Counter(fmt.Sprintf("event_%d_total", i%20), L("server", strconv.Itoa(i/20)), L("node", "soa")).Inc()
+	}
+	for i := 0; i < gauges; i++ {
+		reg.Gauge("budget_watts", L("server", strconv.Itoa(i))).Set(float64(i))
+	}
+	for i := 0; i < histograms; i++ {
+		reg.Histogram("frame_bytes", ByteBuckets, L("peer", strconv.Itoa(i))).Observe(float64(i * 100))
+	}
+	allocs := testing.AllocsPerRun(200, func() { _ = reg.Snapshot() })
+	if allocs > 3 {
+		t.Errorf("Snapshot allocates %v times, want <= 3", allocs)
 	}
 }

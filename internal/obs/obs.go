@@ -167,9 +167,49 @@ func (t *Tracer) Len() int {
 	return len(t.events)
 }
 
+// Total returns how many events the tracer has recorded: the held ones
+// plus those a bounded ring overwrote. 0 on a nil tracer.
+func (t *Tracer) Total() uint64 {
+	if t == nil {
+		return 0
+	}
+	return uint64(len(t.events)) + t.dropped
+}
+
+// AppendSince appends the events recorded after the first seen ones to dst,
+// oldest first, and returns the extended slice. Events a bounded ring has
+// already overwritten are gone, so at most Len events are appended. Only
+// the (at most two) ring segments holding the new events are read, so an
+// incremental consumer that keeps Total as its next seen pays for what
+// changed, not for what is held.
+func (t *Tracer) AppendSince(dst []Event, seen uint64) []Event {
+	total := t.Total()
+	if seen >= total {
+		return dst
+	}
+	n := len(t.events)
+	fresh := n
+	if d := total - seen; d < uint64(n) {
+		fresh = int(d)
+	}
+	// The oldest event sits at start (0 until a bounded ring wraps), so the
+	// first fresh one is n-fresh places after it.
+	i := t.start + n - fresh
+	if i >= n {
+		i -= n
+	}
+	if end := i + fresh; end <= n {
+		return append(dst, t.events[i:end]...)
+	}
+	dst = append(dst, t.events[i:]...)
+	return append(dst, t.events[:i+fresh-n]...)
+}
+
 // Events returns the recorded events in emission order. The slice is the
 // tracer's own for unbounded tracers (callers must not mutate it) and a
-// fresh unwrapped copy for a bounded ring that has wrapped.
+// fresh unwrapped copy for a bounded ring that has wrapped. It is for
+// end-of-run readers: a consumer polling for new events should use
+// AppendSince, which copies only those.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil

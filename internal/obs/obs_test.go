@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -183,5 +184,47 @@ func TestWriteJSONLDeterministic(t *testing.T) {
 	}
 	if lines := strings.Count(first, "\n"); lines != 2 {
 		t.Fatalf("want one line per event, got %d lines", lines)
+	}
+}
+
+// TestAppendSinceMatchesEventsTail pins the incremental read path against
+// Events: for every seen count, AppendSince returns exactly the held events
+// recorded after the first seen, oldest first — the last
+// min(Total-seen, Len) events of Events() — on bounded rings across several
+// wraps, an unbounded tracer and a nil one.
+func TestAppendSinceMatchesEventsTail(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, capacity := range []int{1, 3, 64, 0} {
+		tr := New().Bound(capacity)
+		limit := 5*max(capacity, 8) + 7
+		for emitted := 0; emitted < limit; {
+			for n := rng.Intn(max(capacity, 8)/2 + 2); n > 0; n-- {
+				tr.Emit(Event{Time: t0, Component: SOA, Kind: "k", Value: float64(emitted)})
+				emitted++
+			}
+			evs := tr.Events()
+			total := tr.Total()
+			if total != uint64(emitted) || total != uint64(len(evs))+tr.Dropped() {
+				t.Fatalf("capacity %d: Total %d, emitted %d, held %d + dropped %d",
+					capacity, total, emitted, len(evs), tr.Dropped())
+			}
+			for seen := uint64(0); seen <= total+1; seen++ {
+				fresh := min(total-min(seen, total), uint64(len(evs)))
+				want := evs[uint64(len(evs))-fresh:]
+				got := tr.AppendSince(nil, seen)
+				if len(got) != len(want) {
+					t.Fatalf("capacity %d total %d seen %d: %d events, want %d", capacity, total, seen, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("capacity %d total %d seen %d: event %d = %v, want %v", capacity, total, seen, i, got[i].Value, want[i].Value)
+					}
+				}
+			}
+		}
+	}
+	var nilTr *Tracer
+	if nilTr.Total() != 0 || nilTr.AppendSince(nil, 0) != nil {
+		t.Fatal("nil tracer must have nothing to append")
 	}
 }
