@@ -51,6 +51,27 @@ func TestTable1Golden(t *testing.T) {
 	checkGolden(t, "table1_smoke.golden", tbl.Format())
 }
 
+// TestAblationGolden pins the three design-choice ablation tables at two
+// racks per class, so every sweep runs more than one rack unit.
+func TestAblationGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet simulations")
+	}
+	cfg := smokeFleetCfg()
+	cfg.RacksPerClass = 2
+	var got string
+	for _, run := range []func(FleetSimConfig) (*Table, error){
+		RunAblationTemplates, RunAblationExploreStep, RunAblationWarnThreshold,
+	} {
+		tbl, err := run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got += tbl.Format()
+	}
+	checkGolden(t, "ablation_smoke.golden", got)
+}
+
 func TestFig12To14Golden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster emulation x4")
