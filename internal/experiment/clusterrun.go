@@ -439,6 +439,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	// --- SmartOClock control plane ------------------------------------------------
 	usesSOA := cfg.System == SysSmartOClock || cfg.System == SysNaiveOClock
 	soas := make(map[string]*core.SOA)
+	var soaOrder []*core.SOA // the same sOAs in server order: SocialNet, ML, spares
 	appByReplica := make(map[string]*appState)
 	var goa *core.GOA
 	if usesSOA {
@@ -470,6 +471,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 				}
 			}
 			soas[s.Name()] = a
+			soaOrder = append(soaOrder, a)
 			a.OnExhaustionSoon = func(kind core.ExhaustionKind, at time.Time) {
 				// Only the apps whose sessions are consuming this
 				// server's budget need to take corrective action.
@@ -494,11 +496,8 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 			}
 		}
 		mainRack.Subscribe(func(ev power.Event) {
-			for _, s := range snServers {
-				soas[s.Name()].OnRackEvent(now, ev)
-			}
-			for _, s := range mlServers {
-				soas[s.Name()].OnRackEvent(now, ev)
+			for _, a := range soaOrder[:len(mainServers)] {
+				a.OnRackEvent(now, ev)
 			}
 		})
 	}
@@ -656,7 +655,8 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 
 		// 3. sOA ticks, budget refresh, rack managers.
 		if usesSOA && t%rackEvery == 0 {
-			for _, a := range soas {
+			// Server order, never map order: a tick emits events and reports rejections.
+			for _, a := range soaOrder {
 				a.Tick(now)
 			}
 		}

@@ -327,18 +327,42 @@ func TestRunClusterSmartBeatsBaseline(t *testing.T) {
 	}
 }
 
+// TestRunClusterDeterministic runs each config twice. The observed run on a
+// tightened rack makes the sOAs reject requests and report them to the WIs,
+// so its event trace also pins the order the sOAs tick in.
 func TestRunClusterDeterministic(t *testing.T) {
-	a, err := RunCluster(smokeClusterCfg(SysSmartOClock))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunCluster(smokeClusterCfg(SysSmartOClock))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TotalEnergy != b.TotalEnergy || a.MeanInstances != b.MeanInstances {
-		t.Fatalf("non-deterministic: %v/%v vs %v/%v",
-			a.TotalEnergy, a.MeanInstances, b.TotalEnergy, b.MeanInstances)
+	constrained := smokeClusterCfg(SysSmartOClock)
+	constrained.RackLimitScale = 0.8
+	constrained.Observe = true
+	for name, cfg := range map[string]ClusterConfig{
+		"default":     smokeClusterCfg(SysSmartOClock),
+		"constrained": constrained,
+	} {
+		a, err := RunCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := RunCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.TotalEnergy != b.TotalEnergy || a.MeanInstances != b.MeanInstances {
+			t.Fatalf("%s: non-deterministic: %v/%v vs %v/%v", name,
+				a.TotalEnergy, a.MeanInstances, b.TotalEnergy, b.MeanInstances)
+		}
+		if !cfg.Observe {
+			continue
+		}
+		var ta, tb strings.Builder
+		if err := a.Trace.WriteJSONL(&ta); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Trace.WriteJSONL(&tb); err != nil {
+			t.Fatal(err)
+		}
+		if ta.String() != tb.String() {
+			t.Errorf("%s: event trace differs between identical runs", name)
+		}
 	}
 }
 
