@@ -14,53 +14,64 @@ import (
 	"smartoclock/internal/trace"
 )
 
-// The ablation studies isolate the design choices DESIGN.md calls out:
-// the template-creation strategy behind admission control, the exploration
-// step size, and the rack warning threshold. Each runs SmartOClock on
-// High-Power racks (where every mechanism is stressed) and reports capping
-// events, overclocking success and normalized performance.
-
-// ablationPoint is one configuration's result.
-type ablationPoint struct {
-	label    string
-	caps     int
-	success  float64
-	normPerf float64
+// ablation is one of the design-choice studies DESIGN.md calls out: sys
+// runs under each config variant over the same High-Power racks, where
+// every mechanism is stressed, and each variant's capping events,
+// overclocking success and normalized performance become one table row.
+type ablation struct {
+	caption, knob string
+	sys           baselines.System
+	labels        []string
+	variants      []FleetSimConfig
 }
 
-// runHighPowerSmart runs SmartOClock over High-Power racks.
-func runHighPowerSmart(cfg FleetSimConfig) (ablationPoint, error) {
-	return runHighPower(cfg, baselines.SmartOClock)
+// add appends the variant base with set applied to it.
+func (a *ablation) add(label string, base FleetSimConfig, set func(*FleetSimConfig)) {
+	set(&base)
+	a.labels = append(a.labels, label)
+	a.variants = append(a.variants, base)
 }
 
-// runHighPower runs one system over the High-Power racks of a fleet
-// generated from cfg and aggregates the Table I metrics.
-func runHighPower(cfg FleetSimConfig, sys baselines.System) (ablationPoint, error) {
-	days := cfg.TrainDays + cfg.EvalDays
-	fcfg := trace.DefaultFleetConfig(fleetStart, time.Duration(days)*24*time.Hour)
-	fcfg.Seed = cfg.Seed
-	fcfg.Regions = []string{"Ablation"}
-	fcfg.RacksPerRegion = cfg.RacksPerClass
-	fcfg.Step = cfg.Step
-	fcfg.ClassMix = map[trace.ClusterClass]float64{trace.HighPower: 1}
-	// Anomalous days land in the training window: they are precisely what
-	// separates per-day aggregation from raw replay (§IV-B).
-	fcfg.RackTemplate.OutlierDayProb = 0.6
-	fcfg.RackTemplate.OutlierWithinDays = cfg.TrainDays
-	// The single-class mix means every index is a High-Power rack.
-	outs, err := streamRacks(cfg, oneSystem(&fcfg, fcfg.NumRacks(), sys))
+// table runs the study over the racks of base and formats its rows.
+func (a *ablation) table(base FleetSimConfig) (*Table, error) {
+	pts, err := runHighPower(base, a.variants, a.sys)
 	if err != nil {
-		return ablationPoint{}, err
+		return nil, err
 	}
-	agg := foldRacks(outs)
-	pt := ablationPoint{caps: agg.caps}
-	if agg.requests > 0 {
-		pt.success = 100 * float64(agg.successes) / float64(agg.requests)
+	tbl := &Table{Caption: a.caption, Headers: []string{a.knob, "CapEvents", "Success", "Norm.Performance"}}
+	for i, agg := range pts {
+		tbl.AddRow(a.labels[i], agg.caps, fmt.Sprintf("%.0f%%", agg.successPct()), fmt.Sprintf("%.3f", agg.normPerf()))
 	}
-	if agg.perfN > 0 {
-		pt.normPerf = agg.perfSum / float64(agg.perfN)
+	return tbl, nil
+}
+
+// highPowerFleetConfig is the ablations' fleet: High-Power racks only, with
+// anomalous days in the training window — precisely what separates per-day
+// aggregation from raw replay (§IV-B).
+func highPowerFleetConfig(base FleetSimConfig) trace.FleetConfig {
+	fcfg := table1FleetConfig(base, trace.HighPower, 0)
+	fcfg.Regions = []string{"Ablation"}
+	fcfg.RackTemplate.OutlierDayProb = 0.6
+	fcfg.RackTemplate.OutlierWithinDays = base.TrainDays
+	return fcfg
+}
+
+// runHighPower runs sys under each of variants over the High-Power racks of
+// base in one fan-out whose units are racks, and returns each variant's
+// metrics folded in rack order. The racks come from base alone, so every
+// variant must keep base's Seed, RacksPerClass, Step and day counts.
+func runHighPower(base FleetSimConfig, variants []FleetSimConfig, sys baselines.System) ([]rackMetrics, error) {
+	fcfg := highPowerFleetConfig(base)
+	n := fcfg.NumRacks()
+	outs, err := streamRacks(fleetOpts(base), fleetUnits(&fcfg, n, 0, variants, sys))
+	if err != nil {
+		return nil, err
 	}
-	return pt, nil
+	pts := make([]rackMetrics, len(variants))
+	for v := range pts {
+		pts[v] = foldRacks(outs[v*n : (v+1)*n])
+	}
+	return pts, nil
 }
 
 // RunAblationTemplates compares the template strategies behind admission
@@ -72,94 +83,51 @@ func runHighPower(cfg FleetSimConfig, sys baselines.System) (ablationPoint, erro
 // argument that local enforcement makes the system robust to prediction
 // error. Prediction quality itself is measured directly in Fig 15.
 func RunAblationTemplates(base FleetSimConfig) (*Table, error) {
-	tbl := &Table{
-		Caption: "Ablation: power-template strategy for admission control (NoFeedback regime, High-Power racks)",
-		Headers: []string{"Template", "CapEvents", "Success", "Norm.Performance"},
-	}
-	strategies := []string{"dailymed", "dailymax", "flatmed", "flatmax", "weekly"}
-	pts, err := sweepAblation(base, len(strategies), func(i int) (ablationPoint, error) {
-		cfg := base
-		cfg.TemplateStrategy = strategies[i]
-		return runHighPower(cfg, baselines.NoFeedback)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, pt := range pts {
-		tbl.AddRow(strategies[i], pt.caps, fmt.Sprintf("%.0f%%", pt.success), fmt.Sprintf("%.3f", pt.normPerf))
-	}
-	return tbl, nil
+	return templateAblation(base).table(base)
 }
 
-// sweepAblation runs independent configuration points concurrently and
-// returns their results in sweep order; the first error wins.
-func sweepAblation(base FleetSimConfig, n int, run func(i int) (ablationPoint, error)) ([]ablationPoint, error) {
-	type out struct {
-		pt  ablationPoint
-		err error
+// templateAblation gives each strategy its own prep key, so a unit prepares
+// its rack once per strategy.
+func templateAblation(base FleetSimConfig) *ablation {
+	a := &ablation{knob: "Template", sys: baselines.NoFeedback,
+		caption: "Ablation: power-template strategy for admission control (NoFeedback regime, High-Power racks)"}
+	for _, s := range []string{"dailymed", "dailymax", "flatmed", "flatmax", "weekly"} {
+		a.add(s, base, func(c *FleetSimConfig) { c.TemplateStrategy = s })
 	}
-	outs := parallel.Map(n, fleetOpts(base), func(i int) out {
-		pt, err := run(i)
-		return out{pt, err}
-	})
-	pts := make([]ablationPoint, n)
-	for i, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-		pts[i] = o.pt
-	}
-	return pts, nil
+	return a
 }
 
-// RunAblationExploreStep sweeps the exploration increment (§IV-D): zero
-// disables exploration entirely (the NoFeedback regime), small steps
-// converge slowly, large steps overshoot into warnings.
+// RunAblationExploreStep sweeps the exploration increment (§IV-D): disabled
+// exploration is the NoFeedback regime, small steps converge slowly, large
+// steps overshoot into warnings.
 func RunAblationExploreStep(base FleetSimConfig) (*Table, error) {
-	tbl := &Table{
-		Caption: "Ablation: exploration step size (SmartOClock, High-Power racks)",
-		Headers: []string{"StepWatts", "CapEvents", "Success", "Norm.Performance"},
+	return exploreStepAblation(base).table(base)
+}
+
+func exploreStepAblation(base FleetSimConfig) *ablation {
+	a := &ablation{knob: "StepWatts", sys: baselines.SmartOClock,
+		caption: "Ablation: exploration step size (SmartOClock, High-Power racks)"}
+	a.add("disabled", base, func(c *FleetSimConfig) { c.ExploreStepWatts = -1 })
+	for _, w := range []float64{20, 40, 80, 160} {
+		a.add(fmt.Sprintf("%.0f", w), base, func(c *FleetSimConfig) { c.ExploreStepWatts = w })
 	}
-	steps := []float64{-1, 20, 40, 80, 160}
-	pts, err := sweepAblation(base, len(steps), func(i int) (ablationPoint, error) {
-		cfg := base
-		cfg.ExploreStepWatts = steps[i]
-		return runHighPowerSmart(cfg)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, pt := range pts {
-		label := fmt.Sprintf("%.0f", steps[i])
-		if steps[i] < 0 {
-			label = "disabled"
-		}
-		tbl.AddRow(label, pt.caps, fmt.Sprintf("%.0f%%", pt.success), fmt.Sprintf("%.3f", pt.normPerf))
-	}
-	return tbl, nil
+	return a
 }
 
 // RunAblationWarnThreshold sweeps the rack warning threshold: warning too
 // late (0.99) degenerates toward NoWarning; warning too early (0.85)
 // suppresses exploration and success.
 func RunAblationWarnThreshold(base FleetSimConfig) (*Table, error) {
-	tbl := &Table{
-		Caption: "Ablation: rack warning threshold (SmartOClock, High-Power racks)",
-		Headers: []string{"WarnFraction", "CapEvents", "Success", "Norm.Performance"},
+	return warnAblation(base).table(base)
+}
+
+func warnAblation(base FleetSimConfig) *ablation {
+	a := &ablation{knob: "WarnFraction", sys: baselines.SmartOClock,
+		caption: "Ablation: rack warning threshold (SmartOClock, High-Power racks)"}
+	for _, f := range []float64{0.85, 0.90, 0.95, 0.99} {
+		a.add(fmt.Sprintf("%.2f", f), base, func(c *FleetSimConfig) { c.WarnFraction = f })
 	}
-	fractions := []float64{0.85, 0.90, 0.95, 0.99}
-	pts, err := sweepAblation(base, len(fractions), func(i int) (ablationPoint, error) {
-		cfg := base
-		cfg.WarnFraction = fractions[i]
-		return runHighPowerSmart(cfg)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, pt := range pts {
-		tbl.AddRow(fmt.Sprintf("%.2f", fractions[i]), pt.caps, fmt.Sprintf("%.0f%%", pt.success), fmt.Sprintf("%.3f", pt.normPerf))
-	}
-	return tbl, nil
+	return a
 }
 
 // RunDatacenterRebalance evaluates the hierarchy-composition extension:
@@ -213,16 +181,13 @@ func RunDatacenterRebalance(base FleetSimConfig) (*Table, error) {
 		results := parallel.Map(len(pairs), fleetOpts(base), func(i int) rackMetrics {
 			rt := *pairs[i].rt // shallow copy so the limit override is local
 			rt.LimitWatts = pairs[i].limit
-			return runSystem(prepareRack(&rt, base), baselines.SmartOClock, base, "", 0).m
+			return runSystem(prepareRack(&rt, base.prepKey()), baselines.SmartOClock, base, "", 0).m
 		})
 		var agg rackMetrics
 		for _, m := range results {
 			agg.accumulate(m)
 		}
-		if agg.requests > 0 {
-			success = 100 * float64(agg.successes) / float64(agg.requests)
-		}
-		return success, agg.caps
+		return agg.successPct(), agg.caps
 	}
 
 	// Static even split of the shared budget.

@@ -50,26 +50,36 @@ func TestTable1EquivalenceAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestAblationEquivalenceAcrossWorkers runs the three ablation tables at
+// three racks per class, so each table's single fan-out has three rack units
+// of several variants each to reorder.
 func TestAblationEquivalenceAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulations")
 	}
 	run := func(workers int, shuffle int64) string {
 		cfg := smokeFleetCfg()
+		cfg.RacksPerClass = 3
 		cfg.Workers = workers
 		cfg.ShuffleShards = shuffle
-		tbl, err := RunAblationExploreStep(cfg)
-		if err != nil {
-			t.Fatal(err)
+		var out string
+		for _, ablate := range []func(FleetSimConfig) (*Table, error){
+			RunAblationTemplates, RunAblationExploreStep, RunAblationWarnThreshold,
+		} {
+			tbl, err := ablate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out += tbl.Format()
 		}
-		return tbl.Format()
+		return out
 	}
 	ref := run(1, 0)
 	if got := run(8, 0); got != ref {
-		t.Errorf("ablation sweep workers=8 diverges:\n%s\nvs\n%s", ref, got)
+		t.Errorf("ablation tables workers=8 diverge:\n%s\nvs\n%s", ref, got)
 	}
 	if got := run(8, 777); got != ref {
-		t.Errorf("ablation sweep shuffled dispatch diverges:\n%s\nvs\n%s", ref, got)
+		t.Errorf("ablation tables shuffled dispatch diverges:\n%s\nvs\n%s", ref, got)
 	}
 }
 

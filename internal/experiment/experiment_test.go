@@ -494,7 +494,14 @@ func TestUnknownTemplateStrategyFails(t *testing.T) {
 			_, _, _, err := RunTable1Observed(cfg)
 			return err
 		},
-		"runHighPower":           func() error { _, err := runHighPower(cfg, baselines.SmartOClock); return err },
+		"runHighPower": func() error {
+			// One misspelled strategy among valid ones fails the whole sweep.
+			variants := []FleetSimConfig{cfg, cfg, cfg}
+			variants[0].TemplateStrategy = "dailymed"
+			variants[2].TemplateStrategy = "weekly"
+			_, err := runHighPower(cfg, variants, baselines.NoFeedback)
+			return err
+		},
 		"RunDatacenterRebalance": func() error { _, err := RunDatacenterRebalance(cfg); return err },
 	}
 	for name, run := range runs {

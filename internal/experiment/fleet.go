@@ -301,12 +301,12 @@ func wantsOC(vm *trace.VMSpec, ts time.Time, threshold float64) bool {
 // fillDemand precomputes, into a caller-owned buffer (len(out) ticks from
 // start), the number of a server's cores demanding overclocking at each
 // tick, so shards can carve per-server demand out of one arena allocation.
-func fillDemand(out []int, st *trace.ServerTrace, cfg FleetSimConfig, start time.Time) []int {
+func fillDemand(out []int, st *trace.ServerTrace, key prepKey, start time.Time) []int {
 	for t := range out {
-		ts := start.Add(time.Duration(t) * cfg.Step)
+		ts := start.Add(time.Duration(t) * key.Step)
 		demand := 0
 		for i := range st.Spec.VMs {
-			if vm := &st.Spec.VMs[i]; wantsOC(vm, ts, cfg.OCThreshold) {
+			if vm := &st.Spec.VMs[i]; wantsOC(vm, ts, key.OCThreshold) {
 				demand += vm.Cores
 			}
 		}
@@ -392,6 +392,23 @@ func (m *rackMetrics) accumulate(other rackMetrics) {
 	m.perfN += other.perfN
 }
 
+// successPct is the share of overclock request-ticks served, in percent.
+func (m rackMetrics) successPct() float64 {
+	if m.requests == 0 {
+		return 0
+	}
+	return 100 * float64(m.successes) / float64(m.requests)
+}
+
+// normPerf is the mean effective frequency of overclock candidates over
+// turbo.
+func (m rackMetrics) normPerf() float64 {
+	if m.perfN == 0 {
+		return 0
+	}
+	return m.perfSum / float64(m.perfN)
+}
+
 // FleetObservation bundles the telemetry of an observed fleet run: the
 // merged metrics snapshot, the concatenated event trace and — when
 // recording was enabled — the merged per-interval time series. All three
@@ -430,14 +447,29 @@ type shardOut struct {
 	err  error
 }
 
-// rackPrep is everything about simulating one rack that does not depend on
-// the system under test: the evaluation window's per-server overclock
-// demand, each server's training-week profile and — for unobserved runs —
-// the gOA's budget split of those profiles. A Table I unit prepares its rack
-// once and runs all five systems over it, so the prep is strictly
-// read-only: hosts, rack manager, gOA and sOAs are built fresh per system
-// (see runSystem), and the templates and demand slices here are shared by
-// pointer and never written after prepareRack returns.
+// prepKey is every configuration field prepareRack reads, and nothing else:
+// runs whose configs have equal keys share one prep, and a field that is not
+// here cannot reach the prep, so it cannot be shared by accident.
+type prepKey struct {
+	TrainDays, EvalDays int
+	Step                time.Duration
+	OCThreshold         float64
+	TemplateStrategy    string
+	Observe             bool
+}
+
+func (c *FleetSimConfig) prepKey() prepKey {
+	return prepKey{c.TrainDays, c.EvalDays, c.Step, c.OCThreshold, c.TemplateStrategy, c.Observe}
+}
+
+// rackPrep is everything about simulating one rack that depends only on its
+// prepKey, not on the system or variant under test: the evaluation window's
+// per-server overclock demand, each server's training-week profile and — for
+// unobserved runs — the gOA's budget split of those profiles. Every run of a
+// unit with that key runs over it, so the prep is strictly read-only: hosts,
+// rack manager, gOA and sOAs are built fresh per run (see runSystem), and the
+// templates and demand slices here are shared by pointer and never written
+// after prepareRack returns.
 type rackPrep struct {
 	rt        *trace.RackTrace
 	evalStart time.Time
@@ -460,11 +492,11 @@ type rackPrep struct {
 // prepareRack does the system-independent work of simulating rt: demand,
 // power and overclock templates, and (unobserved) budget templates. It is a
 // pure function of its arguments and emits nothing to any observer. The
-// config's TemplateStrategy must already be valid (streamRacks and
+// key's TemplateStrategy must already be valid (streamRacks and
 // RunDatacenterRebalance check it before any shard runs).
-func prepareRack(rt *trace.RackTrace, cfg FleetSimConfig) *rackPrep {
-	evalStart := fleetStart.Add(time.Duration(cfg.TrainDays) * 24 * time.Hour)
-	ticks := cfg.EvalDays * int(24*time.Hour/cfg.Step)
+func prepareRack(rt *trace.RackTrace, key prepKey) *rackPrep {
+	evalStart := fleetStart.Add(time.Duration(key.TrainDays) * 24 * time.Hour)
+	ticks := key.EvalDays * int(24*time.Hour/key.Step)
 	p := &rackPrep{
 		rt: rt, evalStart: evalStart, ticks: ticks,
 		demands:  make([][]int, len(rt.Servers)),
@@ -473,17 +505,17 @@ func prepareRack(rt *trace.RackTrace, cfg FleetSimConfig) *rackPrep {
 	arena := make([]int, len(rt.Servers)*ticks)
 	// Training demand is consumed immediately per server, so one scratch
 	// buffer serves every server in turn.
-	trainScratch := make([]int, cfg.TrainDays*int(24*time.Hour/cfg.Step))
+	trainScratch := make([]int, key.TrainDays*int(24*time.Hour/key.Step))
 	for i, st := range rt.Servers {
-		p.demands[i] = fillDemand(arena[i*ticks:(i+1)*ticks:(i+1)*ticks], st, cfg, evalStart)
-		pred, err := predictorFor(cfg.TemplateStrategy)
+		p.demands[i] = fillDemand(arena[i*ticks:(i+1)*ticks:(i+1)*ticks], st, key, evalStart)
+		pred, err := predictorFor(key.TemplateStrategy)
 		if err != nil {
 			panic(err) // a caller skipped the strategy check
 		}
 		// Overclock template from the training week's demand (granted = 0
 		// during training: the baseline trace has no overclocking).
-		rec := predict.NewOCRecorder(fleetStart, cfg.Step)
-		for _, d := range fillDemand(trainScratch, st, cfg, fleetStart) {
+		rec := predict.NewOCRecorder(fleetStart, key.Step)
+		for _, d := range fillDemand(trainScratch, st, key, fleetStart) {
 			rec.Record(d, 0)
 		}
 		p.profiles[i] = core.ServerProfile{
@@ -492,8 +524,8 @@ func prepareRack(rt *trace.RackTrace, cfg FleetSimConfig) *rackPrep {
 			OCCoreCost: st.Spec.HW.OCCoreCost(),
 		}
 	}
-	if !cfg.Observe {
-		p.budgetTpls = p.newGOA().BudgetTemplates(cfg.Step)
+	if !key.Observe {
+		p.budgetTpls = p.newGOA().BudgetTemplates(key.Step)
 	}
 	return p
 }
@@ -858,66 +890,88 @@ func fleetOpts(cfg FleetSimConfig) parallel.Options {
 }
 
 // rackUnit is the recipe for one unit of streamed fleet work: rack rackIdx
-// of the fleet fcfg describes, generated and prepared once, then simulated
-// under each of runs' systems in turn. It carries the recipe, not the rack:
-// the worker generates the trace on entry and drops it (and its prep) on
-// exit, so a paper-scale fleet holds O(workers) racks in memory instead of
-// O(fleet).
+// of the fleet fcfg describes, generated once, then simulated by each of
+// runs in turn. It carries the recipe, not the rack: the worker generates the
+// trace on entry and drops it (and its preps) on exit, so a paper-scale fleet
+// holds O(workers) racks in memory instead of O(fleet).
 type rackUnit struct {
 	fcfg    *trace.FleetConfig
 	rackIdx int
-	runs    []systemShard
+	runs    []unitRun
 }
 
-// systemShard is one system's run inside a rackUnit. shard is its flattened
-// index in the caller's result slice: it seeds the run's provenance stream
-// and fixes its place in every fold and merge.
-type systemShard struct {
+// unitRun is one (config variant, system) run inside a rackUnit. shard is
+// its flattened index in the caller's result slice: it seeds the run's
+// provenance stream and fixes its place in every fold and merge.
+type unitRun struct {
+	cfg   *FleetSimConfig
 	sys   baselines.System
 	shard int
 }
 
-// oneSystem returns the units of a fleet of n racks that runs sys alone:
-// unit i is rack i and its single run is shard i.
-func oneSystem(fcfg *trace.FleetConfig, n int, sys baselines.System) []rackUnit {
+// fleetUnits returns the units of a fleet of n racks that runs every
+// (variant, system) pair: unit r is rack r, and run (v, s) is shard
+// offset + (v·len(systems) + s)·n + r, so each pair's results form one slice
+// in rack order.
+func fleetUnits(fcfg *trace.FleetConfig, n, offset int, variants []FleetSimConfig, systems ...baselines.System) []rackUnit {
 	units := make([]rackUnit, n)
-	for i := range units {
-		units[i] = rackUnit{fcfg: fcfg, rackIdx: i, runs: []systemShard{{sys: sys, shard: i}}}
+	per := len(variants) * len(systems)
+	runs := make([]unitRun, n*per)
+	for r := range units {
+		units[r] = rackUnit{fcfg: fcfg, rackIdx: r, runs: runs[r*per : (r+1)*per]}
+		for v := range variants {
+			for s, sys := range systems {
+				pair := v*len(systems) + s
+				units[r].runs[pair] = unitRun{cfg: &variants[v], sys: sys, shard: offset + pair*n + r}
+			}
+		}
 	}
 	return units
 }
 
-// streamRacks runs units across cfg.Workers goroutines and returns one
-// result per run, slot k holding the run whose shard index is k. A unit
-// generates its rack — byte-identical wherever and whenever it runs, since a
-// rack is a pure function of (seed, index) — prepares it once and simulates
-// each of its systems over that prep. Results are placed by shard index,
-// never completion order, so folds over them are bit-identical for any
-// worker count. An unknown TemplateStrategy fails the run before any unit
-// starts; otherwise the first generation error does.
-func streamRacks(cfg FleetSimConfig, units []rackUnit) ([]shardOut, error) {
-	if _, err := predictorFor(cfg.TemplateStrategy); err != nil {
-		return nil, err
+// streamRacks runs units under opts and returns one result per run, slot k
+// holding the run whose shard index is k. A unit generates its rack —
+// byte-identical wherever and whenever it runs, since a rack is a pure
+// function of (seed, index) — and simulates each run over a prep of it.
+// Adjacent runs with equal prepKeys share one prep; units list their runs
+// variant-major, so a unit prepares once per distinct key and holds one prep
+// at a time. Results are placed by shard index, never completion order, so
+// folds over them are bit-identical for any worker count. An unknown
+// TemplateStrategy in any run fails the call before any unit starts;
+// otherwise the first generation error does.
+func streamRacks(opts parallel.Options, units []rackUnit) ([]shardOut, error) {
+	shards := 0
+	var checked *FleetSimConfig
+	for _, u := range units {
+		shards += len(u.runs)
+		for _, run := range u.runs {
+			if run.cfg != checked {
+				if _, err := predictorFor(run.cfg.TemplateStrategy); err != nil {
+					return nil, err
+				}
+				checked = run.cfg
+			}
+		}
 	}
 	type unitOut struct {
-		runs []systemShard
+		runs []unitRun
 		outs []shardOut
 		err  error
 	}
-	shards := 0
-	for _, u := range units {
-		shards += len(u.runs)
-	}
-	done := parallel.Map(len(units), fleetOpts(cfg), func(u int) unitOut {
+	done := parallel.Map(len(units), opts, func(u int) unitOut {
 		unit := units[u]
 		fr, err := trace.GenFleetRack(*unit.fcfg, unit.rackIdx)
 		if err != nil {
 			return unitOut{err: err}
 		}
-		prep := prepareRack(fr.RackTrace, cfg)
+		var key prepKey
+		var prep *rackPrep
 		outs := make([]shardOut, len(unit.runs))
 		for k, run := range unit.runs {
-			outs[k] = runSystem(prep, run.sys, cfg, fr.Class.String(), run.shard)
+			if next := run.cfg.prepKey(); prep == nil || next != key {
+				key, prep = next, prepareRack(fr.RackTrace, next)
+			}
+			outs[k] = runSystem(prep, run.sys, *run.cfg, fr.Class.String(), run.shard)
 		}
 		return unitOut{runs: unit.runs, outs: outs}
 	})
@@ -982,33 +1036,21 @@ func runTable1(cfg FleetSimConfig) (*Table, []Table1Row, *FleetObservation, erro
 	// class-major, then system, then rack — which seeds its provenance
 	// stream and fixes its place in the fold and merge order. The unit of
 	// work is (class, rack): it generates and prepares the rack once and
-	// runs the five systems over that one prep. Each per-class mini-fleet
-	// has a single-class mix, so it guarantees exact class coverage at any
-	// scale. No trace is generated here: units stream their racks inside
-	// the worker (memory O(active units)). cellOf maps a shard to the
-	// (class, system) aggregate it contributes to.
+	// runs the five systems, all with cfg, over that one prep. Each
+	// per-class mini-fleet has a single-class mix, so it guarantees exact
+	// class coverage at any scale, and every class has the same nr racks,
+	// so shard i contributes to the (class, system) cell i/nr. No trace is
+	// generated here: units stream their racks inside the worker (memory
+	// O(active units)).
 	var units []rackUnit
-	var cellOf []int
-	racksPerClass := make([]int, len(classes))
+	variants := []FleetSimConfig{cfg}
+	nr := 0
 	for ci, class := range classes {
 		fcfg := table1FleetConfig(cfg, class, ci)
-		nr := fcfg.NumRacks()
-		racksPerClass[ci] = nr
-		base := len(cellOf)
-		for si := range systems {
-			for ri := 0; ri < nr; ri++ {
-				cellOf = append(cellOf, ci*len(systems)+si)
-			}
-		}
-		for ri := 0; ri < nr; ri++ {
-			runs := make([]systemShard, len(systems))
-			for si, sys := range systems {
-				runs[si] = systemShard{sys: sys, shard: base + si*nr + ri}
-			}
-			units = append(units, rackUnit{fcfg: &fcfg, rackIdx: ri, runs: runs})
-		}
+		nr = fcfg.NumRacks()
+		units = append(units, fleetUnits(&fcfg, nr, ci*len(systems)*nr, variants, systems...)...)
 	}
-	results, err := streamRacks(cfg, units)
+	results, err := streamRacks(fleetOpts(cfg), units)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -1023,13 +1065,9 @@ func runTable1(cfg FleetSimConfig) (*Table, []Table1Row, *FleetObservation, erro
 		snaps := make([]*metrics.Snapshot, len(results))
 		tracers := make([]*obs.Tracer, len(results))
 		recs := make([]*metrics.Recording, len(results))
-		for i, r := range results {
-			snaps[i] = r.snap
-			tracers[i] = r.tr
-			recs[i] = r.rec
-		}
 		total := 0
-		for _, r := range results {
+		for i, r := range results {
+			snaps[i], tracers[i], recs[i] = r.snap, r.tr, r.rec
 			if r.prov != nil {
 				total += len(r.prov.Records)
 			}
@@ -1049,7 +1087,7 @@ func runTable1(cfg FleetSimConfig) (*Table, []Table1Row, *FleetObservation, erro
 		}
 	}
 	for i, r := range results {
-		cells[cellOf[i]].accumulate(r.m)
+		cells[i/nr].accumulate(r.m)
 	}
 
 	var rows []Table1Row
@@ -1059,15 +1097,10 @@ func runTable1(cfg FleetSimConfig) (*Table, []Table1Row, *FleetObservation, erro
 		for si, sys := range systems {
 			agg := cells[ci*len(systems)+si]
 			row := Table1Row{System: sys, Class: class, CapEvents: agg.caps,
-				Requests: agg.requests, RacksTested: racksPerClass[ci]}
-			if agg.requests > 0 {
-				row.SuccessPct = 100 * float64(agg.successes) / float64(agg.requests)
-			}
+				SuccessPct: agg.successPct(), NormPerf: agg.normPerf(),
+				Requests: agg.requests, RacksTested: nr}
 			if agg.penaltyN > 0 {
 				row.PenaltyPct = 100 * agg.penaltySum / float64(agg.penaltyN)
-			}
-			if agg.perfN > 0 {
-				row.NormPerf = agg.perfSum / float64(agg.perfN)
 			}
 			if sys == baselines.Central {
 				centralCaps = agg.caps

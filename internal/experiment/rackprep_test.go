@@ -54,13 +54,24 @@ func renderShard(t *testing.T, o shardOut) string {
 	return b.String()
 }
 
-// TestRackPrepSharedAcrossSystems guards the Table I unit: one rackPrep
-// serves all five systems, so no system may write to it and no system's
-// result may depend on which others ran over it first. For one rack per
-// class, observed and not, every system's output over the shared prep —
-// systems run forwards, then backwards over the same prep — must equal the
-// output of that system alone on a freshly generated and prepared rack, and
-// the prep must be unchanged at the end.
+// prepCase is one unit's runs over one generated rack and the number of
+// distinct preps they need.
+type prepCase struct {
+	name  string
+	fcfg  trace.FleetConfig
+	runs  []unitRun
+	preps int
+}
+
+// TestRackPrepSharedAcrossSystems guards the streamed unit: one rackPrep
+// serves every run whose config has its prepKey, so no run may write to it
+// and no run's result may depend on which others ran over it first. The
+// cases are Table I's unit for one rack per class (five systems over the
+// base config) and one unit holding every ablation variant (the explore-step
+// and warn variants share the base prep; each template strategy has its
+// own), observed and not. Every run over its shared prep — runs forwards,
+// then backwards — must equal that run alone on a freshly generated and
+// prepared rack, and every prep must be unchanged at the end.
 func TestRackPrepSharedAcrossSystems(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulations")
@@ -72,41 +83,69 @@ func TestRackPrepSharedAcrossSystems(t *testing.T) {
 			cfg := smokeFleetCfg()
 			cfg.Observe = observe
 			cfg.RecordEvery = 2 * cfg.Step
+			var cases []prepCase
 			for ci, class := range []trace.ClusterClass{trace.HighPower, trace.MediumPower, trace.LowPower} {
-				fcfg := table1FleetConfig(cfg, class, ci)
+				// The flattened (class, system, rack) index at one rack per
+				// class, as runTable1 assigns it.
+				c := prepCase{name: class.String(), fcfg: table1FleetConfig(cfg, class, ci), preps: 1}
+				for si, sys := range systems {
+					c.runs = append(c.runs, unitRun{cfg: &cfg, sys: sys, shard: ci*len(systems) + si})
+				}
+				cases = append(cases, c)
+			}
+			abl := prepCase{name: "ablations", fcfg: highPowerFleetConfig(cfg), preps: 6}
+			for _, a := range []*ablation{templateAblation(cfg), exploreStepAblation(cfg), warnAblation(cfg)} {
+				for v := range a.variants {
+					abl.runs = append(abl.runs, unitRun{cfg: &a.variants[v], sys: a.sys, shard: len(abl.runs)})
+				}
+			}
+			cases = append(cases, abl)
+			for _, c := range cases {
 				// A third of Table I's rack keeps every mechanism in play
 				// and the test affordable under the race detector.
-				fcfg.RackTemplate.Servers = 10
-				gen := func() *trace.RackTrace {
-					fr, err := trace.GenFleetRack(fcfg, 0)
+				c.fcfg.RackTemplate.Servers = 10
+				gen := func() *trace.FleetRack {
+					fr, err := trace.GenFleetRack(c.fcfg, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return fr.RackTrace
+					return fr
 				}
-				// The flattened (class, system, rack) index at one rack per
-				// class, as runTable1 assigns it.
-				shard := func(si int) int { return ci*len(systems) + si }
-				alone := make([]string, len(systems))
-				for si, sys := range systems {
-					alone[si] = renderShard(t, runSystem(prepareRack(gen(), cfg), sys, cfg, class.String(), shard(si)))
+				alone := make([]string, len(c.runs))
+				for k, run := range c.runs {
+					fr := gen()
+					prep := prepareRack(fr.RackTrace, run.cfg.prepKey())
+					alone[k] = renderShard(t, runSystem(prep, run.sys, *run.cfg, fr.Class.String(), run.shard))
 				}
-				prep := prepareRack(gen(), cfg)
-				before := rackPrepFingerprint(t, prep)
+				fr := gen()
+				preps := map[prepKey]*rackPrep{}
+				before := map[prepKey]string{}
+				for _, run := range c.runs {
+					if key := run.cfg.prepKey(); preps[key] == nil {
+						preps[key] = prepareRack(fr.RackTrace, key)
+						before[key] = rackPrepFingerprint(t, preps[key])
+					}
+				}
+				if len(preps) != c.preps {
+					t.Errorf("%s: %d distinct preps, want %d", c.name, len(preps), c.preps)
+				}
 				for _, reversed := range []bool{false, true} {
-					for k := range systems {
-						si := k
+					for i := range c.runs {
+						k := i
 						if reversed {
-							si = len(systems) - 1 - k
+							k = len(c.runs) - 1 - i
 						}
-						got := renderShard(t, runSystem(prep, systems[si], cfg, class.String(), shard(si)))
-						if got != alone[si] {
-							t.Errorf("%s %s (reversed=%v): shared-prep output differs from a fresh prep", class, systems[si], reversed)
+						run := c.runs[k]
+						got := renderShard(t, runSystem(preps[run.cfg.prepKey()], run.sys, *run.cfg, fr.Class.String(), run.shard))
+						if got != alone[k] {
+							t.Errorf("%s run %d (%s, reversed=%v): shared-prep output differs from a fresh prep", c.name, k, run.sys, reversed)
 						}
 					}
 				}
-				if after := rackPrepFingerprint(t, prep); after != before {
-					t.Errorf("%s: running the systems modified the shared rack prep", class)
+				for key, p := range preps {
+					if rackPrepFingerprint(t, p) != before[key] {
+						t.Errorf("%s: running over the shared prep for %+v modified it", c.name, key)
+					}
 				}
 			}
 		})

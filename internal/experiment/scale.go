@@ -174,7 +174,7 @@ func RunFleetScale(cfg ScaleConfig) (*ScaleResult, error) {
 	sampler := startHeapSampler(heapSamplePeriod)
 
 	start := time.Now()
-	outs, err := streamRacks(fs, oneSystem(&fcfg, cfg.Racks, cfg.System))
+	outs, err := streamRacks(fleetOpts(fs), fleetUnits(&fcfg, cfg.Racks, 0, []FleetSimConfig{fs}, cfg.System))
 	wall := time.Since(start)
 
 	peak := sampler.halt()
