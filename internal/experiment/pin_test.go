@@ -141,3 +141,97 @@ func TestLiveSmokeGolden(t *testing.T) {
 	checkGolden(t, "live_smoke.golden", res.Format()+
 		fmt.Sprintf("chaos dropped %d\ncheckpoint bytes %d sha256 %s\n", st.ChaosDropped, len(data), sha256Hex(data)))
 }
+
+// TestClusterSmokeGolden pins the cluster emulation at full precision.
+// fig12_14_smoke.golden prints three decimals, too coarse to catch a
+// reordered floating-point sum, so this golden holds every scalar and map
+// field of ClusterResult (%v) for the four Fig 12–14 systems, the two
+// power-constrained systems and the six overclocking-constrained cells (run
+// directly, since RunOCConstrained prints one decimal), then that table
+// itself and the SHA-256 of the merged observations of the observed Fig
+// 12–14 and power-constrained sweeps.
+func TestClusterSmokeGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster emulations")
+	}
+	var b strings.Builder
+	base := smokeClusterCfg(SysBaseline)
+	powerSystems := []ClusterSystem{SysNaiveOClock, SysSmartOClock}
+
+	_, _, _, fig, err := RunFig12To14(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range ClusterSystems() {
+		writeClusterResult(&b, "fig12-14", fig[sys])
+	}
+	_, pc, err := RunPowerConstrained(base, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range powerSystems {
+		writeClusterResult(&b, "power x0.80", pc[sys])
+	}
+	for _, pct := range []float64{0.75, 0.50, 0.25} {
+		for _, proactive := range []bool{false, true} {
+			cfg := base
+			cfg.System = SysSmartOClock
+			cfg.OCBudgetScale = 0.6 * pct
+			cfg.Proactive = proactive
+			res, err := RunCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeClusterResult(&b, fmt.Sprintf("oc %.0f%% proactive=%v", pct*100, proactive), res)
+		}
+	}
+	oc, err := RunOCConstrained(base, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString(oc.Format())
+
+	observed := base
+	observed.Observe = true
+	observed.RecordEvery = time.Minute
+	_, _, _, fig, err = RunFig12To14(observed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeClusterObservation(t, &b, "fig12-14 observed", MergeClusterObservations(ClusterSystems(), fig))
+	_, pc, err = RunPowerConstrained(observed, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeClusterObservation(t, &b, "power x0.80 observed", MergeClusterObservations(powerSystems, pc))
+	checkGolden(t, "cluster_smoke.golden", b.String())
+}
+
+// writeClusterResult prints every scalar and map field of r at full
+// precision; fmt prints map keys in sorted order.
+func writeClusterResult(b *strings.Builder, label string, r *ClusterResult) {
+	fmt.Fprintf(b, "--- %s %s ---\n", label, r.System)
+	fmt.Fprintf(b, "NormP99 %v\nNormAvg %v\nMissedSLO %v\n", r.NormP99, r.NormAvg, r.MissedSLO)
+	fmt.Fprintf(b, "MeanInstances %v\nMeanInstancesByLevel %v\n", r.MeanInstances, r.MeanInstancesByLevel)
+	fmt.Fprintf(b, "ServerEnergy %v\nTotalEnergy %v\nLCEnergy %v\n", r.ServerEnergy, r.TotalEnergy, r.LCEnergy)
+	fmt.Fprintf(b, "MLThroughput %v\nCapEvents %v\nOCRequests %v\nOCRejections %v\nMissedTickFrac %v\n",
+		r.MLThroughput, r.CapEvents, r.OCRequests, r.OCRejections, r.MissedTickFrac)
+}
+
+// writeClusterObservation prints the SHA-256 of a merged sweep observation:
+// Prometheus exposition, trace JSONL and recording JSON.
+func writeClusterObservation(t *testing.T, b *strings.Builder, label string, o *FleetObservation) {
+	t.Helper()
+	var prom, trace, series bytes.Buffer
+	if err := o.Metrics.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Trace.WriteJSONL(&trace); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Series.WriteJSON(&series); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(b, "%s: metrics sha256 %s\ntrace events %d sha256 %s\nseries sha256 %s\n", label,
+		sha256Hex(prom.Bytes()), len(o.Trace.Events()), sha256Hex(trace.Bytes()), sha256Hex(series.Bytes()))
+}
