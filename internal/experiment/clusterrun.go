@@ -35,22 +35,14 @@ const (
 	SysNaiveOClock
 )
 
+var clusterSystemNames = [...]string{"Baseline", "ScaleOut", "ScaleUp", "SmartOClock", "NaiveOClock"}
+
 // String returns the system name.
 func (s ClusterSystem) String() string {
-	switch s {
-	case SysBaseline:
-		return "Baseline"
-	case SysScaleOut:
-		return "ScaleOut"
-	case SysScaleUp:
-		return "ScaleUp"
-	case SysSmartOClock:
-		return "SmartOClock"
-	case SysNaiveOClock:
-		return "NaiveOClock"
-	default:
-		return fmt.Sprintf("ClusterSystem(%d)", int(s))
+	if s >= 0 && int(s) < len(clusterSystemNames) {
+		return clusterSystemNames[s]
 	}
+	return fmt.Sprintf("ClusterSystem(%d)", int(s))
 }
 
 // ClusterSystems returns the four systems of Fig 12-14 in plot order.
@@ -88,12 +80,10 @@ type ClusterConfig struct {
 
 	System ClusterSystem
 
-	// Workers bounds how many independent cluster emulations run
-	// concurrently in the multi-system sweeps (RunFig12To14,
-	// RunPowerConstrained, RunOCConstrained); <= 0 selects GOMAXPROCS.
-	// A single RunCluster is inherently serial — one shared rack state —
-	// so the system sweep is the sharding unit. Results are identical for
-	// any worker count: each run owns its own rng seeded from cfg.Seed.
+	// Workers bounds how many emulations the sweeps (RunFig12To14,
+	// RunPowerConstrained, RunOCConstrained) run at once; <= 0 selects
+	// GOMAXPROCS. One emulation is serial and owns its rng, so results are
+	// identical for any worker count.
 	Workers int
 
 	// Observe attaches a metrics registry and event tracer to the run and
@@ -132,6 +122,19 @@ func DefaultClusterConfig(system ClusterSystem) ClusterConfig {
 	}
 }
 
+// Validate reports whether the configuration is runnable.
+func (c ClusterConfig) Validate() error {
+	switch {
+	case c.Tick <= 0 || c.Duration < c.Tick:
+		return fmt.Errorf("experiment: bad tick/duration %v/%v", c.Tick, c.Duration)
+	case c.SocialNetServers < 1:
+		return fmt.Errorf("experiment: cluster needs SocialNet servers, got %d", c.SocialNetServers)
+	case c.MLServers < 0 || c.SpareServers < 0:
+		return fmt.Errorf("experiment: negative ML/spare server count %d/%d", c.MLServers, c.SpareServers)
+	}
+	return nil
+}
+
 // appLoadLevel assigns the paper's Low/Medium/High grouping across the 14
 // apps: 5 low, 5 medium, 4 high.
 func appLoadLevel(app, total int) workload.LoadLevel {
@@ -146,11 +149,30 @@ func appLoadLevel(app, total int) workload.LoadLevel {
 	}
 }
 
+// serverRole is what a server in the emulation hosts.
+type serverRole int
+
+const (
+	roleSocialNet serverRole = iota // one app's primary replica
+	roleML                          // an MLTrain neighbour
+	roleSpare                       // scale-out replicas, on the spare rack
+)
+
+// clusterServer is one row of the server table.
+type clusterServer struct {
+	srv         *cluster.Server
+	role        serverRole
+	soa         *core.SOA         // nil unless the system runs sOAs
+	startEnergy float64           // Energy() when measurement starts
+	ml          *workload.MLTrain // ML servers only
+	usedSlots   int               // spare servers: slots hosting a replica
+}
+
 // appReplica is one full SocialNet app instance: one VM per microservice,
 // all on one server.
 type appReplica struct {
 	name      string
-	server    *cluster.Server
+	host      *clusterServer
 	vms       []*cluster.VM        // one per service
 	instances []*workload.Instance // queueing state per service
 	slot      *spareSlot           // nil for the primary replica
@@ -163,7 +185,7 @@ func (r *appReplica) ready(now time.Time) bool { return !now.Before(r.readyAt) }
 // spareSlot is a 32-core (8 services × 4 cores) allocation on a spare
 // server; each spare holds two.
 type spareSlot struct {
-	server    *cluster.Server
+	host      *clusterServer
 	firstCore int
 	used      bool
 }
@@ -172,7 +194,6 @@ type spareSlot struct {
 type appState struct {
 	id       int
 	level    workload.LoadLevel
-	services []workload.Microservice
 	gens     []*workload.LoadGen
 	replicas []*appReplica
 	ctrl     autoscale.Controller
@@ -183,10 +204,9 @@ type appState struct {
 	lastNorm float64
 	// Measurement accumulators (post-warmup): streaming P99 of the
 	// per-tick normalized tail (O(1) memory for arbitrarily long runs)
-	// plus the running mean of the normalized average latency.
+	// plus the running sum of the normalized average latency.
 	p99Est    *stats.P2Quantile
 	avgSum    float64
-	avgCount  int
 	sloMisses int
 }
 
@@ -210,14 +230,15 @@ type ClusterResult struct {
 	ServerEnergy map[workload.LoadLevel]float64
 	TotalEnergy  float64
 	LCEnergy     float64
-	// MLThroughput is mean normalized MLTrain throughput (1 = turbo).
+	// MLThroughput is mean normalized MLTrain throughput (1 = turbo); 0
+	// with no ML servers.
 	MLThroughput float64
 	// CapEvents on the main rack.
 	CapEvents int
 	// OCRequests/OCRejections across all sOAs.
 	OCRequests, OCRejections int
-	// MissedTickFrac is the fraction of measured ticks with at least one
-	// SLO violation anywhere.
+	// MissedTickFrac is the mean over apps of the fraction of measured
+	// ticks in which the app missed its SLO.
 	MissedTickFrac float64
 	// Metrics and Trace are set when ClusterConfig.Observe is true; Series
 	// additionally requires RecordEvery.
@@ -228,52 +249,115 @@ type ClusterResult struct {
 
 // RunCluster executes the 36-server emulation for one system.
 func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
-	if cfg.Tick <= 0 || cfg.Duration < cfg.Tick {
-		return nil, fmt.Errorf("experiment: bad tick/duration %v/%v", cfg.Tick, cfg.Duration)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	turbo := cfg.HW.TurboMHz
-	maxOC := cfg.HW.MaxOCMHz
-	services := workload.SocialNet()
-	coresPerReplica := cfg.CoresPerService * len(services)
+	r, err := newClusterRun(cfg)
+	if err != nil {
+		return nil, err
+	}
+	ticks := int(cfg.Duration / cfg.Tick)
+	for t := 0; t < ticks; t++ {
+		r.tick(t)
+	}
+	return r.result(), nil
+}
 
-	// Observability: one registry and tracer per run; every series carries
-	// the system label so sweep snapshots merge without identity collisions.
-	var reg *metrics.Registry
-	var tracer *obs.Tracer
-	var recorder *metrics.Recorder
-	var sysLabels []metrics.Label
+// clusterRun is one system's emulation: the server table, the apps and
+// racks built over it, the observers and the measurement accumulators.
+type clusterRun struct {
+	cfg      ClusterConfig
+	rng      *rand.Rand
+	services []workload.Microservice
+
+	// servers is the table, SocialNet then ML then spare servers: the
+	// order sOAs are built and ticked in and hardware advances in. App i's
+	// primary replica lives on servers[i].
+	servers   []*clusterServer
+	slots     []*spareSlot
+	apps      []*appState
+	byReplica map[string]*appState // replica name → app, for sOA callbacks
+	mainRack  *power.Rack
+	spareRack *power.Rack // nil without spares
+	goa       *core.GOA   // nil unless the system runs sOAs
+
+	reg      *metrics.Registry
+	tracer   *obs.Tracer
+	recorder *metrics.Recorder
+	labels   []metrics.Label
+
+	warmupTicks, controlEvery, budgetEvery, rackEvery int
+
+	now               time.Time
+	replicaTotal      int
+	replicaByLevel    map[workload.LoadLevel]int
+	spareActiveEnergy float64
+}
+
+// everyTicks converts a cadence to a whole number of ticks, at least one.
+func everyTicks(period, tick time.Duration) int {
+	return max(1, int(period/tick))
+}
+
+// newClusterRun builds the emulation in the order its observers see it:
+// servers, apps, racks, then the SmartOClock control plane.
+func newClusterRun(cfg ClusterConfig) (*clusterRun, error) {
+	r := &clusterRun{
+		cfg:            cfg,
+		rng:            rand.New(rand.NewSource(cfg.Seed)),
+		services:       workload.SocialNet(),
+		byReplica:      map[string]*appState{},
+		warmupTicks:    int(cfg.Warmup / cfg.Tick),
+		controlEvery:   everyTicks(5*time.Second, cfg.Tick),
+		budgetEvery:    everyTicks(30*time.Second, cfg.Tick),
+		rackEvery:      everyTicks(time.Second, cfg.Tick),
+		replicaByLevel: map[workload.LoadLevel]int{},
+	}
+	// One registry and tracer per run; every series carries the system
+	// label so sweep snapshots merge without identity collisions.
 	if cfg.Observe {
-		reg = metrics.NewRegistry()
-		tracer = newShardTracer(cfg.TraceOnly)
-		sysLabels = []metrics.Label{metrics.L("system", cfg.System.String())}
+		r.reg = metrics.NewRegistry()
+		r.tracer = newShardTracer(cfg.TraceOnly)
+		r.labels = []metrics.Label{metrics.L("system", cfg.System.String())}
 		if cfg.RecordEvery > 0 {
-			recorder = metrics.NewRecorder(reg, cfg.Start, cfg.RecordEvery)
+			r.recorder = metrics.NewRecorder(r.reg, cfg.Start, cfg.RecordEvery)
 		}
 	}
+	r.buildServers()
+	if err := r.buildApps(); err != nil {
+		return nil, err
+	}
+	mainLimit := r.buildRacks()
+	if cfg.System == SysSmartOClock || cfg.System == SysNaiveOClock {
+		r.buildSOAs(mainLimit)
+	}
+	return r, nil
+}
 
-	// --- Servers -----------------------------------------------------------
-	var mlServers, snServers, spares []*cluster.Server
-	for i := 0; i < cfg.MLServers; i++ {
-		mlServers = append(mlServers, cluster.NewServer(fmt.Sprintf("ml-%02d", i), cfg.HW, 1))
-	}
-	for i := 0; i < cfg.SocialNetServers; i++ {
-		snServers = append(snServers, cluster.NewServer(fmt.Sprintf("sn-%02d", i), cfg.HW, 0))
-	}
-	for i := 0; i < cfg.SpareServers; i++ {
-		spares = append(spares, cluster.NewServer(fmt.Sprintf("sp-%02d", i), cfg.HW, 0))
-	}
-	if reg != nil {
-		for _, s := range append(append(append([]*cluster.Server{}, snServers...), mlServers...), spares...) {
-			s.Instrument(reg, sysLabels...)
-		}
-	}
-
-	mls := make([]*workload.MLTrain, len(mlServers))
-	for i, s := range mlServers {
-		mls[i] = workload.NewMLTrain(100)
-		for c := 0; c < s.NumCores(); c++ {
-			s.SetCoreUtil(c, mls[i].Util)
+// buildServers fills the server table and the spare slots. ML servers
+// start fully busy with MLTrain.
+func (r *clusterRun) buildServers() {
+	for _, g := range []struct {
+		prefix         string
+		n, capPriority int
+		role           serverRole
+	}{
+		{"sn", r.cfg.SocialNetServers, 0, roleSocialNet},
+		{"ml", r.cfg.MLServers, 1, roleML},
+		{"sp", r.cfg.SpareServers, 0, roleSpare},
+	} {
+		for i := 0; i < g.n; i++ {
+			s := &clusterServer{srv: cluster.NewServer(fmt.Sprintf("%s-%02d", g.prefix, i), r.cfg.HW, g.capPriority), role: g.role}
+			if r.reg != nil {
+				s.srv.Instrument(r.reg, r.labels...)
+			}
+			if g.role == roleML {
+				s.ml = workload.NewMLTrain(100)
+				for c := 0; c < s.srv.NumCores(); c++ {
+					s.srv.SetCoreUtil(c, s.ml.Util)
+				}
+			}
+			r.servers = append(r.servers, s)
 		}
 	}
 
@@ -281,66 +365,31 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	// across servers for resiliency (§III-Q2), so a scale-out usually
 	// activates a whole server — idle and static power included. Only
 	// when every spare already hosts a replica does placement double up.
-	var slots []*spareSlot
-	for pass := 0; ; pass++ {
+	coresPerReplica := r.cfg.CoresPerService * len(r.services)
+	for pass := 0; pass < 2; pass++ { // anti-affinity, then one double-up
 		off := pass * coresPerReplica
-		added := false
-		for _, s := range spares {
-			if off+coresPerReplica <= s.NumCores() {
-				slots = append(slots, &spareSlot{server: s, firstCore: off})
-				added = true
+		for _, s := range r.servers {
+			if s.role == roleSpare && off+coresPerReplica <= s.srv.NumCores() {
+				r.slots = append(r.slots, &spareSlot{host: s, firstCore: off})
 			}
 		}
-		if !added || pass >= 1 {
-			break // two passes: anti-affinity first, then one double-up
-		}
 	}
-	takeSlot := func() *spareSlot {
-		for _, sl := range slots {
-			if !sl.used {
-				sl.used = true
-				return sl
-			}
-		}
-		return nil
-	}
+}
 
-	// --- Apps ----------------------------------------------------------------
-	var now time.Time
-	buildReplica := func(app *appState, server *cluster.Server, firstCore int, slot *spareSlot) (*appReplica, error) {
-		r := &appReplica{
-			name:   fmt.Sprintf("app%02d-r%d", app.id, len(app.replicas)),
-			server: server,
-			slot:   slot,
-		}
-		if slot != nil {
-			r.readyAt = now.Add(cfg.ProvisionDelay) // booting a VM takes minutes
-		}
-		for si, svc := range services {
-			vm, err := cluster.PlaceVM(server, fmt.Sprintf("%s-%s", r.name, svc.Name),
-				cfg.CoresPerService, firstCore+si*cfg.CoresPerService)
-			if err != nil {
-				return nil, err
-			}
-			r.vms = append(r.vms, vm)
-			r.instances = append(r.instances, workload.NewInstance(svc))
-		}
-		return r, nil
-	}
-
-	ascfg := autoscale.DefaultConfig(turbo, maxOC, cfg.HW.StepMHz)
+// buildApps creates one SocialNet app per SocialNet server, with its load
+// generators, primary replica and controller (an autoscaler, or a WI agent
+// for the systems that run sOAs).
+func (r *clusterRun) buildApps() error {
+	turbo := r.cfg.HW.TurboMHz
+	ascfg := autoscale.DefaultConfig(turbo, r.cfg.HW.MaxOCMHz, r.cfg.HW.StepMHz)
 	ascfg.MaxInst = 3
 	// Vertical scaling acts at DVFS speed (milliseconds in the paper), far
 	// faster than VM creation.
 	ascfgUp := ascfg
 	ascfgUp.Cooldown = 15 * time.Second
 
-	var apps []*appState
-	for i := 0; i < cfg.SocialNetServers; i++ {
-		app := &appState{
-			id: i, level: appLoadLevel(i, cfg.SocialNetServers),
-			services: services, p99Est: stats.NewP2Quantile(0.99),
-		}
+	for i := 0; i < r.cfg.SocialNetServers; i++ {
+		app := &appState{id: i, level: appLoadLevel(i, r.cfg.SocialNetServers), p99Est: stats.NewP2Quantile(0.99)}
 		// Time-varying load: a steady base with square transient peaks
 		// (Fig 1's Services B/C shape compressed to emulation scale).
 		// Peak offered load corresponds to the level's Fig 2 operating
@@ -354,12 +403,12 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		default:
 			baseRho, spikeFactor = 0.65, 1.36
 		}
-		for _, svc := range services {
+		for _, svc := range r.services {
 			app.gens = append(app.gens, &workload.LoadGen{
 				BaseRPS:     baseRho * svc.CapacityRPS(turbo, turbo),
-				BurstProb:   cfg.Tick.Seconds() / (5 * 60),
+				BurstProb:   r.cfg.Tick.Seconds() / (5 * 60),
 				BurstFactor: 1.05,
-				BurstLen:    int(30 / cfg.Tick.Seconds()),
+				BurstLen:    int(30 / r.cfg.Tick.Seconds()),
 				NoiseSD:     0.04,
 				SpikeFactor: spikeFactor,
 				SpikePeriod: 15 * time.Minute,
@@ -367,12 +416,10 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 				SpikePhase:  time.Duration(i) * 15 * time.Minute / 14,
 			})
 		}
-		r, err := buildReplica(app, snServers[i], 0, nil)
-		if err != nil {
-			return nil, err
+		if err := r.addReplica(app, nil); err != nil {
+			return err
 		}
-		app.replicas = []*appReplica{r}
-		switch cfg.System {
+		switch r.cfg.System {
 		case SysBaseline:
 			app.ctrl = autoscale.NewBaseline(ascfg)
 		case SysScaleOut:
@@ -383,440 +430,174 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 			mp := core.DefaultMetricPolicy()
 			sc := core.DefaultScaleOutConfig()
 			sc.MaxInstances = 3
-			sc.Proactive = cfg.Proactive
+			sc.Proactive = r.cfg.Proactive
 			// The WI agent works on SLO-normalized latency: SLO = 1.
 			app.wi = core.NewGlobalWI(1, &mp, nil, sc)
-			if reg != nil {
-				app.wi.Instrument(reg, tracer, fmt.Sprintf("app%02d", app.id), sysLabels...)
+			if r.reg != nil {
+				app.wi.Instrument(r.reg, r.tracer, fmt.Sprintf("app%02d", app.id), r.labels...)
 			}
 		}
-		apps = append(apps, app)
+		r.apps = append(r.apps, app)
 	}
+	return nil
+}
 
-	// --- Racks -----------------------------------------------------------------
-	// One representative workload tick to estimate steady power, then set
-	// the main rack's limit with a margin.
-	for _, app := range apps {
-		r := app.replicas[0]
-		for si := range services {
-			res := r.instances[si].Step(cfg.Tick, app.gens[si].BaseRPS, turbo, turbo, nil)
-			r.vms[si].SetUtil(res.Util)
-			r.instances[si].Reset()
+// buildRacks builds both racks and returns the main rack's limit: a margin
+// over the steady power one representative workload tick estimates.
+func (r *clusterRun) buildRacks() float64 {
+	turbo := r.cfg.HW.TurboMHz
+	for _, app := range r.apps {
+		rep := app.replicas[0]
+		for si := range r.services {
+			res := rep.instances[si].Step(r.cfg.Tick, app.gens[si].BaseRPS, turbo, turbo, nil)
+			rep.vms[si].SetUtil(res.Util)
+			rep.instances[si].Reset()
 		}
 	}
-	mainServers := make([]power.Server, 0, len(mlServers)+len(snServers))
+	// The main rack lists its ML servers before its SocialNet ones, the
+	// reverse of the table order the sOAs tick in. Capping walks the
+	// members in this order, so it decides which server is throttled first.
+	var mainServers, spareServers []power.Server
 	est := 0.0
-	for _, s := range mlServers {
-		mainServers = append(mainServers, s)
-		est += s.Power()
+	for _, role := range []serverRole{roleML, roleSocialNet} {
+		for _, s := range r.servers {
+			if s.role == role {
+				mainServers = append(mainServers, s.srv)
+				est += s.srv.Power()
+			}
+		}
 	}
-	for _, s := range snServers {
-		mainServers = append(mainServers, s)
-		est += s.Power()
+	for _, s := range r.servers {
+		if s.role == roleSpare {
+			spareServers = append(spareServers, s.srv)
+		}
 	}
 	// §VI: the production cluster "provisioned adequate power to avoid
 	// capping; the limits are lowered for power management evaluations" —
 	// RackLimitScale < 1 does exactly that.
-	mainLimit := cfg.RackLimitScale * est * 1.25
-	mainRack := power.NewRack(power.DefaultRackConfig("rack-main", mainLimit), mainServers...)
-	if reg != nil {
-		mainRack.Instrument(reg, tracer, sysLabels...)
+	mainLimit := r.cfg.RackLimitScale * est * 1.25
+	r.mainRack = power.NewRack(power.DefaultRackConfig("rack-main", mainLimit), mainServers...)
+	if r.reg != nil {
+		r.mainRack.Instrument(r.reg, r.tracer, r.labels...)
 	}
-
-	var spareRack *power.Rack
-	if len(spares) > 0 {
-		spareServers := make([]power.Server, 0, len(spares))
-		for _, s := range spares {
-			spareServers = append(spareServers, s)
-		}
-		limit := float64(len(spares)) * cluster.NewServer("est", cfg.HW, 0).Machine().MaxPower(maxOC) * 1.05
-		spareRack = power.NewRack(power.DefaultRackConfig("rack-spare", limit), spareServers...)
-		if reg != nil {
-			spareRack.Instrument(reg, tracer, sysLabels...)
+	if len(spareServers) > 0 {
+		limit := float64(len(spareServers)) * machine.New(r.cfg.HW).MaxPower(r.cfg.HW.MaxOCMHz) * 1.05
+		r.spareRack = power.NewRack(power.DefaultRackConfig("rack-spare", limit), spareServers...)
+		if r.reg != nil {
+			r.spareRack.Instrument(r.reg, r.tracer, r.labels...)
 		}
 	}
-
-	// --- SmartOClock control plane ------------------------------------------------
-	usesSOA := cfg.System == SysSmartOClock || cfg.System == SysNaiveOClock
-	soas := make(map[string]*core.SOA)
-	var soaOrder []*core.SOA // the same sOAs in server order: SocialNet, ML, spares
-	appByReplica := make(map[string]*appState)
-	var goa *core.GOA
-	if usesSOA {
-		goa = core.NewGOA("rack-main", mainLimit)
-		soaCfg := core.DefaultSOAConfig()
-		soaCfg.ProfileStep = time.Minute
-		soaCfg.ExploreConfirm = 30 * time.Second
-		soaCfg.ExploitTime = 5 * time.Minute
-		soaCfg.ExhaustionWindow = 5 * time.Minute
-		soaCfg.DefaultOCHorizon = 5 * time.Minute
-		soaCfg.AdmissionUtil = 0.6
-		if cfg.System == SysNaiveOClock {
-			soaCfg.Naive = true
-		}
-		bcfg := lifetime.BudgetConfig{
-			Epoch:     24 * time.Hour,
-			Fraction:  cfg.OCBudgetScale * cfg.Duration.Hours() / 24,
-			CarryOver: false,
-		}
-		mkSOA := func(s *cluster.Server, even float64) {
-			budgets := lifetime.NewCoreBudgets(bcfg, s.NumCores(), cfg.Start)
-			a := core.NewSOA(soaCfg, s, budgets, even, cfg.Start)
-			if reg != nil {
-				a.Instrument(reg, tracer, sysLabels...)
-			}
-			a.OnReject = func(vm string, reason core.RejectReason) {
-				if app, ok := appByReplica[vm]; ok && app.wi != nil {
-					app.wi.ReportRejection(vm, reason)
-				}
-			}
-			soas[s.Name()] = a
-			soaOrder = append(soaOrder, a)
-			a.OnExhaustionSoon = func(kind core.ExhaustionKind, at time.Time) {
-				// Only the apps whose sessions are consuming this
-				// server's budget need to take corrective action.
-				for vm := range a.Sessions() {
-					if app, ok := appByReplica[vm]; ok && app.wi != nil {
-						app.wi.ReportExhaustion(kind, at)
-					}
-				}
-			}
-		}
-		evenMain := mainLimit / float64(len(mainServers))
-		for _, s := range snServers {
-			mkSOA(s, evenMain)
-		}
-		for _, s := range mlServers {
-			mkSOA(s, evenMain)
-		}
-		if spareRack != nil {
-			evenSpare := spareRack.Config().LimitWatts / float64(len(spares))
-			for _, s := range spares {
-				mkSOA(s, evenSpare)
-			}
-		}
-		mainRack.Subscribe(func(ev power.Event) {
-			for _, a := range soaOrder[:len(mainServers)] {
-				a.OnRackEvent(now, ev)
-			}
-		})
-	}
-	for _, app := range apps {
-		appByReplica[app.replicas[0].name] = app
-	}
-
-	// --- Main loop ------------------------------------------------------------------
-	ticks := int(cfg.Duration / cfg.Tick)
-	warmupTicks := int(cfg.Warmup / cfg.Tick)
-	controlEvery := int((5 * time.Second) / cfg.Tick)
-	if controlEvery < 1 {
-		controlEvery = 1
-	}
-	budgetEvery := int((30 * time.Second) / cfg.Tick)
-	rackEvery := int(time.Second / cfg.Tick)
-	if rackEvery < 1 {
-		rackEvery = 1
-	}
-
-	replicaTotal := 0
-	replicaByLevel := map[workload.LoadLevel]int{}
-	replicaTicks := 0
-	measStartEnergy := map[*cluster.Server]float64{}
-	measuredTicks := 0
-	// Spare servers are charged only while hosting replicas: an unused
-	// spare returns to the provider's pool and is not this workload's
-	// cost, which is exactly why fewer scale-outs save energy (Fig 14).
-	spareActiveEnergy := 0.0
-	spareHasActive := func(sp *cluster.Server) bool {
-		for _, sl := range slots {
-			if sl.server == sp && sl.used {
-				return true
-			}
-		}
-		return false
-	}
-
-	allServers := append(append(append([]*cluster.Server{}, snServers...), mlServers...), spares...)
-
-	for t := 0; t < ticks; t++ {
-		now = cfg.Start.Add(time.Duration(t) * cfg.Tick)
-		measuring := t >= warmupTicks
-		if t == warmupTicks {
-			for _, s := range allServers {
-				measStartEnergy[s] = s.Energy()
-			}
-		}
-
-		// 1. Workload step. The app-level metric is end-to-end: a request
-		// traverses the microservice chain, so the app's latency is the
-		// sum of per-service latencies and its SLO the sum of per-service
-		// SLOs.
-		for _, app := range apps {
-			sumP99, sumAvg, sumSLO := 0.0, 0.0, 0.0
-			ready := app.replicas[:0:0]
-			for _, r := range app.replicas {
-				if r.ready(now) {
-					ready = append(ready, r)
-				}
-			}
-			if len(ready) == 0 {
-				ready = app.replicas[:1] // the primary always serves
-			}
-			for si, svc := range services {
-				rps := app.gens[si].RPSAt(now, rng)
-				per := rps / float64(len(ready))
-				svcP99, svcAvg := 0.0, 0.0
-				for _, r := range ready {
-					freq := r.vms[si].Freq()
-					res := r.instances[si].Step(cfg.Tick, per, freq, turbo, rng)
-					r.vms[si].SetUtil(res.Util)
-					if res.P99MS > svcP99 {
-						svcP99 = res.P99MS
-					}
-					svcAvg += res.AvgMS
-				}
-				svcAvg /= float64(len(ready))
-				sumP99 += svcP99
-				sumAvg += svcAvg
-				sumSLO += svc.SLOms()
-			}
-			e2eNorm := sumP99 / sumSLO
-			app.lastNorm = e2eNorm
-			missed := e2eNorm > 1
-			if app.wi != nil {
-				for _, r := range app.replicas {
-					app.wi.Observe(r.name, core.InstanceMetrics{P99MS: e2eNorm})
-				}
-			}
-			if measuring {
-				app.p99Est.Add(e2eNorm)
-				app.avgSum += sumAvg / sumSLO
-				app.avgCount++
-				if missed {
-					app.sloMisses++
-				}
-			}
-		}
-		if measuring {
-			measuredTicks++
-		}
-
-		// 2. Control decisions. WI agents decide every tick (overclocking
-		// reacts at millisecond scale, §IV-D); autoscale controllers keep
-		// the coarser cadence of VM automation.
-		if t%controlEvery == 0 || usesSOA {
-			for _, app := range apps {
-				// Decisions react to the current state: bursts last far
-				// longer than a control period, so the latest value
-				// catches them without replaying pre-action latency.
-				p99 := app.lastNorm
-				switch {
-				case app.ctrl != nil:
-					if t%controlEvery != 0 {
-						continue
-					}
-					dec := app.ctrl.Control(now, p99, 1)
-					scaleApp(app, dec.Instances, takeSlot, buildReplica, appByReplica)
-					if cfg.System == SysScaleUp {
-						for _, r := range app.replicas {
-							for _, vm := range r.vms {
-								for _, c := range vm.Cores {
-									vm.Server.SetDesiredFreq(c, dec.FreqMHz)
-								}
-							}
-						}
-					}
-				case app.wi != nil:
-					dir := app.wi.Decide(now)
-					scaleApp(app, dir.Instances, takeSlot, buildReplica, appByReplica)
-					for _, r := range app.replicas {
-						if !r.ready(now) {
-							continue // cannot overclock a booting VM
-						}
-						soa := soas[r.server.Name()]
-						if soa == nil {
-							continue
-						}
-						_, active := soa.Sessions()[r.name]
-						want := dir.Overclock[r.name]
-						if want && !active {
-							cores := replicaCores(r)
-							soa.Request(now, core.Request{
-								VM: r.name, Cores: len(cores), TargetMHz: maxOC,
-								Priority: core.PriorityMetric, PreferredCores: cores,
-							})
-						} else if !want && active {
-							soa.Stop(now, r.name)
-						}
-					}
-				}
-			}
-		}
-
-		// 3. sOA ticks, budget refresh, rack managers.
-		if usesSOA && t%rackEvery == 0 {
-			// Server order, never map order: a tick emits events and reports rejections.
-			for _, a := range soaOrder {
-				a.Tick(now)
-			}
-		}
-		if usesSOA && cfg.System == SysSmartOClock && t > 0 && t%budgetEvery == 0 {
-			refreshBudgets(goa, snServers, mlServers, soas, now)
-		}
-		if t%rackEvery == 0 {
-			mainRack.Tick(now)
-			if spareRack != nil {
-				spareRack.Tick(now)
-			}
-		}
-
-		// 4. Advance hardware.
-		for _, s := range snServers {
-			s.Advance(cfg.Tick)
-		}
-		for i, s := range mlServers {
-			mls[i].Step(cfg.Tick, s.EffectiveFreq(0), turbo)
-			s.Advance(cfg.Tick)
-		}
-		for _, s := range spares {
-			s.Advance(cfg.Tick)
-			if measuring && spareHasActive(s) {
-				spareActiveEnergy += s.Power() * cfg.Tick.Seconds()
-			}
-		}
-		if measuring {
-			for _, app := range apps {
-				replicaTotal += len(app.replicas)
-				replicaByLevel[app.level] += len(app.replicas)
-			}
-			replicaTicks++
-		}
-
-		// 5. Telemetry recording at the tick's end boundary.
-		if recorder != nil {
-			recorder.Tick(now.Add(cfg.Tick))
-		}
-	}
-
-	// --- Aggregate --------------------------------------------------------------
-	res := &ClusterResult{
-		System:               cfg.System,
-		NormP99:              map[workload.LoadLevel]float64{},
-		NormAvg:              map[workload.LoadLevel]float64{},
-		MissedSLO:            map[workload.LoadLevel]int{},
-		MeanInstancesByLevel: map[workload.LoadLevel]float64{},
-		ServerEnergy:         map[workload.LoadLevel]float64{},
-		CapEvents:            mainRack.CapEvents(),
-	}
-	counts := map[workload.LoadLevel]int{}
-	for _, app := range apps {
-		res.NormP99[app.level] += app.p99Est.Value()
-		if app.avgCount > 0 {
-			res.NormAvg[app.level] += app.avgSum / float64(app.avgCount)
-		}
-		res.MissedSLO[app.level] += app.sloMisses
-		counts[app.level]++
-	}
-	for lvl, n := range counts {
-		if n > 0 {
-			res.NormP99[lvl] /= float64(n)
-			res.NormAvg[lvl] /= float64(n)
-		}
-	}
-	if replicaTicks > 0 {
-		res.MeanInstances = float64(replicaTotal) / float64(replicaTicks)
-		for lvl, total := range replicaByLevel {
-			res.MeanInstancesByLevel[lvl] = float64(total) / float64(replicaTicks) / float64(counts[lvl])
-		}
-	}
-	energyCount := map[workload.LoadLevel]int{}
-	for i, s := range snServers {
-		lvl := appLoadLevel(i, cfg.SocialNetServers)
-		res.ServerEnergy[lvl] += s.Energy() - measStartEnergy[s]
-		energyCount[lvl]++
-	}
-	for lvl, n := range energyCount {
-		if n > 0 {
-			res.ServerEnergy[lvl] /= float64(n)
-		}
-	}
-	for _, s := range snServers {
-		res.TotalEnergy += s.Energy() - measStartEnergy[s]
-		res.LCEnergy += s.Energy() - measStartEnergy[s]
-	}
-	for _, s := range mlServers {
-		res.TotalEnergy += s.Energy() - measStartEnergy[s]
-	}
-	res.TotalEnergy += spareActiveEnergy
-	res.LCEnergy += spareActiveEnergy
-	mlSum := 0.0
-	for _, ml := range mls {
-		mlSum += ml.MeanThroughput() / 100
-	}
-	res.MLThroughput = mlSum / float64(len(mls))
-	for _, a := range soas {
-		res.OCRequests += a.Granted() + a.Rejected()
-		res.OCRejections += a.Rejected()
-	}
-	if measuredTicks > 0 {
-		// Mean over apps of the fraction of measured time in violation —
-		// the §V-A overclocking-constrained metric ("misses the SLO for
-		// x% of time").
-		total := 0.0
-		for _, app := range apps {
-			total += float64(app.sloMisses) / float64(measuredTicks)
-		}
-		res.MissedTickFrac = total / float64(len(apps))
-	}
-	if reg != nil {
-		res.Metrics = reg.Snapshot()
-		res.Trace = tracer
-		if recorder != nil {
-			res.Series = recorder.Recording()
-		}
-	}
-	return res, nil
+	return mainLimit
 }
 
-// replicaCores flattens a replica's VM core lists.
-func replicaCores(r *appReplica) []int {
-	var cores []int
-	for _, vm := range r.vms {
-		cores = append(cores, vm.Cores...)
+// buildSOAs attaches an sOA to every server, in table order, and the gOA
+// over the main rack. Each sOA starts from an even share of its rack.
+func (r *clusterRun) buildSOAs(mainLimit float64) {
+	r.goa = core.NewGOA("rack-main", mainLimit)
+	soaCfg := rigSOAConfig()
+	soaCfg.ExhaustionWindow = 5 * time.Minute
+	soaCfg.AdmissionUtil = 0.6
+	soaCfg.Naive = r.cfg.System == SysNaiveOClock
+	bcfg := lifetime.BudgetConfig{Epoch: 24 * time.Hour, Fraction: r.cfg.OCBudgetScale * r.cfg.Duration.Hours() / 24}
+	evenMain := mainLimit / float64(r.cfg.SocialNetServers+r.cfg.MLServers)
+	for _, s := range r.servers {
+		even := evenMain
+		if s.role == roleSpare {
+			even = r.spareRack.Config().LimitWatts / float64(r.cfg.SpareServers)
+		}
+		r.attachSOA(s, soaCfg, bcfg, even)
 	}
-	return cores
+	r.mainRack.Subscribe(func(ev power.Event) {
+		for _, s := range r.servers {
+			if s.role != roleSpare {
+				s.soa.OnRackEvent(r.now, ev)
+			}
+		}
+	})
 }
 
-// scaleApp grows or shrinks an app's replica set using spare-server slots.
-func scaleApp(app *appState, want int, takeSlot func() *spareSlot,
-	build func(*appState, *cluster.Server, int, *spareSlot) (*appReplica, error),
-	byName map[string]*appState) {
-	if want < 1 {
-		want = 1
+// attachSOA gives s an sOA whose rejections and exhaustion warnings reach
+// the WI agents of the apps with replicas on s.
+func (r *clusterRun) attachSOA(s *clusterServer, cfg core.SOAConfig, bcfg lifetime.BudgetConfig, even float64) {
+	budgets := lifetime.NewCoreBudgets(bcfg, s.srv.NumCores(), r.cfg.Start)
+	a := core.NewSOA(cfg, s.srv, budgets, even, r.cfg.Start)
+	if r.reg != nil {
+		a.Instrument(r.reg, r.tracer, r.labels...)
 	}
-	for len(app.replicas) < want {
-		sl := takeSlot()
-		if sl == nil {
-			return
+	a.OnReject = func(vm string, reason core.RejectReason) {
+		if app := r.byReplica[vm]; app != nil && app.wi != nil {
+			app.wi.ReportRejection(vm, reason)
 		}
-		r, err := build(app, sl.server, sl.firstCore, sl)
+	}
+	a.OnExhaustionSoon = func(kind core.ExhaustionKind, at time.Time) {
+		// Only apps whose sessions consume this server's budget must act.
+		for vm := range a.Sessions() {
+			if app := r.byReplica[vm]; app != nil && app.wi != nil {
+				app.wi.ReportExhaustion(kind, at)
+			}
+		}
+	}
+	s.soa = a
+}
+
+// addReplica places a new replica of app: the primary (slot nil) on the
+// app's own SocialNet server, serving at once, or a scale-out replica that
+// claims slot and boots for ProvisionDelay first.
+func (r *clusterRun) addReplica(app *appState, slot *spareSlot) error {
+	rep := &appReplica{name: fmt.Sprintf("app%02d-r%d", app.id, len(app.replicas)), host: r.servers[app.id], slot: slot}
+	firstCore := 0
+	if slot != nil {
+		rep.host, firstCore = slot.host, slot.firstCore
+		rep.readyAt = r.now.Add(r.cfg.ProvisionDelay) // booting a VM takes minutes
+	}
+	for si, svc := range r.services {
+		vm, err := cluster.PlaceVM(rep.host.srv, fmt.Sprintf("%s-%s", rep.name, svc.Name),
+			r.cfg.CoresPerService, firstCore+si*r.cfg.CoresPerService)
 		if err != nil {
-			sl.used = false
+			return err
+		}
+		rep.vms = append(rep.vms, vm)
+		rep.instances = append(rep.instances, workload.NewInstance(svc))
+	}
+	if slot != nil {
+		slot.used = true
+		slot.host.usedSlots++
+	}
+	app.replicas = append(app.replicas, rep)
+	r.byReplica[rep.name] = app
+	return nil
+}
+
+// freeSlot returns the first free spare slot, or nil.
+func (r *clusterRun) freeSlot() *spareSlot {
+	for _, sl := range r.slots {
+		if !sl.used {
+			return sl
+		}
+	}
+	return nil
+}
+
+// scaleApp grows or shrinks an app's replica set using spare slots. The
+// primary is never removed.
+func (r *clusterRun) scaleApp(app *appState, want int) {
+	want = max(want, 1)
+	for len(app.replicas) < want {
+		if sl := r.freeSlot(); sl == nil || r.addReplica(app, sl) != nil {
 			return
 		}
-		app.replicas = append(app.replicas, r)
-		byName[r.name] = app
 	}
 	for len(app.replicas) > want {
 		last := app.replicas[len(app.replicas)-1]
 		if last.slot == nil {
-			return // never remove the primary
+			return
 		}
 		for _, vm := range last.vms {
 			vm.SetUtil(0)
 		}
 		last.slot.used = false
-		delete(byName, last.name)
+		last.slot.host.usedSlots--
+		delete(r.byReplica, last.name)
 		if app.wi != nil {
 			app.wi.Forget(last.name)
 		}
@@ -824,29 +605,245 @@ func scaleApp(app *appState, want int, takeSlot func() *spareSlot,
 	}
 }
 
-// refreshBudgets recomputes heterogeneous budgets from each sOA's recent
-// profile window — the cluster-scale analogue of the weekly template
-// exchange (§IV-C) compressed to the emulation's time scale.
-func refreshBudgets(goa *core.GOA, snServers, mlServers []*cluster.Server, soas map[string]*core.SOA, now time.Time) {
-	all := append(append([]*cluster.Server{}, snServers...), mlServers...)
-	isSN := map[string]bool{}
-	for _, s := range snServers {
-		isSN[s.Name()] = true
+// tick advances the emulation by one step: workload, control decisions,
+// agents and racks, hardware, then telemetry at the tick's end boundary.
+func (r *clusterRun) tick(t int) {
+	r.now = r.cfg.Start.Add(time.Duration(t) * r.cfg.Tick)
+	measuring := t >= r.warmupTicks
+	if t == r.warmupTicks {
+		for _, s := range r.servers {
+			s.startEnergy = s.srv.Energy()
+		}
 	}
-	for _, s := range all {
-		p := recentProfile(soas[s.Name()], s, s.Machine().Config().OCCoreCost())
-		if isSN[s.Name()] && p.Requested < 16 {
+	r.stepWorkload(measuring)
+	r.decide(t)
+	r.stepAgentsAndRacks(t)
+	r.advance(measuring)
+	if r.recorder != nil {
+		r.recorder.Tick(r.now.Add(r.cfg.Tick))
+	}
+}
+
+// stepWorkload serves one tick of load. A request traverses the whole
+// microservice chain, so an app's latency and SLO are its services' sums.
+func (r *clusterRun) stepWorkload(measuring bool) {
+	for _, app := range r.apps {
+		ready := 0 // at least the primary, which never boots
+		for _, rep := range app.replicas {
+			if rep.ready(r.now) {
+				ready++
+			}
+		}
+		sumP99, sumAvg, sumSLO := 0.0, 0.0, 0.0
+		for si, svc := range r.services {
+			per := app.gens[si].RPSAt(r.now, r.rng) / float64(ready)
+			svcP99, svcAvg := 0.0, 0.0
+			for _, rep := range app.replicas {
+				if !rep.ready(r.now) {
+					continue
+				}
+				res := rep.instances[si].Step(r.cfg.Tick, per, rep.vms[si].Freq(), r.cfg.HW.TurboMHz, r.rng)
+				rep.vms[si].SetUtil(res.Util)
+				if res.P99MS > svcP99 {
+					svcP99 = res.P99MS
+				}
+				svcAvg += res.AvgMS
+			}
+			sumP99 += svcP99
+			sumAvg += svcAvg / float64(ready)
+			sumSLO += svc.SLOms()
+		}
+		app.lastNorm = sumP99 / sumSLO
+		if app.wi != nil {
+			for _, rep := range app.replicas {
+				app.wi.Observe(rep.name, core.InstanceMetrics{P99MS: app.lastNorm})
+			}
+		}
+		if measuring {
+			app.p99Est.Add(app.lastNorm)
+			app.avgSum += sumAvg / sumSLO
+			if app.lastNorm > 1 {
+				app.sloMisses++
+			}
+		}
+	}
+}
+
+// decide acts on each app's latest tail: bursts outlast a control period,
+// so it catches them without replaying pre-action latency. Autoscalers keep
+// the coarse cadence of VM automation; WI agents decide every tick
+// (overclocking reacts at millisecond scale, §IV-D).
+func (r *clusterRun) decide(t int) {
+	for _, app := range r.apps {
+		if app.ctrl != nil {
+			if t%r.controlEvery != 0 {
+				continue
+			}
+			dec := app.ctrl.Control(r.now, app.lastNorm, 1)
+			r.scaleApp(app, dec.Instances)
+			for _, rep := range app.replicas {
+				for _, vm := range rep.vms {
+					for _, c := range vm.Cores {
+						vm.Server.SetDesiredFreq(c, dec.FreqMHz) // turbo but for ScaleUp
+					}
+				}
+			}
+			continue
+		}
+		dir := app.wi.Decide(r.now)
+		r.scaleApp(app, dir.Instances)
+		for _, rep := range app.replicas {
+			if !rep.ready(r.now) {
+				continue // cannot overclock a booting VM
+			}
+			_, active := rep.host.soa.Sessions()[rep.name]
+			want := dir.Overclock[rep.name]
+			if want && !active {
+				var cores []int
+				for _, vm := range rep.vms {
+					cores = append(cores, vm.Cores...)
+				}
+				rep.host.soa.Request(r.now, core.Request{
+					VM: rep.name, Cores: len(cores), TargetMHz: r.cfg.HW.MaxOCMHz,
+					Priority: core.PriorityMetric, PreferredCores: cores,
+				})
+			} else if !want && active {
+				rep.host.soa.Stop(r.now, rep.name)
+			}
+		}
+	}
+}
+
+// stepAgentsAndRacks ticks the sOAs in table order (a tick emits events and
+// reports rejections), refreshes SmartOClock's budgets and ticks the racks.
+func (r *clusterRun) stepAgentsAndRacks(t int) {
+	if t%r.rackEvery == 0 && r.goa != nil {
+		for _, s := range r.servers {
+			s.soa.Tick(r.now)
+		}
+	}
+	if r.cfg.System == SysSmartOClock && t > 0 && t%r.budgetEvery == 0 {
+		r.refreshBudgets()
+	}
+	if t%r.rackEvery == 0 {
+		r.mainRack.Tick(r.now)
+		if r.spareRack != nil {
+			r.spareRack.Tick(r.now)
+		}
+	}
+}
+
+// refreshBudgets recomputes heterogeneous budgets from each main-rack
+// sOA's recent profile window — the cluster-scale analogue of the weekly
+// template exchange (§IV-C) compressed to the emulation's time scale.
+func (r *clusterRun) refreshBudgets() {
+	for _, s := range r.servers {
+		if s.role == roleSpare {
+			continue
+		}
+		p := recentProfile(s.soa, s.srv, s.srv.Machine().Config().OCCoreCost())
+		if s.role == roleSocialNet && p.Requested < 16 {
 			// Latency-critical servers keep a floor reserve: their load
 			// waves are phase-shifted, so demand can arrive on servers
 			// that were quiet during the profiling window.
 			p.Requested = 16
 		}
-		goa.SetProfile(s.Name(), flatProfile(p))
+		r.goa.SetProfile(s.srv.Name(), flatProfile(p))
 	}
-	budgets := goa.BudgetsAt(now)
-	for _, s := range all {
-		if b, ok := budgets[s.Name()]; ok && b > 0 {
-			soas[s.Name()].SetStaticBudget(b, true)
+	budgets := r.goa.BudgetsAt(r.now)
+	for _, s := range r.servers {
+		if b := budgets[s.srv.Name()]; b > 0 { // spares have no budget
+			s.soa.SetStaticBudget(b, true)
 		}
 	}
+}
+
+// advance moves the hardware one tick and accrues the measured instance
+// and spare-energy totals.
+func (r *clusterRun) advance(measuring bool) {
+	for _, s := range r.servers {
+		if s.ml != nil {
+			s.ml.Step(r.cfg.Tick, s.srv.EffectiveFreq(0), r.cfg.HW.TurboMHz)
+		}
+		s.srv.Advance(r.cfg.Tick)
+		// Spare servers are charged only while hosting replicas: an unused
+		// spare returns to the provider's pool and is not this workload's
+		// cost, which is exactly why fewer scale-outs save energy (Fig 14).
+		if measuring && s.usedSlots > 0 {
+			r.spareActiveEnergy += s.srv.Power() * r.cfg.Tick.Seconds()
+		}
+	}
+	if measuring {
+		for _, app := range r.apps {
+			r.replicaTotal += len(app.replicas)
+			r.replicaByLevel[app.level] += len(app.replicas)
+		}
+	}
+}
+
+// result aggregates the run's measurements.
+func (r *clusterRun) result() *ClusterResult {
+	res := &ClusterResult{
+		System:               r.cfg.System,
+		NormP99:              map[workload.LoadLevel]float64{},
+		NormAvg:              map[workload.LoadLevel]float64{},
+		MissedSLO:            map[workload.LoadLevel]int{},
+		MeanInstancesByLevel: map[workload.LoadLevel]float64{},
+		ServerEnergy:         map[workload.LoadLevel]float64{},
+		CapEvents:            r.mainRack.CapEvents(),
+	}
+	// With no measured tick every numerator below is zero, so dividing by
+	// one keeps those means at zero.
+	measured := float64(max(1, int(r.cfg.Duration/r.cfg.Tick)-r.warmupTicks))
+	counts := map[workload.LoadLevel]int{}
+	missedFrac := 0.0
+	for _, app := range r.apps {
+		res.NormP99[app.level] += app.p99Est.Value()
+		res.MissedSLO[app.level] += app.sloMisses
+		counts[app.level]++
+		res.NormAvg[app.level] += app.avgSum / measured
+		// The §V-A overclocking-constrained metric: "misses the SLO for x%
+		// of time".
+		missedFrac += float64(app.sloMisses) / measured
+	}
+	mlSum := 0.0
+	for i, s := range r.servers {
+		used := s.srv.Energy() - s.startEnergy
+		switch s.role {
+		case roleSocialNet:
+			res.ServerEnergy[r.apps[i].level] += used
+			res.TotalEnergy += used
+			res.LCEnergy += used
+		case roleML:
+			res.TotalEnergy += used
+			mlSum += s.ml.MeanThroughput() / 100
+		}
+		if s.soa != nil {
+			res.OCRequests += s.soa.Granted() + s.soa.Rejected()
+			res.OCRejections += s.soa.Rejected()
+		}
+	}
+	res.TotalEnergy += r.spareActiveEnergy
+	res.LCEnergy += r.spareActiveEnergy
+	for lvl, n := range counts {
+		res.NormP99[lvl] /= float64(n)
+		res.NormAvg[lvl] /= float64(n)
+		res.ServerEnergy[lvl] /= float64(n)
+	}
+	res.MeanInstances = float64(r.replicaTotal) / measured
+	for lvl, total := range r.replicaByLevel {
+		res.MeanInstancesByLevel[lvl] = float64(total) / measured / float64(counts[lvl])
+	}
+	res.MissedTickFrac = missedFrac / float64(len(r.apps))
+	if n := r.cfg.MLServers; n > 0 {
+		res.MLThroughput = mlSum / float64(n)
+	}
+	if r.reg != nil {
+		res.Metrics = r.reg.Snapshot()
+		res.Trace = r.tracer
+		if r.recorder != nil {
+			res.Series = r.recorder.Recording()
+		}
+	}
+	return res
 }

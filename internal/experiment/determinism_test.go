@@ -83,9 +83,11 @@ func TestAblationEquivalenceAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestFig12To14EquivalenceAcrossWorkers covers all three cluster sweeps,
+// since they share one fan-out.
 func TestFig12To14EquivalenceAcrossWorkers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cluster emulations x8")
+		t.Skip("cluster emulations x24")
 	}
 	run := func(workers int) string {
 		cfg := smokeClusterCfg(SysBaseline)
@@ -94,7 +96,15 @@ func TestFig12To14EquivalenceAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fig12.Format() + fig13.Format() + fig14.Format()
+		power, _, err := RunPowerConstrained(cfg, 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oc, err := RunOCConstrained(cfg, 0.6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fig12.Format() + fig13.Format() + fig14.Format() + power.Format() + oc.Format()
 	}
 	if a, b := run(1), run(8); a != b {
 		t.Errorf("cluster sweep diverges across worker counts:\n%s\nvs\n%s", a, b)

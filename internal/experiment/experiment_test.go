@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -329,14 +330,18 @@ func TestRunClusterSmartBeatsBaseline(t *testing.T) {
 
 // TestRunClusterDeterministic runs each config twice. The observed run on a
 // tightened rack makes the sOAs reject requests and report them to the WIs,
-// so its event trace also pins the order the sOAs tick in.
+// so its event trace also pins the order the sOAs tick in. A minute tick is
+// longer than every control cadence, each of which must clamp to one tick.
 func TestRunClusterDeterministic(t *testing.T) {
 	constrained := smokeClusterCfg(SysSmartOClock)
 	constrained.RackLimitScale = 0.8
 	constrained.Observe = true
+	minuteTick := smokeClusterCfg(SysSmartOClock)
+	minuteTick.Tick = time.Minute
 	for name, cfg := range map[string]ClusterConfig{
 		"default":     smokeClusterCfg(SysSmartOClock),
 		"constrained": constrained,
+		"minute tick": minuteTick,
 	} {
 		a, err := RunCluster(cfg)
 		if err != nil {
@@ -367,10 +372,56 @@ func TestRunClusterDeterministic(t *testing.T) {
 }
 
 func TestRunClusterValidation(t *testing.T) {
-	cfg := smokeClusterCfg(SysBaseline)
-	cfg.Tick = 0
-	if _, err := RunCluster(cfg); err == nil {
-		t.Fatal("expected error on zero tick")
+	for name, mutate := range map[string]func(*ClusterConfig){
+		"zero tick":           func(c *ClusterConfig) { c.Tick = 0 },
+		"duration below tick": func(c *ClusterConfig) { c.Duration = c.Tick / 2 },
+		"no SocialNet":        func(c *ClusterConfig) { c.SocialNetServers = 0 },
+		"negative ML":         func(c *ClusterConfig) { c.MLServers = -1 },
+		"negative spares":     func(c *ClusterConfig) { c.SpareServers = -1 },
+	} {
+		cfg := smokeClusterCfg(SysBaseline)
+		mutate(&cfg)
+		if _, err := RunCluster(cfg); err == nil {
+			t.Errorf("%s: expected an error", name)
+		}
+	}
+
+	// Empty ML and spare groups and an all-warmup run are valid: every
+	// mean stays a number. MLThroughput is 0 with no ML servers, and a run
+	// that measures nothing reports zero instances and misses.
+	noML := func(sys ClusterSystem) ClusterConfig {
+		cfg := smokeClusterCfg(sys)
+		cfg.MLServers, cfg.SpareServers = 0, 0
+		return cfg
+	}
+	allWarmup := smokeClusterCfg(SysSmartOClock)
+	allWarmup.Warmup = allWarmup.Duration
+	for name, cfg := range map[string]ClusterConfig{
+		"ScaleOut, no ML":    noML(SysScaleOut),
+		"SmartOClock, no ML": noML(SysSmartOClock),
+		"all warmup":         allWarmup,
+	} {
+		res, err := RunCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalars := []float64{res.MeanInstances, res.TotalEnergy, res.LCEnergy, res.MLThroughput, res.MissedTickFrac}
+		for _, m := range []map[workload.LoadLevel]float64{res.NormP99, res.NormAvg, res.MeanInstancesByLevel, res.ServerEnergy} {
+			for _, v := range m {
+				scalars = append(scalars, v)
+			}
+		}
+		for _, v := range scalars {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%s: non-finite result %+v", name, res)
+			}
+		}
+		if cfg.MLServers == 0 && res.MLThroughput != 0 {
+			t.Errorf("%s: MLThroughput = %v with no ML servers, want 0", name, res.MLThroughput)
+		}
+		if cfg.Warmup == cfg.Duration && (res.MeanInstances != 0 || res.MissedTickFrac != 0) {
+			t.Errorf("%s: instances %v, missed %v with nothing measured, want 0", name, res.MeanInstances, res.MissedTickFrac)
+		}
 	}
 }
 

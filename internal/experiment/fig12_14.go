@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 
 	"smartoclock/internal/metrics"
@@ -36,36 +37,40 @@ func MergeClusterObservations(systems []ClusterSystem, results map[ClusterSystem
 	}
 }
 
-// runClusterSweep executes one RunCluster per system concurrently (bounded
-// by base.Workers) and returns the results keyed by system. Each emulation
-// owns its entire world — servers, racks, rng — so the sweep parallelizes
-// without any cross-run coordination.
-func runClusterSweep(base ClusterConfig, systems []ClusterSystem) (map[ClusterSystem]*ClusterResult, error) {
-	type out struct {
-		res *ClusterResult
-		err error
-	}
-	outs := parallel.Map(len(systems), parallel.Options{Workers: base.Workers}, func(i int) out {
-		cfg := base
-		cfg.System = systems[i]
-		res, err := RunCluster(cfg)
-		return out{res, err}
+// runClusters runs one emulation per config, at most workers at a time,
+// and returns the results in config order. Each emulation owns its entire
+// world — servers, racks, rng — so the runs need no coordination. It is the
+// only cluster fan-out: every sweep below is a list of configs.
+func runClusters(workers int, cfgs []ClusterConfig) ([]*ClusterResult, error) {
+	errs := make([]error, len(cfgs))
+	results := parallel.Map(len(cfgs), parallel.Options{Workers: workers}, func(i int) *ClusterResult {
+		res, err := RunCluster(cfgs[i])
+		errs[i] = err
+		return res
 	})
-	results := make(map[ClusterSystem]*ClusterResult, len(systems))
-	for i, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-		results[systems[i]] = o.res
+	return results, errors.Join(errs...)
+}
+
+// runSystems runs base once per system and keys the results by system.
+func runSystems(base ClusterConfig, systems []ClusterSystem) (map[ClusterSystem]*ClusterResult, error) {
+	cfgs := make([]ClusterConfig, len(systems))
+	for i, sys := range systems {
+		cfgs[i] = base
+		cfgs[i].System = sys
 	}
-	return results, nil
+	results, err := runClusters(base.Workers, cfgs)
+	bySystem := make(map[ClusterSystem]*ClusterResult, len(systems))
+	for i, res := range results {
+		bySystem[systems[i]] = res
+	}
+	return bySystem, err
 }
 
 // RunFig12To14 executes the four cluster systems and assembles the three
 // result tables of §V-A: latency (Fig 12), cost (Fig 13) and energy
 // (Fig 14).
 func RunFig12To14(base ClusterConfig) (fig12, fig13, fig14 *Table, results map[ClusterSystem]*ClusterResult, err error) {
-	results, err = runClusterSweep(base, ClusterSystems())
+	results, err = runSystems(base, ClusterSystems())
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -120,7 +125,7 @@ func RunFig12To14(base ClusterConfig) (fig12, fig13, fig14 *Table, results map[C
 func RunPowerConstrained(base ClusterConfig, limitScale float64) (*Table, map[ClusterSystem]*ClusterResult, error) {
 	cfg := base
 	cfg.RackLimitScale = limitScale
-	results, err := runClusterSweep(cfg, []ClusterSystem{SysNaiveOClock, SysSmartOClock})
+	results, err := runSystems(cfg, []ClusterSystem{SysNaiveOClock, SysSmartOClock})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -146,31 +151,26 @@ func RunOCConstrained(base ClusterConfig, initialBudget float64) (*Table, error)
 		Headers: []string{"BudgetPct", "Reactive", "Proactive"},
 	}
 	// The 3x2 (budget, corrective-policy) grid flattens into independent
-	// emulation shards; results are assembled back into rows in grid order.
+	// emulations; results come back in grid order.
 	pcts := []float64{0.75, 0.50, 0.25}
-	modes := []bool{false, true}
-	type out struct {
-		res *ClusterResult
-		err error
-	}
-	outs := parallel.Map(len(pcts)*len(modes), parallel.Options{Workers: base.Workers}, func(i int) out {
-		cfg := base
-		cfg.System = SysSmartOClock
-		cfg.OCBudgetScale = initialBudget * pcts[i/len(modes)]
-		cfg.Proactive = modes[i%len(modes)]
-		res, err := RunCluster(cfg)
-		return out{res, err}
-	})
-	for pi, pct := range pcts {
-		row := []any{fmt.Sprintf("%.0f%%", pct*100)}
-		for mi := range modes {
-			o := outs[pi*len(modes)+mi]
-			if o.err != nil {
-				return nil, o.err
-			}
-			row = append(row, fmt.Sprintf("%.1f%%", 100*o.res.MissedTickFrac))
+	var cfgs []ClusterConfig
+	for _, pct := range pcts {
+		for _, proactive := range []bool{false, true} {
+			cfg := base
+			cfg.System = SysSmartOClock
+			cfg.OCBudgetScale = initialBudget * pct
+			cfg.Proactive = proactive
+			cfgs = append(cfgs, cfg)
 		}
-		tbl.AddRow(row...)
+	}
+	results, err := runClusters(base.Workers, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for i, pct := range pcts {
+		reactive, proactive := results[2*i], results[2*i+1]
+		tbl.AddRow(fmt.Sprintf("%.0f%%", pct*100),
+			fmt.Sprintf("%.1f%%", 100*reactive.MissedTickFrac), fmt.Sprintf("%.1f%%", 100*proactive.MissedTickFrac))
 	}
 	return tbl, nil
 }
