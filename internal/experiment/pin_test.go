@@ -235,3 +235,56 @@ func writeClusterObservation(t *testing.T, b *strings.Builder, label string, o *
 	fmt.Fprintf(b, "%s: metrics sha256 %s\ntrace events %d sha256 %s\nseries sha256 %s\n", label,
 		sha256Hex(prom.Bytes()), len(o.Trace.Events()), sha256Hex(trace.Bytes()), sha256Hex(series.Bytes()))
 }
+
+// TestOversubCellsGolden pins the oversubscription cells at full precision.
+// oversub_smoke.golden and contention_smoke.golden print three decimals, too
+// coarse to catch a reordered OCCoreHours or MaxUtil sum, so this golden
+// holds every field of OversubCellResult (%v) for each smoke cell of both
+// sweeps and both canary cells, with violations as a count and the first
+// entry and the error as its summary line.
+func TestOversubCellsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("oversubscription sweeps")
+	}
+	cfg := smokeOversubCfg()
+	var b strings.Builder
+	ov, err := RunOversub(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ov.Cells {
+		writeOversubCell(&b, "oversub", &ov.Cells[i])
+	}
+	ct, err := RunContention(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ct.Cells {
+		writeOversubCell(&b, "contention", &ct.Cells[i])
+	}
+	noCapping, inverted, err := RunOversubCanary(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeOversubCell(&b, "canary no-capping", noCapping)
+	writeOversubCell(&b, "canary inverted", inverted)
+	checkGolden(t, "oversub_cells.golden", b.String())
+}
+
+// writeOversubCell prints every field of c at full precision.
+func writeOversubCell(b *strings.Builder, label string, c *OversubCellResult) {
+	fmt.Fprintf(b, "--- %s ratio %v ---\n", label, c.Ratio)
+	fmt.Fprintf(b, "Offered %v\nAdmitted %v\nRejected %v\nFallback %v\nWarnings %v\nCapEvents %v\n",
+		c.Offered, c.Admitted, c.Rejected, c.Fallback, c.Warnings, c.CapEvents)
+	fmt.Fprintf(b, "ServerTicks %v\nCappedTicks %v\nMaxUtil %v\nOCCoreHours %v\nInvariantChecks %v\n",
+		c.ServerTicks, c.CappedTicks, c.MaxUtil, c.OCCoreHours, c.InvariantChecks)
+	fmt.Fprintf(b, "Violations %d\n", len(c.Violations))
+	if len(c.Violations) > 0 {
+		fmt.Fprintf(b, "FirstViolation %v\n", c.Violations[0])
+	}
+	errLine := "<nil>"
+	if c.Err != nil {
+		errLine, _, _ = strings.Cut(c.Err.Error(), "\n")
+	}
+	fmt.Fprintf(b, "Err %s\n", errLine)
+}
