@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"smartoclock/internal/agent"
 	"smartoclock/internal/alert"
 	"smartoclock/internal/chaos"
+	"smartoclock/internal/cluster"
 	"smartoclock/internal/core"
 	"smartoclock/internal/invariant"
 	"smartoclock/internal/machine"
@@ -127,8 +129,10 @@ func (c ChaosConfig) Validate() error {
 		return fmt.Errorf("experiment: bad OC budget %v/%v", c.BudgetEpoch, c.OCBudgetFraction)
 	case c.EnforcementGrace < c.Tick:
 		return fmt.Errorf("experiment: EnforcementGrace %v below one tick %v", c.EnforcementGrace, c.Tick)
+	case c.RackLimitScale <= 0:
+		return fmt.Errorf("experiment: chaos RackLimitScale = %v, must be positive", c.RackLimitScale)
 	}
-	return nil
+	return errors.Join(c.HW.Validate(), c.transportConfig().Validate())
 }
 
 // ChaosResult aggregates one chaos run.
@@ -188,6 +192,16 @@ func squareWaveDemand(i, n int, since time.Duration) bool {
 	return (since+phase)%period < 9*time.Minute
 }
 
+// squareWaveUtil draws a square-wave server's utilization: its VM's cores run
+// hot while it wants to overclock, and everything else runs at rest.
+func squareWaveUtil(rng *rand.Rand, want bool) (vm, rest float64) {
+	rest = 0.35 + 0.05*rng.Float64()
+	if !want {
+		return rest, rest
+	}
+	return 0.80 + 0.10*rng.Float64(), rest
+}
+
 // partialOCLimit sizes a rack limit with headroom for some, not all, servers
 // to overclock at once: scale × (current draw + half the all-server
 // overclock delta).
@@ -201,218 +215,244 @@ func partialOCLimit(servers []*rigServer, scale float64) float64 {
 	return scale * (est + 0.5*fullOC)
 }
 
-// RunChaos executes the fault-injection experiment.
-func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	eng := sim.NewEngine(cfg.Start, cfg.Seed)
-	end := cfg.Start.Add(cfg.Duration)
-
-	// --- Transport with fault injection -----------------------------------
+// transportConfig is the run's fault model: the message faults plus the gOA
+// outage window.
+func (c ChaosConfig) transportConfig() chaos.Config {
 	var outages []chaos.Window
-	if cfg.GOAOutage > 0 {
-		outages = append(outages, chaos.Window{
-			Agent: "goa",
-			From:  cfg.Start.Add(cfg.GOAOutageStart),
-			To:    cfg.Start.Add(cfg.GOAOutageStart + cfg.GOAOutage),
-		})
+	if c.GOAOutage > 0 {
+		from := c.Start.Add(c.GOAOutageStart)
+		outages = []chaos.Window{{Agent: "goa", From: from, To: from.Add(c.GOAOutage)}}
 	}
-	tr := chaos.NewTransport(chaos.Config{
-		Seed:      cfg.Seed + 1,
-		DropProb:  cfg.DropProb,
-		DupProb:   cfg.DupProb,
-		DelayProb: cfg.DelayProb,
-		MaxDelay:  cfg.MaxDelay,
-		BaseDelay: cfg.BaseDelay,
+	return chaos.Config{
+		Seed:      c.Seed + 1,
+		DropProb:  c.DropProb,
+		DupProb:   c.DupProb,
+		DelayProb: c.DelayProb,
+		MaxDelay:  c.MaxDelay,
+		BaseDelay: c.BaseDelay,
 		Outages:   outages,
-	}, eng, agent.NewBus())
+	}
+}
 
-	// Chaos runs are always observed: a single shard on the real
-	// discrete-event engine, so telemetry costs nothing measurable and the
-	// trace documents the fault story tick by tick.
-	reg := metrics.NewRegistry()
-	tracer := newShardTracer(cfg.TraceOnly)
-	tr.Instrument(reg, tracer)
-	var recorder *metrics.Recorder
-	if cfg.RecordEvery > 0 {
-		recorder = metrics.NewRecorder(reg, cfg.Start, cfg.RecordEvery)
-	}
-
-	// --- Servers and workload ---------------------------------------------
-	// Each server hosts one latency-critical VM spanning half its cores;
-	// overclock demand arrives in phase-shifted square waves, deliberately
-	// exceeding the per-epoch overclock time budget so the
-	// lifetime-exhaustion path runs too.
-	servers := make([]*rigServer, cfg.Servers)
-	for i := range servers {
-		servers[i] = newRigServer(fmt.Sprintf("ch-%02d", i), cfg.HW, cfg.HW.Cores/2)
-	}
-	demandAt := func(i int, now time.Time) bool {
-		return squareWaveDemand(i, cfg.Servers, now.Sub(cfg.Start))
-	}
-	utilRng := rand.New(rand.NewSource(cfg.Seed + 2))
-	setUtil := func(i int, now time.Time) {
-		base := 0.35 + 0.05*utilRng.Float64()
-		hot := base
-		if demandAt(i, now) {
-			hot = 0.80 + 0.10*utilRng.Float64()
-		}
-		servers[i].setUtil(hot, base)
-	}
-	for i := range servers {
-		setUtil(i, cfg.Start)
-	}
-
-	// --- The rack's control plane: volatile sOAs over durable ledgers ------
-	soaCfg := rigSOAConfig()
-	soaCfg.InitialBackoff = time.Minute
-	soaCfg.MaxBackoff = 15 * time.Minute
-	soaCfg.ExhaustionWindow = 5 * time.Minute
-	soaCfg.AdmissionUtil = 0.7
-	rg := &rig{
-		goaID:   "goa",
-		limit:   partialOCLimit(servers, cfg.RackLimitScale),
-		soaCfg:  soaCfg,
-		bcfg:    rigBudgetConfig(cfg.BudgetEpoch, cfg.OCBudgetFraction),
-		start:   cfg.Start,
-		servers: servers,
-		reg:     reg,
-		tracer:  tracer,
-	}
-	rg.assemble("rack-chaos")
-
-	// Every message travels the faulty transport, rack notifications
-	// included: a lost warning means the sOA keeps exploring and gets capped
-	// again — safe but slower, exactly the decentralized-enforcement story.
-	// Bursts cross in one batched call; the transport draws its fault rng per
-	// message in batch order, so results match unbatched sends byte for byte.
+// wireRig and scheduleRigMessages are the sim-transport wiring the chaos and
+// zoo drivers share. They belong to the drivers, since the rig has no clock
+// and no transport, and each driver calls them where it used to register
+// these pieces itself, which keeps the engine's registration order.
+//
+// wireRig registers rg's gOA and sOAs on tr and sends each rack event's
+// fan-out across it. Every message travels the faulty transport, rack
+// notifications included: a lost warning means the sOA keeps exploring and
+// gets capped again — safe but slower, exactly the decentralized-enforcement
+// story. Bursts cross in one batched call; the transport draws its fault rng
+// per message in batch order, so results match unbatched sends byte for byte.
+func wireRig(eng *sim.Engine, tr *chaos.Transport, rg *rig) {
 	deliver := func(m agent.Message) { rg.deliver(eng.Now(), m) }
 	tr.Register(rg.goaID, deliver)
-	agentNames := make([]string, len(servers))
-	for i, s := range servers {
+	for _, s := range rg.servers {
 		tr.Register(s.agentID, deliver)
-		agentNames[i] = s.agentID
 	}
 	rg.rack.Subscribe(func(ev power.Event) { _ = agent.SendAll(tr, rg.rackEventFanout(ev)) })
+}
 
-	// --- Crash/restart plan ------------------------------------------------
-	res := &ChaosResult{}
-	plan := chaos.GenPlan(cfg.Seed+3, agentNames, cfg.Start.Add(5*time.Minute),
-		cfg.Duration-15*time.Minute, cfg.SOACrashes, cfg.MaxCrashDown)
-	plan.WarmRestart = cfg.WarmRestart
-	plan.CheckpointEvery = cfg.CheckpointEvery
-	// ckpts holds each agent's last encoded checkpoint envelope.
-	ckpts := make(map[string][]byte, len(servers))
-	if plan.WarmRestart && plan.CheckpointEvery > 0 {
-		eng.Every(cfg.Start.Add(plan.CheckpointEvery), plan.CheckpointEvery, func(now time.Time) {
-			for _, s := range servers {
-				if s.soa == nil {
-					continue // crashed agents keep their previous checkpoint
-				}
-				data, err := store.Encode(now, &soaCheckpoint{SOA: s.volatileState(), Budget: s.budget, BudgetAt: s.budgetAt})
-				if err == nil {
-					ckpts[s.agentID] = data
-					res.Checkpoints++
-				}
-			}
-		})
-	}
-	plan.Schedule(eng, tr,
-		func(name string) {
-			if s := rg.byAgent[name]; s.soa != nil { // else already down (overlapping faults)
-				s.crash()
-				res.Crashes++
-			}
-		},
-		func(name string) {
-			s := rg.byAgent[name]
-			if s.soa != nil {
-				return
-			}
-			rg.boot(s, eng.Now())
-			if data := ckpts[name]; plan.WarmRestart && data != nil {
-				// Warm restart: restore the rebooted agent from its last
-				// checkpoint. A decode/restore failure degrades to the cold
-				// boot that already happened — never worse than cold.
-				var ck soaCheckpoint
-				if _, err := store.Decode(data, &ck); err == nil {
-					if err := s.soa.Restore(ck.SOA); err == nil {
-						s.budget, s.budgetAt = ck.Budget, ck.BudgetAt
-						res.WarmRestores++
-					}
-				}
-			}
-			res.Restarts++
-		})
-
-	// --- Invariants --------------------------------------------------------
-	checker := invariant.NewChecker()
-	checker.Instrument(reg, tracer)
-	rg.watch(checker, cfg.EnforcementGrace)
-	rg.watchLedgers(checker, 12*cfg.Tick)
-
-	// --- Periodic control planes -------------------------------------------
-	// sOA → gOA profile reports (staggered one tick apart per server).
-	for i, s := range servers {
-		eng.Every(cfg.Start.Add(cfg.ProfileEvery+time.Duration(i)*cfg.Tick), cfg.ProfileEvery, func(now time.Time) {
+// scheduleRigMessages registers rg's periodic sends on tr: sOA → gOA profile
+// reports, staggered one tick apart per server, and gOA → sOA budget pushes,
+// which a downed gOA does not compute.
+func scheduleRigMessages(eng *sim.Engine, tr *chaos.Transport, rg *rig, tick, profileEvery, budgetEvery time.Duration) {
+	for i, s := range rg.servers {
+		eng.Every(rg.start.Add(profileEvery+time.Duration(i)*tick), profileEvery, func(now time.Time) {
 			if msg, ok := rg.profileReport(s, now); ok {
 				_ = tr.Send(msg)
 			}
 		})
 	}
-	// gOA → sOA budget pushes. While the gOA is down it computes nothing.
-	eng.Every(cfg.Start.Add(cfg.BudgetEvery), cfg.BudgetEvery, func(now time.Time) {
+	eng.Every(rg.start.Add(budgetEvery), budgetEvery, func(now time.Time) {
 		if !tr.Down(rg.goaID) {
 			_ = agent.SendAll(tr, rg.budgetPushes(now))
 		}
 	})
+}
 
-	// --- Main control tick -------------------------------------------------
-	staleAfter := 2 * cfg.BudgetEvery
-	eng.Every(cfg.Start.Add(cfg.Tick), cfg.Tick, func(now time.Time) {
-		res.Ticks++
-		for i, s := range servers {
-			setUtil(i, now)
-			if s.soa == nil {
-				continue // crashed: nobody to ask, VM runs at turbo
-			}
-			rg.stepServer(s, now, demandAt(i, now))
-			fresh := s.budgetAt
-			if fresh.IsZero() {
-				fresh = cfg.Start // no push since boot: stale once the run is old enough
-			}
-			if now.Sub(fresh) > staleAfter {
-				res.StaleBudgetTicks++
-			}
-		}
-		rg.tickRack(now, cfg.Tick)
-		checker.Check(now)
-		// The callback fires at Start+k*Tick, so `now` is already the
-		// tick's end boundary.
-		if recorder != nil {
-			recorder.Tick(now)
-		}
-	})
+// chaosRun is one fault-injection run: the rig on the faulty transport, the
+// crash/restart plan with its checkpoint store, and the result it fills.
+type chaosRun struct {
+	cfg      ChaosConfig
+	eng      *sim.Engine
+	tr       *chaos.Transport
+	rg       *rig
+	recorder *metrics.Recorder // nil unless RecordEvery is set
+	utilRng  *rand.Rand
+	checker  *invariant.Checker
+	// ckpts holds each agent's last encoded checkpoint envelope.
+	ckpts map[string][]byte
+	res   *ChaosResult
+}
 
-	eng.Run(end)
-
-	// --- Aggregate ---------------------------------------------------------
-	res.Transport = tr.Stats()
-	res.CapEvents = rg.rack.CapEvents()
-	res.Warnings = rg.rack.Warnings()
-	res.Requests = rg.requests
-	res.Granted = rg.granted
-	res.InvariantChecks = checker.Checks()
-	res.Violations = checker.Violations()
-	res.Err = checker.Err()
-	res.Metrics = reg.Snapshot()
-	res.Trace = tracer
-	if recorder != nil {
-		res.Series = recorder.Recording()
-		res.Alerts = alert.Eval(res.Series, alert.DefaultRules(), tracer)
+// RunChaos executes the fault-injection experiment.
+func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	return res, nil
+	c := newChaosRun(cfg)
+	c.eng.Run(cfg.Start.Add(cfg.Duration))
+	return c.result(), nil
+}
+
+// newChaosRun builds the run and registers its engine events: checkpoints,
+// crashes and restarts, profile reports, budget pushes, then the control tick.
+//
+// Each server hosts one latency-critical VM spanning half its cores; overclock
+// demand arrives in phase-shifted square waves, deliberately exceeding the
+// per-epoch overclock time budget so the lifetime-exhaustion path runs too.
+// The rack's control plane is volatile sOAs over durable ledgers. Chaos runs
+// are always observed: a single shard on the real discrete-event engine, so
+// telemetry costs nothing measurable and the trace documents the fault story
+// tick by tick.
+func newChaosRun(cfg ChaosConfig) *chaosRun {
+	eng := sim.NewEngine(cfg.Start, cfg.Seed)
+	utilRng := rand.New(rand.NewSource(cfg.Seed + 2))
+	servers := make([]*rigServer, cfg.Servers)
+	for i := range servers {
+		servers[i] = newRigServer(cluster.NewServer(fmt.Sprintf("ch-%02d", i), cfg.HW, 0), cfg.HW.Cores/2)
+		servers[i].setUtil(squareWaveUtil(utilRng, squareWaveDemand(i, cfg.Servers, 0)))
+	}
+	c := &chaosRun{
+		cfg: cfg,
+		eng: eng,
+		tr:  chaos.NewTransport(cfg.transportConfig(), eng, agent.NewBus()),
+		rg: &rig{
+			goaID:   "goa",
+			soaCfg:  stressSOAConfig(),
+			bcfg:    rigBudgetConfig(cfg.BudgetEpoch, cfg.OCBudgetFraction),
+			start:   cfg.Start,
+			servers: servers,
+			reg:     metrics.NewRegistry(),
+			tracer:  newShardTracer(cfg.TraceOnly),
+		},
+		utilRng: utilRng,
+		checker: invariant.NewChecker(),
+		ckpts:   make(map[string][]byte, cfg.Servers),
+		res:     &ChaosResult{},
+	}
+	reg, tracer := c.rg.reg, c.rg.tracer
+	c.tr.Instrument(reg, tracer)
+	if cfg.RecordEvery > 0 {
+		c.recorder = metrics.NewRecorder(reg, cfg.Start, cfg.RecordEvery)
+	}
+	c.rg.limit = partialOCLimit(servers, cfg.RackLimitScale)
+	c.rg.assemble("rack-chaos")
+	wireRig(eng, c.tr, c.rg)
+
+	// The sOA crash/restart plan, preceded by the periodic checkpoints when
+	// restarts are warm.
+	agents := make([]string, len(servers))
+	for i, s := range servers {
+		agents[i] = s.agentID
+	}
+	plan := chaos.GenPlan(cfg.Seed+3, agents, cfg.Start.Add(5*time.Minute), cfg.Duration-15*time.Minute,
+		cfg.SOACrashes, cfg.MaxCrashDown)
+	plan.WarmRestart, plan.CheckpointEvery = cfg.WarmRestart, cfg.CheckpointEvery
+	if plan.WarmRestart && plan.CheckpointEvery > 0 {
+		eng.Every(cfg.Start.Add(plan.CheckpointEvery), plan.CheckpointEvery, c.checkpoint)
+	}
+	plan.Schedule(eng, c.tr, c.crash, c.restart)
+
+	c.checker.Instrument(reg, tracer)
+	c.rg.watch(c.checker, cfg.EnforcementGrace)
+	c.rg.watchLedgers(c.checker, 12*cfg.Tick)
+	scheduleRigMessages(eng, c.tr, c.rg, cfg.Tick, cfg.ProfileEvery, cfg.BudgetEvery)
+	eng.Every(cfg.Start.Add(cfg.Tick), cfg.Tick, c.tick)
+	return c
+}
+
+// checkpoint encodes every running sOA's volatile state with its budget
+// freshness; crashed agents keep their previous checkpoint.
+func (c *chaosRun) checkpoint(now time.Time) {
+	for _, s := range c.rg.servers {
+		if s.soa == nil {
+			continue
+		}
+		data, err := store.Encode(now, &soaCheckpoint{SOA: s.volatileState(), Budget: s.budget, BudgetAt: s.budgetAt})
+		if err == nil {
+			c.ckpts[s.agentID] = data
+			c.res.Checkpoints++
+		}
+	}
+}
+
+// crash takes the named sOA down, unless overlapping faults already did.
+func (c *chaosRun) crash(name string) {
+	if s := c.rg.byAgent[name]; s.soa != nil {
+		s.crash()
+		c.res.Crashes++
+	}
+}
+
+// restart reboots the named sOA cold and, in warm-restart mode, restores it
+// from its last checkpoint. A decode or restore failure degrades to the cold
+// boot that already happened — never worse than cold.
+func (c *chaosRun) restart(name string) {
+	s := c.rg.byAgent[name]
+	if s.soa != nil {
+		return
+	}
+	c.rg.boot(s, c.eng.Now())
+	if data := c.ckpts[name]; data != nil {
+		var ck soaCheckpoint
+		if _, err := store.Decode(data, &ck); err == nil {
+			if err := s.soa.Restore(ck.SOA); err == nil {
+				s.budget, s.budgetAt = ck.Budget, ck.BudgetAt
+				c.res.WarmRestores++
+			}
+		}
+	}
+	c.res.Restarts++
+}
+
+// tick is the main control tick. The engine fires it at Start+k*Tick, so now
+// is already the tick's end boundary.
+func (c *chaosRun) tick(now time.Time) {
+	c.res.Ticks++
+	staleAfter := 2 * c.cfg.BudgetEvery
+	for i, s := range c.rg.servers {
+		want := squareWaveDemand(i, c.cfg.Servers, now.Sub(c.cfg.Start))
+		s.setUtil(squareWaveUtil(c.utilRng, want))
+		if s.soa == nil {
+			continue // crashed: nobody to ask, VM runs at turbo
+		}
+		c.rg.stepServer(s, now, want)
+		fresh := s.budgetAt
+		if fresh.IsZero() {
+			fresh = c.cfg.Start // no push since boot: stale once the run is old enough
+		}
+		if now.Sub(fresh) > staleAfter {
+			c.res.StaleBudgetTicks++
+		}
+	}
+	c.rg.tickRack(now, c.cfg.Tick)
+	c.checker.Check(now)
+	if c.recorder != nil {
+		c.recorder.Tick(now)
+	}
+}
+
+// result aggregates the finished run.
+func (c *chaosRun) result() *ChaosResult {
+	res := c.res
+	res.Transport = c.tr.Stats()
+	res.CapEvents = c.rg.rack.CapEvents()
+	res.Warnings = c.rg.rack.Warnings()
+	res.Requests = c.rg.requests
+	res.Granted = c.rg.granted
+	res.InvariantChecks = c.checker.Checks()
+	res.Violations = c.checker.Violations()
+	res.Err = c.checker.Err()
+	res.Metrics = c.rg.reg.Snapshot()
+	res.Trace = c.rg.tracer
+	if c.recorder != nil {
+		res.Series = c.recorder.Recording()
+		res.Alerts = alert.Eval(res.Series, alert.DefaultRules(), c.rg.tracer)
+	}
+	return res
 }
 
 // Format renders the chaos run as a report table.

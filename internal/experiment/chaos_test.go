@@ -82,27 +82,38 @@ func TestChaosWarmRestart(t *testing.T) {
 // TestChaosDeterministic: same config, same seed — identical run, down to
 // every fault counter and every decision.
 func TestChaosDeterministic(t *testing.T) {
-	cfg := DefaultChaosConfig()
-	cfg.Duration = 45 * time.Minute
-	cfg.GOAOutageStart = 15 * time.Minute
-	cfg.GOAOutage = 10 * time.Minute
-	cfg.SOACrashes = 2
-	a, err := RunChaos(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunChaos(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Transport != b.Transport {
-		t.Errorf("transport stats differ: %+v vs %+v", a.Transport, b.Transport)
-	}
-	if a.Requests != b.Requests || a.Granted != b.Granted {
-		t.Errorf("oc activity differs: %d/%d vs %d/%d", a.Requests, a.Granted, b.Requests, b.Granted)
-	}
-	if a.StaleBudgetTicks != b.StaleBudgetTicks || a.CapEvents != b.CapEvents || a.Warnings != b.Warnings {
-		t.Errorf("run metrics differ: %+v vs %+v", a, b)
+	cold := DefaultChaosConfig()
+	cold.Duration = 45 * time.Minute
+	cold.GOAOutageStart = 15 * time.Minute
+	cold.GOAOutage = 10 * time.Minute
+	cold.SOACrashes = 2
+	warm := cold
+	warm.SOACrashes = 4
+	warm.WarmRestart = true
+	warm.CheckpointEvery = 2 * time.Minute
+	for _, cfg := range []ChaosConfig{cold, warm} {
+		a, err := RunChaos(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := RunChaos(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.WarmRestart && a.WarmRestores == 0 {
+			t.Errorf("warm run restored no sOA from a checkpoint (%d restarts)", a.Restarts)
+		}
+		if a.Transport != b.Transport {
+			t.Errorf("warm=%v: transport stats differ: %+v vs %+v", cfg.WarmRestart, a.Transport, b.Transport)
+		}
+		if a.Requests != b.Requests || a.Granted != b.Granted {
+			t.Errorf("warm=%v: oc activity differs: %d/%d vs %d/%d", cfg.WarmRestart, a.Requests, a.Granted, b.Requests, b.Granted)
+		}
+		if a.StaleBudgetTicks != b.StaleBudgetTicks || a.CapEvents != b.CapEvents || a.Warnings != b.Warnings ||
+			a.Crashes != b.Crashes || a.Restarts != b.Restarts ||
+			a.Checkpoints != b.Checkpoints || a.WarmRestores != b.WarmRestores {
+			t.Errorf("warm=%v: run metrics differ: %+v vs %+v", cfg.WarmRestart, a, b)
+		}
 	}
 }
 
@@ -119,6 +130,9 @@ func TestChaosConfigValidate(t *testing.T) {
 		"grace sub-tick":  func(c *ChaosConfig) { c.EnforcementGrace = c.Tick / 2 },
 		"short duration":  func(c *ChaosConfig) { c.Duration = c.Tick / 2 },
 		"no profile push": func(c *ChaosConfig) { c.ProfileEvery = 0 },
+		"zero rack limit": func(c *ChaosConfig) { c.RackLimitScale = 0 },
+		"drop over 1":     func(c *ChaosConfig) { c.DropProb = 1.5 },
+		"no cores":        func(c *ChaosConfig) { c.HW.Cores = 0 },
 	} {
 		cfg := DefaultChaosConfig()
 		mutate(&cfg)

@@ -2,12 +2,14 @@ package experiment
 
 import (
 	"context"
+	"math/rand"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"smartoclock/internal/agent"
 	"smartoclock/internal/api"
 	"smartoclock/internal/cluster"
 	"smartoclock/internal/core"
@@ -19,9 +21,9 @@ import (
 
 // liveDeployment is an API-registered workload owning cores on one server.
 // Its cores run at util each tick (overriding the background pattern), and
-// its name doubles as the VM name for overclock sessions.
+// its name, its key in liveWorld.deployments, doubles as the VM name for
+// overclock sessions.
 type liveDeployment struct {
-	name   string
 	server string
 	cores  []int
 	util   float64
@@ -47,9 +49,6 @@ type liveWorld struct {
 	rig *rig
 
 	deployments map[string]*liveDeployment
-	// coreOwner maps server → core index → deployment name for the free
-	// pool (indices at or above len(vmCores)).
-	coreOwner map[string]map[int]string
 
 	// chaosDown marks agents ("goa", "soa/<server>") whose control
 	// messages are dropped in both directions; dropped counts the drops.
@@ -65,9 +64,22 @@ type liveWorld struct {
 	ckptErrors *metrics.Counter
 	ckptBytes  *metrics.Gauge
 
-	// doTick runs exactly one simulation tick (set by RunLive).
-	doTick   func()
-	shutdown bool
+	// The transport: two loopback nodes and the inboxes their read loops
+	// fill. pendingRack queues the rack events of the running tick until
+	// they cross TCP after it.
+	goaNode, soaNode   *agent.TCPNode
+	goaInbox, soaInbox chan agent.Message
+	pendingRack        []power.Event
+	pub                *livePublisher
+
+	// rngs draw each server's background utilization; the next instants
+	// schedule the periodic sends and checkpoints.
+	rngs                              []*rand.Rand
+	nextProfile, nextBudget, nextCkpt time.Time
+	// stepLocked is drainAndStep bound once, so handing it to the lock
+	// costs no allocation per tick.
+	stepLocked func(*metrics.Registry)
+	shutdown   bool
 
 	// sent/received count control messages successfully written to and
 	// delivered from the loopback links; hold mode barriers on their
@@ -102,10 +114,19 @@ func (w *liveWorld) server(name string) (*rigServer, error) {
 	return ls, nil
 }
 
-// sendAllowed gates one control-plane send on the chaos fault state: a
-// message is dropped when either endpoint is down. Must run under the lock.
-func (w *liveWorld) sendAllowed(from, to string) bool {
-	if w.chaosDown[from] || w.chaosDown[to] {
+// onServer runs fn under the lock on the named server.
+func (w *liveWorld) onServer(name string, fn func(ls *rigServer)) error {
+	ls, err := w.server(name)
+	if err == nil {
+		w.do(func() { fn(ls) })
+	}
+	return err
+}
+
+// chaosAllows gates one control-plane message on the chaos fault state: it
+// is dropped, and counted, when either endpoint is down.
+func (w *liveWorld) chaosAllows(m agent.Message) bool {
+	if w.chaosDown[m.From] || w.chaosDown[m.To] {
 		w.dropped++
 		return false
 	}
@@ -139,10 +160,8 @@ func (w *liveWorld) buildStatus() *api.ClusterStatus {
 		},
 	}
 	st.ProfiledServers = w.rig.goa.Servers()
-	for a := range w.chaosDown {
-		st.ChaosDown = append(st.ChaosDown, a)
-	}
-	sort.Strings(st.ChaosDown)
+	st.ChaosDown = sortedKeys(w.chaosDown)
+	deployments := sortedKeys(w.deployments)
 	for _, ls := range w.rig.servers {
 		ss := api.ServerStatus{
 			Name:         ls.srv.Name(),
@@ -153,12 +172,7 @@ func (w *liveWorld) buildStatus() *api.ClusterStatus {
 			BudgetWatts:  ls.soa.BudgetAt(w.now),
 		}
 		sessions := ls.soa.Sessions()
-		vms := make([]string, 0, len(sessions))
-		for vm := range sessions {
-			vms = append(vms, vm)
-		}
-		sort.Strings(vms)
-		for _, vm := range vms {
+		for _, vm := range sortedKeys(sessions) {
 			s := sessions[vm]
 			ss.Sessions = append(ss.Sessions, api.SessionStatus{
 				VM:       vm,
@@ -167,25 +181,30 @@ func (w *liveWorld) buildStatus() *api.ClusterStatus {
 				Priority: s.Priority.String(),
 			})
 		}
-		st.Servers = append(st.Servers, ss)
-	}
-	names := make([]string, 0, len(w.deployments))
-	for name := range w.deployments {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		d := w.deployments[name]
-		for i := range st.Servers {
-			if st.Servers[i].Name == d.server {
-				st.Servers[i].Deployments = append(st.Servers[i].Deployments, api.DeploymentStatus{
-					Name: d.name, Server: d.server,
+		for _, name := range deployments {
+			if d := w.deployments[name]; d.server == ss.Name {
+				ss.Deployments = append(ss.Deployments, api.DeploymentStatus{
+					Name: name, Server: d.server,
 					Cores: append([]int(nil), d.cores...), Util: d.util,
 				})
 			}
 		}
+		st.Servers = append(st.Servers, ss)
 	}
 	return st
+}
+
+// sortedKeys returns m's keys in order, nil for an empty map.
+func sortedKeys[V any](m map[string]V) []string {
+	if len(m) == 0 {
+		return nil
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func (w *liveWorld) registerDeployment(spec api.DeploymentSpec) (*api.DeploymentStatus, error) {
@@ -196,10 +215,9 @@ func (w *liveWorld) registerDeployment(spec api.DeploymentSpec) (*api.Deployment
 	if err != nil {
 		return nil, err
 	}
-	owners := w.coreOwner[spec.Server]
 	var free []int
 	for c := len(ls.vmCores); c < ls.srv.NumCores(); c++ {
-		if owners[c] == "" {
+		if _, taken := ls.pinned[c]; !taken {
 			free = append(free, c)
 		}
 	}
@@ -208,15 +226,15 @@ func (w *liveWorld) registerDeployment(spec api.DeploymentSpec) (*api.Deployment
 			spec.Server, len(free), spec.Name, spec.Cores)
 	}
 	cores := append([]int(nil), free[:spec.Cores]...)
-	dep := &liveDeployment{name: spec.Name, server: spec.Server, cores: cores, util: spec.Util}
+	dep := &liveDeployment{server: spec.Server, cores: cores, util: spec.Util}
 	w.do(func() {
 		for _, c := range cores {
-			owners[c] = spec.Name
+			ls.pinned[c] = spec.Util
 			ls.srv.SetCoreUtil(c, spec.Util)
 		}
 		w.deployments[spec.Name] = dep
 	})
-	return &api.DeploymentStatus{Name: dep.name, Server: dep.server,
+	return &api.DeploymentStatus{Name: spec.Name, Server: dep.server,
 		Cores: append([]int(nil), cores...), Util: dep.util}, nil
 }
 
@@ -228,9 +246,8 @@ func (w *liveWorld) drainDeployment(name string) error {
 	ls, _ := w.server(dep.server) // deployments only register on known servers
 	w.do(func() {
 		ls.soa.Stop(w.now, name)
-		owners := w.coreOwner[dep.server]
 		for _, c := range dep.cores {
-			delete(owners, c)
+			delete(ls.pinned, c)
 			ls.srv.SetCoreUtil(c, 0)
 		}
 		delete(w.deployments, name)
@@ -239,30 +256,20 @@ func (w *liveWorld) drainDeployment(name string) error {
 }
 
 func (w *liveWorld) setProfile(spec api.ProfileSpec) error {
-	ls, err := w.server(spec.Server)
-	if err != nil {
-		return err
-	}
-	cost := spec.CoreCostWatts
-	if cost == 0 {
-		cost = ls.srv.Machine().Config().OCCoreCost()
-	}
-	w.do(func() {
+	return w.onServer(spec.Server, func(ls *rigServer) {
+		cost := spec.CoreCostWatts
+		if cost == 0 {
+			cost = ls.srv.Machine().Config().OCCoreCost()
+		}
 		w.rig.goa.SetProfile(spec.Server, flatProfile(profileMsg{
 			Server: spec.Server, MedianWatts: spec.MedianWatts,
 			Requested: spec.RequestedCores, Granted: spec.GrantedCores, CoreCost: cost,
 		}))
 	})
-	return nil
 }
 
 func (w *liveWorld) setBudget(spec api.BudgetSpec) error {
-	ls, err := w.server(spec.Server)
-	if err != nil {
-		return err
-	}
-	w.do(func() { ls.soa.SetStaticBudget(spec.Watts, true) })
-	return nil
+	return w.onServer(spec.Server, func(ls *rigServer) { ls.soa.SetStaticBudget(spec.Watts, true) })
 }
 
 func (w *liveWorld) assignBudgets(spec api.AssignSpec) (*api.AssignStatus, error) {
@@ -293,12 +300,7 @@ func (w *liveWorld) assignBudgets(spec api.AssignSpec) (*api.AssignStatus, error
 }
 
 func (w *liveWorld) setSeverity(spec api.SeveritySpec) error {
-	ls, err := w.server(spec.Server)
-	if err != nil {
-		return err
-	}
-	w.do(func() { ls.srv.SetSeverity(power.Severity(spec.Severity)) })
-	return nil
+	return w.onServer(spec.Server, func(ls *rigServer) { ls.srv.SetSeverity(power.Severity(spec.Severity)) })
 }
 
 func (w *liveWorld) startOverclock(spec api.OCSpec) (*api.OCStatus, error) {
@@ -306,11 +308,8 @@ func (w *liveWorld) startOverclock(spec api.OCSpec) (*api.OCStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	var owned []int
-	switch {
-	case spec.VM == "vm":
-		owned = ls.vmCores
-	default:
+	owned := ls.vmCores
+	if spec.VM != "vm" {
 		dep, ok := w.deployments[spec.VM]
 		if !ok || dep.server != spec.Server {
 			return nil, api.NotFoundf("no vm %q on server %s", spec.VM, spec.Server)
@@ -346,21 +345,16 @@ func (w *liveWorld) startOverclock(spec api.OCSpec) (*api.OCStatus, error) {
 }
 
 func (w *liveWorld) stopOverclock(spec api.StopSpec) error {
-	ls, err := w.server(spec.Server)
-	if err != nil {
-		return err
-	}
 	var found bool
-	w.do(func() {
-		if _, ok := ls.soa.Sessions()[spec.VM]; ok {
-			found = true
+	err := w.onServer(spec.Server, func(ls *rigServer) {
+		if _, found = ls.soa.Sessions()[spec.VM]; found {
 			ls.soa.Stop(w.now, spec.VM)
 		}
 	})
-	if !found {
-		return api.NotFoundf("no active session for vm %q on server %s", spec.VM, spec.Server)
+	if err == nil && !found {
+		err = api.NotFoundf("no active session for vm %q on server %s", spec.VM, spec.Server)
 	}
-	return nil
+	return err
 }
 
 func (w *liveWorld) setChaos(spec api.ChaosSpec) (*api.ChaosStatus, error) {
@@ -380,11 +374,8 @@ func (w *liveWorld) setChaos(spec api.ChaosSpec) (*api.ChaosStatus, error) {
 		} else {
 			delete(w.chaosDown, agent)
 		}
-		for a := range w.chaosDown {
-			st.DownAgents = append(st.DownAgents, a)
-		}
+		st.DownAgents = sortedKeys(w.chaosDown)
 	})
-	sort.Strings(st.DownAgents)
 	return st, nil
 }
 
@@ -452,9 +443,8 @@ func (w *liveWorld) advance(spec api.AdvanceSpec) (*api.AdvanceStatus, error) {
 		n = 1
 	}
 	ran := 0
-	for i := 0; i < n && !w.now.After(w.end) && !w.shutdown; i++ {
-		w.doTick()
-		ran++
+	for ; ran < n && !w.now.After(w.end) && !w.shutdown; ran++ {
+		w.tick()
 	}
 	return &api.AdvanceStatus{Ticks: ran, Now: w.now}, nil
 }
@@ -493,7 +483,7 @@ func NewLiveController() *LiveController {
 var _ api.Service = (*LiveController)(nil)
 
 // finish ends the controller's life: pending and future commands fail with
-// an unavailable error. Called by RunLive on exit.
+// an unavailable error. Called when the run ends.
 func (c *LiveController) finish() {
 	c.once.Do(func() { close(c.done) })
 	for {
@@ -512,6 +502,22 @@ func (c *LiveController) exec(w *liveWorld, cmd liveCmd) {
 	cmd.reply <- liveReply{v, err}
 }
 
+// serveFor applies commands as they arrive for d of wall-clock time.
+func (c *LiveController) serveFor(w *liveWorld, d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	timer := time.NewTimer(d)
+	for {
+		select {
+		case cmd := <-c.cmds:
+			c.exec(w, cmd)
+		case <-timer.C:
+			return
+		}
+	}
+}
+
 // drain applies every queued command without blocking.
 func (c *LiveController) drain(w *liveWorld) {
 	for {
@@ -524,133 +530,109 @@ func (c *LiveController) drain(w *liveWorld) {
 	}
 }
 
-// submit enqueues fn and waits for the run goroutine to apply it.
-func (c *LiveController) submit(ctx context.Context, fn func(w *liveWorld) (any, error)) (any, error) {
+// submit enqueues fn, waits for the run goroutine to apply it and returns
+// its result as a T.
+func submit[T any](ctx context.Context, c *LiveController, fn func(w *liveWorld) (any, error)) (T, error) {
 	cmd := liveCmd{apply: fn, reply: make(chan liveReply, 1)}
+	var r liveReply
 	select {
 	case c.cmds <- cmd:
 	case <-c.done:
-		return nil, api.Unavailablef("live run not accepting commands")
+		r.err = api.Unavailablef("live run not accepting commands")
 	case <-ctx.Done():
-		return nil, api.Unavailablef("canceled: %v", ctx.Err())
+		r.err = api.Unavailablef("canceled: %v", ctx.Err())
 	}
-	select {
-	case r := <-cmd.reply:
-		return r.v, r.err
-	case <-c.done:
-		// The run ended between enqueue and apply; finish() answers the
-		// buffered reply if it drained the command.
+	if r.err == nil {
 		select {
-		case r := <-cmd.reply:
-			return r.v, r.err
-		default:
-			return nil, api.Unavailablef("live run ended")
+		case r = <-cmd.reply:
+		case <-c.done:
+			// The run ended between enqueue and apply; finish() answers the
+			// buffered reply if it drained the command.
+			select {
+			case r = <-cmd.reply:
+			default:
+				r.err = api.Unavailablef("live run ended")
+			}
 		}
 	}
+	v, _ := r.v.(T)
+	return v, r.err
+}
+
+// submitErr submits fn, whose only result is its error.
+func submitErr(ctx context.Context, c *LiveController, fn func(w *liveWorld) (any, error)) error {
+	_, err := submit[any](ctx, c, fn)
+	return err
 }
 
 // Status implements api.Service.
 func (c *LiveController) Status(ctx context.Context) (*api.ClusterStatus, error) {
-	v, err := c.submit(ctx, func(w *liveWorld) (any, error) {
+	return submit[*api.ClusterStatus](ctx, c, func(w *liveWorld) (any, error) {
 		var st *api.ClusterStatus
 		w.do(func() { st = w.buildStatus() })
 		return st, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*api.ClusterStatus), nil
 }
 
 // RegisterDeployment implements api.Service.
 func (c *LiveController) RegisterDeployment(ctx context.Context, spec api.DeploymentSpec) (*api.DeploymentStatus, error) {
-	v, err := c.submit(ctx, func(w *liveWorld) (any, error) { return w.registerDeployment(spec) })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*api.DeploymentStatus), nil
+	return submit[*api.DeploymentStatus](ctx, c, func(w *liveWorld) (any, error) { return w.registerDeployment(spec) })
 }
 
 // DrainDeployment implements api.Service.
 func (c *LiveController) DrainDeployment(ctx context.Context, name string) error {
-	_, err := c.submit(ctx, func(w *liveWorld) (any, error) { return nil, w.drainDeployment(name) })
-	return err
+	return submitErr(ctx, c, func(w *liveWorld) (any, error) { return nil, w.drainDeployment(name) })
 }
 
 // SetProfile implements api.Service.
 func (c *LiveController) SetProfile(ctx context.Context, spec api.ProfileSpec) error {
-	_, err := c.submit(ctx, func(w *liveWorld) (any, error) { return nil, w.setProfile(spec) })
-	return err
+	return submitErr(ctx, c, func(w *liveWorld) (any, error) { return nil, w.setProfile(spec) })
 }
 
 // SetBudget implements api.Service.
 func (c *LiveController) SetBudget(ctx context.Context, spec api.BudgetSpec) error {
-	_, err := c.submit(ctx, func(w *liveWorld) (any, error) { return nil, w.setBudget(spec) })
-	return err
+	return submitErr(ctx, c, func(w *liveWorld) (any, error) { return nil, w.setBudget(spec) })
 }
 
 // AssignBudgets implements api.Service.
 func (c *LiveController) AssignBudgets(ctx context.Context, spec api.AssignSpec) (*api.AssignStatus, error) {
-	v, err := c.submit(ctx, func(w *liveWorld) (any, error) { return w.assignBudgets(spec) })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*api.AssignStatus), nil
+	return submit[*api.AssignStatus](ctx, c, func(w *liveWorld) (any, error) { return w.assignBudgets(spec) })
 }
 
 // SetSeverity implements api.Service.
 func (c *LiveController) SetSeverity(ctx context.Context, spec api.SeveritySpec) error {
-	_, err := c.submit(ctx, func(w *liveWorld) (any, error) { return nil, w.setSeverity(spec) })
-	return err
+	return submitErr(ctx, c, func(w *liveWorld) (any, error) { return nil, w.setSeverity(spec) })
 }
 
 // StartOverclock implements api.Service.
 func (c *LiveController) StartOverclock(ctx context.Context, spec api.OCSpec) (*api.OCStatus, error) {
-	v, err := c.submit(ctx, func(w *liveWorld) (any, error) { return w.startOverclock(spec) })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*api.OCStatus), nil
+	return submit[*api.OCStatus](ctx, c, func(w *liveWorld) (any, error) { return w.startOverclock(spec) })
 }
 
 // StopOverclock implements api.Service.
 func (c *LiveController) StopOverclock(ctx context.Context, spec api.StopSpec) error {
-	_, err := c.submit(ctx, func(w *liveWorld) (any, error) { return nil, w.stopOverclock(spec) })
-	return err
+	return submitErr(ctx, c, func(w *liveWorld) (any, error) { return nil, w.stopOverclock(spec) })
 }
 
 // SetChaos implements api.Service.
 func (c *LiveController) SetChaos(ctx context.Context, spec api.ChaosSpec) (*api.ChaosStatus, error) {
-	v, err := c.submit(ctx, func(w *liveWorld) (any, error) { return w.setChaos(spec) })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*api.ChaosStatus), nil
+	return submit[*api.ChaosStatus](ctx, c, func(w *liveWorld) (any, error) { return w.setChaos(spec) })
 }
 
 // ForceCheckpoint implements api.Service.
 func (c *LiveController) ForceCheckpoint(ctx context.Context) (*api.CheckpointStatus, error) {
-	v, err := c.submit(ctx, func(w *liveWorld) (any, error) { return w.checkpointNow() })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*api.CheckpointStatus), nil
+	return submit[*api.CheckpointStatus](ctx, c, func(w *liveWorld) (any, error) { return w.checkpointNow() })
 }
 
 // Advance implements api.Service.
 func (c *LiveController) Advance(ctx context.Context, spec api.AdvanceSpec) (*api.AdvanceStatus, error) {
-	v, err := c.submit(ctx, func(w *liveWorld) (any, error) { return w.advance(spec) })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*api.AdvanceStatus), nil
+	return submit[*api.AdvanceStatus](ctx, c, func(w *liveWorld) (any, error) { return w.advance(spec) })
 }
 
 // Shutdown implements api.Service.
 func (c *LiveController) Shutdown(ctx context.Context) error {
-	_, err := c.submit(ctx, func(w *liveWorld) (any, error) {
+	return submitErr(ctx, c, func(w *liveWorld) (any, error) {
 		w.shutdown = true
 		return nil, nil
 	})
-	return err
 }

@@ -432,6 +432,11 @@ func TestHoldRequiresController(t *testing.T) {
 	if _, err := RunLive(cfg, nil); err == nil {
 		t.Fatal("hold mode without a controller was accepted")
 	}
+	cfg = DefaultLiveConfig()
+	cfg.HW.Cores = 0
+	if _, err := RunLive(cfg, nil); err == nil {
+		t.Fatal("a server without cores was accepted")
+	}
 }
 
 // loadSmokeRun boots a held cluster, mutates it from concurrent clients with

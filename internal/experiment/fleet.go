@@ -617,10 +617,7 @@ func newSystemRun(prep *rackPrep, sys baselines.System, cfg FleetSimConfig, clas
 		hosts:   make([]*traceHost, len(rt.Servers)),
 		soas:    make([]*core.SOA, len(rt.Servers)),
 		soaBase: fleetSOAConfig(cfg),
-		bcfg: lifetime.BudgetConfig{
-			Epoch: 7 * 24 * time.Hour, Fraction: cfg.OCBudgetFraction,
-			CarryOver: true, MaxCarryOver: 1,
-		},
+		bcfg:    rigBudgetConfig(7*24*time.Hour, cfg.OCBudgetFraction),
 	}
 	if cfg.Observe {
 		r.reg = metrics.NewRegistry()

@@ -1,12 +1,14 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"time"
 
 	"smartoclock/internal/agent"
 	"smartoclock/internal/causal"
+	"smartoclock/internal/cluster"
 	"smartoclock/internal/invariant"
 	"smartoclock/internal/machine"
 	"smartoclock/internal/metrics"
@@ -90,7 +92,7 @@ func (c LiveConfig) Validate() error {
 	case c.Hold && c.Control == nil:
 		return fmt.Errorf("experiment: hold mode needs a LiveController to advance it")
 	}
-	return nil
+	return c.HW.Validate()
 }
 
 // LiveResult aggregates one live run.
@@ -159,163 +161,161 @@ func RunLive(cfg LiveConfig, sink LiveSink) (*LiveResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	w, err := newLiveWorld(cfg, sink)
+	if err != nil {
+		return nil, err
+	}
+	defer w.close()
+	w.run()
+	return w.result(), nil
+}
+
+const liveProfileEvery, liveBudgetEvery = 2 * time.Minute, time.Minute
+
+// newLiveWorld builds the run: two loopback nodes, the rig with its
+// instrumentation, the optional warm start, the invariant battery and the
+// inboxes. On an error it closes what it opened.
+func newLiveWorld(cfg LiveConfig, sink LiveSink) (*liveWorld, error) {
 	lk := metrics.NewLocked()
 	// Live runs are long-lived: the tracer and the provenance recorder are
 	// bounded rings so memory stays flat while the latest events and
 	// decisions remain explorable via /trace/tail and /explain. Only the run
 	// goroutine touches them.
 	tracer := newShardTracer(cfg.TraceOnly).Bound(liveRing)
-	checker := invariant.NewChecker()
 	prov := causal.NewBounded(cfg.Seed, 2, liveRing)
-	checker.AttachProvenance(prov)
-
-	// --- Two nodes on loopback: the gOA's and the servers' ----------------
-	goaNode, err := agent.NewTCPNode("goa-node", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer goaNode.Close()
-	soaNode, err := agent.NewTCPNode("soa-node", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer soaNode.Close()
-	goaNode.Instrument(lk, metrics.L("node", "goa"))
-	soaNode.Instrument(lk, metrics.L("node", "soa"))
-
-	// --- Servers, workload, rack control plane -----------------------------
-	servers := make([]*rigServer, cfg.Servers)
-	rngs := make([]*rand.Rand, cfg.Servers)
-	res := &LiveResult{}
 	w := &liveWorld{
 		cfg:         cfg,
 		lk:          lk,
 		now:         cfg.Start.Add(cfg.Tick),
 		end:         cfg.Start.Add(cfg.Duration),
 		deployments: make(map[string]*liveDeployment),
-		coreOwner:   make(map[string]map[int]string, len(servers)),
 		chaosDown:   make(map[string]bool),
-		res:         res,
-		checker:     checker,
+		res:         &LiveResult{},
+		checker:     invariant.NewChecker(),
+		stateInfo:   &store.StateInfo{CheckpointPath: cfg.CheckpointPath},
+		pub:         &livePublisher{lk: lk, sink: sink, tracer: tracer, prov: prov},
+		nextProfile: cfg.Start.Add(liveProfileEvery),
+		nextBudget:  cfg.Start.Add(liveBudgetEvery),
+		nextCkpt:    cfg.Start.Add(cfg.CheckpointEvery),
 	}
-	for i := range servers {
-		servers[i] = newRigServer(fmt.Sprintf("lv-%02d", i), cfg.HW, cfg.HW.Cores/2)
-		rngs[i] = rand.New(rand.NewSource(cfg.Seed + int64(i)))
-		w.coreOwner[servers[i].srv.Name()] = make(map[int]string)
-	}
-	// setUtil drives the background pattern; cores owned by an API-registered
-	// deployment keep the utilization the deployment pinned.
-	setUtil := func(i int, want bool) {
-		s := servers[i]
-		owners := w.coreOwner[s.srv.Name()]
-		base := 0.35 + 0.05*rngs[i].Float64()
-		hot := base
-		if want {
-			hot = 0.80 + 0.10*rngs[i].Float64()
-		}
-		for c := 0; c < s.srv.NumCores(); c++ {
-			if owners[c] != "" {
-				continue
-			}
-			if c < len(s.vmCores) {
-				s.srv.SetCoreUtil(c, hot)
-			} else {
-				s.srv.SetCoreUtil(c, base)
-			}
-		}
-	}
-	for i := range servers {
-		setUtil(i, true) // the rack limit is sized with every VM hot
-	}
+	w.stepLocked = w.drainAndStep
+	w.checker.AttachProvenance(prov)
+	// Sinks that understand durable-state status (the telemetry server's
+	// /statez) get it pushed alongside snapshots; sinks that understand
+	// provenance (its /explain) get new records pushed after every tick.
+	w.statePub, _ = sink.(interface{ PublishState(store.StateInfo) })
+	w.pub.provPub, _ = sink.(interface{ PublishProvenance([]causal.Record) })
 
+	var err error
+	if w.goaNode, err = agent.NewTCPNode("goa-node", "127.0.0.1:0"); err == nil {
+		w.soaNode, err = agent.NewTCPNode("soa-node", "127.0.0.1:0")
+	}
+	if err == nil {
+		w.goaNode.Instrument(lk, metrics.L("node", "goa"))
+		w.soaNode.Instrument(lk, metrics.L("node", "soa"))
+		w.buildRig()
+		err = w.restore()
+	}
+	if err != nil {
+		w.close()
+		return nil, err
+	}
+	if w.statePub != nil {
+		w.statePub.PublishState(*w.stateInfo)
+	}
+	// Register the invariant battery after the (possible) restore so the
+	// lifetime accounting samples the restored frequencies, not cold ones.
+	w.rig.watch(w.checker, max(15*time.Second, 3*cfg.Tick))
+	if cfg.RestorePath == "" {
+		w.rig.watchLedgers(w.checker, 12*cfg.Tick)
+	}
+	w.openInboxes()
+	return w, nil
+}
+
+// buildRig builds the servers, their workload and the rack's control plane.
+// Instrumentation resolves handles into the shared registry under the lock;
+// the simulation later updates them under the same lock.
+func (w *liveWorld) buildRig() {
+	cfg := w.cfg
+	servers := make([]*rigServer, cfg.Servers)
+	w.rngs = make([]*rand.Rand, cfg.Servers)
+	for i := range servers {
+		servers[i] = newRigServer(cluster.NewServer(fmt.Sprintf("lv-%02d", i), cfg.HW, 0), cfg.HW.Cores/2)
+		servers[i].pinned = make(map[int]float64)
+		w.rngs[i] = rand.New(rand.NewSource(cfg.Seed + int64(i)))
+		servers[i].setUtil(squareWaveUtil(w.rngs[i], true)) // the rack limit is sized with every VM hot
+	}
 	soaCfg := rigSOAConfig()
-	soaCfg.OnAdmit = invariant.AdmissionWithinBudget(checker, "rack-live", 1e-6)
-	rg := &rig{
+	soaCfg.OnAdmit = invariant.AdmissionWithinBudget(w.checker, "rack-live", 1e-6)
+	w.rig = &rig{
 		goaID:   "goa",
-		limit:   partialOCLimit(servers, 0.9),
 		soaCfg:  soaCfg,
 		bcfg:    rigBudgetConfig(time.Hour, 0.25),
 		start:   cfg.Start,
 		servers: servers,
-		tracer:  tracer,
-		prov:    prov,
+		tracer:  w.pub.tracer,
+		prov:    w.pub.prov,
 	}
-	w.rig = rg
-	// Instrumentation resolves handles into the shared registry under the
-	// lock; the simulation later updates them under the same lock.
-	pub := &livePublisher{lk: lk, sink: sink, tracer: tracer, prov: prov}
-	lk.Do(func(reg *metrics.Registry) {
-		rg.reg = reg
-		rg.assemble("rack-live")
-		checker.Instrument(reg, tracer)
+	w.rig.limit = partialOCLimit(servers, 0.9)
+	w.lk.Do(func(reg *metrics.Registry) {
+		w.rig.reg = reg
+		w.rig.assemble("rack-live")
+		w.checker.Instrument(reg, w.pub.tracer)
 		w.ckptWrites = reg.Counter("checkpoint_writes_total")
 		w.ckptErrors = reg.Counter("checkpoint_errors_total")
 		w.ckptBytes = reg.Gauge("checkpoint_bytes")
-		pub.traceDropped = reg.Counter("trace_dropped_total")
-		pub.provDropped = reg.Counter("causal_dropped_total")
+		w.pub.traceDropped = reg.Counter("trace_dropped_total")
+		w.pub.provDropped = reg.Counter("causal_dropped_total")
 	})
+}
 
-	// --- Durable state: warm start and periodic checkpoints ----------------
-	stateInfo := store.StateInfo{CheckpointPath: cfg.CheckpointPath}
-	w.stateInfo = &stateInfo
-	if cfg.RestorePath != "" {
-		var cp store.Checkpoint
-		savedAt, err := store.Load(cfg.RestorePath, &cp)
-		if err != nil {
-			return nil, err
+// restore warm-starts the control plane from cfg.RestorePath, if set.
+func (w *liveWorld) restore() error {
+	if w.cfg.RestorePath == "" {
+		return nil
+	}
+	var cp store.Checkpoint
+	savedAt, err := store.Load(w.cfg.RestorePath, &cp)
+	if err != nil {
+		return err
+	}
+	w.do(func() {
+		if cp.GOA != nil {
+			w.rig.goa.Restore(cp.GOA)
 		}
-		w.do(func() {
-			if cp.GOA != nil {
-				rg.goa.Restore(cp.GOA)
+		for _, s := range w.rig.servers {
+			if st, ok := cp.Servers[s.srv.Name()]; ok {
+				err = cmp.Or(err, s.srv.Restore(st))
 			}
-			for _, s := range servers {
-				if st, ok := cp.Servers[s.srv.Name()]; ok {
-					if rerr := s.srv.Restore(st); rerr != nil && err == nil {
-						err = rerr
-					}
-				}
-				if st, ok := cp.SOAs[s.srv.Name()]; ok {
-					if rerr := s.soa.Restore(st); rerr != nil && err == nil {
-						err = rerr
-					}
-				}
+			if st, ok := cp.SOAs[s.srv.Name()]; ok {
+				err = cmp.Or(err, s.soa.Restore(st))
 			}
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiment: restore %s: %w", cfg.RestorePath, err)
 		}
-		res.Restored = true
-		stateInfo.RestoredFrom = cfg.RestorePath
-		stateInfo.RestoredAt = savedAt
+	})
+	if err != nil {
+		return fmt.Errorf("experiment: restore %s: %w", w.cfg.RestorePath, err)
 	}
-	// Sinks that understand durable-state status (the telemetry server's
-	// /statez) get it pushed alongside snapshots.
-	w.statePub, _ = sink.(interface{ PublishState(store.StateInfo) })
-	if w.statePub != nil {
-		w.statePub.PublishState(stateInfo)
-	}
+	w.res.Restored = true
+	w.stateInfo.RestoredFrom = w.cfg.RestorePath
+	w.stateInfo.RestoredAt = savedAt
+	return nil
+}
 
-	// Register the invariant battery after the (possible) restore so the
-	// lifetime accounting samples the restored frequencies, not cold ones.
-	grace := 15 * time.Second
-	if g := 3 * cfg.Tick; g > grace {
-		grace = g
-	}
-	rg.watch(checker, grace)
-	if cfg.RestorePath == "" {
-		rg.watchLedgers(checker, 12*cfg.Tick)
-	}
-
-	// --- Inboxes: TCP read loops hand off, the main loop applies ----------
-	// One tick sends at most a couple of rack-event fan-outs plus a budget
-	// push to the sOAs and one profile report per server to the gOA, so an
-	// inbox this deep holds everything a tick sent. The received counter
-	// ticks on every delivered message (even ones a full inbox sheds): hold
-	// mode barriers on received == sent so a tick's sends are all visible to
-	// the next tick's drain.
-	inboxDepth := max(256, 4*cfg.Servers)
-	goaInbox := make(chan agent.Message, inboxDepth)
-	soaInbox := make(chan agent.Message, inboxDepth)
+// openInboxes routes each node's deliveries into a channel inbox the run
+// goroutine drains and peers the nodes. Rack events queue locally during the
+// tick (which runs under the lock) and cross TCP after it.
+//
+// One tick sends at most a couple of rack-event fan-outs plus a budget push
+// to the sOAs and one profile report per server to the gOA, so an inbox this
+// deep holds everything a tick sent. The received counter ticks on every
+// delivered message (even ones a full inbox sheds): hold mode barriers on
+// received == sent so a tick's sends are all visible to the next tick's
+// drain.
+func (w *liveWorld) openInboxes() {
+	inboxDepth := max(256, 4*w.cfg.Servers)
+	w.goaInbox = make(chan agent.Message, inboxDepth)
+	w.soaInbox = make(chan agent.Message, inboxDepth)
 	enqueue := func(inbox chan agent.Message) agent.Handler {
 		return func(m agent.Message) {
 			w.received.Add(1)
@@ -326,172 +326,158 @@ func RunLive(cfg LiveConfig, sink LiveSink) (*LiveResult, error) {
 			}
 		}
 	}
-	goaNode.Register(rg.goaID, enqueue(goaInbox))
-	for _, s := range servers {
-		soaNode.Register(s.agentID, enqueue(soaInbox))
-		goaNode.AddPeer(s.agentID, soaNode.Addr())
+	w.goaNode.Register(w.rig.goaID, enqueue(w.goaInbox))
+	for _, s := range w.rig.servers {
+		w.soaNode.Register(s.agentID, enqueue(w.soaInbox))
+		w.goaNode.AddPeer(s.agentID, w.soaNode.Addr())
 	}
-	soaNode.AddPeer(rg.goaID, goaNode.Addr())
+	w.soaNode.AddPeer(w.rig.goaID, w.goaNode.Addr())
+	w.rig.rack.Subscribe(func(ev power.Event) { w.pendingRack = append(w.pendingRack, ev) })
+}
 
-	// Rack events queue locally during Tick (which runs under the lock) and
-	// are flushed over TCP afterwards, outside it.
-	var pendingRack []power.Event
-	rg.rack.Subscribe(func(ev power.Event) { pendingRack = append(pendingRack, ev) })
-
-	// sendAll moves a batch over TCP, outside the lock (the transport
-	// instrumentation takes it per message). Chaos gates drop sends from or
-	// to downed agents.
-	sendAll := func(node *agent.TCPNode, batch []agent.Message) {
-		for _, msg := range batch {
-			if w.sendAllowed(msg.From, msg.To) && node.Send(msg) == nil {
-				w.sent.Add(1)
-			}
-		}
+// tick runs exactly one simulation tick: drain and step under the lock, send,
+// checkpoint, publish and, in hold mode, barrier on delivery.
+func (w *liveWorld) tick() {
+	w.res.Ticks++
+	w.lk.Do(w.stepLocked)
+	w.send()
+	// A failed checkpoint write is counted in checkpoint_errors_total and
+	// leaves the previous file intact.
+	if w.cfg.CheckpointPath != "" && w.cfg.CheckpointEvery > 0 && !w.now.Before(w.nextCkpt) {
+		w.nextCkpt = w.nextCkpt.Add(w.cfg.CheckpointEvery)
+		_, _ = w.checkpointNow()
 	}
+	w.pub.publish()
+	w.now = w.now.Add(w.cfg.Tick)
+	if w.cfg.Hold {
+		w.barrier()
+	}
+}
 
-	// Sinks that understand provenance (the telemetry server's /explain)
-	// get new records pushed after every tick.
-	pub.provPub, _ = sink.(interface{ PublishProvenance([]causal.Record) })
-
-	// --- One tick of the world ---------------------------------------------
-	profileEvery, budgetEvery := 2*time.Minute, time.Minute
-	nextProfile, nextBudget := cfg.Start.Add(profileEvery), cfg.Start.Add(budgetEvery)
-	checkpointing := cfg.CheckpointPath != "" && cfg.CheckpointEvery > 0
-	nextCkpt := cfg.Start.Add(cfg.CheckpointEvery)
-	w.doTick = func() {
-		now := w.now
-		res.Ticks++
-
-		// 1. Drain inboxes and apply under the lock. Chaos-downed agents
-		// drop at delivery too, catching messages already in flight when
-		// the fault flipped.
-		applyMsg := func(m agent.Message) {
-			if w.chaosDown[m.From] || w.chaosDown[m.To] {
-				w.dropped++
-				return
-			}
-			rg.deliver(now, m)
+// drainAndStep applies every inbound message, then advances the servers,
+// their sOAs and the rack by one tick and runs the invariant battery. It runs
+// under the lock, as w.stepLocked.
+func (w *liveWorld) drainAndStep(*metrics.Registry) {
+drain:
+	for {
+		var m agent.Message
+		select {
+		case m = <-w.goaInbox:
+		case m = <-w.soaInbox:
+		default:
+			break drain
 		}
-		lk.Do(func(*metrics.Registry) {
-			for drained := false; !drained; {
-				select {
-				case m := <-goaInbox:
-					applyMsg(m)
-				case m := <-soaInbox:
-					applyMsg(m)
-				default:
-					drained = true
-				}
-			}
-
-			// 2. Tick the world.
-			for i, s := range servers {
-				want := squareWaveDemand(i, cfg.Servers, now.Sub(cfg.Start))
-				setUtil(i, want)
-				rg.stepServer(s, now, want)
-			}
-			rg.tickRack(now, cfg.Tick)
-			checker.Check(now)
-		})
-
-		// 3. Control-plane traffic: batches build under the lock, cross TCP
-		// outside it.
-		for _, ev := range pendingRack {
-			sendAll(goaNode, rg.rackEventFanout(ev))
-		}
-		pendingRack = pendingRack[:0]
-		if !now.Before(nextProfile) {
-			nextProfile = nextProfile.Add(profileEvery)
-			var batch []agent.Message
-			w.do(func() { batch = rg.profileReports(now) })
-			sendAll(soaNode, batch)
-		}
-		if !now.Before(nextBudget) {
-			nextBudget = nextBudget.Add(budgetEvery)
-			var batch []agent.Message
-			w.do(func() { batch = rg.budgetPushes(now) })
-			sendAll(goaNode, batch)
-		}
-
-		// 4. Periodic checkpoint. A failed write is counted in
-		// checkpoint_errors_total and leaves the previous file intact.
-		if checkpointing && !now.Before(nextCkpt) {
-			nextCkpt = nextCkpt.Add(cfg.CheckpointEvery)
-			_, _ = w.checkpointNow()
-		}
-
-		// 5. Publish to the sink.
-		pub.publish()
-		w.now = now.Add(cfg.Tick)
-
-		// 6. In hold mode, barrier on loopback delivery: the next tick must
-		// drain exactly what this tick sent, whenever it runs. TCP per-peer
-		// connections deliver in order, so equality means all arrived. A
-		// barrier that gives up voids that guarantee, so it is counted.
-		if cfg.Hold {
-			deadline := time.Now().Add(5 * time.Second)
-			for w.received.Load() < w.sent.Load() {
-				if time.Now().After(deadline) {
-					w.lost.Add(1)
-					break
-				}
-				time.Sleep(100 * time.Microsecond)
-			}
+		// Chaos-downed agents drop at delivery too, catching messages
+		// already in flight when the fault flipped.
+		if w.chaosAllows(m) {
+			w.rig.deliver(w.now, m)
 		}
 	}
-
-	// --- Main loop ----------------------------------------------------------
-	ctrl := cfg.Control
-	if ctrl != nil {
-		defer ctrl.finish()
+	for i, s := range w.rig.servers {
+		want := squareWaveDemand(i, w.cfg.Servers, w.now.Sub(w.cfg.Start))
+		s.setUtil(squareWaveUtil(w.rngs[i], want))
+		w.rig.stepServer(s, w.now, want)
 	}
-	if cfg.Hold {
-		// The clock is suspended: block on the command inbox and let
-		// Advance commands run ticks synchronously.
-		for !w.shutdown && !w.now.After(w.end) {
+	w.rig.tickRack(w.now, w.cfg.Tick)
+	w.checker.Check(w.now)
+}
+
+// send moves the tick's control-plane traffic: batches build under the lock
+// and cross TCP outside it (the transport instrumentation takes the lock per
+// message).
+func (w *liveWorld) send() {
+	for _, ev := range w.pendingRack {
+		w.sendAll(w.goaNode, w.rig.rackEventFanout(ev))
+	}
+	w.pendingRack = w.pendingRack[:0]
+	var batch []agent.Message
+	if !w.now.Before(w.nextProfile) {
+		w.nextProfile = w.nextProfile.Add(liveProfileEvery)
+		w.do(func() { batch = w.rig.profileReports(w.now) })
+		w.sendAll(w.soaNode, batch)
+	}
+	if !w.now.Before(w.nextBudget) {
+		w.nextBudget = w.nextBudget.Add(liveBudgetEvery)
+		w.do(func() { batch = w.rig.budgetPushes(w.now) })
+		w.sendAll(w.goaNode, batch)
+	}
+}
+
+// sendAll moves a batch over TCP; chaos gates drop sends from or to downed
+// agents.
+func (w *liveWorld) sendAll(node *agent.TCPNode, batch []agent.Message) {
+	for _, msg := range batch {
+		if w.chaosAllows(msg) && node.Send(msg) == nil {
+			w.sent.Add(1)
+		}
+	}
+}
+
+// barrier waits for loopback delivery: the next tick must drain exactly what
+// this tick sent, whenever it runs. TCP per-peer connections deliver in
+// order, so equality means all arrived. A barrier that gives up voids that
+// guarantee, so it is counted.
+func (w *liveWorld) barrier() {
+	deadline := time.Now().Add(5 * time.Second)
+	for w.received.Load() < w.sent.Load() {
+		if time.Now().After(deadline) {
+			w.lost.Add(1)
+			return
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// run is the main loop. In hold mode the clock is suspended: it blocks on the
+// command inbox and lets Advance commands run ticks synchronously. Otherwise
+// it applies queued commands before each tick and serves them while it paces,
+// so API callers are not stuck behind the wall-clock sleep.
+func (w *liveWorld) run() {
+	ctrl := w.cfg.Control
+	for !w.shutdown && !w.now.After(w.end) {
+		switch {
+		case w.cfg.Hold:
 			select {
 			case cmd := <-ctrl.cmds:
 				ctrl.exec(w, cmd)
 			case <-ctrl.done:
 				w.shutdown = true
 			}
-		}
-	} else {
-		for !w.shutdown && !w.now.After(w.end) {
-			if ctrl != nil {
-				ctrl.drain(w)
-			}
-			w.doTick()
-			if cfg.Pace <= 0 {
-				continue
-			}
-			if ctrl == nil {
-				time.Sleep(cfg.Pace)
-				continue
-			}
-			// Serve commands while pacing so API callers are not stuck
-			// behind the wall-clock sleep.
-			timer := time.NewTimer(cfg.Pace)
-			for pacing := true; pacing; {
-				select {
-				case cmd := <-ctrl.cmds:
-					ctrl.exec(w, cmd)
-				case <-timer.C:
-					pacing = false
-				}
-			}
+		case ctrl == nil:
+			w.tick()
+			time.Sleep(w.cfg.Pace)
+		default:
+			ctrl.drain(w)
+			w.tick()
+			ctrl.serveFor(w, w.cfg.Pace)
 		}
 	}
+}
 
-	res.Requests = rg.requests
-	res.Granted = rg.granted
-	res.CapEvents = rg.rack.CapEvents()
-	res.Warnings = rg.rack.Warnings()
+// close ends the run: pending and future commands fail, and the nodes shut.
+func (w *liveWorld) close() {
+	if w.cfg.Control != nil {
+		w.cfg.Control.finish()
+	}
+	for _, n := range []*agent.TCPNode{w.soaNode, w.goaNode} {
+		if n != nil {
+			n.Close()
+		}
+	}
+}
+
+// result aggregates the finished run.
+func (w *liveWorld) result() *LiveResult {
+	res := w.res
+	res.Requests = w.rig.requests
+	res.Granted = w.rig.granted
+	res.CapEvents = w.rig.rack.CapEvents()
+	res.Warnings = w.rig.rack.Warnings()
 	res.Violations = w.violations()
-	res.Metrics = pub.snapshot()
-	res.Trace = tracer
-	res.Provenance = &causal.Log{Records: prov.Records()}
-	return res, nil
+	res.Metrics = w.pub.snapshot()
+	res.Trace = w.pub.tracer
+	res.Provenance = &causal.Log{Records: w.pub.prov.Records()}
+	return res
 }
 
 // livePublisher hands the sink what each tick changed: a fresh snapshot,

@@ -194,53 +194,49 @@ func fitArrivalTemplate(start time.Time, step time.Duration, a trace.Arrival, se
 	return timeseries.BuildWeekTemplate(hist, timeseries.ReduceMedian)
 }
 
-// contentionBase is one production server with its sOA in a contention cell.
-type contentionBase struct {
-	srv     *cluster.Server
-	soa     *core.SOA
-	vmCores []int
+// oversubCell is one ratio cell: the deployment-arrival stream admitted onto
+// one rack, and in contention cells the production servers' rig sharing it.
+type oversubCell struct {
+	cfg OversubConfig
+	eng *sim.Engine
+	// rig holds the production base servers (none outside contention cells)
+	// over the cell's rack, which the admitted deployments join. It has no
+	// gOA: the bases run on the even share of their reserve.
+	rig      *rig
+	adm      *power.Admission
+	checker  *invariant.Checker
+	admitted []*admittedServer
+	res      *OversubCellResult
 }
 
 // runOversubCell executes one ratio cell. contention adds the production
 // sOA servers; mode and admitAll select the unsafe canary variants.
 func runOversubCell(cfg OversubConfig, ratio float64, seed int64, contention bool, mode power.CapMode, admitAll bool) *OversubCellResult {
-	res := &OversubCellResult{Ratio: ratio}
-	eng := sim.NewEngine(cfg.Start, seed)
-	end := cfg.Start.Add(cfg.Duration)
-	since := func(now time.Time) time.Duration { return now.Sub(cfg.Start) }
+	c, err := newOversubCell(cfg, ratio, seed, contention, mode, admitAll)
+	if err != nil {
+		return &OversubCellResult{Ratio: ratio, Err: err}
+	}
+	c.eng.Run(cfg.Start.Add(cfg.Duration))
+	return c.result()
+}
 
-	// Production base servers and their predicted-peak reserve (contention
-	// only): hot VM cores, warm background, plus half the overclock delta —
-	// the same estimate the zoo uses to size rack limits.
-	var bases []*contentionBase
+// newOversubCell builds the cell's rack, admission and invariant battery and
+// registers the arrivals and the control tick on its engine.
+func newOversubCell(cfg OversubConfig, ratio float64, seed int64, contention bool, mode power.CapMode, admitAll bool) (*oversubCell, error) {
+	c := &oversubCell{
+		cfg:     cfg,
+		eng:     sim.NewEngine(cfg.Start, seed),
+		rig:     &rig{limit: cfg.LimitWatts, start: cfg.Start},
+		checker: invariant.NewChecker(),
+		res:     &OversubCellResult{Ratio: ratio},
+	}
 	reserve := 0.0
-	limit := cfg.LimitWatts
 	if contention {
-		for i := 0; i < cfg.BaseServers; i++ {
-			srv := cluster.NewServer(fmt.Sprintf("base-%02d", i), machine.DefaultConfig(), 100+i)
-			srv.SetSeverity(power.SeverityCritical)
-			b := &contentionBase{srv: srv, vmCores: make([]int, srv.NumCores()/4)}
-			for c := range b.vmCores {
-				b.vmCores[c] = c
-			}
-			for c := 0; c < srv.NumCores(); c++ {
-				u := 0.40
-				if c < len(b.vmCores) {
-					u = 0.90
-				}
-				srv.SetCoreUtil(c, u)
-			}
-			peak := srv.Power() + 0.5*srv.OCDeltaWatts(len(b.vmCores), srv.MaxOCMHz(), 0.9)
-			for c := 0; c < srv.NumCores(); c++ {
-				srv.SetCoreUtil(c, 0.40)
-			}
-			reserve += peak
-			bases = append(bases, b)
-		}
-		limit = cfg.ContentionLimitScale * reserve
+		reserve = c.buildBases()
+		c.rig.limit = cfg.ContentionLimitScale * reserve
 	}
 
-	rackCfg := power.DefaultRackConfig("oversub-r0", limit)
+	rackCfg := power.DefaultRackConfig("oversub-r0", c.rig.limit)
 	rackCfg.Mode = mode
 	if mode == power.CapInvertedUnsafe {
 		// Shallow emergency target for the inverted canary: the default deep
@@ -249,9 +245,9 @@ func runOversubCell(cfg OversubConfig, ratio float64, seed int64, contention boo
 		// partway guarantees the inversion is observable.
 		rackCfg.TargetFraction = 0.90
 	}
-	rack := power.NewRack(rackCfg)
-	for _, b := range bases {
-		rack.AddServer(b.srv)
+	c.rig.rack = power.NewRack(rackCfg)
+	for _, s := range c.rig.servers {
+		c.rig.rack.AddServer(s.srv)
 	}
 
 	adm, err := power.NewAdmission(power.OversubConfig{
@@ -259,51 +255,24 @@ func runOversubCell(cfg OversubConfig, ratio float64, seed int64, contention boo
 		Quantile:       cfg.Quantile,
 		MaxTemplateAge: cfg.MaxTemplateAge,
 		AdmitAllUnsafe: admitAll,
-	}, limit)
+	}, c.rig.limit)
 	if err != nil {
-		res.Err = err
-		return res
+		return nil, err
 	}
+	c.adm = adm
 	adm.Reserve(reserve)
 
-	checker := invariant.NewChecker()
-	invariant.NoBrownout(checker, rack, 1e-6)
-	invariant.SeverityOrder(checker, rack)
-
-	// The contention cells keep the overclocking safety battery armed too:
-	// competing with oversubscription must not loosen any overclock bound.
-	bcfg := lifetime.BudgetConfig{Epoch: cfg.BudgetEpoch, Fraction: cfg.OCBudgetFraction, CarryOver: true, MaxCarryOver: 1}
+	invariant.NoBrownout(c.checker, c.rig.rack, 1e-6)
+	invariant.SeverityOrder(c.checker, c.rig.rack)
 	if contention {
-		soaCfg := core.DefaultSOAConfig()
-		soaCfg.ProfileStep = time.Minute
-		soaCfg.ExploreConfirm = 30 * time.Second
-		soaCfg.ExploitTime = 5 * time.Minute
-		soaCfg.InitialBackoff = time.Minute
-		soaCfg.MaxBackoff = 15 * time.Minute
-		soaCfg.DefaultOCHorizon = 5 * time.Minute
-		soaCfg.ExhaustionWindow = 5 * time.Minute
-		soaCfg.AdmissionUtil = 0.7
-		share := reserve / float64(len(bases))
-		for _, b := range bases {
-			b := b
-			b.soa = core.NewSOA(soaCfg, b.srv, lifetime.NewCoreBudgets(bcfg, b.srv.NumCores(), cfg.Start), share, cfg.Start)
-			invariant.SessionsWithinGrant(checker, rack.Name(), b.srv, func() *core.SOA { return b.soa })
-			invariant.CoreBudgetsNeverOverdrawn(checker, rack.Name(), b.srv, bcfg, cfg.Start, 12*cfg.Tick)
-		}
-		rack.Subscribe(func(ev power.Event) {
-			for _, b := range bases {
-				b.soa.OnRackEvent(eng.Now(), ev)
-			}
-		})
+		c.bootBases(reserve)
 	}
 
-	// The deployment-arrival stream: admission decides at each arrival;
-	// granted deployments join the rack with their severity class.
-	var admitted []*admittedServer
-	// The arrival stream, day templates and utilization traces all derive
-	// from the sweep seed, not the cell seed: every ratio cell faces the
-	// exact same workload, so admitted/rejected/capped differences across a
-	// sweep are attributable to the ratio alone.
+	// The deployment-arrival stream: admission decides at each arrival. The
+	// stream, day templates and utilization traces all derive from the sweep
+	// seed, not the cell seed: every ratio cell faces the exact same
+	// workload, so admitted/rejected/capped differences across a sweep are
+	// attributable to the ratio alone.
 	stream := trace.NewArrivalStream(cfg.Seed+17, cfg.ArrivalEvery, cfg.Arrivals)
 	for i := 0; i < cfg.Arrivals; i++ {
 		a := stream.Arrival(i)
@@ -313,94 +282,126 @@ func runOversubCell(cfg OversubConfig, ratio float64, seed int64, contention boo
 		if contention && a.Severity == 0 {
 			a.Severity = 1 // class 0 belongs to the production base
 		}
-		res.Offered++
-		eng.At(cfg.Start.Add(a.At), func() {
-			cand := power.Candidate{
-				Name:           a.Name,
-				NameplateWatts: a.HW.NameplateWatts(),
-				Severity:       power.Severity(a.Severity),
-			}
-			if a.HistoryDays > 0 {
-				cand.Template = fitArrivalTemplate(cfg.Start, cfg.HistoryStep, a, cfg.Seed)
-				cand.FittedAt = cfg.Start.AddDate(0, 0, -a.TemplateAgeDays)
-			}
-			d := adm.Admit(eng.Now(), cand)
-			if d.Conservative {
-				res.Fallback++
-			}
-			if !d.Granted {
-				res.Rejected++
-				return
-			}
-			res.Admitted++
-			srv := cluster.NewServer(a.Name, a.HW, int(power.NumSeverities)-1-a.Severity)
-			srv.SetSeverity(power.Severity(a.Severity))
-			rack.AddServer(srv)
-			admitted = append(admitted, &admittedServer{
-				srv: srv,
-				arr: a,
-				rng: rand.New(rand.NewSource(parallel.ChildSeed(cfg.Seed, uint64(9000+a.Index)))),
-			})
-		})
+		c.res.Offered++
+		c.eng.At(cfg.Start.Add(a.At), func() { c.admit(a) })
 	}
+	c.eng.Every(cfg.Start.Add(cfg.Tick), cfg.Tick, c.tick)
+	return c, nil
+}
 
-	eng.Every(cfg.Start.Add(cfg.Tick), cfg.Tick, func(now time.Time) {
-		off := since(now)
-		for _, ad := range admitted {
-			u := ad.arr.Service.UtilAt(now, ad.rng)
-			for c := 0; c < ad.srv.NumCores(); c++ {
-				ad.srv.SetCoreUtil(c, u)
-			}
+// buildBases adds the production base servers to the rig and returns their
+// predicted-peak reserve: hot VM cores, warm background, plus half the
+// overclock delta — the same estimate the zoo uses to size rack limits.
+func (c *oversubCell) buildBases() float64 {
+	cfg := c.cfg
+	c.rig.soaCfg = stressSOAConfig()
+	c.rig.bcfg = rigBudgetConfig(cfg.BudgetEpoch, cfg.OCBudgetFraction)
+	reserve := 0.0
+	for i := 0; i < cfg.BaseServers; i++ {
+		srv := cluster.NewServer(fmt.Sprintf("base-%02d", i), machine.DefaultConfig(), 100+i)
+		s := newRigServer(srv, srv.NumCores()/4)
+		s.srv.SetSeverity(power.SeverityCritical)
+		s.setUtil(0.90, 0.40)
+		reserve += s.srv.Power() + 0.5*s.srv.OCDeltaWatts(len(s.vmCores), s.srv.MaxOCMHz(), 0.9)
+		s.setUtil(0.40, 0.40)
+		c.rig.servers = append(c.rig.servers, s)
+	}
+	return reserve
+}
+
+// bootBases starts every base's sOA on its even share of the reserve and arms
+// the overclocking safety battery: competing with oversubscription must not
+// loosen any overclock bound. Rack events reach the sOAs directly.
+func (c *oversubCell) bootBases(reserve float64) {
+	rg := c.rig
+	share := reserve / float64(len(rg.servers))
+	for _, s := range rg.servers {
+		s.ledger = lifetime.NewCoreBudgets(rg.bcfg, s.srv.NumCores(), rg.start)
+		s.soa = core.NewSOA(rg.soaCfg, s.host, s.ledger, share, rg.start)
+		invariant.SessionsWithinGrant(c.checker, rg.rack.Name(), s.srv, func() *core.SOA { return s.soa })
+		invariant.CoreBudgetsNeverOverdrawn(c.checker, rg.rack.Name(), s.srv, rg.bcfg, rg.start, 12*c.cfg.Tick)
+	}
+	rg.rack.Subscribe(func(ev power.Event) {
+		for _, s := range rg.servers {
+			s.soa.OnRackEvent(c.eng.Now(), ev)
 		}
-		for i, b := range bases {
-			hot := trace.BenignUtil(cfg.Seed, 0, i, off, true)
-			base := trace.BenignUtil(cfg.Seed, 0, i, off, false)
-			want := trace.DemandWave(0, i, len(bases), off, 20*time.Minute, 0.45)
-			for c := 0; c < b.srv.NumCores(); c++ {
-				if want && c < len(b.vmCores) {
-					b.srv.SetCoreUtil(c, hot)
-				} else {
-					b.srv.SetCoreUtil(c, base)
-				}
-			}
-			_, active := b.soa.Sessions()["vm"]
-			if want && !active {
-				b.soa.Request(now, core.Request{
-					VM: "vm", Cores: len(b.vmCores), TargetMHz: b.srv.MaxOCMHz(),
-					Priority: core.PriorityMetric, PreferredCores: b.vmCores,
-				})
-			} else if !want && active {
-				b.soa.Stop(now, "vm")
-			}
-			b.soa.Tick(now)
-			res.OCCoreHours += float64(b.soa.ActiveOCCores()) * cfg.Tick.Hours()
-		}
-		for _, ad := range admitted {
-			ad.srv.Advance(cfg.Tick)
-		}
-		for _, b := range bases {
-			b.srv.Advance(cfg.Tick)
-		}
-		rack.Tick(now)
-		for _, ad := range admitted {
-			res.ServerTicks++
-			if ad.srv.CapLevel() > 0 {
-				res.CappedTicks++
-			}
-		}
-		if u := rack.Power() / limit; u > res.MaxUtil {
-			res.MaxUtil = u
-		}
-		checker.Check(now)
 	})
+}
 
-	eng.Run(end)
+// admit decides one arrival; a granted deployment joins the rack with its
+// severity class.
+func (c *oversubCell) admit(a trace.Arrival) {
+	cand := power.Candidate{
+		Name:           a.Name,
+		NameplateWatts: a.HW.NameplateWatts(),
+		Severity:       power.Severity(a.Severity),
+	}
+	if a.HistoryDays > 0 {
+		cand.Template = fitArrivalTemplate(c.cfg.Start, c.cfg.HistoryStep, a, c.cfg.Seed)
+		cand.FittedAt = c.cfg.Start.AddDate(0, 0, -a.TemplateAgeDays)
+	}
+	d := c.adm.Admit(c.eng.Now(), cand)
+	if d.Conservative {
+		c.res.Fallback++
+	}
+	if !d.Granted {
+		c.res.Rejected++
+		return
+	}
+	c.res.Admitted++
+	srv := cluster.NewServer(a.Name, a.HW, int(power.NumSeverities)-1-a.Severity)
+	srv.SetSeverity(power.Severity(a.Severity))
+	c.rig.rack.AddServer(srv)
+	rng := rand.New(rand.NewSource(parallel.ChildSeed(c.cfg.Seed, uint64(9000+a.Index))))
+	c.admitted = append(c.admitted, &admittedServer{srv: srv, arr: a, rng: rng})
+}
 
-	res.Warnings = rack.Warnings()
-	res.CapEvents = rack.CapEvents()
-	res.InvariantChecks = checker.Checks()
-	res.Violations = checker.Violations()
-	res.Err = checker.Err()
+// tick runs one control tick: deployment and base utilization, the bases'
+// overclock demand and sOAs, hardware, the rack manager and the invariants.
+func (c *oversubCell) tick(now time.Time) {
+	off := now.Sub(c.cfg.Start)
+	for _, ad := range c.admitted {
+		u := ad.arr.Service.UtilAt(now, ad.rng)
+		for k := 0; k < ad.srv.NumCores(); k++ {
+			ad.srv.SetCoreUtil(k, u)
+		}
+	}
+	rg := c.rig
+	for i, s := range rg.servers {
+		base := trace.BenignUtil(c.cfg.Seed, 0, i, off, false)
+		vm := base
+		want := trace.DemandWave(0, i, len(rg.servers), off, 20*time.Minute, 0.45)
+		if want {
+			vm = trace.BenignUtil(c.cfg.Seed, 0, i, off, true)
+		}
+		s.setUtil(vm, base)
+		rg.stepServer(s, now, want)
+		c.res.OCCoreHours += float64(s.soa.ActiveOCCores()) * c.cfg.Tick.Hours()
+	}
+	for _, ad := range c.admitted {
+		ad.srv.Advance(c.cfg.Tick)
+	}
+	rg.tickRack(now, c.cfg.Tick)
+	for _, ad := range c.admitted {
+		c.res.ServerTicks++
+		if ad.srv.CapLevel() > 0 {
+			c.res.CappedTicks++
+		}
+	}
+	if u := rg.rack.Power() / rg.limit; u > c.res.MaxUtil {
+		c.res.MaxUtil = u
+	}
+	c.checker.Check(now)
+}
+
+// result aggregates the finished cell.
+func (c *oversubCell) result() *OversubCellResult {
+	res := c.res
+	res.Warnings = c.rig.rack.Warnings()
+	res.CapEvents = c.rig.rack.CapEvents()
+	res.InvariantChecks = c.checker.Checks()
+	res.Violations = c.checker.Violations()
+	res.Err = c.checker.Err()
 	return res
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"smartoclock/internal/cluster"
 	"smartoclock/internal/core"
 	"smartoclock/internal/machine"
 	"smartoclock/internal/sim"
@@ -98,13 +99,15 @@ func (c RecoveryConfig) Validate() error {
 		return fmt.Errorf("experiment: crash window [%v, %v) outside run", c.CrashAt, c.CrashAt+c.DownFor)
 	case c.BudgetEpoch <= 0 || c.OCBudgetFraction <= 0:
 		return fmt.Errorf("experiment: bad OC budget %v/%v", c.BudgetEpoch, c.OCBudgetFraction)
+	case c.RackLimitScale <= 0:
+		return fmt.Errorf("experiment: recovery RackLimitScale = %v, must be positive", c.RackLimitScale)
 	}
 	for _, s := range c.Staleness {
 		if s <= 0 || s >= c.CrashAt {
 			return fmt.Errorf("experiment: checkpoint staleness %v outside (0, CrashAt)", s)
 		}
 	}
-	return nil
+	return c.HW.Validate()
 }
 
 // RecoveryRun is one mode's outcome.
@@ -166,7 +169,7 @@ func runRecoveryOnce(cfg RecoveryConfig, mode string, staleness time.Duration) r
 	hot := func(i int) bool { return i < cfg.Servers/2 }
 	servers := make([]*rigServer, cfg.Servers)
 	for i := range servers {
-		servers[i] = newRigServer(fmt.Sprintf("rec-%02d", i), cfg.HW, cfg.HW.Cores/2)
+		servers[i] = newRigServer(cluster.NewServer(fmt.Sprintf("rec-%02d", i), cfg.HW, 0), cfg.HW.Cores/2)
 		if hot(i) {
 			servers[i].setUtil(0.85, 0.45)
 		} else {

@@ -10,7 +10,6 @@ import (
 	"smartoclock/internal/core"
 	"smartoclock/internal/invariant"
 	"smartoclock/internal/lifetime"
-	"smartoclock/internal/machine"
 	"smartoclock/internal/metrics"
 	"smartoclock/internal/obs"
 	"smartoclock/internal/power"
@@ -69,6 +68,19 @@ func rigSOAConfig() core.SOAConfig {
 	return c
 }
 
+// stressSOAConfig is rigSOAConfig with the knobs of the drivers that stress
+// the control plane — chaos, zoo and the contention cells: back-off from one
+// to fifteen minutes, a five-minute exhaustion window and admission at 70 %
+// utilization.
+func stressSOAConfig() core.SOAConfig {
+	c := rigSOAConfig()
+	c.InitialBackoff = time.Minute
+	c.MaxBackoff = 15 * time.Minute
+	c.ExhaustionWindow = 5 * time.Minute
+	c.AdmissionUtil = 0.7
+	return c
+}
+
 // rigBudgetConfig is the per-core overclock time budget every rig uses: one
 // epoch of carry-over on top of the driver's epoch and fraction.
 func rigBudgetConfig(epoch time.Duration, fraction float64) lifetime.BudgetConfig {
@@ -122,6 +134,9 @@ type rigServer struct {
 	// vmCores are the cores of the slot's latency-critical VM, the one whose
 	// overclock demand stepServer drives.
 	vmCores []int
+	// pinned maps cores an operator pinned (live API deployments) to the
+	// utilization setUtil leaves them at.
+	pinned map[int]float64
 	// ledger is durable: it survives sOA crashes, like NVRAM-backed wear
 	// accounting would. soa is volatile and nil while crashed.
 	ledger *lifetime.CoreBudgets
@@ -132,17 +147,17 @@ type rigServer struct {
 	budgetAt time.Time
 }
 
-// newRigServer builds a slot whose VM spans the first vmCores cores.
-func newRigServer(name string, hw machine.Config, vmCores int) *rigServer {
-	srv := cluster.NewServer(name, hw, 0)
-	s := &rigServer{srv: srv, host: srv, agentID: "soa/" + name, vmCores: make([]int, vmCores)}
+// newRigServer builds a slot on srv whose VM spans the first vmCores cores.
+func newRigServer(srv *cluster.Server, vmCores int) *rigServer {
+	s := &rigServer{srv: srv, host: srv, agentID: "soa/" + srv.Name(), vmCores: make([]int, vmCores)}
 	for c := range s.vmCores {
 		s.vmCores[c] = c
 	}
 	return s
 }
 
-// setUtil runs the VM's cores at vm and every other core at rest.
+// setUtil runs the VM's cores at vm, pinned cores at their pin and every
+// other core at rest.
 func (s *rigServer) setUtil(vm, rest float64) {
 	for c := 0; c < s.srv.NumCores(); c++ {
 		if c < len(s.vmCores) {
@@ -150,6 +165,9 @@ func (s *rigServer) setUtil(vm, rest float64) {
 		} else {
 			s.srv.SetCoreUtil(c, rest)
 		}
+	}
+	for c, u := range s.pinned {
+		s.srv.SetCoreUtil(c, u)
 	}
 }
 

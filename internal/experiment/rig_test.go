@@ -7,6 +7,7 @@ import (
 
 	"smartoclock/internal/agent"
 	"smartoclock/internal/causal"
+	"smartoclock/internal/cluster"
 	"smartoclock/internal/machine"
 	"smartoclock/internal/power"
 )
@@ -17,8 +18,8 @@ func testRig(t *testing.T) (*rig, time.Time) {
 	t.Helper()
 	start := time.Date(2023, 4, 10, 9, 0, 0, 0, time.UTC)
 	servers := []*rigServer{
-		newRigServer("t-00", machine.DefaultConfig(), 4),
-		newRigServer("t-01", machine.DefaultConfig(), 4),
+		newRigServer(cluster.NewServer("t-00", machine.DefaultConfig(), 0), 4),
+		newRigServer(cluster.NewServer("t-01", machine.DefaultConfig(), 0), 4),
 	}
 	for _, s := range servers {
 		s.setUtil(0.8, 0.4)

@@ -12,7 +12,6 @@ import (
 	"smartoclock/internal/invariant"
 	"smartoclock/internal/parallel"
 	"smartoclock/internal/policy"
-	"smartoclock/internal/power"
 	"smartoclock/internal/sim"
 	"smartoclock/internal/trace"
 )
@@ -108,8 +107,21 @@ func (c ZooConfig) Validate() error {
 		return fmt.Errorf("experiment: bad zoo OC budget %v/%v", c.BudgetEpoch, c.OCBudgetFraction)
 	case c.EnforcementGrace < c.Tick:
 		return fmt.Errorf("experiment: zoo EnforcementGrace %v below one tick %v", c.EnforcementGrace, c.Tick)
+	case c.RackLimitScale <= 0:
+		return fmt.Errorf("experiment: zoo RackLimitScale = %v, must be positive", c.RackLimitScale)
 	}
-	return nil
+	return c.transportConfig(c.Seed).Validate()
+}
+
+// transportConfig is a cell's mild message-fault model under the cell seed.
+func (c ZooConfig) transportConfig(seed int64) chaos.Config {
+	return chaos.Config{
+		Seed:      seed + 1,
+		DropProb:  c.DropProb,
+		DelayProb: c.DelayProb,
+		MaxDelay:  c.MaxDelay,
+		BaseDelay: c.BaseDelay,
+	}
 }
 
 // ZooCellResult is one (policy, scenario) cell of the matrix.
@@ -157,16 +169,8 @@ func (h *driftHost) Power() float64 { return h.gain() * h.Server.Power() }
 func RunZooCell(cfg ZooConfig, f policy.Factory, sc trace.ZooScenario, seed int64) *ZooCellResult {
 	res := &ZooCellResult{Policy: f.Name, Scenario: sc.Name}
 	eng := sim.NewEngine(cfg.Start, seed)
-	end := cfg.Start.Add(cfg.Duration)
-	since := func(now time.Time) time.Duration { return now.Sub(cfg.Start) }
 
-	tr := chaos.NewTransport(chaos.Config{
-		Seed:      seed + 1,
-		DropProb:  cfg.DropProb,
-		DelayProb: cfg.DelayProb,
-		MaxDelay:  cfg.MaxDelay,
-		BaseDelay: cfg.BaseDelay,
-	}, eng, agent.NewBus())
+	tr := chaos.NewTransport(cfg.transportConfig(seed), eng, agent.NewBus())
 
 	// One recorder per cell: single-goroutine engine, deterministic span
 	// sequence derived from the cell seed. nil when provenance is off —
@@ -179,11 +183,7 @@ func RunZooCell(cfg ZooConfig, f policy.Factory, sc trace.ZooScenario, seed int6
 	checker := invariant.NewChecker()
 	checker.AttachProvenance(prov)
 
-	soaCfg := rigSOAConfig()
-	soaCfg.InitialBackoff = time.Minute
-	soaCfg.MaxBackoff = 15 * time.Minute
-	soaCfg.ExhaustionWindow = 5 * time.Minute
-	soaCfg.AdmissionUtil = 0.7
+	soaCfg := stressSOAConfig()
 	soaCfg.Policies = f
 
 	racks := make([]*rig, sc.Racks)
@@ -194,9 +194,9 @@ func RunZooCell(cfg ZooConfig, f policy.Factory, sc trace.ZooScenario, seed int6
 		est, fullOC := 0.0, 0.0
 		for i := range servers {
 			hw := sc.HW(r, i)
-			s := newRigServer(fmt.Sprintf("%s-s%02d", name, i), hw, hw.Cores/4)
+			s := newRigServer(cluster.NewServer(fmt.Sprintf("%s-s%02d", name, i), hw, 0), hw.Cores/4)
 			s.host = &driftHost{Server: s.srv, gain: func() float64 {
-				return sc.SensorGain(r, i, since(eng.Now()))
+				return sc.SensorGain(r, i, eng.Now().Sub(cfg.Start))
 			}}
 			// Limit estimate: halfway between all-quiet and VM-hot draw
 			// (demand waves run roughly half duty), plus half the fleet
@@ -223,29 +223,9 @@ func RunZooCell(cfg ZooConfig, f policy.Factory, sc trace.ZooScenario, seed int6
 			audit(a)
 		}
 		zr.assemble(name)
-
-		// Every message, rack notifications included, crosses the (lossy)
-		// transport like the chaos rig's; bursts go in one batched call,
-		// byte-identical to per-message sends.
-		deliver := func(m agent.Message) { zr.deliver(eng.Now(), m) }
-		tr.Register(zr.goaID, deliver)
-		for _, s := range servers {
-			tr.Register(s.agentID, deliver)
-		}
-		zr.rack.Subscribe(func(ev power.Event) { _ = agent.SendAll(tr, zr.rackEventFanout(ev)) })
-
-		// sOA → gOA profile reports (staggered one tick per server).
-		for i, s := range servers {
-			eng.Every(cfg.Start.Add(cfg.ProfileEvery+time.Duration(i)*cfg.Tick), cfg.ProfileEvery, func(now time.Time) {
-				if msg, ok := zr.profileReport(s, now); ok {
-					_ = tr.Send(msg)
-				}
-			})
-		}
-		// gOA → sOA budget pushes.
-		eng.Every(cfg.Start.Add(cfg.BudgetEvery), cfg.BudgetEvery, func(now time.Time) {
-			_ = agent.SendAll(tr, zr.budgetPushes(now))
-		})
+		// The zoo has no outages, so the budget push always runs.
+		wireRig(eng, tr, zr)
+		scheduleRigMessages(eng, tr, zr, cfg.Tick, cfg.ProfileEvery, cfg.BudgetEvery)
 
 		// Invariants: the zoo's bar is all of them, every tick.
 		zr.watch(checker, cfg.EnforcementGrace)
@@ -256,7 +236,7 @@ func RunZooCell(cfg ZooConfig, f policy.Factory, sc trace.ZooScenario, seed int6
 	// Main control tick.
 	eng.Every(cfg.Start.Add(cfg.Tick), cfg.Tick, func(now time.Time) {
 		res.Ticks++
-		off := since(now)
+		off := now.Sub(cfg.Start)
 		for r, zr := range racks {
 			for i, s := range zr.servers {
 				base := sc.Util(r, i, off, false)
@@ -273,7 +253,7 @@ func RunZooCell(cfg ZooConfig, f policy.Factory, sc trace.ZooScenario, seed int6
 		checker.Check(now)
 	})
 
-	eng.Run(end)
+	eng.Run(cfg.Start.Add(cfg.Duration))
 
 	for _, zr := range racks {
 		res.Requests += zr.requests
@@ -319,20 +299,10 @@ func RunZoo(cfg ZooConfig) (*ZooResult, error) {
 		}
 	}
 
-	type cell struct {
-		f  policy.Factory
-		sc trace.ZooScenario
-	}
-	cells := make([]cell, 0, len(pols)*len(scs))
-	for _, sc := range scs {
-		for _, f := range pols {
-			cells = append(cells, cell{f: f, sc: sc})
-		}
-	}
-
+	// Cell i is scenario i / len(pols) under policy set i % len(pols).
 	opts := parallel.Options{Workers: cfg.Workers, ShuffleSeed: cfg.ShuffleSeed}
-	results := parallel.Map(len(cells), opts, func(i int) *ZooCellResult {
-		return RunZooCell(cfg, cells[i].f, cells[i].sc, parallel.ChildSeed(cfg.Seed, uint64(i)))
+	results := parallel.Map(len(pols)*len(scs), opts, func(i int) *ZooCellResult {
+		return RunZooCell(cfg, pols[i%len(pols)], scs[i/len(pols)], parallel.ChildSeed(cfg.Seed, uint64(i)))
 	})
 
 	res := &ZooResult{Cells: make([]ZooCellResult, len(results))}

@@ -129,14 +129,19 @@ func TestZooSeedChangesOutcome(t *testing.T) {
 }
 
 func TestZooConfigValidation(t *testing.T) {
-	cfg := DefaultZooConfig()
-	cfg.Tick = 0
-	if _, err := RunZoo(cfg); err == nil {
-		t.Fatal("zero tick must fail validation")
-	}
-	cfg = DefaultZooConfig()
-	cfg.EnforcementGrace = time.Second
-	if _, err := RunZoo(cfg); err == nil {
-		t.Fatal("grace below one tick must fail validation")
+	for name, mutate := range map[string]func(*ZooConfig){
+		"zero tick":       func(c *ZooConfig) { c.Tick = 0 },
+		"grace sub-tick":  func(c *ZooConfig) { c.EnforcementGrace = time.Second },
+		"zero rack limit": func(c *ZooConfig) { c.RackLimitScale = 0 },
+		"drop over 1":     func(c *ZooConfig) { c.DropProb = 1.5 },
+	} {
+		cfg := DefaultZooConfig()
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: config validated", name)
+		}
+		if _, err := RunZoo(cfg); err == nil {
+			t.Errorf("%s: RunZoo accepted invalid config", name)
+		}
 	}
 }
