@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"smartoclock/internal/api"
+	"smartoclock/internal/baselines"
+	"smartoclock/internal/trace"
 )
 
 // The pin tests freeze the byte output of the four rack control-plane
@@ -287,4 +289,64 @@ func writeOversubCell(b *strings.Builder, label string, c *OversubCellResult) {
 		errLine, _, _ = strings.Cut(c.Err.Error(), "\n")
 	}
 	fmt.Fprintf(b, "Err %s\n", errLine)
+}
+
+// TestFleetKernelGolden pins the fleet's rack kernel at full precision.
+// table1_smoke.golden and ablation_smoke.golden print at most three
+// decimals, too coarse to catch a reordered penalty or performance sum, so
+// this golden holds every shard's rackMetrics (%+v) of the unobserved smoke
+// Table I, uninterrupted and checkpointed at tick 100; each ablation
+// variant's folded metrics at two racks per class, which cover the
+// WarnFraction override, disabled exploration and every template strategy;
+// the determinism anchors of a 4-rack, 6-server scale run; and the
+// datacenter rebalance table.
+func TestFleetKernelGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet simulations")
+	}
+	var b strings.Builder
+	for _, ckpt := range []int{0, 100} {
+		cfg := smokeFleetCfg()
+		cfg.CheckpointTick = ckpt
+		var units []rackUnit
+		for ci, class := range []trace.ClusterClass{trace.HighPower, trace.MediumPower, trace.LowPower} {
+			fcfg := table1FleetConfig(cfg, class, ci)
+			nr := fcfg.NumRacks()
+			units = append(units, fleetUnits(&fcfg, nr, ci*len(baselines.All())*nr, []FleetSimConfig{cfg}, baselines.All()...)...)
+		}
+		outs, err := streamRacks(fleetOpts(cfg), units)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, o := range outs {
+			fmt.Fprintf(&b, "table1 checkpoint=%d shard %d %+v\n", ckpt, i, o.m)
+		}
+	}
+
+	base := smokeFleetCfg()
+	base.RacksPerClass = 2
+	for _, a := range []*ablation{templateAblation(base), exploreStepAblation(base), warnAblation(base)} {
+		pts, err := runHighPower(base, a.variants, a.sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range pts {
+			fmt.Fprintf(&b, "ablation %s=%s %+v\n", a.knob, a.labels[i], m)
+		}
+	}
+
+	sc := DefaultScaleConfig(4)
+	sc.ServersPerRack = 6
+	res, err := RunFleetScale(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&b, "scale racks=4 servers=6 requests %d successes %d caps %d\n", res.Requests, res.Successes, res.CapEvents)
+
+	tbl, err := RunDatacenterRebalance(smokeFleetCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString(tbl.Format())
+	checkGolden(t, "fleet_kernel.golden", b.String())
 }
