@@ -61,6 +61,11 @@ func highPowerFleetConfig(base FleetSimConfig) trace.FleetConfig {
 // metrics folded in rack order. The racks come from base alone, so every
 // variant must keep base's Seed, RacksPerClass, Step and day counts.
 func runHighPower(base FleetSimConfig, variants []FleetSimConfig, sys baselines.System) ([]rackMetrics, error) {
+	for _, v := range variants {
+		if err := v.Validate(); err != nil {
+			return nil, err
+		}
+	}
 	fcfg := highPowerFleetConfig(base)
 	n := fcfg.NumRacks()
 	outs, err := streamRacks(fleetOpts(base), fleetUnits(&fcfg, n, 0, variants, sys))
@@ -137,7 +142,7 @@ func warnAblation(base FleetSimConfig) *ablation {
 // High-Power rack full of overclock-hungry services next to a quiet
 // Low-Power rack — rebalancing should move headroom toward the demand.
 func RunDatacenterRebalance(base FleetSimConfig) (*Table, error) {
-	if _, err := predictorFor(base.TemplateStrategy); err != nil {
+	if err := base.Validate(); err != nil {
 		return nil, err
 	}
 	days := base.TrainDays + base.EvalDays

@@ -192,20 +192,21 @@ func squareWaveDemand(i, n int, since time.Duration) bool {
 	return (since+phase)%period < 9*time.Minute
 }
 
-// squareWaveUtil draws a square-wave server's utilization: its VM's cores run
-// hot while it wants to overclock, and everything else runs at rest.
-func squareWaveUtil(rng *rand.Rand, want bool) (vm, rest float64) {
-	rest = 0.35 + 0.05*rng.Float64()
-	if !want {
-		return rest, rest
+// setSquareWaveUtil draws a square-wave server's utilization: its VM's cores
+// run hot while it wants to overclock, and everything else runs at rest.
+func setSquareWaveUtil(s *rigServer[*cluster.Server], rng *rand.Rand, want bool) {
+	rest := 0.35 + 0.05*rng.Float64()
+	vm := rest
+	if want {
+		vm = 0.80 + 0.10*rng.Float64()
 	}
-	return 0.80 + 0.10*rng.Float64(), rest
+	setUtil(s, vm, rest)
 }
 
 // partialOCLimit sizes a rack limit with headroom for some, not all, servers
 // to overclock at once: scale × (current draw + half the all-server
 // overclock delta).
-func partialOCLimit(servers []*rigServer, scale float64) float64 {
+func partialOCLimit(servers []*rigServer[*cluster.Server], scale float64) float64 {
 	est := 0.0
 	for _, s := range servers {
 		est += s.srv.Power()
@@ -245,7 +246,7 @@ func (c ChaosConfig) transportConfig() chaos.Config {
 // gets capped again — safe but slower, exactly the decentralized-enforcement
 // story. Bursts cross in one batched call; the transport draws its fault rng
 // per message in batch order, so results match unbatched sends byte for byte.
-func wireRig(eng *sim.Engine, tr *chaos.Transport, rg *rig) {
+func wireRig(eng *sim.Engine, tr *chaos.Transport, rg *rig[*cluster.Server]) {
 	deliver := func(m agent.Message) { rg.deliver(eng.Now(), m) }
 	tr.Register(rg.goaID, deliver)
 	for _, s := range rg.servers {
@@ -257,7 +258,7 @@ func wireRig(eng *sim.Engine, tr *chaos.Transport, rg *rig) {
 // scheduleRigMessages registers rg's periodic sends on tr: sOA → gOA profile
 // reports, staggered one tick apart per server, and gOA → sOA budget pushes,
 // which a downed gOA does not compute.
-func scheduleRigMessages(eng *sim.Engine, tr *chaos.Transport, rg *rig, tick, profileEvery, budgetEvery time.Duration) {
+func scheduleRigMessages(eng *sim.Engine, tr *chaos.Transport, rg *rig[*cluster.Server], tick, profileEvery, budgetEvery time.Duration) {
 	for i, s := range rg.servers {
 		eng.Every(rg.start.Add(profileEvery+time.Duration(i)*tick), profileEvery, func(now time.Time) {
 			if msg, ok := rg.profileReport(s, now); ok {
@@ -278,7 +279,7 @@ type chaosRun struct {
 	cfg      ChaosConfig
 	eng      *sim.Engine
 	tr       *chaos.Transport
-	rg       *rig
+	rg       *rig[*cluster.Server]
 	recorder *metrics.Recorder // nil unless RecordEvery is set
 	utilRng  *rand.Rand
 	checker  *invariant.Checker
@@ -310,16 +311,16 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 func newChaosRun(cfg ChaosConfig) *chaosRun {
 	eng := sim.NewEngine(cfg.Start, cfg.Seed)
 	utilRng := rand.New(rand.NewSource(cfg.Seed + 2))
-	servers := make([]*rigServer, cfg.Servers)
+	servers := make([]*rigServer[*cluster.Server], cfg.Servers)
 	for i := range servers {
-		servers[i] = newRigServer(cluster.NewServer(fmt.Sprintf("ch-%02d", i), cfg.HW, 0), cfg.HW.Cores/2)
-		servers[i].setUtil(squareWaveUtil(utilRng, squareWaveDemand(i, cfg.Servers, 0)))
+		servers[i] = newRigServer(cluster.NewServer(fmt.Sprintf("ch-%02d", i), cfg.HW, 0), cfg.HW.OCCoreCost(), cfg.HW.Cores/2)
+		setSquareWaveUtil(servers[i], utilRng, squareWaveDemand(i, cfg.Servers, 0))
 	}
 	c := &chaosRun{
 		cfg: cfg,
 		eng: eng,
 		tr:  chaos.NewTransport(cfg.transportConfig(), eng, agent.NewBus()),
-		rg: &rig{
+		rg: &rig[*cluster.Server]{
 			goaID:   "goa",
 			soaCfg:  stressSOAConfig(),
 			bcfg:    rigBudgetConfig(cfg.BudgetEpoch, cfg.OCBudgetFraction),
@@ -339,7 +340,7 @@ func newChaosRun(cfg ChaosConfig) *chaosRun {
 		c.recorder = metrics.NewRecorder(reg, cfg.Start, cfg.RecordEvery)
 	}
 	c.rg.limit = partialOCLimit(servers, cfg.RackLimitScale)
-	c.rg.assemble("rack-chaos")
+	c.rg.assemble(power.DefaultRackConfig("rack-chaos", c.rg.limit))
 	wireRig(eng, c.tr, c.rg)
 
 	// The sOA crash/restart plan, preceded by the periodic checkpoints when
@@ -415,7 +416,7 @@ func (c *chaosRun) tick(now time.Time) {
 	staleAfter := 2 * c.cfg.BudgetEvery
 	for i, s := range c.rg.servers {
 		want := squareWaveDemand(i, c.cfg.Servers, now.Sub(c.cfg.Start))
-		s.setUtil(squareWaveUtil(c.utilRng, want))
+		setSquareWaveUtil(s, c.utilRng, want)
 		if s.soa == nil {
 			continue // crashed: nobody to ask, VM runs at turbo
 		}

@@ -46,7 +46,7 @@ type liveWorld struct {
 
 	// rig is the rack's control plane: servers with their sOAs, the gOA and
 	// the rack manager.
-	rig *rig
+	rig *rig[*cluster.Server]
 
 	deployments map[string]*liveDeployment
 
@@ -106,7 +106,7 @@ func (w *liveWorld) violations() int {
 func (w *liveWorld) do(fn func()) { w.lk.Do(func(*metrics.Registry) { fn() }) }
 
 // server resolves a server name (the rig's slots are fixed after setup).
-func (w *liveWorld) server(name string) (*rigServer, error) {
+func (w *liveWorld) server(name string) (*rigServer[*cluster.Server], error) {
 	ls, ok := w.rig.byAgent["soa/"+name]
 	if !ok {
 		return nil, api.NotFoundf("no server %q", name)
@@ -115,7 +115,7 @@ func (w *liveWorld) server(name string) (*rigServer, error) {
 }
 
 // onServer runs fn under the lock on the named server.
-func (w *liveWorld) onServer(name string, fn func(ls *rigServer)) error {
+func (w *liveWorld) onServer(name string, fn func(ls *rigServer[*cluster.Server])) error {
 	ls, err := w.server(name)
 	if err == nil {
 		w.do(func() { fn(ls) })
@@ -256,10 +256,10 @@ func (w *liveWorld) drainDeployment(name string) error {
 }
 
 func (w *liveWorld) setProfile(spec api.ProfileSpec) error {
-	return w.onServer(spec.Server, func(ls *rigServer) {
+	return w.onServer(spec.Server, func(ls *rigServer[*cluster.Server]) {
 		cost := spec.CoreCostWatts
 		if cost == 0 {
-			cost = ls.srv.Machine().Config().OCCoreCost()
+			cost = ls.coreCost
 		}
 		w.rig.goa.SetProfile(spec.Server, flatProfile(profileMsg{
 			Server: spec.Server, MedianWatts: spec.MedianWatts,
@@ -269,7 +269,7 @@ func (w *liveWorld) setProfile(spec api.ProfileSpec) error {
 }
 
 func (w *liveWorld) setBudget(spec api.BudgetSpec) error {
-	return w.onServer(spec.Server, func(ls *rigServer) { ls.soa.SetStaticBudget(spec.Watts, true) })
+	return w.onServer(spec.Server, func(ls *rigServer[*cluster.Server]) { ls.soa.SetStaticBudget(spec.Watts, true) })
 }
 
 func (w *liveWorld) assignBudgets(spec api.AssignSpec) (*api.AssignStatus, error) {
@@ -300,7 +300,7 @@ func (w *liveWorld) assignBudgets(spec api.AssignSpec) (*api.AssignStatus, error
 }
 
 func (w *liveWorld) setSeverity(spec api.SeveritySpec) error {
-	return w.onServer(spec.Server, func(ls *rigServer) { ls.srv.SetSeverity(power.Severity(spec.Severity)) })
+	return w.onServer(spec.Server, func(ls *rigServer[*cluster.Server]) { ls.srv.SetSeverity(power.Severity(spec.Severity)) })
 }
 
 func (w *liveWorld) startOverclock(spec api.OCSpec) (*api.OCStatus, error) {
@@ -346,7 +346,7 @@ func (w *liveWorld) startOverclock(spec api.OCSpec) (*api.OCStatus, error) {
 
 func (w *liveWorld) stopOverclock(spec api.StopSpec) error {
 	var found bool
-	err := w.onServer(spec.Server, func(ls *rigServer) {
+	err := w.onServer(spec.Server, func(ls *rigServer[*cluster.Server]) {
 		if _, found = ls.soa.Sessions()[spec.VM]; found {
 			ls.soa.Stop(w.now, spec.VM)
 		}

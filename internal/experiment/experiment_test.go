@@ -562,3 +562,64 @@ func TestUnknownTemplateStrategyFails(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetSimConfigValidate checks that every fleet entry point refuses a
+// config it cannot run before any rack is simulated, instead of panicking
+// inside a shard or returning an all-zero table.
+func TestFleetSimConfigValidate(t *testing.T) {
+	cases := []struct {
+		name, want string
+		set        func(*FleetSimConfig)
+	}{
+		{"warning below the capping target", "TargetFraction", func(c *FleetSimConfig) { c.WarnFraction = 0.7 }},
+		{"warning above the limit", "WarnFraction", func(c *FleetSimConfig) { c.WarnFraction = 1.5 }},
+		{"negative warning", "WarnFraction", func(c *FleetSimConfig) { c.WarnFraction = -0.9 }},
+		{"negative overclock budget", "Fraction", func(c *FleetSimConfig) { c.OCBudgetFraction = -1 }},
+		{"no racks", "RacksPerClass", func(c *FleetSimConfig) { c.RacksPerClass = 0 }},
+		{"no evaluation days", "EvalDays", func(c *FleetSimConfig) { c.EvalDays = 0 }},
+		{"no training days", "TrainDays", func(c *FleetSimConfig) { c.TrainDays = 0 }},
+		{"step over a day", "Step", func(c *FleetSimConfig) { c.Step = 25 * time.Hour }},
+		{"checkpoint at the end", "CheckpointTick", func(c *FleetSimConfig) { c.CheckpointTick = 288 }},
+		{"negative checkpoint", "CheckpointTick", func(c *FleetSimConfig) { c.CheckpointTick = -1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smokeFleetCfg()
+			tc.set(&cfg)
+			runs := map[string]func() error{
+				"Validate":  cfg.Validate,
+				"RunTable1": func() error { _, _, err := RunTable1(cfg); return err },
+				"RunTable1Observed": func() error {
+					_, _, _, err := RunTable1Observed(cfg)
+					return err
+				},
+				"runHighPower": func() error {
+					// A bad variant fails the sweep even after a good one.
+					_, err := runHighPower(cfg, []FleetSimConfig{smokeFleetCfg(), cfg}, baselines.SmartOClock)
+					return err
+				},
+				"RunDatacenterRebalance": func() error { _, err := RunDatacenterRebalance(cfg); return err },
+			}
+			for name, run := range runs {
+				if err := run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: err = %v, want an error naming %s", name, err, tc.want)
+				}
+			}
+		})
+	}
+
+	// The edges of the valid range, and every ablation knob, pass.
+	for _, set := range []func(*FleetSimConfig){
+		func(c *FleetSimConfig) { c.CheckpointTick = 287 },
+		func(c *FleetSimConfig) { c.WarnFraction = 0.85 },
+		func(c *FleetSimConfig) { c.ExploreStepWatts = -1 },
+		func(c *FleetSimConfig) { c.OCBudgetFraction = 0 },
+		func(c *FleetSimConfig) { c.Step = 24 * time.Hour },
+	} {
+		cfg := smokeFleetCfg()
+		set(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)
+		}
+	}
+}

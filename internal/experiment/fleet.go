@@ -8,6 +8,7 @@ import (
 	"smartoclock/internal/causal"
 	"smartoclock/internal/core"
 	"smartoclock/internal/lifetime"
+	"smartoclock/internal/machine"
 	"smartoclock/internal/metrics"
 	"smartoclock/internal/obs"
 	"smartoclock/internal/parallel"
@@ -95,45 +96,72 @@ func DefaultFleetSimConfig() FleetSimConfig {
 	}
 }
 
+// Validate reports whether the configuration is runnable. The fleet's rack
+// manager and per-core lifetime budget check their own bounds.
+func (c FleetSimConfig) Validate() error {
+	switch {
+	case c.RacksPerClass <= 0:
+		return fmt.Errorf("experiment: fleet RacksPerClass = %d, must be positive", c.RacksPerClass)
+	case c.TrainDays <= 0 || c.EvalDays <= 0:
+		return fmt.Errorf("experiment: fleet TrainDays/EvalDays = %d/%d, both must be positive", c.TrainDays, c.EvalDays)
+	case c.Step <= 0 || c.Step > 24*time.Hour:
+		return fmt.Errorf("experiment: fleet Step = %v outside (0, 24h]", c.Step)
+	}
+	if ticks := c.EvalDays * int(24*time.Hour/c.Step); c.CheckpointTick < 0 || c.CheckpointTick >= ticks {
+		return fmt.Errorf("experiment: fleet CheckpointTick = %d outside [0, %d)", c.CheckpointTick, ticks)
+	}
+	if _, err := predictorFor(c.TemplateStrategy); err != nil {
+		return err
+	}
+	if err := c.rackConfig("fleet", 1).Validate(); err != nil {
+		return err
+	}
+	return c.budgetConfig().Validate()
+}
+
+// rackConfig is the rack manager of a fleet rack: the evaluation default,
+// with the ablations' warning threshold when one is set.
+func (c *FleetSimConfig) rackConfig(name string, limit float64) power.RackConfig {
+	rc := power.DefaultRackConfig(name, limit)
+	if c.WarnFraction != 0 {
+		rc.WarnFraction = c.WarnFraction
+		if rc.RestoreFraction > c.WarnFraction {
+			rc.RestoreFraction = c.WarnFraction - 0.03
+		}
+	}
+	return rc
+}
+
+// budgetConfig is the per-core overclock time budget: a weekly allowance of
+// OCBudgetFraction.
+func (c *FleetSimConfig) budgetConfig() lifetime.BudgetConfig {
+	return rigBudgetConfig(7*24*time.Hour, c.OCBudgetFraction)
+}
+
 // fleetStart is a Monday at midnight: training week is Mon-Sun, evaluation
 // starts the following Monday.
 var fleetStart = time.Date(2023, 4, 10, 0, 0, 0, 0, time.UTC)
 
 // traceHost replays a server's baseline power trace and adds the modeled
-// overclock power of whatever frequencies the agents set. It implements
+// overclock power of whatever frequencies the agents set. It is a rig host:
 // core.Host for the sOA and power.Server for the rack manager, exactly as
 // the paper's simulator does: "Models are used to estimate the power impact
 // of overclocking; CPU utilization and core frequency are the input."
 type traceHost struct {
-	name        string
-	turbo       int
-	maxOC       int
-	stepMHz     int
-	minMHz      int
-	cores       int
-	ocCoreCost  float64
-	desired     []int
-	capLevel    int
-	basePower   float64 // current baseline (trace) watts
-	util        float64 // current mean utilization
-	capPriority int
+	name       string
+	hw         machine.Config
+	ocCoreCost float64 // hw.OCCoreCost(), which Power reads per core
+	desired    []int
+	capLevel   int
+	basePower  float64 // current baseline (trace) watts
+	util       float64 // current mean utilization
 }
 
-func newTraceHost(st *trace.ServerTrace, capPriority int) *traceHost {
+func newTraceHost(st *trace.ServerTrace) *traceHost {
 	hw := st.Spec.HW
-	h := &traceHost{
-		name:        st.Spec.Name,
-		turbo:       hw.TurboMHz,
-		maxOC:       hw.MaxOCMHz,
-		stepMHz:     hw.StepMHz,
-		minMHz:      hw.MinMHz,
-		cores:       hw.Cores,
-		ocCoreCost:  hw.OCCoreCost(),
-		desired:     make([]int, hw.Cores),
-		capPriority: capPriority,
-	}
+	h := &traceHost{name: st.Spec.Name, hw: hw, ocCoreCost: hw.OCCoreCost(), desired: make([]int, hw.Cores)}
 	for i := range h.desired {
-		h.desired[i] = h.turbo
+		h.desired[i] = hw.TurboMHz
 	}
 	return h
 }
@@ -143,36 +171,42 @@ func (h *traceHost) setTick(baseWatts, util float64) {
 	h.util = util
 }
 
+// Advance is a no-op: setTick moves the replayed baseline.
+func (h *traceHost) Advance(time.Duration) {}
+
+// Instrument is a no-op: a replayed trace has no machine series.
+func (h *traceHost) Instrument(*metrics.Registry, ...metrics.Label) {}
+
 // core.Host.
 
 func (h *traceHost) Name() string              { return h.name }
-func (h *traceHost) NumCores() int             { return h.cores }
-func (h *traceHost) TurboMHz() int             { return h.turbo }
-func (h *traceHost) MaxOCMHz() int             { return h.maxOC }
-func (h *traceHost) StepMHz() int              { return h.stepMHz }
+func (h *traceHost) NumCores() int             { return h.hw.Cores }
+func (h *traceHost) TurboMHz() int             { return h.hw.TurboMHz }
+func (h *traceHost) MaxOCMHz() int             { return h.hw.MaxOCMHz }
+func (h *traceHost) StepMHz() int              { return h.hw.StepMHz }
 func (h *traceHost) CoreUtil(core int) float64 { return h.util }
 
 func (h *traceHost) SetDesiredFreq(core, mhz int) {
-	if mhz < h.minMHz {
-		mhz = h.minMHz
+	if mhz < h.hw.MinMHz {
+		mhz = h.hw.MinMHz
 	}
-	if mhz > h.maxOC {
-		mhz = h.maxOC
+	if mhz > h.hw.MaxOCMHz {
+		mhz = h.hw.MaxOCMHz
 	}
-	h.desired[core] = mhz - mhz%h.stepMHz
+	h.desired[core] = mhz - mhz%h.hw.StepMHz
 }
 
 func (h *traceHost) DesiredFreq(core int) int { return h.desired[core] }
 
 func (h *traceHost) capCeiling() int {
-	c := h.maxOC - h.capLevel*h.stepMHz
-	if c < h.minMHz {
-		c = h.minMHz
+	c := h.hw.MaxOCMHz - h.capLevel*h.hw.StepMHz
+	if c < h.hw.MinMHz {
+		c = h.hw.MinMHz
 	}
 	return c
 }
 
-func (h *traceHost) effectiveFreq(core int) int {
+func (h *traceHost) EffectiveFreq(core int) int {
 	f := h.desired[core]
 	if c := h.capCeiling(); f > c {
 		f = c
@@ -182,10 +216,10 @@ func (h *traceHost) effectiveFreq(core int) int {
 
 // ocFraction returns how far into the overclock range a frequency sits.
 func (h *traceHost) ocFraction(freq int) float64 {
-	if freq <= h.turbo {
+	if freq <= h.hw.TurboMHz {
 		return 0
 	}
-	return float64(freq-h.turbo) / float64(h.maxOC-h.turbo)
+	return float64(freq-h.hw.TurboMHz) / float64(h.hw.MaxOCMHz-h.hw.TurboMHz)
 }
 
 // Power models the server draw: the baseline trace scaled down when capped
@@ -193,8 +227,8 @@ func (h *traceHost) ocFraction(freq int) float64 {
 func (h *traceHost) Power() float64 {
 	ceil := h.capCeiling()
 	base := h.basePower
-	if ceil < h.turbo {
-		base *= float64(ceil) / float64(h.turbo)
+	if ceil < h.hw.TurboMHz {
+		base *= float64(ceil) / float64(h.hw.TurboMHz)
 	}
 	uf := h.util
 	if uf < 0.3 {
@@ -202,7 +236,7 @@ func (h *traceHost) Power() float64 {
 	}
 	oc := 0.0
 	for _, f := range h.desired {
-		if f > h.turbo {
+		if f > h.hw.TurboMHz {
 			eff := f
 			if eff > ceil {
 				eff = ceil
@@ -214,8 +248,8 @@ func (h *traceHost) Power() float64 {
 }
 
 func (h *traceHost) OCDeltaWatts(cores, mhz int, util float64) float64 {
-	if mhz > h.maxOC {
-		mhz = h.maxOC
+	if mhz > h.hw.MaxOCMHz {
+		mhz = h.hw.MaxOCMHz
 	}
 	if util < 0.3 {
 		util = 0.3
@@ -225,12 +259,14 @@ func (h *traceHost) OCDeltaWatts(cores, mhz int, util float64) float64 {
 
 // power.Server.
 
-func (h *traceHost) CapPriority() int { return h.capPriority }
+func (h *traceHost) CapPriority() int { return 0 }
 func (h *traceHost) CapLevel() int    { return h.capLevel }
 
 // MaxCapLevel rounds up so the deepest level reaches MinMHz even when the
 // MaxOC→Min range is not a whole number of steps (see cluster.Server).
-func (h *traceHost) MaxCapLevel() int { return (h.maxOC - h.minMHz + h.stepMHz - 1) / h.stepMHz }
+func (h *traceHost) MaxCapLevel() int {
+	return (h.hw.MaxOCMHz - h.hw.MinMHz + h.hw.StepMHz - 1) / h.hw.StepMHz
+}
 
 func (h *traceHost) ForceCap(level int) {
 	if level < 0 {
@@ -242,20 +278,10 @@ func (h *traceHost) ForceCap(level int) {
 	h.capLevel = level
 }
 
-// meanFreqRatio returns the mean effective frequency across cores relative
-// to turbo — the per-server performance metric of Table I.
-func (h *traceHost) meanFreqRatio() float64 {
-	sum := 0.0
-	for i := range h.desired {
-		sum += float64(h.effectiveFreq(i))
-	}
-	return sum / float64(h.cores) / float64(h.turbo)
-}
-
 // hasOC reports whether any core is requested beyond turbo.
 func (h *traceHost) hasOC() bool {
 	for _, f := range h.desired {
-		if f > h.turbo {
+		if f > h.hw.TurboMHz {
 			return true
 		}
 	}
@@ -270,9 +296,9 @@ func sessionEffectiveRatio(h *traceHost, s *core.Session) float64 {
 	}
 	sum := 0.0
 	for _, c := range s.Cores {
-		sum += float64(h.effectiveFreq(c))
+		sum += float64(h.EffectiveFreq(c))
 	}
-	return sum / float64(len(s.Cores)) / float64(h.turbo)
+	return sum / float64(len(s.Cores)) / float64(h.hw.TurboMHz)
 }
 
 // Table1Row is one (system, class) cell set of Table I.
@@ -492,8 +518,8 @@ type rackPrep struct {
 // prepareRack does the system-independent work of simulating rt: demand,
 // power and overclock templates, and (unobserved) budget templates. It is a
 // pure function of its arguments and emits nothing to any observer. The
-// key's TemplateStrategy must already be valid (streamRacks and
-// RunDatacenterRebalance check it before any shard runs).
+// key's TemplateStrategy must already be valid (every entry point validates
+// its config before any shard runs).
 func prepareRack(rt *trace.RackTrace, key prepKey) *rackPrep {
 	evalStart := fleetStart.Add(time.Duration(key.TrainDays) * 24 * time.Hour)
 	ticks := key.EvalDays * int(24*time.Hour/key.Step)
@@ -525,19 +551,18 @@ func prepareRack(rt *trace.RackTrace, key prepKey) *rackPrep {
 		}
 	}
 	if !key.Observe {
-		p.budgetTpls = p.newGOA().BudgetTemplates(key.Step)
+		goa := core.NewGOA(rt.Name, rt.LimitWatts)
+		p.profile(goa)
+		p.budgetTpls = goa.BudgetTemplates(key.Step)
 	}
 	return p
 }
 
-// newGOA returns a fresh, uninstrumented Global Overclocking Agent for the
-// rack holding every server's training-week profile.
-func (p *rackPrep) newGOA() *core.GOA {
-	goa := core.NewGOA(p.rt.Name, p.rt.LimitWatts)
+// profile gives goa every server's training-week profile.
+func (p *rackPrep) profile(goa *core.GOA) {
 	for i, st := range p.rt.Servers {
 		goa.SetProfile(st.Spec.Name, p.profiles[i])
 	}
-	return goa
 }
 
 // fleetSOAConfig is the sOA recipe shared by every server of a fleet run,
@@ -565,30 +590,18 @@ func fleetSOAConfig(cfg FleetSimConfig) core.SOAConfig {
 	return c
 }
 
-// systemRun is one system's simulation of a prepared rack: the per-system
-// state runSystem builds fresh — hosts, rack manager, gOA, sOAs and, when
-// observed, the shard-local registry, tracer, provenance recorder and
-// series recorder — plus the Table I accumulators.
+// systemRun is one system's simulation of a prepared rack: a rig over the
+// rack's trace hosts, built fresh per run, plus what only the fleet has — the
+// trace baselines, the demand, the series recorder and the Table I
+// accumulators.
 type systemRun struct {
 	prep *rackPrep
-	sys  baselines.System
 	cfg  FleetSimConfig
+	rg   *rig[*traceHost]
 
-	hosts   []*traceHost
-	soas    []*core.SOA
-	rack    *power.Rack
-	goa     *core.GOA
-	soaBase core.SOAConfig
-	bcfg    lifetime.BudgetConfig
-
-	reg      *metrics.Registry
-	tracer   *obs.Tracer
-	prov     *causal.Recorder
-	labels   []metrics.Label
 	recorder *metrics.Recorder
-
-	now time.Time
-	m   rackMetrics
+	now      time.Time
+	m        rackMetrics
 }
 
 // runSystem simulates prep's rack under sys for the evaluation window. When
@@ -608,121 +621,70 @@ func runSystem(prep *rackPrep, sys baselines.System, cfg FleetSimConfig, class s
 	return r.finish()
 }
 
-// newSystemRun builds the per-system control plane over prep in the order
-// the observers see it: rack manager, gOA and its budget split, then sOAs.
+// newSystemRun assembles sys's rig over prep, then gives the gOA the prep's
+// profiles and each sOA its budget and power templates. Booting an agent
+// emits nothing, so observers see the gOA's budget split before any sOA acts.
 func newSystemRun(prep *rackPrep, sys baselines.System, cfg FleetSimConfig, class string, shard int) *systemRun {
 	rt := prep.rt
-	r := &systemRun{
-		prep: prep, sys: sys, cfg: cfg,
-		hosts:   make([]*traceHost, len(rt.Servers)),
-		soas:    make([]*core.SOA, len(rt.Servers)),
-		soaBase: fleetSOAConfig(cfg),
-		bcfg:    rigBudgetConfig(7*24*time.Hour, cfg.OCBudgetFraction),
+	rg := &rig[*traceHost]{
+		limit:   rt.LimitWatts,
+		bcfg:    cfg.budgetConfig(),
+		start:   prep.evalStart,
+		servers: make([]*rigServer[*traceHost], len(rt.Servers)),
+		session: "oc",
 	}
+	r := &systemRun{prep: prep, cfg: cfg, rg: rg}
 	if cfg.Observe {
-		r.reg = metrics.NewRegistry()
-		r.tracer = newShardTracer(cfg.TraceOnly)
-		r.prov = causal.NewRecorder(parallel.ChildSeed(cfg.Seed, uint64(shard)), 1)
-		r.labels = []metrics.Label{
-			metrics.L("class", class),
-			metrics.L("system", sys.String()),
-		}
+		rg.reg = metrics.NewRegistry()
+		rg.tracer = newShardTracer(cfg.TraceOnly)
+		rg.prov = causal.NewRecorder(parallel.ChildSeed(cfg.Seed, uint64(shard)), 1)
+		byClass, bySystem := metrics.L("class", class), metrics.L("system", sys.String())
+		rg.labels = []metrics.Label{byClass, bySystem}
+		rg.soaLabels = []metrics.Label{byClass, bySystem, metrics.L("rack", rt.Name)}
 		if cfg.RecordEvery > 0 {
-			r.recorder = metrics.NewRecorder(r.reg, prep.evalStart, cfg.RecordEvery)
+			r.recorder = metrics.NewRecorder(rg.reg, prep.evalStart, cfg.RecordEvery)
 		}
 	}
-
-	rackCfg := power.DefaultRackConfig(rt.Name, rt.LimitWatts)
-	if cfg.WarnFraction > 0 {
-		rackCfg.WarnFraction = cfg.WarnFraction
-		if rackCfg.RestoreFraction > cfg.WarnFraction {
-			rackCfg.RestoreFraction = cfg.WarnFraction - 0.03
-		}
-	}
-	servers := make([]power.Server, len(rt.Servers))
 	for i, st := range rt.Servers {
-		r.hosts[i] = newTraceHost(st, 0)
-		servers[i] = r.hosts[i]
+		h := newTraceHost(st)
+		rg.servers[i] = newRigServer(h, h.ocCoreCost, 0)
 	}
-	r.rack = power.NewRack(rackCfg, servers...)
-	r.rack.AttachProvenance(r.prov)
-	if r.reg != nil {
-		r.rack.Instrument(r.reg, r.tracer, r.labels...)
-	}
-
-	r.goa = r.instrumentGOA(prep.newGOA())
+	rg.soaCfg = baselines.SOAConfig(sys, fleetSOAConfig(cfg), func(extra float64) bool {
+		return rg.rack.Power()+extra <= rt.LimitWatts
+	})
+	rg.assemble(cfg.rackConfig(rt.Name, rt.LimitWatts))
+	prep.profile(rg.goa)
 	budgetTpls := prep.budgetTpls
-	if r.reg != nil {
-		budgetTpls = r.goa.BudgetTemplates(cfg.Step)
+	if rg.reg != nil {
+		budgetTpls = rg.goa.BudgetTemplates(cfg.Step)
 	}
-
-	for i, st := range rt.Servers {
-		r.soas[i] = r.buildSOA(i)
+	for i, s := range rg.servers {
 		switch sys {
-		case baselines.NaiveOClock, baselines.Central:
-			// Even share; Central admits via the oracle anyway.
+		case baselines.Central:
+			// The oracle performs all admission; no local budget enforcement
+			// should second-guess it.
+			s.soa.SetStaticBudget(1e9, false)
+		case baselines.NaiveOClock:
+			// Even share.
 		default:
-			r.soas[i].SetAssignedBudget(budgetTpls[st.Spec.Name])
+			s.soa.SetAssignedBudget(budgetTpls[s.srv.name])
 		}
-		r.soas[i].SetPowerTemplate(prep.profiles[i].Power)
-		r.instrumentSOA(r.soas[i])
+		s.soa.SetPowerTemplate(prep.profiles[i].Power)
 	}
 
-	// Rack events feed every sOA; caps are counted by the rack itself.
-	r.rack.Subscribe(func(ev power.Event) {
-		for _, a := range r.soas {
-			a.OnRackEvent(r.now, ev)
+	// Rack events feed every sOA directly (the fleet has no transport); caps
+	// are counted by the rack itself.
+	rg.rack.Subscribe(func(ev power.Event) {
+		for _, s := range rg.servers {
+			s.soa.OnRackEvent(r.now, ev)
 		}
 	})
 	return r
 }
 
-// instrumentGOA binds a gOA to the shard's provenance recorder and registry.
-func (r *systemRun) instrumentGOA(g *core.GOA) *core.GOA {
-	g.AttachProvenance(r.prov)
-	if r.reg != nil {
-		g.Instrument(r.reg, r.tracer, r.labels...)
-	}
-	return g
-}
-
-// buildSOA constructs server i's agent from configuration alone — the same
-// recipe whether it is the initial boot or a post-checkpoint rebuild. Config
-// is code, state is data: closures (the oracle), host bindings and cadences
-// come from here; learned state comes from SetAssignedBudget/SetPowerTemplate
-// at boot or Restore after a checkpoint.
-func (r *systemRun) buildSOA(i int) *core.SOA {
-	rt := r.prep.rt
-	oracle := func(extra float64) bool {
-		return r.rack.Power()+extra <= rt.LimitWatts
-	}
-	scfg := baselines.SOAConfig(r.sys, r.soaBase, oracle)
-	budgets := lifetime.NewCoreBudgets(r.bcfg, rt.Servers[i].Spec.HW.Cores, r.prep.evalStart)
-	even := rt.LimitWatts / float64(len(rt.Servers))
-	if r.sys == baselines.Central {
-		// The oracle performs all admission; no local budget enforcement
-		// should second-guess it.
-		even = 1e9
-	}
-	return core.NewSOA(scfg, r.hosts[i], budgets, even, r.prep.evalStart)
-}
-
-// instrumentSOA binds an agent to the shard registry. Rebuilt agents resolve
-// the same series (identity is name+labels), so counters keep accumulating
-// across a checkpoint/restore cycle.
-func (r *systemRun) instrumentSOA(a *core.SOA) {
-	a.AttachProvenance(r.prov)
-	if r.reg == nil {
-		return
-	}
-	soaLabels := make([]metrics.Label, 0, len(r.labels)+1)
-	soaLabels = append(soaLabels, r.labels...)
-	soaLabels = append(soaLabels, metrics.L("rack", r.prep.rt.Name))
-	a.Instrument(r.reg, r.tracer, soaLabels...)
-}
-
 // tick advances the rack by evaluation tick t.
 func (r *systemRun) tick(t int) {
+	rg := r.rg
 	r.now = r.prep.evalStart.Add(time.Duration(t) * r.cfg.Step)
 	// 0. Optional mid-run checkpoint/restore cycle.
 	if r.cfg.CheckpointTick > 0 && t == r.cfg.CheckpointTick {
@@ -735,19 +697,20 @@ func (r *systemRun) tick(t int) {
 		if j >= st.Power.Len() {
 			j = st.Power.Len() - 1
 		}
-		r.hosts[i].setTick(st.Power.Values[j], st.Util.Values[j])
+		rg.servers[i].srv.setTick(st.Power.Values[j], st.Util.Values[j])
 	}
-	// 2. Demand changes → session management + admission.
+	// 2. Demand changes → session management + admission, for every server
+	// before any sOA ticks: Central's oracle reads the whole rack's power.
 	r.serveDemand(t)
 	// 3. sOA control loops.
-	for _, a := range r.soas {
-		a.Tick(r.now)
+	for _, s := range rg.servers {
+		s.soa.Tick(r.now)
 	}
 	// 4. Rack manager: warnings, caps, restores.
-	capsBefore := r.rack.CapEvents()
-	r.rack.Tick(r.now)
+	capsBefore := rg.rack.CapEvents()
+	rg.tickRack(r.now, r.cfg.Step)
 	// 5. Metrics.
-	r.measure(t, r.rack.CapEvents() > capsBefore)
+	r.measure(t, rg.rack.CapEvents() > capsBefore)
 	// 6. Telemetry recording at the end of the tick: the sampled state
 	// covers everything up to the tick's end boundary.
 	if r.recorder != nil {
@@ -755,15 +718,15 @@ func (r *systemRun) tick(t int) {
 	}
 }
 
-// checkpointRestore snapshots the whole control plane, pushes it through
-// the serialized envelope, and swaps in fresh agents restored from the
-// decoded bytes. The remainder of the run must be indistinguishable from
-// never having restarted.
+// checkpointRestore snapshots the whole control plane with its lifetime
+// ledgers, pushes it through the serialized envelope, and restarts the rig
+// from the decoded bytes. The remainder of the run must be indistinguishable
+// from never having restarted.
 func (r *systemRun) checkpointRestore(t int) {
-	rt := r.prep.rt
-	cp := &store.Checkpoint{GOA: r.goa.Snapshot(), SOAs: make(map[string]*core.SOAState, len(rt.Servers))}
-	for i, st := range rt.Servers {
-		cp.SOAs[st.Spec.Name] = r.soas[i].Snapshot()
+	rg := r.rg
+	cp := &store.Checkpoint{GOA: rg.goa.Snapshot(), SOAs: make(map[string]*core.SOAState, len(rg.servers))}
+	for _, s := range rg.servers {
+		cp.SOAs[s.srv.name] = s.soa.Snapshot()
 	}
 	data, err := store.Encode(r.now, cp)
 	var got store.Checkpoint
@@ -771,18 +734,7 @@ func (r *systemRun) checkpointRestore(t int) {
 		_, err = store.Decode(data, &got)
 	}
 	if err == nil {
-		g := core.NewGOA(rt.Name, rt.LimitWatts)
-		g.Restore(got.GOA)
-		r.goa = r.instrumentGOA(g)
-		for i, st := range rt.Servers {
-			a := r.buildSOA(i)
-			if rerr := a.Restore(got.SOAs[st.Spec.Name]); rerr != nil {
-				err = rerr
-				break
-			}
-			r.instrumentSOA(a)
-			r.soas[i] = a
-		}
+		err = rg.restore(r.now, &got)
 	}
 	if err != nil {
 		// A checkpoint that cannot roundtrip is a store-layer bug, not a
@@ -791,43 +743,15 @@ func (r *systemRun) checkpointRestore(t int) {
 	}
 }
 
-// serveDemand turns tick t's demand changes into session management and
-// admission. Unmet demand retries every tick (the WI agent keeps asking),
-// which is also what drives the sOA's exploration.
+// serveDemand plays every server's WI for tick t — its session follows the
+// tick's demand — and counts the overclock request-ticks it served.
 func (r *systemRun) serveDemand(t int) {
-	for i, a := range r.soas {
+	for i, s := range r.rg.servers {
 		d := r.prep.demands[i][t]
-		sessions := a.Sessions()
-		_, active := sessions["oc"]
-		prev := 0
-		if active {
-			prev = len(sessions["oc"].Cores)
-		}
-		if d != prev {
-			if active {
-				a.Stop(r.now, "oc")
-			}
-			if d > 0 {
-				req := core.Request{
-					VM: "oc", Cores: d, TargetMHz: r.hosts[i].maxOC,
-					Priority: core.PriorityMetric,
-				}
-				// The demand signal plays the WI: its span roots the
-				// admission chain for this request.
-				req.Span = uint64(r.prov.Emit(causal.Record{
-					Time:      r.now,
-					Kind:      causal.KindMessage,
-					Component: "wi",
-					Site:      "wi.request",
-					Subject:   r.hosts[i].name + "/oc",
-				}))
-				a.Request(r.now, req)
-			}
-		}
+		r.rg.serve(s, r.now, d)
 		if d > 0 {
 			r.m.requests++
-			s, ok := a.Sessions()["oc"]
-			if ok && sessionEffectiveRatio(r.hosts[i], s) > 1 {
+			if sess, ok := s.soa.Sessions()[r.rg.session]; ok && sessionEffectiveRatio(s.srv, sess) > 1 {
 				r.m.successes++
 			}
 		}
@@ -839,22 +763,23 @@ func (r *systemRun) serveDemand(t int) {
 // including any capping penalty. The capping penalty itself is measured on
 // the servers with no overclock demand.
 func (r *systemRun) measure(t int, capped bool) {
-	for i, h := range r.hosts {
+	for i, s := range r.rg.servers {
+		h := s.srv
 		if r.prep.demands[i][t] > 0 {
-			if s, ok := r.soas[i].Sessions()["oc"]; ok {
-				r.m.perfSum += sessionEffectiveRatio(h, s)
+			if sess, ok := s.soa.Sessions()[r.rg.session]; ok {
+				r.m.perfSum += sessionEffectiveRatio(h, sess)
 			} else {
 				ceil := h.capCeiling()
-				if ceil > h.turbo {
-					ceil = h.turbo
+				if ceil > h.hw.TurboMHz {
+					ceil = h.hw.TurboMHz
 				}
-				r.m.perfSum += float64(ceil) / float64(h.turbo)
+				r.m.perfSum += float64(ceil) / float64(h.hw.TurboMHz)
 			}
 			r.m.perfN++
 		} else if capped && !h.hasOC() {
 			ceil := h.capCeiling()
-			if ceil < h.turbo {
-				r.m.penaltySum += 1 - float64(ceil)/float64(h.turbo)
+			if ceil < h.hw.TurboMHz {
+				r.m.penaltySum += 1 - float64(ceil)/float64(h.hw.TurboMHz)
 				r.m.penaltyN++
 			}
 		}
@@ -864,20 +789,21 @@ func (r *systemRun) measure(t int, capped bool) {
 // finish returns the run's metric contributions and, when observed, its
 // shard-local telemetry.
 func (r *systemRun) finish() shardOut {
-	r.m.caps = r.rack.CapEvents()
+	rg := r.rg
+	r.m.caps = rg.rack.CapEvents()
 	out := shardOut{m: r.m}
-	if r.reg == nil {
+	if rg.reg == nil {
 		return out
 	}
 	// Critical-path and fan-out profile of the shard's causal log, plus the
 	// tracer's drop counter, become ordinary (sum-mergeable) series.
-	out.prov = &causal.Log{Records: r.prov.Records()}
-	out.prov.Register(r.reg, r.labels...)
-	r.reg.Counter("trace_dropped_total", r.labels...).Add(float64(r.tracer.Dropped()))
+	out.prov = &causal.Log{Records: rg.prov.Records()}
+	out.prov.Register(rg.reg, rg.labels...)
+	rg.reg.Counter("trace_dropped_total", rg.labels...).Add(float64(rg.tracer.Dropped()))
 	if r.recorder != nil {
 		out.rec = r.recorder.Recording()
 	}
-	out.snap, out.tr = r.reg.Snapshot(), r.tracer
+	out.snap, out.tr = rg.reg.Snapshot(), rg.tracer
 	return out
 }
 
@@ -933,22 +859,12 @@ func fleetUnits(fcfg *trace.FleetConfig, n, offset int, variants []FleetSimConfi
 // Adjacent runs with equal prepKeys share one prep; units list their runs
 // variant-major, so a unit prepares once per distinct key and holds one prep
 // at a time. Results are placed by shard index, never completion order, so
-// folds over them are bit-identical for any worker count. An unknown
-// TemplateStrategy in any run fails the call before any unit starts;
-// otherwise the first generation error does.
+// folds over them are bit-identical for any worker count. Every run's
+// config must be valid; the first generation error fails the call.
 func streamRacks(opts parallel.Options, units []rackUnit) ([]shardOut, error) {
 	shards := 0
-	var checked *FleetSimConfig
 	for _, u := range units {
 		shards += len(u.runs)
-		for _, run := range u.runs {
-			if run.cfg != checked {
-				if _, err := predictorFor(run.cfg.TemplateStrategy); err != nil {
-					return nil, err
-				}
-				checked = run.cfg
-			}
-		}
 	}
 	type unitOut struct {
 		runs []unitRun
@@ -1026,6 +942,9 @@ func RunTable1Observed(cfg FleetSimConfig) (*Table, []Table1Row, *FleetObservati
 }
 
 func runTable1(cfg FleetSimConfig) (*Table, []Table1Row, *FleetObservation, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, nil, err
+	}
 	classes := []trace.ClusterClass{trace.HighPower, trace.MediumPower, trace.LowPower}
 	systems := baselines.All()
 

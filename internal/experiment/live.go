@@ -238,17 +238,17 @@ func newLiveWorld(cfg LiveConfig, sink LiveSink) (*liveWorld, error) {
 // the simulation later updates them under the same lock.
 func (w *liveWorld) buildRig() {
 	cfg := w.cfg
-	servers := make([]*rigServer, cfg.Servers)
+	servers := make([]*rigServer[*cluster.Server], cfg.Servers)
 	w.rngs = make([]*rand.Rand, cfg.Servers)
 	for i := range servers {
-		servers[i] = newRigServer(cluster.NewServer(fmt.Sprintf("lv-%02d", i), cfg.HW, 0), cfg.HW.Cores/2)
+		servers[i] = newRigServer(cluster.NewServer(fmt.Sprintf("lv-%02d", i), cfg.HW, 0), cfg.HW.OCCoreCost(), cfg.HW.Cores/2)
 		servers[i].pinned = make(map[int]float64)
 		w.rngs[i] = rand.New(rand.NewSource(cfg.Seed + int64(i)))
-		servers[i].setUtil(squareWaveUtil(w.rngs[i], true)) // the rack limit is sized with every VM hot
+		setSquareWaveUtil(servers[i], w.rngs[i], true) // the rack limit is sized with every VM hot
 	}
 	soaCfg := rigSOAConfig()
 	soaCfg.OnAdmit = invariant.AdmissionWithinBudget(w.checker, "rack-live", 1e-6)
-	w.rig = &rig{
+	w.rig = &rig[*cluster.Server]{
 		goaID:   "goa",
 		soaCfg:  soaCfg,
 		bcfg:    rigBudgetConfig(time.Hour, 0.25),
@@ -260,7 +260,7 @@ func (w *liveWorld) buildRig() {
 	w.rig.limit = partialOCLimit(servers, 0.9)
 	w.lk.Do(func(reg *metrics.Registry) {
 		w.rig.reg = reg
-		w.rig.assemble("rack-live")
+		w.rig.assemble(power.DefaultRackConfig("rack-live", w.rig.limit))
 		w.checker.Instrument(reg, w.pub.tracer)
 		w.ckptWrites = reg.Counter("checkpoint_writes_total")
 		w.ckptErrors = reg.Counter("checkpoint_errors_total")
@@ -375,7 +375,7 @@ drain:
 	}
 	for i, s := range w.rig.servers {
 		want := squareWaveDemand(i, w.cfg.Servers, w.now.Sub(w.cfg.Start))
-		s.setUtil(squareWaveUtil(w.rngs[i], want))
+		setSquareWaveUtil(s, w.rngs[i], want)
 		w.rig.stepServer(s, w.now, want)
 	}
 	w.rig.tickRack(w.now, w.cfg.Tick)

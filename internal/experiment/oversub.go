@@ -202,7 +202,7 @@ type oversubCell struct {
 	// rig holds the production base servers (none outside contention cells)
 	// over the cell's rack, which the admitted deployments join. It has no
 	// gOA: the bases run on the even share of their reserve.
-	rig      *rig
+	rig      *rig[*cluster.Server]
 	adm      *power.Admission
 	checker  *invariant.Checker
 	admitted []*admittedServer
@@ -226,7 +226,7 @@ func newOversubCell(cfg OversubConfig, ratio float64, seed int64, contention boo
 	c := &oversubCell{
 		cfg:     cfg,
 		eng:     sim.NewEngine(cfg.Start, seed),
-		rig:     &rig{limit: cfg.LimitWatts, start: cfg.Start},
+		rig:     &rig[*cluster.Server]{limit: cfg.LimitWatts, start: cfg.Start},
 		checker: invariant.NewChecker(),
 		res:     &OversubCellResult{Ratio: ratio},
 	}
@@ -297,13 +297,13 @@ func (c *oversubCell) buildBases() float64 {
 	c.rig.soaCfg = stressSOAConfig()
 	c.rig.bcfg = rigBudgetConfig(cfg.BudgetEpoch, cfg.OCBudgetFraction)
 	reserve := 0.0
+	hw := machine.DefaultConfig()
 	for i := 0; i < cfg.BaseServers; i++ {
-		srv := cluster.NewServer(fmt.Sprintf("base-%02d", i), machine.DefaultConfig(), 100+i)
-		s := newRigServer(srv, srv.NumCores()/4)
+		s := newRigServer(cluster.NewServer(fmt.Sprintf("base-%02d", i), hw, 100+i), hw.OCCoreCost(), hw.Cores/4)
 		s.srv.SetSeverity(power.SeverityCritical)
-		s.setUtil(0.90, 0.40)
+		setUtil(s, 0.90, 0.40)
 		reserve += s.srv.Power() + 0.5*s.srv.OCDeltaWatts(len(s.vmCores), s.srv.MaxOCMHz(), 0.9)
-		s.setUtil(0.40, 0.40)
+		setUtil(s, 0.40, 0.40)
 		c.rig.servers = append(c.rig.servers, s)
 	}
 	return reserve
@@ -374,7 +374,7 @@ func (c *oversubCell) tick(now time.Time) {
 		if want {
 			vm = trace.BenignUtil(c.cfg.Seed, 0, i, off, true)
 		}
-		s.setUtil(vm, base)
+		setUtil(s, vm, base)
 		rg.stepServer(s, now, want)
 		c.res.OCCoreHours += float64(s.soa.ActiveOCCores()) * c.cfg.Tick.Hours()
 	}

@@ -7,6 +7,7 @@ import (
 	"smartoclock/internal/cluster"
 	"smartoclock/internal/core"
 	"smartoclock/internal/machine"
+	"smartoclock/internal/power"
 	"smartoclock/internal/sim"
 	"smartoclock/internal/store"
 )
@@ -167,13 +168,13 @@ func runRecoveryOnce(cfg RecoveryConfig, mode string, staleness time.Duration) r
 	// cores with constant overclock demand; cool servers idle. Utilization
 	// is constant — the only dynamics in this rig are control-plane ones.
 	hot := func(i int) bool { return i < cfg.Servers/2 }
-	servers := make([]*rigServer, cfg.Servers)
+	servers := make([]*rigServer[*cluster.Server], cfg.Servers)
 	for i := range servers {
-		servers[i] = newRigServer(cluster.NewServer(fmt.Sprintf("rec-%02d", i), cfg.HW, 0), cfg.HW.Cores/2)
+		servers[i] = newRigServer(cluster.NewServer(fmt.Sprintf("rec-%02d", i), cfg.HW, 0), cfg.HW.OCCoreCost(), cfg.HW.Cores/2)
 		if hot(i) {
-			servers[i].setUtil(0.85, 0.45)
+			setUtil(servers[i], 0.85, 0.45)
 		} else {
-			servers[i].setUtil(0.35, 0.35)
+			setUtil(servers[i], 0.35, 0.35)
 		}
 	}
 
@@ -198,7 +199,7 @@ func runRecoveryOnce(cfg RecoveryConfig, mode string, staleness time.Duration) r
 
 	// The rack manager never ticks here: the limit leaves headroom by
 	// construction, so only the gOA's split and the sOAs' admission act.
-	rg := &rig{
+	rg := &rig[*cluster.Server]{
 		goaID:   "goa",
 		limit:   cfg.RackLimitScale * (est + fullOC),
 		soaCfg:  soaCfg,
@@ -206,7 +207,7 @@ func runRecoveryOnce(cfg RecoveryConfig, mode string, staleness time.Duration) r
 		start:   cfg.Start,
 		servers: servers,
 	}
-	rg.assemble("rack-recovery")
+	rg.assemble(power.DefaultRackConfig("rack-recovery", rg.limit))
 
 	// --- Durable checkpoint (warm mode only) -------------------------------
 	var ckptBytes []byte
@@ -233,23 +234,15 @@ func runRecoveryOnce(cfg RecoveryConfig, mode string, staleness time.Duration) r
 			rg.goa = nil
 		})
 		eng.At(restartAt, func() {
-			rg.bootGOA()
-			for _, s := range servers {
-				rg.boot(s, eng.Now())
-			}
+			var cp *store.Checkpoint
 			if mode == "warm" && ckptBytes != nil {
-				var cp store.Checkpoint
-				if _, err := store.Decode(ckptBytes, &cp); err != nil {
+				cp = new(store.Checkpoint)
+				if _, err := store.Decode(ckptBytes, cp); err != nil {
 					panic(fmt.Sprintf("experiment: recovery restore: %v", err))
 				}
-				rg.goa.Restore(cp.GOA)
-				for _, s := range servers {
-					if st, ok := cp.SOAs[s.srv.Name()]; ok {
-						if err := s.soa.Restore(st); err != nil {
-							panic(fmt.Sprintf("experiment: recovery restore %s: %v", s.srv.Name(), err))
-						}
-					}
-				}
+			}
+			if err := rg.restore(eng.Now(), cp); err != nil {
+				panic(fmt.Sprintf("experiment: recovery %v", err))
 			}
 		})
 	}

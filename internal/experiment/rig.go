@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"cmp"
 	"encoding/json"
+	"fmt"
 	"time"
 
 	"smartoclock/internal/agent"
@@ -15,14 +17,19 @@ import (
 	"smartoclock/internal/power"
 	"smartoclock/internal/predict"
 	"smartoclock/internal/stats"
+	"smartoclock/internal/store"
 	"smartoclock/internal/timeseries"
 )
 
 // The rack rig is the paper's control plane (§IV) written once: an sOA per
-// server, a gOA per rack, and the three messages between them — profile up,
-// budget down, rack warning/cap event out. The chaos, zoo, live and recovery
-// drivers compose it and keep only what is theirs: the transport, the fault
-// model, the demand pattern and the result accounting.
+// server, a gOA per rack, the rack manager that warns and caps, and the three
+// messages between them — profile up, budget down, rack warning/cap event
+// out. Every rack driver composes it and keeps only what is its own. Chaos,
+// zoo, live, recovery and the contention cells run it over emulated machines
+// (*cluster.Server) and keep the transport, the fault model, the demand
+// pattern and the result accounting. The fleet behind Table I and the
+// ablations runs it over replayed power traces (traceHost) and keeps the
+// trace baselines, the demand and the Table I measurement.
 //
 // The rig has no clock and no transport. It builds message batches and
 // applies delivered messages; the driver decides when to ask and how to move
@@ -124,13 +131,29 @@ func flatProfile(p profileMsg) core.ServerProfile {
 	}
 }
 
+// rigHost is what the rig asks of a slot's machine: the sOA's view of it, the
+// rack manager's, the effective frequency the invariant hooks read, and the
+// per-tick advance and instrumentation. Drivers keep their concrete host type,
+// so they reach the rest of it (severity, snapshots, per-core utilization)
+// without a type assertion.
+type rigHost interface {
+	core.Host
+	power.Server
+	EffectiveFreq(core int) int
+	Advance(dt time.Duration)
+	Instrument(reg *metrics.Registry, labels ...metrics.Label)
+}
+
 // rigServer is one server slot of a rack rig.
-type rigServer struct {
-	srv *cluster.Server
+type rigServer[H rigHost] struct {
+	srv H
 	// host is the view of srv the sOA sees: srv itself, or a wrapper with
 	// an imperfect sensor.
 	host    core.Host
 	agentID string
+	// coreCost is the extra watts of one core fully overclocked at full
+	// utilization, as the slot's profile reports it to the gOA.
+	coreCost float64
 	// vmCores are the cores of the slot's latency-critical VM, the one whose
 	// overclock demand stepServer drives.
 	vmCores []int
@@ -148,17 +171,20 @@ type rigServer struct {
 }
 
 // newRigServer builds a slot on srv whose VM spans the first vmCores cores.
-func newRigServer(srv *cluster.Server, vmCores int) *rigServer {
-	s := &rigServer{srv: srv, host: srv, agentID: "soa/" + srv.Name(), vmCores: make([]int, vmCores)}
+func newRigServer[H rigHost](srv H, coreCost float64, vmCores int) *rigServer[H] {
+	s := &rigServer[H]{
+		srv: srv, host: srv, agentID: "soa/" + srv.Name(),
+		coreCost: coreCost, vmCores: make([]int, vmCores),
+	}
 	for c := range s.vmCores {
 		s.vmCores[c] = c
 	}
 	return s
 }
 
-// setUtil runs the VM's cores at vm, pinned cores at their pin and every
-// other core at rest.
-func (s *rigServer) setUtil(vm, rest float64) {
+// setUtil runs the VM's cores of an emulated slot at vm, pinned cores at
+// their pin and every other core at rest.
+func setUtil(s *rigServer[*cluster.Server], vm, rest float64) {
 	for c := 0; c < s.srv.NumCores(); c++ {
 		if c < len(s.vmCores) {
 			s.srv.SetCoreUtil(c, vm)
@@ -174,7 +200,7 @@ func (s *rigServer) setUtil(vm, rest float64) {
 // crash discards the slot's sOA. The host watchdog fail-safes overclocking
 // when its agent dies: cores return to turbo, so an unsupervised server can
 // never burn budget or power it wouldn't be granted.
-func (s *rigServer) crash() {
+func (s *rigServer[H]) crash() {
 	for c := 0; c < s.srv.NumCores(); c++ {
 		s.srv.SetDesiredFreq(c, s.srv.TurboMHz())
 	}
@@ -184,7 +210,7 @@ func (s *rigServer) crash() {
 // volatileState snapshots the slot's sOA without its lifetime ledger: the
 // ledger is durable on its own (NVRAM-style, it survives crashes), and
 // restoring a stale copy would roll back consumed wear.
-func (s *rigServer) volatileState() *core.SOAState {
+func (s *rigServer[H]) volatileState() *core.SOAState {
 	snap := s.soa.Snapshot()
 	snap.Budgets = nil
 	return snap
@@ -193,43 +219,49 @@ func (s *rigServer) volatileState() *core.SOAState {
 // rig owns one rack's control plane. A driver fills the first two field
 // groups — the recipe and the optional observers — then calls assemble, which
 // builds the rest.
-type rig struct {
+type rig[H rigHost] struct {
 	// goaID is the gOA's agent name on the driver's transport.
 	goaID   string
 	limit   float64
 	soaCfg  core.SOAConfig
 	bcfg    lifetime.BudgetConfig
 	start   time.Time
-	servers []*rigServer
+	servers []*rigServer[H]
+	// session names the WI's overclock session on every slot; empty means
+	// "vm".
+	session string
 
 	reg    *metrics.Registry
 	tracer *obs.Tracer
 	prov   *causal.Recorder
+	// labels tag the rack's and the gOA's series, soaLabels the sOAs'. They
+	// are set when several rigs share one registry's series names.
+	labels, soaLabels []metrics.Label
 
 	rack    *power.Rack
 	goa     *core.GOA // nil while crashed
-	byAgent map[string]*rigServer
-	// requests/granted count the VM asks stepServer made and won.
+	byAgent map[string]*rigServer[H]
+	// requests/granted count the VM asks serve made and won.
 	requests, granted int
 	// out is the scratch every batch builds into: a returned batch is valid
 	// until the next batch-building call on the same rig.
 	out []agent.Message
 }
 
-// assemble builds the rack manager, the gOA, the durable ledgers and every
-// sOA over the configured slots.
-func (r *rig) assemble(name string) {
+// assemble builds the rack manager from rc, the gOA, the durable ledgers and
+// every sOA over the configured slots.
+func (r *rig[H]) assemble(rc power.RackConfig) {
 	members := make([]power.Server, len(r.servers))
-	r.byAgent = make(map[string]*rigServer, len(r.servers))
+	r.byAgent = make(map[string]*rigServer[H], len(r.servers))
 	for i, s := range r.servers {
 		members[i] = s.srv
 		r.byAgent[s.agentID] = s
 		s.ledger = lifetime.NewCoreBudgets(r.bcfg, s.srv.NumCores(), r.start)
 	}
-	r.rack = power.NewRack(power.DefaultRackConfig(name, r.limit), members...)
+	r.rack = power.NewRack(rc, members...)
 	r.rack.AttachProvenance(r.prov)
 	if r.reg != nil {
-		r.rack.Instrument(r.reg, r.tracer)
+		r.rack.Instrument(r.reg, r.tracer, r.labels...)
 		for _, s := range r.servers {
 			s.srv.Instrument(r.reg)
 		}
@@ -241,29 +273,52 @@ func (r *rig) assemble(name string) {
 }
 
 // bootGOA starts a gOA with no profiles — the initial boot, or a restart.
-func (r *rig) bootGOA() {
+func (r *rig[H]) bootGOA() {
 	r.goa = core.NewGOA(r.rack.Name(), r.limit)
 	r.goa.AttachProvenance(r.prov)
 	if r.reg != nil {
-		r.goa.Instrument(r.reg, r.tracer)
+		r.goa.Instrument(r.reg, r.tracer, r.labels...)
 	}
 }
 
 // boot starts a fresh sOA on s at the rack's even share. Rebooted agents
 // resolve the same series (registry identity is name+labels), so counters
 // accumulate across crash/restart cycles.
-func (r *rig) boot(s *rigServer, now time.Time) {
+func (r *rig[H]) boot(s *rigServer[H], now time.Time) {
 	s.soa = core.NewSOA(r.soaCfg, s.host, s.ledger, r.limit/float64(len(r.servers)), now)
 	s.soa.AttachProvenance(r.prov)
 	if r.reg != nil {
-		s.soa.Instrument(r.reg, r.tracer)
+		s.soa.Instrument(r.reg, r.tracer, r.soaLabels...)
 	}
 	s.budget, s.budgetAt = 0, time.Time{}
 }
 
+// restore restarts the whole control plane at now — a fresh gOA and a fresh
+// sOA on every slot — and then, if cp is not nil, warm-starts them from it.
+// Ledgers are durable: the sOAs keep theirs, and a snapshot that carries a
+// ledger overwrites it in place.
+func (r *rig[H]) restore(now time.Time, cp *store.Checkpoint) error {
+	r.bootGOA()
+	for _, s := range r.servers {
+		r.boot(s, now)
+	}
+	if cp == nil {
+		return nil
+	}
+	r.goa.Restore(cp.GOA)
+	for _, s := range r.servers {
+		if st, ok := cp.SOAs[s.srv.Name()]; ok {
+			if err := s.soa.Restore(st); err != nil {
+				return fmt.Errorf("restore %s: %w", s.srv.Name(), err)
+			}
+		}
+	}
+	return nil
+}
+
 // deliver applies one control-plane message at now. Malformed payloads,
 // unknown types and recipients, and messages for a crashed agent are dropped.
-func (r *rig) deliver(now time.Time, m agent.Message) {
+func (r *rig[H]) deliver(now time.Time, m agent.Message) {
 	switch m.Type {
 	case "soa.profile":
 		p, err := agent.Decode[profileMsg](m)
@@ -296,11 +351,11 @@ func (r *rig) deliver(now time.Time, m agent.Message) {
 }
 
 // profileReport builds s's sOA → gOA profile message; false while crashed.
-func (r *rig) profileReport(s *rigServer, now time.Time) (agent.Message, bool) {
+func (r *rig[H]) profileReport(s *rigServer[H], now time.Time) (agent.Message, bool) {
 	if s.soa == nil {
 		return agent.Message{}, false
 	}
-	p := recentProfile(s.soa, s.host, s.srv.Machine().Config().OCCoreCost())
+	p := recentProfile(s.soa, s.host, s.coreCost)
 	msg, err := agent.NewMessage("soa.profile", s.agentID, r.goaID, p)
 	if err != nil {
 		return agent.Message{}, false
@@ -316,7 +371,7 @@ func (r *rig) profileReport(s *rigServer, now time.Time) (agent.Message, bool) {
 }
 
 // profileReports batches every running sOA's profile report, in server order.
-func (r *rig) profileReports(now time.Time) []agent.Message {
+func (r *rig[H]) profileReports(now time.Time) []agent.Message {
 	batch := r.out[:0]
 	for _, s := range r.servers {
 		if msg, ok := r.profileReport(s, now); ok {
@@ -329,7 +384,7 @@ func (r *rig) profileReports(now time.Time) []agent.Message {
 
 // budgetPushes batches the gOA → sOA budget messages for now. Broadcast trace
 // events and provenance spans are drawn in server order as the batch builds.
-func (r *rig) budgetPushes(now time.Time) []agent.Message {
+func (r *rig[H]) budgetPushes(now time.Time) []agent.Message {
 	budgets := r.goa.BudgetsAt(now)
 	batch := r.out[:0]
 	for _, s := range r.servers {
@@ -354,7 +409,7 @@ func (r *rig) budgetPushes(now time.Time) []agent.Message {
 // directly); only the notifications are messages. The payload is identical
 // per recipient, so it is encoded once; each copy carries its own provenance
 // span chained to the event's, so sOA setbacks trace back to the event.
-func (r *rig) rackEventFanout(ev power.Event) []agent.Message {
+func (r *rig[H]) rackEventFanout(ev power.Event) []agent.Message {
 	payload, err := json.Marshal(rackEventMsg{Kind: int(ev.Kind), Power: ev.Power, Limit: ev.Limit})
 	if err != nil {
 		return nil
@@ -376,37 +431,55 @@ func (r *rig) rackEventFanout(ev power.Event) []agent.Message {
 	return batch
 }
 
-// stepServer plays s's workload-intelligence agent for one tick — ask for
-// the VM's overclock when demand starts, stop it when demand ends — then
-// runs the sOA's control loop. The sOA must be running.
-func (r *rig) stepServer(s *rigServer, now time.Time, want bool) {
-	_, active := s.soa.Sessions()["vm"]
-	if want && !active {
-		r.requests++
-		req := core.Request{
-			VM: "vm", Cores: len(s.vmCores), TargetMHz: s.srv.MaxOCMHz(),
-			Priority: core.PriorityMetric, PreferredCores: s.vmCores,
-		}
-		// The WI's ask is the root of the admission chain: the sOA's
-		// verdict record names this span as its parent.
-		req.Span = uint64(r.prov.Emit(causal.Record{
-			Time:      now,
-			Kind:      causal.KindMessage,
-			Component: "wi",
-			Site:      "wi.request",
-			Subject:   s.srv.Name() + "/vm",
-		}))
-		if s.soa.Request(now, req).Granted {
-			r.granted++
-		}
-	} else if !want && active {
-		s.soa.Stop(now, "vm")
+// serve plays s's workload-intelligence agent for one tick: it keeps the
+// slot's overclock session at cores. A session of another size is stopped
+// and asked for again, no demand stops it, and unmet demand asks every tick
+// (the WI keeps asking, which is also what drives the sOA's exploration).
+// The sOA must be running.
+func (r *rig[H]) serve(s *rigServer[H], now time.Time, cores int) {
+	vm := cmp.Or(r.session, "vm")
+	sess, active := s.soa.Sessions()[vm]
+	if active && len(sess.Cores) == cores {
+		return
 	}
+	if active {
+		s.soa.Stop(now, vm)
+	}
+	if cores == 0 {
+		return
+	}
+	r.requests++
+	req := core.Request{
+		VM: vm, Cores: cores, TargetMHz: s.srv.MaxOCMHz(),
+		Priority: core.PriorityMetric, PreferredCores: s.vmCores,
+	}
+	// The WI's ask is the root of the admission chain: the sOA's verdict
+	// record names this span as its parent.
+	req.Span = uint64(r.prov.Emit(causal.Record{
+		Time:      now,
+		Kind:      causal.KindMessage,
+		Component: "wi",
+		Site:      "wi.request",
+		Subject:   s.srv.Name() + "/" + vm,
+	}))
+	if s.soa.Request(now, req).Granted {
+		r.granted++
+	}
+}
+
+// stepServer serves s's VM — its whole core set while want holds, nothing
+// otherwise — then runs the sOA's control loop.
+func (r *rig[H]) stepServer(s *rigServer[H], now time.Time, want bool) {
+	cores := 0
+	if want {
+		cores = len(s.vmCores)
+	}
+	r.serve(s, now, cores)
 	s.soa.Tick(now)
 }
 
 // tickRack advances every server's hardware by dt and runs the rack manager.
-func (r *rig) tickRack(now time.Time, dt time.Duration) {
+func (r *rig[H]) tickRack(now time.Time, dt time.Duration) {
 	for _, s := range r.servers {
 		s.srv.Advance(dt)
 	}
@@ -415,7 +488,7 @@ func (r *rig) tickRack(now time.Time, dt time.Duration) {
 
 // watch registers the rack's invariant battery: rack power within its limit
 // (after grace), gOA budget conservation, and every session within its grant.
-func (r *rig) watch(c *invariant.Checker, grace time.Duration) {
+func (r *rig[H]) watch(c *invariant.Checker, grace time.Duration) {
 	invariant.RackPowerWithinLimit(c, r.rack, grace)
 	invariant.BudgetConservation(c, r.goa, 1e-3)
 	for _, s := range r.servers {
@@ -425,7 +498,7 @@ func (r *rig) watch(c *invariant.Checker, grace time.Duration) {
 
 // watchLedgers adds the independent per-core lifetime accounting. It assumes
 // it watched the run from its start, so a warm-restored run must skip it.
-func (r *rig) watchLedgers(c *invariant.Checker, slack time.Duration) {
+func (r *rig[H]) watchLedgers(c *invariant.Checker, slack time.Duration) {
 	for _, s := range r.servers {
 		invariant.CoreBudgetsNeverOverdrawn(c, r.rack.Name(), s.srv, r.bcfg, r.start, slack)
 	}

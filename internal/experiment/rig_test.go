@@ -2,29 +2,33 @@ package experiment
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
 	"smartoclock/internal/agent"
 	"smartoclock/internal/causal"
 	"smartoclock/internal/cluster"
+	"smartoclock/internal/core"
 	"smartoclock/internal/machine"
 	"smartoclock/internal/power"
+	"smartoclock/internal/store"
 )
 
 // testRig assembles a two-server rig with a provenance recorder as its only
 // observer and no transport.
-func testRig(t *testing.T) (*rig, time.Time) {
+func testRig(t *testing.T) (*rig[*cluster.Server], time.Time) {
 	t.Helper()
 	start := time.Date(2023, 4, 10, 9, 0, 0, 0, time.UTC)
-	servers := []*rigServer{
-		newRigServer(cluster.NewServer("t-00", machine.DefaultConfig(), 0), 4),
-		newRigServer(cluster.NewServer("t-01", machine.DefaultConfig(), 0), 4),
+	hw := machine.DefaultConfig()
+	servers := []*rigServer[*cluster.Server]{
+		newRigServer(cluster.NewServer("t-00", hw, 0), hw.OCCoreCost(), 4),
+		newRigServer(cluster.NewServer("t-01", hw, 0), hw.OCCoreCost(), 4),
 	}
 	for _, s := range servers {
-		s.setUtil(0.8, 0.4)
+		setUtil(s, 0.8, 0.4)
 	}
-	rg := &rig{
+	rg := &rig[*cluster.Server]{
 		goaID:   "goa",
 		limit:   partialOCLimit(servers, 0.9),
 		soaCfg:  rigSOAConfig(),
@@ -33,7 +37,7 @@ func testRig(t *testing.T) (*rig, time.Time) {
 		servers: servers,
 		prov:    causal.NewRecorder(1, 0),
 	}
-	rg.assemble("rack-test")
+	rg.assemble(power.DefaultRackConfig("rack-test", rg.limit))
 	return rg, start
 }
 
@@ -63,7 +67,7 @@ func TestRigDeliver(t *testing.T) {
 		soaBudget1 float64
 		provenance int
 	}
-	snap := func(rg *rig, now time.Time) fingerprint {
+	snap := func(rg *rig[*cluster.Server], now time.Time) fingerprint {
 		fp := fingerprint{
 			budget0: rg.servers[0].budget, budgetAt0: rg.servers[0].budgetAt,
 			provenance: len(rg.prov.Records()),
@@ -150,4 +154,77 @@ func TestRigDeliver(t *testing.T) {
 			t.Fatalf("provenance after a cap notification = %+v", recs)
 		}
 	})
+}
+
+// TestRigServe drives the WI step: serve keeps the slot's session at the
+// asked core count, asking once per change, and names the session after the
+// rig's.
+func TestRigServe(t *testing.T) {
+	rg, start := testRig(t)
+	rg.soaCfg.Naive = true // grant every ask: this tests serve, not admission
+	s := rg.servers[0]
+	rg.boot(s, start)
+	cores := func(vm string) int {
+		if sess, ok := s.soa.Sessions()[vm]; ok {
+			return len(sess.Cores)
+		}
+		return 0
+	}
+	for i, step := range []struct{ ask, cores, requests int }{
+		{4, 4, 1}, {4, 4, 1}, {2, 2, 2}, {0, 0, 2}, {0, 0, 2}, {3, 3, 3},
+	} {
+		rg.serve(s, start.Add(time.Duration(i)*time.Minute), step.ask)
+		if got := cores("vm"); got != step.cores || rg.requests != step.requests {
+			t.Fatalf("step %d: serve(%d) left %d cores after %d requests, want %d after %d",
+				i, step.ask, got, rg.requests, step.cores, step.requests)
+		}
+	}
+
+	rg.session = "oc"
+	rg.serve(s, start.Add(time.Hour), 2)
+	if cores("oc") != 2 {
+		t.Fatalf("session %q has %d cores, want 2", rg.session, cores("oc"))
+	}
+	recs := rg.prov.Records()
+	var last causal.Record
+	for _, r := range recs {
+		if r.Site == "wi.request" {
+			last = r
+		}
+	}
+	if last.Subject != "t-00/oc" {
+		t.Fatalf("last WI request subject %q, want t-00/oc", last.Subject)
+	}
+}
+
+// TestRigRestore: a restart without a checkpoint boots fresh agents over the
+// durable ledgers; with one, each sOA it names resumes its sessions, and a
+// snapshot from other hardware fails naming the server.
+func TestRigRestore(t *testing.T) {
+	rg, start := testRig(t)
+	rg.soaCfg.Naive = true
+	s0, s1 := rg.servers[0], rg.servers[1]
+	rg.boot(s0, start)
+	rg.serve(s0, start, 4)
+	cp := &store.Checkpoint{GOA: rg.goa.Snapshot(), SOAs: map[string]*core.SOAState{"t-00": s0.soa.Snapshot()}}
+	ledger, old := s0.ledger, s0.soa
+
+	now := start.Add(time.Minute)
+	if err := rg.restore(now, nil); err != nil {
+		t.Fatal(err)
+	}
+	if s0.soa == old || len(s0.soa.Sessions()) != 0 || s0.ledger != ledger {
+		t.Fatal("cold restart kept the old sOA or its sessions, or replaced the ledger")
+	}
+	if err := rg.restore(now, cp); err != nil {
+		t.Fatal(err)
+	}
+	if got := s0.soa.Sessions()["vm"]; got == nil || len(got.Cores) != 4 || len(s1.soa.Sessions()) != 0 {
+		t.Fatalf("warm restart sessions: t-00 %v, t-01 %v", s0.soa.Sessions(), s1.soa.Sessions())
+	}
+
+	cp.SOAs["t-00"].Budgets.Cores = cp.SOAs["t-00"].Budgets.Cores[:1]
+	if err := rg.restore(now, cp); err == nil || !strings.Contains(err.Error(), "t-00") {
+		t.Fatalf("restore from a one-core ledger: err = %v, want one naming t-00", err)
+	}
 }

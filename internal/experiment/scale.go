@@ -156,6 +156,9 @@ func RunFleetScale(cfg ScaleConfig) (*ScaleResult, error) {
 	fs.Step = cfg.Step
 	fs.Workers = cfg.Workers
 	fs.ShuffleShards = cfg.ShuffleShards
+	if err := fs.Validate(); err != nil {
+		return nil, err
+	}
 
 	days := cfg.TrainDays + cfg.EvalDays
 	fcfg := trace.DefaultFleetConfig(fleetStart, time.Duration(days)*24*time.Hour)

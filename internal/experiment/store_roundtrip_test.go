@@ -10,48 +10,46 @@ import (
 // durable-state layer: a fleet simulation whose entire control plane is
 // checkpointed mid-run — serialized through the store envelope, torn down,
 // and restored from the decoded bytes — must produce a byte-identical
-// Table I to an uninterrupted run, at every worker count. Any state the
-// snapshot misses, any field the restore mangles, any float that drifts
-// through JSON shows up as a diverging table.
+// Table I to an uninterrupted run, at every worker count and checkpoint
+// tick. The rows are compared at full precision as well as formatted, so
+// any state the snapshot misses, any field the restore mangles, any float
+// that drifts through JSON shows up as a divergence.
 func TestFleetCheckpointRoundtrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulations")
 	}
-	ref := func() string {
-		tbl, _, err := RunTable1(smokeFleetCfg())
+	run := func(t *testing.T, workers, checkpointTick int) (tbl, rows string) {
+		t.Helper()
+		cfg := smokeFleetCfg()
+		cfg.Workers = workers
+		cfg.CheckpointTick = checkpointTick
+		table, rs, err := RunTable1(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tbl.Format()
-	}()
+		return table.Format(), fmt.Sprintf("%+v", rs)
+	}
+	refTbl, refRows := run(t, 0, 0)
 
-	// One eval day at a 5-minute step is 288 ticks; checkpoint mid-run.
-	for _, workers := range []int{1, 2, 8} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := smokeFleetCfg()
-			cfg.Workers = workers
-			cfg.CheckpointTick = 100
-			tbl, _, err := RunTable1(cfg)
-			if err != nil {
-				t.Fatal(err)
+	// One eval day at a 5-minute step is 288 ticks: checkpoint mid-run at
+	// every worker count, then at the first and last restorable ticks and
+	// late in the run — staleness must not matter either.
+	for _, c := range []struct {
+		name          string
+		workers, tick int
+	}{
+		{"workers=1", 1, 100}, {"workers=2", 2, 100}, {"workers=8", 8, 100},
+		{"tick=1", 0, 1}, {"tick=250", 0, 250}, {"tick=287", 0, 287},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tbl, rows := run(t, c.workers, c.tick)
+			if tbl != refTbl {
+				t.Errorf("checkpointed run diverges from uninterrupted run:\n--- uninterrupted ---\n%s\n--- checkpointed ---\n%s", refTbl, tbl)
 			}
-			if got := tbl.Format(); got != ref {
-				t.Errorf("checkpointed run diverges from uninterrupted run:\n--- uninterrupted ---\n%s\n--- checkpointed ---\n%s", ref, got)
+			if rows != refRows {
+				t.Errorf("checkpointed rows diverge at full precision:\n--- uninterrupted ---\n%s\n--- checkpointed ---\n%s", refRows, rows)
 			}
 		})
-	}
-
-	// Checkpoint staleness must not matter either: restoring at a different
-	// tick still reproduces the same run.
-	cfg := smokeFleetCfg()
-	cfg.CheckpointTick = 250
-	tbl, _, err := RunTable1(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tbl.Format(); got != ref {
-		t.Errorf("late checkpoint diverges:\n%s\nvs\n%s", ref, got)
 	}
 }
 

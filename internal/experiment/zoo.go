@@ -12,6 +12,7 @@ import (
 	"smartoclock/internal/invariant"
 	"smartoclock/internal/parallel"
 	"smartoclock/internal/policy"
+	"smartoclock/internal/power"
 	"smartoclock/internal/sim"
 	"smartoclock/internal/trace"
 )
@@ -186,15 +187,15 @@ func RunZooCell(cfg ZooConfig, f policy.Factory, sc trace.ZooScenario, seed int6
 	soaCfg := stressSOAConfig()
 	soaCfg.Policies = f
 
-	racks := make([]*rig, sc.Racks)
+	racks := make([]*rig[*cluster.Server], sc.Racks)
 	for r := range racks {
 		name := fmt.Sprintf("zoo-r%d", r)
 		audit := invariant.AdmissionWithinBudget(checker, name, 0)
-		servers := make([]*rigServer, sc.ServersPerRack)
+		servers := make([]*rigServer[*cluster.Server], sc.ServersPerRack)
 		est, fullOC := 0.0, 0.0
 		for i := range servers {
 			hw := sc.HW(r, i)
-			s := newRigServer(cluster.NewServer(fmt.Sprintf("%s-s%02d", name, i), hw, 0), hw.Cores/4)
+			s := newRigServer(cluster.NewServer(fmt.Sprintf("%s-s%02d", name, i), hw, 0), hw.OCCoreCost(), hw.Cores/4)
 			s.host = &driftHost{Server: s.srv, gain: func() float64 {
 				return sc.SensorGain(r, i, eng.Now().Sub(cfg.Start))
 			}}
@@ -202,14 +203,14 @@ func RunZooCell(cfg ZooConfig, f policy.Factory, sc trace.ZooScenario, seed int6
 			// (demand waves run roughly half duty), plus half the fleet
 			// overclocking at once.
 			base := sc.Util(r, i, 0, false)
-			s.setUtil(sc.Util(r, i, 0, true), base)
+			setUtil(s, sc.Util(r, i, 0, true), base)
 			est += 0.5 * s.srv.Power()
-			s.setUtil(base, base)
+			setUtil(s, base, base)
 			est += 0.5 * s.srv.Power()
 			fullOC += s.srv.OCDeltaWatts(len(s.vmCores), s.srv.MaxOCMHz(), 0.9)
 			servers[i] = s
 		}
-		zr := &rig{
+		zr := &rig[*cluster.Server]{
 			goaID:   "goa/" + name,
 			limit:   cfg.RackLimitScale * (est + 0.5*fullOC),
 			soaCfg:  soaCfg,
@@ -222,7 +223,7 @@ func RunZooCell(cfg ZooConfig, f policy.Factory, sc trace.ZooScenario, seed int6
 			res.AdmissionAudits++
 			audit(a)
 		}
-		zr.assemble(name)
+		zr.assemble(power.DefaultRackConfig(name, zr.limit))
 		// The zoo has no outages, so the budget push always runs.
 		wireRig(eng, tr, zr)
 		scheduleRigMessages(eng, tr, zr, cfg.Tick, cfg.ProfileEvery, cfg.BudgetEvery)
@@ -245,7 +246,7 @@ func RunZooCell(cfg ZooConfig, f policy.Factory, sc trace.ZooScenario, seed int6
 				if want {
 					vm = sc.Util(r, i, off, true)
 				}
-				s.setUtil(vm, base)
+				setUtil(s, vm, base)
 				zr.stepServer(s, now, want)
 			}
 			zr.tickRack(now, cfg.Tick)
