@@ -159,10 +159,9 @@ func RunDatacenterRebalance(base FleetSimConfig) (*Table, error) {
 	catalog := trace.Catalog()
 	var userFacing, batch []trace.ServiceProfile
 	for _, p := range catalog {
-		switch p.Pattern {
-		case trace.PatternSpiky, trace.PatternBroadPeak, trace.PatternDiurnal:
+		if p.UserFacing() {
 			userFacing = append(userFacing, p)
-		default:
+		} else {
 			batch = append(batch, p)
 		}
 	}
@@ -208,10 +207,10 @@ func RunDatacenterRebalance(base FleetSimConfig) (*Table, error) {
 		rec := predict.NewOCRecorder(fleetStart, base.Step)
 		for t := 0; t < trainTicks; t++ {
 			demand := 0
-			ts := fleetStart.Add(time.Duration(t) * base.Step)
+			c := trace.ClockOf(fleetStart.Add(time.Duration(t) * base.Step))
 			for _, st := range fr.Servers {
 				for i := range st.Spec.VMs {
-					if vm := &st.Spec.VMs[i]; wantsOC(vm, ts, base.OCThreshold) {
+					if vm := &st.Spec.VMs[i]; wantsOC(vm, c, base.OCThreshold) {
 						demand += vm.Cores
 					}
 				}

@@ -192,18 +192,16 @@ func Fig6(seed int64) (*Table, float64, error) {
 	}
 	for i := 0; i < base.Len(); i++ {
 		ts := base.TimeAt(i)
-		if ts.Weekday() == time.Saturday || ts.Weekday() == time.Sunday {
+		c := trace.ClockOf(ts)
+		if c.Weekend {
 			continue
 		}
 		// Overclock demand from the rack's user-facing VMs.
 		demand := 0.0
 		for _, st := range rack.Servers {
-			for _, vm := range st.Spec.VMs {
-				switch vm.Service.Pattern {
-				case trace.PatternSpiky, trace.PatternBroadPeak, trace.PatternDiurnal:
-					if vm.Service.UtilAt(ts, nil) >= 0.5 {
-						demand += float64(vm.Cores) * ocCost * 0.6
-					}
+			for j := range st.Spec.VMs {
+				if vm := &st.Spec.VMs[j]; wantsOC(vm, c, 0.5) {
+					demand += float64(vm.Cores) * ocCost * 0.6
 				}
 			}
 		}

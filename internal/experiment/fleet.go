@@ -314,14 +314,10 @@ type Table1Row struct {
 	RacksTested int
 }
 
-// wantsOC reports whether a VM demands overclocking at ts: a user-facing
-// service whose utilization is at or above the threshold.
-func wantsOC(vm *trace.VMSpec, ts time.Time, threshold float64) bool {
-	switch vm.Service.Pattern {
-	case trace.PatternSpiky, trace.PatternBroadPeak, trace.PatternDiurnal:
-		return vm.Service.UtilAt(ts, nil) >= threshold
-	}
-	return false
+// wantsOC reports whether a VM demands overclocking at instant c: a
+// user-facing service whose utilization is at or above the threshold.
+func wantsOC(vm *trace.VMSpec, c trace.Clock, threshold float64) bool {
+	return vm.Service.UserFacing() && vm.Service.UtilAtClock(c, nil) >= threshold
 }
 
 // fillDemand precomputes, into a caller-owned buffer (len(out) ticks from
@@ -329,10 +325,10 @@ func wantsOC(vm *trace.VMSpec, ts time.Time, threshold float64) bool {
 // tick, so shards can carve per-server demand out of one arena allocation.
 func fillDemand(out []int, st *trace.ServerTrace, key prepKey, start time.Time) []int {
 	for t := range out {
-		ts := start.Add(time.Duration(t) * key.Step)
+		c := trace.ClockOf(start.Add(time.Duration(t) * key.Step))
 		demand := 0
 		for i := range st.Spec.VMs {
-			if vm := &st.Spec.VMs[i]; wantsOC(vm, ts, key.OCThreshold) {
+			if vm := &st.Spec.VMs[i]; wantsOC(vm, c, key.OCThreshold) {
 				demand += vm.Cores
 			}
 		}

@@ -3,8 +3,10 @@ package experiment
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"smartoclock/internal/baselines"
 	"smartoclock/internal/trace"
@@ -149,5 +151,22 @@ func TestRackPrepSharedAcrossSystems(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFillDemandNoAllocs holds per-tick demand at zero allocations: each
+// tick is decomposed once into a trace.Clock that every VM reads.
+func TestFillDemandNoAllocs(t *testing.T) {
+	cfg := smokeFleetCfg()
+	rcfg := trace.DefaultRackGenConfig("r", fleetStart, 24*time.Hour)
+	rcfg.Servers = 2
+	rt, err := trace.GenRack(rcfg, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]int, 24*int(time.Hour/cfg.Step))
+	key := cfg.prepKey()
+	if n := testing.AllocsPerRun(20, func() { fillDemand(out, rt.Servers[0], key, fleetStart) }); n != 0 {
+		t.Fatalf("fillDemand allocates %.1f objects per call", n)
 	}
 }

@@ -105,16 +105,24 @@ type DayTemplate struct {
 // NumSlots returns the number of time-of-day slots.
 func (t *DayTemplate) NumSlots() int { return len(t.Slots) }
 
-// SlotOf returns the slot index for instant ts.
-func (t *DayTemplate) SlotOf(ts time.Time) int {
-	sinceMidnight := time.Duration(ts.Hour())*time.Hour +
-		time.Duration(ts.Minute())*time.Minute +
-		time.Duration(ts.Second())*time.Second
-	i := int(sinceMidnight / t.Step)
-	if i >= len(t.Slots) {
-		i = len(t.Slots) - 1
+// slotOf returns the slot of width step that ts's time of day (whole
+// seconds since midnight in ts's location, from one ts.Clock) falls in,
+// clamped to the last of n slots.
+func slotOf(ts time.Time, step time.Duration, n int) int {
+	h, m, sec := ts.Clock()
+	sinceMidnight := time.Duration(h)*time.Hour +
+		time.Duration(m)*time.Minute +
+		time.Duration(sec)*time.Second
+	i := int(sinceMidnight / step)
+	if i >= n {
+		i = n - 1
 	}
 	return i
+}
+
+// SlotOf returns the slot index for instant ts.
+func (t *DayTemplate) SlotOf(ts time.Time) int {
+	return slotOf(ts, t.Step, len(t.Slots))
 }
 
 // At returns the template value for the time of day of ts. It does not check
@@ -149,11 +157,19 @@ func (t *DayTemplate) MarshalJSON() ([]byte, error) {
 	return json.Marshal(dayTemplateJSON{Step: t.Step, Slots: t.Slots, Kind: t.Kind, Counts: t.counts})
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. Templates arrive from
+// checkpoints, so it rejects what would make a lookup panic: a step that is
+// not positive, or sample counts that do not pair with the slots.
 func (t *DayTemplate) UnmarshalJSON(data []byte) error {
 	var w dayTemplateJSON
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
+	}
+	if w.Step <= 0 {
+		return fmt.Errorf("timeseries: day template step %v is not positive", w.Step)
+	}
+	if len(w.Counts) != 0 && len(w.Counts) != len(w.Slots) {
+		return fmt.Errorf("timeseries: day template has %d sample counts for %d slots", len(w.Counts), len(w.Slots))
 	}
 	t.Step = w.Step
 	t.Slots = w.Slots
@@ -181,54 +197,63 @@ func (t *DayTemplate) Max() float64 {
 // 9AM is the median of rack's power consumption at 9AM across all five
 // weekdays" (§IV-B).
 func BuildDayTemplate(s *Series, kind DayKind, reduce Reduce) *DayTemplate {
+	var t [1]*DayTemplate
+	fitDays(s, reduce, []DayKind{kind}, t[:])
+	return t[0]
+}
+
+// fitDays builds one day template per kind into out, classifying each
+// sample once. A sample feeds the first kind its weekday matches, so the
+// kinds should be disjoint. Template fitting runs once per server per
+// experiment shard, so it is built in two passes over a single backing
+// array instead of growing a slice per slot: pass one records each
+// sample's (kind, slot) class and the per-class counts, pass two
+// partitions the samples contiguously, in series order within a class.
+func fitDays(s *Series, reduce Reduce, kinds []DayKind, out []*DayTemplate) {
 	slotsPerDay := int(24 * time.Hour / s.Step)
 	if slotsPerDay < 1 {
 		slotsPerDay = 1
 	}
-	// Template fitting runs once per server per experiment shard, so it is
-	// built in two passes over a single backing array instead of growing a
-	// slice per slot: pass one records each sample's slot and the per-slot
-	// counts, pass two partitions the samples contiguously.
-	slotOf := make([]int32, len(s.Values))
-	counts := make([]int, slotsPerDay)
+	classOf := make([]int32, len(s.Values))
+	counts := make([]int, len(kinds)*slotsPerDay)
 	for i := range s.Values {
 		ts := s.TimeAt(i)
-		if !kind.Matches(ts.Weekday()) {
-			slotOf[i] = -1
-			continue
+		wd := ts.Weekday()
+		classOf[i] = -1
+		for k, kind := range kinds {
+			if kind.Matches(wd) {
+				c := k*slotsPerDay + slotOf(ts, s.Step, slotsPerDay)
+				classOf[i] = int32(c)
+				counts[c]++
+				break
+			}
 		}
-		sinceMidnight := time.Duration(ts.Hour())*time.Hour +
-			time.Duration(ts.Minute())*time.Minute +
-			time.Duration(ts.Second())*time.Second
-		slot := int(sinceMidnight / s.Step)
-		if slot >= slotsPerDay {
-			slot = slotsPerDay - 1
-		}
-		slotOf[i] = int32(slot)
-		counts[slot]++
 	}
-	offsets := make([]int, slotsPerDay)
+	// next[c] starts at class c's offset in backing and ends one past its
+	// last sample.
+	next := make([]int, len(counts))
 	total := 0
-	for i, c := range counts {
-		offsets[i] = total
-		total += c
+	for c, n := range counts {
+		next[c] = total
+		total += n
 	}
 	backing := make([]float64, total)
-	fill := make([]int, slotsPerDay)
 	for i, v := range s.Values {
-		slot := slotOf[i]
-		if slot < 0 {
-			continue
+		if c := classOf[i]; c >= 0 {
+			backing[next[c]] = v
+			next[c]++
 		}
-		backing[offsets[slot]+fill[slot]] = v
-		fill[slot]++
 	}
-	t := &DayTemplate{Step: s.Step, Kind: kind,
-		Slots: make([]float64, slotsPerDay), counts: counts}
-	for i := range counts {
-		t.Slots[i] = reduce(backing[offsets[i] : offsets[i]+counts[i]])
+	for k, kind := range kinds {
+		lo, hi := k*slotsPerDay, (k+1)*slotsPerDay
+		t := &DayTemplate{Step: s.Step, Kind: kind,
+			Slots: make([]float64, slotsPerDay), counts: counts[lo:hi:hi]}
+		for i, n := range t.counts {
+			end := next[lo+i]
+			t.Slots[i] = reduce(backing[end-n : end])
+		}
+		out[k] = t
 	}
-	return t
 }
 
 // WeekTemplate pairs a weekday template with a weekend template, selecting
@@ -238,13 +263,28 @@ type WeekTemplate struct {
 	Weekend *DayTemplate
 }
 
-// BuildWeekTemplate builds both day templates from the series with the given
-// reduce function.
-func BuildWeekTemplate(s *Series, reduce Reduce) *WeekTemplate {
-	return &WeekTemplate{
-		Weekday: BuildDayTemplate(s, Weekdays, reduce),
-		Weekend: BuildDayTemplate(s, Weekends, reduce),
+// UnmarshalJSON implements json.Unmarshaler over the default wire form. It
+// rejects a template missing either half, which would panic on the first
+// lookup that falls on that half.
+func (w *WeekTemplate) UnmarshalJSON(data []byte) error {
+	type wire WeekTemplate
+	var v wire
+	if err := json.Unmarshal(data, &v); err != nil {
+		return err
 	}
+	if v.Weekday == nil || v.Weekend == nil {
+		return fmt.Errorf("timeseries: week template without a weekday or weekend half")
+	}
+	*w = WeekTemplate(v)
+	return nil
+}
+
+// BuildWeekTemplate builds both day templates from the series with the given
+// reduce function, in one pass over the series.
+func BuildWeekTemplate(s *Series, reduce Reduce) *WeekTemplate {
+	var t [2]*DayTemplate
+	fitDays(s, reduce, []DayKind{Weekdays, Weekends}, t[:])
+	return &WeekTemplate{Weekday: t[0], Weekend: t[1]}
 }
 
 // At returns the template value for instant ts, using the weekday or weekend

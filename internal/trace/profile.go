@@ -82,10 +82,47 @@ type ServiceProfile struct {
 	PhaseShiftHours float64
 }
 
+// Clock is the part of an instant that a load pattern reads: the minute of
+// the day and whether the day is a weekend, both in the instant's own
+// location. Decomposing a time.Time is calendar arithmetic, so a caller
+// that evaluates many profiles at one instant builds its Clock once and
+// passes it to UtilAtClock.
+type Clock struct {
+	// Minute is the minute of the day, 0..1439.
+	Minute int
+	// Weekend reports whether the day is a Saturday or a Sunday.
+	Weekend bool
+}
+
+// ClockOf decomposes ts once: one ts.Clock and one ts.Weekday.
+func ClockOf(ts time.Time) Clock {
+	h, m, _ := ts.Clock()
+	wd := ts.Weekday()
+	return Clock{Minute: h*60 + m, Weekend: wd == time.Saturday || wd == time.Sunday}
+}
+
+// UserFacing reports whether the service serves users interactively
+// (spiky, broad-peak and diurnal patterns): the services whose VMs ask to
+// overclock when busy. Batch, nightly and training loads never ask.
+func (p *ServiceProfile) UserFacing() bool {
+	switch p.Pattern {
+	case PatternSpiky, PatternBroadPeak, PatternDiurnal:
+		return true
+	}
+	return false
+}
+
 // UtilAt returns the service's utilization at ts with deterministic noise
 // from rng, clamped to [0.01, 1].
 func (p ServiceProfile) UtilAt(ts time.Time, rng *rand.Rand) float64 {
-	hour := float64(ts.Hour()) + float64(ts.Minute())/60 - p.PhaseShiftHours
+	return p.UtilAtClock(ClockOf(ts), rng)
+}
+
+// UtilAtClock is UtilAt at an already decomposed instant. The pattern reads
+// the same hour and minute integers UtilAt's ts would yield, so the two
+// agree bit for bit and draw the same noise from rng.
+func (p *ServiceProfile) UtilAtClock(c Clock, rng *rand.Rand) float64 {
+	hour := float64(c.Minute/60) + float64(c.Minute%60)/60 - p.PhaseShiftHours
 	for hour < 0 {
 		hour += 24
 	}
@@ -105,7 +142,7 @@ func (p ServiceProfile) UtilAt(ts time.Time, rng *rand.Rand) float64 {
 		}
 	case PatternSpiky:
 		u = p.BaseUtil
-		min := ts.Minute()
+		min := c.Minute % 60
 		spike := p.SpikeMinutes
 		if spike <= 0 {
 			spike = 5
@@ -123,10 +160,8 @@ func (p ServiceProfile) UtilAt(ts time.Time, rng *rand.Rand) float64 {
 	default:
 		u = p.BaseUtil
 	}
-	if ts.Weekday() == time.Saturday || ts.Weekday() == time.Sunday {
-		if p.WeekendFactor > 0 {
-			u *= p.WeekendFactor
-		}
+	if c.Weekend && p.WeekendFactor > 0 {
+		u *= p.WeekendFactor
 	}
 	if p.NoiseSD > 0 && rng != nil {
 		u *= 1 + rng.NormFloat64()*p.NoiseSD

@@ -37,12 +37,19 @@ func (s ServerSpec) TotalVMCores() int {
 // UtilAt returns the server's mean core utilization at ts: each VM
 // contributes its service's utilization weighted by its core count.
 func (s ServerSpec) UtilAt(ts time.Time, rng *rand.Rand) float64 {
+	return s.UtilAtClock(ClockOf(ts), rng)
+}
+
+// UtilAtClock is UtilAt at an already decomposed instant, so every VM reads
+// the one Clock instead of decomposing ts itself.
+func (s *ServerSpec) UtilAtClock(c Clock, rng *rand.Rand) float64 {
 	if s.HW.Cores == 0 {
 		return 0
 	}
 	busy := 0.0
-	for _, vm := range s.VMs {
-		busy += float64(vm.Cores) * vm.Service.UtilAt(ts, rng)
+	for i := range s.VMs {
+		vm := &s.VMs[i]
+		busy += float64(vm.Cores) * vm.Service.UtilAtClock(c, rng)
 	}
 	u := busy / float64(s.HW.Cores)
 	if u > 1 {
@@ -226,9 +233,12 @@ func GenRack(cfg RackGenConfig, rng *rand.Rand) (*RackTrace, error) {
 		// the per-tick loop below allocation-free (guarded by AllocsPerRun).
 		util := timeseries.NewWithCap(cfg.Start, cfg.Step, steps)
 		power := timeseries.NewWithCap(cfg.Start, cfg.Step, steps)
+		// Servers draw from rng in turn, so the tick loop must stay inside
+		// the server loop: each tick is decomposed once per server, for all
+		// of its VMs, rather than once per rack into a table of Clocks.
 		for j := 0; j < steps; j++ {
 			ts := cfg.Start.Add(time.Duration(j) * cfg.Step)
-			u := spec.UtilAt(ts, rng)
+			u := spec.UtilAtClock(ClockOf(ts), rng)
 			if outlierDay >= 0 && int(ts.Sub(cfg.Start)/(24*time.Hour)) == outlierDay {
 				u *= 1 + cfg.OutlierBoost
 				if u > 1 {
