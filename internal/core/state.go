@@ -103,7 +103,7 @@ type SOAState struct {
 }
 
 // Snapshot captures the sOA's runtime state. Sessions are sorted by VM name
-// so the snapshot is deterministic regardless of map iteration order.
+// so the snapshot does not depend on the order they were started in.
 // Assigned and power templates are shared (immutable once installed); the
 // recorders are deep-copied.
 func (a *SOA) Snapshot() *SOAState {
@@ -133,9 +133,9 @@ func (a *SOA) Snapshot() *SOAState {
 	if a.budgets != nil {
 		st.Budgets = a.budgets.Snapshot()
 	}
-	if len(a.sessions) > 0 {
-		st.Sessions = make([]SessionState, 0, len(a.sessions))
-		for _, s := range a.sessions {
+	if len(a.ordered) > 0 {
+		st.Sessions = make([]SessionState, 0, len(a.ordered))
+		for _, s := range a.ordered {
 			st.Sessions = append(st.Sessions, SessionState{
 				VM: s.VM, Cores: append([]int(nil), s.Cores...), TargetMHz: s.TargetMHz,
 				Priority: s.Priority, Scheduled: s.Scheduled,
@@ -163,10 +163,15 @@ func (a *SOA) Restore(st *SOAState) error {
 	if st.Budgets != nil && a.budgets != nil && len(st.Budgets.Cores) != a.budgets.Len() {
 		return fmt.Errorf("core: snapshot ledger has %d cores, host has %d", len(st.Budgets.Cores), a.budgets.Len())
 	}
-	for _, s := range st.Sessions {
+	for i, s := range st.Sessions {
 		for _, c := range s.Cores {
 			if c < 0 || c >= a.host.NumCores() {
 				return fmt.Errorf("core: session %s references core %d of %d", s.VM, c, a.host.NumCores())
+			}
+		}
+		for _, prev := range st.Sessions[:i] {
+			if prev.VM == s.VM {
+				return fmt.Errorf("core: snapshot holds two sessions for %s", s.VM)
 			}
 		}
 	}
@@ -211,14 +216,14 @@ func (a *SOA) Restore(st *SOAState) error {
 	}
 
 	a.sessions = make(map[string]*Session, len(st.Sessions))
-	a.sessScratch = nil
+	a.ordered = make([]*Session, 0, len(st.Sessions))
 	for _, s := range st.Sessions {
 		sess := &Session{
 			VM: s.VM, Cores: append([]int(nil), s.Cores...), TargetMHz: s.TargetMHz,
 			Priority: s.Priority, Scheduled: s.Scheduled,
 			StartedAt: s.StartedAt, currentMHz: s.CurrentMHz,
 		}
-		a.sessions[s.VM] = sess
+		a.addSession(sess)
 		a.applyFreq(sess)
 	}
 	return nil
