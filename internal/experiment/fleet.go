@@ -155,11 +155,16 @@ type traceHost struct {
 	capLevel   int
 	basePower  float64 // current baseline (trace) watts
 	util       float64 // current mean utilization
+	// ocWatts caches the overclock term of Power, which walks every core.
+	// SetDesiredFreq, ForceCap and setTick set ocDirty only when the
+	// frequency, cap level or utilization they write actually changes.
+	ocWatts float64
+	ocDirty bool
 }
 
 func newTraceHost(st *trace.ServerTrace) *traceHost {
 	hw := st.Spec.HW
-	h := &traceHost{name: st.Spec.Name, hw: hw, ocCoreCost: hw.OCCoreCost(), desired: make([]int, hw.Cores)}
+	h := &traceHost{name: st.Spec.Name, hw: hw, ocCoreCost: hw.OCCoreCost(), desired: make([]int, hw.Cores), ocDirty: true}
 	for i := range h.desired {
 		h.desired[i] = hw.TurboMHz
 	}
@@ -168,7 +173,10 @@ func newTraceHost(st *trace.ServerTrace) *traceHost {
 
 func (h *traceHost) setTick(baseWatts, util float64) {
 	h.basePower = baseWatts
-	h.util = util
+	if util != h.util {
+		h.util = util
+		h.ocDirty = true
+	}
 }
 
 // Advance is a no-op: setTick moves the replayed baseline.
@@ -193,7 +201,10 @@ func (h *traceHost) SetDesiredFreq(core, mhz int) {
 	if mhz > h.hw.MaxOCMHz {
 		mhz = h.hw.MaxOCMHz
 	}
-	h.desired[core] = mhz - mhz%h.hw.StepMHz
+	if f := mhz - mhz%h.hw.StepMHz; f != h.desired[core] {
+		h.desired[core] = f
+		h.ocDirty = true
+	}
 }
 
 func (h *traceHost) DesiredFreq(core int) int { return h.desired[core] }
@@ -223,13 +234,24 @@ func (h *traceHost) ocFraction(freq int) float64 {
 }
 
 // Power models the server draw: the baseline trace scaled down when capped
-// below turbo, plus per-core overclock power scaled by utilization.
+// below turbo, plus per-core overclock power scaled by utilization. The
+// overclock term is recomputed only after one of its inputs changed.
 func (h *traceHost) Power() float64 {
 	ceil := h.capCeiling()
 	base := h.basePower
 	if ceil < h.hw.TurboMHz {
 		base *= float64(ceil) / float64(h.hw.TurboMHz)
 	}
+	if h.ocDirty {
+		h.ocWatts = h.ocPower(ceil)
+		h.ocDirty = false
+	}
+	return base + h.ocWatts
+}
+
+// ocPower sums the overclock watts of every core above turbo, in core
+// order, each held to the cap ceiling ceil.
+func (h *traceHost) ocPower(ceil int) float64 {
 	uf := h.util
 	if uf < 0.3 {
 		uf = 0.3 // static overclock cost never vanishes
@@ -244,7 +266,7 @@ func (h *traceHost) Power() float64 {
 			oc += h.ocCoreCost * h.ocFraction(eff) * uf
 		}
 	}
-	return base + oc
+	return oc
 }
 
 func (h *traceHost) OCDeltaWatts(cores, mhz int, util float64) float64 {
@@ -275,7 +297,10 @@ func (h *traceHost) ForceCap(level int) {
 	if max := h.MaxCapLevel(); level > max {
 		level = max
 	}
-	h.capLevel = level
+	if level != h.capLevel {
+		h.capLevel = level
+		h.ocDirty = true
+	}
 }
 
 // hasOC reports whether any core is requested beyond turbo.
