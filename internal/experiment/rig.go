@@ -455,13 +455,15 @@ func (r *rig[H]) serve(s *rigServer[H], now time.Time, cores int) {
 	}
 	// The WI's ask is the root of the admission chain: the sOA's verdict
 	// record names this span as its parent.
-	req.Span = uint64(r.prov.Emit(causal.Record{
-		Time:      now,
-		Kind:      causal.KindMessage,
-		Component: "wi",
-		Site:      "wi.request",
-		Subject:   s.srv.Name() + "/" + vm,
-	}))
+	if r.prov != nil {
+		req.Span = uint64(r.prov.Emit(causal.Record{
+			Time:      now,
+			Kind:      causal.KindMessage,
+			Component: "wi",
+			Site:      "wi.request",
+			Subject:   s.srv.Name() + "/" + vm,
+		}))
+	}
 	if s.soa.Request(now, req).Granted {
 		r.granted++
 	}

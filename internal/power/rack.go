@@ -510,7 +510,11 @@ func (r *Rack) relaxCapping() bool {
 
 // relaxCappingInterleaved lowers cap levels one step on every capped
 // server, highest CapPriority first so important servers recover sooner.
+// An uncapped rack, the common case, returns before ordering anything.
 func (r *Rack) relaxCappingInterleaved() bool {
+	if !r.IsCapped() {
+		return false
+	}
 	changed := false
 	ordered := make([]Server, len(r.servers))
 	copy(ordered, r.servers)
