@@ -249,6 +249,15 @@ type ClusterResult struct {
 
 // RunCluster executes the 36-server emulation for one system.
 func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
+	r, err := runCluster(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.result(), nil
+}
+
+// runCluster validates cfg and runs its emulation to the end.
+func runCluster(cfg ClusterConfig) (*clusterRun, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -260,7 +269,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	for t := 0; t < ticks; t++ {
 		r.tick(t)
 	}
-	return r.result(), nil
+	return r, nil
 }
 
 // clusterRun is one system's emulation: the server table, the apps and

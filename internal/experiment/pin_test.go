@@ -6,14 +6,17 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"smartoclock/internal/api"
 	"smartoclock/internal/baselines"
+	"smartoclock/internal/cluster"
 	"smartoclock/internal/trace"
 )
 
@@ -349,4 +352,85 @@ func TestFleetKernelGolden(t *testing.T) {
 	}
 	b.WriteString(tbl.Format())
 	checkGolden(t, "fleet_kernel.golden", b.String())
+}
+
+// TestClusterKernelGolden pins the cluster.Server kernel at full precision:
+// floats as math.Float64bits and aging as integer nanoseconds, so a
+// reordered power sum or a changed wear rate is a diff. It holds every
+// server's energy, overclocked core-seconds and per-core aging after each
+// smoke Fig 12–14 system (run as RunFig12To14 runs it), the same for a
+// fault-free warm-restart chaos run plus each sOA's final checkpoint, and
+// the final checkpoint body of a short held live run.
+func TestClusterKernelGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster emulations")
+	}
+	var b strings.Builder
+	for _, sys := range ClusterSystems() {
+		cfg := smokeClusterCfg(sys)
+		r, err := runCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range r.servers {
+			writeServerKernel(&b, "fig12-14 "+sys.String(), s.srv)
+		}
+	}
+
+	cfg := DefaultChaosConfig()
+	cfg.Duration = 45 * time.Minute
+	cfg.DropProb, cfg.DupProb, cfg.DelayProb = 0, 0, 0
+	cfg.GOAOutage, cfg.SOACrashes = 0, 0
+	cfg.WarmRestart, cfg.CheckpointEvery = true, 5*time.Minute
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	c := newChaosRun(cfg)
+	c.eng.Run(cfg.Start.Add(cfg.Duration))
+	for _, s := range c.rg.servers {
+		writeServerKernel(&b, "chaos", s.srv)
+	}
+	agents := make([]string, 0, len(c.ckpts))
+	for name := range c.ckpts {
+		agents = append(agents, name)
+	}
+	sort.Strings(agents)
+	for _, name := range agents {
+		fmt.Fprintf(&b, "chaos checkpoint %s\n%s\n", name, c.ckpts[name])
+	}
+
+	ckptPath := filepath.Join(t.TempDir(), "state.json")
+	h := startLiveHarness(t, func(cfg *LiveConfig) {
+		cfg.Seed = 5
+		cfg.CheckpointPath = ckptPath
+		cfg.CheckpointEvery = time.Minute
+	})
+	ctx := context.Background()
+	admin := h.client("tok-admin")
+	if _, err := admin.Advance(ctx, api.AdvanceSpec{Ticks: 40}); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := admin.ForceCheckpoint(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(cp.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.stop(t)
+	fmt.Fprintf(&b, "live checkpoint\n%s\n", data)
+	checkGolden(t, "cluster_kernel.golden", b.String())
+}
+
+// writeServerKernel prints one server's accumulated hardware state bit for
+// bit: energy and overclocked core-seconds as float bits, then each core's
+// aging in nanoseconds.
+func writeServerKernel(b *strings.Builder, label string, s *cluster.Server) {
+	fmt.Fprintf(b, "%s %s energy %016x ocsec %016x aged", label, s.Name(),
+		math.Float64bits(s.Energy()), math.Float64bits(s.Machine().TotalOCCoreSeconds()))
+	for i := 0; i < s.NumCores(); i++ {
+		fmt.Fprintf(b, " %d", int64(s.CoreWear(i).Aged()))
+	}
+	b.WriteString("\n")
 }
