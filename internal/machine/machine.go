@@ -11,6 +11,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -145,6 +146,12 @@ type Machine struct {
 	energy    float64 // joules
 	elapsed   time.Duration
 
+	// power caches Power, which walks every core. SetFreq, SetUtil and
+	// SetCoreMaxOC, the only writers of coreFreq and coreUtil, set
+	// powerDirty only when the value they store actually changes.
+	power      float64
+	powerDirty bool
+
 	// obs, when non-nil, holds resolved metric handles (see Instrument).
 	obs *machineObs
 }
@@ -175,11 +182,12 @@ func New(cfg Config) *Machine {
 		panic(err)
 	}
 	m := &Machine{
-		cfg:       cfg,
-		coreFreq:  make([]int, cfg.Cores),
-		coreUtil:  make([]float64, cfg.Cores),
-		coreMaxOC: make([]int, cfg.Cores),
-		ocTime:    make([]time.Duration, cfg.Cores),
+		cfg:        cfg,
+		coreFreq:   make([]int, cfg.Cores),
+		coreUtil:   make([]float64, cfg.Cores),
+		coreMaxOC:  make([]int, cfg.Cores),
+		ocTime:     make([]time.Duration, cfg.Cores),
+		powerDirty: true,
 	}
 	for i := range m.coreFreq {
 		m.coreFreq[i] = cfg.TurboMHz
@@ -202,7 +210,10 @@ func (m *Machine) SetFreq(i int, mhz int) int {
 	if f > m.coreMaxOC[i] {
 		f = m.coreMaxOC[i]
 	}
-	m.coreFreq[i] = f
+	if f != m.coreFreq[i] {
+		m.coreFreq[i] = f
+		m.powerDirty = true
+	}
 	return f
 }
 
@@ -223,6 +234,7 @@ func (m *Machine) SetCoreMaxOC(i int, mhz int) int {
 	m.coreMaxOC[i] = mhz
 	if m.coreFreq[i] > mhz {
 		m.coreFreq[i] = mhz
+		m.powerDirty = true
 	}
 	return mhz
 }
@@ -290,7 +302,11 @@ func (m *Machine) SetUtil(i int, u float64) {
 	if u > 1 {
 		u = 1
 	}
-	m.coreUtil[i] = u
+	// Bits, not ==: storing -0 over +0 (or a NaN) is a change too.
+	if math.Float64bits(u) != math.Float64bits(m.coreUtil[i]) {
+		m.coreUtil[i] = u
+		m.powerDirty = true
+	}
 }
 
 // Util returns core i's utilization.
@@ -325,13 +341,18 @@ func (m *Machine) CorePower(i int) float64 {
 }
 
 // Power returns the server's instantaneous power draw in watts: the sensor
-// an sOA polls.
+// an sOA polls. The sum over cores is recomputed, in core order, only after
+// a frequency or utilization changed.
 func (m *Machine) Power() float64 {
-	p := m.cfg.IdleWatts
-	for i := range m.coreFreq {
-		p += m.CorePower(i)
+	if m.powerDirty {
+		p := m.cfg.IdleWatts
+		for i := range m.coreFreq {
+			p += m.CorePower(i)
+		}
+		m.power = p
+		m.powerDirty = false
 	}
-	return p
+	return m.power
 }
 
 // Advance integrates time forward by dt: accumulates energy and the PMT-like
