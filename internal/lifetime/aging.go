@@ -46,10 +46,13 @@ func DefaultAgingModel() AgingModel {
 }
 
 // Accel returns the wearout acceleration factor at the given voltage ratio
-// (V/Vref). At nominal voltage the factor is 1; it grows exponentially.
+// (V/Vref). At or below nominal voltage the factor is exactly 1 (undervolting
+// headroom is out of scope), which is what exp(Kappa·0) returns, without
+// the exponential most cores would otherwise pay every tick; above it the
+// factor grows exponentially.
 func (m AgingModel) Accel(voltRatio float64) float64 {
-	if voltRatio < 1 {
-		voltRatio = 1 // undervolting headroom is out of scope
+	if voltRatio <= 1 {
+		return 1
 	}
 	return math.Exp(m.Kappa * (voltRatio - 1))
 }
