@@ -437,8 +437,8 @@ type ClusterStatus struct {
 	Granted  int  `json:"granted"`
 	// Violations counts invariant violations observed so far (0 is the
 	// only healthy value).
-	Violations int          `json:"violations"`
-	Rack       RackStatus   `json:"rack"`
+	Violations int            `json:"violations"`
+	Rack       RackStatus     `json:"rack"`
 	Servers    []ServerStatus `json:"servers"`
 	// ProfiledServers lists servers the gOA currently holds profiles for.
 	ProfiledServers []string `json:"profiled_servers,omitempty"`

@@ -305,7 +305,7 @@ func TestLiveConformance(t *testing.T) {
 		// When an authorized caller does it, then the effect is observable.
 		t.Run(sc.cmd+"/valid", func(t *testing.T) {
 			before := statusOf(t, reader)
-			if err := sc.call(h.client("tok-"+string(rt.Scope))); err != nil {
+			if err := sc.call(h.client("tok-" + string(rt.Scope))); err != nil {
 				t.Fatalf("authorized call failed: %v", err)
 			}
 			sc.then(t, before, statusOf(t, reader))
