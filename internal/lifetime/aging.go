@@ -46,10 +46,10 @@ func DefaultAgingModel() AgingModel {
 }
 
 // Accel returns the wearout acceleration factor at the given voltage ratio
-// (V/Vref). At or below nominal voltage the factor is exactly 1 (undervolting
-// headroom is out of scope), which is what exp(Kappa·0) returns, without
-// the exponential most cores would otherwise pay every tick; above it the
-// factor grows exponentially.
+// (V/Vref). At or below nominal voltage, where most cores run, it is exactly
+// 1, the value exp(Kappa·0) has, without evaluating the exponential
+// (undervolting headroom is out of scope); above it the factor grows
+// exponentially.
 func (m AgingModel) Accel(voltRatio float64) float64 {
 	if voltRatio <= 1 {
 		return 1

@@ -138,22 +138,28 @@ func (c Config) OCCoreCost() float64 {
 
 // Machine is one simulated server.
 type Machine struct {
-	cfg       Config
-	coreFreq  []int
-	coreUtil  []float64
-	coreMaxOC []int // per-core maximum frequency (silicon variability, §VI)
-	ocTime    []time.Duration
-	energy    float64 // joules
-	elapsed   time.Duration
+	cfg     Config
+	cores   []coreState
+	energy  float64 // joules
+	elapsed time.Duration
 
 	// power caches Power, which walks every core. SetFreq, SetUtil and
-	// SetCoreMaxOC, the only writers of coreFreq and coreUtil, set
+	// SetCoreMaxOC, the only writers of a core's freq and util, set
 	// powerDirty only when the value they store actually changes.
 	power      float64
 	powerDirty bool
 
 	// obs, when non-nil, holds resolved metric handles (see Instrument).
 	obs *machineObs
+}
+
+// coreState is one core's actuator and sensor state. Keeping it in one
+// record makes a machine's cores one allocation rather than four.
+type coreState struct {
+	freq   int // MHz
+	maxOC  int // individual maximum frequency (silicon variability, §VI)
+	util   float64
+	ocTime time.Duration
 }
 
 // machineObs holds the machine's resolved instruments: the PMT-like
@@ -181,17 +187,10 @@ func New(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	m := &Machine{
-		cfg:        cfg,
-		coreFreq:   make([]int, cfg.Cores),
-		coreUtil:   make([]float64, cfg.Cores),
-		coreMaxOC:  make([]int, cfg.Cores),
-		ocTime:     make([]time.Duration, cfg.Cores),
-		powerDirty: true,
-	}
-	for i := range m.coreFreq {
-		m.coreFreq[i] = cfg.TurboMHz
-		m.coreMaxOC[i] = cfg.MaxOCMHz
+	m := &Machine{cfg: cfg, cores: make([]coreState, cfg.Cores), powerDirty: true}
+	for i := range m.cores {
+		m.cores[i].freq = cfg.TurboMHz
+		m.cores[i].maxOC = cfg.MaxOCMHz
 	}
 	return m
 }
@@ -206,12 +205,13 @@ func (m *Machine) Cores() int { return m.cfg.Cores }
 // core's individual maximum, and step-aligned) and returns the applied
 // value.
 func (m *Machine) SetFreq(i int, mhz int) int {
+	c := &m.cores[i]
 	f := m.cfg.ClampFreq(mhz)
-	if f > m.coreMaxOC[i] {
-		f = m.coreMaxOC[i]
+	if f > c.maxOC {
+		f = c.maxOC
 	}
-	if f != m.coreFreq[i] {
-		m.coreFreq[i] = f
+	if f != c.freq {
+		c.freq = f
 		m.powerDirty = true
 	}
 	return f
@@ -231,16 +231,17 @@ func (m *Machine) SetCoreMaxOC(i int, mhz int) int {
 		mhz = m.cfg.MaxOCMHz
 	}
 	mhz -= mhz % m.cfg.StepMHz
-	m.coreMaxOC[i] = mhz
-	if m.coreFreq[i] > mhz {
-		m.coreFreq[i] = mhz
+	c := &m.cores[i]
+	c.maxOC = mhz
+	if c.freq > mhz {
+		c.freq = mhz
 		m.powerDirty = true
 	}
 	return mhz
 }
 
 // CoreMaxOC returns core i's individual maximum frequency.
-func (m *Machine) CoreMaxOC(i int) int { return m.coreMaxOC[i] }
+func (m *Machine) CoreMaxOC(i int) int { return m.cores[i].maxOC }
 
 // RandomizeCoreMaxOC assigns each core an individual maximum drawn
 // uniformly from [minMHz, MaxOCMHz] (step-aligned), modelling
@@ -250,7 +251,7 @@ func (m *Machine) RandomizeCoreMaxOC(rng *rand.Rand, minMHz int) {
 		minMHz = m.cfg.TurboMHz
 	}
 	span := (m.cfg.MaxOCMHz - minMHz) / m.cfg.StepMHz
-	for i := range m.coreMaxOC {
+	for i := range m.cores {
 		mhz := minMHz
 		if span > 0 {
 			mhz += rng.Intn(span+1) * m.cfg.StepMHz
@@ -266,15 +267,15 @@ func (m *Machine) FastestCores(n int) []int {
 	if n <= 0 {
 		return nil
 	}
-	if n > len(m.coreMaxOC) {
-		n = len(m.coreMaxOC)
+	if n > len(m.cores) {
+		n = len(m.cores)
 	}
-	idx := make([]int, len(m.coreMaxOC))
+	idx := make([]int, len(m.cores))
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
-		return m.coreMaxOC[idx[a]] > m.coreMaxOC[idx[b]]
+		return m.cores[idx[a]].maxOC > m.cores[idx[b]].maxOC
 	})
 	out := make([]int, n)
 	copy(out, idx[:n])
@@ -283,16 +284,16 @@ func (m *Machine) FastestCores(n int) []int {
 
 // SetFreqRange sets cores [lo, hi) to mhz.
 func (m *Machine) SetFreqRange(lo, hi, mhz int) {
-	for i := lo; i < hi && i < len(m.coreFreq); i++ {
+	for i := lo; i < hi && i < len(m.cores); i++ {
 		m.SetFreq(i, mhz)
 	}
 }
 
 // SetFreqAll sets every core to mhz.
-func (m *Machine) SetFreqAll(mhz int) { m.SetFreqRange(0, len(m.coreFreq), mhz) }
+func (m *Machine) SetFreqAll(mhz int) { m.SetFreqRange(0, len(m.cores), mhz) }
 
 // Freq returns core i's current frequency in MHz.
-func (m *Machine) Freq(i int) int { return m.coreFreq[i] }
+func (m *Machine) Freq(i int) int { return m.cores[i].freq }
 
 // SetUtil sets core i's utilization in [0,1] (clamped).
 func (m *Machine) SetUtil(i int, u float64) {
@@ -302,32 +303,32 @@ func (m *Machine) SetUtil(i int, u float64) {
 	if u > 1 {
 		u = 1
 	}
-	// Bits, not ==: storing -0 over +0 (or a NaN) is a change too.
-	if math.Float64bits(u) != math.Float64bits(m.coreUtil[i]) {
-		m.coreUtil[i] = u
+	// Bits, not ==, so storing -0 over +0 counts as a change.
+	if c := &m.cores[i]; math.Float64bits(u) != math.Float64bits(c.util) {
+		c.util = u
 		m.powerDirty = true
 	}
 }
 
 // Util returns core i's utilization.
-func (m *Machine) Util(i int) float64 { return m.coreUtil[i] }
+func (m *Machine) Util(i int) float64 { return m.cores[i].util }
 
 // MeanUtil returns the mean utilization across all cores.
 func (m *Machine) MeanUtil() float64 {
 	sum := 0.0
-	for _, u := range m.coreUtil {
-		sum += u
+	for i := range m.cores {
+		sum += m.cores[i].util
 	}
-	return sum / float64(len(m.coreUtil))
+	return sum / float64(len(m.cores))
 }
 
 // IsOverclocked reports whether core i runs beyond turbo.
-func (m *Machine) IsOverclocked(i int) bool { return m.coreFreq[i] > m.cfg.TurboMHz }
+func (m *Machine) IsOverclocked(i int) bool { return m.cores[i].freq > m.cfg.TurboMHz }
 
 // OverclockedCores returns how many cores currently run beyond turbo.
 func (m *Machine) OverclockedCores() int {
 	n := 0
-	for i := range m.coreFreq {
+	for i := range m.cores {
 		if m.IsOverclocked(i) {
 			n++
 		}
@@ -337,7 +338,7 @@ func (m *Machine) OverclockedCores() int {
 
 // CorePower returns core i's instantaneous power draw in watts.
 func (m *Machine) CorePower(i int) float64 {
-	return m.cfg.CorePower(m.coreFreq[i], m.coreUtil[i])
+	return m.cfg.CorePower(m.cores[i].freq, m.cores[i].util)
 }
 
 // Power returns the server's instantaneous power draw in watts: the sensor
@@ -346,7 +347,7 @@ func (m *Machine) CorePower(i int) float64 {
 func (m *Machine) Power() float64 {
 	if m.powerDirty {
 		p := m.cfg.IdleWatts
-		for i := range m.coreFreq {
+		for i := range m.cores {
 			p += m.CorePower(i)
 		}
 		m.power = p
@@ -362,20 +363,20 @@ func (m *Machine) Advance(dt time.Duration) {
 		panic(fmt.Sprintf("machine: negative Advance %v", dt))
 	}
 	m.energy += m.Power() * dt.Seconds()
-	for i := range m.coreFreq {
+	for i := range m.cores {
 		if m.IsOverclocked(i) {
-			m.ocTime[i] += dt
+			m.cores[i].ocTime += dt
 		}
 	}
 	m.elapsed += dt
 	if m.obs != nil {
 		ocCores := 0
 		var ocSecs float64
-		for i := range m.coreFreq {
+		for i := range m.cores {
 			if m.IsOverclocked(i) {
 				ocCores++
 			}
-			ocSecs += m.ocTime[i].Seconds()
+			ocSecs += m.cores[i].ocTime.Seconds()
 		}
 		m.obs.energy.Set(m.energy)
 		m.obs.ocSecs.Set(ocSecs)
@@ -385,14 +386,14 @@ func (m *Machine) Advance(dt time.Duration) {
 
 // OCTime returns core i's cumulative overclocked time-in-state — the
 // counter a real deployment reads through Intel PMT or AMD HSMP.
-func (m *Machine) OCTime(i int) time.Duration { return m.ocTime[i] }
+func (m *Machine) OCTime(i int) time.Duration { return m.cores[i].ocTime }
 
 // TotalOCCoreSeconds returns the sum of overclocked time across cores, in
 // core-seconds.
 func (m *Machine) TotalOCCoreSeconds() float64 {
 	var total float64
-	for _, d := range m.ocTime {
-		total += d.Seconds()
+	for i := range m.cores {
+		total += m.cores[i].ocTime.Seconds()
 	}
 	return total
 }

@@ -7,11 +7,12 @@ import (
 	"time"
 )
 
-// refPower is a verbatim copy of Power before it cached its sum: the
-// reference the cached Power must match bit for bit.
+// refPower is a verbatim copy of Power before it cached its sum (only the
+// core slice it ranges over is renamed): the reference the cached Power
+// must match bit for bit.
 func refPower(m *Machine) float64 {
 	p := m.cfg.IdleWatts
-	for i := range m.coreFreq {
+	for i := range m.cores {
 		p += m.CorePower(i)
 	}
 	return p
