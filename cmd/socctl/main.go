@@ -21,33 +21,33 @@
 //	checkpoint                               force a durable checkpoint now
 //	advance  [-ticks N]                      run N ticks (hold mode only)
 //	shutdown                                 end the live run gracefully
-//	explain  [-span] ID                      causal chain behind a decision span
+//	explain  [-log FILE] [-span] ID          causal chain behind a decision span
+//	explain  [-log FILE] -recent N           the N newest provenance records
 //
-// The address and token fall back to $SOC_API_ADDR and $SOC_API_TOKEN.
-// -json prints the raw response body instead of the human rendering.
+// The address and token fall back to $SOC_API_ADDR and $SOC_API_TOKEN; an
+// address without a scheme is taken as http. -json prints the raw response
+// body instead of the human rendering. explain -log reads a provenance log
+// written by socsim -prov-out instead of the server.
 //
-// Exit codes: 0 success, 1 usage error, 2 request rejected (4xx),
-// 3 server/transport failure (5xx, unreachable), 4 authentication or
-// authorization failure (401/403), 5 rate limited (429).
+// Exit codes: 0 success, 1 usage error, 2 request rejected (4xx) or, for
+// explain, span not found, 3 server/transport failure (5xx, unreachable),
+// 4 authentication or authorization failure (401/403), 5 rate limited
+// (429).
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
-	"net/url"
 	"os"
 	"sort"
 	"strings"
 	"time"
 
 	"smartoclock/internal/api"
-	"smartoclock/internal/causal"
-	"smartoclock/internal/telemetry"
 )
 
 const (
@@ -104,7 +104,7 @@ func printJSON(v any) {
 
 func main() {
 	root := flag.NewFlagSet("socctl", flag.ExitOnError)
-	addr := root.String("addr", envOr("SOC_API_ADDR", "http://127.0.0.1:9188"), "control-plane base URL ($SOC_API_ADDR)")
+	addr := root.String("addr", cmp.Or(os.Getenv("SOC_API_ADDR"), "http://127.0.0.1:9188"), "control-plane base URL ($SOC_API_ADDR)")
 	token := root.String("token", os.Getenv("SOC_API_TOKEN"), "bearer token ($SOC_API_TOKEN)")
 	asJSON := root.Bool("json", false, "print raw JSON responses")
 	timeout := root.Duration("timeout", 30*time.Second, "request timeout")
@@ -118,7 +118,8 @@ func main() {
 	}
 	cmd, args := root.Arg(0), root.Args()[1:]
 
-	client := api.NewClient(*addr, *token)
+	base := baseURL(*addr)
+	client := api.NewClient(base, *token)
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
@@ -302,60 +303,20 @@ func main() {
 		ack(*asJSON, "shutdown requested\n")
 
 	case "explain":
-		fs := flag.NewFlagSet("explain", flag.ExitOnError)
-		span := fs.String("span", "", "span ID (16-digit hex) to explain")
-		_ = fs.Parse(args)
-		target := *span
-		if target == "" && fs.NArg() == 1 {
-			target = fs.Arg(0)
-		}
-		if target == "" {
-			usage(fs, "explain needs a span ID")
-		}
-		explain(*addr, target, *timeout, *asJSON)
+		runExplain(args, base, *timeout, *asJSON)
 
 	default:
 		usage(root, fmt.Sprintf("unknown command %q", cmd))
 	}
 }
 
-// explain asks the telemetry plane (same listener as /api/v1, unauthenticated
-// read path) why a span's decision happened and renders the causal chain.
-func explain(addr, span string, timeout time.Duration, asJSON bool) {
-	base := strings.TrimRight(addr, "/")
-	hc := &http.Client{Timeout: timeout}
-	resp, err := hc.Get(base + "/explain?span=" + url.QueryEscape(span))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "socctl: %v\n", err)
-		os.Exit(exitFailure)
+// baseURL normalizes a control-plane address to a base URL without a
+// trailing slash, taking an address without a scheme as http.
+func baseURL(addr string) string {
+	if !strings.Contains(addr, "://") {
+		addr = "http://" + addr
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "socctl: %v\n", err)
-		os.Exit(exitFailure)
-	}
-	if resp.StatusCode != http.StatusOK {
-		fmt.Fprintf(os.Stderr, "socctl: %s\n", strings.TrimSpace(string(body)))
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			os.Exit(exitRejected)
-		}
-		os.Exit(exitFailure)
-	}
-	var ex telemetry.Explanation
-	if err := json.Unmarshal(body, &ex); err != nil {
-		fmt.Fprintf(os.Stderr, "socctl: bad /explain response: %v\n", err)
-		os.Exit(exitFailure)
-	}
-	if asJSON {
-		printJSON(&ex)
-		return
-	}
-	fmt.Printf("span %s: %s/%s %s\n", ex.Span, ex.Record.Component, ex.Record.Site, ex.Record.Verdict)
-	_ = causal.WriteChain(os.Stdout, ex.Chain)
-	for i := range ex.Children {
-		fmt.Printf("  -> %s\n", causal.FormatRecord(&ex.Children[i]))
-	}
+	return strings.TrimRight(addr, "/")
 }
 
 // ack prints a human acknowledgement, or the canonical ok envelope in JSON
@@ -403,11 +364,4 @@ func sortedKeys(m map[string]float64) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func envOr(key, fallback string) string {
-	if v := os.Getenv(key); v != "" {
-		return v
-	}
-	return fallback
 }

@@ -44,11 +44,11 @@ func splitmix64(x uint64) uint64 {
 type SpanID uint64
 
 // String renders the span as fixed-width lowercase hex, the format
-// accepted back by ParseSpan, /explain?span= and socexplain.
+// accepted back by ParseSpan, /explain?span= and socctl explain.
 func (s SpanID) String() string { return fmt.Sprintf("%016x", uint64(s)) }
 
 // MarshalJSON renders spans as their canonical hex string, so a span
-// copied out of a provenance log pastes straight into socexplain and
+// copied out of a provenance log pastes straight into socctl explain and
 // /explain?span= without a decimal/hex ambiguity.
 func (s SpanID) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + s.String() + `"`), nil
@@ -281,7 +281,7 @@ func (r *Recorder) Records() []Record {
 }
 
 // Log is a merged, ordered provenance log — the unit that is written to
-// disk, served by /explain, and walked by socexplain.
+// disk, served by /explain, and walked by socctl explain.
 type Log struct {
 	Records []Record
 }

@@ -11,8 +11,8 @@ import (
 //
 //	15:04:05 [0123456789abcdef] soa/soa.admit reject srv3/vm policy=greedy inputs{watts=812 budget=800} detail
 //
-// It is the shared rendering of socexplain, socctl explain and ad-hoc log
-// dumps, so a chain reads the same everywhere.
+// It is the shared rendering of socctl explain and ad-hoc log dumps, so a
+// chain reads the same everywhere.
 func FormatRecord(r *Record) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s [%s] %s/%s",
