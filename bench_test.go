@@ -6,12 +6,10 @@
 //	go test -bench=. -benchmem
 //
 // prints a full reproduction sweep. The CLIs (cmd/socsim, cmd/soccluster,
-// cmd/soctrace) run the same experiments at full scale with printed tables.
+// cmd/socreport) run the same experiments at full scale with printed tables.
 package main
 
 import (
-	"fmt"
-	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -236,49 +234,6 @@ func BenchmarkTable1Comparison(b *testing.B) {
 				b.ReportMetric(r.SuccessPct, "high-central-success-%")
 			}
 		}
-	}
-}
-
-// BenchmarkTable1Observed runs the same Table I workload with the metrics
-// registry, event tracer and provenance recorder attached, and reports the
-// merged snapshot's series count. It sets no RecordEvery, so it records no
-// series: compared against BenchmarkTable1Comparison it measures the cost
-// of the handles, the tracer, provenance and the shard merge only, which
-// was 1.64x the unobserved wall time when last measured.
-func BenchmarkTable1Observed(b *testing.B) {
-	var snapSeries int
-	for i := 0; i < b.N; i++ {
-		_, _, observation, err := experiment.RunTable1Observed(benchFleetCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		snapSeries = len(observation.Metrics.Series)
-	}
-	b.ReportMetric(float64(snapSeries), "series")
-}
-
-// BenchmarkTable1Workers measures the scaling trajectory of the parallel
-// fleet runner: the same Table I workload at 1/2/4/NumCPU workers. With
-// per-rack seed derivation the results are identical at every count, so
-// the sub-benchmarks differ only in wall-clock. cmd/socbench runs the
-// same sweep standalone and writes BENCH_fleet.json.
-func BenchmarkTable1Workers(b *testing.B) {
-	counts := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n > 4 {
-		counts = append(counts, n)
-	}
-	for _, w := range counts {
-		w := w
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			cfg := benchFleetCfg()
-			cfg.Workers = w
-			for i := 0; i < b.N; i++ {
-				if _, _, err := experiment.RunTable1(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(3*5*cfg.RacksPerClass)/b.Elapsed().Seconds()*float64(b.N), "racks/sec")
-		})
 	}
 }
 

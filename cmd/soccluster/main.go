@@ -24,6 +24,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
@@ -36,6 +37,33 @@ import (
 	"smartoclock/internal/telemetry"
 )
 
+// writeFile creates path and fills it with write, exiting on any error.
+// An empty path writes nothing.
+func writeFile(path string, write func(io.Writer) error) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+}
+
+// jsonIf returns asJSON when path ends in .json and text otherwise.
+func jsonIf(path string, asJSON, text func(io.Writer) error) func(io.Writer) error {
+	if strings.HasSuffix(path, ".json") {
+		return asJSON
+	}
+	return text
+}
+
 // writeObservation writes the merged metrics snapshot, event trace and/or
 // recorded series of an observed sweep. Metrics format: Prometheus text
 // exposition by default, JSON when the path ends in .json. Traces are JSON
@@ -44,52 +72,14 @@ func writeObservation(metricsPath, tracePath, seriesPath string, o *experiment.F
 	if o == nil {
 		return
 	}
-	if metricsPath != "" && o.Metrics != nil {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if strings.HasSuffix(metricsPath, ".json") {
-			err = o.Metrics.WriteJSON(f)
-		} else {
-			err = o.Metrics.WriteProm(f)
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
+	if o.Metrics != nil {
+		writeFile(metricsPath, jsonIf(metricsPath, o.Metrics.WriteJSON, o.Metrics.WriteProm))
 	}
-	if tracePath != "" && o.Trace != nil {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		err = o.Trace.WriteJSONL(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
+	if o.Trace != nil {
+		writeFile(tracePath, o.Trace.WriteJSONL)
 	}
-	if seriesPath != "" && o.Series != nil {
-		f, err := os.Create(seriesPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if strings.HasSuffix(seriesPath, ".json") {
-			err = o.Series.WriteJSON(f)
-		} else {
-			err = o.Series.WriteCSV(f)
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
+	if o.Series != nil {
+		writeFile(seriesPath, jsonIf(seriesPath, o.Series.WriteJSON, o.Series.WriteCSV))
 	}
 }
 

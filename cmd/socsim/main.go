@@ -6,6 +6,8 @@
 // Usage:
 //
 //	socsim [-racks N] [-traindays D] [-evaldays D] [-seed S] [-table1] [-fig15] [-chaos] [-recovery] [-zoo] [-oversub] [-contention]
+//	socsim -scale-racks 30,1000,7100 [-seed S]
+//	socsim -export-rack FILE [-traindays D] [-evaldays D] [-seed S]
 //
 // With no experiment flag the paper experiments run (Table I, Fig 15,
 // ablations). -chaos runs the fault-injection experiment instead: a rack
@@ -25,95 +27,92 @@
 // the NoBrownout and SeverityOrder invariants armed. -contention runs
 // oversubscription admission and sOA overclock sessions competing for the
 // same rack headroom; -oversub-ratios overrides the swept ratios for both.
+//
+// -scale-racks runs the streamed fleet at paper scale (the production study
+// covers 7.1k dedicated racks) instead: one SmartOClock fleet per listed
+// size, 6 servers per rack, 2 training days and 1 evaluated day, each
+// generated and dropped rack by rack. It prints one JSON ScaleResult per
+// size: throughput, memory per rack and the request, success and cap
+// counts, which are equal at any worker count. -export-rack writes one
+// generated rack trace over -traindays + -evaldays days as JSON.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"math/rand"
 	"os"
 	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
-	"smartoclock/internal/causal"
 	"smartoclock/internal/experiment"
-	"smartoclock/internal/metrics"
+	"smartoclock/internal/invariant"
 	"smartoclock/internal/obs"
 	"smartoclock/internal/policy"
 	"smartoclock/internal/trace"
 )
 
-// writeMetrics writes a snapshot to path: Prometheus text exposition by
-// default, JSON when the path ends in .json.
-func writeMetrics(path string, snap *metrics.Snapshot) {
-	if path == "" || snap == nil {
+// writeFile creates path and fills it with write, exiting on any error.
+// An empty path writes nothing.
+func writeFile(path string, write func(io.Writer) error) {
+	if path == "" {
 		return
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+}
+
+// jsonIf returns asJSON when path ends in .json and text otherwise.
+func jsonIf(path string, asJSON, text func(io.Writer) error) func(io.Writer) error {
 	if strings.HasSuffix(path, ".json") {
-		err = snap.WriteJSON(f)
-	} else {
-		err = snap.WriteProm(f)
+		return asJSON
 	}
-	if err != nil {
-		log.Fatal(err)
+	return text
+}
+
+// writeObservation writes what a run observed to the paths that are set:
+// the metrics snapshot as Prometheus text exposition and the recorded
+// series as CSV (each JSON when its path ends in .json), the event trace
+// and the causal decision-provenance log as JSON Lines. Nil parts are
+// skipped.
+func writeObservation(metricsPath, tracePath, seriesPath, provPath string, o *experiment.FleetObservation) {
+	if o.Metrics != nil {
+		writeFile(metricsPath, jsonIf(metricsPath, o.Metrics.WriteJSON, o.Metrics.WriteProm))
+	}
+	if o.Trace != nil {
+		writeFile(tracePath, o.Trace.WriteJSONL)
+	}
+	if o.Series != nil {
+		writeFile(seriesPath, jsonIf(seriesPath, o.Series.WriteJSON, o.Series.WriteCSV))
+	}
+	if o.Provenance != nil {
+		writeFile(provPath, o.Provenance.WriteJSONL)
 	}
 }
 
-// writeTrace writes the event trace to path as JSON Lines.
-func writeTrace(path string, tr *obs.Tracer) {
-	if path == "" || tr == nil {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := tr.WriteJSONL(f); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// writeSeries writes a recording to path: CSV by default, JSON when the
-// path ends in .json.
-func writeSeries(path string, rec *metrics.Recording) {
-	if path == "" || rec == nil {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".json") {
-		err = rec.WriteJSON(f)
-	} else {
-		err = rec.WriteCSV(f)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-}
-
-// writeProv writes a causal decision-provenance log to path as JSON Lines.
-func writeProv(path string, log_ *causal.Log) {
-	if path == "" || log_ == nil {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := log_.WriteJSONL(f); err != nil {
-		log.Fatal(err)
+// dumpViolations prints a cell's first three invariant violations, and how
+// many more there were, to stderr.
+func dumpViolations(cell string, vs []invariant.Violation) {
+	for i, v := range vs {
+		if i == 3 {
+			fmt.Fprintf(os.Stderr, "socsim: %s: ... %d more violations\n", cell, len(vs)-i)
+			return
+		}
+		fmt.Fprintf(os.Stderr, "socsim: %s: %v\n", cell, v)
 	}
 }
 
@@ -124,6 +123,69 @@ func parseComponents(s string) []obs.Component {
 		log.Fatal(err)
 	}
 	return comps
+}
+
+// parseRackList parses a comma-separated list of rack counts, e.g.
+// "30,1000,7100". An empty string yields an empty list.
+func parseRackList(s string) ([]int, error) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return nil, nil
+	}
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("bad rack count %q (want positive integers, comma-separated)", part)
+		}
+		out = append(out, n)
+	}
+	return out, nil
+}
+
+// runScale runs the streamed scale curve and prints one JSON ScaleResult
+// line per fleet size.
+func runScale(list string, seed int64, workers int) {
+	sizes, err := parseRackList(list)
+	if err != nil {
+		log.Fatalf("-scale-racks: %v", err)
+	}
+	enc := json.NewEncoder(os.Stdout)
+	for _, n := range sizes {
+		sc := experiment.DefaultScaleConfig(n)
+		sc.Seed = seed
+		sc.ServersPerRack = 6
+		sc.Workers = workers
+		res, err := experiment.RunFleetScale(sc)
+		if err != nil {
+			log.Fatalf("scale racks=%d: %v", n, err)
+		}
+		if err := enc.Encode(res); err != nil {
+			log.Fatal(err)
+		}
+	}
+}
+
+// exportRack writes one generated rack trace of the given days to path as
+// JSON.
+func exportRack(path string, days int, seed int64) {
+	start := time.Date(2023, 4, 10, 0, 0, 0, 0, time.UTC)
+	cfg := trace.DefaultRackGenConfig("export", start, time.Duration(days)*24*time.Hour)
+	rack, err := trace.GenRack(cfg, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		log.Fatal(err)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := trace.WriteRackJSON(f, rack); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("wrote %s (%d servers, %d days)", path, len(rack.Servers), days)
 }
 
 func main() {
@@ -153,8 +215,18 @@ func main() {
 	seriesOut := flag.String("series-out", "", "write the recorded time series of the Table I run (or -chaos run) here; .json selects JSON, anything else CSV")
 	recordEvery := flag.Duration("record-every", 0, "sampling interval (sim time) for -series-out; defaults to 1h for Table I and 30s for -chaos")
 	traceComponents := flag.String("trace-components", "", "comma-separated obs components to trace (e.g. soa,rack,alert); empty traces everything")
-	provOut := flag.String("prov-out", "", "write the causal decision-provenance log (-zoo matrix or Table I run) here as JSON Lines, explorable with socexplain")
+	provOut := flag.String("prov-out", "", "write the causal decision-provenance log (-zoo matrix or Table I run) here as JSON Lines, explorable with socctl explain -log")
+	scaleRacks := flag.String("scale-racks", "", "instead, run the streamed scale curve at these comma-separated fleet sizes (e.g. 30,1000,7100) and print one JSON result per size")
+	exportRackPath := flag.String("export-rack", "", "instead, write one generated rack trace over -traindays + -evaldays days as JSON to this file")
 	flag.Parse()
+	if *exportRackPath != "" {
+		exportRack(*exportRackPath, *trainDays+*evalDays, *seed)
+		return
+	}
+	if *scaleRacks != "" {
+		runScale(*scaleRacks, *seed, *workers)
+		return
+	}
 	observe := *metricsOut != "" || *traceOut != "" || *seriesOut != "" || *provOut != ""
 	comps := parseComponents(*traceComponents)
 
@@ -173,9 +245,8 @@ func main() {
 		}
 		fmt.Println(res.Format())
 		fmt.Println(experiment.FormatAlerts(res.Alerts).Format())
-		writeMetrics(*metricsOut, res.Metrics)
-		writeTrace(*traceOut, res.Trace)
-		writeSeries(*seriesOut, res.Series)
+		writeObservation(*metricsOut, *traceOut, *seriesOut, "",
+			&experiment.FleetObservation{Metrics: res.Metrics, Trace: res.Trace, Series: res.Series})
 		if res.Err != nil {
 			log.Fatal(res.Err)
 		}
@@ -223,17 +294,10 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Println(res.Format())
-		writeProv(*provOut, res.ProvenanceLog())
+		writeFile(*provOut, res.ProvenanceLog().WriteJSONL)
 		if res.Err != nil {
 			for _, c := range res.Cells {
-				for i, v := range c.Violations {
-					if i == 3 {
-						fmt.Fprintf(os.Stderr, "socsim: %s×%s: ... %d more violations\n",
-							c.Policy, c.Scenario, len(c.Violations)-i)
-						break
-					}
-					fmt.Fprintf(os.Stderr, "socsim: %s×%s: %v\n", c.Policy, c.Scenario, v)
-				}
+				dumpViolations(c.Policy+"×"+c.Scenario, c.Violations)
 			}
 			log.Fatal(res.Err)
 		}
@@ -254,18 +318,6 @@ func main() {
 				cfg.Ratios = append(cfg.Ratios, r)
 			}
 		}
-		dumpViolations := func(cells []experiment.OversubCellResult) {
-			for _, c := range cells {
-				for i, v := range c.Violations {
-					if i == 3 {
-						fmt.Fprintf(os.Stderr, "socsim: ratio %.2f: ... %d more violations\n",
-							c.Ratio, len(c.Violations)-i)
-						break
-					}
-					fmt.Fprintf(os.Stderr, "socsim: ratio %.2f: %v\n", c.Ratio, v)
-				}
-			}
-		}
 		failed := false
 		if *runOversub {
 			fmt.Fprintf(os.Stderr, "socsim: oversubscription sweep — ratios %v, %d arrivals over %v (%d workers)...\n",
@@ -276,7 +328,9 @@ func main() {
 			}
 			fmt.Println(res.Format())
 			if res.Err != nil {
-				dumpViolations(res.Cells)
+				for _, c := range res.Cells {
+					dumpViolations(fmt.Sprintf("ratio %.2f", c.Ratio), c.Violations)
+				}
 				log.Print(res.Err)
 				failed = true
 			}
@@ -290,7 +344,9 @@ func main() {
 			}
 			fmt.Println(res.Format())
 			if res.Err != nil {
-				dumpViolations(res.Cells)
+				for _, c := range res.Cells {
+					dumpViolations(fmt.Sprintf("ratio %.2f", c.Ratio), c.Violations)
+				}
 				log.Print(res.Err)
 				failed = true
 			}
@@ -315,14 +371,15 @@ func main() {
 	}
 
 	all := !*runTable1 && !*runFig15 && !*runAblations
+	fleetCfg := experiment.DefaultFleetSimConfig()
+	fleetCfg.RacksPerClass = *racks
+	fleetCfg.TrainDays = *trainDays
+	fleetCfg.EvalDays = *evalDays
+	fleetCfg.Seed = *seed
+	fleetCfg.Workers = *workers
 
 	if *runTable1 || all {
-		cfg := experiment.DefaultFleetSimConfig()
-		cfg.RacksPerClass = *racks
-		cfg.TrainDays = *trainDays
-		cfg.EvalDays = *evalDays
-		cfg.Seed = *seed
-		cfg.Workers = *workers
+		cfg := fleetCfg
 		fmt.Fprintf(os.Stderr, "socsim: simulating %d racks/class, %d train + %d eval days (%d workers)...\n",
 			cfg.RacksPerClass, cfg.TrainDays, cfg.EvalDays, *workers)
 		if observe {
@@ -338,10 +395,7 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Println(tbl.Format())
-			writeMetrics(*metricsOut, observation.Metrics)
-			writeTrace(*traceOut, observation.Trace)
-			writeSeries(*seriesOut, observation.Series)
-			writeProv(*provOut, observation.Provenance)
+			writeObservation(*metricsOut, *traceOut, *seriesOut, *provOut, observation)
 		} else {
 			tbl, _, err := experiment.RunTable1(cfg)
 			if err != nil {
@@ -358,19 +412,13 @@ func main() {
 		fmt.Println(tbl.Format())
 	}
 	if *runAblations || all {
-		cfg := experiment.DefaultFleetSimConfig()
-		cfg.RacksPerClass = *racks
-		cfg.TrainDays = *trainDays
-		cfg.EvalDays = *evalDays
-		cfg.Seed = *seed
-		cfg.Workers = *workers
 		for _, run := range []func(experiment.FleetSimConfig) (*experiment.Table, error){
 			experiment.RunAblationTemplates,
 			experiment.RunAblationExploreStep,
 			experiment.RunAblationWarnThreshold,
 			experiment.RunDatacenterRebalance,
 		} {
-			tbl, err := run(cfg)
+			tbl, err := run(fleetCfg)
 			if err != nil {
 				log.Fatal(err)
 			}
