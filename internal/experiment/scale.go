@@ -10,11 +10,12 @@ import (
 	"smartoclock/internal/trace"
 )
 
-// This file is the paper-scale throughput benchmark behind the socbench
-// scaling curve (ROADMAP item 1). The paper's production study covers 7.1k
-// dedicated racks; RunFleetScale runs a streamed fleet of any size — each
-// worker generates its rack trace on entry, simulates it and drops it, so
-// peak memory is O(workers x rack), not O(fleet). The result carries honest
+// This file is the paper-scale throughput benchmark behind socsim
+// -scale-racks and the benchmark's fleet-stream workload. The paper's
+// production study covers 7.1k dedicated racks; RunFleetScale runs a
+// streamed fleet of any size — each worker generates its rack trace on
+// entry, simulates it and drops it, so peak memory is O(workers x rack),
+// not O(fleet). The result carries honest
 // parallelism stamps (GOMAXPROCS, effective parallelism) and a measured
 // bytes/rack so regressions in the O(active shard) property are caught by
 // the scale-smoke CI job.
@@ -201,7 +202,7 @@ func RunFleetScale(cfg ScaleConfig) (*ScaleResult, error) {
 		Successes:      agg.successes,
 		CapEvents:      agg.caps,
 	}
-	res.EffectiveParallelism = EffectiveParallelism(cfg.Workers, res.GoMaxProcs)
+	res.EffectiveParallelism = effectiveParallelism(cfg.Workers, res.GoMaxProcs)
 	if peak > before.HeapAlloc {
 		res.PeakHeapBytes = peak - before.HeapAlloc
 	}
@@ -210,10 +211,10 @@ func RunFleetScale(cfg ScaleConfig) (*ScaleResult, error) {
 	return res, nil
 }
 
-// EffectiveParallelism is the parallelism a worker bound can actually reach
+// effectiveParallelism is the parallelism a worker bound can actually reach
 // on this host: min(workers, GOMAXPROCS), with workers <= 0 meaning "use
 // GOMAXPROCS" exactly as parallel.Options does.
-func EffectiveParallelism(workers, gomaxprocs int) int {
+func effectiveParallelism(workers, gomaxprocs int) int {
 	if workers <= 0 || workers > gomaxprocs {
 		return gomaxprocs
 	}

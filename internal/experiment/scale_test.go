@@ -82,8 +82,8 @@ func TestEffectiveParallelism(t *testing.T) {
 		{64, 1, 1}, // the BENCH_fleet.json bug: workers=4, gomaxprocs=1
 	}
 	for _, c := range cases {
-		if got := EffectiveParallelism(c.workers, c.procs); got != c.want {
-			t.Errorf("EffectiveParallelism(%d, %d) = %d, want %d", c.workers, c.procs, got, c.want)
+		if got := effectiveParallelism(c.workers, c.procs); got != c.want {
+			t.Errorf("effectiveParallelism(%d, %d) = %d, want %d", c.workers, c.procs, got, c.want)
 		}
 	}
 }

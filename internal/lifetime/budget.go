@@ -156,10 +156,6 @@ func (b *Budget) Consume(d time.Duration, fromReservation bool) bool {
 	return true
 }
 
-// TimeToExhaustion returns how long the unreserved budget lasts when spent
-// continuously. Used by the sOA's proactive exhaustion signal (§IV-D).
-func (b *Budget) TimeToExhaustion() time.Duration { return b.Remaining() }
-
 // CoreBudgets manages one Budget per core of a server and supports the
 // paper's core-migration exploration: when a VM's cores run out of budget
 // the sOA looks for other cores with headroom (§IV-D).

@@ -218,59 +218,3 @@ func TestEventKindString(t *testing.T) {
 		t.Fatal("unknown kind must still format")
 	}
 }
-
-func TestHierarchyEvenShare(t *testing.T) {
-	dc := NewNode("dc", 12000).Add(
-		NewNode("rack1", 0), NewNode("rack2", 0), NewNode("rack3", 0),
-	)
-	dc.ApplyEvenShare()
-	for _, c := range dc.Children {
-		if c.Budget != 4000 {
-			t.Fatalf("child budget = %v", c.Budget)
-		}
-	}
-	leaf := NewNode("leaf", 100)
-	if leaf.EvenShare() != 0 {
-		t.Fatal("leaf EvenShare must be 0")
-	}
-}
-
-func TestHierarchyOversubscription(t *testing.T) {
-	rack := NewNode("rack", 1000)
-	s1 := NewNode("s1", 0)
-	s1.PeakDraw = 600
-	s2 := NewNode("s2", 0)
-	s2.PeakDraw = 700
-	rack.Add(s1, s2)
-	if got := rack.Oversubscription(); got != 1.3 {
-		t.Fatalf("Oversubscription = %v", got)
-	}
-	if NewNode("x", 0).Oversubscription() != 0 {
-		t.Fatal("zero-budget oversubscription must be 0")
-	}
-}
-
-func TestHierarchyWalkFindValidate(t *testing.T) {
-	dc := NewNode("dc", 10000).Add(
-		NewNode("rack1", 5000).Add(NewNode("s1", 500)),
-		NewNode("rack2", 5000),
-	)
-	count := 0
-	dc.Walk(func(*Node) { count++ })
-	if count != 4 {
-		t.Fatalf("Walk visited %d", count)
-	}
-	if n, ok := dc.Find("s1"); !ok || n.Budget != 500 {
-		t.Fatal("Find failed")
-	}
-	if _, ok := dc.Find("nope"); ok {
-		t.Fatal("Find must miss")
-	}
-	if err := dc.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := NewNode("p", 100).Add(NewNode("c", 200))
-	if err := bad.Validate(); err == nil {
-		t.Fatal("expected validation error")
-	}
-}

@@ -213,45 +213,3 @@ func (s *Series) Integral() float64 {
 	}
 	return sum * s.Step.Seconds()
 }
-
-// Resample returns a new series with the given step. When the new step is a
-// multiple of the old the samples are averaged within each new interval;
-// when finer, samples are repeated.
-//
-// Only whole output intervals are emitted: a partial tail — source samples
-// covering less than one full new step past the last whole interval — is
-// dropped, so the resampled range may end up to (step - 1ns) short of the
-// original End(). Callers averaging or integrating across a resample should
-// either pick a step that divides the span or account for the truncation.
-func (s *Series) Resample(step time.Duration) *Series {
-	if step <= 0 {
-		panic(fmt.Sprintf("timeseries: non-positive step %v", step))
-	}
-	if step == s.Step || len(s.Values) == 0 {
-		return s.Clone()
-	}
-	out := New(s.Start, step)
-	total := s.End().Sub(s.Start)
-	n := int(total / step)
-	for i := 0; i < n; i++ {
-		from := s.Start.Add(time.Duration(i) * step)
-		to := from.Add(step)
-		lo, _ := s.IndexOf(from)
-		hi, ok := s.IndexOf(to.Add(-time.Nanosecond))
-		if !ok {
-			hi = len(s.Values) - 1
-		}
-		sum := 0.0
-		cnt := 0
-		for j := lo; j <= hi && j < len(s.Values); j++ {
-			sum += s.Values[j]
-			cnt++
-		}
-		if cnt == 0 {
-			out.Append(0)
-		} else {
-			out.Append(sum / float64(cnt))
-		}
-	}
-	return out
-}

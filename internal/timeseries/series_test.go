@@ -156,83 +156,6 @@ func TestIntegralIsEnergy(t *testing.T) {
 	}
 }
 
-func TestResampleCoarser(t *testing.T) {
-	s := mkSeries(time.Minute, 1, 3, 5, 7)
-	r := s.Resample(2 * time.Minute)
-	if r.Len() != 2 || r.Values[0] != 2 || r.Values[1] != 6 {
-		t.Fatalf("Resample = %+v", r.Values)
-	}
-}
-
-func TestResampleSameStep(t *testing.T) {
-	s := mkSeries(time.Minute, 1, 2)
-	r := s.Resample(time.Minute)
-	if r.Len() != 2 || r.Values[1] != 2 {
-		t.Fatalf("Resample same = %+v", r.Values)
-	}
-	r.Values[0] = 99
-	if s.Values[0] == 99 {
-		t.Fatal("Resample must not alias input")
-	}
-}
-
-func TestResampleDropsPartialTail(t *testing.T) {
-	// 5 one-minute samples resampled to 2m: span 5m holds two whole 2m
-	// intervals; the 1m tail (value 9) is dropped, not emitted as a
-	// partial bucket.
-	s := mkSeries(time.Minute, 1, 3, 5, 7, 9)
-	r := s.Resample(2 * time.Minute)
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (partial tail dropped)", r.Len())
-	}
-	if r.Values[0] != 2 || r.Values[1] != 6 {
-		t.Fatalf("Resample = %+v", r.Values)
-	}
-	if got, want := r.End(), t0.Add(4*time.Minute); !got.Equal(want) {
-		t.Fatalf("End = %v, want %v (one step short of source end %v)", got, want, s.End())
-	}
-
-	// Step larger than the whole span: nothing is emitted.
-	if r := s.Resample(10 * time.Minute); r.Len() != 0 {
-		t.Fatalf("over-span Resample Len = %d, want 0", r.Len())
-	}
-
-	// A non-divisible coarser step keeps only whole intervals: 5m of 1m
-	// samples at 3m step → one interval averaging the first three samples.
-	r = s.Resample(3 * time.Minute)
-	if r.Len() != 1 || r.Values[0] != 3 {
-		t.Fatalf("3m Resample = %+v, want [3]", r.Values)
-	}
-}
-
-func TestResampleUpDownRoundtrip(t *testing.T) {
-	// Up-sampling repeats each sample; averaging back at the original step
-	// recovers the source exactly (each fine bucket holds equal values).
-	s := mkSeries(2*time.Minute, 4, 8, 6)
-	up := s.Resample(time.Minute)
-	wantUp := []float64{4, 4, 8, 8, 6, 6}
-	if up.Len() != len(wantUp) {
-		t.Fatalf("up Len = %d, want %d", up.Len(), len(wantUp))
-	}
-	for i, w := range wantUp {
-		if up.Values[i] != w {
-			t.Fatalf("up[%d] = %v, want %v", i, up.Values[i], w)
-		}
-	}
-	if up.Step != time.Minute || !up.Start.Equal(s.Start) {
-		t.Fatalf("up step/start = %v/%v", up.Step, up.Start)
-	}
-	down := up.Resample(2 * time.Minute)
-	if down.Len() != s.Len() {
-		t.Fatalf("roundtrip Len = %d, want %d", down.Len(), s.Len())
-	}
-	for i := range s.Values {
-		if down.Values[i] != s.Values[i] {
-			t.Fatalf("roundtrip[%d] = %v, want %v", i, down.Values[i], s.Values[i])
-		}
-	}
-}
-
 func TestDayKindMatches(t *testing.T) {
 	if !Weekdays.Matches(time.Monday) || Weekdays.Matches(time.Sunday) {
 		t.Fatal("Weekdays classification wrong")

@@ -1,14 +1,9 @@
 package trace
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-	"time"
-
-	"smartoclock/internal/timeseries"
 )
 
 // WriteRackJSON encodes a rack trace as JSON.
@@ -24,59 +19,4 @@ func ReadRackJSON(r io.Reader) (*RackTrace, error) {
 		return nil, fmt.Errorf("trace: decode rack: %w", err)
 	}
 	return &out, nil
-}
-
-// WriteSeriesCSV writes a series as CSV rows of (RFC3339 timestamp, value).
-func WriteSeriesCSV(w io.Writer, s *timeseries.Series) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"timestamp", "value"}); err != nil {
-		return err
-	}
-	for i, v := range s.Values {
-		rec := []string{s.TimeAt(i).Format(time.RFC3339), strconv.FormatFloat(v, 'g', -1, 64)}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadSeriesCSV reads a series written by WriteSeriesCSV. The step is
-// inferred from the first two rows; a single-row series uses fallbackStep.
-func ReadSeriesCSV(r io.Reader, fallbackStep time.Duration) (*timeseries.Series, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("trace: read csv: %w", err)
-	}
-	if len(records) < 2 {
-		return nil, fmt.Errorf("trace: csv has no data rows")
-	}
-	rows := records[1:] // skip header
-	times := make([]time.Time, len(rows))
-	values := make([]float64, len(rows))
-	for i, rec := range rows {
-		if len(rec) != 2 {
-			return nil, fmt.Errorf("trace: row %d has %d fields", i, len(rec))
-		}
-		ts, err := time.Parse(time.RFC3339, rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d timestamp: %w", i, err)
-		}
-		v, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d value: %w", i, err)
-		}
-		times[i] = ts
-		values[i] = v
-	}
-	step := fallbackStep
-	if len(times) >= 2 {
-		step = times[1].Sub(times[0])
-	}
-	if step <= 0 {
-		return nil, fmt.Errorf("trace: non-positive inferred step %v", step)
-	}
-	return timeseries.FromValues(times[0], step, values), nil
 }

@@ -314,44 +314,6 @@ func TestRackJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSeriesCSVRoundTrip(t *testing.T) {
-	cfg := DefaultRackGenConfig("rackA", genStart, time.Hour)
-	cfg.Servers = 1
-	rack, err := GenRack(cfg, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rack.Servers[0].Power
-	var buf bytes.Buffer
-	if err := WriteSeriesCSV(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSeriesCSV(&buf, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != s.Len() || got.Step != s.Step || !got.Start.Equal(s.Start) {
-		t.Fatalf("round trip meta: len=%d step=%v start=%v", got.Len(), got.Step, got.Start)
-	}
-	for i := range s.Values {
-		if got.Values[i] != s.Values[i] {
-			t.Fatalf("sample %d: %v vs %v", i, got.Values[i], s.Values[i])
-		}
-	}
-}
-
-func TestReadSeriesCSVErrors(t *testing.T) {
-	if _, err := ReadSeriesCSV(bytes.NewBufferString("timestamp,value\n"), time.Minute); err == nil {
-		t.Fatal("expected error on empty data")
-	}
-	if _, err := ReadSeriesCSV(bytes.NewBufferString("timestamp,value\nnot-a-time,1\n"), time.Minute); err == nil {
-		t.Fatal("expected error on bad timestamp")
-	}
-	if _, err := ReadSeriesCSV(bytes.NewBufferString("timestamp,value\n2023-04-10T00:00:00Z,xyz\n"), time.Minute); err == nil {
-		t.Fatal("expected error on bad value")
-	}
-}
-
 func BenchmarkGenRackDay(b *testing.B) {
 	cfg := DefaultRackGenConfig("rackA", genStart, 24*time.Hour)
 	cfg.Servers = 28
