@@ -8,22 +8,21 @@ import (
 
 // Transport instrumentation for the live telemetry plane. Unlike the
 // deterministic experiments — whose registries are single-goroutine and
-// whose instrumentation records simulation time — the transports here run
-// real goroutines and measure wall-clock latency, so the handles live under
-// a metrics.Locked and every update takes the lock. Deterministic runs
-// simply never call Instrument; a nil set of instruments costs one pointer
-// test per hook.
+// whose instrumentation records simulation time — the TCP transport runs
+// real goroutines and measures wall-clock latency, so the handles live under
+// a metrics.Locked and every update takes the lock. The in-process bus is
+// never instrumented; an uninstrumented node's nil set of instruments costs
+// one pointer test per hook.
 //
-// The series (all carrying a transport=bus|tcp label plus any caller
-// labels):
+// The series (all carrying a transport=tcp label plus any caller labels):
 //
 //	transport_sends_total        messages accepted for delivery
 //	transport_send_errors_total  failed sends (unknown recipient, dead link)
 //	transport_recvs_total        frames delivered to a local handler
 //	transport_send_bytes         message payload / wire frame sizes
 //	transport_recv_bytes         received wire frame sizes (TCP only)
-//	transport_send_seconds       send-to-delivered (bus) or write (TCP) time
-//	transport_queue_depth        deferred deliveries (bus) / in-flight handlers (TCP)
+//	transport_send_seconds       local delivery or frame write time
+//	transport_queue_depth        in-flight inbound handlers
 type transportInstruments struct {
 	lk          *metrics.Locked
 	sends       *metrics.Counter
@@ -35,8 +34,8 @@ type transportInstruments struct {
 	queueDepth  *metrics.Gauge
 }
 
-func newTransportInstruments(lk *metrics.Locked, transport string, labels []metrics.Label) *transportInstruments {
-	ls := append([]metrics.Label{metrics.L("transport", transport)}, labels...)
+func newTransportInstruments(lk *metrics.Locked, labels []metrics.Label) *transportInstruments {
+	ls := append([]metrics.Label{metrics.L("transport", "tcp")}, labels...)
 	ti := &transportInstruments{lk: lk}
 	lk.Do(func(r *metrics.Registry) {
 		ti.sends = r.Counter("transport_sends_total", ls...)
@@ -88,22 +87,11 @@ func (ti *transportInstruments) queue(delta float64) {
 	ti.lk.Unlock()
 }
 
-// Instrument attaches transport metrics to the bus under lk. Call before
-// traffic starts; the bus measures payload sizes, send-to-delivered wall
-// latency (across the Defer hook when one is set) and the depth of the
-// deferred-delivery queue.
-func (b *Bus) Instrument(lk *metrics.Locked, labels ...metrics.Label) {
-	ti := newTransportInstruments(lk, "bus", labels)
-	b.mu.Lock()
-	b.instr = ti
-	b.mu.Unlock()
-}
-
 // Instrument attaches transport metrics to the node under lk. Call before
 // traffic starts; the node measures wire frame sizes in both directions,
 // write latency, and the number of in-flight inbound handlers.
 func (n *TCPNode) Instrument(lk *metrics.Locked, labels ...metrics.Label) {
-	ti := newTransportInstruments(lk, "tcp", labels)
+	ti := newTransportInstruments(lk, labels)
 	n.mu.Lock()
 	n.instr = ti
 	n.mu.Unlock()

@@ -6,59 +6,6 @@ import (
 	"smartoclock/internal/metrics"
 )
 
-func TestBusInstrumentation(t *testing.T) {
-	lk := metrics.NewLocked()
-	bus := NewBus()
-	bus.Instrument(lk, metrics.L("node", "sim"))
-	got := 0
-	bus.Register("soa-0", func(m Message) { got++ })
-
-	msg, err := NewMessage("goa.budget", "goa", "soa-0", map[string]float64{"watts": 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bus.Send(msg); err != nil {
-		t.Fatal(err)
-	}
-	if err := bus.Send(Message{Type: "x", From: "goa", To: "nobody"}); err == nil {
-		t.Fatal("unknown recipient accepted")
-	}
-
-	// Deferred delivery: queue depth rises while the thunk is parked.
-	var parked func()
-	bus.Defer = func(deliver func()) { parked = deliver }
-	if err := bus.Send(msg); err != nil {
-		t.Fatal(err)
-	}
-	snap := lk.Snapshot()
-	labels := map[string]string{"transport": "bus", "node": "sim"}
-	if depth := snap.Find("transport_queue_depth", labels); depth == nil || depth.Value != 1 {
-		t.Fatalf("queue depth while parked = %+v, want 1", depth)
-	}
-	parked()
-	bus.Defer = nil
-
-	snap = lk.Snapshot()
-	if got != 2 {
-		t.Fatalf("deliveries = %d, want 2", got)
-	}
-	if s := snap.Find("transport_sends_total", labels); s == nil || s.Value != 2 {
-		t.Fatalf("sends = %+v, want 2", s)
-	}
-	if s := snap.Find("transport_send_errors_total", labels); s == nil || s.Value != 1 {
-		t.Fatalf("send errors = %+v, want 1", s)
-	}
-	if s := snap.Find("transport_send_bytes", labels); s == nil || s.Count != 2 || s.Value <= 0 {
-		t.Fatalf("send bytes = %+v, want 2 observations of payload size", s)
-	}
-	if s := snap.Find("transport_send_seconds", labels); s == nil || s.Count != 2 {
-		t.Fatalf("send seconds = %+v, want 2 observations", s)
-	}
-	if depth := snap.Find("transport_queue_depth", labels); depth.Value != 0 {
-		t.Fatalf("queue depth after drain = %v, want 0", depth.Value)
-	}
-}
-
 func TestTCPInstrumentation(t *testing.T) {
 	lk := metrics.NewLocked()
 	a, err := NewTCPNode("a", "127.0.0.1:0")

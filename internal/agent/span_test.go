@@ -21,7 +21,9 @@ func TestBusPropagatesSpan(t *testing.T) {
 	if err := b.Send(msg); err != nil {
 		t.Fatal(err)
 	}
-	b.Broadcast(Message{Type: "rack.event", From: "rack", Span: 0xBEEF})
+	if err := b.SendBatch([]Message{{Type: "rack.event", From: "rack", To: "soa-0", Span: 0xBEEF}}); err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 2 || got[0] != 0xDEAD || got[1] != 0xBEEF {
 		t.Fatalf("delivered spans = %#x", got)
 	}

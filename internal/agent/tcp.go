@@ -98,9 +98,6 @@ func NewTCPNode(name, addr string) (*TCPNode, error) {
 	return n, nil
 }
 
-// Name returns the node's name.
-func (n *TCPNode) Name() string { return n.name }
-
 // Addr returns the node's listen address.
 func (n *TCPNode) Addr() string { return n.listener.Addr().String() }
 

@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Message is the envelope every agent exchange uses.
@@ -84,7 +83,6 @@ type Transport interface {
 type Bus struct {
 	mu       sync.Mutex
 	handlers map[string]Handler
-	instr    *transportInstruments
 	// Defer, when non-nil, receives each delivery thunk instead of the
 	// thunk running synchronously. Set it to the simulator's scheduling
 	// function to model latency.
@@ -103,46 +101,20 @@ func (b *Bus) Register(name string, h Handler) {
 	b.handlers[name] = h
 }
 
-// Unregister removes a handler.
-func (b *Bus) Unregister(name string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	delete(b.handlers, name)
-}
-
 // Send implements Transport.
 func (b *Bus) Send(msg Message) error {
 	b.mu.Lock()
 	h, ok := b.handlers[msg.To]
 	deferFn := b.Defer
-	instr := b.instr
 	b.mu.Unlock()
 	if !ok {
-		instr.send(0, 0, fmt.Errorf("agent: unknown recipient %q", msg.To))
 		return fmt.Errorf("agent: unknown recipient %q", msg.To)
 	}
-	if instr == nil {
-		if deferFn != nil {
-			deferFn(func() { h(msg) })
-			return nil
-		}
-		h(msg)
-		return nil
-	}
-	start := time.Now()
-	deliver := func() {
-		h(msg)
-		instr.send(len(msg.Payload), time.Since(start), nil)
-	}
 	if deferFn != nil {
-		instr.queue(1)
-		deferFn(func() {
-			instr.queue(-1)
-			deliver()
-		})
+		deferFn(func() { h(msg) })
 		return nil
 	}
-	deliver()
+	h(msg)
 	return nil
 }
 
@@ -181,7 +153,6 @@ func SendAll(t Transport, msgs []Message) error {
 func (b *Bus) SendBatch(msgs []Message) error {
 	b.mu.Lock()
 	deferFn := b.Defer
-	instr := b.instr
 	type delivery struct {
 		h   Handler
 		msg Message
@@ -191,10 +162,8 @@ func (b *Bus) SendBatch(msgs []Message) error {
 	for _, msg := range msgs {
 		h, ok := b.handlers[msg.To]
 		if !ok {
-			err := fmt.Errorf("agent: unknown recipient %q", msg.To)
-			instr.send(0, 0, err)
 			if firstErr == nil {
-				firstErr = err
+				firstErr = fmt.Errorf("agent: unknown recipient %q", msg.To)
 			}
 			continue
 		}
@@ -203,47 +172,13 @@ func (b *Bus) SendBatch(msgs []Message) error {
 	b.mu.Unlock()
 	for _, d := range deliveries {
 		h, msg := d.h, d.msg
-		if instr == nil {
-			if deferFn != nil {
-				deferFn(func() { h(msg) })
-				continue
-			}
-			h(msg)
-			continue
-		}
-		start := time.Now()
-		deliver := func() {
-			h(msg)
-			instr.send(len(msg.Payload), time.Since(start), nil)
-		}
 		if deferFn != nil {
-			instr.queue(1)
-			deferFn(func() {
-				instr.queue(-1)
-				deliver()
-			})
+			deferFn(func() { h(msg) })
 			continue
 		}
-		deliver()
+		h(msg)
 	}
 	return firstErr
-}
-
-// Broadcast sends msg to every registered agent except the sender.
-func (b *Bus) Broadcast(msg Message) {
-	b.mu.Lock()
-	names := make([]string, 0, len(b.handlers))
-	for name := range b.handlers {
-		if name != msg.From {
-			names = append(names, name)
-		}
-	}
-	b.mu.Unlock()
-	for _, name := range names {
-		m := msg
-		m.To = name
-		_ = b.Send(m) // recipients may unregister concurrently; best effort
-	}
 }
 
 // Close implements Transport.

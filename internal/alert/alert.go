@@ -399,13 +399,3 @@ func DefaultRules() []Rule {
 		},
 	}
 }
-
-// FindRule returns the named default rule's help text, or "".
-func FindRule(rules []Rule, name string) *Rule {
-	for i := range rules {
-		if rules[i].Name == name {
-			return &rules[i]
-		}
-	}
-	return nil
-}

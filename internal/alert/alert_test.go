@@ -222,13 +222,3 @@ func TestDefaultRulesFireOnPaperViolations(t *testing.T) {
 		t.Errorf("alerts not in rule order: %+v", alerts)
 	}
 }
-
-func TestFindRule(t *testing.T) {
-	rules := DefaultRules()
-	if r := FindRule(rules, "rack-cap-burst"); r == nil || r.Severity != Warn {
-		t.Fatalf("FindRule = %+v", r)
-	}
-	if r := FindRule(rules, "nope"); r != nil {
-		t.Fatalf("FindRule(nope) = %+v", r)
-	}
-}

@@ -2,7 +2,6 @@ package api
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -52,16 +51,6 @@ func (c *Credential) Allows(s Scope) bool { return c.scopes[s] }
 // ExpiredAt reports whether the credential has expired as of now.
 func (c *Credential) ExpiredAt(now time.Time) bool {
 	return !c.Expiry.IsZero() && now.After(c.Expiry)
-}
-
-// Scopes returns the credential's scopes, sorted.
-func (c *Credential) Scopes() []Scope {
-	out := make([]Scope, 0, len(c.scopes))
-	for s := range c.scopes {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Authenticator resolves bearer tokens to credentials.
@@ -148,16 +137,6 @@ func (a *Authenticator) Lookup(token string, now time.Time) (*Credential, error)
 	return cred, nil
 }
 
-// Names returns the configured credential names, sorted.
-func (a *Authenticator) Names() []string {
-	out := make([]string, 0, len(a.byToken))
-	for _, c := range a.byToken {
-		out = append(out, c.Name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // --- Rate limiting ---------------------------------------------------------
 
 // RateLimiter is a per-key token bucket: each key may spend up to Burst
@@ -185,13 +164,6 @@ func NewRateLimiter(rate, burst float64) *RateLimiter {
 		panic(fmt.Sprintf("api: rate limiter needs positive rate/burst, got %g/%g", rate, burst))
 	}
 	return &RateLimiter{rate: rate, burst: burst, now: time.Now, buckets: make(map[string]*bucket)}
-}
-
-// SetClock replaces the limiter's clock (tests).
-func (l *RateLimiter) SetClock(now func() time.Time) {
-	l.mu.Lock()
-	l.now = now
-	l.mu.Unlock()
 }
 
 // Allow spends one token from key's bucket, reporting whether one was

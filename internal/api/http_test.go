@@ -338,7 +338,7 @@ func TestErrorKindMapping(t *testing.T) {
 
 func TestRateLimit429(t *testing.T) {
 	l := NewRateLimiter(1, 2)
-	l.SetClock(func() time.Time { return t0 })
+	l.now = func() time.Time { return t0 }
 	h := newTestHandler(t, &fakeService{}, HandlerConfig{Limiter: l})
 
 	for i := 0; i < 2; i++ {

@@ -181,15 +181,6 @@ func NewBounded(seed int64, stream uint64, capacity int) *Recorder {
 // Enabled reports whether the recorder actually records (i.e. is non-nil).
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Span draws the next span ID; 0 on a nil recorder, so disabled provenance
-// leaves messages span-free (and their JSON byte-identical to before).
-func (r *Recorder) Span() SpanID {
-	if r == nil {
-		return 0
-	}
-	return r.src.Next()
-}
-
 // Emit appends rec, assigning it a fresh span when rec.Span is zero, and
 // returns the record's span (0 on a nil recorder).
 func (r *Recorder) Emit(rec Record) SpanID {
@@ -207,14 +198,6 @@ func (r *Recorder) Emit(rec Record) SpanID {
 		r.records = append(r.records, rec)
 	}
 	return rec.Span
-}
-
-// Len returns the number of records currently held; 0 on a nil recorder.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.records)
 }
 
 // Dropped returns how many records a bounded recorder overwrote.
@@ -284,25 +267,6 @@ func (r *Recorder) Records() []Record {
 // disk, served by /explain, and walked by socctl explain.
 type Log struct {
 	Records []Record
-}
-
-// Collect builds a log from per-shard recorders in argument order; nil
-// recorders are skipped. Merging in shard-index order is what keeps the
-// combined log byte-identical across worker counts.
-func Collect(recs ...*Recorder) *Log {
-	out := &Log{}
-	for _, r := range recs {
-		out.Records = append(out.Records, r.Records()...)
-	}
-	return out
-}
-
-// Append concatenates other's records onto l, preserving order.
-func (l *Log) Append(other *Log) {
-	if l == nil || other == nil {
-		return
-	}
-	l.Records = append(l.Records, other.Records...)
 }
 
 // Len returns the number of records; 0 on a nil log.

@@ -61,13 +61,10 @@ func TestNilRecorderIsInert(t *testing.T) {
 	if r.Enabled() {
 		t.Fatal("nil recorder enabled")
 	}
-	if got := r.Span(); got != 0 {
-		t.Fatalf("nil Span = %v", got)
-	}
 	if got := r.Emit(Record{Site: "x"}); got != 0 {
 		t.Fatalf("nil Emit = %v", got)
 	}
-	if r.Len() != 0 || r.Dropped() != 0 || r.Records() != nil {
+	if r.Dropped() != 0 || r.Records() != nil {
 		t.Fatal("nil recorder holds state")
 	}
 }
@@ -78,7 +75,7 @@ func TestEmitAssignsAndKeepsSpans(t *testing.T) {
 	if auto == 0 {
 		t.Fatal("auto span is zero")
 	}
-	pre := r.Span()
+	pre := SpanID(0xABC)
 	kept := r.Emit(Record{Span: pre, Time: t0, Site: "b", Verdict: "ok"})
 	if kept != pre {
 		t.Fatalf("explicit span replaced: %v vs %v", kept, pre)
@@ -95,8 +92,8 @@ func TestBoundedRecorderRing(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		spans = append(spans, r.Emit(Record{Time: t0.Add(time.Duration(i) * time.Minute), Site: "s"}))
 	}
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d", r.Len())
+	if n := len(r.Records()); n != 3 {
+		t.Fatalf("held = %d", n)
 	}
 	if r.Dropped() != 2 {
 		t.Fatalf("Dropped = %d", r.Dropped())
@@ -115,7 +112,7 @@ func buildChainLog() *Log {
 	grant := r.Emit(Record{Time: t0, Parent: req, Kind: KindDecision, Component: "soa", Site: "soa.admit", Subject: "vm-1", Verdict: "grant"})
 	r.Emit(Record{Time: t0.Add(time.Minute), Parent: grant, Kind: KindDecision, Component: "soa", Site: "soa.session", Subject: "vm-1", Verdict: "stop"})
 	r.Emit(Record{Time: t0, Kind: KindDecision, Component: "rack", Site: "rack.cap", Verdict: "cap"})
-	return Collect(r)
+	return &Log{Records: r.Records()}
 }
 
 func TestChainAndChildren(t *testing.T) {
@@ -197,22 +194,6 @@ func TestWriteReadRoundTripAndDeterminism(t *testing.T) {
 		if back.Records[i].Span != l.Records[i].Span || back.Records[i].Site != l.Records[i].Site {
 			t.Fatalf("record %d changed in round trip", i)
 		}
-	}
-}
-
-func TestCollectShardOrder(t *testing.T) {
-	r1 := NewRecorder(5, 0)
-	r2 := NewRecorder(5, 1)
-	s1 := r1.Emit(Record{Time: t0, Site: "one"})
-	s2 := r2.Emit(Record{Time: t0, Site: "two"})
-	l := Collect(r1, nil, r2)
-	if l.Len() != 2 || l.Records[0].Span != s1 || l.Records[1].Span != s2 {
-		t.Fatalf("collect order broken: %+v", l.Records)
-	}
-	other := &Log{}
-	other.Append(l)
-	if other.Len() != 2 {
-		t.Fatalf("append len = %d", other.Len())
 	}
 }
 

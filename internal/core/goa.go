@@ -220,19 +220,6 @@ func (g *GOA) BudgetTemplates(step time.Duration) map[string]*timeseries.WeekTem
 	return out
 }
 
-// EvenShare returns the fair-share budget: limit divided by the number of
-// profiled servers (or the provided count when no profiles exist yet).
-func (g *GOA) EvenShare(fallbackServers int) float64 {
-	n := len(g.profiles)
-	if n == 0 {
-		n = fallbackServers
-	}
-	if n <= 0 {
-		return g.limit
-	}
-	return g.limit / float64(n)
-}
-
 // DatacenterAgent applies the same heterogeneous three-phase split one
 // level up the power-delivery hierarchy (§II): a datacenter (or row)
 // budget is divided across rack limits in proportion to each rack's
@@ -260,6 +247,3 @@ func (d *DatacenterAgent) SetRackProfile(rack string, p ServerProfile) {
 func (d *DatacenterAgent) RackLimitsAt(ts time.Time) map[string]float64 {
 	return d.goa.BudgetsAt(ts)
 }
-
-// Budget returns the managed datacenter budget in watts.
-func (d *DatacenterAgent) Budget() float64 { return d.goa.Limit() }

@@ -19,10 +19,6 @@ import (
 // detach.
 func (a *SOA) AttachProvenance(rec *causal.Recorder) { a.prov = rec }
 
-// LastBudgetSpan returns the span of the most recent budget application
-// recorded via NoteBudget (0 when provenance is off or no budget arrived).
-func (a *SOA) LastBudgetSpan() uint64 { return uint64(a.lastBudgetSpan) }
-
 // NoteBudget records the application of a gOA budget to this sOA: parent
 // is the span of the budget message (or broadcast record) that delivered
 // it. Subsequent admission verdicts link to this record, tying every

@@ -102,15 +102,6 @@ func (a *SOA) releaseReservationBudget(res *Reservation) {
 	}
 }
 
-// CancelReservation releases a reservation's budget before (or instead of)
-// its window.
-func (a *SOA) CancelReservation(res *Reservation) {
-	if res == nil {
-		return
-	}
-	a.releaseReservationBudget(res)
-}
-
 // HonorCheck re-evaluates whether a pending reservation can still be
 // honored — budgets may have been reassigned or predictions revised since
 // admission. When it reports false the WI layer should take corrective

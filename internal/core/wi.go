@@ -49,12 +49,6 @@ type UtilPolicy struct {
 	ScaleDownUtil float64
 }
 
-// DefaultUtilPolicy overclocks at 70% deployment utilization, releasing at
-// 45%.
-func DefaultUtilPolicy() UtilPolicy {
-	return UtilPolicy{ScaleUpUtil: 0.7, ScaleDownUtil: 0.45}
-}
-
 // ScheduleWindow is a daily overclocking window for schedule-based
 // policies (e.g. 9-10 AM local time, §IV-A). StartHour > EndHour means the
 // window wraps past midnight: {22, 2} covers 22:00-23:59 and 00:00-01:59.
@@ -299,15 +293,6 @@ func (w *GlobalWI) ReportExhaustion(kind ExhaustionKind, at time.Time) {
 		}
 	}
 }
-
-// Rejections returns the number of rejections reported so far.
-func (w *GlobalWI) Rejections() int { return w.rejections }
-
-// ScaleOuts and ScaleIns return corrective-action counters.
-func (w *GlobalWI) ScaleOuts() int { return w.scaleOuts }
-
-// ScaleIns returns how many scale-in actions were taken.
-func (w *GlobalWI) ScaleIns() int { return w.scaleIns }
 
 // deploymentP99 returns the worst instance tail — the deployment-level
 // metric policies act on.

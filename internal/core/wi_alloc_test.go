@@ -9,7 +9,7 @@ import (
 // newBigUtilWI builds a deployment-level-util WI tracking n instances in
 // steady state (no pending rejections, no overclocking pressure).
 func newBigUtilWI(n int) *GlobalWI {
-	up := DefaultUtilPolicy()
+	up := UtilPolicy{ScaleUpUtil: 0.7, ScaleDownUtil: 0.45}
 	w := NewGlobalWI(100, nil, nil, DefaultScaleOutConfig())
 	w.Util = &up
 	for i := 0; i < n; i++ {

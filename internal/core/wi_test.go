@@ -52,8 +52,8 @@ func TestMetricScaleOutAtThreshold(t *testing.T) {
 	if d.Instances != 2 {
 		t.Fatalf("instances = %d, want scale-out to 2", d.Instances)
 	}
-	if w.ScaleOuts() != 1 {
-		t.Fatalf("scaleOuts = %d", w.ScaleOuts())
+	if w.scaleOuts != 1 {
+		t.Fatalf("scaleOuts = %d", w.scaleOuts)
 	}
 }
 
@@ -107,8 +107,8 @@ func TestRejectionTriggersCorrectiveScaleOut(t *testing.T) {
 	if d.Overclock["i0"] {
 		t.Fatal("rejected instance must not be marked overclocked")
 	}
-	if w.Rejections() != 1 {
-		t.Fatalf("rejections = %d", w.Rejections())
+	if w.rejections != 1 {
+		t.Fatalf("rejections = %d", w.rejections)
 	}
 }
 
@@ -152,8 +152,8 @@ func TestScaleInWhenIdle(t *testing.T) {
 	if d.Instances != 1 {
 		t.Fatalf("did not scale in: %d", d.Instances)
 	}
-	if w.ScaleIns() != 1 {
-		t.Fatalf("scaleIns = %d", w.ScaleIns())
+	if w.scaleIns != 1 {
+		t.Fatalf("scaleIns = %d", w.scaleIns)
 	}
 }
 
@@ -296,7 +296,7 @@ func TestWIConfigClamps(t *testing.T) {
 }
 
 func TestUtilPolicyDeploymentLevel(t *testing.T) {
-	up := DefaultUtilPolicy()
+	up := UtilPolicy{ScaleUpUtil: 0.7, ScaleDownUtil: 0.45}
 	w := NewGlobalWI(100, nil, nil, DefaultScaleOutConfig())
 	w.Util = &up
 	// One hot VM (80%) and one cold VM (10%): deployment mean 45% stays
@@ -326,7 +326,7 @@ func TestUtilPolicyDeploymentLevel(t *testing.T) {
 
 func TestUtilAndMetricCombined(t *testing.T) {
 	mp := DefaultMetricPolicy()
-	up := DefaultUtilPolicy()
+	up := UtilPolicy{ScaleUpUtil: 0.7, ScaleDownUtil: 0.45}
 	w := NewGlobalWI(100, &mp, nil, DefaultScaleOutConfig())
 	w.Util = &up
 	// Latency pressure triggers even when utilization is low (an

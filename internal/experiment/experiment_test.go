@@ -20,8 +20,8 @@ func TestTableFormatAndLookups(t *testing.T) {
 	if !strings.Contains(out, "cap") || !strings.Contains(out, "1.500") {
 		t.Fatalf("format output:\n%s", out)
 	}
-	if tbl.Cell(0, 1) != "1.500" || tbl.Cell(5, 0) != "" || tbl.Cell(0, 9) != "" {
-		t.Fatal("Cell lookups wrong")
+	if tbl.Rows[0][1] != "1.500" {
+		t.Fatalf("cell 0,1 = %q, want 1.500", tbl.Rows[0][1])
 	}
 	if row := tbl.FindRow("y"); row == nil || row[1] != "str" {
 		t.Fatalf("FindRow = %v", row)
@@ -38,7 +38,7 @@ func TestFig1Shape(t *testing.T) {
 	}
 	// Service A peaks 10am-noon: its 10:00/11:00 values must be the max.
 	at := func(row, col int) float64 {
-		v, err := strconv.ParseFloat(tbl.Cell(row, col), 64)
+		v, err := strconv.ParseFloat(tbl.Rows[row][col], 64)
 		if err != nil {
 			t.Fatalf("cell %d,%d: %v", row, col, err)
 		}

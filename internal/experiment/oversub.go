@@ -446,25 +446,6 @@ func RunContention(cfg OversubConfig) (*ContentionResult, error) {
 	return &ContentionResult{Cells: cells, Err: err}, nil
 }
 
-// RunOversubCanary runs the deliberately unsafe negative controls at an
-// aggressive ratio with admission bypassed: one cell with capping disabled
-// (invariant.NoBrownout must fire — over-admission without enforcement
-// browns the rack out) and one with severity-inverted capping
-// (invariant.SeverityOrder must fire — critical work shed while harvest
-// runs free). A battery that stays green under these cells is silently
-// broken.
-func RunOversubCanary(cfg OversubConfig) (noCapping, inverted *OversubCellResult, err error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	const canaryRatio = 1.6
-	noCapping = runOversubCell(cfg, canaryRatio, parallel.ChildSeed(cfg.Seed, 900),
-		false, power.CapDisabledUnsafe, true)
-	inverted = runOversubCell(cfg, canaryRatio, parallel.ChildSeed(cfg.Seed, 901),
-		false, power.CapInvertedUnsafe, true)
-	return noCapping, inverted, nil
-}
-
 // formatOversubCells renders a sweep as a report table.
 func formatOversubCells(caption string, cells []OversubCellResult, withOC bool) string {
 	headers := []string{"Ratio", "Offered", "Admit", "Reject", "Fallback", "Warn", "Caps", "Avail%", "MaxUtil", "Checks", "Viol"}

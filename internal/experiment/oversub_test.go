@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"smartoclock/internal/parallel"
+	"smartoclock/internal/power"
 )
 
 // smokeOversubCfg shrinks the oversubscription sweep for CI: same ratio
@@ -134,6 +137,25 @@ func TestRunContentionTradeoff(t *testing.T) {
 				c.Ratio, c.Admitted, res.Cells[i-1].Ratio, res.Cells[i-1].Admitted)
 		}
 	}
+}
+
+// RunOversubCanary runs the deliberately unsafe negative controls at an
+// aggressive ratio with admission bypassed: one cell with capping disabled
+// (invariant.NoBrownout must fire — over-admission without enforcement
+// browns the rack out) and one with severity-inverted capping
+// (invariant.SeverityOrder must fire — critical work shed while harvest
+// runs free). A battery that stays green under these cells is silently
+// broken.
+func RunOversubCanary(cfg OversubConfig) (noCapping, inverted *OversubCellResult, err error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	const canaryRatio = 1.6
+	noCapping = runOversubCell(cfg, canaryRatio, parallel.ChildSeed(cfg.Seed, 900),
+		false, power.CapDisabledUnsafe, true)
+	inverted = runOversubCell(cfg, canaryRatio, parallel.ChildSeed(cfg.Seed, 901),
+		false, power.CapInvertedUnsafe, true)
+	return noCapping, inverted, nil
 }
 
 // TestRunOversubCanary proves the battery has teeth. Over-admission with

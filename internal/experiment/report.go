@@ -69,15 +69,6 @@ func (t *Table) Format() string {
 	return b.String()
 }
 
-// Cell looks up a cell by row and column index, returning "" when out of
-// range (convenient in tests).
-func (t *Table) Cell(row, col int) string {
-	if row < 0 || row >= len(t.Rows) || col < 0 || col >= len(t.Rows[row]) {
-		return ""
-	}
-	return t.Rows[row][col]
-}
-
 // FindRow returns the first row whose first cell equals key, or nil.
 func (t *Table) FindRow(key string) []string {
 	for _, row := range t.Rows {

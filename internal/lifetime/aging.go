@@ -104,15 +104,6 @@ func (w *Wear) Elapsed() time.Duration { return w.elapsed }
 // expectation that a part ages one unit per unit time.
 func (w *Wear) Expected() time.Duration { return w.elapsed }
 
-// Credits returns unspent lifetime: Expected − Aged. Positive credits mean
-// the part has aged less than the vendor assumed and the difference can be
-// consumed by overclocking; negative means the envelope is exceeded.
-func (w *Wear) Credits() time.Duration { return w.Expected() - w.aged }
-
-// WithinEnvelope reports whether accumulated aging is at or below the
-// expected envelope.
-func (w *Wear) WithinEnvelope() bool { return w.aged <= w.Expected() }
-
 // OnlineWearGate upgrades lifetime management from the conservative offline
 // time-budget model to a per-part online calculation driven by wear-out
 // counters (§VI "Hardware support for overclocking"): overclocking is
@@ -130,12 +121,6 @@ type OnlineWearGate struct {
 	MinObservation time.Duration
 }
 
-// DefaultOnlineWearGate tolerates 5% overshoot after one hour of
-// observation.
-func DefaultOnlineWearGate() OnlineWearGate {
-	return OnlineWearGate{Margin: 0.05, MinObservation: time.Hour}
-}
-
 // Allow reports whether the component behind w may be overclocked now.
 func (g OnlineWearGate) Allow(w *Wear) bool {
 	if w.Elapsed() < g.MinObservation {
@@ -143,14 +128,4 @@ func (g OnlineWearGate) Allow(w *Wear) bool {
 	}
 	limit := time.Duration(float64(w.Expected()) * (1 + g.Margin))
 	return w.Aged() <= limit
-}
-
-// Headroom returns how much more aging the component may accumulate before
-// the gate closes (zero when already over).
-func (g OnlineWearGate) Headroom(w *Wear) time.Duration {
-	limit := time.Duration(float64(w.Expected()) * (1 + g.Margin))
-	if w.Aged() >= limit {
-		return 0
-	}
-	return limit - w.Aged()
 }

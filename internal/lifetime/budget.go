@@ -222,24 +222,10 @@ func (cb *CoreBudgets) Advance(now time.Time) {
 	cb.resetDue()
 }
 
-// TotalRemaining sums unreserved budget across cores.
-func (cb *CoreBudgets) TotalRemaining() time.Duration {
-	var total time.Duration
-	for _, b := range cb.cores {
-		total += b.Remaining()
-	}
-	return total
-}
-
-// FindCores returns the indices of up to n cores that each have at least
-// need of unreserved budget, preferring the cores with the most budget so
-// wear levels out. It returns nil when fewer than n cores qualify.
-func (cb *CoreBudgets) FindCores(n int, need time.Duration) []int {
-	return cb.FindCoresFiltered(n, need, nil)
-}
-
-// FindCoresFiltered is FindCores with an extra eligibility predicate
-// (nil accepts every core) — used to exclude cores whose online wear
+// FindCoresFiltered returns the indices of up to n cores that each have at
+// least need of unreserved budget and pass ok (nil accepts every core),
+// preferring the cores with the most budget so wear levels out. It returns
+// nil when fewer than n cores qualify. ok excludes cores whose online wear
 // counters report exhausted headroom.
 func (cb *CoreBudgets) FindCoresFiltered(n int, need time.Duration, ok func(core int) bool) []int {
 	cands := cb.candScratch[:0]

@@ -138,10 +138,9 @@ func (c Config) OCCoreCost() float64 {
 
 // Machine is one simulated server.
 type Machine struct {
-	cfg     Config
-	cores   []coreState
-	energy  float64 // joules
-	elapsed time.Duration
+	cfg    Config
+	cores  []coreState
+	energy float64 // joules
 
 	// power caches Power, which walks every core. SetFreq, SetUtil and
 	// SetCoreMaxOC, the only writers of a core's freq and util, set
@@ -282,16 +281,6 @@ func (m *Machine) FastestCores(n int) []int {
 	return out
 }
 
-// SetFreqRange sets cores [lo, hi) to mhz.
-func (m *Machine) SetFreqRange(lo, hi, mhz int) {
-	for i := lo; i < hi && i < len(m.cores); i++ {
-		m.SetFreq(i, mhz)
-	}
-}
-
-// SetFreqAll sets every core to mhz.
-func (m *Machine) SetFreqAll(mhz int) { m.SetFreqRange(0, len(m.cores), mhz) }
-
 // Freq returns core i's current frequency in MHz.
 func (m *Machine) Freq(i int) int { return m.cores[i].freq }
 
@@ -312,15 +301,6 @@ func (m *Machine) SetUtil(i int, u float64) {
 
 // Util returns core i's utilization.
 func (m *Machine) Util(i int) float64 { return m.cores[i].util }
-
-// MeanUtil returns the mean utilization across all cores.
-func (m *Machine) MeanUtil() float64 {
-	sum := 0.0
-	for i := range m.cores {
-		sum += m.cores[i].util
-	}
-	return sum / float64(len(m.cores))
-}
 
 // IsOverclocked reports whether core i runs beyond turbo.
 func (m *Machine) IsOverclocked(i int) bool { return m.cores[i].freq > m.cfg.TurboMHz }
@@ -368,7 +348,6 @@ func (m *Machine) Advance(dt time.Duration) {
 			m.cores[i].ocTime += dt
 		}
 	}
-	m.elapsed += dt
 	if m.obs != nil {
 		ocCores := 0
 		var ocSecs float64
@@ -400,9 +379,6 @@ func (m *Machine) TotalOCCoreSeconds() float64 {
 
 // Energy returns cumulative energy in joules since construction.
 func (m *Machine) Energy() float64 { return m.energy }
-
-// Elapsed returns total simulated time advanced.
-func (m *Machine) Elapsed() time.Duration { return m.elapsed }
 
 // MaxPower returns the server's power with every core fully utilized at
 // frequency mhz — used for worst-case admission checks.

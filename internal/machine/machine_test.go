@@ -143,32 +143,12 @@ func TestSetFreqAppliesClamp(t *testing.T) {
 	}
 }
 
-func TestSetFreqRangeAndAll(t *testing.T) {
-	m := New(DefaultConfig())
-	m.SetFreqRange(0, 4, 4000)
-	if m.OverclockedCores() != 4 {
-		t.Fatalf("OC cores = %d", m.OverclockedCores())
-	}
-	m.SetFreqRange(60, 100, 4000) // hi beyond range must not panic
-	if m.OverclockedCores() != 8 {
-		t.Fatalf("OC cores after range = %d", m.OverclockedCores())
-	}
-	m.SetFreqAll(3300)
-	if m.OverclockedCores() != 0 {
-		t.Fatalf("OC cores after reset = %d", m.OverclockedCores())
-	}
-}
-
 func TestSetUtilClampsAndMeanUtil(t *testing.T) {
 	m := New(DefaultConfig())
 	m.SetUtil(0, 2)
 	m.SetUtil(1, -5)
 	if m.Util(0) != 1 || m.Util(1) != 0 {
 		t.Fatal("util clamping failed")
-	}
-	want := 1.0 / float64(m.Cores())
-	if math.Abs(m.MeanUtil()-want) > 1e-12 {
-		t.Fatalf("MeanUtil = %v", m.MeanUtil())
 	}
 }
 
@@ -178,7 +158,9 @@ func TestPowerRisesWithOverclocking(t *testing.T) {
 		m.SetUtil(i, 0.8)
 	}
 	base := m.Power()
-	m.SetFreqRange(0, 8, m.Config().MaxOCMHz)
+	for i := 0; i < 8; i++ {
+		m.SetFreq(i, m.Config().MaxOCMHz)
+	}
 	oc := m.Power()
 	if oc <= base {
 		t.Fatal("overclocking must raise power")
@@ -205,9 +187,6 @@ func TestAdvanceAccumulatesEnergyAndOCTime(t *testing.T) {
 	}
 	if m.TotalOCCoreSeconds() != 10 {
 		t.Fatalf("TotalOCCoreSeconds = %v", m.TotalOCCoreSeconds())
-	}
-	if m.Elapsed() != 10*time.Second {
-		t.Fatalf("Elapsed = %v", m.Elapsed())
 	}
 }
 

@@ -70,7 +70,11 @@ func TestPowerCacheMatchesReference(t *testing.T) {
 					m.SetFreq(core, m.Freq(core)) // same-value write
 				case 2:
 					lo := rng.Intn(cfg.Cores)
-					m.SetFreqRange(lo, lo+rng.Intn(cfg.Cores+2), randomMHz(rng, cfg))
+					hi := min(lo+rng.Intn(cfg.Cores+2), cfg.Cores)
+					mhz := randomMHz(rng, cfg)
+					for i := lo; i < hi; i++ {
+						m.SetFreq(i, mhz)
+					}
 				case 3, 4:
 					m.SetUtil(core, randomUtil(rng, m, core))
 				case 5:

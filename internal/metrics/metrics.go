@@ -82,9 +82,6 @@ func (g *Gauge) Set(v float64) { g.v = v }
 // Add adjusts the value by delta.
 func (g *Gauge) Add(delta float64) { g.v += delta }
 
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
-
 // Histogram counts observations into a fixed layout of upper-bound buckets
 // (plus an implicit +Inf bucket), tracking sum and count like a Prometheus
 // histogram. Observe is allocation-free.
@@ -106,12 +103,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Fixed bucket layouts shared across the instrumented subsystems, so the
 // same metric is comparable between the fleet simulation, the cluster
 // emulation and the chaos runs.
@@ -119,8 +110,6 @@ var (
 	// FractionBuckets spans normalized fractions (rack utilization, duty
 	// cycles): the interesting band is around the warning threshold.
 	FractionBuckets = []float64{0.25, 0.5, 0.7, 0.8, 0.9, 0.95, 1.0, 1.05}
-	// WattBuckets spans server and rack draws in watts.
-	WattBuckets = []float64{100, 200, 400, 800, 1600, 3200, 6400, 12800}
 	// CoreBuckets spans per-request/overclocked core counts.
 	CoreBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
 	// ByteBuckets spans message and frame sizes on the agent transports.
@@ -263,6 +252,3 @@ func (r *Registry) Histogram(name string, uppers []float64, labels ...Label) *Hi
 	}
 	return ins.h
 }
-
-// Len returns the number of registered series.
-func (r *Registry) Len() int { return len(r.byID) }

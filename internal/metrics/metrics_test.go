@@ -18,8 +18,8 @@ func TestCounterBasics(t *testing.T) {
 	if c2 != c {
 		t.Fatal("re-registration returned a different handle")
 	}
-	if r.Len() != 1 {
-		t.Fatalf("registry holds %d series, want 1", r.Len())
+	if len(r.byID) != 1 {
+		t.Fatalf("registry holds %d series, want 1", len(r.byID))
 	}
 }
 
@@ -30,8 +30,8 @@ func TestLabelOrderIrrelevant(t *testing.T) {
 	if a != b {
 		t.Fatal("label order changed series identity")
 	}
-	if r.Len() != 1 {
-		t.Fatalf("registry holds %d series, want 1", r.Len())
+	if len(r.byID) != 1 {
+		t.Fatalf("registry holds %d series, want 1", len(r.byID))
 	}
 }
 
@@ -40,8 +40,8 @@ func TestGaugeBasics(t *testing.T) {
 	g := r.Gauge("power_watts")
 	g.Set(150)
 	g.Add(-50)
-	if g.Value() != 100 {
-		t.Fatalf("gauge = %v, want 100", g.Value())
+	if g.v != 100 {
+		t.Fatalf("gauge = %v, want 100", g.v)
 	}
 }
 
@@ -51,11 +51,11 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []float64{1, 2, 3, 64, 100} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
+	if h.count != 5 {
+		t.Fatalf("count = %d, want 5", h.count)
 	}
-	if h.Sum() != 170 {
-		t.Fatalf("sum = %v, want 170", h.Sum())
+	if h.sum != 170 {
+		t.Fatalf("sum = %v, want 170", h.sum)
 	}
 	s := r.Snapshot().Find("cores", nil)
 	if s == nil {

@@ -10,8 +10,6 @@ import (
 	"sort"
 	"strconv"
 	"time"
-
-	"smartoclock/internal/timeseries"
 )
 
 // This file is the continuous half of the metrics layer: where Snapshot
@@ -115,23 +113,6 @@ func (r *Recording) Intervals() int {
 // TimeAt returns the start instant of interval i.
 func (r *Recording) TimeAt(i int) time.Time {
 	return r.Start.Add(time.Duration(i) * r.Step)
-}
-
-// Find returns the recorded series with the given name and labels, or nil.
-func (r *Recording) Find(name string, labels map[string]string) *RecordedSeries {
-	id := mapSeriesID(name, labels)
-	for i := range r.Series {
-		if r.Series[i].ID() == id {
-			return &r.Series[i]
-		}
-	}
-	return nil
-}
-
-// ToSeries converts one recorded series' samples into a timeseries.Series
-// on the recording's timeline.
-func (r *Recording) ToSeries(s *RecordedSeries) *timeseries.Series {
-	return timeseries.FromValues(r.Start, r.Step, append([]float64(nil), s.Samples...))
 }
 
 // Recorder samples a registry into a Recording. Like the registry it is

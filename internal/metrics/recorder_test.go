@@ -13,6 +13,20 @@ import (
 	"time"
 )
 
+// Find returns the recorded series with the given name and labels, or nil.
+func (r *Recording) Find(name string, labels map[string]string) *RecordedSeries {
+	id := mapSeriesID(name, labels)
+	for i := range r.Series {
+		if r.Series[i].ID() == id {
+			return &r.Series[i]
+		}
+	}
+	return nil
+}
+
+// WattBuckets spans server and rack draws in watts.
+var WattBuckets = []float64{100, 200, 400, 800, 1600, 3200, 6400, 12800}
+
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // TestRecorderCounterRates pins the temporal semantics of counters: each
@@ -387,19 +401,6 @@ func TestRecordingWriteCSV(t *testing.T) {
 	}, "\n")
 	if got := buf.String(); got != want {
 		t.Errorf("CSV mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-}
-
-// TestRecordingToSeries pins the bridge into the timeseries package.
-func TestRecordingToSeries(t *testing.T) {
-	r := shardRecording(1)
-	s := r.Find("level", nil)
-	ts := r.ToSeries(s)
-	if ts.Step != r.Step || !ts.Start.Equal(r.Start) {
-		t.Fatalf("timeline mismatch: %v/%v", ts.Start, ts.Step)
-	}
-	if got := ts.At(r.TimeAt(2)); got != s.Samples[2] {
-		t.Errorf("At = %v, want %v", got, s.Samples[2])
 	}
 }
 

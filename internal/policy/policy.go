@@ -17,7 +17,7 @@
 // (quantile-tracking predictor, bandit-style exploration). Every
 // implementation must be deterministic — two instances fed the same inputs
 // must make the same decisions — and must pass the shared conformance suite
-// in conformance.go; the scenario zoo then stress-certifies each Set
+// in conformance_test.go; the scenario zoo then stress-certifies each Set
 // against adversarial workload regimes with the invariant checker watching.
 //
 // Implementations hold per-agent state (quantile windows, back-off

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"time"
 
-	"smartoclock/internal/causal"
 	"smartoclock/internal/predict"
 	"smartoclock/internal/timeseries"
 )
@@ -37,16 +36,6 @@ type OversubConfig struct {
 	// exists for the invariant negative tests (the over-admitting canary)
 	// and must never ship in a real policy.
 	AdmitAllUnsafe bool
-}
-
-// DefaultOversubConfig returns the policy defaults: budget equal to the
-// provisioned limit, 0.98-quantile peaks, two-week template freshness.
-func DefaultOversubConfig() OversubConfig {
-	return OversubConfig{
-		Ratio:          1.0,
-		Quantile:       0.98,
-		MaxTemplateAge: 14 * 24 * time.Hour,
-	}
 }
 
 // Validate reports whether the configuration is consistent.
@@ -103,13 +92,7 @@ type Admission struct {
 	limit    float64
 	peak     float64 // predicted rack peak: reservations + admitted peaks
 	admitted int
-	// prov, when non-nil, receives a causal.Record per admission verdict.
-	prov *causal.Recorder
 }
-
-// AttachProvenance points the admission controller at a provenance
-// recorder. Pass nil to detach.
-func (a *Admission) AttachProvenance(rec *causal.Recorder) { a.prov = rec }
 
 // NewAdmission creates an admission controller for a rack with the given
 // provisioned limit. It returns an error on invalid configuration.
@@ -132,15 +115,8 @@ func (a *Admission) Reserve(watts float64) {
 	}
 }
 
-// PredictedRackPeak returns the current predicted rack peak: reservations
-// plus the peaks of every admitted candidate.
-func (a *Admission) PredictedRackPeak() float64 { return a.peak }
-
 // BudgetWatts returns the admission budget, Ratio × limit.
 func (a *Admission) BudgetWatts() float64 { return a.cfg.Ratio * a.limit }
-
-// Admitted returns how many candidates have been granted.
-func (a *Admission) Admitted() int { return a.admitted }
 
 // candidatePeak scores one candidate: the quantile of its fitted template
 // when fresh and usable, the nameplate otherwise.
@@ -171,7 +147,6 @@ func (a *Admission) Admit(now time.Time, c Candidate) AdmitDecision {
 	d := AdmitDecision{RackPeakWatts: a.peak, BudgetWatts: a.BudgetWatts()}
 	if c.NameplateWatts <= 0 {
 		d.Reason = fmt.Sprintf("candidate %s nameplate %v W, must be positive", c.Name, c.NameplateWatts)
-		a.provAdmit(now, c, d)
 		return d
 	}
 	peak, conservative, why := a.candidatePeak(now, c)
@@ -186,42 +161,9 @@ func (a *Admission) Admit(now time.Time, c Candidate) AdmitDecision {
 		d.Granted = false
 		d.Reason = fmt.Sprintf("predicted rack peak %.1f + %.1f W exceeds budget %.1f W",
 			a.peak, peak, d.BudgetWatts)
-		a.provAdmit(now, c, d)
 		return d
 	}
 	a.peak += peak
 	a.admitted++
-	a.provAdmit(now, c, d)
 	return d
-}
-
-// provAdmit records one oversubscription admission verdict.
-func (a *Admission) provAdmit(now time.Time, c Candidate, d AdmitDecision) {
-	if a.prov == nil {
-		return
-	}
-	verdict := "deny"
-	if d.Granted {
-		verdict = "grant"
-	}
-	conservative := 0.0
-	if d.Conservative {
-		conservative = 1
-	}
-	a.prov.Emit(causal.Record{
-		Time:      now,
-		Kind:      causal.KindDecision,
-		Component: "rack",
-		Site:      "oversub.admit",
-		Subject:   c.Name,
-		Policy:    fmt.Sprintf("peak-q%g", a.cfg.Quantile),
-		Verdict:   verdict,
-		Inputs: []causal.Input{
-			causal.In("peak_watts", d.PeakWatts),
-			causal.In("rack_peak_watts", d.RackPeakWatts),
-			causal.In("budget_watts", d.BudgetWatts),
-			causal.In("conservative", conservative),
-		},
-		Detail: d.Reason,
-	})
 }

@@ -9,6 +9,16 @@ import (
 	"smartoclock/internal/timeseries"
 )
 
+// DefaultOversubConfig returns the policy defaults: budget equal to the
+// provisioned limit, 0.98-quantile peaks, two-week template freshness.
+func DefaultOversubConfig() OversubConfig {
+	return OversubConfig{
+		Ratio:          1.0,
+		Quantile:       0.98,
+		MaxTemplateAge: 14 * 24 * time.Hour,
+	}
+}
+
 // sevFake is a fakeServer with a severity class.
 type sevFake struct {
 	fakeServer
@@ -355,11 +365,11 @@ func TestAdmissionEdgeCases(t *testing.T) {
 			if d.Conservative != tc.conservative {
 				t.Fatalf("Conservative = %v (%s), want %v", d.Conservative, d.Reason, tc.conservative)
 			}
-			if d.Granted && adm.Admitted() != 1 {
-				t.Fatalf("Admitted() = %d after one grant", adm.Admitted())
+			if d.Granted && adm.admitted != 1 {
+				t.Fatalf("Admitted() = %d after one grant", adm.admitted)
 			}
-			if !d.Granted && adm.PredictedRackPeak() != tc.reserve {
-				t.Fatalf("rejected candidate charged the rack peak: %v", adm.PredictedRackPeak())
+			if !d.Granted && adm.peak != tc.reserve {
+				t.Fatalf("rejected candidate charged the rack peak: %v", adm.peak)
 			}
 		})
 	}
@@ -374,13 +384,13 @@ func TestAdmissionChargesGrants(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		d := adm.Admit(now, Candidate{Name: fmt.Sprintf("c%d", i), NameplateWatts: 300})
 		if !d.Granted {
-			t.Fatalf("candidate %d rejected with headroom %v", i, adm.BudgetWatts()-adm.PredictedRackPeak())
+			t.Fatalf("candidate %d rejected with headroom %v", i, adm.BudgetWatts()-adm.peak)
 		}
 	}
 	if d := adm.Admit(now, Candidate{Name: "c3", NameplateWatts: 300}); d.Granted {
 		t.Fatal("fourth 300 W candidate admitted past a 1000 W budget")
 	}
-	if got := adm.PredictedRackPeak(); got != 900 {
+	if got := adm.peak; got != 900 {
 		t.Fatalf("PredictedRackPeak = %v, want 900", got)
 	}
 }

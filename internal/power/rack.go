@@ -144,12 +144,9 @@ type Rack struct {
 	servers []Server
 	subs    []func(Event)
 
-	capEvents   int
-	warnings    int
-	capped      bool
-	cappedTime  time.Duration
-	lastTick    time.Time
-	hasLastTick bool
+	capEvents int
+	warnings  int
+	capped    bool
 
 	// obs, when non-nil, holds resolved metric handles and the tracer.
 	obs *rackObs
@@ -290,17 +287,11 @@ func (r *Rack) Power() float64 {
 	return total
 }
 
-// Utilization returns current draw as a fraction of the limit.
-func (r *Rack) Utilization() float64 { return r.Power() / r.cfg.LimitWatts }
-
 // CapEvents returns the number of capping events so far.
 func (r *Rack) CapEvents() int { return r.capEvents }
 
 // Warnings returns the number of warning messages sent so far.
 func (r *Rack) Warnings() int { return r.warnings }
-
-// CappedTime returns total time spent with at least one cap applied.
-func (r *Rack) CappedTime() time.Duration { return r.cappedTime }
 
 // IsCapped reports whether any server currently has a forced cap.
 func (r *Rack) IsCapped() bool {
@@ -361,12 +352,6 @@ func (r *Rack) emit(ev Event) {
 // Tick runs one rack-manager control cycle at time now: measure, warn,
 // cap or restore. Call it at a fixed cadence from the simulation.
 func (r *Rack) Tick(now time.Time) {
-	if r.hasLastTick && r.IsCapped() {
-		r.cappedTime += now.Sub(r.lastTick)
-	}
-	r.lastTick = now
-	r.hasLastTick = true
-
 	p := r.Power()
 	r.obsTick(p)
 	limit := r.cfg.LimitWatts

@@ -71,9 +71,6 @@ func TestRackPowerSumsServers(t *testing.T) {
 	if got := r.Power(); got != 700 {
 		t.Fatalf("Power = %v", got)
 	}
-	if got := r.Utilization(); got != 0.7 {
-		t.Fatalf("Utilization = %v", got)
-	}
 }
 
 func TestTickBelowWarnDoesNothing(t *testing.T) {
@@ -180,16 +177,6 @@ func TestRestoreRelaxesCaps(t *testing.T) {
 	}
 	if r.IsCapped() {
 		t.Fatal("IsCapped after full restore")
-	}
-}
-
-func TestCappedTimeAccumulates(t *testing.T) {
-	a := newFake("a", 1100, 0)
-	r := NewRack(DefaultRackConfig("r", 1000), a)
-	r.Tick(tick0)
-	r.Tick(tick0.Add(10 * time.Second))
-	if got := r.CappedTime(); got != 10*time.Second {
-		t.Fatalf("CappedTime = %v", got)
 	}
 }
 

@@ -57,14 +57,8 @@ func (r *OCRecorder) Record(requested, granted int) {
 	r.granted.Append(float64(granted))
 }
 
-// Len returns the number of recorded slots.
-func (r *OCRecorder) Len() int { return r.requested.Len() }
-
 // Requested returns the raw requested-cores series.
 func (r *OCRecorder) Requested() *timeseries.Series { return r.requested }
-
-// Granted returns the raw granted-cores series.
-func (r *OCRecorder) Granted() *timeseries.Series { return r.granted }
 
 // OCRecorderState is the serializable state of an OCRecorder.
 type OCRecorderState struct {

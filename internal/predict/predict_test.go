@@ -190,8 +190,8 @@ func TestOCRecorderAndTemplate(t *testing.T) {
 			}
 		}
 	}
-	if rec.Len() != 48 {
-		t.Fatalf("Len = %d", rec.Len())
+	if rec.requested.Len() != 48 {
+		t.Fatalf("Len = %d", rec.requested.Len())
 	}
 	tpl := rec.Template()
 	at := histStart.Add(7*24*time.Hour + 10*time.Hour) // next Monday 10:00
@@ -229,7 +229,7 @@ func BenchmarkDailyMedFitPredict(b *testing.B) {
 func TestOCRecorderSeriesAccessors(t *testing.T) {
 	rec := NewOCRecorder(histStart, time.Hour)
 	rec.Record(3, 2)
-	if rec.Requested().Values[0] != 3 || rec.Granted().Values[0] != 2 {
-		t.Fatalf("raw series: %v / %v", rec.Requested().Values, rec.Granted().Values)
+	if rec.Requested().Values[0] != 3 || rec.granted.Values[0] != 2 {
+		t.Fatalf("raw series: %v / %v", rec.Requested().Values, rec.granted.Values)
 	}
 }

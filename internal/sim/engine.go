@@ -22,11 +22,6 @@ type Engine struct {
 	seq    int64
 	rng    *rand.Rand
 	nProc  int64
-	// ncanceled counts heap events whose timer was canceled but whose
-	// deadline has not popped yet; when they outnumber live events the
-	// heap is compacted so long-lived engines with heavy timer churn
-	// (e.g. retry timers canceled on success) don't accumulate garbage.
-	ncanceled int
 }
 
 // NewEngine returns an engine whose clock starts at start, with a
@@ -38,145 +33,55 @@ func NewEngine(start time.Time, seed int64) *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Time { return e.now }
 
-// Rand returns the engine's deterministic random source.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
-
-// Processed returns the number of events executed so far.
-func (e *Engine) Processed() int64 { return e.nProc }
-
-// Pending returns the number of events currently scheduled.
-func (e *Engine) Pending() int { return len(e.events) }
-
-// Timer is a handle to a scheduled event; Cancel prevents it from firing.
-type Timer struct {
-	canceled bool
-	eng      *Engine
-	// pending is the number of heap events referencing this timer (0 or 1:
-	// a one-shot timer's single event, or a ticker's next occurrence).
-	pending int
-}
-
-// Cancel prevents the timer's event from firing. Canceling an already-fired
-// or already-canceled timer is a no-op.
-func (t *Timer) Cancel() {
-	if t.canceled {
-		return
-	}
-	t.canceled = true
-	if t.eng != nil && t.pending > 0 {
-		t.eng.noteCanceled()
-	}
-}
-
-// Canceled reports whether Cancel was called.
-func (t *Timer) Canceled() bool { return t.canceled }
-
-// push adds ev to the heap, tracking how many events reference its timer.
-func (e *Engine) push(ev *event) {
-	if ev.timer != nil {
-		ev.timer.pending++
-	}
-	heap.Push(&e.events, ev)
-}
-
-// noteCanceled records that a pending event's timer was canceled and
-// compacts the heap once canceled events outnumber live ones.
-func (e *Engine) noteCanceled() {
-	e.ncanceled++
-	if e.ncanceled*2 > len(e.events) {
-		e.compact()
-	}
-}
-
-// compact rebuilds the heap without events whose timer is canceled.
-func (e *Engine) compact() {
-	live := e.events[:0]
-	for _, ev := range e.events {
-		if ev.timer != nil && ev.timer.canceled {
-			ev.timer.pending--
-			continue
-		}
-		live = append(live, ev)
-	}
-	// Zero the tail so dropped events are collectable.
-	for i := len(live); i < len(e.events); i++ {
-		e.events[i] = nil
-	}
-	e.events = live
-	e.ncanceled = 0
-	heap.Init(&e.events)
-}
-
 // At schedules fn to run at virtual time at. Times in the past run at the
-// current time (immediately on the next Step). The returned Timer can cancel
-// the event.
-func (e *Engine) At(at time.Time, fn func()) *Timer {
+// current time (immediately on the next Step).
+func (e *Engine) At(at time.Time, fn func()) {
 	if at.Before(e.now) {
 		at = e.now
 	}
-	t := &Timer{eng: e}
 	e.seq++
-	e.push(&event{at: at, seq: e.seq, fn: fn, timer: t})
-	return t
+	heap.Push(&e.events, &event{at: at, seq: e.seq, fn: fn})
 }
 
 // After schedules fn to run delay after the current virtual time.
-func (e *Engine) After(delay time.Duration, fn func()) *Timer {
-	return e.At(e.now.Add(delay), fn)
+func (e *Engine) After(delay time.Duration, fn func()) {
+	e.At(e.now.Add(delay), fn)
 }
 
-// Every schedules fn to run at start and then every interval thereafter,
-// until the returned Timer is canceled. fn receives the firing time.
-// It panics if interval is not positive.
-func (e *Engine) Every(start time.Time, interval time.Duration, fn func(time.Time)) *Timer {
+// Every schedules fn to run at start and then every interval thereafter.
+// fn receives the firing time. It panics if interval is not positive.
+func (e *Engine) Every(start time.Time, interval time.Duration, fn func(time.Time)) {
 	if interval <= 0 {
 		panic(fmt.Sprintf("sim: non-positive interval %v", interval))
 	}
-	t := &Timer{eng: e}
 	var tick func()
 	next := start
 	tick = func() {
-		if t.canceled {
-			return
-		}
 		at := next
 		fn(at)
-		if t.canceled { // fn may cancel the ticker
-			return
-		}
 		next = at.Add(interval)
 		e.seq++
-		e.push(&event{at: next, seq: e.seq, fn: tick, timer: t})
+		heap.Push(&e.events, &event{at: next, seq: e.seq, fn: tick})
 	}
 	e.seq++
 	if start.Before(e.now) {
 		start = e.now
 		next = start
 	}
-	e.push(&event{at: start, seq: e.seq, fn: tick, timer: t})
-	return t
+	heap.Push(&e.events, &event{at: start, seq: e.seq, fn: tick})
 }
 
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It returns false when no events remain.
 func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
-		if ev.timer != nil {
-			ev.timer.pending--
-			if ev.timer.canceled {
-				if e.ncanceled > 0 {
-					e.ncanceled--
-				}
-				continue
-			}
-		}
-		e.now = ev.at
-		e.nProc++
-		ev.fn()
-		return true
+	if len(e.events) == 0 {
+		return false
 	}
-	return false
+	ev := heap.Pop(&e.events).(*event)
+	e.now = ev.at
+	e.nProc++
+	ev.fn()
+	return true
 }
 
 // Run executes events until the clock reaches until (exclusive) or no events
@@ -208,10 +113,9 @@ func (e *Engine) RunAll() int64 {
 
 // event is one scheduled callback.
 type event struct {
-	at    time.Time
-	seq   int64
-	fn    func()
-	timer *Timer
+	at  time.Time
+	seq int64
+	fn  func()
 }
 
 // eventHeap orders events by (time, seq).

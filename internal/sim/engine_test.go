@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -58,20 +59,6 @@ func TestPastEventRunsNow(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	e := NewEngine(start, 1)
-	fired := false
-	tm := e.After(time.Second, func() { fired = true })
-	tm.Cancel()
-	e.RunAll()
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-	if !tm.Canceled() {
-		t.Fatal("Canceled() must report true")
-	}
-}
-
 func TestRunUntilStopsAndAdvancesClock(t *testing.T) {
 	e := NewEngine(start, 1)
 	count := 0
@@ -99,22 +86,6 @@ func TestRunUntilExclusive(t *testing.T) {
 	e.Run(start.Add(time.Minute + time.Nanosecond))
 	if !fired {
 		t.Fatal("event past boundary did not run")
-	}
-}
-
-func TestEveryCancelStopsTicks(t *testing.T) {
-	e := NewEngine(start, 1)
-	count := 0
-	var tm *Timer
-	tm = e.Every(start, time.Second, func(time.Time) {
-		count++
-		if count == 3 {
-			tm.Cancel()
-		}
-	})
-	e.RunAll()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
 	}
 }
 
@@ -206,3 +177,12 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 	e.RunAll()
 }
+
+// Rand returns the engine's deterministic random source.
+func (e *Engine) Rand() *rand.Rand { return e.rng }
+
+// Processed returns the number of events executed so far.
+func (e *Engine) Processed() int64 { return e.nProc }
+
+// Pending returns the number of events currently scheduled.
+func (e *Engine) Pending() int { return len(e.events) }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"testing"
 )
 
@@ -38,73 +37,16 @@ func TestPercentileEdgeCases(t *testing.T) {
 	}
 }
 
-// TestCDFQuantileEdgeCases pins the CDF quantile's behaviour on degenerate
-// samples and out-of-range q. q outside [0,1] used to index past the sorted
-// slice and panic; it must clamp like Percentile does.
-func TestCDFQuantileEdgeCases(t *testing.T) {
-	cases := []struct {
-		name string
-		xs   []float64
-		q    float64
-		want float64
-	}{
-		{"empty", nil, 0.5, 0},
-		{"empty out-of-range", nil, 2, 0},
-		{"single", []float64{4}, 0.99, 4},
-		{"single clamp-low", []float64{4}, -1, 4},
-		{"single clamp-high", []float64{4}, 2, 4},
-		{"duplicates", []float64{2, 2, 2}, 0.5, 2},
-		{"clamp low to min", []float64{1, 2, 3}, -0.5, 1},
-		{"clamp high to max", []float64{1, 2, 3}, 1.5, 3},
-		{"q0 is min", []float64{5, 1, 9}, 0, 1},
-		{"q1 is max", []float64{5, 1, 9}, 1, 9},
-		{"interpolated median", []float64{0, 10}, 0.5, 5},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := NewCDF(tc.xs)
-			if got := c.Quantile(tc.q); !almostEqual(got, tc.want, 1e-12) {
-				t.Fatalf("Quantile(%v) of %v = %v, want %v", tc.q, tc.xs, got, tc.want)
-			}
-		})
-	}
-}
-
-// TestCDFAtEdgeCases covers At on empty samples, duplicates (P(X <= x)
-// counts every equal sample) and probes outside the sample range.
-func TestCDFAtEdgeCases(t *testing.T) {
-	cases := []struct {
-		name string
-		xs   []float64
-		x    float64
-		want float64
-	}{
-		{"empty", nil, 1, 0},
-		{"below min", []float64{1, 2, 3}, 0, 0},
-		{"above max", []float64{1, 2, 3}, 10, 1},
-		{"at duplicate", []float64{1, 2, 2, 2, 3}, 2, 0.8},
-		{"between samples", []float64{1, 2, 3, 4}, 2.5, 0.5},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := NewCDF(tc.xs)
-			if got := c.At(tc.x); !almostEqual(got, tc.want, 1e-12) {
-				t.Fatalf("At(%v) of %v = %v, want %v", tc.x, tc.xs, got, tc.want)
-			}
-		})
-	}
-}
-
 // TestP2QuantileSmallSamples checks the exact-fallback path (n < 5) and
 // that duplicates do not break marker initialization at n = 5.
 func TestP2QuantileSmallSamples(t *testing.T) {
 	q := NewP2Quantile(0.5)
-	if q.Value() != 0 || q.Max() != 0 {
+	if q.Value() != 0 {
 		t.Fatal("empty estimator must report 0")
 	}
 	q.Add(3)
-	if q.Value() != 3 || q.Max() != 3 {
-		t.Fatalf("single-sample estimate = %v/%v, want 3/3", q.Value(), q.Max())
+	if q.Value() != 3 {
+		t.Fatalf("single-sample estimate = %v, want 3", q.Value())
 	}
 	for _, v := range []float64{3, 3, 3, 3} {
 		q.Add(v)
@@ -132,23 +74,5 @@ func TestP2QuantileRejectsBadP(t *testing.T) {
 			}()
 			NewP2Quantile(p)
 		}()
-	}
-}
-
-// TestCDFPointsEdgeCases: Points returns nil for unusable inputs and spans
-// exactly [min, max] otherwise.
-func TestCDFPointsEdgeCases(t *testing.T) {
-	if NewCDF(nil).Points(10) != nil {
-		t.Fatal("Points on empty CDF must be nil")
-	}
-	if NewCDF([]float64{1, 2}).Points(1) != nil {
-		t.Fatal("Points with n < 2 must be nil")
-	}
-	pts := NewCDF([]float64{5, 1, 9}).Points(3)
-	if len(pts) != 3 || pts[0].Value != 1 || pts[2].Value != 9 {
-		t.Fatalf("Points = %+v, want span [1, 9]", pts)
-	}
-	if pts[0].Cum != 0 || math.Abs(pts[1].Cum-0.5) > 1e-12 || pts[2].Cum != 1 {
-		t.Fatalf("cumulative probabilities = %+v, want 0, 0.5, 1", pts)
 	}
 }

@@ -32,9 +32,6 @@ func NewP2Quantile(p float64) *P2Quantile {
 	return q
 }
 
-// N returns the number of observations seen.
-func (q *P2Quantile) N() int { return q.n }
-
 // Add records one observation.
 func (q *P2Quantile) Add(x float64) {
 	q.n++
@@ -113,21 +110,4 @@ func (q *P2Quantile) Value() float64 {
 		return percentileSorted(sorted, q.p*100)
 	}
 	return q.heights[2]
-}
-
-// Max returns the largest observation seen (exact).
-func (q *P2Quantile) Max() float64 {
-	if q.n == 0 {
-		return 0
-	}
-	if q.n < 5 {
-		m := q.initial[0]
-		for _, v := range q.initial[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		return m
-	}
-	return q.heights[4]
 }

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used throughout the
-// SmartOClock reproduction: percentiles, empirical CDFs, error metrics and
-// running summaries.
+// SmartOClock reproduction: percentiles, error metrics and a streaming
+// quantile estimator.
 //
 // All functions operate on float64 slices and never mutate their inputs
 // unless documented otherwise.
@@ -29,15 +29,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
-}
-
 // Min returns the minimum of xs, or 0 for an empty slice.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -64,26 +55,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Variance returns the population variance of xs, or 0 when fewer than two
-// samples are present.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	mean := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - mean
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
 }
 
 // Percentile returns the p-th percentile (p in [0,100]) of xs using linear

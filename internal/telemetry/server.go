@@ -36,9 +36,8 @@ const DefaultTailCap = 1024
 // overwrite the oldest entries, so a long-lived server holds the most
 // recent window of activity in constant memory.
 type Ring struct {
-	buf   []obs.Event
-	next  int // index the next append writes to
-	total int // lifetime appends
+	buf  []obs.Event
+	next int // index the next append writes to
 }
 
 // NewRing returns a ring holding up to capacity events.
@@ -58,16 +57,11 @@ func (r *Ring) Append(events ...obs.Event) {
 			r.buf[r.next] = ev
 		}
 		r.next = (r.next + 1) % cap(r.buf)
-		r.total++
 	}
 }
 
 // Len returns the number of events currently held.
 func (r *Ring) Len() int { return len(r.buf) }
-
-// Total returns the lifetime number of appended events, including
-// overwritten ones.
-func (r *Ring) Total() int { return r.total }
 
 // Tail returns the most recent n events in chronological order. n beyond
 // the held window returns everything held.
@@ -123,9 +117,6 @@ func (r *RecordRing) Append(recs ...causal.Record) {
 		r.total++
 	}
 }
-
-// Len returns the number of records currently held.
-func (r *RecordRing) Len() int { return len(r.buf) }
 
 // Records returns the held window oldest-first.
 func (r *RecordRing) Records() []causal.Record {

@@ -28,28 +28,3 @@ func TestNewWithCapAppendNoRegrowth(t *testing.T) {
 		t.Errorf("prealloc'd append path allocated %.0f times per run, want <= 2", allocs)
 	}
 }
-
-func TestGrow(t *testing.T) {
-	start := time.Unix(0, 0).UTC()
-	s := New(start, time.Minute)
-	s.Append(1)
-	s.Grow(100)
-	if cap(s.Values)-len(s.Values) < 100 {
-		t.Fatalf("Grow(100) left headroom %d", cap(s.Values)-len(s.Values))
-	}
-	if s.Len() != 1 || s.Values[0] != 1 {
-		t.Fatalf("Grow corrupted values: %v", s.Values)
-	}
-	// Growing into existing headroom must not reallocate.
-	base := &s.Values[0]
-	s.Grow(50)
-	if &s.Values[0] != base {
-		t.Error("Grow reallocated despite sufficient capacity")
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		s.Grow(10) // headroom exists: no allocation
-	})
-	if allocs != 0 {
-		t.Errorf("no-op Grow allocated %.0f times", allocs)
-	}
-}

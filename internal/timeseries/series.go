@@ -41,17 +41,6 @@ func NewWithCap(start time.Time, step time.Duration, n int) *Series {
 	return s
 }
 
-// Grow ensures capacity for at least n more samples beyond the current
-// length, reallocating at most once.
-func (s *Series) Grow(n int) {
-	if n <= 0 || cap(s.Values)-len(s.Values) >= n {
-		return
-	}
-	grown := make([]float64, len(s.Values), len(s.Values)+n)
-	copy(grown, s.Values)
-	s.Values = grown
-}
-
 // FromValues creates a series from existing samples. The slice is used
 // directly (not copied).
 func FromValues(start time.Time, step time.Duration, values []float64) *Series {
@@ -147,22 +136,6 @@ func (s *Series) Add(other *Series) error {
 	return nil
 }
 
-// Scale multiplies every sample by k in place and returns s.
-func (s *Series) Scale(k float64) *Series {
-	for i := range s.Values {
-		s.Values[i] *= k
-	}
-	return s
-}
-
-// Map applies f to every sample in place and returns s.
-func (s *Series) Map(f func(float64) float64) *Series {
-	for i := range s.Values {
-		s.Values[i] = f(s.Values[i])
-	}
-	return s
-}
-
 // Mean returns the mean of all samples, 0 when empty.
 func (s *Series) Mean() float64 {
 	if len(s.Values) == 0 {
@@ -187,29 +160,4 @@ func (s *Series) Max() float64 {
 		}
 	}
 	return m
-}
-
-// Min returns the minimum sample, 0 when empty.
-func (s *Series) Min() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	m := s.Values[0]
-	for _, v := range s.Values[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Integral returns the sum of sample * step, i.e. the integral of the series
-// over its range expressed in value-seconds. For a power series in watts this
-// is energy in joules.
-func (s *Series) Integral() float64 {
-	sum := 0.0
-	for _, v := range s.Values {
-		sum += v
-	}
-	return sum * s.Step.Seconds()
 }

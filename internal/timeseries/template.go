@@ -81,18 +81,6 @@ func ReduceMax(samples []float64) float64 {
 	return m
 }
 
-// ReduceMean returns the mean of the samples.
-func ReduceMean(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range samples {
-		sum += v
-	}
-	return sum / float64(len(samples))
-}
-
 // DayTemplate is a single representative day at a fixed slot width: the
 // paper's "power template". Slot i covers [i*Step, (i+1)*Step) of a day.
 type DayTemplate struct {
@@ -101,9 +89,6 @@ type DayTemplate struct {
 	Kind   DayKind
 	counts []int // number of contributing days per slot, for diagnostics
 }
-
-// NumSlots returns the number of time-of-day slots.
-func (t *DayTemplate) NumSlots() int { return len(t.Slots) }
 
 // slotOf returns the slot of width step that ts's time of day (whole
 // seconds since midnight in ts's location, from one ts.Clock) falls in,
@@ -176,30 +161,6 @@ func (t *DayTemplate) UnmarshalJSON(data []byte) error {
 	t.Kind = w.Kind
 	t.counts = w.Counts
 	return nil
-}
-
-// Max returns the maximum slot value.
-func (t *DayTemplate) Max() float64 {
-	m := 0.0
-	for i, v := range t.Slots {
-		if i == 0 || v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// BuildDayTemplate aggregates a multi-day series into a single representative
-// day. Samples are grouped by time-of-day slot across all days matching kind,
-// then collapsed with reduce. The slot width equals the series step.
-//
-// This implements the paper's per-day aggregation: "the template's value at
-// 9AM is the median of rack's power consumption at 9AM across all five
-// weekdays" (§IV-B).
-func BuildDayTemplate(s *Series, kind DayKind, reduce Reduce) *DayTemplate {
-	var t [1]*DayTemplate
-	fitDays(s, reduce, []DayKind{kind}, t[:])
-	return t[0]
 }
 
 // fitDays builds one day template per kind into out, classifying each

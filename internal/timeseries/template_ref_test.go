@@ -8,6 +8,31 @@ import (
 	_ "time/tzdata" // America/New_York without relying on the host's zoneinfo
 )
 
+// BuildDayTemplate aggregates a multi-day series into a single representative
+// day, through the same fitDays that BuildWeekTemplate runs. Samples are grouped by time-of-day slot across all days matching kind,
+// then collapsed with reduce. The slot width equals the series step.
+//
+// This implements the paper's per-day aggregation: "the template's value at
+// 9AM is the median of rack's power consumption at 9AM across all five
+// weekdays" (§IV-B).
+func BuildDayTemplate(s *Series, kind DayKind, reduce Reduce) *DayTemplate {
+	var t [1]*DayTemplate
+	fitDays(s, reduce, []DayKind{kind}, t[:])
+	return t[0]
+}
+
+// ReduceMean returns the mean of the samples.
+func ReduceMean(samples []float64) float64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, v := range samples {
+		sum += v
+	}
+	return sum / float64(len(samples))
+}
+
 // The ref* functions are the template code as it was before slot lookup
 // read one ts.Clock and the week template was fitted in one pass, kept
 // verbatim as the reference the current code must match bit for bit.

@@ -125,15 +125,6 @@ func (s *ArrivalStream) Arrival(i int) Arrival {
 	}
 }
 
-// All returns every arrival in stream order.
-func (s *ArrivalStream) All() []Arrival {
-	out := make([]Arrival, s.N)
-	for i := range out {
-		out[i] = s.Arrival(i)
-	}
-	return out
-}
-
 // DemandWave exposes the zoo's phase-shifted square-wave demand for
 // experiments that drive overclocking outside a full ZooScenario: server
 // srv of perRack on rack wants overclocking for onFrac of each period,

@@ -180,7 +180,7 @@ func TestUtilAtClockMatchesReference(t *testing.T) {
 				q.PhaseShiftHours = p.PhaseShiftHours / float64(k+1)
 				spec.VMs = append(spec.VMs, VMSpec{Service: q, Cores: 2 + 3*k})
 			}
-			same("server UtilAt", ts, spec.UtilAt(ts, rngNew), refServerUtilAt(spec, ts, rngRef))
+			same("server UtilAt", ts, spec.UtilAtClock(ClockOf(ts), rngNew), refServerUtilAt(spec, ts, rngRef))
 		}
 		if a, b := rngNew.Int63(), rngRef.Int63(); a != b {
 			t.Fatalf("%v: rng streams diverged: %d vs %d", loc, a, b)

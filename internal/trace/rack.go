@@ -25,23 +25,9 @@ type ServerSpec struct {
 	VMs  []VMSpec
 }
 
-// TotalVMCores returns the number of cores allocated to VMs.
-func (s ServerSpec) TotalVMCores() int {
-	n := 0
-	for _, vm := range s.VMs {
-		n += vm.Cores
-	}
-	return n
-}
-
-// UtilAt returns the server's mean core utilization at ts: each VM
-// contributes its service's utilization weighted by its core count.
-func (s ServerSpec) UtilAt(ts time.Time, rng *rand.Rand) float64 {
-	return s.UtilAtClock(ClockOf(ts), rng)
-}
-
-// UtilAtClock is UtilAt at an already decomposed instant, so every VM reads
-// the one Clock instead of decomposing ts itself.
+// UtilAtClock returns the server's mean core utilization at the instant c:
+// each VM contributes its service's utilization weighted by its core count.
+// Every VM reads the one Clock instead of decomposing the instant itself.
 func (s *ServerSpec) UtilAtClock(c Clock, rng *rand.Rand) float64 {
 	if s.HW.Cores == 0 {
 		return 0

@@ -99,11 +99,11 @@ func TestServerSpecUtilAggregation(t *testing.T) {
 	spec := ServerSpec{Name: "s", HW: hw, VMs: []VMSpec{
 		{Service: ServiceProfile{Pattern: PatternConstant, PeakUtil: 1}, Cores: hw.Cores / 2},
 	}}
-	if got := spec.UtilAt(genStart, nil); got != 0.5 {
+	if got := spec.UtilAtClock(ClockOf(genStart), nil); got != 0.5 {
 		t.Fatalf("server util = %v, want 0.5", got)
 	}
-	if spec.TotalVMCores() != hw.Cores/2 {
-		t.Fatalf("TotalVMCores = %d", spec.TotalVMCores())
+	if n := vmCores(spec); n != hw.Cores/2 {
+		t.Fatalf("VM cores = %d", n)
 	}
 }
 
@@ -125,7 +125,7 @@ func TestGenRackBasics(t *testing.T) {
 		if len(s.Spec.VMs) < cfg.VMsPerServerMin {
 			t.Fatalf("server has %d VMs", len(s.Spec.VMs))
 		}
-		if s.Spec.TotalVMCores() > cfg.HW.Cores {
+		if vmCores(s.Spec) > cfg.HW.Cores {
 			t.Fatal("VM cores exceed server cores")
 		}
 	}
@@ -440,4 +440,13 @@ func TestGenFleetRackStreamsIndependent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// vmCores returns the number of cores spec allocates to VMs.
+func vmCores(spec ServerSpec) int {
+	n := 0
+	for _, vm := range spec.VMs {
+		n += vm.Cores
+	}
+	return n
 }

@@ -118,9 +118,6 @@ type Instance struct {
 // NewInstance creates an idle instance of service m.
 func NewInstance(m Microservice) *Instance { return &Instance{Service: m} }
 
-// Backlog returns the current overload backlog in requests.
-func (in *Instance) Backlog() float64 { return in.backlogReqs }
-
 // Step advances the instance by dt under an arrival rate of rps at the
 // given frequency, returning the latency/utilization observed during the
 // step. Optional rng adds ±5% lognormal measurement noise; pass nil for the
@@ -194,23 +191,6 @@ func NewDeployment(m Microservice, n int) *Deployment {
 	}
 	return d
 }
-
-// Scale adjusts the deployment to n instances, preserving existing queue
-// state where possible. n is clamped to at least 1.
-func (d *Deployment) Scale(n int) {
-	if n < 1 {
-		n = 1
-	}
-	for len(d.Instances) < n {
-		d.Instances = append(d.Instances, NewInstance(d.Service))
-	}
-	if len(d.Instances) > n {
-		d.Instances = d.Instances[:n]
-	}
-}
-
-// Size returns the number of instances.
-func (d *Deployment) Size() int { return len(d.Instances) }
 
 // Step advances every instance by dt with total arrival rate totalRPS split
 // evenly; freqMHz applies to all instances (per-instance frequencies are

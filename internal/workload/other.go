@@ -36,9 +36,6 @@ func (m *MLTrain) Step(dt time.Duration, freqMHz, turboMHz int) {
 	m.elapsed += dt
 }
 
-// TotalSteps returns accumulated training steps.
-func (m *MLTrain) TotalSteps() float64 { return m.totalSteps }
-
 // MeanThroughput returns average steps/second over the run.
 func (m *MLTrain) MeanThroughput() float64 {
 	if m.elapsed == 0 {

@@ -6,11 +6,11 @@ import (
 	"math/rand"
 )
 
-// This file provides a request-granularity M/M/c queue simulator and the
+// This file holds a request-granularity M/M/c queue simulator and the
 // Erlang-C analytics it is validated against. The interpolation latency
-// model in microservice.go is the fast path used by the cluster emulation;
-// the simulator exists to cross-validate that model's regime and to let
-// tests anchor the congestion behaviour to first principles.
+// model in microservice.go is what the cluster emulation runs; the
+// simulator is the reference that cross-validates that model's regime and
+// anchors the congestion behaviour to first principles.
 
 // ErlangC returns the probability that an arriving request must wait in an
 // M/M/c system with offered load a = λ/μ and c servers. It returns 1 when

@@ -93,7 +93,7 @@ func TestOverloadBacklogGrowsAndDrains(t *testing.T) {
 	over := 1.3 * m.CapacityRPS(turbo, turbo)
 	r1 := in.Step(time.Second, over, turbo, turbo, nil)
 	r2 := in.Step(time.Second, over, turbo, turbo, nil)
-	if in.Backlog() <= 0 {
+	if in.backlogReqs <= 0 {
 		t.Fatal("backlog must grow under overload")
 	}
 	if r2.P99MS <= r1.P99MS {
@@ -103,11 +103,11 @@ func TestOverloadBacklogGrowsAndDrains(t *testing.T) {
 		t.Fatalf("overloaded util = %v", r2.Util)
 	}
 	// Drain with low load.
-	for i := 0; i < 100 && in.Backlog() > 0; i++ {
+	for i := 0; i < 100 && in.backlogReqs > 0; i++ {
 		in.Step(time.Second, 0, turbo, turbo, nil)
 	}
-	if in.Backlog() != 0 {
-		t.Fatalf("backlog did not drain: %v", in.Backlog())
+	if in.backlogReqs != 0 {
+		t.Fatalf("backlog did not drain: %v", in.backlogReqs)
 	}
 }
 
@@ -184,18 +184,6 @@ func TestFindService(t *testing.T) {
 	}
 }
 
-func TestDeploymentScale(t *testing.T) {
-	d := NewDeployment(SocialNet()[0], 1)
-	d.Scale(3)
-	if d.Size() != 3 {
-		t.Fatalf("Size = %d", d.Size())
-	}
-	d.Scale(0) // clamps to 1
-	if d.Size() != 1 {
-		t.Fatalf("Size after clamp = %d", d.Size())
-	}
-}
-
 func TestNewDeploymentPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -235,8 +223,8 @@ func TestMLTrainThroughputScalesWithFreq(t *testing.T) {
 	}
 	ml.Step(10*time.Second, turbo, turbo)
 	ml.Step(10*time.Second, 2300, turbo)
-	if ml.TotalSteps() >= 2000 || ml.TotalSteps() <= 1000 {
-		t.Fatalf("TotalSteps = %v", ml.TotalSteps())
+	if ml.totalSteps >= 2000 || ml.totalSteps <= 1000 {
+		t.Fatalf("TotalSteps = %v", ml.totalSteps)
 	}
 	if ml.MeanThroughput() >= 100 {
 		t.Fatalf("MeanThroughput = %v", ml.MeanThroughput())
