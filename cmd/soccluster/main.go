@@ -24,11 +24,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"smartoclock/internal/api"
@@ -36,52 +34,6 @@ import (
 	"smartoclock/internal/obs"
 	"smartoclock/internal/telemetry"
 )
-
-// writeFile creates path and fills it with write, exiting on any error.
-// An empty path writes nothing.
-func writeFile(path string, write func(io.Writer) error) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	err = write(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-}
-
-// jsonIf returns asJSON when path ends in .json and text otherwise.
-func jsonIf(path string, asJSON, text func(io.Writer) error) func(io.Writer) error {
-	if strings.HasSuffix(path, ".json") {
-		return asJSON
-	}
-	return text
-}
-
-// writeObservation writes the merged metrics snapshot, event trace and/or
-// recorded series of an observed sweep. Metrics format: Prometheus text
-// exposition by default, JSON when the path ends in .json. Traces are JSON
-// Lines. Series: CSV by default, JSON when the path ends in .json.
-func writeObservation(metricsPath, tracePath, seriesPath string, o *experiment.FleetObservation) {
-	if o == nil {
-		return
-	}
-	if o.Metrics != nil {
-		writeFile(metricsPath, jsonIf(metricsPath, o.Metrics.WriteJSON, o.Metrics.WriteProm))
-	}
-	if o.Trace != nil {
-		writeFile(tracePath, o.Trace.WriteJSONL)
-	}
-	if o.Series != nil {
-		writeFile(seriesPath, jsonIf(seriesPath, o.Series.WriteJSON, o.Series.WriteCSV))
-	}
-}
 
 func main() {
 	log.SetFlags(0)
@@ -195,7 +147,9 @@ func main() {
 		fmt.Println(fig13.Format())
 		fmt.Println(fig14.Format())
 		if base.Observe && !observed {
-			writeObservation(*metricsOut, *traceOut, *seriesOut, experiment.MergeClusterObservations(experiment.ClusterSystems(), results))
+			if err := experiment.MergeClusterObservations(experiment.ClusterSystems(), results).WriteFiles(*metricsOut, *traceOut, *seriesOut, ""); err != nil {
+				log.Fatal(err)
+			}
 			observed = true
 		}
 	}
@@ -207,7 +161,9 @@ func main() {
 		fmt.Println(tbl.Format())
 		if base.Observe && !observed {
 			systems := []experiment.ClusterSystem{experiment.SysNaiveOClock, experiment.SysSmartOClock}
-			writeObservation(*metricsOut, *traceOut, *seriesOut, experiment.MergeClusterObservations(systems, results))
+			if err := experiment.MergeClusterObservations(systems, results).WriteFiles(*metricsOut, *traceOut, *seriesOut, ""); err != nil {
+				log.Fatal(err)
+			}
 			observed = true
 		}
 	}

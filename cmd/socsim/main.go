@@ -41,7 +41,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"math/rand"
 	"os"
@@ -56,53 +55,6 @@ import (
 	"smartoclock/internal/policy"
 	"smartoclock/internal/trace"
 )
-
-// writeFile creates path and fills it with write, exiting on any error.
-// An empty path writes nothing.
-func writeFile(path string, write func(io.Writer) error) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	err = write(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-}
-
-// jsonIf returns asJSON when path ends in .json and text otherwise.
-func jsonIf(path string, asJSON, text func(io.Writer) error) func(io.Writer) error {
-	if strings.HasSuffix(path, ".json") {
-		return asJSON
-	}
-	return text
-}
-
-// writeObservation writes what a run observed to the paths that are set:
-// the metrics snapshot as Prometheus text exposition and the recorded
-// series as CSV (each JSON when its path ends in .json), the event trace
-// and the causal decision-provenance log as JSON Lines. Nil parts are
-// skipped.
-func writeObservation(metricsPath, tracePath, seriesPath, provPath string, o *experiment.FleetObservation) {
-	if o.Metrics != nil {
-		writeFile(metricsPath, jsonIf(metricsPath, o.Metrics.WriteJSON, o.Metrics.WriteProm))
-	}
-	if o.Trace != nil {
-		writeFile(tracePath, o.Trace.WriteJSONL)
-	}
-	if o.Series != nil {
-		writeFile(seriesPath, jsonIf(seriesPath, o.Series.WriteJSON, o.Series.WriteCSV))
-	}
-	if o.Provenance != nil {
-		writeFile(provPath, o.Provenance.WriteJSONL)
-	}
-}
 
 // dumpViolations prints a cell's first three invariant violations, and how
 // many more there were, to stderr.
@@ -245,8 +197,10 @@ func main() {
 		}
 		fmt.Println(res.Format())
 		fmt.Println(experiment.FormatAlerts(res.Alerts).Format())
-		writeObservation(*metricsOut, *traceOut, *seriesOut, "",
-			&experiment.FleetObservation{Metrics: res.Metrics, Trace: res.Trace, Series: res.Series})
+		o := &experiment.FleetObservation{Metrics: res.Metrics, Trace: res.Trace, Series: res.Series}
+		if err := o.WriteFiles(*metricsOut, *traceOut, *seriesOut, ""); err != nil {
+			log.Fatal(err)
+		}
 		if res.Err != nil {
 			log.Fatal(res.Err)
 		}
@@ -294,7 +248,10 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Println(res.Format())
-		writeFile(*provOut, res.ProvenanceLog().WriteJSONL)
+		o := &experiment.FleetObservation{Provenance: res.ProvenanceLog()}
+		if err := o.WriteFiles("", "", "", *provOut); err != nil {
+			log.Fatal(err)
+		}
 		if res.Err != nil {
 			for _, c := range res.Cells {
 				dumpViolations(c.Policy+"×"+c.Scenario, c.Violations)
@@ -395,7 +352,9 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Println(tbl.Format())
-			writeObservation(*metricsOut, *traceOut, *seriesOut, *provOut, observation)
+			if err := observation.WriteFiles(*metricsOut, *traceOut, *seriesOut, *provOut); err != nil {
+				log.Fatal(err)
+			}
 		} else {
 			tbl, _, err := experiment.RunTable1(cfg)
 			if err != nil {

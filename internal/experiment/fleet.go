@@ -2,6 +2,9 @@ package experiment
 
 import (
 	"fmt"
+	"io"
+	"os"
+	"strings"
 	"time"
 
 	"smartoclock/internal/baselines"
@@ -471,6 +474,64 @@ type FleetObservation struct {
 	// CriticalPath summarizes the provenance log: longest causal chain,
 	// decisions and messages per tick (the tick critical-path profile).
 	CriticalPath causal.Stats
+}
+
+// WriteFiles writes what a run observed to the paths that are set: the
+// metrics snapshot as Prometheus text exposition and the recorded series as
+// CSV (each JSON when its path ends in .json), the event trace and the
+// causal decision-provenance log as JSON Lines. Empty paths and nil parts
+// are skipped; a nil observation writes nothing.
+func (o *FleetObservation) WriteFiles(metricsPath, tracePath, seriesPath, provPath string) error {
+	if o == nil {
+		return nil
+	}
+	if o.Metrics != nil {
+		if err := writeFile(metricsPath, jsonIf(metricsPath, o.Metrics.WriteJSON, o.Metrics.WriteProm)); err != nil {
+			return err
+		}
+	}
+	if o.Trace != nil {
+		if err := writeFile(tracePath, o.Trace.WriteJSONL); err != nil {
+			return err
+		}
+	}
+	if o.Series != nil {
+		if err := writeFile(seriesPath, jsonIf(seriesPath, o.Series.WriteJSON, o.Series.WriteCSV)); err != nil {
+			return err
+		}
+	}
+	if o.Provenance != nil {
+		return writeFile(provPath, o.Provenance.WriteJSONL)
+	}
+	return nil
+}
+
+// writeFile creates path and fills it with write. An empty path writes
+// nothing.
+func writeFile(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	return nil
+}
+
+// jsonIf returns asJSON when path ends in .json and text otherwise.
+func jsonIf(path string, asJSON, text func(io.Writer) error) func(io.Writer) error {
+	if strings.HasSuffix(path, ".json") {
+		return asJSON
+	}
+	return text
 }
 
 // newShardTracer builds the tracer for one observed shard, honoring the
