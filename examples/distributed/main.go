@@ -58,6 +58,9 @@ type soaNode struct {
 	server *cluster.Server
 	soa    *core.SOA
 	clock  func() time.Time
+	// applied receives one signal per budget assignment, after it is
+	// applied and printed.
+	applied chan struct{}
 }
 
 func startSOANode(name string, util float64, clock func() time.Time) *soaNode {
@@ -73,7 +76,7 @@ func startSOANode(name string, util float64, clock func() time.Time) *soaNode {
 	if err != nil {
 		log.Fatal(err)
 	}
-	n := &soaNode{name: name, node: tcp, server: server, soa: soa, clock: clock}
+	n := &soaNode{name: name, node: tcp, server: server, soa: soa, clock: clock, applied: make(chan struct{}, 1)}
 
 	tcp.Register(name, func(m agent.Message) {
 		n.mu.Lock()
@@ -86,6 +89,7 @@ func startSOANode(name string, util float64, clock func() time.Time) *soaNode {
 			}
 			n.soa.SetStaticBudget(b.Watts, true)
 			fmt.Printf("  [%s] received budget assignment: %.0f W\n", name, b.Watts)
+			n.applied <- struct{}{}
 		case "oc.request":
 			req, err := agent.Decode[ocRequest](m)
 			if err != nil {
@@ -120,6 +124,15 @@ func (n *soaNode) report(goaAddr string) {
 	}
 }
 
+// await waits for one signal on ch, exiting if none arrives within 5 s.
+func await(ch <-chan struct{}, what string) {
+	select {
+	case <-ch:
+	case <-time.After(5 * time.Second):
+		log.Fatalf("timed out waiting for %s", what)
+	}
+}
+
 func main() {
 	log.SetFlags(0)
 	simNow := time.Date(2023, 4, 10, 9, 0, 0, 0, time.UTC)
@@ -133,7 +146,7 @@ func main() {
 	defer goaNode.Close()
 	goa := core.NewGOA("rack-1", 1300)
 	var goaMu sync.Mutex
-	profiles := make(chan string, 8)
+	profiles := make(chan struct{}, 1)
 	goaNode.Register("goa", func(m agent.Message) {
 		if m.Type != "soa.profile" {
 			return
@@ -157,8 +170,8 @@ func main() {
 			OCCoreCost: p.CoreCost,
 		})
 		goaMu.Unlock()
-		profiles <- p.Server
 		fmt.Printf("[gOA] profile from %s: %.0f W\n", p.Server, p.PowerWatts)
+		profiles <- struct{}{}
 	})
 
 	// Two sOA endpoints.
@@ -167,15 +180,11 @@ func main() {
 	y := startSOANode("server-y", 0.40, clock)
 	defer y.node.Close()
 
-	// 1. sOAs report their profiles to the gOA over TCP.
-	x.report(goaNode.Addr())
-	y.report(goaNode.Addr())
-	for i := 0; i < 2; i++ {
-		select {
-		case <-profiles:
-		case <-time.After(5 * time.Second):
-			log.Fatal("timed out waiting for profiles")
-		}
+	// 1. sOAs report their profiles to the gOA over TCP. Each report waits
+	// for the gOA to handle the previous one, so the output order is fixed.
+	for _, n := range []*soaNode{x, y} {
+		n.report(goaNode.Addr())
+		await(profiles, n.name+"'s profile")
 	}
 
 	// 2. The gOA computes heterogeneous budgets and pushes them back.
@@ -189,6 +198,7 @@ func main() {
 		if err := goaNode.Send(msg); err != nil {
 			log.Fatal(err)
 		}
+		await(n.applied, n.name+"'s budget")
 	}
 
 	// 3. A workload client asks server-y to overclock 10 cores, over TCP.
@@ -207,8 +217,6 @@ func main() {
 		}
 	})
 	client.AddPeer("server-y", y.node.Addr())
-	// Give server-y a moment to apply its budget before requesting.
-	time.Sleep(200 * time.Millisecond)
 	req, _ := agent.NewMessage("oc.request", "wi", "server-y",
 		ocRequest{VM: "conf-42", Cores: 10, ReplyAddr: client.Addr()})
 	if err := client.Send(req); err != nil {
