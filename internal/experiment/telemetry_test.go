@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,111 +11,6 @@ import (
 	"smartoclock/internal/obs"
 	"smartoclock/internal/store"
 )
-
-// table1Series runs the observed Table I at smoke scale with continuous
-// recording enabled and renders the recorded series as CSV, which captures
-// every interval sample — rates, levels and quantiles — at full float
-// precision.
-func table1Series(t *testing.T, seed int64, workers int, shuffle int64) string {
-	t.Helper()
-	cfg := smokeFleetCfg()
-	cfg.Seed = seed
-	cfg.Workers = workers
-	cfg.ShuffleShards = shuffle
-	cfg.RecordEvery = time.Hour
-	_, _, observation, err := RunTable1Observed(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if observation == nil || observation.Series == nil {
-		t.Fatal("observed run returned no recording")
-	}
-	var b strings.Builder
-	if err := observation.Series.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.String()
-}
-
-// TestRecordedSeriesEquivalenceAcrossWorkers extends the worker-count
-// contract to continuous recording: the merged per-interval series must be
-// byte-identical whether the fleet ran serially, across 8 workers, or with
-// shuffled shard dispatch. This is what makes -series-out artifacts
-// comparable across machines.
-func TestRecordedSeriesEquivalenceAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fleet simulations")
-	}
-	for _, seed := range []int64{1, 2} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			ref := table1Series(t, seed, 1, 0)
-			if !strings.Contains(ref, "soa_requests_total") {
-				t.Fatalf("recording missing expected series:\n%.2000s", ref)
-			}
-			for _, workers := range []int{2, 8} {
-				if got := table1Series(t, seed, workers, 0); got != ref {
-					t.Errorf("recording at workers=%d diverges from workers=1 (len %d vs %d)",
-						workers, len(got), len(ref))
-				}
-			}
-			if got := table1Series(t, seed, 8, 54321); got != ref {
-				t.Error("recording with shuffled dispatch diverges from serial order")
-			}
-		})
-	}
-}
-
-// TestRecordingZeroObserverEffect pins the observer effect of the recorder
-// at zero twice over: enabling recording must not change a byte of the
-// experiment's scientific output, nor of the end-of-run snapshot and trace
-// the observed run already produced.
-func TestRecordingZeroObserverEffect(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fleet simulations")
-	}
-	cfg := smokeFleetCfg()
-	plain, _, err := RunTable1(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	observed, _, obsPlain, err := RunTable1Observed(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.RecordEvery = time.Hour
-	recorded, _, obsRec, err := RunTable1Observed(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Format() != recorded.Format() {
-		t.Errorf("recording changed experiment results:\n--- plain ---\n%s\n--- recorded ---\n%s",
-			plain.Format(), recorded.Format())
-	}
-	if observed.Format() != recorded.Format() {
-		t.Error("recording changed the observed run's table")
-	}
-	render := func(o *FleetObservation) string {
-		var b strings.Builder
-		if err := o.Metrics.WriteProm(&b); err != nil {
-			t.Fatal(err)
-		}
-		b.WriteString("--- trace ---\n")
-		if err := o.Trace.WriteJSONL(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	if render(obsPlain) != render(obsRec) {
-		t.Error("recording changed the end-of-run snapshot or trace")
-	}
-	if obsPlain.Series != nil {
-		t.Error("recording disabled but Series non-nil")
-	}
-	if obsRec.Series == nil || obsRec.Series.Intervals() == 0 {
-		t.Fatal("recording enabled but Series empty")
-	}
-}
 
 // TestClusterRecordedSeries exercises the recording path of the cluster
 // emulation: series appear, byte-stable across repeat runs, without
