@@ -90,45 +90,29 @@ type Event struct {
 // is single-goroutine: each parallel shard owns its own Tracer, merged
 // afterwards with Append.
 //
-// A tracer is unbounded by default; Bound switches it to a ring of fixed
-// capacity where appends beyond it overwrite the oldest events. Overwrites
-// are counted and surfaced by Dropped — long-running harnesses export the
-// count as the `trace_dropped_total` metric so a truncated trace is
-// visible in telemetry rather than silently partial.
+// Events are held in a Ring. A bounded tracer keeps only its newest events
+// and counts the overwritten ones in Dropped — long-running harnesses
+// export the count as the `trace_dropped_total` metric so a truncated trace
+// is visible in telemetry rather than silently partial.
 type Tracer struct {
-	only    map[Component]bool // nil means trace every component
-	events  []Event
-	bound   int // 0 = unbounded; otherwise ring capacity
-	start   int // oldest-event index once the bounded ring is full
-	dropped uint64
+	only   map[Component]bool // nil means trace every component
+	events Ring[Event]
 }
 
-// New returns a tracer recording every component.
+// New returns an unbounded tracer recording every component.
 func New() *Tracer { return &Tracer{} }
 
-// NewFiltered returns a tracer recording only the given components.
-func NewFiltered(components ...Component) *Tracer {
-	only := make(map[Component]bool, len(components))
-	for _, c := range components {
-		only[c] = true
+// NewTracer returns a tracer that keeps the newest bound events (every
+// event when bound ≤ 0) of the given components (of every component when
+// none is given).
+func NewTracer(bound int, only ...Component) *Tracer {
+	t := &Tracer{events: *NewRing[Event](bound)}
+	if len(only) > 0 {
+		t.only = make(map[Component]bool, len(only))
+		for _, c := range only {
+			t.only[c] = true
+		}
 	}
-	return &Tracer{only: only}
-}
-
-// Bound caps the tracer at capacity events, keeping the most recent ones.
-// It returns the tracer for chaining (obs.New().Bound(n)). Bounding an
-// already-overfull tracer keeps the newest capacity events and counts the
-// rest as dropped. Safe on a nil tracer.
-func (t *Tracer) Bound(capacity int) *Tracer {
-	if t == nil || capacity <= 0 {
-		return t
-	}
-	if excess := len(t.events) - capacity; excess > 0 {
-		t.events = append(t.events[:0], t.events[excess:]...)
-		t.dropped += uint64(excess)
-	}
-	t.bound = capacity
-	t.start = 0
 	return t
 }
 
@@ -138,7 +122,7 @@ func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.dropped
+	return t.events.Dropped()
 }
 
 // Emit records an event. Safe on a nil tracer (no-op), so instrumented
@@ -150,13 +134,7 @@ func (t *Tracer) Emit(ev Event) {
 	if t.only != nil && !t.only[ev.Component] {
 		return
 	}
-	if t.bound > 0 && len(t.events) == t.bound {
-		t.events[t.start] = ev
-		t.start = (t.start + 1) % t.bound
-		t.dropped++
-		return
-	}
-	t.events = append(t.events, ev)
+	t.events.Push(ev)
 }
 
 // Len returns the number of recorded events; 0 on a nil tracer.
@@ -164,7 +142,7 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.events)
+	return t.events.Len()
 }
 
 // Total returns how many events the tracer has recorded: the held ones
@@ -173,54 +151,26 @@ func (t *Tracer) Total() uint64 {
 	if t == nil {
 		return 0
 	}
-	return uint64(len(t.events)) + t.dropped
+	return t.events.Total()
 }
 
 // AppendSince appends the events recorded after the first seen ones to dst,
-// oldest first, and returns the extended slice. Events a bounded ring has
-// already overwritten are gone, so at most Len events are appended. Only
-// the (at most two) ring segments holding the new events are read, so an
-// incremental consumer that keeps Total as its next seen pays for what
-// changed, not for what is held.
+// oldest first (see Ring.AppendSince). dst comes back unchanged from a nil
+// tracer.
 func (t *Tracer) AppendSince(dst []Event, seen uint64) []Event {
-	total := t.Total()
-	if seen >= total {
+	if t == nil {
 		return dst
 	}
-	n := len(t.events)
-	fresh := n
-	if d := total - seen; d < uint64(n) {
-		fresh = int(d)
-	}
-	// The oldest event sits at start (0 until a bounded ring wraps), so the
-	// first fresh one is n-fresh places after it.
-	i := t.start + n - fresh
-	if i >= n {
-		i -= n
-	}
-	if end := i + fresh; end <= n {
-		return append(dst, t.events[i:end]...)
-	}
-	dst = append(dst, t.events[i:]...)
-	return append(dst, t.events[:i+fresh-n]...)
+	return t.events.AppendSince(dst, seen)
 }
 
-// Events returns the recorded events in emission order. The slice is the
-// tracer's own for unbounded tracers (callers must not mutate it) and a
-// fresh unwrapped copy for a bounded ring that has wrapped. It is for
-// end-of-run readers: a consumer polling for new events should use
-// AppendSince, which copies only those.
+// Events returns the recorded events in emission order (see Ring.All):
+// callers must not mutate the slice.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	if t.bound == 0 || len(t.events) < t.bound || t.start == 0 {
-		return t.events
-	}
-	out := make([]Event, 0, len(t.events))
-	out = append(out, t.events[t.start:]...)
-	out = append(out, t.events[:t.start]...)
-	return out
+	return t.events.All()
 }
 
 // Append concatenates other's events onto t, preserving order. Merging
@@ -231,20 +181,7 @@ func (t *Tracer) Append(other *Tracer) {
 	if t == nil || other == nil {
 		return
 	}
-	evs := other.Events()
-	if t.bound == 0 {
-		t.events = append(t.events, evs...)
-		return
-	}
-	for _, ev := range evs {
-		if len(t.events) == t.bound {
-			t.events[t.start] = ev
-			t.start = (t.start + 1) % t.bound
-			t.dropped++
-			continue
-		}
-		t.events = append(t.events, ev)
-	}
+	t.events.Push(other.Events()...)
 }
 
 // Concat builds a single tracer from shard tracers in argument order. Nil
@@ -257,7 +194,7 @@ func Concat(tracers ...*Tracer) *Tracer {
 	for _, tr := range tracers {
 		total += tr.Len()
 	}
-	out.events = make([]Event, 0, total)
+	out.events.buf = make([]Event, 0, total)
 	for _, tr := range tracers {
 		out.Append(tr)
 	}
@@ -294,8 +231,8 @@ func (t *Tracer) CountByComponent() map[Component]int {
 	if t == nil {
 		return out
 	}
-	for i := range t.events {
-		out[t.events[i].Component]++
+	for i := range t.events.buf {
+		out[t.events.buf[i].Component]++
 	}
 	return out
 }

@@ -37,7 +37,7 @@ func TestEmitOrderPreserved(t *testing.T) {
 }
 
 func TestFilteredTracer(t *testing.T) {
-	tr := NewFiltered(Rack, Invariant)
+	tr := NewTracer(0, Rack, Invariant)
 	tr.Emit(Event{Component: Rack, Kind: "cap"})
 	tr.Emit(Event{Component: SOA, Kind: "reject"}) // filtered out
 	tr.Emit(Event{Component: Invariant, Kind: "violation"})
@@ -84,7 +84,7 @@ func TestConcatShardOrder(t *testing.T) {
 }
 
 func TestBoundedTracerRing(t *testing.T) {
-	tr := New().Bound(3)
+	tr := NewTracer(3)
 	for i := 0; i < 5; i++ {
 		tr.Emit(Event{Time: t0.Add(time.Duration(i) * time.Second), Component: Rack, Kind: string(rune('a' + i))})
 	}
@@ -108,26 +108,8 @@ func TestBoundedTracerRing(t *testing.T) {
 	}
 }
 
-func TestBoundTrimsExistingOverflow(t *testing.T) {
-	tr := New()
-	for i := 0; i < 5; i++ {
-		tr.Emit(Event{Component: SOA, Kind: string(rune('a' + i))})
-	}
-	tr.Bound(2)
-	if tr.Len() != 2 || tr.Dropped() != 3 {
-		t.Fatalf("Len/Dropped = %d/%d, want 2/3", tr.Len(), tr.Dropped())
-	}
-	if evs := tr.Events(); evs[0].Kind != "d" || evs[1].Kind != "e" {
-		t.Fatalf("trim kept wrong window: %+v", evs)
-	}
-	var nilTr *Tracer
-	if nilTr.Bound(4) != nil || nilTr.Dropped() != 0 {
-		t.Fatal("nil Bound must stay nil")
-	}
-}
-
 func TestBoundedAppend(t *testing.T) {
-	dst := New().Bound(2)
+	dst := NewTracer(2)
 	src := New()
 	for _, k := range []string{"x", "y", "z"} {
 		src.Emit(Event{Component: GOA, Kind: k})
@@ -195,7 +177,7 @@ func TestWriteJSONLDeterministic(t *testing.T) {
 func TestAppendSinceMatchesEventsTail(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, capacity := range []int{1, 3, 64, 0} {
-		tr := New().Bound(capacity)
+		tr := NewTracer(capacity)
 		limit := 5*max(capacity, 8) + 7
 		for emitted := 0; emitted < limit; {
 			for n := rng.Intn(max(capacity, 8)/2 + 2); n > 0; n-- {

@@ -18,41 +18,6 @@ import (
 
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
-func TestRingTail(t *testing.T) {
-	r := NewRing(3)
-	if got := r.Tail(5); len(got) != 0 {
-		t.Fatalf("empty ring tail = %v", got)
-	}
-	for i := 0; i < 5; i++ {
-		r.Append(obs.Event{Kind: fmt.Sprintf("e%d", i)})
-	}
-	if r.Len() != 3 {
-		t.Fatalf("len=%d, want 3", r.Len())
-	}
-	got := r.Tail(10)
-	want := []string{"e2", "e3", "e4"}
-	if len(got) != len(want) {
-		t.Fatalf("tail = %+v, want %v", got, want)
-	}
-	for i, w := range want {
-		if got[i].Kind != w {
-			t.Errorf("tail[%d] = %s, want %s", i, got[i].Kind, w)
-		}
-	}
-	if got := r.Tail(2); len(got) != 2 || got[0].Kind != "e3" || got[1].Kind != "e4" {
-		t.Errorf("tail(2) = %+v, want e3,e4", got)
-	}
-}
-
-func TestRingPartialFill(t *testing.T) {
-	r := NewRing(4)
-	r.Append(obs.Event{Kind: "a"}, obs.Event{Kind: "b"})
-	got := r.Tail(10)
-	if len(got) != 2 || got[0].Kind != "a" || got[1].Kind != "b" {
-		t.Fatalf("partial tail = %+v", got)
-	}
-}
-
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	s := NewServer(16)
@@ -408,7 +373,7 @@ func TestExplainRecent(t *testing.T) {
 // ancestor fell out.
 func TestExplainWindowEviction(t *testing.T) {
 	s := NewServer(4)
-	s.prov = NewRecordRing(2)
+	s.prov = obs.NewRing[causal.Record](2)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
@@ -435,27 +400,6 @@ func TestExplainWindowEviction(t *testing.T) {
 	}
 	if len(ex.Chain) != 2 || ex.Chain[0].Site != "soa.admit" {
 		t.Errorf("chain should stop at the held admit, got %+v", ex.Chain)
-	}
-}
-
-// TestRecordRing exercises the provenance ring directly: unbounded growth
-// at cap 0, overwrite at capacity, oldest-first unwrap.
-func TestRecordRing(t *testing.T) {
-	r := NewRecordRing(0)
-	for i := 1; i <= 3; i++ {
-		r.Append(causal.Record{Span: causal.SpanID(i)})
-	}
-	if len(r.buf) != 3 {
-		t.Fatalf("unbounded ring len = %d", len(r.buf))
-	}
-
-	b := NewRecordRing(2)
-	for i := 1; i <= 5; i++ {
-		b.Append(causal.Record{Span: causal.SpanID(i)})
-	}
-	recs := b.Records()
-	if len(recs) != 2 || recs[0].Span != 4 || recs[1].Span != 5 {
-		t.Fatalf("bounded ring = %+v, want spans 4,5 oldest-first", recs)
 	}
 }
 
