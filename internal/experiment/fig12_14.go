@@ -4,37 +4,22 @@ import (
 	"errors"
 	"fmt"
 
-	"smartoclock/internal/metrics"
-	"smartoclock/internal/obs"
 	"smartoclock/internal/parallel"
 	"smartoclock/internal/workload"
 )
 
 // MergeClusterObservations folds the per-system observations of a sweep
-// into one snapshot and one trace, in the given system order — the same
-// fixed fold order that keeps the fleet sweep deterministic. Runs without
-// observability (Observe false) are skipped.
+// into one, in the given system order — the same fixed fold order that keeps
+// the fleet sweep deterministic. Runs without observability (Observe false)
+// contribute nothing.
 func MergeClusterObservations(systems []ClusterSystem, results map[ClusterSystem]*ClusterResult) *FleetObservation {
-	snaps := make([]*metrics.Snapshot, 0, len(systems))
-	tracers := make([]*obs.Tracer, 0, len(systems))
-	recs := make([]*metrics.Recording, 0, len(systems))
+	parts := make([]*FleetObservation, 0, len(systems))
 	for _, sys := range systems {
-		r := results[sys]
-		if r == nil || r.Metrics == nil {
-			continue
+		if r := results[sys]; r != nil {
+			parts = append(parts, &r.FleetObservation)
 		}
-		snaps = append(snaps, r.Metrics)
-		tracers = append(tracers, r.Trace)
-		recs = append(recs, r.Series)
 	}
-	if len(snaps) == 0 {
-		return nil
-	}
-	return &FleetObservation{
-		Metrics: metrics.Merge(snaps...),
-		Trace:   obs.Concat(tracers...),
-		Series:  metrics.MergeRecordings(recs...),
-	}
+	return mergeObservations(parts...)
 }
 
 // runClusters runs one emulation per config, at most workers at a time,

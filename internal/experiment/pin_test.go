@@ -42,12 +42,13 @@ func TestZooSmokeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := res.Observation().Provenance
 	var prov bytes.Buffer
-	if err := res.ProvenanceLog().WriteJSONL(&prov); err != nil {
+	if err := log.WriteJSONL(&prov); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "zoo_smoke.golden",
-		res.Format()+fmt.Sprintf("provenance records %d sha256 %s\n", res.ProvenanceLog().Len(), sha256Hex(prov.Bytes())))
+		res.Format()+fmt.Sprintf("provenance records %d sha256 %s\n", log.Len(), sha256Hex(prov.Bytes())))
 }
 
 func TestRecoverySmokeGolden(t *testing.T) {

@@ -36,19 +36,19 @@ func renderShard(t *testing.T, o shardOut) string {
 	t.Helper()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%+v\n", o.m)
-	if o.snap == nil {
+	if o.ob.Metrics == nil {
 		return b.String()
 	}
-	if err := o.snap.WriteProm(&b); err != nil {
+	if err := o.ob.Metrics.WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.tr.WriteJSONL(&b); err != nil {
+	if err := o.ob.Trace.WriteJSONL(&b); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.prov.WriteJSONL(&b); err != nil {
+	if err := o.ob.Provenance.WriteJSONL(&b); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := json.Marshal(o.rec)
+	rec, err := json.Marshal(o.ob.Series)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,13 +29,13 @@ func testRig(t *testing.T) (*rig[*cluster.Server], time.Time) {
 		setUtil(s, 0.8, 0.4)
 	}
 	rg := &rig[*cluster.Server]{
-		goaID:   "goa",
-		limit:   partialOCLimit(servers, 0.9),
-		soaCfg:  rigSOAConfig(),
-		bcfg:    rigBudgetConfig(time.Hour, 0.25),
-		start:   start,
-		servers: servers,
-		prov:    causal.NewRecorder(1, 0),
+		goaID:    "goa",
+		limit:    partialOCLimit(servers, 0.9),
+		soaCfg:   rigSOAConfig(),
+		bcfg:     rigBudgetConfig(time.Hour, 0.25),
+		start:    start,
+		servers:  servers,
+		observer: newObserver(observeKnobs{provenance: true, seed: 1}),
 	}
 	rg.assemble(power.DefaultRackConfig("rack-test", rg.limit))
 	return rg, start
