@@ -71,7 +71,7 @@ func TestBudgetTemplatesMatchBudgetsAt(t *testing.T) {
 				g.SetProfile(name, p)
 			}
 			reg := metrics.NewRegistry()
-			g.Instrument(reg, obs.New())
+			g.Instrument(reg, obs.New(), nil)
 			return g, reg
 		}
 		g, reg := mk()

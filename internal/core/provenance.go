@@ -15,10 +15,6 @@ import (
 // stops, budget computations — emits one causal.Record whose Parent span
 // names the message or decision that caused it.
 
-// AttachProvenance points the sOA at a provenance recorder. Pass nil to
-// detach.
-func (a *SOA) AttachProvenance(rec *causal.Recorder) { a.prov = rec }
-
 // NoteBudget records the application of a gOA budget to this sOA: parent
 // is the span of the budget message (or broadcast record) that delivered
 // it. Subsequent admission verdicts link to this record, tying every
@@ -169,9 +165,6 @@ func (a *SOA) provExplore(now time.Time, verdict string) {
 		Inputs:    []causal.Input{causal.In("extra_watts", a.extraWatts)},
 	})
 }
-
-// AttachProvenance points the gOA at a provenance recorder.
-func (g *GOA) AttachProvenance(rec *causal.Recorder) { g.prov = rec }
 
 // NoteProfile marks the receipt of an sOA profile message: the next budget
 // broadcast records this span as its parent, chaining budget replies back

@@ -92,11 +92,10 @@ func TestCheckerReportersStampTickAndCheck(t *testing.T) {
 	reg := metrics.NewRegistry()
 	tr := obs.New()
 	prov := causal.NewRecorder(1, 0)
-	c.AttachProvenance(prov)
 	const n = 6
 	for i := 0; i < n; i++ {
 		if i == n/2 {
-			c.Instrument(reg, tr)
+			c.Instrument(reg, tr, prov)
 		}
 		c.Register(fmt.Sprintf("inv-%d", i), fmt.Sprintf("rack-%d", i), func(now time.Time, report Reporter) {
 			if int(now.Sub(invStart)/time.Second) == i {
@@ -133,8 +132,7 @@ func TestCheckerReportersStampTickAndCheck(t *testing.T) {
 // passing, Check allocates nothing, however many checks are registered.
 func TestCheckAllocs(t *testing.T) {
 	c := NewChecker()
-	c.Instrument(metrics.NewRegistry(), obs.New())
-	c.AttachProvenance(causal.NewRecorder(1, 0))
+	c.Instrument(metrics.NewRegistry(), obs.New(), causal.NewRecorder(1, 0))
 	var limit float64
 	for i := 0; i < 8; i++ {
 		c.Register(fmt.Sprintf("inv-%d", i), "r", func(now time.Time, report Reporter) {
