@@ -125,11 +125,9 @@ func TestChaosConfigValidate(t *testing.T) {
 	for name, mutate := range map[string]func(*ChaosConfig){
 		"zero tick":       func(c *ChaosConfig) { c.Tick = 0 },
 		"no servers":      func(c *ChaosConfig) { c.Servers = 0 },
-		"no cadence":      func(c *ChaosConfig) { c.BudgetEvery = 0 },
 		"no budget":       func(c *ChaosConfig) { c.OCBudgetFraction = 0 },
 		"grace sub-tick":  func(c *ChaosConfig) { c.EnforcementGrace = c.Tick / 2 },
 		"short duration":  func(c *ChaosConfig) { c.Duration = c.Tick / 2 },
-		"no profile push": func(c *ChaosConfig) { c.ProfileEvery = 0 },
 		"zero rack limit": func(c *ChaosConfig) { c.RackLimitScale = 0 },
 		"drop over 1":     func(c *ChaosConfig) { c.DropProb = 1.5 },
 		"no cores":        func(c *ChaosConfig) { c.HW.Cores = 0 },

@@ -34,13 +34,6 @@ type RecoveryConfig struct {
 	Servers int
 	HW      machine.Config
 
-	// ProfileEvery is the sOA → gOA profile-report cadence; BudgetEvery the
-	// gOA → sOA budget-push cadence. A cold-restarted gOA has no profiles,
-	// so its first useful push lags a restart by up to ProfileEvery +
-	// BudgetEvery — the window the warm restart closes.
-	ProfileEvery time.Duration
-	BudgetEvery  time.Duration
-
 	// CrashAt (offset into the run) is when the control plane dies;
 	// DownFor is how long it stays dead. Both cold and warm runs lose the
 	// down window itself — the modes differ only in what the restart knows.
@@ -76,8 +69,6 @@ func DefaultRecoveryConfig() RecoveryConfig {
 		Tick:             5 * time.Second,
 		Servers:          8,
 		HW:               machine.DefaultConfig(),
-		ProfileEvery:     2 * time.Minute,
-		BudgetEvery:      time.Minute,
 		CrashAt:          30 * time.Minute,
 		DownFor:          2 * time.Minute,
 		Staleness:        []time.Duration{time.Minute, 5 * time.Minute, 15 * time.Minute},
@@ -94,8 +85,6 @@ func (c RecoveryConfig) Validate() error {
 		return fmt.Errorf("experiment: bad recovery tick/duration %v/%v", c.Tick, c.Duration)
 	case c.Servers < 2:
 		return fmt.Errorf("experiment: recovery needs >= 2 servers for a hot/cool split, got %d", c.Servers)
-	case c.ProfileEvery <= 0 || c.BudgetEvery <= 0:
-		return fmt.Errorf("experiment: non-positive control cadence")
 	case c.CrashAt <= 0 || c.CrashAt+c.DownFor >= c.Duration:
 		return fmt.Errorf("experiment: crash window [%v, %v) outside run", c.CrashAt, c.CrashAt+c.DownFor)
 	case c.BudgetEpoch <= 0 || c.OCBudgetFraction <= 0:
@@ -249,7 +238,7 @@ func runRecoveryOnce(cfg RecoveryConfig, mode string, staleness time.Duration) r
 
 	// --- Synchronous control plane: messages are applied as they are built --
 	// sOA → gOA profile reports.
-	eng.Every(cfg.Start.Add(cfg.ProfileEvery), cfg.ProfileEvery, func(now time.Time) {
+	eng.Every(cfg.Start.Add(rigProfileEvery), rigProfileEvery, func(now time.Time) {
 		if rg.goa == nil {
 			return
 		}
@@ -260,7 +249,7 @@ func runRecoveryOnce(cfg RecoveryConfig, mode string, staleness time.Duration) r
 	// gOA → sOA budget pushes, logged for the divergence comparison. A cold
 	// gOA with no profiles has nothing to split and logs nothing.
 	out := recoveryOutcome{firstGrantAfter: -1, pushes: make(recoveryPushLog)}
-	eng.Every(cfg.Start.Add(cfg.BudgetEvery), cfg.BudgetEvery, func(now time.Time) {
+	eng.Every(cfg.Start.Add(rigBudgetEvery), rigBudgetEvery, func(now time.Time) {
 		if rg.goa == nil {
 			return
 		}

@@ -83,7 +83,6 @@ func TestRecoveryConfigValidate(t *testing.T) {
 		"zero tick":       func(c *RecoveryConfig) { c.Tick = 0 },
 		"one server":      func(c *RecoveryConfig) { c.Servers = 1 },
 		"crash past end":  func(c *RecoveryConfig) { c.CrashAt = c.Duration },
-		"no cadence":      func(c *RecoveryConfig) { c.BudgetEvery = 0 },
 		"stale pre-start": func(c *RecoveryConfig) { c.Staleness = []time.Duration{c.CrashAt + time.Minute} },
 		"zero rack limit": func(c *RecoveryConfig) { c.RackLimitScale = 0 },
 		"no cores":        func(c *RecoveryConfig) { c.HW.Cores = 0 },
