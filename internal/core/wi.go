@@ -194,17 +194,12 @@ type GlobalWI struct {
 	overSince   time.Time
 	hasOverMark bool
 
-	rejections         int
 	rejectsSinceAction int
 	pendingCorrect     bool
 	rejectPending      []string // holds to stamp with the next Decide's clock
 	lastRejectAt       time.Time
 	hasRejected        bool
 	markRejectNow      bool // stamp lastRejectAt with the next Decide's clock
-
-	// Stats.
-	scaleOuts int
-	scaleIns  int
 
 	// obs, when non-nil, holds resolved metric handles (see Instrument in
 	// obs.go).
@@ -264,7 +259,6 @@ func (w *GlobalWI) ReportRejection(instance string, reason RejectReason) {
 	w.ocActive[instance] = false
 	w.rejectHold[instance] = w.lastScaleAt // placeholder; stamped in Decide
 	w.rejectPending = append(w.rejectPending, instance)
-	w.rejections++
 	w.obsRejection()
 	w.rejectsSinceAction++
 	threshold := w.Scale.RejectThreshold
@@ -430,7 +424,6 @@ func (w *GlobalWI) Decide(now time.Time) Directive {
 		if w.desired > w.Scale.MaxInstances {
 			w.desired = w.Scale.MaxInstances
 		}
-		w.scaleOuts++
 		w.obsScale(now, "scale-out", "corrective", w.desired)
 		w.lastScaleAt = now
 		w.hasScaled = true
@@ -448,14 +441,12 @@ func (w *GlobalWI) Decide(now time.Time) Directive {
 		if w.desired > w.Scale.MaxInstances {
 			w.desired = w.Scale.MaxInstances
 		}
-		w.scaleOuts++
 		w.obsScale(now, "scale-out", "metric", w.desired)
 		w.lastScaleAt = now
 		w.hasScaled = true
 	case w.Scale.ScaleInFrac > 0 && p99 > 0 && p99 <= w.Scale.ScaleInFrac*w.SLOms &&
 		!w.anyOCActive() && !ocUnavailable && canAct && w.desired > w.Scale.MinInstances:
 		w.desired--
-		w.scaleIns++
 		w.obsScale(now, "scale-in", "idle", w.desired)
 		w.lastScaleAt = now
 		w.hasScaled = true

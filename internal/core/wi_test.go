@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"smartoclock/internal/metrics"
 )
 
 var wiNow = time.Date(2023, 4, 10, 9, 30, 0, 0, time.UTC) // Monday 9:30
@@ -10,6 +12,14 @@ var wiNow = time.Date(2023, 4, 10, 9, 30, 0, 0, time.UTC) // Monday 9:30
 func newMetricWI() *GlobalWI {
 	mp := DefaultMetricPolicy()
 	return NewGlobalWI(100, &mp, nil, DefaultScaleOutConfig())
+}
+
+// wiCount instruments w into a fresh registry and returns a reader of the
+// named counter of its service.
+func wiCount(w *GlobalWI) func(name string) float64 {
+	reg := metrics.NewRegistry()
+	w.Instrument(reg, nil, "svc")
+	return func(name string) float64 { return reg.Counter(name, metrics.L("service", "svc")).Value() }
 }
 
 func TestMetricPolicyStartsAndStopsOC(t *testing.T) {
@@ -40,6 +50,7 @@ func TestMetricPolicyStartsAndStopsOC(t *testing.T) {
 
 func TestMetricScaleOutAtThreshold(t *testing.T) {
 	w := newMetricWI()
+	count := wiCount(w)
 	w.Observe("i0", InstanceMetrics{P99MS: 120}) // ≥ 105% of SLO
 	d := w.Decide(wiNow)
 	// Overclocking engages first; scale-out waits for the grace period.
@@ -52,8 +63,8 @@ func TestMetricScaleOutAtThreshold(t *testing.T) {
 	if d.Instances != 2 {
 		t.Fatalf("instances = %d, want scale-out to 2", d.Instances)
 	}
-	if w.scaleOuts != 1 {
-		t.Fatalf("scaleOuts = %d", w.scaleOuts)
+	if n := count("wi_scale_outs_total"); n != 1 {
+		t.Fatalf("wi_scale_outs_total = %v", n)
 	}
 }
 
@@ -96,6 +107,7 @@ func TestScaleOutBoundedByMax(t *testing.T) {
 
 func TestRejectionTriggersCorrectiveScaleOut(t *testing.T) {
 	w := newMetricWI()
+	count := wiCount(w)
 	w.Scale.RejectThreshold = 1
 	w.Observe("i0", InstanceMetrics{P99MS: 85})
 	w.Decide(wiNow)
@@ -107,8 +119,8 @@ func TestRejectionTriggersCorrectiveScaleOut(t *testing.T) {
 	if d.Overclock["i0"] {
 		t.Fatal("rejected instance must not be marked overclocked")
 	}
-	if w.rejections != 1 {
-		t.Fatalf("rejections = %d", w.rejections)
+	if n := count("wi_rejections_total"); n != 1 {
+		t.Fatalf("wi_rejections_total = %v", n)
 	}
 }
 
@@ -138,6 +150,7 @@ func TestReactivePolicyIgnoresExhaustion(t *testing.T) {
 
 func TestScaleInWhenIdle(t *testing.T) {
 	w := newMetricWI()
+	count := wiCount(w)
 	// Scale out first (OC engages, then grace+sustain pass while over).
 	w.Observe("i0", InstanceMetrics{P99MS: 120})
 	w.Decide(wiNow)
@@ -152,8 +165,8 @@ func TestScaleInWhenIdle(t *testing.T) {
 	if d.Instances != 1 {
 		t.Fatalf("did not scale in: %d", d.Instances)
 	}
-	if w.scaleIns != 1 {
-		t.Fatalf("scaleIns = %d", w.scaleIns)
+	if n := count("wi_scale_ins_total"); n != 1 {
+		t.Fatalf("wi_scale_ins_total = %v", n)
 	}
 }
 

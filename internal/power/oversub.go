@@ -88,10 +88,9 @@ type AdmitDecision struct {
 // Admission is a rack's oversubscription admission controller. It is not
 // safe for concurrent use; the simulation drives it from one goroutine.
 type Admission struct {
-	cfg      OversubConfig
-	limit    float64
-	peak     float64 // predicted rack peak: reservations + admitted peaks
-	admitted int
+	cfg   OversubConfig
+	limit float64
+	peak  float64 // predicted rack peak: reservations + admitted peaks
 }
 
 // NewAdmission creates an admission controller for a rack with the given
@@ -164,6 +163,5 @@ func (a *Admission) Admit(now time.Time, c Candidate) AdmitDecision {
 		return d
 	}
 	a.peak += peak
-	a.admitted++
 	return d
 }

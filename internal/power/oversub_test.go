@@ -365,8 +365,8 @@ func TestAdmissionEdgeCases(t *testing.T) {
 			if d.Conservative != tc.conservative {
 				t.Fatalf("Conservative = %v (%s), want %v", d.Conservative, d.Reason, tc.conservative)
 			}
-			if d.Granted && adm.admitted != 1 {
-				t.Fatalf("Admitted() = %d after one grant", adm.admitted)
+			if d.Granted && adm.peak != tc.reserve+d.PeakWatts {
+				t.Fatalf("grant charged the rack peak %v, want %v + %v", adm.peak, tc.reserve, d.PeakWatts)
 			}
 			if !d.Granted && adm.peak != tc.reserve {
 				t.Fatalf("rejected candidate charged the rack peak: %v", adm.peak)
