@@ -1,10 +1,6 @@
 package causal
 
-import (
-	"time"
-
-	"smartoclock/internal/metrics"
-)
+import "smartoclock/internal/metrics"
 
 // Bucket layouts of the critical-path histograms. Depth is small (chains
 // run request → decision → consequence), per-tick record counts scale with
@@ -40,39 +36,14 @@ func (l *Log) Register(reg *metrics.Registry, labels ...metrics.Label) {
 	messages := reg.Counter(MetricMessages, labels...)
 	depthH := reg.Histogram(MetricChainDepth, ChainDepthBuckets, labels...)
 	tickH := reg.Histogram(MetricTickRecords, TickRecordBuckets, labels...)
-	if len(l.Records) == 0 {
-		return
-	}
-
-	index := make(map[SpanID]int, len(l.Records))
+	depth, perTick := l.walk()
 	for i := range l.Records {
-		index[l.Records[i].Span] = i
-	}
-	depth := make([]int, len(l.Records))
-	var depthOf func(i int) int
-	depthOf = func(i int) int {
-		if depth[i] != 0 {
-			return depth[i]
-		}
-		depth[i] = -1
-		d := 1
-		if j, ok := index[l.Records[i].Parent]; ok && depth[j] != -1 {
-			d = 1 + depthOf(j)
-		}
-		depth[i] = d
-		return d
-	}
-
-	perTick := make(map[time.Time]int)
-	for i := range l.Records {
-		switch l.Records[i].Kind {
-		case KindMessage:
+		if l.Records[i].Kind == KindMessage {
 			messages.Inc()
-		default:
+		} else {
 			decisions.Inc()
 		}
-		perTick[l.Records[i].Time]++
-		depthH.Observe(float64(depthOf(i)))
+		depthH.Observe(float64(depth[i]))
 	}
 	for _, n := range perTick {
 		tickH.Observe(float64(n))
