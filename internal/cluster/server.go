@@ -180,9 +180,7 @@ func (s *Server) Advance(dt time.Duration) {
 // machine's PMT-like gauges plus mean silicon aging) to a registry under a
 // server label.
 func (s *Server) Instrument(reg *metrics.Registry, labels ...metrics.Label) {
-	ls := make([]metrics.Label, 0, len(labels)+1)
-	ls = append(ls, labels...)
-	ls = append(ls, metrics.L("server", s.name))
+	ls := metrics.With(labels, metrics.L("server", s.name))
 	s.m.Instrument(reg, ls...)
 	s.agedSecs = reg.Gauge("server_mean_aged_seconds", ls...)
 }

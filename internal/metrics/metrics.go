@@ -29,6 +29,12 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
+// With returns labels followed by more in a fresh slice, so one base label
+// set extends per series without the extensions aliasing each other.
+func With(labels []Label, more ...Label) []Label {
+	return append(labels[:len(labels):len(labels)], more...)
+}
+
 // Kind distinguishes instrument types.
 type Kind int
 
