@@ -162,15 +162,10 @@ func seriesByLabels(rec *metrics.Recording, name string) map[string]*metrics.Rec
 // non-nil, each episode emits a "fire" event at its start and a "resolve"
 // event at its end on the alert component, with the rule as Source, the
 // series as Target, the peak as Value and the violated condition in Detail.
-func Eval(rec *metrics.Recording, rules []Rule, tracer *obs.Tracer) []Alert {
-	return EvalProv(rec, rules, tracer, nil)
-}
-
-// EvalProv is Eval with decision provenance: when prov is non-nil, every
-// episode emits a "fire" record and a "resolve" record (parented to the
-// fire) carrying the rule name as Policy, the peak value and the threshold
-// in force as inputs. A nil prov makes EvalProv identical to Eval.
-func EvalProv(rec *metrics.Recording, rules []Rule, tracer *obs.Tracer, prov *causal.Recorder) []Alert {
+// When prov is non-nil, each episode also emits a "fire" record and a
+// "resolve" record (parented to the fire) carrying the rule name as Policy,
+// the peak value and the threshold in force as inputs.
+func Eval(rec *metrics.Recording, rules []Rule, tracer *obs.Tracer, prov *causal.Recorder) []Alert {
 	if rec == nil || rec.Intervals() == 0 {
 		return nil
 	}
@@ -181,7 +176,7 @@ func EvalProv(rec *metrics.Recording, rules []Rule, tracer *obs.Tracer, prov *ca
 	if tracer != nil {
 		emit(rec, out, tracer)
 	}
-	if prov.Enabled() {
+	if prov != nil {
 		provEmit(out, prov)
 	}
 	return out

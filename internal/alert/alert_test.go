@@ -55,7 +55,7 @@ func TestThresholdRuleEpisodes(t *testing.T) {
 		Metric: "rack_power_watts", Op: OpGT, Threshold: 6000,
 		For: 2 * time.Minute,
 	}}
-	alerts := Eval(rec, rules, nil)
+	alerts := Eval(rec, rules, nil, nil)
 	// Intervals 1-2 form a 2-interval episode (meets For); interval 4 alone
 	// does not.
 	if len(alerts) != 1 {
@@ -82,7 +82,7 @@ func TestMetricVsMetricRule(t *testing.T) {
 		Name: "over-limit", Severity: Page,
 		Metric: "rack_power_watts", Op: OpGT, ThresholdMetric: "rack_limit_watts",
 	}}
-	alerts := Eval(rec, rules, nil)
+	alerts := Eval(rec, rules, nil, nil)
 	// Only interval 1 is over its (time-varying) limit: interval 2's limit
 	// rose to 7000.
 	if len(alerts) != 1 || alerts[0].Intervals != 1 || alerts[0].Limit != 6000 {
@@ -100,7 +100,7 @@ func TestRatioRule(t *testing.T) {
 		Metric: "rack_over_limit_ticks_total", Op: OpGT, Threshold: 0.01,
 		DivideBy: "rack_ticks_total",
 	}}
-	alerts := Eval(rec, rules, nil)
+	alerts := Eval(rec, rules, nil, nil)
 	// Interval 1: 2/100 = 2% > 1%. Interval 2 has a zero divisor → false.
 	if len(alerts) != 1 || alerts[0].Peak != 0.02 {
 		t.Fatalf("alerts = %+v", alerts)
@@ -128,7 +128,7 @@ func TestLabelSubsetAndPairing(t *testing.T) {
 		Name: "over", Severity: Page,
 		Metric: "rack_power_watts", Op: OpGT, ThresholdMetric: "rack_limit_watts",
 	}}
-	alerts := Eval(r, rules, nil)
+	alerts := Eval(r, rules, nil, nil)
 	if len(alerts) != 1 {
 		t.Fatalf("alerts = %+v, want only r0", alerts)
 	}
@@ -138,7 +138,7 @@ func TestLabelSubsetAndPairing(t *testing.T) {
 
 	// Label filter restricts to r1 → nothing fires.
 	rules[0].Labels = map[string]string{"rack": "r1"}
-	if got := Eval(r, rules, nil); len(got) != 0 {
+	if got := Eval(r, rules, nil, nil); len(got) != 0 {
 		t.Errorf("label-filtered eval = %+v", got)
 	}
 }
@@ -152,7 +152,7 @@ func TestLessThanPeakIsMinimum(t *testing.T) {
 		Metric: "soa_budget_watts", Op: OpLT, Threshold: 100,
 		For: 3 * time.Minute,
 	}}
-	alerts := Eval(rec, rules, nil)
+	alerts := Eval(rec, rules, nil, nil)
 	if len(alerts) != 1 || alerts[0].Peak != 40 {
 		t.Fatalf("alerts = %+v, want one episode peaking (min) at 40", alerts)
 	}
@@ -167,7 +167,7 @@ func TestEvalEmitsTraceEvents(t *testing.T) {
 		Metric: "rack_power_watts", Op: OpGT, Threshold: 6000,
 	}}
 	tr := obs.New()
-	alerts := Eval(rec, rules, tr)
+	alerts := Eval(rec, rules, tr, nil)
 	if len(alerts) != 1 {
 		t.Fatalf("alerts = %+v", alerts)
 	}
@@ -201,7 +201,7 @@ func TestDefaultRulesFireOnPaperViolations(t *testing.T) {
 		// No invariant violations.
 		"invariant_violations_total": {0, 0, 0, 0, 0, 0},
 	})
-	alerts := Eval(rec, DefaultRules(), nil)
+	alerts := Eval(rec, DefaultRules(), nil, nil)
 	fired := make(map[string]int)
 	for _, a := range alerts {
 		fired[a.Rule]++
