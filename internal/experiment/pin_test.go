@@ -426,12 +426,13 @@ func TestClusterKernelGolden(t *testing.T) {
 
 // writeServerKernel prints one server's accumulated hardware state bit for
 // bit: energy and overclocked core-seconds as float bits, then each core's
-// aging in nanoseconds.
+// aging in nanoseconds, then on a line of its own the wall-clock time the
+// wear counters observed (every core sees the same ticks).
 func writeServerKernel(b *strings.Builder, label string, s *cluster.Server) {
 	fmt.Fprintf(b, "%s %s energy %016x ocsec %016x aged", label, s.Name(),
 		math.Float64bits(s.Energy()), math.Float64bits(s.Machine().TotalOCCoreSeconds()))
 	for i := 0; i < s.NumCores(); i++ {
 		fmt.Fprintf(b, " %d", int64(s.CoreWear(i).Aged()))
 	}
-	b.WriteString("\n")
+	fmt.Fprintf(b, "\n%s %s elapsed %d\n", label, s.Name(), int64(s.CoreWear(0).Elapsed()))
 }
