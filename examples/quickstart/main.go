@@ -70,7 +70,7 @@ func main() {
 	fmt.Printf("After 1 min: overclocked cores %d, budget left on core %d: %v\n",
 		soa.ActiveOCCores(), vm.Cores[0], budgets.Core(vm.Cores[0]).Remaining().Round(time.Minute))
 	fmt.Printf("Aging on overclocked core 0: %.1fs of reference wear in 60s of wall time\n",
-		server.CoreWear(0).Aged().Seconds())
+		server.Machine().Aged(0).Seconds())
 
 	// Load subsides: stop the session; cores return to turbo.
 	soa.Stop(now, "web-frontend")

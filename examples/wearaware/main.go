@@ -47,7 +47,8 @@ func main() {
 	}, hw.Cores, start)
 	gate := lifetime.OnlineWearGate{Margin: 0.10, MinObservation: 20 * time.Minute}
 	cfg := core.DefaultSOAConfig()
-	cfg.WearGate = func(c int) bool { return gate.Allow(server.CoreWear(c)) }
+	hwm := server.Machine()
+	cfg.WearGate = func(c int) bool { return gate.Allow(hwm.Aged(c), hwm.Elapsed()) }
 	soa := core.NewSOA(cfg, server, budgets, 10000, start)
 	soa.OnReject = func(vm string, reason core.RejectReason) {
 		fmt.Printf("  [WI] %s rejected/stopped: %s\n", vm, reason)
@@ -86,8 +87,8 @@ func main() {
 	}
 	fmt.Printf("\nafter %s: sessions=%d\n", now.Sub(start), len(soa.Sessions()))
 	for _, c := range fastest {
-		w := server.CoreWear(c)
+		aged, elapsed := hwm.Aged(c), hwm.Elapsed()
 		fmt.Printf("  core %2d aged %5.1f min over %5.1f min elapsed (gate open: %v)\n",
-			c, w.Aged().Minutes(), w.Elapsed().Minutes(), gate.Allow(w))
+			c, aged.Minutes(), elapsed.Minutes(), gate.Allow(aged, elapsed))
 	}
 }

@@ -129,8 +129,8 @@ func TestAdvanceAccumulatesWear(t *testing.T) {
 	s.SetCoreUtil(0, 1.0)
 	s.SetDesiredFreq(0, 4000)
 	s.Advance(time.Hour)
-	ocAged := s.CoreWear(0).Aged()
-	turboAged := s.CoreWear(1).Aged()
+	ocAged := s.Machine().Aged(0)
+	turboAged := s.Machine().Aged(1)
 	if ocAged <= turboAged {
 		t.Fatalf("overclocked core must age faster: %v vs %v", ocAged, turboAged)
 	}

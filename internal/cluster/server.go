@@ -24,8 +24,6 @@ type Server struct {
 	capLevel    int
 	capPriority int
 	severity    power.Severity
-	aging       lifetime.AgingModel
-	wear        []*lifetime.Wear
 
 	// agedSecs, when non-nil, mirrors MeanAgedSeconds into the metrics
 	// registry on every Advance (see Instrument).
@@ -41,12 +39,9 @@ func NewServer(name string, cfg machine.Config, capPriority int) *Server {
 		m:           m,
 		desired:     make([]int, cfg.Cores),
 		capPriority: capPriority,
-		aging:       lifetime.DefaultAgingModel(),
-		wear:        make([]*lifetime.Wear, cfg.Cores),
 	}
 	for i := range s.desired {
 		s.desired[i] = cfg.TurboMHz
-		s.wear[i] = lifetime.NewWear(s.aging)
 	}
 	return s
 }
@@ -163,14 +158,9 @@ func (s *Server) EffectiveFreq(core int) int { return s.m.Freq(core) }
 func (s *Server) SetCoreUtil(core int, u float64) { s.m.SetUtil(core, u) }
 
 // Advance integrates dt of operation: energy, overclocked time-in-state
-// and per-core wear.
+// and per-core wear, all in the machine's one pass over its cores.
 func (s *Server) Advance(dt time.Duration) {
 	s.m.Advance(dt)
-	cfg := s.m.Config()
-	for i := range s.wear {
-		vr := cfg.VoltageRatio(s.m.Freq(i))
-		s.wear[i].Add(dt, s.m.Util(i), vr)
-	}
 	if s.agedSecs != nil {
 		s.agedSecs.Set(s.MeanAgedSeconds())
 	}
@@ -188,17 +178,14 @@ func (s *Server) Instrument(reg *metrics.Registry, labels ...metrics.Label) {
 // Energy returns cumulative energy in joules.
 func (s *Server) Energy() float64 { return s.m.Energy() }
 
-// CoreWear returns core i's wear tracker.
-func (s *Server) CoreWear(i int) *lifetime.Wear { return s.wear[i] }
-
 // MeanAgedSeconds returns the mean accumulated aging across cores, in
 // seconds of reference operation.
 func (s *Server) MeanAgedSeconds() float64 {
 	total := 0.0
-	for _, w := range s.wear {
-		total += w.Aged().Seconds()
+	for i := 0; i < s.m.Cores(); i++ {
+		total += s.m.Aged(i).Seconds()
 	}
-	return total / float64(len(s.wear))
+	return total / float64(s.m.Cores())
 }
 
 // ServerState is the serializable runtime state of a Server: the capping
@@ -215,25 +202,25 @@ type ServerState struct {
 
 // Snapshot captures the server's runtime state.
 func (s *Server) Snapshot() *ServerState {
-	st := &ServerState{
+	return &ServerState{
 		Name:     s.name,
 		CapLevel: s.capLevel,
 		Desired:  append([]int(nil), s.desired...),
-		Wear:     make([]lifetime.WearState, len(s.wear)),
+		Wear:     s.m.WearState(),
 	}
-	for i, w := range s.wear {
-		st.Wear[i] = w.Snapshot()
-	}
-	return st
 }
 
 // Restore overwrites the server's runtime state from a snapshot and
-// re-applies the effective frequencies. It fails on a core-count mismatch
-// (snapshot from different hardware) before touching any state.
+// re-applies the effective frequencies. It fails before touching any state
+// on a core-count mismatch (snapshot from different hardware) or on wear
+// counters whose cores disagree on elapsed time.
 func (s *Server) Restore(st *ServerState) error {
-	if len(st.Desired) != len(s.desired) || len(st.Wear) != len(s.wear) {
+	if len(st.Desired) != len(s.desired) || len(st.Wear) != len(s.desired) {
 		return fmt.Errorf("cluster: snapshot has %d/%d cores, server %s has %d",
 			len(st.Desired), len(st.Wear), s.name, len(s.desired))
+	}
+	if err := s.m.RestoreWear(st.Wear); err != nil {
+		return fmt.Errorf("cluster: server %s: %w", s.name, err)
 	}
 	s.capLevel = st.CapLevel
 	if s.capLevel < 0 {
@@ -245,7 +232,6 @@ func (s *Server) Restore(st *ServerState) error {
 	cfg := s.m.Config()
 	for i, mhz := range st.Desired {
 		s.desired[i] = cfg.ClampFreq(mhz)
-		s.wear[i].Restore(st.Wear[i])
 		s.apply(i)
 	}
 	if s.agedSecs != nil {

@@ -233,7 +233,7 @@ func Fig7() *Table {
 		BaseUtil: 0.10, PeakUtil: 0.66, WeekendFactor: 1,
 	}
 	simulate := func(ocHour func(h int) bool) time.Duration {
-		w := lifetime.NewWear(model)
+		var aged time.Duration
 		for d := 0; d < 5; d++ {
 			for h := 0; h < 24; h++ {
 				ts := figStart.Add(time.Duration(d*24+h) * time.Hour)
@@ -241,10 +241,10 @@ func Fig7() *Table {
 				if ocHour(h) {
 					ratio = vr
 				}
-				w.Add(time.Hour, diurnal.UtilAt(ts, nil), ratio)
+				aged += time.Duration(float64(time.Hour) * model.Rate(diurnal.UtilAt(ts, nil), ratio))
 			}
 		}
-		return w.Aged()
+		return aged
 	}
 	days := func(d time.Duration) float64 { return d.Hours() / 24 }
 	tbl := &Table{

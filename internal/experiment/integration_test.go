@@ -210,7 +210,7 @@ func TestIntegrationWearGateWithClusterWear(t *testing.T) {
 	}, hw.Cores, integStart)
 	gate := lifetime.OnlineWearGate{Margin: 0.05, MinObservation: 30 * time.Minute}
 	cfg := core.DefaultSOAConfig()
-	cfg.WearGate = func(c int) bool { return gate.Allow(s.CoreWear(c)) }
+	cfg.WearGate = func(c int) bool { return gate.Allow(s.Machine().Aged(c), s.Machine().Elapsed()) }
 	a := core.NewSOA(cfg, s, budgets, 10000, integStart)
 
 	if d := a.Request(integStart, core.Request{VM: "vm", Cores: 8, TargetMHz: 4000, Priority: core.PriorityMetric}); !d.Granted {

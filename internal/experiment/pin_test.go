@@ -432,7 +432,7 @@ func writeServerKernel(b *strings.Builder, label string, s *cluster.Server) {
 	fmt.Fprintf(b, "%s %s energy %016x ocsec %016x aged", label, s.Name(),
 		math.Float64bits(s.Energy()), math.Float64bits(s.Machine().TotalOCCoreSeconds()))
 	for i := 0; i < s.NumCores(); i++ {
-		fmt.Fprintf(b, " %d", int64(s.CoreWear(i).Aged()))
+		fmt.Fprintf(b, " %d", int64(s.Machine().Aged(i)))
 	}
-	fmt.Fprintf(b, "\n%s %s elapsed %d\n", label, s.Name(), int64(s.CoreWear(0).Elapsed()))
+	fmt.Fprintf(b, "\n%s %s elapsed %d\n", label, s.Name(), int64(s.Machine().Elapsed()))
 }

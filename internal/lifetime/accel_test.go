@@ -3,8 +3,6 @@ package lifetime
 import (
 	"math"
 	"testing"
-
-	"smartoclock/internal/machine"
 )
 
 // refAccel is Accel before its nominal-voltage fast path: the exponential
@@ -30,16 +28,12 @@ func TestExpOfSignedZeroIsOne(t *testing.T) {
 }
 
 // TestAccelAndRateMatchExponential compares Accel and Rate bit for bit with
-// exp(Kappa·(max(vr, 1) − 1)) at every DVFS step of the default machine,
-// at and below nominal voltage and just above it, for utilizations below
-// the floor, inside [UtilFloor, 1] and above 1.
+// exp(Kappa·(max(vr, 1) − 1)) at and below nominal voltage and just above
+// it, for utilizations below the floor, inside [UtilFloor, 1] and above 1,
+// and Rate with RateAt under the same factor. machine's
+// TestStepTableMatchesFormulas checks every DVFS step of its step table.
 func TestAccelAndRateMatchExponential(t *testing.T) {
-	hw := machine.DefaultConfig()
-	var ratios []float64
-	for f := hw.MinMHz; f <= hw.MaxOCMHz; f += hw.StepMHz {
-		ratios = append(ratios, hw.VoltageRatio(f))
-	}
-	ratios = append(ratios, 1, math.Nextafter(1, 0), 0.9, 0, -1, math.Copysign(0, -1), 1+1e-12, math.Nextafter(1, 2), ocVoltRatio)
+	ratios := []float64{1, math.Nextafter(1, 0), 0.9, 0, -1, math.Copysign(0, -1), 1 + 1e-12, math.Nextafter(1, 2), 1.1, ocVoltRatio}
 	utils := []float64{math.Copysign(0, -1), 0, -1, 0.01, 0.05, 0.3, 0.5, 1, 1.5, 7}
 	models := []AgingModel{DefaultAgingModel(), {Kappa: 0, UtilFloor: 0.2}, {Kappa: -2, UtilFloor: 0}}
 	for _, m := range models {
@@ -58,6 +52,9 @@ func TestAccelAndRateMatchExponential(t *testing.T) {
 				}
 				if got, want := m.Rate(u, vr), eff*want; math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%+v: Rate(%v, %v) = %v, want %v", m, u, vr, got, want)
+				}
+				if got, want := m.RateAt(u, want), eff*want; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%+v: RateAt(%v, %v) = %v, want %v", m, u, want, got, want)
 				}
 			}
 		}

@@ -13,7 +13,6 @@
 package lifetime
 
 import (
-	"fmt"
 	"math"
 	"time"
 )
@@ -61,48 +60,20 @@ func (m AgingModel) Accel(voltRatio float64) float64 {
 // a core at utilization util and voltage ratio voltRatio. The vendor
 // reference (full utilization, nominal voltage) has rate 1.
 func (m AgingModel) Rate(util, voltRatio float64) float64 {
+	return m.RateAt(util, m.Accel(voltRatio))
+}
+
+// RateAt is Rate under an acceleration factor the caller already holds
+// from Accel: util clamped into [UtilFloor, 1], times accel.
+func (m AgingModel) RateAt(util, accel float64) float64 {
 	if util < m.UtilFloor {
 		util = m.UtilFloor
 	}
 	if util > 1 {
 		util = 1
 	}
-	return util * m.Accel(voltRatio)
+	return util * accel
 }
-
-// Wear accumulates aging for one component against the expected envelope.
-type Wear struct {
-	model   AgingModel
-	aged    time.Duration // accumulated aging
-	elapsed time.Duration // wall-clock time observed
-}
-
-// NewWear creates a wear tracker using model.
-func NewWear(model AgingModel) *Wear {
-	return &Wear{model: model}
-}
-
-// Add integrates dt of operation at the given utilization and voltage
-// ratio. It panics on negative dt.
-func (w *Wear) Add(dt time.Duration, util, voltRatio float64) {
-	if dt < 0 {
-		panic(fmt.Sprintf("lifetime: negative interval %v", dt))
-	}
-	rate := w.model.Rate(util, voltRatio)
-	w.aged += time.Duration(float64(dt) * rate)
-	w.elapsed += dt
-}
-
-// Aged returns accumulated aging (in time units of equivalent reference
-// operation).
-func (w *Wear) Aged() time.Duration { return w.aged }
-
-// Elapsed returns observed wall-clock time.
-func (w *Wear) Elapsed() time.Duration { return w.elapsed }
-
-// Expected returns the aging envelope for the elapsed period: the vendor
-// expectation that a part ages one unit per unit time.
-func (w *Wear) Expected() time.Duration { return w.elapsed }
 
 // OnlineWearGate upgrades lifetime management from the conservative offline
 // time-budget model to a per-part online calculation driven by wear-out
@@ -121,11 +92,13 @@ type OnlineWearGate struct {
 	MinObservation time.Duration
 }
 
-// Allow reports whether the component behind w may be overclocked now.
-func (g OnlineWearGate) Allow(w *Wear) bool {
-	if w.Elapsed() < g.MinObservation {
+// Allow reports whether a component that aged aged over elapsed wall-clock
+// time may be overclocked now. Its expected envelope is elapsed: the vendor
+// expectation that a part ages one unit per unit time.
+func (g OnlineWearGate) Allow(aged, elapsed time.Duration) bool {
+	if elapsed < g.MinObservation {
 		return true // not enough signal; the offline budget still applies
 	}
-	limit := time.Duration(float64(w.Expected()) * (1 + g.Margin))
-	return w.Aged() <= limit
+	limit := time.Duration(float64(elapsed) * (1 + g.Margin))
+	return aged <= limit
 }

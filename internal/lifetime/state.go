@@ -56,21 +56,11 @@ func (cb *CoreBudgets) Restore(st *CoreBudgetsState) error {
 	return nil
 }
 
-// WearState is the serializable state of one Wear tracker. As with
-// BudgetState the aging model is not serialized; only the accumulated
-// counters are.
+// WearState is the serializable form of one core's wear counters: the aging
+// it accumulated and the wall-clock time that aging is judged against. As
+// with BudgetState the aging model is not serialized; only the counters
+// are.
 type WearState struct {
 	Aged    time.Duration `json:"aged"`
 	Elapsed time.Duration `json:"elapsed"`
-}
-
-// Snapshot captures the wear counters.
-func (w *Wear) Snapshot() WearState {
-	return WearState{Aged: w.aged, Elapsed: w.elapsed}
-}
-
-// Restore overwrites the wear counters from a snapshot, keeping the model.
-func (w *Wear) Restore(st WearState) {
-	w.aged = st.Aged
-	w.elapsed = st.Elapsed
 }

@@ -1,6 +1,6 @@
 // Package machine simulates the server hardware SmartOClock controls:
 // per-core DVFS actuators, utilization and power sensors, and PMT-like
-// time-in-state counters.
+// time-in-state and wear-out counters.
 //
 // On real hardware the Server Overclocking Agent reads Intel PMT / AMD HSMP
 // telemetry and sets frequencies through ACPI CPPC. This package exposes the
@@ -16,6 +16,7 @@ import (
 	"sort"
 	"time"
 
+	"smartoclock/internal/lifetime"
 	"smartoclock/internal/metrics"
 )
 
@@ -148,6 +149,14 @@ type Machine struct {
 	power      float64
 	powerDirty bool
 
+	// steps holds each reachable frequency's constants (see stepIndex);
+	// aging is the wear model they and Advance use.
+	steps []stepFactors
+	aging lifetime.AgingModel
+	// elapsed is the wall-clock time the wear counters observed: every
+	// core sees every Advance, so one value serves them all.
+	elapsed time.Duration
+
 	// obs, when non-nil, holds resolved metric handles (see Instrument).
 	obs *machineObs
 }
@@ -156,9 +165,67 @@ type Machine struct {
 // record makes a machine's cores one allocation rather than four.
 type coreState struct {
 	freq   int // MHz
+	step   int // index of freq in Machine.steps
 	maxOC  int // individual maximum frequency (silicon variability, §VI)
 	util   float64
 	ocTime time.Duration
+	// aged is the core's accumulated aging in reference time: the wear-out
+	// counter §VI asks vendors to expose.
+	aged time.Duration
+}
+
+// stepFactors are one frequency's per-core constants, each computed once by
+// the expression Config.CorePower or lifetime.AgingModel.Accel evaluates on
+// the same inputs, so reading them yields the same bits.
+type stepFactors struct {
+	static float64 // StaticCoreWatts·v²
+	dyn    float64 // DynCoreWatts·fr·v²: times util, the core's dynamic power
+	accel  float64 // aging acceleration at the step's voltage
+}
+
+// newSteps builds the per-frequency table stepIndex addresses: every step
+// from ClampFreq(MinMHz) up to MaxOCMHz, then TurboMHz when it is off that
+// grid.
+func newSteps(c Config, aging lifetime.AgingModel) []stepFactors {
+	lo := c.ClampFreq(c.MinMHz)
+	n := (c.MaxOCMHz-lo)/c.StepMHz + 1
+	offGrid := c.TurboMHz%c.StepMHz != 0
+	if offGrid {
+		n++
+	}
+	steps := make([]stepFactors, n)
+	for i := range steps {
+		mhz := lo + i*c.StepMHz
+		if offGrid && i == n-1 {
+			mhz = c.TurboMHz
+		}
+		vr := c.VoltageRatio(mhz)
+		v2 := vr * vr
+		fr := float64(mhz) / float64(c.TurboMHz)
+		steps[i] = stepFactors{
+			static: c.StaticCoreWatts * v2,
+			dyn:    c.DynCoreWatts * fr * v2,
+			accel:  aging.Accel(vr),
+		}
+	}
+	return steps
+}
+
+// stepIndex returns the index of frequency mhz in the step table. Every
+// frequency a core can hold is on the step grid (ClampFreq aligns it) except
+// TurboMHz, which New stores unaligned and the table keeps last.
+func (m *Machine) stepIndex(mhz int) int {
+	if mhz%m.cfg.StepMHz != 0 {
+		return len(m.steps) - 1
+	}
+	return (mhz - m.cfg.ClampFreq(m.cfg.MinMHz)) / m.cfg.StepMHz
+}
+
+// setFreq stores core c's frequency and its step index.
+func (m *Machine) setFreq(c *coreState, mhz int) {
+	c.freq = mhz
+	c.step = m.stepIndex(mhz)
+	m.powerDirty = true
 }
 
 // machineObs holds the machine's resolved instruments: the PMT-like
@@ -179,16 +246,18 @@ func (m *Machine) Instrument(reg *metrics.Registry, labels ...metrics.Label) {
 	}
 }
 
-// New creates a machine from cfg with all cores at turbo and idle.
-// It panics on an invalid configuration (a construction-time programming
-// error, matching the package's hardware-bringup role).
+// New creates a machine from cfg with all cores at turbo and idle, aging
+// under lifetime.DefaultAgingModel. It panics on an invalid configuration
+// (a construction-time programming error, matching the package's
+// hardware-bringup role).
 func New(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	m := &Machine{cfg: cfg, cores: make([]coreState, cfg.Cores), powerDirty: true}
+	aging := lifetime.DefaultAgingModel()
+	m := &Machine{cfg: cfg, cores: make([]coreState, cfg.Cores), steps: newSteps(cfg, aging), aging: aging}
 	for i := range m.cores {
-		m.cores[i].freq = cfg.TurboMHz
+		m.setFreq(&m.cores[i], cfg.TurboMHz)
 		m.cores[i].maxOC = cfg.MaxOCMHz
 	}
 	return m
@@ -210,8 +279,7 @@ func (m *Machine) SetFreq(i int, mhz int) int {
 		f = c.maxOC
 	}
 	if f != c.freq {
-		c.freq = f
-		m.powerDirty = true
+		m.setFreq(c, f)
 	}
 	return f
 }
@@ -233,8 +301,7 @@ func (m *Machine) SetCoreMaxOC(i int, mhz int) int {
 	c := &m.cores[i]
 	c.maxOC = mhz
 	if c.freq > mhz {
-		c.freq = mhz
-		m.powerDirty = true
+		m.setFreq(c, mhz)
 	}
 	return mhz
 }
@@ -302,23 +369,22 @@ func (m *Machine) SetUtil(i int, u float64) {
 // Util returns core i's utilization.
 func (m *Machine) Util(i int) float64 { return m.cores[i].util }
 
-// IsOverclocked reports whether core i runs beyond turbo.
-func (m *Machine) IsOverclocked(i int) bool { return m.cores[i].freq > m.cfg.TurboMHz }
-
 // OverclockedCores returns how many cores currently run beyond turbo.
 func (m *Machine) OverclockedCores() int {
 	n := 0
 	for i := range m.cores {
-		if m.IsOverclocked(i) {
+		if m.cores[i].freq > m.cfg.TurboMHz {
 			n++
 		}
 	}
 	return n
 }
 
-// CorePower returns core i's instantaneous power draw in watts.
-func (m *Machine) CorePower(i int) float64 {
-	return m.cfg.CorePower(m.cores[i].freq, m.cores[i].util)
+// corePower returns c's instantaneous power draw in watts: its step's
+// leakage plus dynamic power at its utilization, Config.CorePower's sum.
+func (m *Machine) corePower(c *coreState) float64 {
+	st := &m.steps[c.step]
+	return st.static + st.dyn*c.util
 }
 
 // Power returns the server's instantaneous power draw in watts: the sensor
@@ -328,7 +394,7 @@ func (m *Machine) Power() float64 {
 	if m.powerDirty {
 		p := m.cfg.IdleWatts
 		for i := range m.cores {
-			p += m.CorePower(i)
+			p += m.corePower(&m.cores[i])
 		}
 		m.power = p
 		m.powerDirty = false
@@ -336,31 +402,81 @@ func (m *Machine) Power() float64 {
 	return m.power
 }
 
-// Advance integrates time forward by dt: accumulates energy and the PMT-like
-// per-core overclocked time-in-state counters. It panics on negative dt.
+// Advance integrates time forward by dt in one pass over the cores, in core
+// order: the power sum when a write left it stale, energy, the PMT-like
+// overclocked time-in-state counters and each core's aging. It panics on
+// negative dt.
 func (m *Machine) Advance(dt time.Duration) {
 	if dt < 0 {
 		panic(fmt.Sprintf("machine: negative Advance %v", dt))
 	}
-	m.energy += m.Power() * dt.Seconds()
+	refresh, observe := m.powerDirty, m.obs != nil
+	p := m.cfg.IdleWatts
+	turbo, steps, aging := m.cfg.TurboMHz, m.steps, m.aging
+	ocCores := 0
+	var ocSecs float64
 	for i := range m.cores {
-		if m.IsOverclocked(i) {
-			m.cores[i].ocTime += dt
+		c := &m.cores[i]
+		st := &steps[c.step]
+		if refresh {
+			p += st.static + st.dyn*c.util
+		}
+		if c.freq > turbo {
+			c.ocTime += dt
+			ocCores++
+		}
+		c.aged += time.Duration(float64(dt) * aging.RateAt(c.util, st.accel))
+		if observe {
+			ocSecs += c.ocTime.Seconds()
 		}
 	}
-	if m.obs != nil {
-		ocCores := 0
-		var ocSecs float64
-		for i := range m.cores {
-			if m.IsOverclocked(i) {
-				ocCores++
-			}
-			ocSecs += m.cores[i].ocTime.Seconds()
-		}
+	if refresh {
+		m.power, m.powerDirty = p, false
+	}
+	m.energy += m.power * dt.Seconds()
+	m.elapsed += dt
+	if observe {
 		m.obs.energy.Set(m.energy)
 		m.obs.ocSecs.Set(ocSecs)
 		m.obs.ocCores.Set(float64(ocCores))
 	}
+}
+
+// Aged returns core i's accumulated aging, in time of reference operation
+// (full utilization at nominal voltage).
+func (m *Machine) Aged(i int) time.Duration { return m.cores[i].aged }
+
+// Elapsed returns the wall-clock time the wear counters observed: the
+// expected aging envelope every core's Aged is judged against.
+func (m *Machine) Elapsed() time.Duration { return m.elapsed }
+
+// WearState returns every core's wear counters in core order, the form a
+// checkpoint stores.
+func (m *Machine) WearState() []lifetime.WearState {
+	st := make([]lifetime.WearState, len(m.cores))
+	for i := range m.cores {
+		st[i] = lifetime.WearState{Aged: m.cores[i].aged, Elapsed: m.elapsed}
+	}
+	return st
+}
+
+// RestoreWear overwrites the wear counters from st. It fails before
+// touching any state when st does not hold one entry per core, or when its
+// entries disagree on Elapsed: a machine's cores observe one clock.
+func (m *Machine) RestoreWear(st []lifetime.WearState) error {
+	if len(st) != len(m.cores) {
+		return fmt.Errorf("machine: wear state has %d cores, machine has %d", len(st), len(m.cores))
+	}
+	for i := range st {
+		if st[i].Elapsed != st[0].Elapsed {
+			return fmt.Errorf("machine: wear state core %d elapsed %v, core 0 elapsed %v", i, st[i].Elapsed, st[0].Elapsed)
+		}
+	}
+	for i := range m.cores {
+		m.cores[i].aged = st[i].Aged
+	}
+	m.elapsed = st[0].Elapsed
+	return nil
 }
 
 // OCTime returns core i's cumulative overclocked time-in-state — the

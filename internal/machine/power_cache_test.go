@@ -7,15 +7,27 @@ import (
 	"time"
 )
 
-// refPower is a verbatim copy of Power before it cached its sum (only the
-// core slice it ranges over is renamed): the reference the cached Power
-// must match bit for bit.
+// refPower is Power before it cached its sum or read the step table: the
+// idle watts plus Config.CorePower of every core, in core order. The cached
+// Power and the fused Advance must match it bit for bit, so the table is
+// checked against the formula rather than against itself.
 func refPower(m *Machine) float64 {
 	p := m.cfg.IdleWatts
 	for i := range m.cores {
-		p += m.CorePower(i)
+		p += m.cfg.CorePower(m.cores[i].freq, m.cores[i].util)
 	}
 	return p
+}
+
+// testConfigs returns the default machine, a 4-core one, and a 6-core one
+// whose turbo, minimum and maximum frequencies are off the step grid, so a
+// core's initial turbo frequency takes the step table's extra entry.
+func testConfigs() []Config {
+	small := DefaultConfig()
+	small.Cores = 4
+	offGrid := DefaultConfig()
+	offGrid.Cores, offGrid.TurboMHz, offGrid.MinMHz, offGrid.MaxOCMHz = 6, 3350, 1550, 4050
+	return []Config{DefaultConfig(), small, offGrid}
 }
 
 // randomMHz draws a frequency around the machine's range: out-of-range
@@ -46,6 +58,39 @@ func randomUtil(rng *rand.Rand, m *Machine, core int) float64 {
 	}
 }
 
+// randomWrite applies write op (0–6) at core: a frequency, a same-value
+// frequency, one frequency over a run of cores, a utilization, a maximum at
+// or below the current frequency, or a new maximum for one core or
+// (rarely) every core.
+func randomWrite(rng *rand.Rand, m *Machine, core, op int) {
+	cfg := m.cfg
+	switch op {
+	case 0:
+		m.SetFreq(core, randomMHz(rng, cfg))
+	case 1:
+		m.SetFreq(core, m.Freq(core)) // same-value write
+	case 2:
+		lo := rng.Intn(cfg.Cores)
+		hi := min(lo+rng.Intn(cfg.Cores+2), cfg.Cores)
+		mhz := randomMHz(rng, cfg)
+		for i := lo; i < hi; i++ {
+			m.SetFreq(i, mhz)
+		}
+	case 3, 4:
+		m.SetUtil(core, randomUtil(rng, m, core))
+	case 5:
+		// At or below the current frequency, so the core is re-clamped
+		// whenever it runs above the new maximum.
+		m.SetCoreMaxOC(core, m.Freq(core)-rng.Intn(4)*cfg.StepMHz)
+	case 6:
+		if rng.Intn(20) == 0 {
+			m.RandomizeCoreMaxOC(rng, cfg.TurboMHz+rng.Intn(4)*cfg.StepMHz)
+		} else {
+			m.SetCoreMaxOC(core, randomMHz(rng, cfg))
+		}
+	}
+}
+
 // TestPowerCacheMatchesReference drives seeded random sequences of every
 // writer of core frequency and utilization (same-value writes, clamped
 // values, -0, maxima below the current frequency, whole-machine
@@ -53,9 +98,7 @@ func randomUtil(rng *rand.Rand, m *Machine, core int) float64 {
 // the uncached sum and the integrated energy with one integrated from it,
 // both bit for bit.
 func TestPowerCacheMatchesReference(t *testing.T) {
-	small := DefaultConfig()
-	small.Cores = 4
-	for _, cfg := range []Config{DefaultConfig(), small} {
+	for _, cfg := range testConfigs() {
 		for seed := int64(1); seed <= 20; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			m := New(cfg)
@@ -63,31 +106,9 @@ func TestPowerCacheMatchesReference(t *testing.T) {
 			for step := 0; step < 2000; step++ {
 				core := rng.Intn(cfg.Cores)
 				op := rng.Intn(8)
-				switch op {
-				case 0:
-					m.SetFreq(core, randomMHz(rng, cfg))
-				case 1:
-					m.SetFreq(core, m.Freq(core)) // same-value write
-				case 2:
-					lo := rng.Intn(cfg.Cores)
-					hi := min(lo+rng.Intn(cfg.Cores+2), cfg.Cores)
-					mhz := randomMHz(rng, cfg)
-					for i := lo; i < hi; i++ {
-						m.SetFreq(i, mhz)
-					}
-				case 3, 4:
-					m.SetUtil(core, randomUtil(rng, m, core))
-				case 5:
-					// At or below the current frequency, so the core is
-					// re-clamped whenever it runs above the new maximum.
-					m.SetCoreMaxOC(core, m.Freq(core)-rng.Intn(4)*cfg.StepMHz)
-				case 6:
-					if rng.Intn(20) == 0 {
-						m.RandomizeCoreMaxOC(rng, cfg.TurboMHz+rng.Intn(4)*cfg.StepMHz)
-					} else {
-						m.SetCoreMaxOC(core, randomMHz(rng, cfg))
-					}
-				case 7:
+				if op < 7 {
+					randomWrite(rng, m, core, op)
+				} else {
 					dt := time.Duration(rng.Intn(5000)) * time.Millisecond
 					energy += refPower(m) * dt.Seconds()
 					m.Advance(dt)
