@@ -60,34 +60,11 @@ func (m Microservice) ServiceTimeMS(freqMHz, turboMHz int) float64 {
 	return m.BaseLatencyMS * (m.CPUSensitivity/fr + (1 - m.CPUSensitivity))
 }
 
-// Rho returns the offered load ρ = λ·E[S]/c for rps requests per second at
-// the given frequency.
-func (m Microservice) Rho(rps float64, freqMHz, turboMHz int) float64 {
-	if rps < 0 {
-		rps = 0
-	}
-	es := m.ServiceTimeMS(freqMHz, turboMHz) / 1000
-	return rps * es / float64(m.Cores)
-}
-
 // CapacityRPS returns the request rate at which ρ = 1 for the given
 // frequency.
 func (m Microservice) CapacityRPS(freqMHz, turboMHz int) float64 {
 	es := m.ServiceTimeMS(freqMHz, turboMHz) / 1000
 	return float64(m.Cores) / es
-}
-
-// congestion returns the multiplicative congestion factor k·ρⁿ/(1−ρ),
-// evaluated at a ρ capped just below saturation (the backlog model covers
-// the rest).
-func (m Microservice) congestion(k, rho float64) float64 {
-	if rho <= 0 {
-		return 0
-	}
-	if rho > rhoSaturation {
-		rho = rhoSaturation
-	}
-	return k * math.Pow(rho, m.Exponent) / (1 - rho)
 }
 
 // rhoSaturation is the utilization beyond which the open queue is treated
@@ -124,9 +101,16 @@ func NewInstance(m Microservice) *Instance { return &Instance{Service: m} }
 // pure analytic value.
 func (in *Instance) Step(dt time.Duration, rps float64, freqMHz, turboMHz int, rng *rand.Rand) StepResult {
 	m := in.Service
-	rho := m.Rho(rps, freqMHz, turboMHz)
+	// The offered load ρ = λ·E[S]/c (none for a negative rate) and the
+	// capacity c/E[S] at which ρ = 1, from one service time.
 	esMS := m.ServiceTimeMS(freqMHz, turboMHz)
-	capRPS := m.CapacityRPS(freqMHz, turboMHz)
+	es := esMS / 1000
+	offered := rps
+	if offered < 0 {
+		offered = 0
+	}
+	rho := offered * es / float64(m.Cores)
+	capRPS := float64(m.Cores) / es
 
 	// Overload bookkeeping: arrivals beyond rhoSaturation·capacity queue
 	// up; spare capacity drains the backlog.
@@ -145,8 +129,18 @@ func (in *Instance) Step(dt time.Duration, rps float64, freqMHz, turboMHz int, r
 	// Queueing delay from the backlog applies to every request.
 	backlogMS := in.backlogReqs / capRPS * 1000
 
-	avg := esMS*(1+m.congestion(m.AvgKnee, rho)) + backlogMS
-	p99 := esMS*(1+m.congestion(m.Knee, rho)) + backlogMS
+	// The congestion factors k·ρⁿ/(1−ρ) for the mean and the tail share
+	// one ρⁿ, at a ρ capped just below saturation (the backlog model covers
+	// the rest).
+	var avgCong, p99Cong float64
+	if !(rho <= 0) { // a NaN load stays NaN
+		r := min(rho, rhoSaturation)
+		pw := math.Pow(r, m.Exponent)
+		avgCong = m.AvgKnee * pw / (1 - r)
+		p99Cong = m.Knee * pw / (1 - r)
+	}
+	avg := esMS*(1+avgCong) + backlogMS
+	p99 := esMS*(1+p99Cong) + backlogMS
 	if rng != nil {
 		noise := math.Exp(rng.NormFloat64() * 0.05)
 		avg *= noise

@@ -44,10 +44,10 @@ func TestRhoAndCapacity(t *testing.T) {
 	if got := m.CapacityRPS(turbo, turbo); math.Abs(got-400) > 1e-9 {
 		t.Fatalf("capacity = %v", got)
 	}
-	if got := m.Rho(200, turbo, turbo); math.Abs(got-0.5) > 1e-9 {
+	if got := NewInstance(m).Step(time.Second, 200, turbo, turbo, nil).Rho; math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("rho = %v", got)
 	}
-	if m.Rho(-5, turbo, turbo) != 0 {
+	if NewInstance(m).Step(time.Second, -5, turbo, turbo, nil).Rho != 0 {
 		t.Fatal("negative rps must clamp")
 	}
 }
