@@ -1,9 +1,11 @@
 package alert
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"smartoclock/internal/causal"
 	"smartoclock/internal/metrics"
 	"smartoclock/internal/obs"
 )
@@ -181,6 +183,67 @@ func TestEvalEmitsTraceEvents(t *testing.T) {
 	}
 	if resolve.Kind != "resolve" || !resolve.Time.Equal(alerts[0].To) {
 		t.Errorf("resolve event = %+v", resolve)
+	}
+}
+
+// TestEvalEmitsProvenance passes Eval a provenance recorder. Two rules fire
+// one episode each, the first rule's episode later than the second's; each
+// episode must yield an alert.fire decision at its start carrying the peak,
+// the limit at the peak and the interval count, then an alert.resolve
+// decision at its end parented to that fire, with episodes in time order.
+func TestEvalEmitsProvenance(t *testing.T) {
+	rec := record(t, time.Minute, map[string][]float64{
+		"rack_power_watts": {5000, 5000, 5000, 7000, 7100, 5000},
+		"rack_limit_watts": {6000, 6000, 6000, 6000, 6500, 6000},
+		"soa_budget_watts": {40, 30, 500, 500, 500, 500},
+	})
+	rules := []Rule{{
+		Name: "over", Severity: Page,
+		Metric: "rack_power_watts", Op: OpGT, ThresholdMetric: "rack_limit_watts",
+	}, {
+		Name: "starved", Severity: Warn,
+		Metric: "soa_budget_watts", Op: OpLT, Threshold: 100,
+	}}
+	prov := causal.NewRecorder(1, 0)
+	alerts := Eval(rec, rules, nil, prov)
+	if len(alerts) != 2 || alerts[0].Rule != "over" || alerts[1].Rule != "starved" {
+		t.Fatalf("alerts = %+v, want over then starved", alerts)
+	}
+	recs := prov.Records()
+	if len(recs) != 4 {
+		t.Fatalf("provenance = %+v, want fire+resolve per episode", recs)
+	}
+	type want struct {
+		rule, severity    string
+		from, to          time.Time
+		peak, limit, runs float64
+	}
+	for i, w := range []want{
+		{"starved", "warn", t0, t0.Add(2 * time.Minute), 30, 100, 2},
+		{"over", "page", t0.Add(3 * time.Minute), t0.Add(5 * time.Minute), 7100, 6500, 2},
+	} {
+		fire, resolve := recs[2*i], recs[2*i+1]
+		if fire.Site != "alert.fire" || fire.Verdict != "fire" || fire.Kind != causal.KindDecision ||
+			fire.Component != "alert" || fire.Policy != w.rule || fire.Detail != w.severity ||
+			fire.Parent != 0 || fire.Span == 0 || !fire.Time.Equal(w.from) {
+			t.Errorf("episode %d fire = %+v, want %s at %v", i, fire, w.rule, w.from)
+		}
+		if resolve.Site != "alert.resolve" || resolve.Verdict != "resolve" || resolve.Policy != w.rule ||
+			resolve.Parent != fire.Span || resolve.Subject != fire.Subject || !resolve.Time.Equal(w.to) {
+			t.Errorf("episode %d resolve = %+v, want child of %v at %v", i, resolve, fire.Span, w.to)
+		}
+		wantIn := []causal.Input{causal.In("peak", w.peak), causal.In("limit", w.limit), causal.In("intervals", w.runs)}
+		if !slices.Equal(fire.Inputs, wantIn) {
+			t.Errorf("episode %d fire inputs = %+v, want %+v", i, fire.Inputs, wantIn)
+		}
+		if !slices.Equal(resolve.Inputs, wantIn[:2]) {
+			t.Errorf("episode %d resolve inputs = %+v, want %+v", i, resolve.Inputs, wantIn[:2])
+		}
+	}
+	for i := 1; i < len(recs); i++ {
+		if recs[i].Time.Before(recs[i-1].Time) {
+			t.Errorf("record %d at %v precedes record %d at %v", i, recs[i].Time, i-1, recs[i-1].Time)
+		}
 	}
 }
 
