@@ -417,15 +417,14 @@ func (m *Machine) Advance(dt time.Duration) {
 	var ocSecs float64
 	for i := range m.cores {
 		c := &m.cores[i]
-		st := &steps[c.step]
 		if refresh {
-			p += st.static + st.dyn*c.util
+			p += m.corePower(c)
 		}
 		if c.freq > turbo {
 			c.ocTime += dt
 			ocCores++
 		}
-		c.aged += time.Duration(float64(dt) * aging.RateAt(c.util, st.accel))
+		c.aged += time.Duration(float64(dt) * aging.RateAt(c.util, steps[c.step].accel))
 		if observe {
 			ocSecs += c.ocTime.Seconds()
 		}
