@@ -108,6 +108,8 @@ func (g *GOA) BudgetsAt(ts time.Time) map[string]float64 {
 type budgetSplit struct {
 	profiles               []ServerProfile
 	regular, need, budgets []float64
+	// sum is what the last computation recorded as its budget sum.
+	sum float64
 }
 
 // splitFor loads the profiles of names, in order, into the gOA's scratch
@@ -161,7 +163,8 @@ func (g *GOA) split(ts time.Time, sp *budgetSplit) {
 				sp.budgets[i] = g.limit / count
 			}
 		}
-		g.obsBudgets(g.limit)
+		sp.sum = g.limit
+		g.obsBudgets(sp.sum)
 		return
 	}
 	headroom := g.limit - sumRegular
@@ -174,6 +177,7 @@ func (g *GOA) split(ts time.Time, sp *budgetSplit) {
 		sp.budgets[i] = sp.regular[i] + extra
 		sum += sp.budgets[i]
 	}
+	sp.sum = sum
 	g.obsBudgets(sum)
 }
 
@@ -188,10 +192,7 @@ func (g *GOA) BudgetTemplates(step time.Duration) map[string]*timeseries.WeekTem
 	if len(names) == 0 {
 		return nil
 	}
-	slots := int(24 * time.Hour / step)
-	if slots < 1 {
-		slots = 1
-	}
+	slots := templateSlots(step)
 	out := make(map[string]*timeseries.WeekTemplate, len(names))
 	tpls := make([]*timeseries.WeekTemplate, len(names))
 	for i, name := range names {
@@ -218,6 +219,31 @@ func (g *GOA) BudgetTemplates(step time.Duration) map[string]*timeseries.WeekTem
 		}
 	}
 	return out
+}
+
+// templateSlots is the number of time-of-day slots of width step that
+// BudgetTemplates fills per day kind.
+func templateSlots(step time.Duration) int {
+	return max(1, int(24*time.Hour/step))
+}
+
+// ReplayBudgetTemplates is a replay, not a computation: it records on g's
+// instruments exactly what BudgetTemplates(step) would record there — one
+// budget computation per slot and day kind, then the last computation's
+// budget sum — without splitting anything. src is a gOA with g's profiles
+// and limit whose last computation was BudgetTemplates(step); the split's
+// outcome is read from it, so a run that reuses src's templates observes
+// the split it did not repeat. Like the split, the replay emits no trace
+// event and no provenance. It is a no-op on an uninstrumented or
+// unprofiled g.
+func (g *GOA) ReplayBudgetTemplates(src *GOA, step time.Duration) {
+	if g.obs == nil || len(g.profiles) == 0 {
+		return
+	}
+	for i := 2 * templateSlots(step); i > 0; i-- {
+		g.obs.computations.Inc()
+	}
+	g.obs.lastSum.Set(src.scratch.sum)
 }
 
 // DatacenterAgent applies the same heterogeneous three-phase split one

@@ -472,17 +472,16 @@ type prepKey struct {
 	Step                time.Duration
 	OCThreshold         float64
 	TemplateStrategy    string
-	Observe             bool
 }
 
 func (c *FleetSimConfig) prepKey() prepKey {
-	return prepKey{c.TrainDays, c.EvalDays, c.Step, c.OCThreshold, c.TemplateStrategy, c.Observe}
+	return prepKey{c.TrainDays, c.EvalDays, c.Step, c.OCThreshold, c.TemplateStrategy}
 }
 
 // rackPrep is everything about simulating one rack that depends only on its
 // prepKey, not on the system or variant under test: the evaluation window's
-// per-server overclock demand, each server's training-week profile and — for
-// unobserved runs — the gOA's budget split of those profiles. Every run of a
+// per-server overclock demand, each server's training-week profile and the
+// gOA's budget split of those profiles. Every run of a
 // unit with that key runs over it, so the prep is strictly read-only: hosts,
 // rack manager, gOA and sOAs are built fresh per run (see runSystem), and the
 // templates and demand slices here are shared by pointer and never written
@@ -499,15 +498,16 @@ type rackPrep struct {
 	// fitted once and shared: the gOA splits budgets from it, the server's
 	// own sOA predicts from it.
 	profiles []core.ServerProfile
-	// budgetTpls is the gOA's per-server budget split of profiles. Only an
-	// unobserved run uses it; an observed run recomputes the split on its
-	// own instrumented gOA, whose budget-computation series are per system,
-	// so prepareRack leaves it nil then.
+	// budgetTpls is the gOA's per-server budget split of profiles, computed
+	// once by split. Observed and unobserved runs both use it: an observed
+	// run's instrumented gOA replays the split's observation from split
+	// (core.GOA.ReplayBudgetTemplates) instead of recomputing it.
 	budgetTpls map[string]*timeseries.WeekTemplate
+	split      *core.GOA
 }
 
 // prepareRack does the system-independent work of simulating rt: demand,
-// power and overclock templates, and (unobserved) budget templates. It is a
+// power and overclock templates, and budget templates. It is a
 // pure function of its arguments and emits nothing to any observer. The
 // key's TemplateStrategy must already be valid (every entry point validates
 // its config before any shard runs).
@@ -541,11 +541,9 @@ func prepareRack(rt *trace.RackTrace, key prepKey) *rackPrep {
 			OCCoreCost: st.Spec.HW.OCCoreCost(),
 		}
 	}
-	if !key.Observe {
-		goa := core.NewGOA(rt.Name, rt.LimitWatts)
-		p.profile(goa)
-		p.budgetTpls = goa.BudgetTemplates(key.Step)
-	}
+	p.split = core.NewGOA(rt.Name, rt.LimitWatts)
+	p.profile(p.split)
+	p.budgetTpls = p.split.BudgetTemplates(key.Step)
 	return p
 }
 
@@ -612,7 +610,8 @@ func runSystem(prep *rackPrep, sys baselines.System, cfg FleetSimConfig, class s
 
 // newSystemRun assembles sys's rig over prep, then gives the gOA the prep's
 // profiles and each sOA its budget and power templates. Booting an agent
-// emits nothing, so observers see the gOA's budget split before any sOA acts.
+// emits nothing, so observers see the gOA's budget split, replayed from the
+// prep's, before any sOA acts.
 func newSystemRun(prep *rackPrep, sys baselines.System, cfg FleetSimConfig, class string, shard int) *systemRun {
 	rt := prep.rt
 	rg := &rig[*traceHost]{
@@ -641,10 +640,7 @@ func newSystemRun(prep *rackPrep, sys baselines.System, cfg FleetSimConfig, clas
 	})
 	rg.assemble(cfg.rackConfig(rt.Name, rt.LimitWatts))
 	prep.profile(rg.goa)
-	budgetTpls := prep.budgetTpls
-	if rg.reg != nil {
-		budgetTpls = rg.goa.BudgetTemplates(cfg.Step)
-	}
+	rg.goa.ReplayBudgetTemplates(prep.split, cfg.Step)
 	for i, s := range rg.servers {
 		switch sys {
 		case baselines.Central:
@@ -654,7 +650,7 @@ func newSystemRun(prep *rackPrep, sys baselines.System, cfg FleetSimConfig, clas
 		case baselines.NaiveOClock:
 			// Even share.
 		default:
-			s.soa.SetAssignedBudget(budgetTpls[s.srv.name])
+			s.soa.SetAssignedBudget(prep.budgetTpls[s.srv.name])
 		}
 		s.soa.SetPowerTemplate(prep.profiles[i].Power)
 	}

@@ -71,9 +71,12 @@ type prepCase struct {
 // cases are Table I's unit for one rack per class (five systems over the
 // base config) and one unit holding every ablation variant (the explore-step
 // and warn variants share the base prep; each template strategy has its
-// own), observed and not. Every run over its shared prep — runs forwards,
-// then backwards — must equal that run alone on a freshly generated and
-// prepared rack, and every prep must be unchanged at the end.
+// own). Observing is not part of the prep: the observed case runs every
+// unobserved run's observed twin over the same preps, so observed and
+// unobserved runs share them, and an observed run replays the prep's budget
+// split instead of recomputing it. Every run over its shared prep — runs
+// forwards, then backwards — must equal that run alone on a freshly
+// generated and prepared rack, and every prep must be unchanged at the end.
 func TestRackPrepSharedAcrossSystems(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulations")
@@ -82,23 +85,32 @@ func TestRackPrepSharedAcrossSystems(t *testing.T) {
 	for _, observe := range []bool{false, true} {
 		t.Run(fmt.Sprintf("observe=%v", observe), func(t *testing.T) {
 			t.Parallel()
-			cfg := smokeFleetCfg()
-			cfg.Observe = observe
-			cfg.RecordEvery = 2 * cfg.Step
+			plain := smokeFleetCfg()
+			plain.RecordEvery = 2 * plain.Step
+			observed := plain
+			observed.Observe = true
+			cfgs := []*FleetSimConfig{&plain}
+			if observe {
+				cfgs = append(cfgs, &observed)
+			}
 			var cases []prepCase
 			for ci, class := range []trace.ClusterClass{trace.HighPower, trace.MediumPower, trace.LowPower} {
 				// The flattened (class, system, rack) index at one rack per
 				// class, as runTable1 assigns it.
-				c := prepCase{name: class.String(), fcfg: table1FleetConfig(cfg, class, ci), preps: 1}
+				c := prepCase{name: class.String(), fcfg: table1FleetConfig(plain, class, ci), preps: 1}
 				for si, sys := range systems {
-					c.runs = append(c.runs, unitRun{cfg: &cfg, sys: sys, shard: ci*len(systems) + si})
+					for _, cfg := range cfgs {
+						c.runs = append(c.runs, unitRun{cfg: cfg, sys: sys, shard: ci*len(systems) + si})
+					}
 				}
 				cases = append(cases, c)
 			}
-			abl := prepCase{name: "ablations", fcfg: highPowerFleetConfig(cfg), preps: 6}
-			for _, a := range []*ablation{templateAblation(cfg), exploreStepAblation(cfg), warnAblation(cfg)} {
-				for v := range a.variants {
-					abl.runs = append(abl.runs, unitRun{cfg: &a.variants[v], sys: a.sys, shard: len(abl.runs)})
+			abl := prepCase{name: "ablations", fcfg: highPowerFleetConfig(plain), preps: 6}
+			for _, cfg := range cfgs {
+				for _, a := range []*ablation{templateAblation(*cfg), exploreStepAblation(*cfg), warnAblation(*cfg)} {
+					for v := range a.variants {
+						abl.runs = append(abl.runs, unitRun{cfg: &a.variants[v], sys: a.sys, shard: len(abl.runs)})
+					}
 				}
 			}
 			cases = append(cases, abl)
