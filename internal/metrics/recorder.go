@@ -48,10 +48,22 @@ type RecordedSeries struct {
 	Buckets     [][]uint64 `json:"bucket_deltas,omitempty"`
 	Sums        []float64  `json:"sum_deltas,omitempty"`
 	CountDeltas []uint64   `json:"count_deltas,omitempty"`
+
+	// key caches the canonical identity of a series recorded from a
+	// registry or produced by MergeRecordings, which is why such a series'
+	// Name and Labels are read-only. It is empty on a decoded or hand-built
+	// series.
+	key string
 }
 
-// ID renders the canonical "name{k=v,...}" identity of the series.
-func (s *RecordedSeries) ID() string { return mapSeriesID(s.Name, s.Labels) }
+// ID returns the canonical "name{k=v,...}" identity of the series, derived
+// from its name and labels when it is not cached.
+func (s *RecordedSeries) ID() string {
+	if s.key != "" {
+		return s.key
+	}
+	return mapSeriesID(s.Name, s.Labels)
+}
 
 // Quantile returns the per-interval q-quantile series of a recorded
 // histogram, estimated Prometheus-style: linear interpolation inside the
@@ -179,7 +191,7 @@ func (r *Recorder) discover() {
 		}
 		r.known[ins.id] = struct{}{}
 		rs := RecordedSeries{Name: ins.name, Type: ins.kind.String(), Labels: cloneLabels(ins.labels),
-			Samples: make([]float64, n)}
+			Samples: make([]float64, n), key: ins.id}
 		slot := recSlot{ins: ins, series: len(r.rec.Series)}
 		if ins.kind == KindHistogram {
 			rs.Uppers = append([]float64(nil), ins.h.uppers...)
@@ -242,84 +254,6 @@ func (r *Recorder) Recording() *Recording {
 		r.slots[i].series = i
 	}
 	return r.rec
-}
-
-// MergeRecordings folds per-shard recordings into one, in argument order:
-// counter and histogram deltas sum sample-wise, gauges take the last
-// shard's level. All recordings must share the same start, step and
-// interval count — they come from shards of one run sampling on the same
-// schedule — and mismatches panic like Snapshot merging does. Nil entries
-// are skipped; merging nothing returns nil.
-func MergeRecordings(recs ...*Recording) *Recording {
-	var out *Recording
-	merged := make(map[string]*RecordedSeries)
-	for _, rec := range recs {
-		if rec == nil {
-			continue
-		}
-		if out == nil {
-			out = &Recording{Start: rec.Start, Step: rec.Step}
-		} else if !rec.Start.Equal(out.Start) || rec.Step != out.Step {
-			panic(fmt.Sprintf("metrics: merge recordings: timeline mismatch %v/%v vs %v/%v",
-				rec.Start, rec.Step, out.Start, out.Step))
-		}
-		for i := range rec.Series {
-			sr := &rec.Series[i]
-			id := sr.ID()
-			prev, ok := merged[id]
-			if !ok {
-				// Deep-copy every reference field — including Labels and
-				// Uppers, which a shallow copy would alias. A merged
-				// recording that outlives its shards must not pin their
-				// backing arrays (the merge result is often retained long
-				// after the per-shard recordings are dropped).
-				cp := *sr
-				cp.Labels = cloneLabels(sr.Labels)
-				cp.Uppers = append([]float64(nil), sr.Uppers...)
-				cp.Samples = append([]float64(nil), sr.Samples...)
-				cp.Sums = append([]float64(nil), sr.Sums...)
-				cp.CountDeltas = append([]uint64(nil), sr.CountDeltas...)
-				cp.Buckets = make([][]uint64, len(sr.Buckets))
-				for k := range sr.Buckets {
-					cp.Buckets[k] = append([]uint64(nil), sr.Buckets[k]...)
-				}
-				merged[id] = &cp
-				continue
-			}
-			if len(prev.Samples) != len(sr.Samples) {
-				panic(fmt.Sprintf("metrics: merge recordings %s: %d vs %d intervals", id, len(prev.Samples), len(sr.Samples)))
-			}
-			switch sr.Type {
-			case "counter":
-				for k := range prev.Samples {
-					prev.Samples[k] += sr.Samples[k]
-				}
-			case "gauge":
-				copy(prev.Samples, sr.Samples)
-			case "histogram":
-				if len(prev.Uppers) != len(sr.Uppers) {
-					panic(fmt.Sprintf("metrics: merge recordings %s: bucket layout mismatch", id))
-				}
-				for k := range prev.Samples {
-					prev.Samples[k] += sr.Samples[k]
-					prev.Sums[k] += sr.Sums[k]
-					prev.CountDeltas[k] += sr.CountDeltas[k]
-					for j := range prev.Buckets[k] {
-						prev.Buckets[k][j] += sr.Buckets[k][j]
-					}
-				}
-			}
-		}
-	}
-	if out == nil {
-		return nil
-	}
-	ids := sortedKeys(merged)
-	out.Series = make([]RecordedSeries, 0, len(ids))
-	for _, id := range ids {
-		out.Series = append(out.Series, *merged[id])
-	}
-	return out
 }
 
 // recordingQuantiles are the quantile series exported for each histogram.

@@ -31,10 +31,21 @@ type Series struct {
 	Value   float64           `json:"value"`
 	Count   uint64            `json:"count,omitempty"`
 	Buckets []Bucket          `json:"buckets,omitempty"`
+
+	// key caches the canonical identity of a series frozen from a registry
+	// or produced by Merge, which is why such a series' Name and Labels are
+	// read-only. It is empty on a decoded or hand-built series.
+	key string
 }
 
-// id reconstructs the canonical sort identity of the series.
-func (s *Series) id() string { return mapSeriesID(s.Name, s.Labels) }
+// id returns the canonical sort identity of the series, derived from its
+// name and labels when it is not cached.
+func (s *Series) id() string {
+	if s.key != "" {
+		return s.key
+	}
+	return mapSeriesID(s.Name, s.Labels)
+}
 
 // mapSeriesID renders the canonical identity of a name and a label map.
 func mapSeriesID(name string, labels map[string]string) string {
@@ -69,7 +80,7 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	for i, ins := range r.sorted {
 		s := &snap.Series[i]
-		s.Name, s.Type, s.Labels = ins.name, ins.kind.String(), ins.labels
+		s.Name, s.Type, s.Labels, s.key = ins.name, ins.kind.String(), ins.labels, ins.id
 		switch ins.kind {
 		case KindCounter:
 			s.Value = ins.c.v
@@ -215,56 +226,6 @@ func cloneLabels(labels map[string]string) map[string]string {
 		cp[k] = v
 	}
 	return cp
-}
-
-// Merge folds snapshots into one: counters and histograms sum, gauges take
-// the last snapshot's value (shard order is the caller's deterministic
-// order, so merge output is deterministic too). Series present in only some
-// snapshots pass through. Mismatched histogram layouts for the same
-// identity are a programming error and panic.
-func Merge(snaps ...*Snapshot) *Snapshot {
-	merged := make(map[string]*Series)
-	for _, snap := range snaps {
-		if snap == nil {
-			continue
-		}
-		for i := range snap.Series {
-			sr := snap.Series[i]
-			id := sr.id()
-			prev, ok := merged[id]
-			if !ok {
-				// Deep-copy every reference field: the merged snapshot must
-				// not alias input memory, or one retained merge result keeps
-				// whole shard snapshots (and their backing buffers) alive.
-				cp := sr
-				cp.Labels = cloneLabels(sr.Labels)
-				cp.Buckets = append([]Bucket(nil), sr.Buckets...)
-				merged[id] = &cp
-				continue
-			}
-			switch sr.Type {
-			case "counter":
-				prev.Value += sr.Value
-			case "gauge":
-				prev.Value = sr.Value
-			case "histogram":
-				if len(prev.Buckets) != len(sr.Buckets) {
-					panic(fmt.Sprintf("metrics: merge %s: bucket layout mismatch", id))
-				}
-				prev.Value += sr.Value
-				prev.Count += sr.Count
-				for j := range prev.Buckets {
-					prev.Buckets[j].Count += sr.Buckets[j].Count
-				}
-			}
-		}
-	}
-	ids := sortedKeys(merged)
-	out := &Snapshot{Series: make([]Series, 0, len(ids))}
-	for _, id := range ids {
-		out.Series = append(out.Series, *merged[id])
-	}
-	return out
 }
 
 // Find returns the series with the given name and labels, or nil.
