@@ -197,6 +197,14 @@ func (r *Recorder) Dropped() uint64 {
 	return r.records.Dropped()
 }
 
+// Len returns the number of records held; 0 on a nil recorder.
+func (r *Recorder) Len() int {
+	if r == nil {
+		return 0
+	}
+	return r.records.Len()
+}
+
 // Total returns how many records the recorder has emitted: the held ones
 // plus those a bounded ring overwrote. 0 on a nil recorder.
 func (r *Recorder) Total() uint64 {
@@ -343,7 +351,7 @@ func (l *Log) Stats() Stats {
 	if l == nil || len(l.Records) == 0 {
 		return st
 	}
-	depth, perTick := l.walk()
+	depth, perTick := walk(len(l.Records), l.segments)
 	for i := range l.Records {
 		rec := &l.Records[i]
 		if rec.Kind == KindMessage {
@@ -363,16 +371,27 @@ func (l *Log) Stats() Stats {
 	return st
 }
 
-// walk returns each record's causal depth — 1 for a root, one more than its
-// parent's otherwise — and the number of records at each distinct timestamp
-// (each simulation tick). Depth is memoized over the span→record index, so
-// the walk is linear in the log size.
-func (l *Log) walk() (depth []int, perTick map[time.Time]int) {
-	index := make(map[SpanID]int, len(l.Records))
-	for i := range l.Records {
-		index[l.Records[i].Span] = i
-	}
-	depth = make([]int, len(l.Records))
+// segments hands the log's records to fn as one segment (see walk).
+func (l *Log) segments(fn func([]Record)) { fn(l.Records) }
+
+// walk returns the causal depth of each of the n records that segments
+// hands out in log order — 1 for a root, one more than its parent's
+// otherwise — and the number of records at each distinct timestamp (each
+// simulation tick). One pass over the segments indexes spans and parents;
+// depth is then memoized over that index, so the walk is linear in the log
+// size and needs no random access to the records themselves.
+func walk(n int, segments func(func([]Record))) (depth []int, perTick map[time.Time]int) {
+	index := make(map[SpanID]int, n)
+	parents := make([]SpanID, 0, n)
+	perTick = make(map[time.Time]int)
+	segments(func(seg []Record) {
+		for i := range seg {
+			index[seg[i].Span] = len(parents)
+			parents = append(parents, seg[i].Parent)
+			perTick[seg[i].Time]++
+		}
+	})
+	depth = make([]int, len(parents))
 	var depthOf func(i int) int
 	depthOf = func(i int) int {
 		if depth[i] != 0 {
@@ -380,16 +399,14 @@ func (l *Log) walk() (depth []int, perTick map[time.Time]int) {
 		}
 		depth[i] = -1 // cycle guard: a revisit mid-walk scores as boundary
 		d := 1
-		if j, ok := index[l.Records[i].Parent]; ok && depth[j] != -1 {
+		if j, ok := index[parents[i]]; ok && depth[j] != -1 {
 			d = 1 + depthOf(j)
 		}
 		depth[i] = d
 		return d
 	}
-	perTick = make(map[time.Time]int)
-	for i := range l.Records {
+	for i := range depth {
 		depthOf(i)
-		perTick[l.Records[i].Time]++
 	}
 	return depth, perTick
 }

@@ -104,12 +104,17 @@ func TestBoundedRecorderRing(t *testing.T) {
 }
 
 func buildChainLog() *Log {
+	return &Log{Records: buildChainRecorder().Records()}
+}
+
+// buildChainRecorder emits buildChainLog's records into a fresh recorder.
+func buildChainRecorder() *Recorder {
 	r := NewRecorder(9, 0)
 	req := r.Emit(Record{Time: t0, Kind: KindMessage, Component: "wi", Site: "wi.request", Subject: "vm-1", Verdict: "sent"})
 	grant := r.Emit(Record{Time: t0, Parent: req, Kind: KindDecision, Component: "soa", Site: "soa.admit", Subject: "vm-1", Verdict: "grant"})
 	r.Emit(Record{Time: t0.Add(time.Minute), Parent: grant, Kind: KindDecision, Component: "soa", Site: "soa.session", Subject: "vm-1", Verdict: "stop"})
 	r.Emit(Record{Time: t0, Kind: KindDecision, Component: "rack", Site: "rack.cap", Verdict: "cap"})
-	return &Log{Records: r.Records()}
+	return r
 }
 
 func TestChainAndChildren(t *testing.T) {

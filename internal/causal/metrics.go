@@ -22,29 +22,34 @@ const (
 	MetricTickRecords = "causal_tick_records"
 )
 
-// Register folds the log's critical-path profile into reg: decision and
-// message totals, one chain-depth observation per record, and one
-// records-per-tick observation per distinct record timestamp. Call it once
-// per shard after the run, on the shard's own registry; the merged
+// Register folds the critical-path profile of the recorder's records into
+// reg: decision and message totals, one chain-depth observation per record,
+// and one records-per-tick observation per distinct record timestamp. Call
+// it once per shard after the run, on the shard's own registry; the merged
 // snapshot then answers "how deep do causal chains run" and "how much
-// decision work lands on a tick" fleet-wide.
-func (l *Log) Register(reg *metrics.Registry, labels ...metrics.Label) {
-	if l == nil || reg == nil {
+// decision work lands on a tick" fleet-wide. It reads the records where
+// the recorder holds them, copying none.
+func (r *Recorder) Register(reg *metrics.Registry, labels ...metrics.Label) {
+	if r == nil || reg == nil {
 		return
 	}
 	decisions := reg.Counter(MetricDecisions, labels...)
 	messages := reg.Counter(MetricMessages, labels...)
 	depthH := reg.Histogram(MetricChainDepth, ChainDepthBuckets, labels...)
 	tickH := reg.Histogram(MetricTickRecords, TickRecordBuckets, labels...)
-	depth, perTick := l.walk()
-	for i := range l.Records {
-		if l.Records[i].Kind == KindMessage {
-			messages.Inc()
-		} else {
-			decisions.Inc()
+	depth, perTick := walk(r.records.Len(), r.records.Segments)
+	i := 0
+	r.records.Segments(func(seg []Record) {
+		for k := range seg {
+			if seg[k].Kind == KindMessage {
+				messages.Inc()
+			} else {
+				decisions.Inc()
+			}
+			depthH.Observe(float64(depth[i]))
+			i++
 		}
-		depthH.Observe(float64(depth[i]))
-	}
+	})
 	for _, n := range perTick {
 		tickH.Observe(float64(n))
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"smartoclock/internal/baselines"
-	"smartoclock/internal/causal"
 	"smartoclock/internal/core"
 	"smartoclock/internal/lifetime"
 	"smartoclock/internal/machine"
@@ -778,9 +777,9 @@ func (r *systemRun) finish() shardOut {
 	if rg.reg != nil {
 		// Critical-path and fan-out profile of the shard's causal log, plus
 		// the tracer's drop counter, become ordinary (sum-mergeable) series.
-		(&causal.Log{Records: rg.prov.Records()}).Register(rg.reg, rg.labels...)
+		rg.prov.Register(rg.reg, rg.labels...)
 		rg.reg.Counter("trace_dropped_total", rg.labels...).Add(float64(rg.tracer.Dropped()))
-		out.ob = rg.freeze()
+		out.ob = rg.part()
 	}
 	return out
 }

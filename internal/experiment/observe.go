@@ -75,15 +75,23 @@ func newObserver(k observeKnobs) observer {
 // the recorded series and the provenance log, each nil when not observed.
 // Take it once, after the run.
 func (o *observer) freeze() FleetObservation {
-	out := FleetObservation{Trace: o.tracer}
+	out := o.part()
+	if o.prov != nil {
+		out.Provenance = &causal.Log{Records: o.prov.Records()}
+	}
+	return out
+}
+
+// part is freeze for a fan-out shard, whose observation only
+// mergeObservations reads: the provenance stays in the recorder, and the
+// merge copies each record from there straight into the merged log.
+func (o *observer) part() FleetObservation {
+	out := FleetObservation{Trace: o.tracer, prov: o.prov}
 	if o.reg != nil {
 		out.Metrics = o.reg.Snapshot()
 	}
 	if o.recorder != nil {
 		out.Series = o.recorder.Recording()
-	}
-	if o.prov != nil {
-		out.Provenance = &causal.Log{Records: o.prov.Records()}
 	}
 	return out
 }
@@ -98,7 +106,7 @@ func mergeObservations(parts ...*FleetObservation) *FleetObservation {
 	snaps := make([]*metrics.Snapshot, 0, len(parts))
 	tracers := make([]*obs.Tracer, 0, len(parts))
 	recs := make([]*metrics.Recording, 0, len(parts))
-	var logs []*causal.Log
+	var provs []*FleetObservation
 	records := 0
 	for _, p := range parts {
 		if p == nil {
@@ -111,9 +119,9 @@ func mergeObservations(parts ...*FleetObservation) *FleetObservation {
 			tracers = append(tracers, p.Trace)
 		}
 		recs = append(recs, p.Series)
-		if p.Provenance != nil {
-			logs = append(logs, p.Provenance)
-			records += len(p.Provenance.Records)
+		if p.Provenance != nil || p.prov != nil {
+			provs = append(provs, p)
+			records += p.Provenance.Len() + p.prov.Len()
 		}
 	}
 	out := &FleetObservation{Series: metrics.MergeRecordings(recs...)}
@@ -123,11 +131,16 @@ func mergeObservations(parts ...*FleetObservation) *FleetObservation {
 	if len(tracers) > 0 {
 		out.Trace = obs.Concat(tracers...)
 	}
-	if len(logs) > 0 {
-		out.Provenance = &causal.Log{Records: make([]causal.Record, 0, records)}
-		for _, l := range logs {
-			out.Provenance.Records = append(out.Provenance.Records, l.Records...)
+	if len(provs) > 0 {
+		merged := make([]causal.Record, 0, records)
+		for _, p := range provs {
+			if p.Provenance != nil {
+				merged = append(merged, p.Provenance.Records...)
+			} else {
+				merged = p.prov.AppendSince(merged, 0)
+			}
 		}
+		out.Provenance = &causal.Log{Records: merged}
 		out.CriticalPath = out.Provenance.Stats()
 	}
 	return out
@@ -150,6 +163,10 @@ type FleetObservation struct {
 	// CriticalPath summarizes a merged provenance log: longest causal chain,
 	// decisions and messages per tick (the tick critical-path profile).
 	CriticalPath causal.Stats
+
+	// prov is a fan-out shard's provenance recorder (see observer.part),
+	// standing in for Provenance until the merge.
+	prov *causal.Recorder
 }
 
 // WriteFiles writes what a run observed to the paths that are set: the

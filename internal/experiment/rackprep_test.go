@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"smartoclock/internal/baselines"
+	"smartoclock/internal/causal"
 	"smartoclock/internal/trace"
 )
 
@@ -45,7 +46,7 @@ func renderShard(t *testing.T, o shardOut) string {
 	if err := o.ob.Trace.WriteJSONL(&b); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.ob.Provenance.WriteJSONL(&b); err != nil {
+	if err := (&causal.Log{Records: o.ob.prov.Records()}).WriteJSONL(&b); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := json.Marshal(o.ob.Series)

@@ -181,15 +181,15 @@ func (t *Tracer) Append(other *Tracer) {
 	if t == nil || other == nil {
 		return
 	}
-	t.events.Push(other.Events()...)
+	other.events.Segments(func(seg []Event) { t.events.Push(seg...) })
 }
 
 // Concat builds a single tracer from shard tracers in argument order. Nil
 // entries are skipped.
 func Concat(tracers ...*Tracer) *Tracer {
 	out := New()
-	// One right-sized allocation instead of O(log n) regrowths while
-	// appending thousands of shard traces at fleet scale.
+	// One right-sized chunk instead of one per doubling while appending
+	// thousands of shard traces at fleet scale.
 	total := 0
 	for _, tr := range tracers {
 		total += tr.Len()
@@ -231,8 +231,10 @@ func (t *Tracer) CountByComponent() map[Component]int {
 	if t == nil {
 		return out
 	}
-	for i := range t.events.buf {
-		out[t.events.buf[i].Component]++
-	}
+	t.events.Segments(func(seg []Event) {
+		for i := range seg {
+			out[seg[i].Component]++
+		}
+	})
 	return out
 }

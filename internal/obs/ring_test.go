@@ -69,3 +69,57 @@ func TestRingPartialFill(t *testing.T) {
 		t.Fatal("AppendSince returned the ring's own storage")
 	}
 }
+
+// TestRingChunksNeverMove pins the unbounded ring's chunked storage: pushes
+// one at a time and in batches across many chunk boundaries read back in
+// order through Segments, AppendSince and All, and no push moves an entry
+// already held, so a push is the only copy before a reader's own.
+func TestRingChunksNeverMove(t *testing.T) {
+	const n = 3*maxRingChunk + 100
+	var r Ring[int]
+	pushN(&r, 1000)
+	var head *int
+	r.Segments(func(seg []int) {
+		if head == nil {
+			head = &seg[0]
+		}
+	})
+	batch := make([]int, 0, n)
+	for i := 1001; i <= n; i++ {
+		batch = append(batch, i)
+	}
+	r.Push(batch[:5000]...)
+	for _, v := range batch[5000:] {
+		r.Push(v)
+	}
+	want := make([]int, n)
+	for i := range want {
+		want[i] = i + 1
+	}
+	var segs []int
+	var moved bool
+	r.Segments(func(seg []int) {
+		if segs == nil && &seg[0] != head {
+			moved = true
+		}
+		segs = append(segs, seg...)
+	})
+	if moved {
+		t.Fatal("a push moved the oldest entry")
+	}
+	if !equalInts(segs, want) || r.Len() != n || r.Total() != n {
+		t.Fatalf("segments hold %d entries (len %d total %d), want 1..%d", len(segs), r.Len(), r.Total(), n)
+	}
+	for _, seen := range []uint64{0, 1, minRingChunk, minRingChunk + 1, n - 1, n} {
+		if got := r.AppendSince(nil, seen); !equalInts(got, want[seen:]) {
+			t.Fatalf("AppendSince(%d) = %d entries, want %d", seen, len(got), n-int(seen))
+		}
+	}
+	if !equalInts(r.All(), want) || !equalInts(r.AppendSince(nil, 0), want) {
+		t.Fatal("All joined the chunks out of order")
+	}
+	r.Push(n + 1)
+	if got := r.AppendSince(nil, n); !equalInts(got, []int{n + 1}) {
+		t.Fatalf("push after All = %v", got)
+	}
+}
