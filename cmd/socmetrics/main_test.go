@@ -8,10 +8,10 @@ import (
 	"smartoclock/internal/metrics"
 )
 
-// buildLog assembles a tiny deterministic provenance log: one message
+// buildRecorder records a tiny deterministic provenance log: one message
 // spawning a chain of two decisions on tick 1, plus a lone decision on
 // tick 2.
-func buildLog(t *testing.T) *causal.Log {
+func buildRecorder(t *testing.T) *causal.Recorder {
 	t.Helper()
 	rec := causal.NewRecorder(42, 0)
 	t0 := time.Unix(0, 0).UTC()
@@ -19,12 +19,12 @@ func buildLog(t *testing.T) *causal.Log {
 	admit := rec.Emit(causal.Record{Time: t0, Kind: causal.KindDecision, Component: "soa", Site: "soa.admit", Parent: msg})
 	rec.Emit(causal.Record{Time: t0, Kind: causal.KindDecision, Component: "soa", Site: "soa.session", Parent: admit})
 	rec.Emit(causal.Record{Time: t0.Add(time.Second), Kind: causal.KindDecision, Component: "goa", Site: "goa.budget"})
-	return &causal.Log{Records: rec.Records()}
+	return rec
 }
 
 func TestCriticalPathBlockGolden(t *testing.T) {
 	reg := metrics.NewRegistry()
-	buildLog(t).Register(reg, metrics.Label{Key: "shard", Value: "0"})
+	buildRecorder(t).Register(reg, metrics.Label{Key: "shard", Value: "0"})
 
 	got := criticalPathBlock(reg.Snapshot())
 	want := "# critical path (causal provenance)\n" +
@@ -39,9 +39,9 @@ func TestCriticalPathBlockGolden(t *testing.T) {
 
 func TestCriticalPathBlockSumsShards(t *testing.T) {
 	reg := metrics.NewRegistry()
-	log_ := buildLog(t)
-	log_.Register(reg, metrics.Label{Key: "shard", Value: "0"})
-	log_.Register(reg, metrics.Label{Key: "shard", Value: "1"})
+	rec := buildRecorder(t)
+	rec.Register(reg, metrics.Label{Key: "shard", Value: "0"})
+	rec.Register(reg, metrics.Label{Key: "shard", Value: "1"})
 
 	got := criticalPathBlock(reg.Snapshot())
 	want := "# critical path (causal provenance)\n" +
