@@ -14,8 +14,12 @@ import (
 // argument order (within one input, in its order), exactly as a fold over
 // the inputs one after another would, so float sums keep their bits. Inputs
 // without cached identities — a snapshot or recording read back from JSON,
-// or built by hand — get them derived and their order fixed once, on the
-// way in, and then take the same path.
+// or built by hand — get them derived, their labels copied and their order
+// fixed once, on the way in, and then take the same path.
+//
+// A series with a cached identity has read-only labels (see Series), so
+// the result shares its label map instead of copying it; everything else
+// the result holds is its own.
 
 // mergeStep is one input series in the order a k-way merge visits it: its
 // input and position, and whether it opens a new output series.
@@ -84,10 +88,10 @@ func mergePlan[T any](ins [][]T, key func(*T) string) ([]mergeStep, int) {
 }
 
 // canonical returns in with every identity cached, in identity order: in
-// itself when it already is, otherwise a shallow copy whose missing
-// identities are derived once and which is stably sorted, so duplicate
-// identities keep their order.
-func canonical[T any](in []T, key func(*T) *string, derive func(*T) string) []T {
+// itself when it already is, otherwise a shallow copy in which own gives
+// every series without an identity its identity and its own labels, and
+// which is stably sorted, so duplicate identities keep their order.
+func canonical[T any](in []T, key func(*T) *string, own func(*T)) []T {
 	sorted := true
 	for i := range in {
 		k := *key(&in[i])
@@ -101,8 +105,8 @@ func canonical[T any](in []T, key func(*T) *string, derive func(*T) string) []T 
 	}
 	cp := slices.Clone(in)
 	for i := range cp {
-		if k := key(&cp[i]); *k == "" {
-			*k = derive(&cp[i])
+		if *key(&cp[i]) == "" {
+			own(&cp[i])
 		}
 	}
 	slices.SortStableFunc(cp, func(a, b T) int { return strings.Compare(*key(&a), *key(&b)) })
@@ -129,13 +133,16 @@ func carve[T any](arena *[]T, src []T) []T {
 // snapshots pass through. Mismatched histogram layouts for the same
 // identity are a programming error and panic.
 //
-// The result shares no memory with the inputs that it could write: label
-// maps are copied and bucket arrays are carved from one arena per merge.
+// Bucket arrays are carved from one arena per merge, so the result pins no
+// input's buffers, and merging registry snapshots allocates the same few
+// blocks however many series they hold.
 func Merge(snaps ...*Snapshot) *Snapshot {
 	ins := make([][]Series, 0, len(snaps))
 	for _, snap := range snaps {
 		if snap != nil {
-			ins = append(ins, canonical(snap.Series, func(s *Series) *string { return &s.key }, (*Series).id))
+			ins = append(ins, canonical(snap.Series, func(s *Series) *string { return &s.key }, func(s *Series) {
+				s.key, s.Labels = s.id(), cloneLabels(s.Labels)
+			}))
 		}
 	}
 	steps, n := mergePlan(ins, func(s *Series) string { return s.key })
@@ -151,7 +158,6 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 		sr := &ins[st.in][st.pos]
 		if st.fresh {
 			cp := *sr
-			cp.Labels = cloneLabels(sr.Labels)
 			cp.Buckets = carve(&arena, sr.Buckets)
 			out.Series = append(out.Series, cp)
 			continue
@@ -183,10 +189,9 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 // schedule — and mismatches panic like Snapshot merging does. Nil entries
 // are skipped; merging nothing returns nil.
 //
-// The result shares no memory with the inputs that it could write: label
-// maps are copied, and every sample, bound, delta and bucket row is carved
-// from one float and one integer arena per merge. A merged recording that
-// outlives its shards therefore pins none of their buffers.
+// Every sample, bound, delta and bucket row is carved from one float and
+// one integer arena per merge, so a merged recording that outlives its
+// shards pins none of their buffers.
 func MergeRecordings(recs ...*Recording) *Recording {
 	var out *Recording
 	ins := make([][]RecordedSeries, 0, len(recs))
@@ -200,7 +205,9 @@ func MergeRecordings(recs ...*Recording) *Recording {
 			panic(fmt.Sprintf("metrics: merge recordings: timeline mismatch %v/%v vs %v/%v",
 				rec.Start, rec.Step, out.Start, out.Step))
 		}
-		ins = append(ins, canonical(rec.Series, func(s *RecordedSeries) *string { return &s.key }, (*RecordedSeries).ID))
+		ins = append(ins, canonical(rec.Series, func(s *RecordedSeries) *string { return &s.key }, func(s *RecordedSeries) {
+			s.key, s.Labels = s.ID(), cloneLabels(s.Labels)
+		}))
 	}
 	if out == nil {
 		return nil
@@ -223,7 +230,6 @@ func MergeRecordings(recs ...*Recording) *Recording {
 		sr := &ins[st.in][st.pos]
 		if st.fresh {
 			cp := *sr
-			cp.Labels = cloneLabels(sr.Labels)
 			cp.Uppers = carve(&floatArena, sr.Uppers)
 			cp.Samples = carve(&floatArena, sr.Samples)
 			cp.Sums = carve(&floatArena, sr.Sums)

@@ -17,6 +17,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -129,8 +130,9 @@ var (
 type instrument struct {
 	name string
 	id   string // canonical identity, see seriesID
-	// labels is nil when unlabeled. Snapshots share it, so it is never
-	// written after registration.
+	// labels is nil when unlabeled. Instruments with one label set share
+	// it, and so do snapshots and recordings, so it is never written after
+	// registration.
 	labels map[string]string
 	kind   Kind
 	c      *Counter
@@ -146,6 +148,9 @@ type instrument struct {
 // own and snapshots are merged afterwards.
 type Registry struct {
 	byID map[string]*instrument
+	// labelSets holds one label map per distinct label set, keyed by its
+	// rendering (see labelMap).
+	labelSets map[string]map[string]string
 	// sorted holds every instrument in identity order. Registration inserts
 	// at the sorted position and nothing is ever removed, so a snapshot is
 	// one pass over it.
@@ -157,64 +162,87 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byID: make(map[string]*instrument)}
+	return &Registry{byID: make(map[string]*instrument), labelSets: make(map[string]map[string]string)}
 }
 
 // seriesID renders the canonical identity "name{k1=v1,k2=v2}" with labels
 // sorted by key. It doubles as the snapshot sort key, which is what makes
 // exposition byte-deterministic regardless of registration order.
 func seriesID(name string, labels []Label) string {
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
-	}
-	b.WriteByte('}')
-	return b.String()
+	return string(appendSeriesID(nil, name, labels))
 }
 
-// sortedLabels returns a sorted copy of labels.
+// appendSeriesID appends seriesID(name, labels) to b.
+func appendSeriesID(b []byte, name string, labels []Label) []byte {
+	b = append(b, name...)
+	b = append(b, '{')
+	for i, l := range labels {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = append(b, l.Value...)
+	}
+	return append(b, '}')
+}
+
+// sortedLabels sorts labels by key in place and returns them. It is the
+// pdqsort sort.Slice runs, insertion sort below 12 elements included, so
+// labels with equal keys keep the order they always had.
 func sortedLabels(labels []Label) []Label {
-	out := make([]Label, len(labels))
-	copy(out, labels)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	slices.SortFunc(labels, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
+	return labels
 }
 
 // lookup finds or creates the instrument for (name, labels, kind). It
 // panics on an identity registered under a different kind — a programming
 // error, caught at setup like an invalid hardware config.
+//
+// Labels are sorted and the identity rendered in stack buffers, so finding
+// a registered instrument allocates nothing; a new one allocates its
+// identity, and a label map only when no instrument of the registry has its
+// label set yet.
 func (r *Registry) lookup(name string, kind Kind, labels []Label) *instrument {
 	if name == "" {
 		panic("metrics: empty metric name")
 	}
-	ls := sortedLabels(labels)
-	id := seriesID(name, ls)
-	if ins, ok := r.byID[id]; ok {
+	var lbuf [8]Label
+	ls := sortedLabels(append(lbuf[:0], labels...))
+	var ibuf [160]byte
+	b := appendSeriesID(ibuf[:0], name, ls)
+	if ins, ok := r.byID[string(b)]; ok {
 		if ins.kind != kind {
-			panic(fmt.Sprintf("metrics: %s registered as %v, requested as %v", id, ins.kind, kind))
+			panic(fmt.Sprintf("metrics: %s registered as %v, requested as %v", ins.id, ins.kind, kind))
 		}
 		return ins
 	}
-	ins := &instrument{name: name, id: id, kind: kind}
-	if len(ls) > 0 {
-		ins.labels = make(map[string]string, len(ls))
-		for _, l := range ls {
-			ins.labels[l.Key] = l.Value
-		}
-	}
+	id := string(b)
+	ins := &instrument{name: name, id: id, kind: kind, labels: r.labelMap(id[len(name):], ls)}
 	r.byID[id] = ins
 	at := sort.Search(len(r.sorted), func(i int) bool { return r.sorted[i].id > id })
 	r.sorted = append(r.sorted, nil)
 	copy(r.sorted[at+1:], r.sorted[at:])
 	r.sorted[at] = ins
 	return ins
+}
+
+// labelMap returns the registry's read-only map of the sorted labels ls,
+// whose rendering is set ("{k1=v1,...}"): one map per distinct label set,
+// shared by every instrument that carries it. Unlabeled series get nil.
+func (r *Registry) labelMap(set string, ls []Label) map[string]string {
+	if len(ls) == 0 {
+		return nil
+	}
+	if m, ok := r.labelSets[set]; ok {
+		return m
+	}
+	m := make(map[string]string, len(ls))
+	for _, l := range ls {
+		m[l.Key] = l.Value
+	}
+	r.labelSets[set] = m
+	return m
 }
 
 // Counter returns the counter handle for name+labels, creating it at zero

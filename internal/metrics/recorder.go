@@ -7,8 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -33,6 +34,10 @@ import (
 // bucket plus the observation sum, which is what lets quantile series be
 // computed after merging: bucket deltas sum exactly across shards, where
 // pre-computed quantiles would not.
+//
+// Labels is nil when unlabeled. In a recording taken from a Recorder it is
+// the registry's own map, shared read-only like a Snapshot's and kept by
+// MergeRecordings the same way: never write to it.
 type RecordedSeries struct {
 	Name   string            `json:"name"`
 	Type   string            `json:"type"`
@@ -135,12 +140,25 @@ func (r *Recording) TimeAt(i int) time.Time {
 // instruments, so the recorder keeps one slot per instrument, in step with
 // rec.Series, and rescans the registry only when it has grown: a sample is
 // one pass over the slots with no sort and no string work.
+//
+// Every series holds the same number of intervals, so their storage grows
+// together: one float block holds every series' samples and sums, one
+// integer block their count deltas, one block their bucket-row headers,
+// each carved into per-series windows of capacity intervals and regrown,
+// all at once, when they fill. Bucket rows are carved from an arena sized
+// for the intervals up to the next regrowth.
 type Recorder struct {
 	reg   *Registry
 	rec   *Recording
 	next  time.Time
 	slots []recSlot
-	known map[string]struct{}
+	known map[*instrument]struct{}
+	// capacity is how many intervals every series' windows hold.
+	capacity int
+	// width is the total bucket count of the recorded histograms, one
+	// interval's worth of bucket rows; rows is the arena they come from.
+	width int
+	rows  []uint64
 }
 
 // recSlot is one instrument as the recorder sees it: the handle and its
@@ -165,7 +183,7 @@ func NewRecorder(reg *Registry, start time.Time, step time.Duration) *Recorder {
 		reg:   reg,
 		rec:   &Recording{Start: start, Step: step},
 		next:  start.Add(step),
-		known: make(map[string]struct{}),
+		known: make(map[*instrument]struct{}),
 	}
 }
 
@@ -179,39 +197,83 @@ func (r *Recorder) Tick(now time.Time) {
 	}
 }
 
-// discover appends a slot and a zero-backfilled series for every
-// instrument registered since the last scan, in canonical identity order.
-// New series may appear mid-run (e.g. an agent instrumented after a
-// restart); the backfill keeps every series on the shared timeline.
+// discover appends a slot and a series for every instrument registered
+// since the last scan, in canonical identity order. New series may appear
+// mid-run (e.g. an agent instrumented after a restart); the regrowth that
+// follows gives them zero-backfilled windows, which keeps every series on
+// the shared timeline.
 func (r *Recorder) discover() {
-	n := r.rec.Intervals()
 	for _, ins := range r.reg.sorted {
-		if _, ok := r.known[ins.id]; ok {
+		if _, ok := r.known[ins]; ok {
 			continue
 		}
-		r.known[ins.id] = struct{}{}
-		rs := RecordedSeries{Name: ins.name, Type: ins.kind.String(), Labels: cloneLabels(ins.labels),
-			Samples: make([]float64, n), key: ins.id}
+		r.known[ins] = struct{}{}
+		rs := RecordedSeries{Name: ins.name, Type: ins.kind.String(), Labels: ins.labels, key: ins.id}
 		slot := recSlot{ins: ins, series: len(r.rec.Series)}
 		if ins.kind == KindHistogram {
 			rs.Uppers = append([]float64(nil), ins.h.uppers...)
-			rs.Buckets = make([][]uint64, n)
-			for k := range rs.Buckets {
-				rs.Buckets[k] = make([]uint64, len(rs.Uppers))
-			}
-			rs.Sums = make([]float64, n)
-			rs.CountDeltas = make([]uint64, n)
 			slot.prevCum = make([]uint64, len(rs.Uppers))
+			r.width += len(rs.Uppers)
 		}
 		r.rec.Series = append(r.rec.Series, rs)
 		r.slots = append(r.slots, slot)
 	}
+	r.capacity = 0 // the new series have no windows yet
+}
+
+// regrow moves every series' n intervals into windows of twice the
+// capacity (at least 8 intervals) carved from one block per field, gives
+// series discovered since the last regrowth n zero intervals, and sizes
+// the row arena for the intervals up to the next regrowth.
+func (r *Recorder) regrow(n int) {
+	capacity := max(8, 2*r.capacity, n+1)
+	var floats, ints, backfill int
+	for i := range r.slots {
+		floats += capacity
+		if r.slots[i].ins.kind == KindHistogram {
+			rs := &r.rec.Series[r.slots[i].series]
+			floats += capacity
+			ints += capacity
+			backfill += (n - len(rs.Buckets)) * len(rs.Uppers)
+		}
+	}
+	fb, ib, hb := make([]float64, floats), make([]uint64, ints), make([][]uint64, ints)
+	zeros := make([]uint64, backfill)
+	for i := range r.slots {
+		rs := &r.rec.Series[r.slots[i].series]
+		rs.Samples, fb = window(fb, rs.Samples, n, capacity)
+		if r.slots[i].ins.kind != KindHistogram {
+			continue
+		}
+		rs.Sums, fb = window(fb, rs.Sums, n, capacity)
+		rs.CountDeltas, ib = window(ib, rs.CountDeltas, n, capacity)
+		held := len(rs.Buckets)
+		rs.Buckets, hb = window(hb, rs.Buckets, n, capacity)
+		w := len(rs.Uppers)
+		for k := held; k < n; k++ {
+			rs.Buckets[k], zeros = zeros[:w:w], zeros[w:]
+		}
+	}
+	r.capacity = capacity
+	r.rows = make([]uint64, r.width*(capacity-n))
+}
+
+// window carves a window of capacity from the front of block, copies old
+// into it and returns it at length n — past old's end, the zeros a series
+// discovered late backfills with — together with the rest of block.
+func window[T any](block, old []T, n, capacity int) ([]T, []T) {
+	w := block[:n:capacity]
+	copy(w, old)
+	return w, block[capacity:]
 }
 
 // sample appends one interval to every series.
 func (r *Recorder) sample() {
 	if len(r.reg.byID) != len(r.slots) {
 		r.discover()
+	}
+	if n := r.rec.Intervals(); n >= r.capacity {
+		r.regrow(n)
 	}
 	stepSecs := r.rec.Step.Seconds()
 	for i := range r.slots {
@@ -230,7 +292,9 @@ func (r *Recorder) sample() {
 			rs.Samples = append(rs.Samples, float64(countDelta)/stepSecs)
 			rs.CountDeltas = append(rs.CountDeltas, countDelta)
 			rs.Sums = append(rs.Sums, h.sum-sl.prevValue)
-			row := make([]uint64, len(sl.prevCum))
+			w := len(sl.prevCum)
+			row := r.rows[:w:w]
+			r.rows = r.rows[w:]
 			var cum uint64
 			for j := range row {
 				cum += h.counts[j]
@@ -247,8 +311,11 @@ func (r *Recorder) sample() {
 // canonical identity. The returned value shares storage with the recorder;
 // take it once, after the run.
 func (r *Recorder) Recording() *Recording {
-	sort.Slice(r.slots, func(i, j int) bool { return r.slots[i].ins.id < r.slots[j].ins.id })
-	unsorted := append([]RecordedSeries(nil), r.rec.Series...)
+	if slices.IsSortedFunc(r.rec.Series, func(a, b RecordedSeries) int { return strings.Compare(a.key, b.key) }) {
+		return r.rec
+	}
+	slices.SortFunc(r.slots, func(a, b recSlot) int { return strings.Compare(a.ins.id, b.ins.id) })
+	unsorted := slices.Clone(r.rec.Series)
 	for i := range r.slots {
 		r.rec.Series[i] = unsorted[r.slots[i].series]
 		r.slots[i].series = i

@@ -611,8 +611,9 @@ func TestRecorderMatchesSnapshotDiff(t *testing.T) {
 }
 
 // TestRecorderSampleAllocs guards the per-sample cost on a steady registry
-// shaped like one fleet shard: one bucket row per histogram, plus a little
-// amortized slice growth.
+// shaped like one fleet shard: bucket rows come from the recorder's arena
+// and every series' storage regrows together, so a sample allocates only
+// its amortized share of the doubling regrowths.
 func TestRecorderSampleAllocs(t *testing.T) {
 	const counters, histograms = 405, 31
 	reg := NewRegistry()
@@ -634,8 +635,8 @@ func TestRecorderSampleAllocs(t *testing.T) {
 		rec.Tick(now)
 	}
 	sample() // the first sample discovers every series
-	if allocs := testing.AllocsPerRun(1000, sample); allocs > histograms+8 {
-		t.Errorf("sample allocates %v times, want <= %d", allocs, histograms+8)
+	if allocs := testing.AllocsPerRun(1000, sample); allocs > 1 {
+		t.Errorf("sample allocates %v times, want <= 1", allocs)
 	}
 }
 

@@ -23,7 +23,8 @@ type Bucket struct {
 //
 // Labels is nil when unlabeled. In a snapshot taken from a Registry it is
 // the registry's own map, shared read-only with every snapshot of that
-// registry: never write to it (Merge returns copies).
+// registry and every merge of them: never write to it. Merge copies only
+// the labels of series it had to derive an identity for.
 type Series struct {
 	Name    string            `json:"name"`
 	Type    string            `json:"type"`

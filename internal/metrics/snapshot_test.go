@@ -367,3 +367,54 @@ func TestSnapshotAllocs(t *testing.T) {
 		t.Errorf("Snapshot allocates %v times, want <= 3", allocs)
 	}
 }
+
+// TestRegisterAllocs guards registration, which every instrumented agent
+// pays per series at setup: resolving a registered 5-label counter again
+// allocates nothing, and a new one whose label set the registry already
+// holds allocates its identity, its instrument and its counter, plus the
+// amortized growth of the registry's index.
+func TestRegisterAllocs(t *testing.T) {
+	reg := NewRegistry()
+	labels := []Label{L("system", "smartoclock"), L("class", "web"), L("server", "s0"), L("rack", "r0"), L("reason", "power")}
+	reg.Counter("soa_rejects_total", labels...)
+	if a := testing.AllocsPerRun(1000, func() { reg.Counter("soa_rejects_total", labels...) }); a != 0 {
+		t.Errorf("re-registering a 5-label counter allocates %v times, want 0", a)
+	}
+	names := make([]string, 1001)
+	for i := range names {
+		names[i] = fmt.Sprintf("soa_event_%04d_total", i)
+	}
+	i := 0
+	if a := testing.AllocsPerRun(1000, func() { reg.Counter(names[i], labels...); i++ }); a > 4 {
+		t.Errorf("registering a new 5-label counter allocates %v times, want <= 4", a)
+	}
+}
+
+// TestMergeAllocs guards the shard merge: merging k registry snapshots
+// allocates a fixed handful of blocks — the plan, the output and one bucket
+// arena — however many series each input holds.
+func TestMergeAllocs(t *testing.T) {
+	snaps := func(series int) []*Snapshot {
+		out := make([]*Snapshot, 4)
+		for s := range out {
+			reg := NewRegistry()
+			for i := 0; i < series; i++ {
+				ls := []Label{L("shard", strconv.Itoa(s)), L("server", strconv.Itoa(i/8))}
+				reg.Counter(fmt.Sprintf("c%d_total", i%8), ls...).Add(float64(i))
+				if i%8 == 0 {
+					reg.Histogram("h", FractionBuckets, ls...).Observe(0.5)
+				}
+			}
+			out[s] = reg.Snapshot()
+		}
+		return out
+	}
+	var allocs []float64
+	for _, series := range []int{16, 512} {
+		in := snaps(series)
+		allocs = append(allocs, testing.AllocsPerRun(20, func() { Merge(in...) }))
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 8 {
+		t.Errorf("merging 4 snapshots of 16 and 512 series allocates %v times, want the same <= 8", allocs)
+	}
+}
