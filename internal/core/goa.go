@@ -29,6 +29,9 @@ type GOA struct {
 	rack     string
 	limit    float64
 	profiles map[string]ServerProfile
+	// names caches the profiled server names, sorted; nil until a budget
+	// computation or Servers needs it after the set of servers changed.
+	names []string
 
 	// obs, when non-nil, holds resolved metric handles (see Instrument in
 	// obs.go).
@@ -64,17 +67,29 @@ func (g *GOA) SetLimit(watts float64) { g.limit = watts }
 
 // SetProfile installs or replaces a server's reported profile.
 func (g *GOA) SetProfile(server string, p ServerProfile) {
+	if _, ok := g.profiles[server]; !ok {
+		g.names = nil
+	}
 	g.profiles[server] = p
 }
 
 // Servers returns the profiled server names, sorted for determinism.
 func (g *GOA) Servers() []string {
-	names := make([]string, 0, len(g.profiles))
-	for name := range g.profiles {
-		names = append(names, name)
+	names := g.sortedNames()
+	return append(make([]string, 0, len(names)), names...)
+}
+
+// sortedNames returns the gOA's cached sorted server names, sorting them
+// first when the set of servers has changed. Callers must not modify it.
+func (g *GOA) sortedNames() []string {
+	if g.names == nil && len(g.profiles) > 0 {
+		g.names = make([]string, 0, len(g.profiles))
+		for name := range g.profiles {
+			g.names = append(g.names, name)
+		}
+		sort.Strings(g.names)
 	}
-	sort.Strings(names)
-	return names
+	return g.names
 }
 
 // BudgetsAt computes the heterogeneous per-server power budgets for the
@@ -90,17 +105,30 @@ func (g *GOA) Servers() []string {
 // proportionally. With no overclock demand anywhere the headroom is split
 // evenly (the fair-share fallback).
 func (g *GOA) BudgetsAt(ts time.Time) map[string]float64 {
-	names := g.Servers()
+	split := g.BudgetSplit(ts)
+	if split == nil {
+		return nil
+	}
+	budgets := make(map[string]float64, len(split))
+	for i, name := range g.names {
+		budgets[name] = split[i]
+	}
+	return budgets
+}
+
+// BudgetSplit is BudgetsAt as a slice view: the same recorded computation,
+// its budgets in Servers order, so a sum over them runs in one fixed order.
+// The slice is the gOA's working set, valid until its next budget
+// computation; nil when no server is profiled. It allocates nothing once
+// the working set is sized.
+func (g *GOA) BudgetSplit(ts time.Time) []float64 {
+	names := g.sortedNames()
 	if len(names) == 0 {
 		return nil
 	}
 	sp := g.splitFor(names)
 	g.split(ts, sp)
-	budgets := make(map[string]float64, len(names))
-	for i, name := range names {
-		budgets[name] = sp.budgets[i]
-	}
-	return budgets
+	return sp.budgets
 }
 
 // budgetSplit is the working set of one budget computation, indexed like
@@ -188,7 +216,7 @@ func (g *GOA) split(ts time.Time, sp *budgetSplit) {
 // once and one working set serves every slot; each slot is still one
 // recorded budget computation, bit-identical to BudgetsAt at that instant.
 func (g *GOA) BudgetTemplates(step time.Duration) map[string]*timeseries.WeekTemplate {
-	names := g.Servers()
+	names := g.sortedNames()
 	if len(names) == 0 {
 		return nil
 	}

@@ -206,16 +206,24 @@ func TestReplayBudgetTemplatesMatchesSplit(t *testing.T) {
 	NewGOA("r", 100).ReplayBudgetTemplates(plain, step) // no instruments: must not panic
 }
 
-// TestBudgetsAtAllocs guards the live plane's per-tick budget check
-// (invariant.BudgetConservation calls BudgetsAt every tick): beyond the
-// sorted names and the returned map, a computation allocates nothing.
+// TestBudgetsAtAllocs guards the per-call cost of BudgetsAt: the sorted
+// names are cached, so beyond the returned map a computation allocates
+// nothing, and BudgetSplit, the slice view the per-tick budget check
+// reads, allocates nothing at all.
 func TestBudgetsAtAllocs(t *testing.T) {
 	g := NewGOA("r", 3000)
 	for i := 0; i < 8; i++ {
 		g.SetProfile(fmt.Sprintf("s%d", i), ServerProfile{Power: flatTemplate(200), OC: flatOC(2, 1), OCCoreCost: 10})
 	}
 	g.BudgetsAt(monday9) // size the scratch working set
-	if a := testing.AllocsPerRun(100, func() { g.BudgetsAt(monday9) }); a > 3 {
-		t.Fatalf("BudgetsAt allocates %.1f objects per call, want <= 3 (the names and the returned map)", a)
+	if a := testing.AllocsPerRun(100, func() { g.BudgetsAt(monday9) }); a > 2 {
+		t.Fatalf("BudgetsAt allocates %.1f objects per call, want <= 2 (the returned map)", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { g.BudgetSplit(monday9) }); a != 0 {
+		t.Fatalf("BudgetSplit allocates %.1f objects per call, want 0", a)
+	}
+	g.SetProfile("s9", ServerProfile{Power: flatTemplate(100), OC: flatOC(0, 0), OCCoreCost: 10})
+	if got, want := len(g.BudgetSplit(monday9)), 9; got != want {
+		t.Fatalf("split over %d servers after adding one, want %d", got, want)
 	}
 }

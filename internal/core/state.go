@@ -47,6 +47,7 @@ func (g *GOA) Restore(st *GOAState) {
 	g.rack = st.Rack
 	g.limit = st.Limit
 	g.profiles = make(map[string]ServerProfile, len(st.Profiles))
+	g.names = nil
 	for name, p := range st.Profiles {
 		g.profiles[name] = p
 	}

@@ -316,10 +316,12 @@ func SessionsWithinGrant(c *Checker, rack string, host OCHost, soa SOASource) {
 // BudgetConservation asserts the gOA's heterogeneous split conserves the
 // rack limit: per-server budgets must sum to the limit within epsilon
 // (never above it — over-allocation is how decentralized enforcement loses
-// its safety net; under-allocation wastes provisioned power).
+// its safety net; under-allocation wastes provisioned power). The split is
+// read as a slice in server-name order, so the sum is the same on every
+// run and the check allocates nothing.
 func BudgetConservation(c *Checker, goa *core.GOA, epsilon float64) {
 	c.Register("goa-budget-conservation", goa.Rack(), func(now time.Time, report Reporter) {
-		budgets := goa.BudgetsAt(now)
+		budgets := goa.BudgetSplit(now)
 		if len(budgets) == 0 {
 			return // no profiles yet: nothing to conserve
 		}

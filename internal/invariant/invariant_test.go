@@ -314,6 +314,51 @@ func TestBudgetConservation(t *testing.T) {
 	}
 }
 
+// TestBudgetConservationAllocs guards the live plane's per-tick budget
+// check: it reads the split as a slice in server-name order and allocates
+// nothing, and it still records its computation on an instrumented gOA
+// exactly as BudgetsAt does.
+func TestBudgetConservationAllocs(t *testing.T) {
+	profiled := func() (*core.GOA, *metrics.Registry) {
+		goa := core.NewGOA("rack-t", 1000)
+		for i := 0; i < 8; i++ {
+			goa.SetProfile(fmt.Sprintf("s%d", 7-i), core.ServerProfile{
+				Power:      timeseries.FlatWeek(90+10*float64(i), time.Hour),
+				OC:         &predict.OCTemplate{Requested: timeseries.FlatWeek(float64(i), time.Hour), Granted: timeseries.FlatWeek(1, time.Hour)},
+				OCCoreCost: 7,
+			})
+		}
+		reg := metrics.NewRegistry()
+		goa.Instrument(reg, nil, nil)
+		return goa, reg
+	}
+	goa, reg := profiled()
+	c := NewChecker()
+	BudgetConservation(c, goa, 1e-6)
+	now := invStart
+	c.Check(now) // size the gOA's working set
+	if allocs := testing.AllocsPerRun(1000, func() { now = now.Add(time.Second); c.Check(now) }); allocs != 0 {
+		t.Fatalf("budget conservation check allocates %v times per tick", allocs)
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	ref, refReg := profiled()
+	for i := 0; i < int(c.Checks()); i++ {
+		ref.BudgetsAt(invStart)
+	}
+	var got, want strings.Builder
+	if err := reg.Snapshot().WriteProm(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := refReg.Snapshot().WriteProm(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("check recorded\n%s\nBudgetsAt records\n%s", got.String(), want.String())
+	}
+}
+
 func TestAdmissionWithinBudgetAuditsGrants(t *testing.T) {
 	c := NewChecker()
 	sink := AdmissionWithinBudget(c, "rack-1", 0)
