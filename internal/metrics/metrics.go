@@ -130,6 +130,7 @@ var (
 type instrument struct {
 	name string
 	id   string // canonical identity, see seriesID
+	seq  int    // registration order: the registry's seq-th instrument
 	// labels is nil when unlabeled. Instruments with one label set share
 	// it, and so do snapshots and recordings, so it is never written after
 	// registration.
@@ -218,7 +219,7 @@ func (r *Registry) lookup(name string, kind Kind, labels []Label) *instrument {
 		return ins
 	}
 	id := string(b)
-	ins := &instrument{name: name, id: id, kind: kind, labels: r.labelMap(id[len(name):], ls)}
+	ins := &instrument{name: name, id: id, seq: len(r.sorted), kind: kind, labels: r.labelMap(id[len(name):], ls)}
 	r.byID[id] = ins
 	at := sort.Search(len(r.sorted), func(i int) bool { return r.sorted[i].id > id })
 	r.sorted = append(r.sorted, nil)

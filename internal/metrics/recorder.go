@@ -37,7 +37,8 @@ import (
 //
 // Labels is nil when unlabeled. In a recording taken from a Recorder it is
 // the registry's own map, shared read-only like a Snapshot's and kept by
-// MergeRecordings the same way: never write to it.
+// MergeRecordings the same way: never write to it. Uppers, too, is the
+// registry histogram's own until a merge copies it.
 type RecordedSeries struct {
 	Name   string            `json:"name"`
 	Type   string            `json:"type"`
@@ -152,7 +153,6 @@ type Recorder struct {
 	rec   *Recording
 	next  time.Time
 	slots []recSlot
-	known map[*instrument]struct{}
 	// capacity is how many intervals every series' windows hold.
 	capacity int
 	// width is the total bucket count of the recorded histograms, one
@@ -180,10 +180,9 @@ func NewRecorder(reg *Registry, start time.Time, step time.Duration) *Recorder {
 		panic(fmt.Sprintf("metrics: non-positive recording step %v", step))
 	}
 	return &Recorder{
-		reg:   reg,
-		rec:   &Recording{Start: start, Step: step},
-		next:  start.Add(step),
-		known: make(map[*instrument]struct{}),
+		reg:  reg,
+		rec:  &Recording{Start: start, Step: step},
+		next: start.Add(step),
 	}
 }
 
@@ -198,22 +197,27 @@ func (r *Recorder) Tick(now time.Time) {
 }
 
 // discover appends a slot and a series for every instrument registered
-// since the last scan, in canonical identity order. New series may appear
-// mid-run (e.g. an agent instrumented after a restart); the regrowth that
-// follows gives them zero-backfilled windows, which keeps every series on
-// the shared timeline.
+// since the last scan — those whose registration sequence the recorder has
+// not reached — in canonical identity order. New series may appear mid-run
+// (e.g. an agent instrumented after a restart); the regrowth that follows
+// gives them zero-backfilled windows, which keeps every series on the
+// shared timeline.
 func (r *Recorder) discover() {
+	known := len(r.slots)
+	r.rec.Series = slices.Grow(r.rec.Series, len(r.reg.sorted)-known)
+	r.slots = slices.Grow(r.slots, len(r.reg.sorted)-known)
+	cums := make([]uint64, r.reg.buckets-r.width)
 	for _, ins := range r.reg.sorted {
-		if _, ok := r.known[ins]; ok {
+		if ins.seq < known {
 			continue
 		}
-		r.known[ins] = struct{}{}
 		rs := RecordedSeries{Name: ins.name, Type: ins.kind.String(), Labels: ins.labels, key: ins.id}
 		slot := recSlot{ins: ins, series: len(r.rec.Series)}
 		if ins.kind == KindHistogram {
-			rs.Uppers = append([]float64(nil), ins.h.uppers...)
-			slot.prevCum = make([]uint64, len(rs.Uppers))
-			r.width += len(rs.Uppers)
+			w := len(ins.h.uppers)
+			rs.Uppers = ins.h.uppers
+			slot.prevCum, cums = cums[:w:w], cums[w:]
+			r.width += w
 		}
 		r.rec.Series = append(r.rec.Series, rs)
 		r.slots = append(r.slots, slot)
