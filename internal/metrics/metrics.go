@@ -136,9 +136,11 @@ type instrument struct {
 	// registration.
 	labels map[string]string
 	kind   Kind
-	c      *Counter
-	g      *Gauge
-	h      *Histogram
+	// c and g are a counter's and a gauge's handle, held in the instrument
+	// so registering one is a single allocation.
+	c Counter
+	g Gauge
+	h *Histogram
 }
 
 // Registry holds instruments keyed by name + sorted labels. Registering the
@@ -249,20 +251,12 @@ func (r *Registry) labelMap(set string, ls []Label) map[string]string {
 // Counter returns the counter handle for name+labels, creating it at zero
 // on first use.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	ins := r.lookup(name, KindCounter, labels)
-	if ins.c == nil {
-		ins.c = &Counter{}
-	}
-	return ins.c
+	return &r.lookup(name, KindCounter, labels).c
 }
 
 // Gauge returns the gauge handle for name+labels.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	ins := r.lookup(name, KindGauge, labels)
-	if ins.g == nil {
-		ins.g = &Gauge{}
-	}
-	return ins.g
+	return &r.lookup(name, KindGauge, labels).g
 }
 
 // Histogram returns the histogram handle for name+labels with the given
