@@ -76,8 +76,8 @@ func newObserver(k observeKnobs) observer {
 // Take it once, after the run.
 func (o *observer) freeze() FleetObservation {
 	out := o.part()
-	if o.prov != nil {
-		out.Provenance = &causal.Log{Records: o.prov.Records()}
+	if out.prov != nil {
+		out.Provenance, out.prov = &causal.Log{Records: out.prov.Records()}, nil
 	}
 	return out
 }
@@ -134,10 +134,10 @@ func mergeObservations(parts ...*FleetObservation) *FleetObservation {
 	if len(provs) > 0 {
 		merged := make([]causal.Record, 0, records)
 		for _, p := range provs {
-			if p.Provenance != nil {
-				merged = append(merged, p.Provenance.Records...)
-			} else {
+			if p.prov != nil {
 				merged = p.prov.AppendSince(merged, 0)
+			} else {
+				merged = append(merged, p.Provenance.Records...)
 			}
 		}
 		out.Provenance = &causal.Log{Records: merged}
@@ -165,7 +165,7 @@ type FleetObservation struct {
 	CriticalPath causal.Stats
 
 	// prov is a fan-out shard's provenance recorder (see observer.part),
-	// standing in for Provenance until the merge.
+	// standing in for Provenance, which it leaves nil, until the merge.
 	prov *causal.Recorder
 }
 

@@ -225,12 +225,12 @@ func (r *Recorder) discover() {
 	r.capacity = 0 // the new series have no windows yet
 }
 
-// regrow moves every series' n intervals into windows of twice the
-// capacity (at least 8 intervals) carved from one block per field, gives
-// series discovered since the last regrowth n zero intervals, and sizes
-// the row arena for the intervals up to the next regrowth.
+// regrow moves every series' n intervals into windows of 2n (at least 8)
+// intervals carved from one block per field, gives series discovered since
+// the last regrowth n zero intervals, and sizes the row arena for the
+// intervals up to the next regrowth.
 func (r *Recorder) regrow(n int) {
-	capacity := max(8, 2*r.capacity, n+1)
+	capacity := max(8, 2*n)
 	var floats, ints, backfill int
 	for i := range r.slots {
 		floats += capacity
