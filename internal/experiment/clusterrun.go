@@ -158,11 +158,11 @@ const (
 	roleSpare                       // scale-out replicas, on the spare rack
 )
 
-// clusterServer is one row of the server table.
+// clusterServer is one row of the server table: a slot of its rack's rig,
+// whose sOA is nil unless the system runs sOAs.
 type clusterServer struct {
-	srv         *cluster.Server
+	*rigServer[*cluster.Server]
 	role        serverRole
-	soa         *core.SOA         // nil unless the system runs sOAs
 	startEnergy float64           // Energy() when measurement starts
 	ml          *workload.MLTrain // ML servers only
 	usedSlots   int               // spare servers: slots hosting a replica
@@ -279,15 +279,16 @@ type clusterRun struct {
 	services []workload.Microservice
 
 	// servers is the table, SocialNet then ML then spare servers: the
-	// order sOAs are built and ticked in and hardware advances in. App i's
+	// order sOAs are booted and ticked in and hardware advances in. App i's
 	// primary replica lives on servers[i].
 	servers   []*clusterServer
 	slots     []*spareSlot
 	apps      []*appState
 	byReplica map[string]*appState // replica name → app, for sOA callbacks
-	mainRack  *power.Rack
-	spareRack *power.Rack // nil without spares
-	goa       *core.GOA   // nil unless the system runs sOAs
+	// main is the SocialNet and ML servers' rack, whose gOA the systems
+	// that run sOAs boot; spare is the spare servers' rack, which never has
+	// a gOA (nil without spares).
+	main, spare *rig[*cluster.Server]
 
 	observer
 
@@ -330,9 +331,9 @@ func newClusterRun(cfg ClusterConfig) (*clusterRun, error) {
 	if err := r.buildApps(); err != nil {
 		return nil, err
 	}
-	mainLimit := r.buildRacks()
+	r.buildRacks()
 	if cfg.System == SysSmartOClock || cfg.System == SysNaiveOClock {
-		r.buildSOAs(mainLimit)
+		r.bootAgents()
 	}
 	return r, nil
 }
@@ -350,10 +351,8 @@ func (r *clusterRun) buildServers() {
 		{"sp", r.cfg.SpareServers, 0, roleSpare},
 	} {
 		for i := 0; i < g.n; i++ {
-			s := &clusterServer{srv: cluster.NewServer(fmt.Sprintf("%s-%02d", g.prefix, i), r.cfg.HW, g.capPriority), role: g.role}
-			if r.reg != nil {
-				s.srv.Instrument(r.reg, r.labels...)
-			}
+			srv := cluster.NewServer(fmt.Sprintf("%s-%02d", g.prefix, i), r.cfg.HW, g.capPriority)
+			s := &clusterServer{rigServer: newRigServer(srv, r.cfg.HW.OCCoreCost(), 0), role: g.role}
 			if g.role == roleML {
 				s.ml = workload.NewMLTrain(100)
 				for c := 0; c < s.srv.NumCores(); c++ {
@@ -445,9 +444,9 @@ func (r *clusterRun) buildApps() error {
 	return nil
 }
 
-// buildRacks builds both racks and returns the main rack's limit: a margin
+// buildRacks builds a rig over each rack. The main rack's limit is a margin
 // over the steady power one representative workload tick estimates.
-func (r *clusterRun) buildRacks() float64 {
+func (r *clusterRun) buildRacks() {
 	turbo := r.cfg.HW.TurboMHz
 	for _, app := range r.apps {
 		rep := app.replicas[0]
@@ -460,81 +459,85 @@ func (r *clusterRun) buildRacks() float64 {
 	// The main rack lists its ML servers before its SocialNet ones, the
 	// reverse of the table order the sOAs tick in. Capping walks the
 	// members in this order, so it decides which server is throttled first.
-	var mainServers, spareServers []power.Server
+	var mainServers, spareServers []*rigServer[*cluster.Server]
 	est := 0.0
 	for _, role := range []serverRole{roleML, roleSocialNet} {
 		for _, s := range r.servers {
 			if s.role == role {
-				mainServers = append(mainServers, s.srv)
+				mainServers = append(mainServers, s.rigServer)
 				est += s.srv.Power()
 			}
 		}
 	}
 	for _, s := range r.servers {
 		if s.role == roleSpare {
-			spareServers = append(spareServers, s.srv)
+			spareServers = append(spareServers, s.rigServer)
 		}
 	}
 	// §VI: the production cluster "provisioned adequate power to avoid
 	// capping; the limits are lowered for power management evaluations" —
 	// RackLimitScale < 1 does exactly that.
-	mainLimit := r.cfg.RackLimitScale * est * 1.25
-	r.mainRack = power.NewRack(power.DefaultRackConfig("rack-main", mainLimit), mainServers...)
-	r.mainRack.Instrument(r.reg, r.tracer, r.prov, r.labels...)
+	r.main = r.newRig("rack-main", r.cfg.RackLimitScale*est*1.25, mainServers)
 	if len(spareServers) > 0 {
 		limit := float64(len(spareServers)) * machine.New(r.cfg.HW).MaxPower(r.cfg.HW.MaxOCMHz) * 1.05
-		r.spareRack = power.NewRack(power.DefaultRackConfig("rack-spare", limit), spareServers...)
-		r.spareRack.Instrument(r.reg, r.tracer, r.prov, r.labels...)
+		r.spare = r.newRig("rack-spare", limit, spareServers)
 	}
-	return mainLimit
 }
 
-// buildSOAs attaches an sOA to every server, in table order, and the gOA
-// over the main rack. Each sOA starts from an even share of its rack.
-func (r *clusterRun) buildSOAs(mainLimit float64) {
-	r.goa = core.NewGOA("rack-main", mainLimit)
+// newRig assembles the rack of servers under limit. Every sOA its rig boots
+// shares the run's recipe and labels.
+func (r *clusterRun) newRig(name string, limit float64, servers []*rigServer[*cluster.Server]) *rig[*cluster.Server] {
 	soaCfg := rigSOAConfig()
 	soaCfg.ExhaustionWindow = 5 * time.Minute
 	soaCfg.AdmissionUtil = 0.6
 	soaCfg.Naive = r.cfg.System == SysNaiveOClock
-	bcfg := lifetime.BudgetConfig{Epoch: 24 * time.Hour, Fraction: r.cfg.OCBudgetScale * r.cfg.Duration.Hours() / 24}
-	evenMain := mainLimit / float64(r.cfg.SocialNetServers+r.cfg.MLServers)
-	for _, s := range r.servers {
-		even := evenMain
-		if s.role == roleSpare {
-			even = r.spareRack.Config().LimitWatts / float64(r.cfg.SpareServers)
-		}
-		r.attachSOA(s, soaCfg, bcfg, even)
+	rg := &rig[*cluster.Server]{
+		limit:     limit,
+		soaCfg:    soaCfg,
+		bcfg:      lifetime.BudgetConfig{Epoch: 24 * time.Hour, Fraction: r.cfg.OCBudgetScale * r.cfg.Duration.Hours() / 24},
+		start:     r.cfg.Start,
+		servers:   servers,
+		observer:  r.observer,
+		soaLabels: r.labels,
 	}
-	r.mainRack.Subscribe(func(ev power.Event) {
+	rg.assembleRack(power.DefaultRackConfig(name, limit))
+	return rg
+}
+
+// bootAgents boots the main rack's gOA, then an sOA on every server in table
+// order, each on an even share of its rack. An sOA's rejections and
+// exhaustion warnings reach the WI agents of the apps with replicas on its
+// server, and main-rack events reach the main rack's sOAs.
+func (r *clusterRun) bootAgents() {
+	r.main.bootGOA()
+	for _, s := range r.servers {
+		rg := r.main
+		if s.role == roleSpare {
+			rg = r.spare
+		}
+		rg.boot(s.rigServer, r.cfg.Start)
+		a := s.soa
+		a.OnReject = func(vm string, reason core.RejectReason) {
+			if app := r.byReplica[vm]; app != nil && app.wi != nil {
+				app.wi.ReportRejection(vm, reason)
+			}
+		}
+		a.OnExhaustionSoon = func(kind core.ExhaustionKind, at time.Time) {
+			// Only apps whose sessions consume this server's budget must act.
+			for vm := range a.Sessions() {
+				if app := r.byReplica[vm]; app != nil && app.wi != nil {
+					app.wi.ReportExhaustion(kind, at)
+				}
+			}
+		}
+	}
+	r.main.rack.Subscribe(func(ev power.Event) {
 		for _, s := range r.servers {
 			if s.role != roleSpare {
 				s.soa.OnRackEvent(r.now, ev)
 			}
 		}
 	})
-}
-
-// attachSOA gives s an sOA whose rejections and exhaustion warnings reach
-// the WI agents of the apps with replicas on s.
-func (r *clusterRun) attachSOA(s *clusterServer, cfg core.SOAConfig, bcfg lifetime.BudgetConfig, even float64) {
-	budgets := lifetime.NewCoreBudgets(bcfg, s.srv.NumCores(), r.cfg.Start)
-	a := core.NewSOA(cfg, s.srv, budgets, even, r.cfg.Start)
-	a.Instrument(r.reg, r.tracer, r.prov, r.labels...)
-	a.OnReject = func(vm string, reason core.RejectReason) {
-		if app := r.byReplica[vm]; app != nil && app.wi != nil {
-			app.wi.ReportRejection(vm, reason)
-		}
-	}
-	a.OnExhaustionSoon = func(kind core.ExhaustionKind, at time.Time) {
-		// Only apps whose sessions consume this server's budget must act.
-		for vm := range a.Sessions() {
-			if app := r.byReplica[vm]; app != nil && app.wi != nil {
-				app.wi.ReportExhaustion(kind, at)
-			}
-		}
-	}
-	s.soa = a
 }
 
 // addReplica places a new replica of app: the primary (slot nil) on the
@@ -714,7 +717,7 @@ func (r *clusterRun) decide(t int) {
 // stepAgentsAndRacks ticks the sOAs in table order (a tick emits events and
 // reports rejections), refreshes SmartOClock's budgets and ticks the racks.
 func (r *clusterRun) stepAgentsAndRacks(t int) {
-	if t%r.rackEvery == 0 && r.goa != nil {
+	if t%r.rackEvery == 0 && r.main.goa != nil {
 		for _, s := range r.servers {
 			s.soa.Tick(r.now)
 		}
@@ -723,9 +726,9 @@ func (r *clusterRun) stepAgentsAndRacks(t int) {
 		r.refreshBudgets()
 	}
 	if t%r.rackEvery == 0 {
-		r.mainRack.Tick(r.now)
-		if r.spareRack != nil {
-			r.spareRack.Tick(r.now)
+		r.main.rack.Tick(r.now)
+		if r.spare != nil {
+			r.spare.rack.Tick(r.now)
 		}
 	}
 }
@@ -738,16 +741,16 @@ func (r *clusterRun) refreshBudgets() {
 		if s.role == roleSpare {
 			continue
 		}
-		p := recentProfile(s.soa, s.srv, s.srv.Machine().Config().OCCoreCost())
+		p := recentProfile(s.soa, s.srv, s.coreCost)
 		if s.role == roleSocialNet && p.Requested < 16 {
 			// Latency-critical servers keep a floor reserve: their load
 			// waves are phase-shifted, so demand can arrive on servers
 			// that were quiet during the profiling window.
 			p.Requested = 16
 		}
-		r.goa.SetProfile(s.srv.Name(), flatProfile(p))
+		r.main.goa.SetProfile(s.srv.Name(), flatProfile(p))
 	}
-	budgets := r.goa.BudgetsAt(r.now)
+	budgets := r.main.goa.BudgetsAt(r.now)
 	for _, s := range r.servers {
 		if b := budgets[s.srv.Name()]; b > 0 { // spares have no budget
 			s.soa.SetStaticBudget(b, true)
@@ -787,7 +790,7 @@ func (r *clusterRun) result() *ClusterResult {
 		MissedSLO:            map[workload.LoadLevel]int{},
 		MeanInstancesByLevel: map[workload.LoadLevel]float64{},
 		ServerEnergy:         map[workload.LoadLevel]float64{},
-		CapEvents:            r.mainRack.CapEvents(),
+		CapEvents:            r.main.rack.CapEvents(),
 	}
 	// With no measured tick every numerator below is zero, so dividing by
 	// one keeps those means at zero.

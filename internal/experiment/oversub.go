@@ -8,7 +8,6 @@ import (
 	"smartoclock/internal/cluster"
 	"smartoclock/internal/core"
 	"smartoclock/internal/invariant"
-	"smartoclock/internal/lifetime"
 	"smartoclock/internal/machine"
 	"smartoclock/internal/parallel"
 	"smartoclock/internal/power"
@@ -199,9 +198,11 @@ func fitArrivalTemplate(start time.Time, step time.Duration, a trace.Arrival, se
 type oversubCell struct {
 	cfg OversubConfig
 	eng *sim.Engine
+	// limit is the rack's provisioned limit, which admission plans against.
+	limit float64
 	// rig holds the production base servers (none outside contention cells)
 	// over the cell's rack, which the admitted deployments join. It has no
-	// gOA: the bases run on the even share of their reserve.
+	// gOA: its limit is the bases' reserve, whose even share each sOA runs on.
 	rig      *rig[*cluster.Server]
 	adm      *power.Admission
 	checker  *invariant.Checker
@@ -226,17 +227,17 @@ func newOversubCell(cfg OversubConfig, ratio float64, seed int64, contention boo
 	c := &oversubCell{
 		cfg:     cfg,
 		eng:     sim.NewEngine(cfg.Start, seed),
-		rig:     &rig[*cluster.Server]{limit: cfg.LimitWatts, start: cfg.Start},
+		limit:   cfg.LimitWatts,
+		rig:     &rig[*cluster.Server]{start: cfg.Start},
 		checker: invariant.NewChecker(),
 		res:     &OversubCellResult{Ratio: ratio},
 	}
-	reserve := 0.0
 	if contention {
-		reserve = c.buildBases()
-		c.rig.limit = cfg.ContentionLimitScale * reserve
+		c.rig.limit = c.buildBases()
+		c.limit = cfg.ContentionLimitScale * c.rig.limit
 	}
 
-	rackCfg := power.DefaultRackConfig("oversub-r0", c.rig.limit)
+	rackCfg := power.DefaultRackConfig("oversub-r0", c.limit)
 	rackCfg.Mode = mode
 	if mode == power.CapInvertedUnsafe {
 		// Shallow emergency target for the inverted canary: the default deep
@@ -245,27 +246,24 @@ func newOversubCell(cfg OversubConfig, ratio float64, seed int64, contention boo
 		// partway guarantees the inversion is observable.
 		rackCfg.TargetFraction = 0.90
 	}
-	c.rig.rack = power.NewRack(rackCfg)
-	for _, s := range c.rig.servers {
-		c.rig.rack.AddServer(s.srv)
-	}
+	c.rig.assembleRack(rackCfg)
 
 	adm, err := power.NewAdmission(power.OversubConfig{
 		Ratio:          ratio,
 		Quantile:       cfg.Quantile,
 		MaxTemplateAge: cfg.MaxTemplateAge,
 		AdmitAllUnsafe: admitAll,
-	}, c.rig.limit)
+	}, c.limit)
 	if err != nil {
 		return nil, err
 	}
 	c.adm = adm
-	adm.Reserve(reserve)
+	adm.Reserve(c.rig.limit)
 
 	invariant.NoBrownout(c.checker, c.rig.rack, 1e-6)
 	invariant.SeverityOrder(c.checker, c.rig.rack)
 	if contention {
-		c.bootBases(reserve)
+		c.bootBases()
 	}
 
 	// The deployment-arrival stream: admission decides at each arrival. The
@@ -312,12 +310,10 @@ func (c *oversubCell) buildBases() float64 {
 // bootBases starts every base's sOA on its even share of the reserve and arms
 // the overclocking safety battery: competing with oversubscription must not
 // loosen any overclock bound. Rack events reach the sOAs directly.
-func (c *oversubCell) bootBases(reserve float64) {
+func (c *oversubCell) bootBases() {
 	rg := c.rig
-	share := reserve / float64(len(rg.servers))
 	for _, s := range rg.servers {
-		s.ledger = lifetime.NewCoreBudgets(rg.bcfg, s.srv.NumCores(), rg.start)
-		s.soa = core.NewSOA(rg.soaCfg, s.host, s.ledger, share, rg.start)
+		rg.boot(s, rg.start)
 		invariant.SessionsWithinGrant(c.checker, rg.rack.Name(), s.srv, func() *core.SOA { return s.soa })
 		invariant.CoreBudgetsNeverOverdrawn(c.checker, rg.rack.Name(), s.srv, rg.bcfg, rg.start, 12*c.cfg.Tick)
 	}
@@ -388,7 +384,7 @@ func (c *oversubCell) tick(now time.Time) {
 			c.res.CappedTicks++
 		}
 	}
-	if u := rg.rack.Power() / rg.limit; u > c.res.MaxUtil {
+	if u := rg.rack.Power() / c.limit; u > c.res.MaxUtil {
 		c.res.MaxUtil = u
 	}
 	c.checker.Check(now)

@@ -223,10 +223,14 @@ func (s *rigServer[H]) volatileState() *core.SOAState {
 
 // rig owns one rack's control plane. A driver fills the first two field
 // groups — the recipe and the optional observer — then calls assemble, which
-// builds the rest.
+// builds the rest. A driver that runs only part of the plane calls
+// assembleRack and then bootGOA and boot for what it runs: a rack whose
+// driver never calls bootGOA has no gOA, and one whose driver boots no slot
+// has no agents and no ledgers.
 type rig[H rigHost] struct {
 	// goaID is the gOA's agent name on the driver's transport.
-	goaID   string
+	goaID string
+	// limit is the power the gOA splits and the sOAs share evenly at boot.
 	limit   float64
 	soaCfg  core.SOAConfig
 	bcfg    lifetime.BudgetConfig
@@ -236,13 +240,14 @@ type rig[H rigHost] struct {
 	// "vm".
 	session string
 
-	// observer's labels tag the rack's and the gOA's series, soaLabels the
-	// sOAs'. They are set when several rigs' series merge into one.
+	// observer's labels tag the rack's, the hosts' and the gOA's series,
+	// soaLabels the sOAs'. They are set when several rigs' series merge into
+	// one.
 	observer
 	soaLabels []metrics.Label
 
 	rack    *power.Rack
-	goa     *core.GOA // nil while crashed
+	goa     *core.GOA // nil while crashed or never booted
 	byAgent map[string]*rigServer[H]
 	// requests/granted count the VM asks serve made and won.
 	requests, granted int
@@ -251,26 +256,31 @@ type rig[H rigHost] struct {
 	out []agent.Message
 }
 
-// assemble builds the rack manager from rc, the gOA, the durable ledgers and
-// every sOA over the configured slots.
+// assemble builds the whole control plane: the rack from rc, the gOA, and a
+// booted sOA over its durable ledger on every configured slot.
 func (r *rig[H]) assemble(rc power.RackConfig) {
+	r.assembleRack(rc)
+	r.bootGOA()
+	for _, s := range r.servers {
+		r.boot(s, r.start)
+	}
+}
+
+// assembleRack builds the rack manager from rc over the configured slots and
+// instruments the rack and its hosts.
+func (r *rig[H]) assembleRack(rc power.RackConfig) {
 	members := make([]power.Server, len(r.servers))
 	r.byAgent = make(map[string]*rigServer[H], len(r.servers))
 	for i, s := range r.servers {
 		members[i] = s.srv
 		r.byAgent[s.agentID] = s
-		s.ledger = lifetime.NewCoreBudgets(r.bcfg, s.srv.NumCores(), r.start)
 	}
 	r.rack = power.NewRack(rc, members...)
 	r.rack.Instrument(r.reg, r.tracer, r.prov, r.labels...)
 	if r.reg != nil {
 		for _, s := range r.servers {
-			s.srv.Instrument(r.reg)
+			s.srv.Instrument(r.reg, r.labels...)
 		}
-	}
-	r.bootGOA()
-	for _, s := range r.servers {
-		r.boot(s, r.start)
 	}
 }
 
@@ -280,10 +290,14 @@ func (r *rig[H]) bootGOA() {
 	r.goa.Instrument(r.reg, r.tracer, r.prov, r.labels...)
 }
 
-// boot starts a fresh sOA on s at the rack's even share. Rebooted agents
-// resolve the same series (registry identity is name+labels), so counters
-// accumulate across crash/restart cycles.
+// boot starts a fresh sOA on s at the rack's even share, over the slot's
+// durable ledger, which the first boot creates. Rebooted agents resolve the
+// same series (registry identity is name+labels), so counters accumulate
+// across crash/restart cycles.
 func (r *rig[H]) boot(s *rigServer[H], now time.Time) {
+	if s.ledger == nil {
+		s.ledger = lifetime.NewCoreBudgets(r.bcfg, s.srv.NumCores(), r.start)
+	}
 	s.soa = core.NewSOA(r.soaCfg, s.host, s.ledger, r.limit/float64(len(r.servers)), now)
 	s.soa.Instrument(r.reg, r.tracer, r.prov, r.soaLabels...)
 	s.budget, s.budgetAt = 0, time.Time{}
