@@ -158,8 +158,8 @@ const (
 	roleSpare                       // scale-out replicas, on the spare rack
 )
 
-// clusterServer is one row of the server table: a slot of its rack's rig,
-// whose sOA is nil unless the system runs sOAs.
+// clusterServer is one row of the server table and a slot of its rack's
+// rig; its sOA is nil unless the system runs sOAs.
 type clusterServer struct {
 	*rigServer[*cluster.Server]
 	role        serverRole
@@ -285,9 +285,8 @@ type clusterRun struct {
 	slots     []*spareSlot
 	apps      []*appState
 	byReplica map[string]*appState // replica name → app, for sOA callbacks
-	// main is the SocialNet and ML servers' rack, whose gOA the systems
-	// that run sOAs boot; spare is the spare servers' rack, which never has
-	// a gOA (nil without spares).
+	// main and spare are the racks' rigs. Only main boots a gOA; spare is
+	// nil without spare servers.
 	main, spare *rig[*cluster.Server]
 
 	observer
@@ -444,9 +443,21 @@ func (r *clusterRun) buildApps() error {
 	return nil
 }
 
-// buildRacks builds a rig over each rack. The main rack's limit is a margin
-// over the steady power one representative workload tick estimates.
+// buildRacks assembles a rig over each rack; every sOA they boot shares one
+// recipe. The main rack's limit is a margin over the steady power one
+// representative workload tick estimates.
 func (r *clusterRun) buildRacks() {
+	soaCfg := rigSOAConfig()
+	soaCfg.ExhaustionWindow = 5 * time.Minute
+	soaCfg.AdmissionUtil = 0.6
+	soaCfg.Naive = r.cfg.System == SysNaiveOClock
+	bcfg := lifetime.BudgetConfig{Epoch: 24 * time.Hour, Fraction: r.cfg.OCBudgetScale * r.cfg.Duration.Hours() / 24}
+	newRig := func(name string, limit float64, servers []*rigServer[*cluster.Server]) *rig[*cluster.Server] {
+		rg := &rig[*cluster.Server]{limit: limit, soaCfg: soaCfg, bcfg: bcfg, start: r.cfg.Start,
+			servers: servers, observer: r.observer, soaLabels: r.labels}
+		rg.assembleRack(power.DefaultRackConfig(name, limit))
+		return rg
+	}
 	turbo := r.cfg.HW.TurboMHz
 	for _, app := range r.apps {
 		rep := app.replicas[0]
@@ -477,37 +488,16 @@ func (r *clusterRun) buildRacks() {
 	// §VI: the production cluster "provisioned adequate power to avoid
 	// capping; the limits are lowered for power management evaluations" —
 	// RackLimitScale < 1 does exactly that.
-	r.main = r.newRig("rack-main", r.cfg.RackLimitScale*est*1.25, mainServers)
+	r.main = newRig("rack-main", r.cfg.RackLimitScale*est*1.25, mainServers)
 	if len(spareServers) > 0 {
 		limit := float64(len(spareServers)) * machine.New(r.cfg.HW).MaxPower(r.cfg.HW.MaxOCMHz) * 1.05
-		r.spare = r.newRig("rack-spare", limit, spareServers)
+		r.spare = newRig("rack-spare", limit, spareServers)
 	}
-}
-
-// newRig assembles the rack of servers under limit. Every sOA its rig boots
-// shares the run's recipe and labels.
-func (r *clusterRun) newRig(name string, limit float64, servers []*rigServer[*cluster.Server]) *rig[*cluster.Server] {
-	soaCfg := rigSOAConfig()
-	soaCfg.ExhaustionWindow = 5 * time.Minute
-	soaCfg.AdmissionUtil = 0.6
-	soaCfg.Naive = r.cfg.System == SysNaiveOClock
-	rg := &rig[*cluster.Server]{
-		limit:     limit,
-		soaCfg:    soaCfg,
-		bcfg:      lifetime.BudgetConfig{Epoch: 24 * time.Hour, Fraction: r.cfg.OCBudgetScale * r.cfg.Duration.Hours() / 24},
-		start:     r.cfg.Start,
-		servers:   servers,
-		observer:  r.observer,
-		soaLabels: r.labels,
-	}
-	rg.assembleRack(power.DefaultRackConfig(name, limit))
-	return rg
 }
 
 // bootAgents boots the main rack's gOA, then an sOA on every server in table
-// order, each on an even share of its rack. An sOA's rejections and
-// exhaustion warnings reach the WI agents of the apps with replicas on its
-// server, and main-rack events reach the main rack's sOAs.
+// order. Its rejections and exhaustion warnings reach the WI agents of the
+// apps with replicas on its server, and main-rack events its main-rack sOAs.
 func (r *clusterRun) bootAgents() {
 	r.main.bootGOA()
 	for _, s := range r.servers {

@@ -223,15 +223,12 @@ func (s *rigServer[H]) volatileState() *core.SOAState {
 
 // rig owns one rack's control plane. A driver fills the first two field
 // groups — the recipe and the optional observer — then calls assemble, which
-// builds the rest. A driver that runs only part of the plane calls
-// assembleRack and then bootGOA and boot for what it runs: a rack whose
-// driver never calls bootGOA has no gOA, and one whose driver boots no slot
-// has no agents and no ledgers.
+// builds the rest. A driver that runs part of the plane calls assembleRack,
+// then bootGOA and boot for the agents it runs, if any.
 type rig[H rigHost] struct {
 	// goaID is the gOA's agent name on the driver's transport.
-	goaID string
-	// limit is the power the gOA splits and the sOAs share evenly at boot.
-	limit   float64
+	goaID   string
+	limit   float64 // what the gOA splits and the sOAs share evenly at boot
 	soaCfg  core.SOAConfig
 	bcfg    lifetime.BudgetConfig
 	start   time.Time
@@ -240,9 +237,8 @@ type rig[H rigHost] struct {
 	// "vm".
 	session string
 
-	// observer's labels tag the rack's, the hosts' and the gOA's series,
-	// soaLabels the sOAs'. They are set when several rigs' series merge into
-	// one.
+	// observer's labels tag the rack's, hosts' and gOA's series, soaLabels
+	// the sOAs'. They are set when several rigs' series merge into one.
 	observer
 	soaLabels []metrics.Label
 
@@ -290,10 +286,9 @@ func (r *rig[H]) bootGOA() {
 	r.goa.Instrument(r.reg, r.tracer, r.prov, r.labels...)
 }
 
-// boot starts a fresh sOA on s at the rack's even share, over the slot's
-// durable ledger, which the first boot creates. Rebooted agents resolve the
-// same series (registry identity is name+labels), so counters accumulate
-// across crash/restart cycles.
+// boot starts a fresh sOA on s at the rack's even share over the slot's
+// durable ledger, made on first boot. Rebooted agents resolve the same series
+// (identity is name+labels), so counters accumulate across restarts.
 func (r *rig[H]) boot(s *rigServer[H], now time.Time) {
 	if s.ledger == nil {
 		s.ledger = lifetime.NewCoreBudgets(r.bcfg, s.srv.NumCores(), r.start)
