@@ -165,10 +165,8 @@ func oracleBuckets(name string) []float64 {
 }
 
 // run registers and drives a random set of instruments on reg, recording
-// the registry every interval into rec when rec is set. One counter is
-// there from the start, so every recording covers every interval.
+// the registry every interval into rec when rec is set.
 func (p mergeProgram) run(reg *Registry, rec *Recorder, intervals int) {
-	reg.Counter("a_total")
 	for step := 0; step <= intervals; step++ {
 		for op := p.rng.Intn(12); op > 0; op-- {
 			n := oracleNames[p.rng.Intn(len(oracleNames))]

@@ -153,8 +153,10 @@ type Recorder struct {
 	rec   *Recording
 	next  time.Time
 	slots []recSlot
-	// capacity is how many intervals every series' windows hold.
-	capacity int
+	// samples counts the intervals sampled so far, those taken while the
+	// registry was still empty included; capacity is how many intervals
+	// every series' windows hold.
+	samples, capacity int
 	// width is the total bucket count of the recorded histograms, one
 	// interval's worth of bucket rows; rows is the arena they come from.
 	width int
@@ -276,9 +278,10 @@ func (r *Recorder) sample() {
 	if len(r.reg.byID) != len(r.slots) {
 		r.discover()
 	}
-	if n := r.rec.Intervals(); n >= r.capacity {
-		r.regrow(n)
+	if r.samples >= r.capacity {
+		r.regrow(r.samples)
 	}
+	r.samples++
 	stepSecs := r.rec.Step.Seconds()
 	for i := range r.slots {
 		sl := &r.slots[i]

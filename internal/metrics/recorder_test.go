@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -161,6 +162,37 @@ func TestRecorderMidRunSeries(t *testing.T) {
 	// Sorted by canonical identity.
 	if r.Series[0].Name != "early_total" || r.Series[1].Name != "late_total" {
 		t.Errorf("series not sorted: %s, %s", r.Series[0].Name, r.Series[1].Name)
+	}
+}
+
+// TestRecorderCountsEmptySamples pins the timeline of a recorder whose
+// registry is empty at its first samples: those samples are intervals too,
+// so a series registered after them is zero-backfilled over them, sits on
+// the right instants and merges with a shard that recorded from the start.
+func TestRecorderCountsEmptySamples(t *testing.T) {
+	const empty = 2
+	reg := NewRegistry()
+	rec := NewRecorder(reg, t0, time.Second)
+	rec.Tick(t0.Add(empty * time.Second))
+	c := reg.Counter("work_total", L("shard", "s"))
+	h := reg.Histogram("dist", []float64{1, 10})
+	c.Add(5)
+	h.Observe(3)
+	rec.Tick(t0.Add(3 * time.Second))
+
+	r := rec.Recording()
+	if n := r.Intervals(); n != empty+1 {
+		t.Fatalf("intervals = %d, want %d samples", n, empty+1)
+	}
+	if got := r.Find("work_total", map[string]string{"shard": "s"}).Samples; !slices.Equal(got, []float64{0, 0, 5}) {
+		t.Errorf("late counter samples = %v, want [0 0 5]", got)
+	}
+	if got := r.Find("dist", nil).Quantile(0.5); !slices.Equal(got, []float64{0, 0, 5.5}) {
+		t.Errorf("late histogram p50 = %v, want [0 0 5.5]", got)
+	}
+	merged := MergeRecordings(shardRecording(1), r)
+	if got := merged.Find("work_total", map[string]string{"shard": "s"}).Samples; !slices.Equal(got, []float64{1, 2, 8}) {
+		t.Errorf("merged counter samples = %v, want [1 2 8]", got)
 	}
 }
 
@@ -441,11 +473,12 @@ func TestLockedRegistry(t *testing.T) {
 // identity. It lives only here, as the oracle the in-place recorder must
 // match byte for byte.
 type snapshotDiffRecorder struct {
-	reg   *Registry
-	rec   *Recording
-	next  time.Time
-	prev  *Snapshot
-	index map[string]int
+	reg     *Registry
+	rec     *Recording
+	next    time.Time
+	prev    *Snapshot
+	index   map[string]int
+	samples int // intervals sampled, empty-registry samples included
 }
 
 func newSnapshotDiffRecorder(reg *Registry, start time.Time, step time.Duration) *snapshotDiffRecorder {
@@ -462,7 +495,8 @@ func (r *snapshotDiffRecorder) Tick(now time.Time) {
 
 func (r *snapshotDiffRecorder) sample() {
 	snap := r.reg.Snapshot()
-	n := r.rec.Intervals()
+	n := r.samples
+	r.samples++
 	stepSecs := r.rec.Step.Seconds()
 	prevByID := make(map[string]*Series, len(r.prev.Series))
 	for i := range r.prev.Series {
