@@ -227,7 +227,7 @@ func main() {
 
 	section("Decisions")
 	zooObs := zooRes.Observation()
-	stats := zooObs.CriticalPath
+	stats := zooObs.Provenance.Stats()
 	fmt.Fprintf(w, "The zoo ran with decision provenance armed: every admission, cap, session stop, alert and invariant verdict above carries a \"why\" record, resolvable by span with `socctl explain -log`.\n\n")
 	fmt.Fprintf(w, "%d decisions and %d control-plane messages across %d ticks; the deepest causal chain is %d records (span %s).\n\n",
 		stats.Decisions, stats.Messages, stats.Ticks, stats.MaxDepth, stats.DeepSpan)

@@ -89,7 +89,7 @@ func table1At(t *testing.T, k table1Key) table1Run {
 			soaInTelemetry: strings.Contains(telemetry, "soa_requests_total"),
 			soaInSeries:    strings.Contains(p.series, "soa_requests_total"),
 			provBytes:      len(p.provenance),
-			path:           p.observation.CriticalPath,
+			path:           p.observation.Provenance.Stats(),
 		}
 		if s := p.observation.Series; s != nil {
 			r.seriesIntervals = s.Intervals()

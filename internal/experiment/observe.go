@@ -101,7 +101,7 @@ func (o *observer) part() FleetObservation {
 // metrics.Merge and MergeRecordings sum floats, so the order is part of the
 // result; fan-outs pass their runs in shard or system order, never
 // completion order. Nil observations and nil parts are skipped, and a part
-// no observation carries stays nil. CriticalPath summarizes the merged log.
+// no observation carries stays nil.
 func mergeObservations(parts ...*FleetObservation) *FleetObservation {
 	snaps := make([]*metrics.Snapshot, 0, len(parts))
 	tracers := make([]*obs.Tracer, 0, len(parts))
@@ -141,7 +141,6 @@ func mergeObservations(parts ...*FleetObservation) *FleetObservation {
 			}
 		}
 		out.Provenance = &causal.Log{Records: merged}
-		out.CriticalPath = out.Provenance.Stats()
 	}
 	return out
 }
@@ -160,9 +159,6 @@ type FleetObservation struct {
 	// Provenance is the causal decision log; a merged one concatenates the
 	// runs' logs in shard order.
 	Provenance *causal.Log
-	// CriticalPath summarizes a merged provenance log: longest causal chain,
-	// decisions and messages per tick (the tick critical-path profile).
-	CriticalPath causal.Stats
 
 	// prov is a fan-out shard's provenance recorder (see observer.part),
 	// standing in for Provenance, which it leaves nil, until the merge.

@@ -260,7 +260,7 @@ func RunZooCell(cfg ZooConfig, f policy.Factory, sc trace.ZooScenario, seed int6
 
 // Observation merges the cells' observations in matrix-index order: its
 // Provenance is the canonical whole-zoo log, byte-identical for any worker
-// count, and CriticalPath summarizes it.
+// count.
 func (r *ZooResult) Observation() *FleetObservation {
 	parts := make([]*FleetObservation, len(r.Cells))
 	for i := range r.Cells {
