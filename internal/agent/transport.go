@@ -118,36 +118,8 @@ func (b *Bus) Send(msg Message) error {
 	return nil
 }
 
-// BatchSender is implemented by transports that can accept a burst of
-// messages in one call. Batch delivery is semantically identical to calling
-// Send once per message in slice order — same delivery order, same
-// per-message fault draws and instrumentation — batching only amortizes the
-// per-call overhead (one lock round instead of len(msgs)), which matters on
-// the simulator's per-tick fan-out paths (sOA→gOA reports, budget pushes,
-// rack event broadcasts).
-type BatchSender interface {
-	SendBatch(msgs []Message) error
-}
-
-// SendAll delivers msgs through t in order, using SendBatch when the
-// transport supports it and falling back to per-message Send otherwise. It
-// returns the first error but attempts every message either way, matching a
-// loop of independent Send calls.
-func SendAll(t Transport, msgs []Message) error {
-	if bs, ok := t.(BatchSender); ok {
-		return bs.SendBatch(msgs)
-	}
-	var firstErr error
-	for _, msg := range msgs {
-		if err := t.Send(msg); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// SendBatch implements BatchSender: one lock round resolves every
-// recipient, then messages deliver synchronously in slice order. Handler
+// SendBatch delivers msgs as a loop of Send would, in slice order, but
+// resolves every recipient in one lock round. Handler
 // registrations made by a handler mid-batch affect the next batch, not the
 // remainder of this one.
 func (b *Bus) SendBatch(msgs []Message) error {

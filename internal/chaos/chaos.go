@@ -219,21 +219,6 @@ func (t *Transport) Close() error { return t.inner.Close() }
 // Send implements agent.Transport: it applies the fault model and schedules
 // surviving deliveries on the engine. Send itself never fails for injected
 // faults — real networks drop silently.
-// SendBatch implements agent.BatchSender. Fault draws (drop/dup/delay)
-// come from the transport's single deterministic rng stream, in strict
-// per-message order — so batch delivery simply loops Send in slice order,
-// and a run is byte-identical whether call sites batch their per-tick
-// bursts or send one message at a time.
-func (t *Transport) SendBatch(msgs []agent.Message) error {
-	var firstErr error
-	for _, m := range msgs {
-		if err := t.Send(m); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
 func (t *Transport) Send(msg agent.Message) error {
 	t.stats.Sent++
 	if t.obs != nil {

@@ -233,15 +233,19 @@ func (c ChaosConfig) transportConfig() chaos.Config {
 // fan-out across it. Every message travels the faulty transport, rack
 // notifications included: a lost warning means the sOA keeps exploring and
 // gets capped again — safe but slower, exactly the decentralized-enforcement
-// story. Bursts cross in one batched call; the transport draws its fault rng
-// per message in batch order, so results match unbatched sends byte for byte.
+// story. A batch is sent one message at a time, in batch order, which is the
+// order the transport draws its fault rng in.
 func wireRig(eng *sim.Engine, tr *chaos.Transport, rg *rig[*cluster.Server]) {
 	deliver := func(m agent.Message) { rg.deliver(eng.Now(), m) }
 	tr.Register(rg.goaID, deliver)
 	for _, s := range rg.servers {
 		tr.Register(s.agentID, deliver)
 	}
-	rg.rack.Subscribe(func(ev power.Event) { _ = agent.SendAll(tr, rg.rackEventFanout(ev)) })
+	rg.rack.Subscribe(func(ev power.Event) {
+		for _, m := range rg.rackEventFanout(ev) {
+			_ = tr.Send(m)
+		}
+	})
 }
 
 // scheduleRigMessages registers rg's periodic sends on tr: sOA → gOA profile
@@ -257,7 +261,9 @@ func scheduleRigMessages(eng *sim.Engine, tr *chaos.Transport, rg *rig[*cluster.
 	}
 	eng.Every(rg.start.Add(rigBudgetEvery), rigBudgetEvery, func(now time.Time) {
 		if !tr.Down(rg.goaID) {
-			_ = agent.SendAll(tr, rg.budgetPushes(now))
+			for _, m := range rg.budgetPushes(now) {
+				_ = tr.Send(m)
+			}
 		}
 	})
 }
