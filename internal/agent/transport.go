@@ -119,9 +119,8 @@ func (b *Bus) Send(msg Message) error {
 }
 
 // SendBatch delivers msgs as a loop of Send would, in slice order, but
-// resolves every recipient in one lock round. Handler
-// registrations made by a handler mid-batch affect the next batch, not the
-// remainder of this one.
+// resolves every recipient in one lock round. Handler registrations made by
+// a handler mid-batch affect the next batch, not the remainder of this one.
 func (b *Bus) SendBatch(msgs []Message) error {
 	b.mu.Lock()
 	deferFn := b.Defer

@@ -496,8 +496,8 @@ func (r *clusterRun) buildRacks() {
 }
 
 // bootAgents boots the main rack's gOA, then an sOA on every server in table
-// order. Its rejections and exhaustion warnings reach the WI agents of the
-// apps with replicas on its server, and main-rack events its main-rack sOAs.
+// order. Each sOA's rejections and exhaustion warnings reach the WI agents of
+// the apps on its server; main-rack events reach the main rack's sOAs.
 func (r *clusterRun) bootAgents() {
 	r.main.bootGOA()
 	for _, s := range r.servers {
