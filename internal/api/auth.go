@@ -39,7 +39,6 @@ func ParseScope(s string) (Scope, error) {
 // Credential is one named bearer token with its scopes and optional expiry.
 type Credential struct {
 	Name   string
-	token  string
 	scopes map[Scope]bool
 	// Expiry zero means the credential never expires.
 	Expiry time.Time
@@ -95,7 +94,7 @@ func ParseCredentials(spec string) (*Authenticator, error) {
 		if _, dup := a.byToken[token]; dup {
 			return nil, fmt.Errorf("api: duplicate token for credential %q", name)
 		}
-		cred := &Credential{Name: name, token: token, scopes: make(map[Scope]bool)}
+		cred := &Credential{Name: name, scopes: make(map[Scope]bool)}
 		for _, s := range strings.Split(parts[2], "+") {
 			sc, err := ParseScope(strings.TrimSpace(s))
 			if err != nil {

@@ -22,7 +22,6 @@ type QuantileTracker struct {
 	window int
 	obs    []float64 // ring buffer, insertion order
 	next   int
-	full   bool
 }
 
 // NewQuantileTracker returns a tracker of the q-quantile (0 < q ≤ 1) over
@@ -48,7 +47,6 @@ func (t *QuantileTracker) Observe(_ time.Time, watts float64) {
 	}
 	t.obs[t.next] = watts
 	t.next = (t.next + 1) % t.window
-	t.full = true
 }
 
 // quantile returns the tracked quantile of the ring, or 0 when empty.

@@ -146,7 +146,6 @@ type Rack struct {
 
 	capEvents int
 	warnings  int
-	capped    bool
 
 	// obs, when non-nil, holds resolved metric handles and the tracer.
 	obs *rackObs

@@ -47,7 +47,6 @@ type Server struct {
 	mounts map[string]http.Handler
 
 	srv *http.Server
-	ln  net.Listener
 }
 
 // NewServer returns a server with an empty snapshot and an event ring of
@@ -320,7 +319,6 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
-	s.ln = ln
 	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = s.srv.Serve(ln) }()
 	return ln.Addr().String(), nil

@@ -70,6 +70,43 @@ func TestNoUnreachableCode(t *testing.T) {
 	}
 }
 
+// unreadAllowed lists the unexported struct fields under internal/ that no
+// program reads but that stay, each with its reason.
+var unreadAllowed = map[string]string{
+	"sim.Engine.rng":     "benchmark/ passes this value to the constructor; drop after ROADMAP 3(a)",
+	"agent.TCPNode.name": "benchmark/ passes this value to the constructor; drop after ROADMAP 3(a)",
+}
+
+// TestNoUnreadFields fails on any unexported struct field under internal/
+// that no non-test code reads and that unreadAllowed does not list, and on
+// any allowlist entry that is read or no longer exists.
+//
+// Every use of a field is a read except three writes: the left side of = or
+// :=, the operand of ++ or --, and a composite-literal key. A field that
+// nothing writes either has no use at all, so it fails too. Embedded fields
+// are not checked, because promoted selectors read them implicitly.
+func TestNoUnreadFields(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	u, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unread := map[string]bool{}
+	for _, name := range u.unreadFields() {
+		unread[name] = true
+		if _, ok := unreadAllowed[name]; !ok {
+			t.Errorf("%s: no program reads it; delete it or allowlist it with a reason", name)
+		}
+	}
+	for name := range unreadAllowed {
+		if !unread[name] {
+			t.Errorf("allowlist entry %s is read or no longer exists; remove it", name)
+		}
+	}
+}
+
 // listedPackage holds the fields of go list's JSON output that the scan
 // reads.
 type listedPackage struct {
@@ -398,4 +435,82 @@ func (m *module) unreachable() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// unreadFields returns, sorted, the names of the unexported, non-embedded
+// struct fields under internal/ that no non-test code reads. A field is
+// named package.Type.field, with the outer field's name inserted for a
+// field of a nested struct type.
+func (m *module) unreadFields() []string {
+	names := map[*types.Var]string{}
+	read := map[types.Object]bool{}
+	for _, mp := range m.pkgs {
+		short := mp.pkg.Name()
+		var nameStruct func(prefix string, st *ast.StructType)
+		nameStruct = func(prefix string, st *ast.StructType) {
+			for _, field := range st.Fields.List {
+				for _, id := range field.Names {
+					v := mp.info.Defs[id].(*types.Var)
+					names[v] = prefix + "." + id.Name
+					if inner, ok := field.Type.(*ast.StructType); ok {
+						nameStruct(names[v], inner)
+					}
+				}
+			}
+		}
+		writes := map[*ast.Ident]bool{}
+		markWrite := func(e ast.Expr) {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				writes[x.Sel] = true
+			case *ast.Ident:
+				writes[x] = true
+			}
+		}
+		for _, f := range mp.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok {
+						nameStruct(short+"."+n.Name.Name, st)
+					}
+				case *ast.AssignStmt:
+					if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
+						for _, lhs := range n.Lhs {
+							markWrite(lhs)
+						}
+					}
+				case *ast.IncDecStmt:
+					markWrite(n.X)
+				case *ast.KeyValueExpr:
+					markWrite(n.Key)
+				}
+				return true
+			})
+		}
+		for id, obj := range mp.info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+				read[origin(v)] = true
+			}
+		}
+	}
+	var unread []string
+	for _, mp := range m.pkgs {
+		if !strings.Contains(mp.path+"/", "/internal/") {
+			continue
+		}
+		for id, obj := range mp.info.Defs {
+			v, ok := obj.(*types.Var)
+			if !ok || !v.IsField() || v.Embedded() || v.Exported() || read[v] {
+				continue
+			}
+			name, ok := names[v]
+			if !ok {
+				name = mp.pkg.Name() + ".struct{}." + id.Name
+			}
+			unread = append(unread, name)
+		}
+	}
+	sort.Strings(unread)
+	return unread
 }
