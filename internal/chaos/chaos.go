@@ -284,17 +284,6 @@ func (t *Transport) countOutage() {
 // message faults with scripted process faults.
 type Plan struct {
 	Crashes []CrashFault
-
-	// WarmRestart selects the recovery mode the rig applies in onRestart:
-	// false rebuilds each crashed agent cold (all in-memory state lost —
-	// the transport's documented contract), true restores it from the last
-	// durable checkpoint taken at CheckpointEvery cadence. The plan only
-	// carries the knobs; the rig owns the checkpoint store.
-	WarmRestart bool
-	// CheckpointEvery is the checkpoint cadence for warm restarts. Longer
-	// cadences mean staler restored state — the recovery experiment sweeps
-	// this to measure how staleness degrades warm-restart benefit.
-	CheckpointEvery time.Duration
 }
 
 // CrashFault takes Agent down at At and restarts it RestartAfter later.

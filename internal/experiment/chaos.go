@@ -49,13 +49,12 @@ type ChaosConfig struct {
 	GOAOutage      time.Duration
 	// SOACrashes is how many sOA crash/restart faults to inject; each
 	// loses the agent's in-memory state (sessions, exploration surplus,
-	// assigned budget) for up to MaxCrashDown. Per-core lifetime budgets
+	// assigned budget) for up to maxCrashDown. Per-core lifetime budgets
 	// are durable, as production wear accounting would be.
-	SOACrashes   int
-	MaxCrashDown time.Duration
+	SOACrashes int
 	// WarmRestart restores each crashed sOA from its last durable
 	// checkpoint instead of rebuilding it cold, and CheckpointEvery is the
-	// checkpoint cadence (mirrored onto the chaos.Plan). A longer cadence
+	// checkpoint cadence. A longer cadence
 	// means staler restored state. Ignored unless both are set.
 	WarmRestart     bool
 	CheckpointEvery time.Duration
@@ -81,6 +80,9 @@ type ChaosConfig struct {
 	TraceOnly []obs.Component
 }
 
+// maxCrashDown bounds how long one injected sOA crash keeps the agent down.
+const maxCrashDown = 10 * time.Minute
+
 // DefaultChaosConfig returns the profile used by `socsim -chaos` and the
 // chaos regression test: 25% message loss, delays up to 30 s, duplicates,
 // a 1-hour gOA outage in the middle of a 3-hour run, and 6 sOA crashes.
@@ -100,7 +102,6 @@ func DefaultChaosConfig() ChaosConfig {
 		GOAOutageStart:   time.Hour,
 		GOAOutage:        time.Hour,
 		SOACrashes:       6,
-		MaxCrashDown:     10 * time.Minute,
 		BudgetEpoch:      time.Hour,
 		OCBudgetFraction: 0.25,
 		RackLimitScale:   0.90,
@@ -341,10 +342,9 @@ func newChaosRun(cfg ChaosConfig) *chaosRun {
 		agents[i] = s.agentID
 	}
 	plan := chaos.GenPlan(cfg.Seed+3, agents, cfg.Start.Add(5*time.Minute), cfg.Duration-15*time.Minute,
-		cfg.SOACrashes, cfg.MaxCrashDown)
-	plan.WarmRestart, plan.CheckpointEvery = cfg.WarmRestart, cfg.CheckpointEvery
-	if plan.WarmRestart && plan.CheckpointEvery > 0 {
-		eng.Every(cfg.Start.Add(plan.CheckpointEvery), plan.CheckpointEvery, c.checkpoint)
+		cfg.SOACrashes, maxCrashDown)
+	if cfg.WarmRestart && cfg.CheckpointEvery > 0 {
+		eng.Every(cfg.Start.Add(cfg.CheckpointEvery), cfg.CheckpointEvery, c.checkpoint)
 	}
 	plan.Schedule(eng, c.tr, c.crash, c.restart)
 

@@ -62,7 +62,6 @@ type ClusterConfig struct {
 	MLServers        int // throughput-optimized neighbours
 	SpareServers     int // scale-out targets (second rack in the paper)
 	HW               machine.Config
-	CoresPerService  int // cores per microservice VM; an app replica is 8 of them
 
 	// RackLimitScale shrinks the main rack's limit for power-constrained
 	// experiments (1 = generous headroom).
@@ -73,10 +72,6 @@ type ClusterConfig struct {
 	OCBudgetScale float64
 	// Proactive selects proactive vs reactive corrective scale-out.
 	Proactive bool
-	// ProvisionDelay is how long a newly created replica takes to boot
-	// and become ready — the minutes-long VM startup that motivates
-	// overclocking as the faster lever (§I).
-	ProvisionDelay time.Duration
 
 	System ClusterSystem
 
@@ -98,6 +93,16 @@ type ClusterConfig struct {
 	TraceOnly []obs.Component
 }
 
+const (
+	// coresPerService is the cores of one microservice VM; an app replica
+	// is one VM per service.
+	coresPerService = 4
+	// provisionDelay is how long a newly created replica takes to boot and
+	// become ready — the minutes-long VM startup that motivates
+	// overclocking as the faster lever (§I).
+	provisionDelay = 90 * time.Second
+)
+
 // DefaultClusterConfig mirrors the paper's testbed: 36 overclockable
 // servers (28 + 8 across two racks), 14 SocialNet instance groups (apps)
 // and 14 MLTrain servers. The paper's "instance" is one SocialNet app
@@ -113,11 +118,9 @@ func DefaultClusterConfig(system ClusterSystem) ClusterConfig {
 		MLServers:        14,
 		SpareServers:     8,
 		HW:               machine.DefaultConfig(),
-		CoresPerService:  4,
 		RackLimitScale:   1,
 		OCBudgetScale:    2,
 		Proactive:        true,
-		ProvisionDelay:   90 * time.Second,
 		System:           system,
 	}
 }
@@ -366,7 +369,7 @@ func (r *clusterRun) buildServers() {
 	// across servers for resiliency (§III-Q2), so a scale-out usually
 	// activates a whole server — idle and static power included. Only
 	// when every spare already hosts a replica does placement double up.
-	coresPerReplica := r.cfg.CoresPerService * len(r.services)
+	coresPerReplica := coresPerService * len(r.services)
 	for pass := 0; pass < 2; pass++ { // anti-affinity, then one double-up
 		off := pass * coresPerReplica
 		for _, s := range r.servers {
@@ -532,17 +535,17 @@ func (r *clusterRun) bootAgents() {
 
 // addReplica places a new replica of app: the primary (slot nil) on the
 // app's own SocialNet server, serving at once, or a scale-out replica that
-// claims slot and boots for ProvisionDelay first.
+// claims slot and boots for provisionDelay first.
 func (r *clusterRun) addReplica(app *appState, slot *spareSlot) error {
 	rep := &appReplica{name: fmt.Sprintf("app%02d-r%d", app.id, len(app.replicas)), host: r.servers[app.id], slot: slot}
 	firstCore := 0
 	if slot != nil {
 		rep.host, firstCore = slot.host, slot.firstCore
-		rep.readyAt = r.now.Add(r.cfg.ProvisionDelay) // booting a VM takes minutes
+		rep.readyAt = r.now.Add(provisionDelay) // booting a VM takes minutes
 	}
 	for si, svc := range r.services {
 		vm, err := cluster.PlaceVM(rep.host.srv, fmt.Sprintf("%s-%s", rep.name, svc.Name),
-			r.cfg.CoresPerService, firstCore+si*r.cfg.CoresPerService)
+			coresPerService, firstCore+si*coresPerService)
 		if err != nil {
 			return err
 		}

@@ -74,8 +74,6 @@ type AdmitDecision struct {
 	Granted bool
 	// PeakWatts is the candidate's predicted peak as admission scored it.
 	PeakWatts float64
-	// RackPeakWatts is the predicted rack peak before this candidate.
-	RackPeakWatts float64
 	// BudgetWatts is Ratio × LimitWatts.
 	BudgetWatts float64
 	// Conservative is true when the nameplate fallback was used because the
@@ -143,7 +141,7 @@ func (a *Admission) candidatePeak(now time.Time, c Candidate) (peak float64, con
 // the boundary is admitted. On a grant the candidate's peak is charged
 // against the rack.
 func (a *Admission) Admit(now time.Time, c Candidate) AdmitDecision {
-	d := AdmitDecision{RackPeakWatts: a.peak, BudgetWatts: a.BudgetWatts()}
+	d := AdmitDecision{BudgetWatts: a.BudgetWatts()}
 	if c.NameplateWatts <= 0 {
 		d.Reason = fmt.Sprintf("candidate %s nameplate %v W, must be positive", c.Name, c.NameplateWatts)
 		return d

@@ -120,7 +120,6 @@ type Evaluation struct {
 	Strategy string
 	RMSE     float64 // root mean squared error (Fig 8)
 	MeanErr  float64 // mean signed error, positive = over-prediction (Fig 15)
-	MAE      float64
 }
 
 // Evaluate fits p on train and scores it against every sample of test.
@@ -141,11 +140,7 @@ func Evaluate(p Predictor, train, test *timeseries.Series) (Evaluation, error) {
 	if err != nil {
 		return Evaluation{}, err
 	}
-	mae, err := stats.MAE(pred, test.Values)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	return Evaluation{Strategy: p.Name(), RMSE: rmse, MeanErr: me, MAE: mae}, nil
+	return Evaluation{Strategy: p.Name(), RMSE: rmse, MeanErr: me}, nil
 }
 
 // EvaluateAll scores every strategy on the same train/test split.

@@ -156,18 +156,3 @@ func MeanError(pred, actual []float64) (float64, error) {
 	}
 	return sum / float64(len(pred)), nil
 }
-
-// MAE returns the mean absolute error between predictions and actuals.
-func MAE(pred, actual []float64) (float64, error) {
-	if len(pred) != len(actual) {
-		return 0, fmt.Errorf("stats: MAE length mismatch: %d vs %d", len(pred), len(actual))
-	}
-	if len(pred) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for i := range pred {
-		sum += math.Abs(pred[i] - actual[i])
-	}
-	return sum / float64(len(pred)), nil
-}
