@@ -206,9 +206,8 @@ func TestCoreBudgetsStateRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if cb2.Core(i).Remaining() != cb.Core(i).Remaining() ||
-			cb2.Core(i).Reserved() != cb.Core(i).Reserved() ||
-			!cb2.Core(i).EpochStart().Equal(cb.Core(i).EpochStart()) {
+		got, want := cb2.Core(i).Snapshot(), cb.Core(i).Snapshot()
+		if got.Remaining != want.Remaining || got.Reserved != want.Reserved || !got.EpochStart.Equal(want.EpochStart) {
 			t.Fatalf("core %d ledger mismatch", i)
 		}
 	}

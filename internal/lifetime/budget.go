@@ -72,9 +72,6 @@ func NewBudget(cfg BudgetConfig, start time.Time) *Budget {
 // Config returns the budget configuration.
 func (b *Budget) Config() BudgetConfig { return b.cfg }
 
-// EpochStart returns the start of the current epoch (after Advance).
-func (b *Budget) EpochStart() time.Time { return b.epochStart }
-
 // Advance rolls the budget forward to now, crossing epoch boundaries as
 // needed: reservations expire with their epoch, unused budget carries over
 // when configured (capped), and a fresh allowance is added per epoch.

@@ -231,8 +231,8 @@ func TestBudgetEpochRollWithCarryOver(t *testing.T) {
 	if b.Remaining() != 90*time.Minute {
 		t.Fatalf("after roll = %v", b.Remaining())
 	}
-	if !b.EpochStart().Equal(epoch0.Add(10 * time.Hour)) {
-		t.Fatalf("epoch start = %v", b.EpochStart())
+	if !b.Snapshot().EpochStart.Equal(epoch0.Add(10 * time.Hour)) {
+		t.Fatalf("epoch start = %v", b.Snapshot().EpochStart)
 	}
 }
 
@@ -253,8 +253,8 @@ func TestBudgetNoCarryOver(t *testing.T) {
 	if b.Remaining() != time.Hour {
 		t.Fatalf("no-carry remaining = %v", b.Remaining())
 	}
-	if !b.EpochStart().Equal(epoch0.Add(20 * time.Hour)) {
-		t.Fatalf("epoch start = %v", b.EpochStart())
+	if !b.Snapshot().EpochStart.Equal(epoch0.Add(20 * time.Hour)) {
+		t.Fatalf("epoch start = %v", b.Snapshot().EpochStart)
 	}
 }
 

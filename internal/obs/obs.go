@@ -224,17 +224,3 @@ func WriteEventsJSONL(w io.Writer, events []Event) error {
 	}
 	return nil
 }
-
-// CountByComponent tallies recorded events per component.
-func (t *Tracer) CountByComponent() map[Component]int {
-	out := make(map[Component]int)
-	if t == nil {
-		return out
-	}
-	t.events.Segments(func(seg []Event) {
-		for i := range seg {
-			out[seg[i].Component]++
-		}
-	})
-	return out
-}

@@ -136,18 +136,6 @@ func (s *Series) Add(other *Series) error {
 	return nil
 }
 
-// Mean returns the mean of all samples, 0 when empty.
-func (s *Series) Mean() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s.Values {
-		sum += v
-	}
-	return sum / float64(len(s.Values))
-}
-
 // Max returns the maximum sample, 0 when empty.
 func (s *Series) Max() float64 {
 	if len(s.Values) == 0 {

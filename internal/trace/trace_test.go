@@ -191,7 +191,7 @@ func TestFig9Heterogeneity(t *testing.T) {
 	// Mean power spread across servers should exceed 10%.
 	var means []float64
 	for _, s := range rack.Servers {
-		means = append(means, s.Power.Mean())
+		means = append(means, stats.Mean(s.Power.Values))
 	}
 	if spread := (stats.Max(means) - stats.Min(means)) / stats.Max(means); spread < 0.1 {
 		t.Fatalf("server power spread = %v, want >= 0.1", spread)
@@ -233,7 +233,7 @@ func TestRackPowerPredictable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Relative RMSE below 5% of mean rack power.
-	if rel := ev.RMSE / total.Mean(); rel > 0.05 {
+	if rel := ev.RMSE / stats.Mean(total.Values); rel > 0.05 {
 		t.Fatalf("relative RMSE = %v, rack power must be predictable", rel)
 	}
 }
@@ -361,7 +361,7 @@ func TestOutlierWithinDaysConfinesAnomaly(t *testing.T) {
 	dayMean := func(r *RackTrace, day int) float64 {
 		s := r.RackPower()
 		from := genStart.Add(time.Duration(day) * 24 * time.Hour)
-		return s.Slice(from, from.Add(24*time.Hour)).Mean()
+		return stats.Mean(s.Slice(from, from.Add(24*time.Hour)).Values)
 	}
 	boosted := 0
 	for d := 0; d < 6; d++ {

@@ -32,9 +32,6 @@ var unreachableAllowed = map[string]string{
 	"core.SOA.Profile":                   "experiment tests read the templates an sOA reports",
 	"core.SOA.ExtraWatts":                "cluster tests read the power an sOA asked for",
 	"core.GOA.SetLimit":                  "invariant tests move a rack limit by hand",
-	"lifetime.Budget.EpochStart":         "core tests check the budget epoch after a restore",
-	"obs.Tracer.CountByComponent":        "experiment tests count events per component",
-	"timeseries.Series.Mean":             "trace tests compare generated series means",
 	"experiment.Table.FindRow":           "the root benchmarks read table rows by name",
 	"trace.ReadRackJSON":                 "ROADMAP item 10(c) replays an exported rack through it",
 }
