@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -125,7 +126,8 @@ func DefaultClusterConfig(system ClusterSystem) ClusterConfig {
 	}
 }
 
-// Validate reports whether the configuration is runnable.
+// Validate reports whether the configuration is runnable, the hardware and
+// the per-core lifetime budget it derives included.
 func (c ClusterConfig) Validate() error {
 	switch {
 	case c.Tick <= 0 || c.Duration < c.Tick:
@@ -134,8 +136,16 @@ func (c ClusterConfig) Validate() error {
 		return fmt.Errorf("experiment: cluster needs SocialNet servers, got %d", c.SocialNetServers)
 	case c.MLServers < 0 || c.SpareServers < 0:
 		return fmt.Errorf("experiment: negative ML/spare server count %d/%d", c.MLServers, c.SpareServers)
+	case c.RackLimitScale <= 0:
+		return fmt.Errorf("experiment: cluster RackLimitScale = %v, must be positive", c.RackLimitScale)
 	}
-	return nil
+	return errors.Join(c.HW.Validate(), c.budgetConfig().Validate())
+}
+
+// budgetConfig is the per-core overclock time budget: a daily allowance that
+// adds up to OCBudgetScale of the run.
+func (c ClusterConfig) budgetConfig() lifetime.BudgetConfig {
+	return lifetime.BudgetConfig{Epoch: 24 * time.Hour, Fraction: c.OCBudgetScale * c.Duration.Hours() / 24}
 }
 
 // appLoadLevel assigns the paper's Low/Medium/High grouping across the 14
@@ -454,7 +464,7 @@ func (r *clusterRun) buildRacks() {
 	soaCfg.ExhaustionWindow = 5 * time.Minute
 	soaCfg.AdmissionUtil = 0.6
 	soaCfg.Naive = r.cfg.System == SysNaiveOClock
-	bcfg := lifetime.BudgetConfig{Epoch: 24 * time.Hour, Fraction: r.cfg.OCBudgetScale * r.cfg.Duration.Hours() / 24}
+	bcfg := r.cfg.budgetConfig()
 	newRig := func(name string, limit float64, servers []*rigServer[*cluster.Server]) *rig[*cluster.Server] {
 		rg := &rig[*cluster.Server]{limit: limit, soaCfg: soaCfg, bcfg: bcfg, start: r.cfg.Start,
 			servers: servers, observer: r.observer, soaLabels: r.labels}

@@ -378,6 +378,13 @@ func TestRunClusterValidation(t *testing.T) {
 		"no SocialNet":        func(c *ClusterConfig) { c.SocialNetServers = 0 },
 		"negative ML":         func(c *ClusterConfig) { c.MLServers = -1 },
 		"negative spares":     func(c *ClusterConfig) { c.SpareServers = -1 },
+		// The cases below panicked inside newClusterRun before Validate
+		// checked what the run derives from them.
+		"13 h at budget scale 2": func(c *ClusterConfig) { c.System, c.Duration = SysSmartOClock, 13*time.Hour },
+		"zero rack limit":        func(c *ClusterConfig) { c.RackLimitScale = 0 },
+		"zero cores":             func(c *ClusterConfig) { c.HW.Cores = 0 },
+		"zero step":              func(c *ClusterConfig) { c.HW.StepMHz = 0 },
+		"zero turbo":             func(c *ClusterConfig) { c.HW.TurboMHz = 0 },
 	} {
 		cfg := smokeClusterCfg(SysBaseline)
 		mutate(&cfg)
