@@ -46,6 +46,11 @@ func (s ClusterSystem) String() string {
 	return fmt.Sprintf("ClusterSystem(%d)", int(s))
 }
 
+// runsAgents reports whether the system runs WI agents and sOAs.
+func (s ClusterSystem) runsAgents() bool {
+	return s == SysSmartOClock || s == SysNaiveOClock
+}
+
 // ClusterSystems returns the four systems of Fig 12-14 in plot order.
 func ClusterSystems() []ClusterSystem {
 	return []ClusterSystem{SysBaseline, SysScaleOut, SysScaleUp, SysSmartOClock}
@@ -298,8 +303,8 @@ type clusterRun struct {
 	slots     []*spareSlot
 	apps      []*appState
 	byReplica map[string]*appState // replica name → app, for sOA callbacks
-	// main and spare are the racks' rigs. Only main boots a gOA; spare is
-	// nil without spare servers.
+	// main and spare are the racks' rigs. Only main boots a gOA, and only
+	// for SmartOClock; spare is nil without spare servers.
 	main, spare *rig[*cluster.Server]
 
 	observer
@@ -344,7 +349,7 @@ func newClusterRun(cfg ClusterConfig) (*clusterRun, error) {
 		return nil, err
 	}
 	r.buildRacks()
-	if cfg.System == SysSmartOClock || cfg.System == SysNaiveOClock {
+	if cfg.System.runsAgents() {
 		r.bootAgents()
 	}
 	return r, nil
@@ -508,11 +513,15 @@ func (r *clusterRun) buildRacks() {
 	}
 }
 
-// bootAgents boots the main rack's gOA, then an sOA on every server in table
-// order. Each sOA's rejections and exhaustion warnings reach the WI agents of
-// the apps on its server; main-rack events reach the main rack's sOAs.
+// bootAgents boots the main rack's gOA for SmartOClock, then an sOA on every
+// server in table order. NaiveOClock grants every request and splits no
+// budget (§V), so it runs no gOA. Each sOA's rejections and exhaustion
+// warnings reach the WI agents of the apps on its server; main-rack events
+// reach the main rack's sOAs.
 func (r *clusterRun) bootAgents() {
-	r.main.bootGOA()
+	if r.cfg.System == SysSmartOClock {
+		r.main.bootGOA()
+	}
 	for _, s := range r.servers {
 		rg := r.main
 		if s.role == roleSpare {
@@ -720,7 +729,7 @@ func (r *clusterRun) decide(t int) {
 // stepAgentsAndRacks ticks the sOAs in table order (a tick emits events and
 // reports rejections), refreshes SmartOClock's budgets and ticks the racks.
 func (r *clusterRun) stepAgentsAndRacks(t int) {
-	if t%r.rackEvery == 0 && r.main.goa != nil {
+	if t%r.rackEvery == 0 && r.cfg.System.runsAgents() {
 		for _, s := range r.servers {
 			s.soa.Tick(r.now)
 		}

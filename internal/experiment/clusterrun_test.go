@@ -4,16 +4,14 @@ import (
 	"testing"
 	"time"
 
-	"smartoclock/internal/core"
 	"smartoclock/internal/invariant"
 )
 
 // clusterUnderBattery steps cfg's emulation tick by tick with the rig
-// invariant battery armed and checked at the end of every tick: on the main
-// rack the rig's watch (rack power within its limit after a 15 s grace, gOA
-// budget conservation, sessions within their grant) and the independent
-// per-core lifetime accounting; on the spare rack, which has no gOA,
-// sessions within their grant and the same accounting.
+// invariant battery armed and checked at the end of every tick: on each rack
+// the rig's watch (rack power within its limit after a 15 s grace, gOA
+// budget conservation where the rig booted a gOA, sessions within their
+// grant) and the independent per-core lifetime accounting.
 func clusterUnderBattery(t *testing.T, cfg ClusterConfig) *invariant.Checker {
 	t.Helper()
 	r, err := newClusterRun(cfg)
@@ -24,9 +22,7 @@ func clusterUnderBattery(t *testing.T, cfg ClusterConfig) *invariant.Checker {
 	slack := 12 * cfg.Tick
 	r.main.watch(c, 15*time.Second)
 	r.main.watchLedgers(c, slack)
-	for _, s := range r.spare.servers {
-		invariant.SessionsWithinGrant(c, r.spare.rack.Name(), s.srv, func() *core.SOA { return s.soa })
-	}
+	r.spare.watch(c, 15*time.Second)
 	r.spare.watchLedgers(c, slack)
 	ticks := int(cfg.Duration / cfg.Tick)
 	for tick := 0; tick < ticks; tick++ {
@@ -79,4 +75,30 @@ func TestClusterUnderInvariantBattery(t *testing.T) {
 		}
 		t.Logf("%d violations, first %v", c.Total(), c.Violations()[0])
 	})
+}
+
+// TestNaiveOClockBootsNoGOA: NaiveOClock grants every request and splits no
+// budget, so an observed power-constrained sweep exports gOA series for
+// SmartOClock only.
+func TestNaiveOClockBootsNoGOA(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster emulations")
+	}
+	cfg := smokeClusterCfg(SysBaseline)
+	cfg.Observe = true
+	_, pc, err := RunPowerConstrained(cfg, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"goa_budget_computations_total", "goa_last_budget_sum_watts"} {
+		for sys, want := range map[ClusterSystem]bool{SysNaiveOClock: false, SysSmartOClock: true} {
+			got := false
+			for _, s := range pc[sys].Metrics.Series {
+				got = got || s.Name == name
+			}
+			if got != want {
+				t.Errorf("%v exports %s: %v, want %v", sys, name, got, want)
+			}
+		}
+	}
 }

@@ -494,10 +494,13 @@ func (r *rig[H]) tickRack(now time.Time, dt time.Duration) {
 }
 
 // watch registers the rack's invariant battery: rack power within its limit
-// (after grace), gOA budget conservation, and every session within its grant.
+// (after grace), gOA budget conservation on a rig that booted a gOA, and
+// every session within its grant.
 func (r *rig[H]) watch(c *invariant.Checker, grace time.Duration) {
 	invariant.RackPowerWithinLimit(c, r.rack, grace)
-	invariant.BudgetConservation(c, r.goa, 1e-3)
+	if r.goa != nil {
+		invariant.BudgetConservation(c, r.goa, 1e-3)
+	}
 	for _, s := range r.servers {
 		invariant.SessionsWithinGrant(c, r.rack.Name(), s.srv, func() *core.SOA { return s.soa })
 	}
