@@ -54,8 +54,8 @@ type ChaosConfig struct {
 	SOACrashes int
 	// WarmRestart restores each crashed sOA from its last durable
 	// checkpoint instead of rebuilding it cold, and CheckpointEvery is the
-	// checkpoint cadence. A longer cadence
-	// means staler restored state. Ignored unless both are set.
+	// checkpoint cadence. A longer cadence means staler restored state.
+	// Ignored unless both are set.
 	WarmRestart     bool
 	CheckpointEvery time.Duration
 
