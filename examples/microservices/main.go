@@ -73,9 +73,10 @@ func main() {
 		local.RecordUtil(res.Util)
 		local.Tick(now)
 		dir := wi.Decide(now)
+		want := dir.Overclock("compose-0") // read before Request can report a rejection
 		_, active := soa.Sessions()["compose-0"]
 		note := ""
-		if dir.Overclock["compose-0"] && !active {
+		if want && !active {
 			d := soa.Request(now, core.Request{
 				VM: "compose-0", Cores: len(vm.Cores), TargetMHz: hw.MaxOCMHz,
 				Priority: core.PriorityMetric, PreferredCores: vm.Cores,
@@ -83,7 +84,7 @@ func main() {
 			if d.Granted {
 				note = "overclock engaged"
 			}
-		} else if !dir.Overclock["compose-0"] && active {
+		} else if !want && active {
 			soa.Stop(now, "compose-0")
 			note = "overclock released"
 		}

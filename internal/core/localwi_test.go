@@ -105,7 +105,7 @@ func TestLocalWIFeedsGlobalWI(t *testing.T) {
 	now = now.Add(10 * time.Second)
 	l.Tick(now)
 	d := g.Decide(now)
-	if !d.Overclock["vm-0"] {
+	if !d.Overclock("vm-0") {
 		t.Fatal("aggregated tail above scale-up threshold must trigger overclocking")
 	}
 }

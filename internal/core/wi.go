@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 )
@@ -151,13 +152,63 @@ func DefaultScaleOutConfig() ScaleOutConfig {
 	}
 }
 
-// Directive is the global WI agent's decision for its deployment.
+// Directive is the global WI agent's decision for its deployment. It is a
+// view of the WI's own instance table, valid until the WI's next Observe,
+// Forget, ReportRejection or Decide: read the verdicts before any of those.
 type Directive struct {
-	// Overclock lists, per instance name, whether it should be
-	// overclocked right now.
-	Overclock map[string]bool
 	// Instances is the desired deployment size.
 	Instances int
+	// insts is the deciding WI's instance table, sorted by name.
+	insts []wiInstance
+}
+
+// Overclock reports whether the named instance should be overclocked right
+// now. A name the WI does not track gets false.
+func (d Directive) Overclock(name string) bool {
+	on, _ := d.verdict(name)
+	return on
+}
+
+// verdict returns the named instance's overclock verdict, and whether the
+// WI holds one for it at all: every observed instance after a decision, and
+// every name reported rejected, observed or not.
+func (d Directive) verdict(name string) (on, known bool) {
+	i, ok := findInstance(d.insts, name)
+	if !ok {
+		return false, false
+	}
+	return d.insts[i].oc, true
+}
+
+// wiInstance is the global WI's record of one instance.
+type wiInstance struct {
+	name string
+	m    InstanceMetrics
+	// observed is false for a name reported rejected before its first
+	// Observe: it carries a false verdict and a hold, and Decide skips it.
+	observed bool
+	// oc is whether the instance should be overclocked.
+	oc bool
+	// held blocks re-requesting overclock for an instance whose request was
+	// denied, until its tail recovers below the scale-down threshold or
+	// holdUntil passes — otherwise the metric policy would re-trigger and
+	// be re-rejected every interval. Expiry matters: the sOA's budget may
+	// have been raised (gOA reassignment, exploration) since the rejection.
+	// stampHold marks a hold reported since the last Decide, whose expiry
+	// that Decide's clock sets.
+	held, stampHold bool
+	holdUntil       time.Time
+	// engaged and engagedAt track when overclocking engaged, for the
+	// OCMinOn hold.
+	engaged   bool
+	engagedAt time.Time
+}
+
+// findInstance returns the position of name in the name-sorted insts, or
+// where it would be inserted, and whether it is there.
+func findInstance(insts []wiInstance, name string) (int, bool) {
+	i := sort.Search(len(insts), func(i int) bool { return insts[i].name >= name })
+	return i, i < len(insts) && insts[i].name == name
 }
 
 // GlobalWI is the Global Workload Intelligence agent of one service: it
@@ -170,15 +221,9 @@ type GlobalWI struct {
 	Schedule *SchedulePolicy
 	Scale    ScaleOutConfig
 
-	instances map[string]InstanceMetrics
-	ocActive  map[string]bool
-	// rejectHold blocks re-requesting overclock for an instance whose
-	// request was denied, until its tail recovers below the scale-down
-	// threshold or the hold expires — otherwise the metric policy would
-	// re-trigger and be re-rejected every interval. Expiry matters: the
-	// sOA's budget may have been raised (gOA reassignment, exploration)
-	// since the rejection.
-	rejectHold  map[string]time.Time
+	// insts holds one record per tracked instance, sorted by name, so a
+	// decision walks it in name order without sorting or copying.
+	insts       []wiInstance
 	desired     int
 	lastScaleAt time.Time
 	hasScaled   bool
@@ -187,8 +232,6 @@ type GlobalWI struct {
 	// to take effect before capacity is added.
 	lastOCStartAt time.Time
 	hasOCStarted  bool
-	// ocStartAt tracks per-instance engagement for the OCMinOn hold.
-	ocStartAt map[string]time.Time
 	// overSince tracks how long the tail has continuously exceeded the
 	// scale-out threshold.
 	overSince   time.Time
@@ -196,7 +239,6 @@ type GlobalWI struct {
 
 	rejectsSinceAction int
 	pendingCorrect     bool
-	rejectPending      []string // holds to stamp with the next Decide's clock
 	lastRejectAt       time.Time
 	hasRejected        bool
 	markRejectNow      bool // stamp lastRejectAt with the next Decide's clock
@@ -219,34 +261,33 @@ func NewGlobalWI(sloMS float64, metric *MetricPolicy, schedule *SchedulePolicy, 
 	}
 	return &GlobalWI{
 		SLOms: sloMS, Metric: metric, Schedule: schedule, Scale: scale,
-		instances:  make(map[string]InstanceMetrics),
-		ocActive:   make(map[string]bool),
-		ocStartAt:  make(map[string]time.Time),
-		rejectHold: make(map[string]time.Time),
-		desired:    scale.MinInstances,
+		desired: scale.MinInstances,
 	}
+}
+
+// record returns the named instance's record, inserting a fresh one at its
+// sorted position if the WI does not track the name yet.
+func (w *GlobalWI) record(name string) *wiInstance {
+	i, ok := findInstance(w.insts, name)
+	if !ok {
+		w.insts = slices.Insert(w.insts, i, wiInstance{name: name})
+	}
+	return &w.insts[i]
 }
 
 // Observe records one instance's metrics (the Local WI agent's report).
 func (w *GlobalWI) Observe(instance string, m InstanceMetrics) {
-	w.instances[instance] = m
+	in := w.record(instance)
+	in.m = m
+	in.observed = true
 }
 
-// Forget removes a decommissioned instance from every tracking structure.
-// The rejectPending sweep matters: a name left there would be re-inserted
-// into rejectHold by the next Decide, resurrecting the instance.
+// Forget removes a decommissioned instance and all its state, a pending
+// reject hold included.
 func (w *GlobalWI) Forget(instance string) {
-	delete(w.instances, instance)
-	delete(w.ocActive, instance)
-	delete(w.rejectHold, instance)
-	delete(w.ocStartAt, instance)
-	kept := w.rejectPending[:0]
-	for _, name := range w.rejectPending {
-		if name != instance {
-			kept = append(kept, name)
-		}
+	if i, ok := findInstance(w.insts, instance); ok {
+		w.insts = slices.Delete(w.insts, i, i+1)
 	}
-	w.rejectPending = kept
 }
 
 // ReportRejection tells the agent an overclocking request for one of its
@@ -256,9 +297,10 @@ func (w *GlobalWI) Forget(instance string) {
 // unavailable" regime; power rejections are transient (budget
 // reassignment or exploration usually resolves them within minutes).
 func (w *GlobalWI) ReportRejection(instance string, reason RejectReason) {
-	w.ocActive[instance] = false
-	w.rejectHold[instance] = w.lastScaleAt // placeholder; stamped in Decide
-	w.rejectPending = append(w.rejectPending, instance)
+	in := w.record(instance)
+	in.oc = false
+	in.held = true
+	in.stampHold = true
 	w.obsRejection()
 	w.rejectsSinceAction++
 	threshold := w.Scale.RejectThreshold
@@ -292,35 +334,29 @@ func (w *GlobalWI) ReportExhaustion(kind ExhaustionKind, at time.Time) {
 // metric policies act on.
 func (w *GlobalWI) deploymentP99() float64 {
 	worst := 0.0
-	for _, m := range w.instances {
-		if m.P99MS > worst {
-			worst = m.P99MS
+	for i := range w.insts {
+		if in := &w.insts[i]; in.observed && in.m.P99MS > worst {
+			worst = in.m.P99MS
 		}
 	}
 	return worst
 }
 
 // deploymentUtil returns the mean instance utilization — the paper's Fig 4
-// deployment-level provisioning metric.
+// deployment-level provisioning metric. It sums in name order, so the mean
+// is the same float on every run.
 func (w *GlobalWI) deploymentUtil() float64 {
-	if len(w.instances) == 0 {
+	sum, n := 0.0, 0
+	for i := range w.insts {
+		if in := &w.insts[i]; in.observed {
+			sum += in.m.Util
+			n++
+		}
+	}
+	if n == 0 {
 		return 0
 	}
-	sum := 0.0
-	for _, m := range w.instances {
-		sum += m.Util
-	}
-	return sum / float64(len(w.instances))
-}
-
-// sortedInstances returns instance names deterministically.
-func (w *GlobalWI) sortedInstances() []string {
-	names := make([]string, 0, len(w.instances))
-	for name := range w.instances {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	return sum / float64(n)
 }
 
 // Decide produces the deployment directive for now from the policies and
@@ -339,13 +375,6 @@ func (w *GlobalWI) Decide(now time.Time) Directive {
 		w.hasOverMark = false
 	}
 
-	// Stamp freshly reported rejections with this decision's clock. The
-	// hold is short: the sOA may already be exploring a higher budget,
-	// so the request is retried quickly (§IV-D).
-	for _, name := range w.rejectPending {
-		w.rejectHold[name] = now.Add(rejectRetry)
-	}
-	w.rejectPending = nil
 	if w.markRejectNow {
 		if now.After(w.lastRejectAt) {
 			w.lastRejectAt = now
@@ -361,23 +390,33 @@ func (w *GlobalWI) Decide(now time.Time) Directive {
 	// invariant across the loop (Observe/Forget never run mid-decision), so
 	// compute it once rather than per instance.
 	depUtil := w.deploymentUtil()
-	for _, name := range w.sortedInstances() {
-		m := w.instances[name]
-		if until, held := w.rejectHold[name]; held {
-			w.ocActive[name] = false
-			recovered := w.Metric == nil || m.P99MS <= w.Metric.ScaleDownFrac*w.SLOms
-			if recovered || !now.Before(until) {
-				delete(w.rejectHold, name) // eligible again
+	for i := range w.insts {
+		in := &w.insts[i]
+		// Stamp a freshly reported rejection with this decision's clock.
+		// The hold is short: the sOA may already be exploring a higher
+		// budget, so the request is retried quickly (§IV-D).
+		if in.stampHold {
+			in.holdUntil = now.Add(rejectRetry)
+			in.stampHold = false
+		}
+		if !in.observed {
+			continue
+		}
+		if in.held {
+			in.oc = false
+			recovered := w.Metric == nil || in.m.P99MS <= w.Metric.ScaleDownFrac*w.SLOms
+			if recovered || !now.Before(in.holdUntil) {
+				in.held = false // eligible again
 			}
 			continue
 		}
-		want := w.ocActive[name]
+		want := in.oc
 		wasOn := want
 		if scheduleOn {
 			want = true
 		} else if w.Metric != nil || w.Util != nil {
-			up := w.Metric != nil && m.P99MS >= w.Metric.ScaleUpFrac*w.SLOms
-			down := w.Metric != nil && m.P99MS <= w.Metric.ScaleDownFrac*w.SLOms
+			up := w.Metric != nil && in.m.P99MS >= w.Metric.ScaleUpFrac*w.SLOms
+			down := w.Metric != nil && in.m.P99MS <= w.Metric.ScaleDownFrac*w.SLOms
 			if w.Util != nil {
 				// Deployment-level utilization triggers (Fig 4): no VM is
 				// overclocked while the deployment as a whole is under its
@@ -395,7 +434,7 @@ func (w *GlobalWI) Decide(now time.Time) Directive {
 			case down:
 				// Hold the overclock for a minimum period to avoid
 				// dithering around the release threshold.
-				if started, ok := w.ocStartAt[name]; !ok || now.Sub(started) >= OCMinOn {
+				if !in.engaged || now.Sub(in.engagedAt) >= OCMinOn {
 					want = false
 				}
 			}
@@ -403,15 +442,15 @@ func (w *GlobalWI) Decide(now time.Time) Directive {
 		} else if w.Schedule != nil {
 			want = false
 		}
-		w.ocActive[name] = want
+		in.oc = want
 		if want && !wasOn {
 			w.lastOCStartAt = now
 			w.hasOCStarted = true
-			w.ocStartAt[name] = now
+			in.engaged, in.engagedAt = true, now
 			w.obsOCEngage()
 		}
 		if !want {
-			delete(w.ocStartAt, name)
+			in.engaged = false
 		}
 	}
 
@@ -457,17 +496,13 @@ func (w *GlobalWI) Decide(now time.Time) Directive {
 		}
 	}
 
-	oc := make(map[string]bool, len(w.ocActive))
-	for name, v := range w.ocActive {
-		oc[name] = v
-	}
 	w.obsDecide(w.desired)
-	return Directive{Overclock: oc, Instances: w.desired}
+	return Directive{Instances: w.desired, insts: w.insts}
 }
 
 func (w *GlobalWI) anyOCActive() bool {
-	for _, v := range w.ocActive {
-		if v {
+	for i := range w.insts {
+		if w.insts[i].oc {
 			return true
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -26,24 +28,24 @@ func TestMetricPolicyStartsAndStopsOC(t *testing.T) {
 	w := newMetricWI()
 	w.Observe("i0", InstanceMetrics{P99MS: 85}) // ≥ 80% of SLO
 	d := w.Decide(wiNow)
-	if !d.Overclock["i0"] {
+	if !d.Overclock("i0") {
 		t.Fatal("overclock not triggered at 85% of SLO")
 	}
 	// Hysteresis: between the thresholds it stays on.
 	w.Observe("i0", InstanceMetrics{P99MS: 60})
 	d = w.Decide(wiNow.Add(time.Second))
-	if !d.Overclock["i0"] {
+	if !d.Overclock("i0") {
 		t.Fatal("overclock dropped inside hysteresis band")
 	}
 	// Below scale-down, but within the minimum on-time: stays on.
 	w.Observe("i0", InstanceMetrics{P99MS: 30})
 	d = w.Decide(wiNow.Add(2 * time.Second))
-	if !d.Overclock["i0"] {
+	if !d.Overclock("i0") {
 		t.Fatal("overclock released before OCMinOn")
 	}
 	// After the minimum on-time it releases.
 	d = w.Decide(wiNow.Add(OCMinOn + 2*time.Second))
-	if d.Overclock["i0"] {
+	if d.Overclock("i0") {
 		t.Fatal("overclock not released at 30% of SLO")
 	}
 }
@@ -54,8 +56,8 @@ func TestMetricScaleOutAtThreshold(t *testing.T) {
 	w.Observe("i0", InstanceMetrics{P99MS: 120}) // ≥ 105% of SLO
 	d := w.Decide(wiNow)
 	// Overclocking engages first; scale-out waits for the grace period.
-	if !d.Overclock["i0"] || d.Instances != 1 {
-		t.Fatalf("first decision = %+v, want OC on, 1 instance", d)
+	if !d.Overclock("i0") || d.Instances != 1 {
+		t.Fatalf("first decision: OC %v, %d instances; want OC on, 1 instance", d.Overclock("i0"), d.Instances)
 	}
 	w.Observe("i0", InstanceMetrics{P99MS: 120}) // still over after grace
 	w.Decide(wiNow.Add(OCGrace + time.Second))   // starts the sustain clock
@@ -116,7 +118,7 @@ func TestRejectionTriggersCorrectiveScaleOut(t *testing.T) {
 	if d.Instances != 2 {
 		t.Fatalf("rejection did not scale out: %d", d.Instances)
 	}
-	if d.Overclock["i0"] {
+	if d.Overclock("i0") {
 		t.Fatal("rejected instance must not be marked overclocked")
 	}
 	if n := count("wi_rejections_total"); n != 1 {
@@ -191,16 +193,16 @@ func TestSchedulePolicyWindow(t *testing.T) {
 	w := NewGlobalWI(100, nil, sp, DefaultScaleOutConfig())
 	w.Observe("i0", InstanceMetrics{P99MS: 10})
 	d := w.Decide(wiNow) // Monday 9:30, inside window
-	if !d.Overclock["i0"] {
+	if !d.Overclock("i0") {
 		t.Fatal("schedule window did not trigger overclock")
 	}
 	d = w.Decide(wiNow.Add(3 * time.Hour)) // 12:30, outside
-	if d.Overclock["i0"] {
+	if d.Overclock("i0") {
 		t.Fatal("overclock persisted outside window")
 	}
 	sat := time.Date(2023, 4, 15, 9, 30, 0, 0, time.UTC)
 	d = w.Decide(sat)
-	if d.Overclock["i0"] {
+	if d.Overclock("i0") {
 		t.Fatal("weekday-only window fired on Saturday")
 	}
 }
@@ -212,7 +214,7 @@ func TestCombinedMetricAndSchedule(t *testing.T) {
 	// Outside the window but tail is high: metric side triggers.
 	w.Observe("i0", InstanceMetrics{P99MS: 90})
 	d := w.Decide(wiNow.Add(5 * time.Hour))
-	if !d.Overclock["i0"] {
+	if !d.Overclock("i0") {
 		t.Fatal("metric trigger must work outside schedule windows")
 	}
 }
@@ -223,7 +225,7 @@ func TestForget(t *testing.T) {
 	w.Decide(wiNow)
 	w.Forget("i0")
 	d := w.Decide(wiNow.Add(time.Second))
-	if _, ok := d.Overclock["i0"]; ok {
+	if _, ok := d.verdict("i0"); ok {
 		t.Fatal("forgotten instance still present")
 	}
 }
@@ -268,35 +270,25 @@ func TestForgetPurgesAllState(t *testing.T) {
 	w := newMetricWI()
 	w.Observe("i0", InstanceMetrics{P99MS: 90})
 	w.Observe("i1", InstanceMetrics{P99MS: 90})
-	w.Decide(wiNow) // engages OC on both → ocStartAt populated
-	if _, ok := w.ocStartAt["i0"]; !ok {
+	w.Decide(wiNow) // engages OC on both
+	if i, ok := findInstance(w.insts, "i0"); !ok || !w.insts[i].engaged {
 		t.Fatal("test setup: i0 not engaged")
 	}
-	// A rejection parks i0 in rejectPending until the next Decide.
+	// A rejection leaves i0 a hold for the next Decide to stamp.
 	w.ReportRejection("i0", RejectPower)
 	w.Forget("i0")
-	if _, ok := w.ocStartAt["i0"]; ok {
-		t.Fatal("Forget leaked ocStartAt entry")
-	}
-	for _, name := range w.rejectPending {
-		if name == "i0" {
-			t.Fatal("Forget leaked rejectPending entry")
-		}
+	if _, ok := findInstance(w.insts, "i0"); ok {
+		t.Fatal("Forget left i0's record")
 	}
 	w.Decide(wiNow.Add(time.Second))
-	if _, ok := w.rejectHold["i0"]; ok {
-		t.Fatal("forgotten instance resurrected into rejectHold by Decide")
-	}
-	if _, ok := w.instances["i0"]; ok {
-		t.Fatal("Forget left instance metrics")
-	}
-	if _, ok := w.ocActive["i0"]; ok {
-		t.Fatal("Forget left ocActive entry")
+	if _, ok := findInstance(w.insts, "i0"); ok {
+		t.Fatal("forgotten instance resurrected by Decide")
 	}
 	// The surviving instance's pending rejection must still be stamped.
 	w.ReportRejection("i1", RejectPower)
 	w.Decide(wiNow.Add(2 * time.Second))
-	if _, ok := w.rejectHold["i1"]; !ok {
+	if i, ok := findInstance(w.insts, "i1"); !ok || !w.insts[i].held ||
+		!w.insts[i].holdUntil.Equal(wiNow.Add(2*time.Second+rejectRetry)) {
 		t.Fatal("surviving instance lost its reject hold")
 	}
 }
@@ -318,21 +310,21 @@ func TestUtilPolicyDeploymentLevel(t *testing.T) {
 	w.Observe("hot", InstanceMetrics{Util: 0.80})
 	w.Observe("cold", InstanceMetrics{Util: 0.10})
 	d := w.Decide(wiNow)
-	if d.Overclock["hot"] || d.Overclock["cold"] {
+	if d.Overclock("hot") || d.Overclock("cold") {
 		t.Fatal("deployment-level policy must not overclock while under target")
 	}
 	// Deployment-wide pressure triggers it.
 	w.Observe("hot", InstanceMetrics{Util: 0.90})
 	w.Observe("cold", InstanceMetrics{Util: 0.60})
 	d = w.Decide(wiNow.Add(time.Second))
-	if !d.Overclock["hot"] || !d.Overclock["cold"] {
+	if !d.Overclock("hot") || !d.Overclock("cold") {
 		t.Fatal("deployment over target must overclock")
 	}
 	// And releases once the deployment cools (after the min-on hold).
 	w.Observe("hot", InstanceMetrics{Util: 0.40})
 	w.Observe("cold", InstanceMetrics{Util: 0.20})
 	d = w.Decide(wiNow.Add(OCMinOn + 2*time.Second))
-	if d.Overclock["hot"] {
+	if d.Overclock("hot") {
 		t.Fatal("deployment under release threshold must stop overclocking")
 	}
 }
@@ -346,18 +338,38 @@ func TestUtilAndMetricCombined(t *testing.T) {
 	// IPC-insensitive proxy would have missed this, §III-Q1).
 	w.Observe("i0", InstanceMetrics{P99MS: 90, Util: 0.3})
 	d := w.Decide(wiNow)
-	if !d.Overclock["i0"] {
+	if !d.Overclock("i0") {
 		t.Fatal("latency trigger must fire regardless of utilization")
 	}
 	// Release requires BOTH latency and utilization to have recovered.
 	w.Observe("i0", InstanceMetrics{P99MS: 20, Util: 0.75})
 	d = w.Decide(wiNow.Add(OCMinOn + time.Second))
-	if !d.Overclock["i0"] {
+	if !d.Overclock("i0") {
 		t.Fatal("high utilization must hold the overclock despite low latency")
 	}
 	w.Observe("i0", InstanceMetrics{P99MS: 20, Util: 0.30})
 	d = w.Decide(wiNow.Add(OCMinOn + 2*time.Second))
-	if d.Overclock["i0"] {
+	if d.Overclock("i0") {
 		t.Fatal("overclock must release when both signals recover")
+	}
+}
+
+// TestDeploymentUtilSumsInNameOrder pins the deployment mean to the
+// name-ordered left-to-right sum. These utilizations round differently in
+// other orders (0.2+0.3+0.1 is 0.6, 0.1+0.2+0.3 is 0.6000000000000001), so a
+// sum in map order would differ between fresh agents.
+func TestDeploymentUtilSumsInNameOrder(t *testing.T) {
+	names := []string{"a", "b", "c"}
+	utils := []float64{0.1, 0.2, 0.3}
+	want := (utils[0] + utils[1] + utils[2]) / 3
+	rng := rand.New(rand.NewSource(1))
+	for run := 0; run < 50; run++ {
+		w := NewGlobalWI(100, nil, nil, DefaultScaleOutConfig())
+		for _, i := range rng.Perm(len(names)) {
+			w.Observe(names[i], InstanceMetrics{Util: utils[i]})
+		}
+		if got := w.deploymentUtil(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("run %d: deployment util = %v, want the name-ordered mean %v", run, got, want)
+		}
 	}
 }

@@ -195,6 +195,7 @@ type appReplica struct {
 	instances []*workload.Instance // queueing state per service
 	slot      *spareSlot           // nil for the primary replica
 	readyAt   time.Time            // serves load only once booted
+	wantOC    bool                 // the WI's verdict at the latest decision
 }
 
 // ready reports whether the replica has finished provisioning.
@@ -702,14 +703,19 @@ func (r *clusterRun) decide(t int) {
 			}
 			continue
 		}
+		// The directive is a view the WI owns: read every verdict before
+		// scaleApp's Forget or a Request's rejection report changes it.
 		dir := app.wi.Decide(r.now)
+		for _, rep := range app.replicas {
+			rep.wantOC = dir.Overclock(rep.name)
+		}
 		r.scaleApp(app, dir.Instances)
 		for _, rep := range app.replicas {
 			if !rep.ready(r.now) {
 				continue // cannot overclock a booting VM
 			}
 			_, active := rep.host.soa.Sessions()[rep.name]
-			want := dir.Overclock[rep.name]
+			want := rep.wantOC
 			if want && !active {
 				var cores []int
 				for _, vm := range rep.vms {
