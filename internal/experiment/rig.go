@@ -122,18 +122,33 @@ func recentProfile(a *core.SOA, host core.Host, coreCost float64) profileMsg {
 	}
 }
 
+// flatBlock is everything one flat profile points at, allocated as one
+// object. Each week's weekday and weekend halves share one slot array. That
+// is safe only because nothing writes a gOA profile's slots: GOA.Snapshot
+// shares profiles by pointer, and the budget split only reads them.
+type flatBlock struct {
+	slots [3][24]float64
+	days  [6]timeseries.DayTemplate
+	weeks [3]timeseries.WeekTemplate
+	oc    predict.OCTemplate
+}
+
 // flatProfile expands a profile report into the week-template shape the gOA
 // consumes — the weekly template exchange (§IV-C) compressed to the rigs'
-// time scale.
+// time scale. Each template is timeseries.FlatWeek(v, time.Hour) in value
+// and in JSON, built in one allocation.
 func flatProfile(p profileMsg) core.ServerProfile {
-	return core.ServerProfile{
-		Power: timeseries.FlatWeek(p.MedianWatts, time.Hour),
-		OC: &predict.OCTemplate{
-			Requested: timeseries.FlatWeek(p.Requested, time.Hour),
-			Granted:   timeseries.FlatWeek(p.Granted, time.Hour),
-		},
-		OCCoreCost: p.CoreCost,
+	b := new(flatBlock)
+	for k, v := range [3]float64{p.MedianWatts, p.Requested, p.Granted} {
+		for i := range b.slots[k] {
+			b.slots[k][i] = v
+		}
+		b.days[2*k] = timeseries.DayTemplate{Step: time.Hour, Kind: timeseries.Weekdays, Slots: b.slots[k][:]}
+		b.days[2*k+1] = timeseries.DayTemplate{Step: time.Hour, Kind: timeseries.Weekends, Slots: b.slots[k][:]}
+		b.weeks[k] = timeseries.WeekTemplate{Weekday: &b.days[2*k], Weekend: &b.days[2*k+1]}
 	}
+	b.oc = predict.OCTemplate{Requested: &b.weeks[1], Granted: &b.weeks[2]}
+	return core.ServerProfile{Power: &b.weeks[0], OC: &b.oc, OCCoreCost: p.CoreCost}
 }
 
 // rigHost is what the rig asks of a slot's machine: the sOA's view of it, the

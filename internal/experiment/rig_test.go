@@ -12,7 +12,9 @@ import (
 	"smartoclock/internal/core"
 	"smartoclock/internal/machine"
 	"smartoclock/internal/power"
+	"smartoclock/internal/predict"
 	"smartoclock/internal/store"
+	"smartoclock/internal/timeseries"
 )
 
 // testRig assembles a two-server rig with a provenance recorder as its only
@@ -226,5 +228,55 @@ func TestRigRestore(t *testing.T) {
 	cp.SOAs["t-00"].Budgets.Cores = cp.SOAs["t-00"].Budgets.Cores[:1]
 	if err := rg.restore(now, cp); err == nil || !strings.Contains(err.Error(), "t-00") {
 		t.Fatalf("restore from a one-core ledger: err = %v, want one naming t-00", err)
+	}
+}
+
+// TestFlatProfileAllocs guards that one profile report costs the gOA one
+// allocation: the three flat weeks and the overclock template share a block.
+func TestFlatProfileAllocs(t *testing.T) {
+	p := profileMsg{Server: "t-00", MedianWatts: 412.5, Requested: 16, Granted: 8, CoreCost: 3.1}
+	var sink core.ServerProfile
+	if allocs := testing.AllocsPerRun(100, func() { sink = flatProfile(p) }); allocs > 1 {
+		t.Fatalf("flatProfile allocates %.1f objects, want <= 1", allocs)
+	}
+	_ = sink
+}
+
+// TestFlatProfileMatchesFlatWeek holds flatProfile to the FlatWeek templates
+// it replaced: the same JSON, so the same checkpoint bytes, and the same
+// value at every hour of a week.
+func TestFlatProfileMatchesFlatWeek(t *testing.T) {
+	for _, p := range []profileMsg{
+		{Server: "t-00", MedianWatts: 412.5, Requested: 16, Granted: 8, CoreCost: 3.1},
+		{Server: "t-01", MedianWatts: 0.1 + 0.2, Requested: 0, Granted: 0, CoreCost: 0},
+	} {
+		got := flatProfile(p)
+		want := core.ServerProfile{
+			Power: timeseries.FlatWeek(p.MedianWatts, time.Hour),
+			OC: &predict.OCTemplate{
+				Requested: timeseries.FlatWeek(p.Requested, time.Hour),
+				Granted:   timeseries.FlatWeek(p.Granted, time.Hour),
+			},
+			OCCoreCost: p.CoreCost,
+		}
+		gj, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wj, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gj) != string(wj) {
+			t.Fatalf("%s: flat profile JSON\n%s\nwant\n%s", p.Server, gj, wj)
+		}
+		start := time.Date(2023, 4, 10, 0, 30, 0, 0, time.UTC)
+		for h := 0; h < 7*24; h++ {
+			ts := start.Add(time.Duration(h) * time.Hour)
+			if got.Power.At(ts) != want.Power.At(ts) ||
+				got.OC.RequestedAt(ts) != want.OC.RequestedAt(ts) || got.OC.GrantedAt(ts) != want.OC.GrantedAt(ts) {
+				t.Fatalf("%s: flat profile differs from FlatWeek at %v", p.Server, ts)
+			}
+		}
 	}
 }
