@@ -33,6 +33,18 @@ func (p observedParts) String() string {
 		"--- recording ---\n" + p.series
 }
 
+// renderRows prints Table I rows through an explicit field list, each value
+// named in the text, so the pins hash the rows' values and not the Go
+// layout of Table1Row.
+func renderRows(rows []Table1Row) string {
+	var b strings.Builder
+	for _, r := range rows {
+		fmt.Fprintf(&b, "system=%s class=%s cap_events=%d norm_caps=%v success_pct=%v penalty_pct=%v norm_perf=%v requests=%d\n",
+			r.System, r.Class, r.CapEvents, r.NormCaps, r.SuccessPct, r.PenaltyPct, r.NormPerf, r.Requests)
+	}
+	return b.String()
+}
+
 // renderObserved runs an observed Table I and serializes its artifacts.
 func renderObserved(t *testing.T, cfg FleetSimConfig) observedParts {
 	t.Helper()
@@ -59,7 +71,7 @@ func renderObserved(t *testing.T, cfg FleetSimConfig) observedParts {
 	}
 	return observedParts{
 		table:       tbl.Format(),
-		rows:        fmt.Sprintf("%+v\n", rows),
+		rows:        renderRows(rows),
 		metrics:     metrics.String(),
 		trace:       events.String(),
 		provenance:  prov.String(),
