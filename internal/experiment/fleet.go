@@ -327,15 +327,14 @@ func sessionEffectiveRatio(h *traceHost, s *core.Session) float64 {
 
 // Table1Row is one (system, class) cell set of Table I.
 type Table1Row struct {
-	System      baselines.System
-	Class       trace.ClusterClass
-	CapEvents   int
-	NormCaps    float64 // capping events normalized to Central
-	SuccessPct  float64 // successful overclocking request-ticks
-	PenaltyPct  float64 // mean frequency reduction of non-OC servers during caps
-	NormPerf    float64 // mean frequency ratio vs turbo baseline
-	Requests    int
-	RacksTested int
+	System     baselines.System
+	Class      trace.ClusterClass
+	CapEvents  int
+	NormCaps   float64 // capping events normalized to Central
+	SuccessPct float64 // successful overclocking request-ticks
+	PenaltyPct float64 // mean frequency reduction of non-OC servers during caps
+	NormPerf   float64 // mean frequency ratio vs turbo baseline
+	Requests   int
 }
 
 // wantsOC reports whether a VM demands overclocking at instant c: a
@@ -971,7 +970,7 @@ func runTable1(cfg FleetSimConfig) (*Table, []Table1Row, *FleetObservation, erro
 			agg := cells[ci*len(systems)+si]
 			row := Table1Row{System: sys, Class: class, CapEvents: agg.caps,
 				SuccessPct: agg.successPct(), NormPerf: agg.normPerf(),
-				Requests: agg.requests, RacksTested: nr}
+				Requests: agg.requests}
 			if agg.penaltyN > 0 {
 				row.PenaltyPct = 100 * agg.penaltySum / float64(agg.penaltyN)
 			}
