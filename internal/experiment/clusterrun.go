@@ -715,8 +715,7 @@ func (r *clusterRun) decide(t int) {
 				continue // cannot overclock a booting VM
 			}
 			_, active := rep.host.soa.Sessions()[rep.name]
-			want := rep.wantOC
-			if want && !active {
+			if rep.wantOC && !active {
 				var cores []int
 				for _, vm := range rep.vms {
 					cores = append(cores, vm.Cores...)
@@ -725,7 +724,7 @@ func (r *clusterRun) decide(t int) {
 					VM: rep.name, Cores: len(cores), TargetMHz: r.cfg.HW.MaxOCMHz,
 					Priority: core.PriorityMetric, PreferredCores: cores,
 				})
-			} else if !want && active {
+			} else if !rep.wantOC && active {
 				rep.host.soa.Stop(r.now, rep.name)
 			}
 		}
