@@ -60,15 +60,6 @@ type Budget struct {
 	reserved   time.Duration
 }
 
-// NewBudget creates a budget whose first epoch starts at start.
-// It panics on an invalid configuration.
-func NewBudget(cfg BudgetConfig, start time.Time) *Budget {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	return &Budget{cfg: cfg, epochStart: start, remaining: cfg.Allowance()}
-}
-
 // Config returns the budget configuration.
 func (b *Budget) Config() BudgetConfig { return b.cfg }
 
@@ -157,7 +148,7 @@ func (b *Budget) Consume(d time.Duration, fromReservation bool) bool {
 // paper's core-migration exploration: when a VM's cores run out of budget
 // the sOA looks for other cores with headroom (§IV-D).
 type CoreBudgets struct {
-	cores []*Budget
+	cores []Budget
 	// due is a lower bound on the earliest epoch rollover among the cores:
 	// until now reaches it no core can roll, so Advance is one compare.
 	// NewCoreBudgets, Restore and the slow path of Advance recompute it.
@@ -178,11 +169,15 @@ type coreCand struct {
 	rem time.Duration
 }
 
-// NewCoreBudgets creates n per-core budgets that all start at start.
+// NewCoreBudgets creates n per-core budgets whose first epoch starts at
+// start, held in one backing array. It panics on an invalid configuration.
 func NewCoreBudgets(cfg BudgetConfig, n int, start time.Time) *CoreBudgets {
-	cb := &CoreBudgets{cores: make([]*Budget, n)}
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	cb := &CoreBudgets{cores: make([]Budget, n)}
 	for i := range cb.cores {
-		cb.cores[i] = NewBudget(cfg, start)
+		cb.cores[i] = Budget{cfg: cfg, epochStart: start, remaining: cfg.Allowance()}
 	}
 	cb.resetDue()
 	return cb
@@ -190,7 +185,8 @@ func NewCoreBudgets(cfg BudgetConfig, n int, start time.Time) *CoreBudgets {
 
 // resetDue recomputes due as the exact earliest rollover instant.
 func (cb *CoreBudgets) resetDue() {
-	for i, b := range cb.cores {
+	for i := range cb.cores {
+		b := &cb.cores[i]
 		if next := b.epochStart.Add(b.cfg.Epoch); i == 0 || next.Before(cb.due) {
 			cb.due = next
 		}
@@ -204,7 +200,7 @@ func (cb *CoreBudgets) Len() int { return len(cb.cores) }
 // reset a ledger use CoreBudgets.Restore, not Core(i).Restore: the set
 // keeps a bound on its earliest epoch rollover that only its own Restore
 // recomputes, and a core rewound behind that bound would not roll over.
-func (cb *CoreBudgets) Core(i int) *Budget { return cb.cores[i] }
+func (cb *CoreBudgets) Core(i int) *Budget { return &cb.cores[i] }
 
 // Advance rolls every core's budget forward to now. Until the earliest
 // rollover it is a single compare; once that instant passes it advances
@@ -213,8 +209,8 @@ func (cb *CoreBudgets) Advance(now time.Time) {
 	if now.Before(cb.due) {
 		return
 	}
-	for _, b := range cb.cores {
-		b.Advance(now)
+	for i := range cb.cores {
+		cb.cores[i].Advance(now)
 	}
 	cb.resetDue()
 }
@@ -226,8 +222,8 @@ func (cb *CoreBudgets) Advance(now time.Time) {
 // counters report exhausted headroom.
 func (cb *CoreBudgets) FindCoresFiltered(n int, need time.Duration, ok func(core int) bool) []int {
 	cands := cb.candScratch[:0]
-	for i, b := range cb.cores {
-		if rem := b.Remaining(); rem >= need && (ok == nil || ok(i)) {
+	for i := range cb.cores {
+		if rem := cb.cores[i].Remaining(); rem >= need && (ok == nil || ok(i)) {
 			cands = append(cands, coreCand{i, rem})
 		}
 	}

@@ -9,6 +9,12 @@ import (
 
 var epoch0 = time.Date(2023, 4, 10, 0, 0, 0, 0, time.UTC)
 
+// NewBudget returns one budget whose first epoch starts at start, built and
+// validated exactly as NewCoreBudgets builds each core's.
+func NewBudget(cfg BudgetConfig, start time.Time) *Budget {
+	return NewCoreBudgets(cfg, 1, start).Core(0)
+}
+
 // ocVoltRatio is the voltage ratio at the default machine's max overclock
 // (3.3 → 4.0 GHz with VoltSlope 1.3): 1 + 1.3·(700/3300).
 const ocVoltRatio = 1.2757575757575756
@@ -275,6 +281,18 @@ func TestNewBudgetPanicsOnInvalid(t *testing.T) {
 		}
 	}()
 	NewBudget(BudgetConfig{}, epoch0)
+}
+
+// TestNewCoreBudgetsAllocs holds a server's ledger to two objects, the set
+// and one backing array of budgets, however many cores it has.
+func TestNewCoreBudgetsAllocs(t *testing.T) {
+	cfg := DefaultBudgetConfig()
+	allocs := testing.AllocsPerRun(50, func() {
+		NewCoreBudgets(cfg, 64, epoch0)
+	})
+	if allocs > 2 {
+		t.Fatalf("NewCoreBudgets(64 cores) allocates %.0f objects, want at most 2", allocs)
+	}
 }
 
 func TestCoreBudgets(t *testing.T) {

@@ -36,8 +36,8 @@ type CoreBudgetsState struct {
 // Snapshot captures every core's ledger.
 func (cb *CoreBudgets) Snapshot() *CoreBudgetsState {
 	st := &CoreBudgetsState{Cores: make([]BudgetState, len(cb.cores))}
-	for i, b := range cb.cores {
-		st.Cores[i] = b.Snapshot()
+	for i := range cb.cores {
+		st.Cores[i] = cb.cores[i].Snapshot()
 	}
 	return st
 }
@@ -49,8 +49,8 @@ func (cb *CoreBudgets) Restore(st *CoreBudgetsState) error {
 	if len(st.Cores) != len(cb.cores) {
 		return fmt.Errorf("lifetime: snapshot has %d cores, budgets have %d", len(st.Cores), len(cb.cores))
 	}
-	for i, b := range cb.cores {
-		b.Restore(st.Cores[i])
+	for i := range cb.cores {
+		cb.cores[i].Restore(st.Cores[i])
 	}
 	cb.resetDue()
 	return nil
