@@ -9,7 +9,6 @@ import (
 	"smartoclock/internal/lifetime"
 	"smartoclock/internal/policy"
 	"smartoclock/internal/power"
-	"smartoclock/internal/predict"
 	"smartoclock/internal/timeseries"
 )
 
@@ -65,8 +64,8 @@ type SOAConfig struct {
 	// AdmissionUtil is the worst-case per-core utilization assumed when
 	// predicting a request's power impact (§IV-D uses worst case).
 	AdmissionUtil float64
-	// ProfileStep is the recording granularity for power and overclock
-	// templates.
+	// ProfileStep is the length of one profile slot: the sOA closes a slot
+	// of power and overclock demand, and feeds its predictor, this often.
 	ProfileStep time.Duration
 
 	// Naive disables admission control and budget enforcement entirely
@@ -178,9 +177,9 @@ type SOA struct {
 	sessions map[string]*Session
 	ordered  []*Session
 
-	// Profile recording.
-	powerRec      *timeseries.Series
-	ocRec         *predict.OCRecorder
+	// Profile recording: the last closed slots a profile report reads, and
+	// the cores requested so far in the open slot.
+	profile       profileRing
 	slotRequested int
 	nextSlotAt    time.Time
 
@@ -242,8 +241,6 @@ func NewSOA(cfg SOAConfig, host Host, budgets *lifetime.CoreBudgets, staticBudge
 			MaxBackoff:     cfg.MaxBackoff,
 		}),
 		sessions:          make(map[string]*Session),
-		powerRec:          timeseries.New(start, cfg.ProfileStep),
-		ocRec:             predict.NewOCRecorder(start, cfg.ProfileStep),
 		nextSlotAt:        start.Add(cfg.ProfileStep),
 		lastExhaustSignal: make(map[ExhaustionKind]time.Time),
 	}
@@ -788,7 +785,7 @@ func (a *SOA) manageExploration(now time.Time) {
 func (a *SOA) recordProfile(now time.Time) {
 	for !now.Before(a.nextSlotAt) {
 		p := a.host.Power()
-		a.powerRec.Append(p)
+		a.profile.push(ProfileSlot{Watts: p, Requested: a.slotRequested})
 		// The predictor forecasts the non-overclocked baseline, and
 		// admission adds the modeled overclock deltas back on top — so
 		// observations are corrected by the modeled draw of the active
@@ -798,37 +795,9 @@ func (a *SOA) recordProfile(now time.Time) {
 			obs = 0
 		}
 		a.pol.Predictor.Observe(a.nextSlotAt, obs)
-		a.ocRec.Record(a.slotRequested, a.ActiveOCCores())
 		a.slotRequested = 0
 		a.nextSlotAt = a.nextSlotAt.Add(a.cfg.ProfileStep)
 	}
-}
-
-// Profile returns the templates the sOA periodically ships to the gOA.
-// It requires at least one full recorded slot.
-func (a *SOA) Profile() (power *timeseries.WeekTemplate, oc *predict.OCTemplate) {
-	return timeseries.BuildWeekTemplate(a.powerRec, timeseries.ReduceMedian), a.ocRec.Template()
-}
-
-// PowerRecord exposes the raw recorded power series (for analysis).
-func (a *SOA) PowerRecord() *timeseries.Series { return a.powerRec }
-
-// RecentRequestedCores returns the mean number of cores that requested
-// overclocking over the last n profile slots — including rejected demand,
-// which is what lets the gOA route headroom toward constrained servers.
-func (a *SOA) RecentRequestedCores(n int) float64 {
-	vals := a.ocRec.Requested().Values
-	if len(vals) == 0 {
-		return float64(a.slotRequested)
-	}
-	if len(vals) > n {
-		vals = vals[len(vals)-n:]
-	}
-	sum := 0.0
-	for _, v := range vals {
-		sum += v
-	}
-	return sum / float64(len(vals))
 }
 
 // checkExhaustion predicts power and overclock-budget exhaustion within the

@@ -433,15 +433,42 @@ func TestProfileRecording(t *testing.T) {
 		now = now.Add(time.Minute)
 		a.Tick(now)
 	}
-	if a.PowerRecord().Len() < 4 {
-		t.Fatalf("power record len = %d", a.PowerRecord().Len())
+	win := a.Snapshot().Profile
+	if len(win) != 5 {
+		t.Fatalf("window holds %d slots after 5, want 5", len(win))
 	}
-	powerTpl, ocTpl := a.Profile()
-	if powerTpl == nil || ocTpl == nil {
-		t.Fatal("profile templates missing")
+	for i, s := range win {
+		if s.Watts != h.Power() {
+			t.Fatalf("slot %d watts = %v, want the reading %v", i, s.Watts, h.Power())
+		}
+		want := 0
+		if i == 0 {
+			want = 2 // vm1's request fell in the first slot
+		}
+		if s.Requested != want {
+			t.Fatalf("slot %d requested = %d, want %d", i, s.Requested, want)
+		}
 	}
-	if powerTpl.At(soaStart.Add(2*time.Minute)) <= 0 {
-		t.Fatal("power template empty")
+	// Past ten slots the window keeps only the last ten, oldest first.
+	for i := 0; i < 8; i++ {
+		if i == 6 {
+			a.Request(now, ocReq("vm2", 3))
+		}
+		now = now.Add(time.Minute)
+		a.Tick(now)
+	}
+	win = a.Snapshot().Profile
+	if len(win) != profileWindow {
+		t.Fatalf("window holds %d slots after 13, want %d", len(win), profileWindow)
+	}
+	for i, s := range win {
+		want := 0
+		if i == 8 { // slot 12 of 13: vm2's request
+			want = 3
+		}
+		if s.Requested != want {
+			t.Fatalf("slot %d requested = %d, want %d", i, s.Requested, want)
+		}
 	}
 }
 
@@ -721,21 +748,24 @@ func TestRapidTriggerStress(t *testing.T) {
 func TestSOANameAndRecentRequested(t *testing.T) {
 	a, h := newTestSOA(1000)
 	h.setAllUtil(0.4)
-	// No recorded slots yet: the live counter is returned.
+	// No recorded slots yet: the live reading and counter are returned.
 	a.Request(soaStart, ocReq("vm1", 4))
-	if got := a.RecentRequestedCores(5); got != 4 {
-		t.Fatalf("live requested = %v", got)
+	if med, req, granted := a.RecentProfile(); med != h.Power() || req != 4 || granted != 4 {
+		t.Fatalf("live profile = %v W, %v requested, %v granted", med, req, granted)
 	}
+	a.Stop(soaStart, "vm1")
 	// Close two profile slots and read the windowed mean.
 	a.cfg.ProfileStep = time.Minute
 	a.nextSlotAt = soaStart.Add(time.Minute)
 	a.Tick(soaStart.Add(time.Minute))     // slot 1: requested 4
 	a.Tick(soaStart.Add(2 * time.Minute)) // slot 2: requested 0
-	if got := a.RecentRequestedCores(2); got != 2 {
-		t.Fatalf("windowed requested = %v, want 2", got)
+	if _, req, _ := a.RecentProfile(); req != 2 {
+		t.Fatalf("windowed requested = %v, want 2", req)
 	}
-	if got := a.RecentRequestedCores(1); got != 0 {
-		t.Fatalf("last-slot requested = %v, want 0", got)
+	// Four more idle slots push slot 1 out of the last five.
+	a.Tick(soaStart.Add(6 * time.Minute))
+	if _, req, _ := a.RecentProfile(); req != 0 {
+		t.Fatalf("requested over the last five slots = %v, want 0", req)
 	}
 }
 

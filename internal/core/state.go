@@ -3,10 +3,10 @@
 //
 // The split follows one rule: config is code, state is data. Snapshots hold
 // only what the agent learned or decided at runtime — profiles, ledgers,
-// session grants, exploration position, recorders. Configuration (SOAConfig,
-// hosts, callbacks, observability handles) is re-created by the restoring
-// process and never serialized; Restore is always called on an agent freshly
-// constructed from the same configuration.
+// session grants, exploration position, the profile window. Configuration
+// (SOAConfig, hosts, callbacks, observability handles) is re-created by the
+// restoring process and never serialized; Restore is always called on an
+// agent freshly constructed from the same configuration.
 
 package core
 
@@ -17,7 +17,6 @@ import (
 
 	"smartoclock/internal/lifetime"
 	"smartoclock/internal/policy"
-	"smartoclock/internal/predict"
 	"smartoclock/internal/timeseries"
 )
 
@@ -73,10 +72,6 @@ type SOAState struct {
 
 	Mode       int     `json:"mode"`
 	ExtraWatts float64 `json:"extra_watts"`
-	// Backoff mirrors Exploration.Backoff for snapshots written before the
-	// policy layer existed; Restore falls back to it when Exploration is
-	// absent.
-	Backoff time.Duration `json:"backoff"`
 	// Exploration is the exploration policy's full adaptive state.
 	Exploration   *policy.ExplorationState `json:"exploration,omitempty"`
 	NextExploreAt time.Time                `json:"next_explore_at"`
@@ -85,10 +80,11 @@ type SOAState struct {
 
 	Sessions []SessionState `json:"sessions,omitempty"`
 
-	PowerRec      *timeseries.Series       `json:"power_rec"`
-	OCRec         *predict.OCRecorderState `json:"oc_rec"`
-	SlotRequested int                      `json:"slot_requested"`
-	NextSlotAt    time.Time                `json:"next_slot_at"`
+	// Profile is the profile window, oldest slot first: at most the last
+	// ten closed slots, which is all a profile report reads.
+	Profile       []ProfileSlot `json:"profile,omitempty"`
+	SlotRequested int           `json:"slot_requested"`
+	NextSlotAt    time.Time     `json:"next_slot_at"`
 
 	LastTick        time.Time `json:"last_tick"`
 	HasLastTick     bool      `json:"has_last_tick"`
@@ -106,7 +102,7 @@ type SOAState struct {
 // Snapshot captures the sOA's runtime state. Sessions are sorted by VM name
 // so the snapshot does not depend on the order they were started in.
 // Assigned and power templates are shared (immutable once installed); the
-// recorders are deep-copied.
+// profile window is copied.
 func (a *SOA) Snapshot() *SOAState {
 	st := &SOAState{
 		Assigned:        a.assigned,
@@ -117,8 +113,6 @@ func (a *SOA) Snapshot() *SOAState {
 		NextExploreAt:   a.nextExploreAt,
 		LastBumpAt:      a.lastBumpAt,
 		ExploitUntil:    a.exploitUntil,
-		PowerRec:        a.powerRec.Clone(),
-		OCRec:           a.ocRec.Snapshot(),
 		SlotRequested:   a.slotRequested,
 		NextSlotAt:      a.nextSlotAt,
 		LastTick:        a.lastTick,
@@ -128,9 +122,11 @@ func (a *SOA) Snapshot() *SOAState {
 		Granted:         a.granted,
 		Rejected:        a.rejected,
 	}
+	for i := 0; i < a.profile.n; i++ {
+		st.Profile = append(st.Profile, a.profile.at(i))
+	}
 	expl := a.pol.Exploration.Snapshot()
 	st.Exploration = &expl
-	st.Backoff = expl.Backoff
 	if a.budgets != nil {
 		st.Budgets = a.budgets.Snapshot()
 	}
@@ -158,11 +154,15 @@ func (a *SOA) Snapshot() *SOAState {
 // each restored session's frequency to the host, so a warm-restarted agent
 // resumes driving the hardware exactly where the checkpoint left it. The
 // lifetime ledger is restored when the snapshot carries one; a core-count
-// mismatch (snapshot from different hardware) fails before any state is
+// mismatch (snapshot from different hardware), a session core out of range
+// or a profile window longer than the sOA keeps fails before any state is
 // touched.
 func (a *SOA) Restore(st *SOAState) error {
 	if st.Budgets != nil && a.budgets != nil && len(st.Budgets.Cores) != a.budgets.Len() {
 		return fmt.Errorf("core: snapshot ledger has %d cores, host has %d", len(st.Budgets.Cores), a.budgets.Len())
+	}
+	if len(st.Profile) > profileWindow {
+		return fmt.Errorf("core: snapshot profile window holds %d slots, the sOA keeps %d", len(st.Profile), profileWindow)
 	}
 	for i, s := range st.Sessions {
 		for _, c := range s.Cores {
@@ -184,17 +184,13 @@ func (a *SOA) Restore(st *SOAState) error {
 	a.extraWatts = st.ExtraWatts
 	if st.Exploration != nil {
 		a.pol.Exploration.Restore(*st.Exploration)
-	} else if st.Backoff > 0 {
-		a.pol.Exploration.Restore(policy.ExplorationState{Backoff: st.Backoff})
 	}
 	a.nextExploreAt = st.NextExploreAt
 	a.lastBumpAt = st.LastBumpAt
 	a.exploitUntil = st.ExploitUntil
-	if st.PowerRec != nil {
-		a.powerRec = st.PowerRec.Clone()
-	}
-	if st.OCRec != nil {
-		a.ocRec.Restore(st.OCRec)
+	a.profile = profileRing{}
+	for _, s := range st.Profile {
+		a.profile.push(s)
 	}
 	a.slotRequested = st.SlotRequested
 	a.nextSlotAt = st.NextSlotAt

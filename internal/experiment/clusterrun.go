@@ -758,7 +758,7 @@ func (r *clusterRun) refreshBudgets() {
 		if s.role == roleSpare {
 			continue
 		}
-		p := recentProfile(s.soa, s.srv, s.coreCost)
+		p := recentProfile(s.soa, s.srv.Name(), s.coreCost)
 		if s.role == roleSocialNet && p.Requested < 16 {
 			// Latency-critical servers keep a floor reserve: their load
 			// waves are phase-shifted, so demand can arrive on servers

@@ -135,15 +135,12 @@ func TestIntegrationHeterogeneousBudgetFlow(t *testing.T) {
 			a.Tick(now)
 		}
 	}
+	// Each report takes the rigs' own path: the sOA's recent window as a
+	// profile message, expanded to the flat templates the gOA splits.
 	for i, a := range soas {
-		powerTpl, ocTpl := a.Profile()
-		goa.SetProfile(servers[i].Name(), core.ServerProfile{
-			Power: powerTpl, OC: ocTpl,
-			OCCoreCost: servers[i].Machine().Config().OCCoreCost(),
-		})
+		p := recentProfile(a, servers[i].Name(), servers[i].Machine().Config().OCCoreCost())
+		goa.SetProfile(servers[i].Name(), flatProfile(p))
 	}
-	// Query inside the recorded profile slot (recording started at 9:00
-	// with 5-minute slots).
 	at := integStart.Add(2 * time.Minute)
 	budgets := goa.BudgetsAt(at)
 	if budgets["s0"] <= budgets["s1"] {

@@ -15,7 +15,6 @@ import (
 	"smartoclock/internal/metrics"
 	"smartoclock/internal/power"
 	"smartoclock/internal/predict"
-	"smartoclock/internal/stats"
 	"smartoclock/internal/store"
 	"smartoclock/internal/timeseries"
 )
@@ -99,25 +98,12 @@ func rigBudgetConfig(epoch time.Duration, fraction float64) lifetime.BudgetConfi
 	return lifetime.BudgetConfig{Epoch: epoch, Fraction: fraction, CarryOver: true, MaxCarryOver: 1}
 }
 
-// recentProfile summarizes an sOA's recent behavior as a profile report: the
-// median of its last ten power samples (the live reading before the first
-// sample) and its recent overclock demand, never below what is granted now.
-func recentProfile(a *core.SOA, host core.Host, coreCost float64) profileMsg {
-	window := a.PowerRecord().Values
-	if len(window) > 10 {
-		window = window[len(window)-10:]
-	}
-	med := stats.Median(window)
-	if len(window) == 0 {
-		med = host.Power()
-	}
-	granted := float64(a.ActiveOCCores())
-	requested := a.RecentRequestedCores(5)
-	if granted > requested {
-		requested = granted
-	}
+// recentProfile wraps an sOA's recent profile (core.SOA.RecentProfile) as
+// the report server name sends the gOA.
+func recentProfile(a *core.SOA, name string, coreCost float64) profileMsg {
+	med, requested, granted := a.RecentProfile()
 	return profileMsg{
-		Server: host.Name(), MedianWatts: med,
+		Server: name, MedianWatts: med,
 		Requested: requested, Granted: granted, CoreCost: coreCost,
 	}
 }
@@ -375,7 +361,7 @@ func (r *rig[H]) profileReport(s *rigServer[H], now time.Time) (agent.Message, b
 	if s.soa == nil {
 		return agent.Message{}, false
 	}
-	p := recentProfile(s.soa, s.host, s.coreCost)
+	p := recentProfile(s.soa, s.srv.Name(), s.coreCost)
 	msg, err := agent.NewMessage("soa.profile", s.agentID, r.goaID, p)
 	if err != nil {
 		return agent.Message{}, false

@@ -34,8 +34,7 @@ func (t *OCTemplate) GrantedAt(ts time.Time) float64 {
 }
 
 // OCRecorder accumulates per-slot observations of overclocking demand and
-// produces OCTemplates. Each Server Overclocking Agent runs one and
-// periodically ships the resulting template to the gOA.
+// produces OCTemplates from a server's recorded history.
 type OCRecorder struct {
 	requested *timeseries.Series
 	granted   *timeseries.Series
@@ -55,31 +54,6 @@ func NewOCRecorder(start time.Time, step time.Duration) *OCRecorder {
 func (r *OCRecorder) Record(requested, granted int) {
 	r.requested.Append(float64(requested))
 	r.granted.Append(float64(granted))
-}
-
-// Requested returns the raw requested-cores series.
-func (r *OCRecorder) Requested() *timeseries.Series { return r.requested }
-
-// OCRecorderState is the serializable state of an OCRecorder.
-type OCRecorderState struct {
-	Requested *timeseries.Series `json:"requested"`
-	Granted   *timeseries.Series `json:"granted"`
-}
-
-// Snapshot captures the recorded series (deep copies).
-func (r *OCRecorder) Snapshot() *OCRecorderState {
-	return &OCRecorderState{Requested: r.requested.Clone(), Granted: r.granted.Clone()}
-}
-
-// Restore replaces the recorded series from a snapshot (deep copies, so the
-// snapshot stays independent of subsequent recording).
-func (r *OCRecorder) Restore(st *OCRecorderState) {
-	if st.Requested != nil {
-		r.requested = st.Requested.Clone()
-	}
-	if st.Granted != nil {
-		r.granted = st.Granted.Clone()
-	}
 }
 
 // Template builds the overclock template from all recorded observations

@@ -229,7 +229,7 @@ func BenchmarkDailyMedFitPredict(b *testing.B) {
 func TestOCRecorderSeriesAccessors(t *testing.T) {
 	rec := NewOCRecorder(histStart, time.Hour)
 	rec.Record(3, 2)
-	if rec.Requested().Values[0] != 3 || rec.granted.Values[0] != 2 {
-		t.Fatalf("raw series: %v / %v", rec.Requested().Values, rec.granted.Values)
+	if rec.requested.Values[0] != 3 || rec.granted.Values[0] != 2 {
+		t.Fatalf("raw series: %v / %v", rec.requested.Values, rec.granted.Values)
 	}
 }

@@ -107,7 +107,7 @@ func (q *P2Quantile) Value() float64 {
 	if q.n < 5 {
 		sorted := append([]float64(nil), q.initial...)
 		sort.Float64s(sorted)
-		return percentileSorted(sorted, q.p*100)
+		return PercentileSorted(sorted, q.p*100)
 	}
 	return q.heights[2]
 }

@@ -72,11 +72,13 @@ func Percentile(xs []float64, p float64) float64 {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
+	return PercentileSorted(sorted, p)
 }
 
-// percentileSorted computes the percentile of an already-sorted slice.
-func percentileSorted(sorted []float64, p float64) float64 {
+// PercentileSorted returns the p-th percentile of a sorted, non-empty slice
+// with Percentile's interpolation, so a caller that sorts its own buffer
+// gets Percentile's result bit for bit without the copy.
+func PercentileSorted(sorted []float64, p float64) float64 {
 	n := len(sorted)
 	if n == 1 {
 		return sorted[0]
@@ -108,7 +110,7 @@ func Percentiles(xs []float64, ps ...float64) []float64 {
 		if p > 100 {
 			p = 100
 		}
-		out[i] = percentileSorted(sorted, p)
+		out[i] = PercentileSorted(sorted, p)
 	}
 	return out
 }

@@ -129,10 +129,12 @@ func TestDecodeRejectsBadMagicAndVersion(t *testing.T) {
 	}
 
 	env.Magic = Magic
-	env.Version = Version + 1
-	bad, _ = json.Marshal(env)
-	if _, err := Decode(bad, &cp); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("version mismatch not detected: %v", err)
+	for _, v := range []int{Version - 1, Version + 1} {
+		env.Version = v
+		bad, _ = json.Marshal(env)
+		if _, err := Decode(bad, &cp); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("version %d mismatch not detected: %v", v, err)
+		}
 	}
 
 	if _, err := Decode([]byte("not json"), &cp); err == nil {

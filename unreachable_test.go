@@ -29,7 +29,6 @@ var unreachableAllowed = map[string]string{
 	"machine.Machine.OverclockedCores":   "cluster and experiment tests count the cores running overclocked",
 	"machine.Machine.TotalOCCoreSeconds": "cluster tests and experiment's cluster kernel pin read it",
 	"machine.Machine.OCTime":             "experiment tests check per-core overclock time",
-	"core.SOA.Profile":                   "experiment tests read the templates an sOA reports",
 	"core.SOA.ExtraWatts":                "cluster tests read the power an sOA asked for",
 	"core.GOA.SetLimit":                  "invariant tests move a rack limit by hand",
 	"experiment.Table.FindRow":           "the root benchmarks read table rows by name",
