@@ -122,8 +122,9 @@ func (a *SOA) Snapshot() *SOAState {
 		Granted:         a.granted,
 		Rejected:        a.rejected,
 	}
-	for i := 0; i < a.profile.n; i++ {
-		st.Profile = append(st.Profile, a.profile.at(i))
+	st.Profile = make([]ProfileSlot, a.profile.n)
+	for i := range st.Profile {
+		st.Profile[i] = a.profile.at(i)
 	}
 	expl := a.pol.Exploration.Snapshot()
 	st.Exploration = &expl

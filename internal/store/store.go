@@ -28,8 +28,7 @@ const Magic = "SOCSTATE"
 
 // Version is the current schema version. Decode rejects envelopes from a
 // different version: state types carry no migration shims, and silently
-// restoring mismatched state is worse than a cold start. Version 2 replaced
-// the sOA's full-run recorders with its ten-slot profile window.
+// restoring mismatched state is worse than a cold start.
 const Version = 2
 
 // Envelope is the on-disk checkpoint format.
