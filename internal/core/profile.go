@@ -51,9 +51,10 @@ func (a *SOA) RecentProfile() (medianWatts, requested, granted float64) {
 		var scratch [profileWindow]float64
 		sum := 0.0
 		for i := 0; i < r.n; i++ {
-			scratch[i] = r.at(i).Watts
+			slot := r.at(i)
+			scratch[i] = slot.Watts
 			if i >= r.n-requestWindow {
-				sum += float64(r.at(i).Requested)
+				sum += float64(slot.Requested)
 			}
 		}
 		sort.Float64s(scratch[:r.n])
