@@ -17,7 +17,9 @@
 // duration of the run. -checkpoint periodically persists the control plane
 // (gOA profiles, sOA sessions/budgets/ledgers, server wear) to an atomic
 // checkpoint file; -restore warm-starts a run from one, so a killed server
-// resumes where the checkpoint left it instead of relearning from scratch.
+// resumes where the checkpoint left it instead of relearning from scratch:
+// the restored run picks up the simulated clock at the checkpoint's saved
+// instant and covers -minutes from there.
 package main
 
 import (
@@ -57,7 +59,7 @@ func main() {
 	pace := flag.Duration("pace", 200*time.Millisecond, "wall-clock pace per live tick (with -serve); 0 runs flat out")
 	checkpoint := flag.String("checkpoint", "", "with -serve: write periodic durable checkpoints of the control plane to this file")
 	checkpointEvery := flag.Duration("checkpoint-every", time.Minute, "with -serve -checkpoint: simulated time between checkpoints")
-	restore := flag.String("restore", "", "with -serve: warm-start the run from this checkpoint file")
+	restore := flag.String("restore", "", "with -serve: warm-start the run from this checkpoint file, resuming its simulated clock at the saved instant")
 	apiDefaults := api.DefaultConfig()
 	if err := apiDefaults.FromEnv(os.LookupEnv); err != nil {
 		log.Fatal(err)

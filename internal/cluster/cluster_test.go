@@ -205,7 +205,7 @@ func TestSOAOnClusterServer(t *testing.T) {
 }
 
 // TestCapReconciliationAllLevels sweeps every cap level against a spread of
-// desired frequencies and checks the apply/capCeiling reconciliation
+// desired frequencies and checks the apply/CapCeiling reconciliation
 // invariant exactly: the effective frequency is min(desired, ceiling),
 // where the ceiling drops one DVFS step per level from MaxOC and floors at
 // MinMHz, and capping never rewrites the sOA's desired frequency.

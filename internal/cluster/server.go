@@ -75,7 +75,8 @@ func (s *Server) CoreUtil(core int) float64 { return s.m.Util(core) }
 // SetDesiredFreq implements core.Host: records the sOA's request and
 // applies the effective frequency (bounded by the capping ceiling).
 func (s *Server) SetDesiredFreq(core, mhz int) {
-	s.desired[core] = s.m.Config().ClampFreq(mhz)
+	cfg := s.m.Config()
+	s.desired[core] = cfg.ClampFreq(mhz)
 	s.apply(core)
 }
 
@@ -103,25 +104,10 @@ func (s *Server) SetSeverity(v power.Severity) { s.severity = v }
 // severity-ordered capping.
 func (s *Server) Severity() power.Severity { return s.severity }
 
-// capCeiling returns the frequency ceiling imposed by the current cap
-// level: level 0 is uncapped (MaxOC); each level lowers the ceiling one
-// DVFS step, stripping overclock first and then digging below turbo.
-func (s *Server) capCeiling() int {
-	cfg := s.m.Config()
-	c := cfg.MaxOCMHz - s.capLevel*cfg.StepMHz
-	if c < cfg.MinMHz {
-		c = cfg.MinMHz
-	}
-	return c
-}
-
-// MaxCapLevel implements power.Server. The division rounds up: when the
-// MaxOC→Min range is not a whole number of steps, the deepest level must
-// still drive capCeiling all the way down to MinMHz (the ceiling clamps
-// there), not strand it one partial step above the floor.
+// MaxCapLevel implements power.Server with the machine's cap ladder.
 func (s *Server) MaxCapLevel() int {
 	cfg := s.m.Config()
-	return (cfg.MaxOCMHz - cfg.MinMHz + cfg.StepMHz - 1) / cfg.StepMHz
+	return cfg.MaxCapLevel()
 }
 
 // ForceCap implements power.Server.
@@ -144,11 +130,8 @@ func (s *Server) CapLevel() int { return s.capLevel }
 // apply pushes the effective frequency (desired bounded by the cap
 // ceiling) into the hardware.
 func (s *Server) apply(core int) {
-	eff := s.desired[core]
-	if c := s.capCeiling(); eff > c {
-		eff = c
-	}
-	s.m.SetFreq(core, eff)
+	cfg := s.m.Config()
+	s.m.SetFreq(core, min(s.desired[core], cfg.CapCeiling(s.capLevel)))
 }
 
 // EffectiveFreq returns the frequency core actually runs at.
@@ -222,18 +205,11 @@ func (s *Server) Restore(st *ServerState) error {
 	if err := s.m.RestoreWear(st.Wear); err != nil {
 		return fmt.Errorf("cluster: server %s: %w", s.name, err)
 	}
-	s.capLevel = st.CapLevel
-	if s.capLevel < 0 {
-		s.capLevel = 0
-	}
-	if max := s.MaxCapLevel(); s.capLevel > max {
-		s.capLevel = max
-	}
 	cfg := s.m.Config()
 	for i, mhz := range st.Desired {
 		s.desired[i] = cfg.ClampFreq(mhz)
-		s.apply(i)
 	}
+	s.ForceCap(st.CapLevel) // clamps the level to the ladder and applies every core
 	if s.agedSecs != nil {
 		s.agedSecs.Set(s.MeanAgedSeconds())
 	}

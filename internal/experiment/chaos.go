@@ -225,17 +225,14 @@ func (c ChaosConfig) transportConfig() chaos.Config {
 	}
 }
 
-// wireRig and scheduleRigMessages are the sim-transport wiring the chaos and
-// zoo drivers share. They belong to the drivers, since the rig has no clock
-// and no transport, and each driver calls them where it used to register
-// these pieces itself, which keeps the engine's registration order.
-//
-// wireRig registers rg's gOA and sOAs on tr and sends each rack event's
-// fan-out across it. Every message travels the faulty transport, rack
-// notifications included: a lost warning means the sOA keeps exploring and
-// gets capped again — safe but slower, exactly the decentralized-enforcement
-// story. A batch is sent one message at a time, in batch order, which is the
-// order the transport draws its fault rng in.
+// wireRig is the sim-transport wiring the chaos and zoo drivers share. It
+// belongs to the drivers, since the rig has no clock and no transport. It
+// registers rg's gOA and sOAs on tr and sends each rack event's fan-out
+// across it. Every message travels the faulty transport, rack notifications
+// included: a lost warning means the sOA keeps exploring and gets capped
+// again — safe but slower, exactly the decentralized-enforcement story. A
+// batch is sent one message at a time, in batch order, which is the order
+// the transport draws its fault rng in.
 func wireRig(eng *sim.Engine, tr *chaos.Transport, rg *rig[*cluster.Server]) {
 	deliver := func(m agent.Message) { rg.deliver(eng.Now(), m) }
 	tr.Register(rg.goaID, deliver)
@@ -245,26 +242,6 @@ func wireRig(eng *sim.Engine, tr *chaos.Transport, rg *rig[*cluster.Server]) {
 	rg.rack.Subscribe(func(ev power.Event) {
 		for _, m := range rg.rackEventFanout(ev) {
 			_ = tr.Send(m)
-		}
-	})
-}
-
-// scheduleRigMessages registers rg's periodic sends on tr: sOA → gOA profile
-// reports, staggered one tick apart per server, and gOA → sOA budget pushes,
-// which a downed gOA does not compute.
-func scheduleRigMessages(eng *sim.Engine, tr *chaos.Transport, rg *rig[*cluster.Server], tick time.Duration) {
-	for i, s := range rg.servers {
-		eng.Every(rg.start.Add(rigProfileEvery+time.Duration(i)*tick), rigProfileEvery, func(now time.Time) {
-			if msg, ok := rg.profileReport(s, now); ok {
-				_ = tr.Send(msg)
-			}
-		})
-	}
-	eng.Every(rg.start.Add(rigBudgetEvery), rigBudgetEvery, func(now time.Time) {
-		if !tr.Down(rg.goaID) {
-			for _, m := range rg.budgetPushes(now) {
-				_ = tr.Send(m)
-			}
 		}
 	})
 }
@@ -351,7 +328,7 @@ func newChaosRun(cfg ChaosConfig) *chaosRun {
 	c.checker.Instrument(c.rg.reg, c.rg.tracer, c.rg.prov)
 	c.rg.watch(c.checker, cfg.EnforcementGrace)
 	c.rg.watchLedgers(c.checker, 12*cfg.Tick)
-	scheduleRigMessages(eng, c.tr, c.rg, cfg.Tick)
+	scheduleRigMessages(eng, c.rg, cfg.Tick, c.tr.Send, func() bool { return !c.tr.Down(c.rg.goaID) })
 	eng.Every(cfg.Start.Add(cfg.Tick), cfg.Tick, c.tick)
 	return c
 }

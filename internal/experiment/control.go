@@ -379,31 +379,23 @@ func (w *liveWorld) setChaos(spec api.ChaosSpec) (*api.ChaosStatus, error) {
 	return st, nil
 }
 
-// buildCheckpoint snapshots the whole control plane: gOA, sOAs with their
-// lifetime ledgers, server cap/wear state. Must run under the lock.
-func (w *liveWorld) buildCheckpoint() *store.Checkpoint {
-	cp := &store.Checkpoint{
-		GOA:     w.rig.goa.Snapshot(),
-		SOAs:    make(map[string]*core.SOAState, len(w.rig.servers)),
-		Servers: make(map[string]*cluster.ServerState, len(w.rig.servers)),
-	}
-	for _, ls := range w.rig.servers {
-		cp.SOAs[ls.srv.Name()] = ls.soa.Snapshot()
-		cp.Servers[ls.srv.Name()] = ls.srv.Snapshot()
-	}
-	return cp
-}
-
-// checkpointNow writes a durable checkpoint — the periodic path and the
-// ForceCheckpoint command share it. The snapshot is taken under the lock,
-// the disk write outside it (atomic rename: a crash mid-write leaves the
-// previous checkpoint intact).
+// checkpointNow writes a durable checkpoint of the whole control plane —
+// the rig's gOA and sOAs with their lifetime ledgers, plus every server's
+// cap and wear state. The periodic path and the ForceCheckpoint command
+// share it. The snapshot is taken under the lock, the disk write outside it
+// (atomic rename: a crash mid-write leaves the previous checkpoint intact).
 func (w *liveWorld) checkpointNow() (*api.CheckpointStatus, error) {
 	if w.cfg.CheckpointPath == "" {
 		return nil, api.Unavailablef("run has no -checkpoint path configured")
 	}
 	var cp *store.Checkpoint
-	w.do(func() { cp = w.buildCheckpoint() })
+	w.do(func() {
+		cp = w.rig.checkpoint()
+		cp.Servers = make(map[string]*cluster.ServerState, len(w.rig.servers))
+		for _, s := range w.rig.servers {
+			cp.Servers[s.srv.Name()] = s.srv.Snapshot()
+		}
+	})
 	data, err := store.Encode(w.now, cp)
 	if err == nil {
 		err = store.SaveEncoded(w.cfg.CheckpointPath, data)

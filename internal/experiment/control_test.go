@@ -609,15 +609,7 @@ func holdLargeRackRun(t *testing.T) ([]byte, *LiveResult) {
 			t.Fatal(err)
 		}
 	}
-	cp, err := admin.ForceCheckpoint(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(cp.Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data, h.stop(t)
+	return forceCheckpoint(t, h, 0), h.stop(t)
 }
 
 // TestHoldModeLargeRackLosesNoMessages is the regression test for silent

@@ -194,13 +194,7 @@ func (h *traceHost) StepMHz() int              { return h.hw.StepMHz }
 func (h *traceHost) CoreUtil(core int) float64 { return h.util }
 
 func (h *traceHost) SetDesiredFreq(core, mhz int) {
-	if mhz < h.hw.MinMHz {
-		mhz = h.hw.MinMHz
-	}
-	if mhz > h.hw.MaxOCMHz {
-		mhz = h.hw.MaxOCMHz
-	}
-	if f := mhz - mhz%h.hw.StepMHz; f != h.desired[core] {
+	if f := h.hw.ClampFreq(mhz); f != h.desired[core] {
 		h.desired[core] = f
 		h.ocDirty = true
 	}
@@ -208,20 +202,8 @@ func (h *traceHost) SetDesiredFreq(core, mhz int) {
 
 func (h *traceHost) DesiredFreq(core int) int { return h.desired[core] }
 
-func (h *traceHost) capCeiling() int {
-	c := h.hw.MaxOCMHz - h.capLevel*h.hw.StepMHz
-	if c < h.hw.MinMHz {
-		c = h.hw.MinMHz
-	}
-	return c
-}
-
 func (h *traceHost) EffectiveFreq(core int) int {
-	f := h.desired[core]
-	if c := h.capCeiling(); f > c {
-		f = c
-	}
-	return f
+	return min(h.desired[core], h.hw.CapCeiling(h.capLevel))
 }
 
 // ocFraction returns how far into the overclock range a frequency sits.
@@ -236,7 +218,7 @@ func (h *traceHost) ocFraction(freq int) float64 {
 // below turbo, plus per-core overclock power scaled by utilization. The
 // overclock term is recomputed only after one of its inputs changed.
 func (h *traceHost) Power() float64 {
-	ceil := h.capCeiling()
+	ceil := h.hw.CapCeiling(h.capLevel)
 	base := h.basePower
 	if ceil < h.hw.TurboMHz {
 		base *= float64(ceil) / float64(h.hw.TurboMHz)
@@ -282,12 +264,7 @@ func (h *traceHost) OCDeltaWatts(cores, mhz int, util float64) float64 {
 
 func (h *traceHost) CapPriority() int { return 0 }
 func (h *traceHost) CapLevel() int    { return h.capLevel }
-
-// MaxCapLevel rounds up so the deepest level reaches MinMHz even when the
-// MaxOC→Min range is not a whole number of steps (see cluster.Server).
-func (h *traceHost) MaxCapLevel() int {
-	return (h.hw.MaxOCMHz - h.hw.MinMHz + h.hw.StepMHz - 1) / h.hw.StepMHz
-}
+func (h *traceHost) MaxCapLevel() int { return h.hw.MaxCapLevel() }
 
 func (h *traceHost) ForceCap(level int) {
 	if level < 0 {
@@ -704,18 +681,13 @@ func (r *systemRun) tick(t int) {
 // from the decoded bytes. The remainder of the run must be indistinguishable
 // from never having restarted.
 func (r *systemRun) checkpointRestore(t int) {
-	rg := r.rg
-	cp := &store.Checkpoint{GOA: rg.goa.Snapshot(), SOAs: make(map[string]*core.SOAState, len(rg.servers))}
-	for _, s := range rg.servers {
-		cp.SOAs[s.srv.name] = s.soa.Snapshot()
-	}
-	data, err := store.Encode(r.now, cp)
+	data, err := store.Encode(r.now, r.rg.checkpoint())
 	var got store.Checkpoint
 	if err == nil {
 		_, err = store.Decode(data, &got)
 	}
 	if err == nil {
-		err = rg.restore(r.now, &got)
+		err = r.rg.restore(r.now, &got)
 	}
 	if err != nil {
 		// A checkpoint that cannot roundtrip is a store-layer bug, not a
@@ -750,7 +722,7 @@ func (r *systemRun) measure(t int, capped bool) {
 			if sess, ok := s.soa.Sessions()[r.rg.session]; ok {
 				r.m.perfSum += sessionEffectiveRatio(h, sess)
 			} else {
-				ceil := h.capCeiling()
+				ceil := h.hw.CapCeiling(h.capLevel)
 				if ceil > h.hw.TurboMHz {
 					ceil = h.hw.TurboMHz
 				}
@@ -758,7 +730,7 @@ func (r *systemRun) measure(t int, capped bool) {
 			}
 			r.m.perfN++
 		} else if capped && !h.hasOC() {
-			ceil := h.capCeiling()
+			ceil := h.hw.CapCeiling(h.capLevel)
 			if ceil < h.hw.TurboMHz {
 				r.m.penaltySum += 1 - float64(ceil)/float64(h.hw.TurboMHz)
 				r.m.penaltyN++

@@ -176,18 +176,14 @@ func newLiveWorld(cfg LiveConfig, sink LiveSink) (*liveWorld, error) {
 	w := &liveWorld{
 		cfg:         cfg,
 		lk:          lk,
-		now:         cfg.Start.Add(cfg.Tick),
-		end:         cfg.Start.Add(cfg.Duration),
 		deployments: make(map[string]*liveDeployment),
 		chaosDown:   make(map[string]bool),
 		res:         &LiveResult{},
 		checker:     invariant.NewChecker(),
 		stateInfo:   &store.StateInfo{CheckpointPath: cfg.CheckpointPath},
 		pub:         &livePublisher{lk: lk, sink: sink},
-		nextProfile: cfg.Start.Add(rigProfileEvery),
-		nextBudget:  cfg.Start.Add(rigBudgetEvery),
-		nextCkpt:    cfg.Start.Add(cfg.CheckpointEvery),
 	}
+	w.anchor(cfg.Start)
 	w.stepLocked = w.drainAndStep
 	// Sinks that understand durable-state status (the telemetry server's
 	// /statez) get it pushed alongside snapshots; sinks that understand
@@ -265,7 +261,18 @@ func (w *liveWorld) buildRig() {
 	})
 }
 
-// restore warm-starts the control plane from cfg.RestorePath, if set.
+// anchor starts the run's timeline at at: the first tick one Tick later, the
+// last one Duration later, and each cadence one period after at.
+func (w *liveWorld) anchor(at time.Time) {
+	w.now, w.end = at.Add(w.cfg.Tick), at.Add(w.cfg.Duration)
+	w.nextProfile = at.Add(rigProfileEvery)
+	w.nextBudget = at.Add(rigBudgetEvery)
+	w.nextCkpt = at.Add(w.cfg.CheckpointEvery)
+}
+
+// restore warm-starts the control plane from cfg.RestorePath, if set: the
+// rig and the servers' cap and wear state restart from the checkpoint, and
+// the run resumes the saved timeline at the checkpoint's instant.
 func (w *liveWorld) restore() error {
 	if w.cfg.RestorePath == "" {
 		return nil
@@ -276,21 +283,17 @@ func (w *liveWorld) restore() error {
 		return err
 	}
 	w.do(func() {
-		if cp.GOA != nil {
-			w.rig.goa.Restore(cp.GOA)
-		}
+		err = w.rig.restore(savedAt, &cp)
 		for _, s := range w.rig.servers {
 			if st, ok := cp.Servers[s.srv.Name()]; ok {
 				err = cmp.Or(err, s.srv.Restore(st))
-			}
-			if st, ok := cp.SOAs[s.srv.Name()]; ok {
-				err = cmp.Or(err, s.soa.Restore(st))
 			}
 		}
 	})
 	if err != nil {
 		return fmt.Errorf("experiment: restore %s: %w", w.cfg.RestorePath, err)
 	}
+	w.anchor(savedAt)
 	w.res.Restored = true
 	w.stateInfo.RestoredFrom = w.cfg.RestorePath
 	w.stateInfo.RestoredAt = savedAt

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"smartoclock/internal/agent"
 	"smartoclock/internal/cluster"
-	"smartoclock/internal/core"
 	"smartoclock/internal/machine"
 	"smartoclock/internal/power"
 	"smartoclock/internal/sim"
@@ -202,9 +202,11 @@ func runRecoveryOnce(cfg RecoveryConfig, mode string, staleness time.Duration) r
 	var ckptBytes []byte
 	if mode == "warm" {
 		eng.At(crashAt.Add(-staleness), func() {
-			cp := &store.Checkpoint{GOA: rg.goa.Snapshot(), SOAs: make(map[string]*core.SOAState, cfg.Servers)}
-			for _, s := range servers {
-				cp.SOAs[s.srv.Name()] = s.volatileState()
+			// The ledgers are durable on their own: restoring a stale copy
+			// would roll back consumed wear.
+			cp := rg.checkpoint()
+			for _, st := range cp.SOAs {
+				st.Budgets = nil
 			}
 			data, err := store.Encode(eng.Now(), cp)
 			if err != nil {
@@ -236,35 +238,23 @@ func runRecoveryOnce(cfg RecoveryConfig, mode string, staleness time.Duration) r
 		})
 	}
 
-	// --- Synchronous control plane: messages are applied as they are built --
-	// sOA → gOA profile reports.
-	eng.Every(cfg.Start.Add(rigProfileEvery), rigProfileEvery, func(now time.Time) {
-		if rg.goa == nil {
-			return
-		}
-		for _, m := range rg.profileReports(now) {
-			rg.deliver(now, m)
-		}
-	})
-	// gOA → sOA budget pushes, logged for the divergence comparison. A cold
-	// gOA with no profiles has nothing to split and logs nothing.
+	// --- Synchronous control plane: each message is applied as it is sent --
+	// Budget pushes are logged for the divergence comparison; a cold gOA
+	// with no profiles has nothing to split and logs nothing.
 	out := recoveryOutcome{firstGrantAfter: -1, pushes: make(recoveryPushLog)}
-	eng.Every(cfg.Start.Add(rigBudgetEvery), rigBudgetEvery, func(now time.Time) {
-		if rg.goa == nil {
-			return
-		}
-		batch := rg.budgetPushes(now)
-		if len(batch) == 0 {
-			return
-		}
-		logged := make(map[string]float64, len(batch))
-		for _, m := range batch {
-			rg.deliver(now, m)
+	send := func(m agent.Message) error {
+		now := eng.Now()
+		rg.deliver(now, m)
+		if at := now.UnixNano(); m.Type == "goa.budget" {
+			if out.pushes[at] == nil {
+				out.pushes[at] = make(map[string]float64, cfg.Servers)
+			}
 			s := rg.byAgent[m.To]
-			logged[s.srv.Name()] = s.budget
+			out.pushes[at][s.srv.Name()] = s.budget
 		}
-		out.pushes[now.UnixNano()] = logged
-	})
+		return nil
+	}
+	scheduleRigMessages(eng, rg, 0, send, func() bool { return rg.goa != nil })
 
 	// --- Main tick ---------------------------------------------------------
 	eng.Every(cfg.Start.Add(cfg.Tick), cfg.Tick, func(now time.Time) {

@@ -15,6 +15,7 @@ import (
 	"smartoclock/internal/metrics"
 	"smartoclock/internal/power"
 	"smartoclock/internal/predict"
+	"smartoclock/internal/sim"
 	"smartoclock/internal/store"
 	"smartoclock/internal/timeseries"
 )
@@ -67,6 +68,29 @@ type rackEventMsg struct {
 // A cold-restarted gOA has no profiles, so its first useful push lags a
 // restart by up to their sum.
 const rigProfileEvery, rigBudgetEvery = 2 * time.Minute, time.Minute
+
+// scheduleRigMessages registers the control-plane schedule the simulated
+// drivers share: sOA → gOA profile reports, server i's offset i×stagger, and
+// gOA → sOA budget pushes while goaUp holds. send moves one message, in batch
+// order (a faulty transport's rng order); a simulated transport loses
+// messages silently, so its error is ignored. Same-instant events fire in
+// registration order: each driver calls this where its sends belong.
+func scheduleRigMessages(eng *sim.Engine, rg *rig[*cluster.Server], stagger time.Duration, send func(agent.Message) error, goaUp func() bool) {
+	for i, s := range rg.servers {
+		eng.Every(rg.start.Add(rigProfileEvery+time.Duration(i)*stagger), rigProfileEvery, func(now time.Time) {
+			if msg, ok := rg.profileReport(s, now); ok {
+				_ = send(msg)
+			}
+		})
+	}
+	eng.Every(rg.start.Add(rigBudgetEvery), rigBudgetEvery, func(now time.Time) {
+		if goaUp() {
+			for _, m := range rg.budgetPushes(now) {
+				_ = send(m)
+			}
+		}
+	})
+}
 
 // rigSOAConfig returns the sOA cadences every rack rig agrees on. Back-off,
 // admission, exploration and policy knobs stay with the driver.
@@ -299,10 +323,20 @@ func (r *rig[H]) boot(s *rigServer[H], now time.Time) {
 	s.budget, s.budgetAt = 0, time.Time{}
 }
 
+// checkpoint snapshots the gOA and every sOA with its ledger; all must be up.
+func (r *rig[H]) checkpoint() *store.Checkpoint {
+	cp := &store.Checkpoint{GOA: r.goa.Snapshot(), SOAs: make(map[string]*core.SOAState, len(r.servers))}
+	for _, s := range r.servers {
+		cp.SOAs[s.srv.Name()] = s.soa.Snapshot()
+	}
+	return cp
+}
+
 // restore restarts the whole control plane at now — a fresh gOA and a fresh
 // sOA on every slot — and then, if cp is not nil, warm-starts them from it.
 // Ledgers are durable: the sOAs keep theirs, and a snapshot that carries a
-// ledger overwrites it in place.
+// ledger overwrites it in place. A checkpoint read from disk may hold no
+// gOA; the rebooted gOA then stays cold.
 func (r *rig[H]) restore(now time.Time, cp *store.Checkpoint) error {
 	r.bootGOA()
 	for _, s := range r.servers {
@@ -311,7 +345,9 @@ func (r *rig[H]) restore(now time.Time, cp *store.Checkpoint) error {
 	if cp == nil {
 		return nil
 	}
-	r.goa.Restore(cp.GOA)
+	if cp.GOA != nil {
+		r.goa.Restore(cp.GOA)
+	}
 	for _, s := range r.servers {
 		if st, ok := cp.SOAs[s.srv.Name()]; ok {
 			if err := s.soa.Restore(st); err != nil {

@@ -12,7 +12,7 @@ import (
 // refTraceHostPower is traceHost.Power as it was before the overclock term
 // was cached: every call walks every core.
 func refTraceHostPower(h *traceHost) float64 {
-	ceil := h.capCeiling()
+	ceil := h.hw.CapCeiling(h.capLevel)
 	base := h.basePower
 	if ceil < h.hw.TurboMHz {
 		base *= float64(ceil) / float64(h.hw.TurboMHz)

@@ -213,9 +213,8 @@ func RunZooCell(cfg ZooConfig, f policy.Factory, sc trace.ZooScenario, seed int6
 			audit(a)
 		}
 		zr.assemble(power.DefaultRackConfig(name, zr.limit))
-		// The zoo has no outages, so the budget push always runs.
 		wireRig(eng, tr, zr)
-		scheduleRigMessages(eng, tr, zr, cfg.Tick)
+		scheduleRigMessages(eng, zr, cfg.Tick, tr.Send, func() bool { return !tr.Down(zr.goaID) })
 
 		// Invariants: the zoo's bar is all of them, every tick.
 		zr.watch(checker, cfg.EnforcementGrace)

@@ -95,8 +95,9 @@ func (c Config) VoltageRatio(mhz int) float64 {
 }
 
 // ClampFreq clamps mhz into [MinMHz, MaxOCMHz] and aligns it down to the
-// step granularity.
-func (c Config) ClampFreq(mhz int) int {
+// step granularity. It and the cap ladder below run per core on both rig
+// hosts: a value receiver, even inlined, would copy the Config at each call.
+func (c *Config) ClampFreq(mhz int) int {
 	if mhz < c.MinMHz {
 		mhz = c.MinMHz
 	}
@@ -104,6 +105,22 @@ func (c Config) ClampFreq(mhz int) int {
 		mhz = c.MaxOCMHz
 	}
 	return mhz - mhz%c.StepMHz
+}
+
+// MaxCapLevel returns the deepest capping level: each level lowers the
+// frequency ceiling one DVFS step from MaxOC. The division rounds up, so
+// when the MaxOC→Min range is not a whole number of steps the deepest level
+// still reaches MinMHz rather than stranding the ceiling one partial step
+// above the floor.
+func (c *Config) MaxCapLevel() int {
+	return (c.MaxOCMHz - c.MinMHz + c.StepMHz - 1) / c.StepMHz
+}
+
+// CapCeiling returns the frequency ceiling at a capping level: level 0 is
+// uncapped (MaxOC), and each level strips one DVFS step, overclock first and
+// then below turbo, flooring at MinMHz.
+func (c *Config) CapCeiling(level int) int {
+	return max(c.MaxOCMHz-level*c.StepMHz, c.MinMHz)
 }
 
 // CorePower returns the power of one core at frequency mhz and utilization

@@ -75,6 +75,32 @@ func TestClampFreq(t *testing.T) {
 	}
 }
 
+// TestCapLadder: the ladder starts uncapped at MaxOC, never rises, and its
+// deepest level — rounded up — lands exactly on MinMHz, one level above it
+// still short of the floor. The odd config's 2550 MHz range is not a whole
+// number of 100 MHz steps, which is what the round-up is for.
+func TestCapLadder(t *testing.T) {
+	odd := DefaultConfig()
+	odd.MinMHz = 1450
+	for _, c := range []Config{DefaultConfig(), odd} {
+		top := c.MaxCapLevel()
+		if got := c.CapCeiling(0); got != c.MaxOCMHz {
+			t.Errorf("min %d: CapCeiling(0) = %d, want MaxOC %d", c.MinMHz, got, c.MaxOCMHz)
+		}
+		for l := 1; l <= top+1; l++ {
+			if c.CapCeiling(l) > c.CapCeiling(l-1) {
+				t.Errorf("min %d: ceiling rises from level %d to %d", c.MinMHz, l-1, l)
+			}
+		}
+		if got := c.CapCeiling(top); got != c.MinMHz {
+			t.Errorf("min %d: CapCeiling(MaxCapLevel=%d) = %d, want MinMHz", c.MinMHz, top, got)
+		}
+		if got := c.CapCeiling(top - 1); got <= c.MinMHz {
+			t.Errorf("min %d: CapCeiling(%d) = %d, already at the floor", c.MinMHz, top-1, got)
+		}
+	}
+}
+
 func TestCorePowerMonotonicInFreqAndUtil(t *testing.T) {
 	c := DefaultConfig()
 	prev := 0.0
