@@ -15,10 +15,15 @@ package agent
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 )
 
-// Message is the envelope every agent exchange uses.
+// Message is the envelope every agent exchange uses. Its body is one of
+// four kinds: a raw JSON Payload, or one of the three typed control-plane
+// bodies the rack rig exchanges (Profile, Budget, RackEvent), carried by
+// value so building one allocates nothing. Body says which; the other body
+// fields are zero.
 type Message struct {
 	// Type names the message's meaning, e.g. "oc.request" or "goa.budget".
 	Type string `json:"type"`
@@ -26,7 +31,7 @@ type Message struct {
 	From string `json:"from"`
 	// To is the recipient's agent name.
 	To string `json:"to"`
-	// Payload carries the type-specific body as JSON.
+	// Payload carries a raw body as JSON.
 	Payload json.RawMessage `json:"payload,omitempty"`
 	// Span is the causal span ID of the send (internal/causal), threading
 	// provenance across agents: a handler that makes a decision because of
@@ -34,9 +39,76 @@ type Message struct {
 	// value whenever provenance is off — is omitted from the wire format,
 	// so frames are byte-identical to the pre-provenance protocol.
 	Span uint64 `json:"span,omitempty"`
+
+	Body      BodyKind  `json:"body,omitempty"`
+	Profile   Profile   `json:"profile"`
+	Budget    Budget    `json:"budget"`
+	RackEvent RackEvent `json:"rack_event"`
 }
 
-// NewMessage builds a message with v encoded as the payload.
+// BodyKind says which body a Message carries.
+type BodyKind uint8
+
+// The typed body kinds. The zero kind is a raw body: Payload, possibly
+// empty.
+const (
+	BodyProfile BodyKind = iota + 1
+	BodyBudget
+	BodyRackEvent
+)
+
+// Profile is an sOA's report to the gOA (§IV-C): its recent median power
+// and overclock demand, and the extra watts of one fully overclocked core.
+type Profile struct {
+	Server      string
+	MedianWatts float64
+	Requested   float64
+	Granted     float64
+	CoreCost    float64
+}
+
+// Budget is a gOA's power budget push to one sOA.
+type Budget struct {
+	Watts float64
+}
+
+// RackEvent is a rack manager warning, cap or release notification.
+type RackEvent struct {
+	Kind  int64
+	Power float64
+	Limit float64
+}
+
+// Finite reports whether every float of p is finite. NaN and ±Inf never
+// cross the wire: senders drop such a body and the frame decoder refuses it.
+func (p Profile) Finite() bool {
+	return finite(p.MedianWatts) && finite(p.Requested) && finite(p.Granted) && finite(p.CoreCost)
+}
+
+// Finite reports whether the budget is finite.
+func (b Budget) Finite() bool { return finite(b.Watts) }
+
+// Finite reports whether the event's power and limit are finite.
+func (e RackEvent) Finite() bool { return finite(e.Power) && finite(e.Limit) }
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// ProfileMessage builds a message carrying p.
+func ProfileMessage(msgType, from, to string, p Profile) Message {
+	return Message{Type: msgType, From: from, To: to, Body: BodyProfile, Profile: p}
+}
+
+// BudgetMessage builds a message carrying b.
+func BudgetMessage(msgType, from, to string, b Budget) Message {
+	return Message{Type: msgType, From: from, To: to, Body: BodyBudget, Budget: b}
+}
+
+// RackEventMessage builds a message carrying e.
+func RackEventMessage(msgType, from, to string, e RackEvent) Message {
+	return Message{Type: msgType, From: from, To: to, Body: BodyRackEvent, RackEvent: e}
+}
+
+// NewMessage builds a raw message with v encoded as its JSON payload.
 func NewMessage(msgType, from, to string, v any) (Message, error) {
 	var payload json.RawMessage
 	if v != nil {
@@ -49,7 +121,7 @@ func NewMessage(msgType, from, to string, v any) (Message, error) {
 	return Message{Type: msgType, From: from, To: to, Payload: payload}, nil
 }
 
-// Decode unmarshals a message's payload into T.
+// Decode unmarshals a raw message's JSON payload into T.
 func Decode[T any](m Message) (T, error) {
 	var v T
 	if len(m.Payload) == 0 {

@@ -261,7 +261,7 @@ func (w *liveWorld) setProfile(spec api.ProfileSpec) error {
 		if cost == 0 {
 			cost = ls.coreCost
 		}
-		w.rig.goa.SetProfile(spec.Server, flatProfile(profileMsg{
+		w.rig.goa.SetProfile(spec.Server, flatProfile(agent.Profile{
 			Server: spec.Server, MedianWatts: spec.MedianWatts,
 			Requested: spec.RequestedCores, Granted: spec.GrantedCores, CoreCost: cost,
 		}))

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"cmp"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -40,28 +39,6 @@ import (
 // nil: a driver that observes nothing leaves it zero, and recorded and
 // unrecorded drivers share one code path with provenance spans drawn in one
 // fixed order.
-
-// Control-plane payloads. They cross the transports as JSON — the same
-// encode/decode path the TCP transport uses — so fault-injected runs
-// exercise real (de)serialization, not Go pointers.
-
-type profileMsg struct {
-	Server      string  `json:"server"`
-	MedianWatts float64 `json:"median_watts"`
-	Requested   float64 `json:"requested_cores"`
-	Granted     float64 `json:"granted_cores"`
-	CoreCost    float64 `json:"core_cost"`
-}
-
-type budgetMsg struct {
-	Watts float64 `json:"watts"`
-}
-
-type rackEventMsg struct {
-	Kind  int     `json:"kind"`
-	Power float64 `json:"power"`
-	Limit float64 `json:"limit"`
-}
 
 // rigProfileEvery and rigBudgetEvery are the control-plane cadences every
 // rig driver runs: sOA → gOA profile reports and gOA → sOA budget pushes.
@@ -124,9 +101,9 @@ func rigBudgetConfig(epoch time.Duration, fraction float64) lifetime.BudgetConfi
 
 // recentProfile wraps an sOA's recent profile (core.SOA.RecentProfile) as
 // the report server name sends the gOA.
-func recentProfile(a *core.SOA, name string, coreCost float64) profileMsg {
+func recentProfile(a *core.SOA, name string, coreCost float64) agent.Profile {
 	med, requested, granted := a.RecentProfile()
-	return profileMsg{
+	return agent.Profile{
 		Server: name, MedianWatts: med,
 		Requested: requested, Granted: granted, CoreCost: coreCost,
 	}
@@ -147,7 +124,7 @@ type flatBlock struct {
 // consumes — the weekly template exchange (§IV-C) compressed to the rigs'
 // time scale. Each template is timeseries.FlatWeek(v, time.Hour) in value
 // and in JSON, built in one allocation.
-func flatProfile(p profileMsg) core.ServerProfile {
+func flatProfile(p agent.Profile) core.ServerProfile {
 	b := new(flatBlock)
 	for k, v := range [3]float64{p.MedianWatts, p.Requested, p.Granted} {
 		for i := range b.slots[k] {
@@ -358,30 +335,31 @@ func (r *rig[H]) restore(now time.Time, cp *store.Checkpoint) error {
 	return nil
 }
 
-// deliver applies one control-plane message at now. Malformed payloads,
-// unknown types and recipients, and messages for a crashed agent are dropped.
+// deliver applies one control-plane message at now. A rig-typed message
+// without its typed body or with a non-finite one, an unknown type or
+// recipient, and a message for a crashed agent are dropped.
 func (r *rig[H]) deliver(now time.Time, m agent.Message) {
 	switch m.Type {
 	case "soa.profile":
-		p, err := agent.Decode[profileMsg](m)
-		if err != nil || m.To != r.goaID || r.goa == nil {
+		p := m.Profile
+		if m.Body != agent.BodyProfile || !p.Finite() || m.To != r.goaID || r.goa == nil {
 			return
 		}
 		r.goa.NoteProfile(m.Span)
 		r.goa.SetProfile(p.Server, flatProfile(p))
 	case "goa.budget":
-		b, err := agent.Decode[budgetMsg](m)
+		b := m.Budget
 		s := r.byAgent[m.To]
-		if err != nil || b.Watts <= 0 || s == nil || s.soa == nil {
+		if m.Body != agent.BodyBudget || !b.Finite() || b.Watts <= 0 || s == nil || s.soa == nil {
 			return
 		}
 		s.soa.SetStaticBudget(b.Watts, true)
 		s.soa.NoteBudget(now, b.Watts, m.Span)
 		s.budget, s.budgetAt = b.Watts, now
 	case "rack.event":
-		ev, err := agent.Decode[rackEventMsg](m)
+		ev := m.RackEvent
 		s := r.byAgent[m.To]
-		if err != nil || s == nil || s.soa == nil {
+		if m.Body != agent.BodyRackEvent || !ev.Finite() || s == nil || s.soa == nil {
 			return
 		}
 		s.soa.OnRackEvent(now, power.Event{
@@ -392,16 +370,17 @@ func (r *rig[H]) deliver(now time.Time, m agent.Message) {
 	}
 }
 
-// profileReport builds s's sOA → gOA profile message; false while crashed.
+// profileReport builds s's sOA → gOA profile message; false while crashed
+// or when the profile is not finite.
 func (r *rig[H]) profileReport(s *rigServer[H], now time.Time) (agent.Message, bool) {
 	if s.soa == nil {
 		return agent.Message{}, false
 	}
 	p := recentProfile(s.soa, s.srv.Name(), s.coreCost)
-	msg, err := agent.NewMessage("soa.profile", s.agentID, r.goaID, p)
-	if err != nil {
+	if !p.Finite() {
 		return agent.Message{}, false
 	}
+	msg := agent.ProfileMessage("soa.profile", s.agentID, r.goaID, p)
 	msg.Span = uint64(r.prov.Emit(causal.Record{
 		Time:      now,
 		Kind:      causal.KindMessage,
@@ -424,21 +403,20 @@ func (r *rig[H]) profileReports(now time.Time) []agent.Message {
 	return batch
 }
 
-// budgetPushes batches the gOA → sOA budget messages for now. Broadcast trace
-// events and provenance spans are drawn in server order as the batch builds.
+// budgetPushes batches the gOA → sOA budget messages for now: every positive,
+// finite budget. Broadcast trace events and provenance spans are drawn in
+// server order as the batch builds.
 func (r *rig[H]) budgetPushes(now time.Time) []agent.Message {
 	budgets := r.goa.BudgetsAt(now)
 	batch := r.out[:0]
 	for _, s := range r.servers {
 		b, ok := budgets[s.srv.Name()]
-		if !ok || b <= 0 {
+		body := agent.Budget{Watts: b}
+		if !ok || !body.Finite() || b <= 0 {
 			continue
 		}
 		r.goa.TraceBroadcast(now, s.srv.Name(), b)
-		msg, err := agent.NewMessage("goa.budget", r.goaID, s.agentID, budgetMsg{Watts: b})
-		if err != nil {
-			continue
-		}
+		msg := agent.BudgetMessage("goa.budget", r.goaID, s.agentID, body)
 		msg.Span = r.goa.ProvenanceBroadcast(now, s.srv.Name(), b)
 		batch = append(batch, msg)
 	}
@@ -447,18 +425,18 @@ func (r *rig[H]) budgetPushes(now time.Time) []agent.Message {
 }
 
 // rackEventFanout batches one rack warning/cap/release notification to every
-// sOA. Capping itself is enforced in hardware (the rack manager throttles
-// directly); only the notifications are messages. The payload is identical
-// per recipient, so it is encoded once; each copy carries its own provenance
-// span chained to the event's, so sOA setbacks trace back to the event.
+// sOA; an event whose power or limit is not finite sends nothing. Capping
+// itself is enforced in hardware (the rack manager throttles directly); only
+// the notifications are messages. Each copy carries its own provenance span
+// chained to the event's, so sOA setbacks trace back to the event.
 func (r *rig[H]) rackEventFanout(ev power.Event) []agent.Message {
-	payload, err := json.Marshal(rackEventMsg{Kind: int(ev.Kind), Power: ev.Power, Limit: ev.Limit})
-	if err != nil {
+	body := agent.RackEvent{Kind: int64(ev.Kind), Power: ev.Power, Limit: ev.Limit}
+	if !body.Finite() {
 		return nil
 	}
 	batch := r.out[:0]
 	for _, s := range r.servers {
-		msg := agent.Message{Type: "rack.event", From: "rack", To: s.agentID, Payload: payload}
+		msg := agent.RackEventMessage("rack.event", "rack", s.agentID, body)
 		msg.Span = uint64(r.prov.Emit(causal.Record{
 			Parent:    causal.SpanID(ev.Span),
 			Time:      ev.Time,

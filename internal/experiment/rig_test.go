@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -43,45 +45,60 @@ func testRig(t *testing.T) (*rig[*cluster.Server], time.Time) {
 	return rg, start
 }
 
+// rigFingerprint captures everything rig.deliver may change.
+type rigFingerprint struct {
+	profiled   int
+	budget0    float64
+	budgetAt0  time.Time
+	soaBudget0 float64
+	soaBudget1 float64
+	provenance int
+}
+
+func fingerprintRig(rg *rig[*cluster.Server], now time.Time) rigFingerprint {
+	fp := rigFingerprint{
+		budget0: rg.servers[0].budget, budgetAt0: rg.servers[0].budgetAt,
+		provenance: len(rg.prov.Records()),
+	}
+	if rg.goa != nil {
+		fp.profiled = len(rg.goa.Servers())
+	}
+	if s := rg.servers[0].soa; s != nil {
+		fp.soaBudget0 = s.BudgetAt(now)
+	}
+	fp.soaBudget1 = rg.servers[1].soa.BudgetAt(now)
+	return fp
+}
+
 // TestRigDeliver drives rig.deliver directly: every malformed, misaddressed
 // or untimely message is dropped without a panic or a state change, and each
-// of the three message types lands when well-formed.
+// of the three message types lands when well-formed. A malformed message is
+// one whose type's typed body is missing: a raw JSON body, no body, or
+// another type's body.
 func TestRigDeliver(t *testing.T) {
-	msg := func(typ, to string, payload any) agent.Message {
+	profileTo := func(to string, p agent.Profile) agent.Message {
+		return agent.ProfileMessage("soa.profile", "test", to, p)
+	}
+	budgetTo := func(to string, watts float64) agent.Message {
+		return agent.BudgetMessage("goa.budget", "test", to, agent.Budget{Watts: watts})
+	}
+	eventTo := func(to string, e agent.RackEvent) agent.Message {
+		return agent.RackEventMessage("rack.event", "test", to, e)
+	}
+	raw := func(typ, to string, payload any) agent.Message {
 		m, err := agent.NewMessage(typ, "test", to, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	raw := func(typ, to, payload string) agent.Message {
-		return agent.Message{Type: typ, From: "test", To: to, Payload: json.RawMessage(payload)}
-	}
-	profile := profileMsg{Server: "t-00", MedianWatts: 200, Requested: 4, Granted: 2, CoreCost: 5}
-	warning := rackEventMsg{Kind: int(power.EventWarning), Power: 900, Limit: 1000}
-
-	// fingerprint captures everything deliver may change.
-	type fingerprint struct {
-		profiled   int
-		budget0    float64
-		budgetAt0  time.Time
-		soaBudget0 float64
-		soaBudget1 float64
-		provenance int
-	}
-	snap := func(rg *rig[*cluster.Server], now time.Time) fingerprint {
-		fp := fingerprint{
-			budget0: rg.servers[0].budget, budgetAt0: rg.servers[0].budgetAt,
-			provenance: len(rg.prov.Records()),
-		}
-		if rg.goa != nil {
-			fp.profiled = len(rg.goa.Servers())
-		}
-		if s := rg.servers[0].soa; s != nil {
-			fp.soaBudget0 = s.BudgetAt(now)
-		}
-		fp.soaBudget1 = rg.servers[1].soa.BudgetAt(now)
-		return fp
+	profile := agent.Profile{Server: "t-00", MedianWatts: 200, Requested: 4, Granted: 2, CoreCost: 5}
+	warning := agent.RackEvent{Kind: int64(power.EventWarning), Power: 900, Limit: 1000}
+	// retyped moves a well-formed message under another rig type, so it
+	// carries the wrong typed body for its type.
+	retyped := func(m agent.Message, typ string) agent.Message {
+		m.Type = typ
+		return m
 	}
 
 	ignored := []struct {
@@ -89,18 +106,18 @@ func TestRigDeliver(t *testing.T) {
 		m     agent.Message
 		crash bool // crash server 0's sOA first
 	}{
-		{"malformed profile", raw("soa.profile", "goa", `{"server":`), false},
-		{"empty profile payload", raw("soa.profile", "goa", ``), false},
-		{"profile for another gOA", msg("soa.profile", "goa/elsewhere", profile), false},
-		{"malformed budget", raw("goa.budget", "soa/t-00", `[1,2]`), false},
-		{"zero-watt budget", msg("goa.budget", "soa/t-00", budgetMsg{Watts: 0}), false},
-		{"negative-watt budget", msg("goa.budget", "soa/t-00", budgetMsg{Watts: -5}), false},
-		{"budget for unknown sOA", msg("goa.budget", "soa/nobody", budgetMsg{Watts: 300}), false},
-		{"budget for crashed sOA", msg("goa.budget", "soa/t-00", budgetMsg{Watts: 300}), true},
-		{"malformed rack event", raw("rack.event", "soa/t-00", `"warning"`), false},
-		{"rack event for unknown sOA", msg("rack.event", "soa/nobody", warning), false},
-		{"rack event for crashed sOA", msg("rack.event", "soa/t-00", warning), true},
-		{"unknown message type", msg("goa.gossip", "soa/t-00", budgetMsg{Watts: 300}), false},
+		{"malformed profile", raw("soa.profile", "goa", profile), false},
+		{"empty profile payload", agent.Message{Type: "soa.profile", From: "test", To: "goa"}, false},
+		{"profile for another gOA", profileTo("goa/elsewhere", profile), false},
+		{"malformed budget", retyped(profileTo("soa/t-00", profile), "goa.budget"), false},
+		{"zero-watt budget", budgetTo("soa/t-00", 0), false},
+		{"negative-watt budget", budgetTo("soa/t-00", -5), false},
+		{"budget for unknown sOA", budgetTo("soa/nobody", 300), false},
+		{"budget for crashed sOA", budgetTo("soa/t-00", 300), true},
+		{"malformed rack event", retyped(budgetTo("soa/t-00", 300), "rack.event"), false},
+		{"rack event for unknown sOA", eventTo("soa/nobody", warning), false},
+		{"rack event for crashed sOA", eventTo("soa/t-00", warning), true},
+		{"unknown message type", retyped(budgetTo("soa/t-00", 300), "goa.gossip"), false},
 	}
 	for _, tc := range ignored {
 		t.Run("ignored/"+tc.name, func(t *testing.T) {
@@ -109,9 +126,9 @@ func TestRigDeliver(t *testing.T) {
 			if tc.crash {
 				rg.servers[0].crash()
 			}
-			before := snap(rg, now)
+			before := fingerprintRig(rg, now)
 			rg.deliver(now, tc.m)
-			if after := snap(rg, now); after != before {
+			if after := fingerprintRig(rg, now); after != before {
 				t.Fatalf("state changed: %+v -> %+v", before, after)
 			}
 		})
@@ -119,7 +136,7 @@ func TestRigDeliver(t *testing.T) {
 
 	t.Run("applied/profile", func(t *testing.T) {
 		rg, start := testRig(t)
-		rg.deliver(start, msg("soa.profile", "goa", profile))
+		rg.deliver(start, profileTo("goa", profile))
 		if got := rg.goa.Servers(); len(got) != 1 || got[0] != "t-00" {
 			t.Fatalf("profiled servers = %v", got)
 		}
@@ -130,7 +147,7 @@ func TestRigDeliver(t *testing.T) {
 	t.Run("applied/budget", func(t *testing.T) {
 		rg, start := testRig(t)
 		now := start.Add(time.Minute)
-		rg.deliver(now, msg("goa.budget", "soa/t-01", budgetMsg{Watts: 321}))
+		rg.deliver(now, budgetTo("soa/t-01", 321))
 		s := rg.servers[1]
 		if s.budget != 321 || !s.budgetAt.Equal(now) || s.soa.BudgetAt(now) != 321 {
 			t.Fatalf("budget %v at %v, sOA enforces %v", s.budget, s.budgetAt, s.soa.BudgetAt(now))
@@ -147,7 +164,7 @@ func TestRigDeliver(t *testing.T) {
 	t.Run("applied/rack event", func(t *testing.T) {
 		rg, start := testRig(t)
 		now := start.Add(time.Minute)
-		m := msg("rack.event", "soa/t-00", rackEventMsg{Kind: int(power.EventCap), Power: 1100, Limit: 1000})
+		m := eventTo("soa/t-00", agent.RackEvent{Kind: int64(power.EventCap), Power: 1100, Limit: 1000})
 		m.Span = 42
 		rg.deliver(now, m)
 		// The sOA's cap reset is on record, chained to the message's span.
@@ -156,6 +173,56 @@ func TestRigDeliver(t *testing.T) {
 			t.Fatalf("provenance after a cap notification = %+v", recs)
 		}
 	})
+}
+
+// TestRigDropsNonFiniteBodies: NaN and ±Inf never become a control
+// message. A profile or budget with a non-finite float yields no message at
+// its sender, and deliver of a non-finite typed body changes nothing.
+func TestRigDropsNonFiniteBodies(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		t.Run(fmt.Sprint(bad), func(t *testing.T) {
+			rg, start := testRig(t)
+			now := start.Add(time.Minute)
+
+			rg.servers[0].coreCost = bad
+			if msg, ok := rg.profileReport(rg.servers[0], now); ok {
+				t.Errorf("profile with core cost %v sent: %+v", bad, msg)
+			}
+			if got := rg.profileReports(now); len(got) != 1 || got[0].Profile.Server != "t-01" {
+				t.Errorf("profile batch = %+v, want only t-01's", got)
+			}
+
+			// A gOA with a non-finite limit splits non-finite budgets.
+			rg.goa = core.NewGOA("rack-test", bad)
+			for _, s := range rg.servers {
+				rg.goa.SetProfile(s.srv.Name(), flatProfile(agent.Profile{Server: s.srv.Name(), MedianWatts: 300, CoreCost: 5}))
+			}
+			for name, b := range rg.goa.BudgetsAt(now) {
+				if !math.IsNaN(b) && !math.IsInf(b, 0) {
+					t.Fatalf("gOA with limit %v gave %s a finite budget %v; the push check shows nothing", bad, name, b)
+				}
+			}
+			if got := rg.budgetPushes(now); len(got) != 0 {
+				t.Errorf("non-finite budgets pushed: %+v", got)
+			}
+
+			rg, start = testRig(t)
+			now = start.Add(time.Minute)
+			for _, m := range []agent.Message{
+				agent.ProfileMessage("soa.profile", "test", "goa", agent.Profile{Server: "t-00", MedianWatts: bad}),
+				agent.ProfileMessage("soa.profile", "test", "goa", agent.Profile{Server: "t-00", MedianWatts: 200, Granted: bad}),
+				agent.BudgetMessage("goa.budget", "test", "soa/t-00", agent.Budget{Watts: bad}),
+				agent.RackEventMessage("rack.event", "test", "soa/t-00", agent.RackEvent{Kind: int64(power.EventCap), Power: bad, Limit: 1000}),
+				agent.RackEventMessage("rack.event", "test", "soa/t-00", agent.RackEvent{Kind: int64(power.EventCap), Power: 1100, Limit: bad}),
+			} {
+				before := fingerprintRig(rg, now)
+				rg.deliver(now, m)
+				if after := fingerprintRig(rg, now); after != before {
+					t.Errorf("deliver %s with %v: state changed %+v -> %+v", m.Type, bad, before, after)
+				}
+			}
+		})
+	}
 }
 
 // TestRigServe drives the WI step: serve keeps the slot's session at the
@@ -234,7 +301,7 @@ func TestRigRestore(t *testing.T) {
 // TestFlatProfileAllocs guards that one profile report costs the gOA one
 // allocation: the three flat weeks and the overclock template share a block.
 func TestFlatProfileAllocs(t *testing.T) {
-	p := profileMsg{Server: "t-00", MedianWatts: 412.5, Requested: 16, Granted: 8, CoreCost: 3.1}
+	p := agent.Profile{Server: "t-00", MedianWatts: 412.5, Requested: 16, Granted: 8, CoreCost: 3.1}
 	var sink core.ServerProfile
 	if allocs := testing.AllocsPerRun(100, func() { sink = flatProfile(p) }); allocs > 1 {
 		t.Fatalf("flatProfile allocates %.1f objects, want <= 1", allocs)
@@ -246,7 +313,7 @@ func TestFlatProfileAllocs(t *testing.T) {
 // it replaced: the same JSON, so the same checkpoint bytes, and the same
 // value at every hour of a week.
 func TestFlatProfileMatchesFlatWeek(t *testing.T) {
-	for _, p := range []profileMsg{
+	for _, p := range []agent.Profile{
 		{Server: "t-00", MedianWatts: 412.5, Requested: 16, Granted: 8, CoreCost: 3.1},
 		{Server: "t-01", MedianWatts: 0.1 + 0.2, Requested: 0, Granted: 0, CoreCost: 0},
 	} {
