@@ -19,7 +19,7 @@ import (
 //	transport_sends_total        messages accepted for delivery
 //	transport_send_errors_total  failed sends (unknown recipient, dead link)
 //	transport_recvs_total        frames delivered to a local handler
-//	transport_send_bytes         message payload / wire frame sizes
+//	transport_send_bytes         binary wire frame sizes (local delivery: raw payload size)
 //	transport_recv_bytes         received wire frame sizes (TCP only)
 //	transport_send_seconds       local delivery or frame write time
 //	transport_queue_depth        in-flight inbound handlers

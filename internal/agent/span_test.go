@@ -1,13 +1,13 @@
 package agent
 
 import (
-	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
 // The causal span must ride every transport untouched: the bus hands the
-// same Message value to the handler, frames round-trip it as JSON, and a
-// zero span (provenance off) must not appear on the wire at all.
+// same Message value to the handler, and frames carry it in a fixed-width
+// header field, zero (provenance off) included.
 
 func TestBusPropagatesSpan(t *testing.T) {
 	b := NewBus()
@@ -34,33 +34,21 @@ func TestFrameRoundTripsSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg.Span = 42
-	frame, err := EncodeFrame(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(frame, []byte(`"span":42`)) {
-		t.Fatalf("span missing from frame: %s", frame)
-	}
-	back, err := DecodeFrame(bytes.TrimRight(frame, "\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Span != 42 {
-		t.Fatalf("span lost in round trip: %d", back.Span)
-	}
-}
-
-func TestZeroSpanStaysOffTheWire(t *testing.T) {
-	msg, err := NewMessage("soa.profile", "soa-0", "goa", map[string]int{"cores": 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err := EncodeFrame(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(frame, []byte("span")) {
-		t.Fatalf("zero span leaked onto the wire: %s", frame)
+	for _, span := range []uint64{42, 0} {
+		msg.Span = span
+		frame, err := EncodeFrame(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := binary.LittleEndian.Uint64(frame[6:]); got != span {
+			t.Fatalf("span field holds %d, want %d: % x", got, span, frame)
+		}
+		back, err := DecodeFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Span != span {
+			t.Fatalf("span %d came back as %d", span, back.Span)
+		}
 	}
 }

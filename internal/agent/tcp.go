@@ -2,8 +2,6 @@ package agent
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -11,67 +9,20 @@ import (
 	"time"
 )
 
-// MaxFrameBytes bounds a single line-delimited frame on the wire. Frames
-// beyond it are rejected at both ends: EncodeFrame refuses to produce them
-// and the read loop's scanner (and DecodeFrame) refuses to accept them, so
-// one huge message can't wedge a link or balloon a reader's memory.
-const MaxFrameBytes = 4 * 1024 * 1024
-
-// EncodeFrame serializes msg as one newline-terminated JSON frame, the unit
-// the TCP transport writes. It fails on unroutable messages (empty Type or
-// To) and on frames that would exceed MaxFrameBytes.
-func EncodeFrame(msg Message) ([]byte, error) {
-	if msg.Type == "" || msg.To == "" {
-		return nil, fmt.Errorf("agent: unroutable frame (type %q, to %q)", msg.Type, msg.To)
-	}
-	data, err := json.Marshal(msg)
-	if err != nil {
-		return nil, fmt.Errorf("agent: encode message: %w", err)
-	}
-	if len(data)+1 > MaxFrameBytes {
-		return nil, fmt.Errorf("agent: frame %d bytes exceeds limit %d", len(data)+1, MaxFrameBytes)
-	}
-	return append(data, '\n'), nil
-}
-
-// DecodeFrame parses one frame (a single line, with or without its trailing
-// newline) into a Message. Malformed JSON, truncated frames, embedded extra
-// lines, oversized frames and unroutable messages are all errors — never
-// panics — so a hostile or corrupted peer can at worst have its frames
-// discarded.
-func DecodeFrame(frame []byte) (Message, error) {
-	frame = bytes.TrimSuffix(frame, []byte("\n"))
-	frame = bytes.TrimSuffix(frame, []byte("\r"))
-	if len(frame) > MaxFrameBytes {
-		return Message{}, fmt.Errorf("agent: frame %d bytes exceeds limit %d", len(frame), MaxFrameBytes)
-	}
-	if len(bytes.TrimSpace(frame)) == 0 {
-		return Message{}, errors.New("agent: empty frame")
-	}
-	if i := bytes.IndexByte(frame, '\n'); i >= 0 {
-		return Message{}, fmt.Errorf("agent: frame contains interior newline at offset %d", i)
-	}
-	var msg Message
-	if err := json.Unmarshal(frame, &msg); err != nil {
-		return Message{}, fmt.Errorf("agent: decode frame: %w", err)
-	}
-	if msg.Type == "" || msg.To == "" {
-		return Message{}, fmt.Errorf("agent: unroutable frame (type %q, to %q)", msg.Type, msg.To)
-	}
-	return msg, nil
-}
-
-// TCPNode is a networked agent endpoint: it listens for line-delimited JSON
-// messages and dials peers on demand. Connections to peers are cached and
-// re-established on failure. All methods are safe for concurrent use.
+// TCPNode is a networked agent endpoint: it listens for binary frames (see
+// AppendFrame) and dials peers on demand. Connections to peers are cached and
+// re-established on failure. Each outbound connection encodes into its own
+// reused buffer under its own lock, and each inbound one reads through a
+// reused buffer, so a message crosses a link without allocating a frame.
+// All methods are safe for concurrent use.
 type TCPNode struct {
 	name string
 
 	mu       sync.Mutex
 	handlers map[string]Handler
-	peers    map[string]string   // agent name -> address
-	conns    map[string]net.Conn // address -> cached outbound connection
-	accepted map[net.Conn]bool   // inbound connections, closed on shutdown
+	peers    map[string]string    // agent name -> address
+	conns    map[string]*peerConn // address -> cached outbound connection
+	accepted map[net.Conn]bool    // inbound connections, closed on shutdown
 	listener net.Listener
 	instr    *transportInstruments
 	closed   bool
@@ -89,7 +40,7 @@ func NewTCPNode(name, addr string) (*TCPNode, error) {
 		name:     name,
 		handlers: make(map[string]Handler),
 		peers:    make(map[string]string),
-		conns:    make(map[string]net.Conn),
+		conns:    make(map[string]*peerConn),
 		accepted: make(map[net.Conn]bool),
 		listener: ln,
 	}
@@ -142,40 +93,61 @@ func (n *TCPNode) Send(msg Message) error {
 	return n.sendTo(addr, msg)
 }
 
+// peerConn is one cached outbound connection and the buffer its frames are
+// encoded into; mu serializes the encode and write.
+type peerConn struct {
+	mu  sync.Mutex
+	c   net.Conn
+	buf []byte
+}
+
+// write frames msg into the connection's buffer and writes it, returning
+// the frame's size.
+func (pc *peerConn) write(msg Message) (int, error) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	var err error
+	if pc.buf, err = AppendFrame(pc.buf[:0], msg); err != nil {
+		return 0, err
+	}
+	_, err = pc.c.Write(pc.buf)
+	return len(pc.buf), err
+}
+
 // sendTo writes msg to addr, dialing or reusing a cached connection and
-// retrying once on a stale connection.
+// retrying once on a stale connection. A message that cannot be framed
+// fails without a retry.
 func (n *TCPNode) sendTo(addr string, msg Message) error {
 	n.mu.Lock()
 	instr := n.instr
 	n.mu.Unlock()
-	data, err := EncodeFrame(msg)
-	if err != nil {
+	if err := checkFrame(msg); err != nil {
 		instr.send(0, 0, err)
 		return err
 	}
 	start := time.Now()
 	for attempt := 0; attempt < 2; attempt++ {
-		conn, err := n.conn(addr)
+		pc, err := n.conn(addr)
 		if err != nil {
 			instr.send(0, 0, err)
 			return err
 		}
-		if _, err := conn.Write(data); err == nil {
-			instr.send(len(data), time.Since(start), nil)
+		if size, err := pc.write(msg); err == nil {
+			instr.send(size, time.Since(start), nil)
 			return nil
 		}
-		n.dropConn(addr)
+		n.dropConn(addr, pc)
 	}
-	err = fmt.Errorf("agent: send to %s failed", addr)
+	err := fmt.Errorf("agent: send to %s failed", addr)
 	instr.send(0, 0, err)
 	return err
 }
 
-func (n *TCPNode) conn(addr string) (net.Conn, error) {
+func (n *TCPNode) conn(addr string) (*peerConn, error) {
 	n.mu.Lock()
-	if c, ok := n.conns[addr]; ok {
+	if pc, ok := n.conns[addr]; ok {
 		n.mu.Unlock()
-		return c, nil
+		return pc, nil
 	}
 	n.mu.Unlock()
 	c, err := net.Dial("tcp", addr)
@@ -192,15 +164,17 @@ func (n *TCPNode) conn(addr string) (net.Conn, error) {
 		c.Close()
 		return existing, nil
 	}
-	n.conns[addr] = c
-	return c, nil
+	pc := &peerConn{c: c}
+	n.conns[addr] = pc
+	return pc, nil
 }
 
-func (n *TCPNode) dropConn(addr string) {
+// dropConn closes and forgets pc, unless another sender already replaced it.
+func (n *TCPNode) dropConn(addr string, pc *peerConn) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if c, ok := n.conns[addr]; ok {
-		c.Close()
+	if n.conns[addr] == pc {
+		pc.c.Close()
 		delete(n.conns, addr)
 	}
 }
@@ -233,20 +207,26 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		delete(n.accepted, conn)
 		n.mu.Unlock()
 	}()
-	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 0, 64*1024), MaxFrameBytes)
-	for scanner.Scan() {
-		frame := scanner.Bytes()
-		msg, err := DecodeFrame(frame)
+	r := bufio.NewReaderSize(conn, 64*1024)
+	var buf []byte
+	for {
+		var err error
+		// A read error ends the link: a closed connection, a stream cut
+		// mid-frame, or a length over MaxFrameBytes, after which the stream
+		// cannot resync.
+		if buf, err = readFrame(r, buf); err != nil {
+			return
+		}
+		msg, err := DecodeFrame(buf)
 		if err != nil {
-			continue // skip malformed frames rather than killing the link
+			continue // skip a malformed frame rather than killing the link
 		}
 		n.mu.Lock()
 		h, ok := n.handlers[msg.To]
 		instr := n.instr
 		n.mu.Unlock()
 		if ok {
-			instr.recv(len(frame))
+			instr.recv(len(buf))
 			instr.queue(1)
 			h(msg)
 			instr.queue(-1)
@@ -264,8 +244,8 @@ func (n *TCPNode) Close() error {
 	}
 	n.closed = true
 	err := n.listener.Close()
-	for addr, c := range n.conns {
-		c.Close()
+	for addr, pc := range n.conns {
+		pc.c.Close()
 		delete(n.conns, addr)
 	}
 	for c := range n.accepted {

@@ -5,11 +5,14 @@
 // Intelligence agents exchange metrics and scale-out signals.
 //
 // Two transports share one interface: an in-process bus (used by the
-// simulator, optionally with artificial delivery delay) and a
-// line-delimited-JSON TCP transport (used by the distributed example to run
-// agents as real networked processes). Production deployments would swap in
-// a hypervisor shared-memory channel or locally-terminated endpoint for the
-// VM-to-host hop (§IV).
+// simulator, optionally with artificial delivery delay), which hands
+// messages over by value, and a TCP transport (used by the live plane and the
+// distributed example to run agents as real networked processes), which
+// writes each message as one length-prefixed, versioned binary frame. The
+// rack rig's three control bodies travel typed, in fixed-width fields;
+// anything else travels as a raw JSON payload. Production deployments would
+// swap in a hypervisor shared-memory channel or locally-terminated endpoint
+// for the VM-to-host hop (§IV).
 package agent
 
 import (
@@ -26,33 +29,32 @@ import (
 // fields are zero.
 type Message struct {
 	// Type names the message's meaning, e.g. "oc.request" or "goa.budget".
-	Type string `json:"type"`
+	Type string
 	// From is the sender's agent name.
-	From string `json:"from"`
+	From string
 	// To is the recipient's agent name.
-	To string `json:"to"`
+	To string
 	// Payload carries a raw body as JSON.
-	Payload json.RawMessage `json:"payload,omitempty"`
+	Payload json.RawMessage
 	// Span is the causal span ID of the send (internal/causal), threading
 	// provenance across agents: a handler that makes a decision because of
-	// this message records the decision with Parent = Span. Zero — the
-	// value whenever provenance is off — is omitted from the wire format,
-	// so frames are byte-identical to the pre-provenance protocol.
-	Span uint64 `json:"span,omitempty"`
+	// this message records the decision with Parent = Span. It is zero
+	// whenever provenance is off.
+	Span uint64
 
-	Body      BodyKind  `json:"body,omitempty"`
-	Profile   Profile   `json:"profile"`
-	Budget    Budget    `json:"budget"`
-	RackEvent RackEvent `json:"rack_event"`
+	Body      BodyKind
+	Profile   Profile
+	Budget    Budget
+	RackEvent RackEvent
 }
 
 // BodyKind says which body a Message carries.
 type BodyKind uint8
 
-// The typed body kinds. The zero kind is a raw body: Payload, possibly
-// empty.
+// The body kinds. BodyRaw is the zero value: Payload, possibly empty.
 const (
-	BodyProfile BodyKind = iota + 1
+	BodyRaw BodyKind = iota
+	BodyProfile
 	BodyBudget
 	BodyRackEvent
 )

@@ -1,6 +1,11 @@
 package agent
 
 import (
+	"encoding/binary"
+	"errors"
+	"net"
+	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -311,4 +316,108 @@ func TestTCPNodeNameAndReconnect(t *testing.T) {
 		t.Fatal("sends kept succeeding against a closed peer")
 	}
 	_ = addr
+}
+
+// TestTCPCarriesEveryBodyKind sends one message of each body kind — the
+// rig's profile, budget and rack event, and a raw-JSON oc.request — across
+// a loopback link and compares what arrives field for field.
+func TestTCPCarriesEveryBodyKind(t *testing.T) {
+	n1, err := NewTCPNode("node1", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n1.Close()
+	n2, err := NewTCPNode("node2", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n2.Close()
+	got := make(chan Message, 8)
+	sent := frameSamples(t)
+	for _, msg := range sent {
+		n2.Register(msg.To, func(m Message) { got <- m })
+		n1.AddPeer(msg.To, n2.Addr())
+	}
+	for _, msg := range sent {
+		if err := n1.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, want := range sent {
+		select {
+		case m := <-got:
+			if !reflect.DeepEqual(m, want) {
+				t.Fatalf("message %d arrived as\n%+v\nwant\n%+v", i, m, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("message %d (%s) never arrived", i, want.Type)
+		}
+	}
+}
+
+// TestTCPNodeSkipsBadFramesAndDropsOversizedLinks writes raw bytes at a
+// node: a frame that fails to decode is skipped and the link keeps
+// delivering, while a length over MaxFrameBytes closes that link, unread,
+// and the node keeps accepting new ones.
+func TestTCPNodeSkipsBadFramesAndDropsOversizedLinks(t *testing.T) {
+	n, err := NewTCPNode("node", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	got := make(chan Message, 8)
+	n.Register("soa/a", func(m Message) { got <- m })
+	good, err := EncodeFrame(BudgetMessage("goa.budget", "goa", "soa/a", Budget{Watts: 300}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), good...)
+	bad[4] = 99 // unknown version
+	expect := func(what string) {
+		t.Helper()
+		select {
+		case m := <-got:
+			if m.Budget.Watts != 300 {
+				t.Fatalf("%s: delivered %+v", what, m)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: nothing delivered", what)
+		}
+	}
+
+	c, err := net.Dial("tcp", n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Write(append(append([]byte(nil), bad...), good...)); err != nil {
+		t.Fatal(err)
+	}
+	expect("after a malformed frame")
+
+	over := binary.LittleEndian.AppendUint32(nil, MaxFrameBytes)
+	if _, err := c.Write(append(over, good...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("link after an over-limit length: read err = %v, want it closed", err)
+	}
+	select {
+	case m := <-got:
+		t.Fatalf("delivered %+v from behind an over-limit length", m)
+	default:
+	}
+
+	c2, err := net.Dial("tcp", n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if _, err := c2.Write(good); err != nil {
+		t.Fatal(err)
+	}
+	expect("on a new link")
 }
