@@ -18,8 +18,11 @@ import (
 
 // Server is one emulated server.
 type Server struct {
-	name        string
-	m           *machine.Machine
+	name string
+	m    *machine.Machine
+	// hw is the machine's configuration, read per core in place:
+	// Machine.Config returns a copy of the whole struct.
+	hw          machine.Config
 	desired     []int // sOA-requested per-core frequency
 	capLevel    int
 	capPriority int
@@ -37,6 +40,7 @@ func NewServer(name string, cfg machine.Config, capPriority int) *Server {
 	s := &Server{
 		name:        name,
 		m:           m,
+		hw:          cfg,
 		desired:     make([]int, cfg.Cores),
 		capPriority: capPriority,
 	}
@@ -58,13 +62,13 @@ func (s *Server) Name() string { return s.name }
 func (s *Server) NumCores() int { return s.m.Cores() }
 
 // TurboMHz implements core.Host.
-func (s *Server) TurboMHz() int { return s.m.Config().TurboMHz }
+func (s *Server) TurboMHz() int { return s.hw.TurboMHz }
 
 // MaxOCMHz implements core.Host.
-func (s *Server) MaxOCMHz() int { return s.m.Config().MaxOCMHz }
+func (s *Server) MaxOCMHz() int { return s.hw.MaxOCMHz }
 
 // StepMHz implements core.Host.
-func (s *Server) StepMHz() int { return s.m.Config().StepMHz }
+func (s *Server) StepMHz() int { return s.hw.StepMHz }
 
 // Power implements core.Host and power.Server.
 func (s *Server) Power() float64 { return s.m.Power() }
@@ -75,8 +79,7 @@ func (s *Server) CoreUtil(core int) float64 { return s.m.Util(core) }
 // SetDesiredFreq implements core.Host: records the sOA's request and
 // applies the effective frequency (bounded by the capping ceiling).
 func (s *Server) SetDesiredFreq(core, mhz int) {
-	cfg := s.m.Config()
-	s.desired[core] = cfg.ClampFreq(mhz)
+	s.desired[core] = s.hw.ClampFreq(mhz)
 	s.apply(core)
 }
 
@@ -85,8 +88,8 @@ func (s *Server) DesiredFreq(core int) int { return s.desired[core] }
 
 // OCDeltaWatts implements core.Host using the machine's power model.
 func (s *Server) OCDeltaWatts(cores, mhz int, util float64) float64 {
-	cfg := s.m.Config()
-	return float64(cores) * (cfg.CorePower(cfg.ClampFreq(mhz), util) - cfg.CorePower(cfg.TurboMHz, util))
+	hw := &s.hw
+	return float64(cores) * (hw.CorePower(hw.ClampFreq(mhz), util) - hw.CorePower(hw.TurboMHz, util))
 }
 
 // --- power.Server implementation ----------------------------------------
@@ -105,10 +108,7 @@ func (s *Server) SetSeverity(v power.Severity) { s.severity = v }
 func (s *Server) Severity() power.Severity { return s.severity }
 
 // MaxCapLevel implements power.Server with the machine's cap ladder.
-func (s *Server) MaxCapLevel() int {
-	cfg := s.m.Config()
-	return cfg.MaxCapLevel()
-}
+func (s *Server) MaxCapLevel() int { return s.hw.MaxCapLevel() }
 
 // ForceCap implements power.Server.
 func (s *Server) ForceCap(level int) {
@@ -130,8 +130,7 @@ func (s *Server) CapLevel() int { return s.capLevel }
 // apply pushes the effective frequency (desired bounded by the cap
 // ceiling) into the hardware.
 func (s *Server) apply(core int) {
-	cfg := s.m.Config()
-	s.m.SetFreq(core, min(s.desired[core], cfg.CapCeiling(s.capLevel)))
+	s.m.SetFreq(core, min(s.desired[core], s.hw.CapCeiling(s.capLevel)))
 }
 
 // EffectiveFreq returns the frequency core actually runs at.
@@ -205,9 +204,8 @@ func (s *Server) Restore(st *ServerState) error {
 	if err := s.m.RestoreWear(st.Wear); err != nil {
 		return fmt.Errorf("cluster: server %s: %w", s.name, err)
 	}
-	cfg := s.m.Config()
 	for i, mhz := range st.Desired {
-		s.desired[i] = cfg.ClampFreq(mhz)
+		s.desired[i] = s.hw.ClampFreq(mhz)
 	}
 	s.ForceCap(st.CapLevel) // clamps the level to the ladder and applies every core
 	if s.agedSecs != nil {

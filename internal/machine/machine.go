@@ -86,7 +86,7 @@ func (c Config) Validate() error {
 // VoltageRatio returns V(f)/V(turbo) for frequency mhz. At or below turbo
 // the ratio is 1 (cloud parts run a fixed performance-mode voltage);
 // beyond turbo it rises linearly with the frequency overshoot.
-func (c Config) VoltageRatio(mhz int) float64 {
+func (c *Config) VoltageRatio(mhz int) float64 {
 	if mhz <= c.TurboMHz {
 		return 1
 	}
@@ -125,7 +125,7 @@ func (c *Config) CapCeiling(level int) int {
 
 // CorePower returns the power of one core at frequency mhz and utilization
 // util in [0,1]: leakage scales with V², dynamic power with f·V².
-func (c Config) CorePower(mhz int, util float64) float64 {
+func (c *Config) CorePower(mhz int, util float64) float64 {
 	if util < 0 {
 		util = 0
 	}
