@@ -43,6 +43,10 @@ type liveWorld struct {
 	// now is the simulated time of the next tick to run; end the last.
 	now time.Time
 	end time.Time
+	// lastTick is the instant of the last tick run: the anchor before the first.
+	// A checkpoint is stamped with it, so a warm start resumes one Tick
+	// after the state it holds.
+	lastTick time.Time
 
 	// rig is the rack's control plane: servers with their sOAs, the gOA and
 	// the rack manager.
@@ -381,8 +385,8 @@ func (w *liveWorld) setChaos(spec api.ChaosSpec) (*api.ChaosStatus, error) {
 
 // checkpointNow writes a durable checkpoint of the whole control plane —
 // the rig's gOA and sOAs with their lifetime ledgers, plus every server's
-// cap and wear state. The periodic path and the ForceCheckpoint command
-// share it. The snapshot is taken under the lock, the disk write outside it
+// cap and wear state, stamped with the last tick run. The periodic path and
+// the ForceCheckpoint command share it. The snapshot is taken under the lock, the disk write outside it
 // (atomic rename: a crash mid-write leaves the previous checkpoint intact).
 func (w *liveWorld) checkpointNow() (*api.CheckpointStatus, error) {
 	if w.cfg.CheckpointPath == "" {
@@ -396,7 +400,7 @@ func (w *liveWorld) checkpointNow() (*api.CheckpointStatus, error) {
 			cp.Servers[s.srv.Name()] = s.srv.Snapshot()
 		}
 	})
-	data, err := store.Encode(w.now, cp)
+	data, err := store.Encode(w.lastTick, cp)
 	if err == nil {
 		err = store.SaveEncoded(w.cfg.CheckpointPath, data)
 	}
@@ -413,7 +417,7 @@ func (w *liveWorld) checkpointNow() (*api.CheckpointStatus, error) {
 	}
 	w.res.Checkpoints++
 	w.stateInfo.Writes = w.res.Checkpoints
-	w.stateInfo.LastSavedAt = w.now
+	w.stateInfo.LastSavedAt = w.lastTick
 	w.stateInfo.LastBytes = len(data)
 	if w.statePub != nil {
 		w.statePub.PublishState(*w.stateInfo)
@@ -422,7 +426,7 @@ func (w *liveWorld) checkpointNow() (*api.CheckpointStatus, error) {
 		Path:    w.cfg.CheckpointPath,
 		Bytes:   len(data),
 		Writes:  w.res.Checkpoints,
-		SavedAt: w.now,
+		SavedAt: w.lastTick,
 	}, nil
 }
 

@@ -264,7 +264,7 @@ func (w *liveWorld) buildRig() {
 // anchor starts the run's timeline at at: the first tick one Tick later, the
 // last one Duration later, and each cadence one period after at.
 func (w *liveWorld) anchor(at time.Time) {
-	w.now, w.end = at.Add(w.cfg.Tick), at.Add(w.cfg.Duration)
+	w.lastTick, w.now, w.end = at, at.Add(w.cfg.Tick), at.Add(w.cfg.Duration)
 	w.nextProfile = at.Add(rigProfileEvery)
 	w.nextBudget = at.Add(rigBudgetEvery)
 	w.nextCkpt = at.Add(w.cfg.CheckpointEvery)
@@ -337,6 +337,7 @@ func (w *liveWorld) openInboxes() {
 // checkpoint, publish and, in hold mode, barrier on delivery.
 func (w *liveWorld) tick() {
 	w.res.Ticks++
+	w.lastTick = w.now
 	w.lk.Do(w.stepLocked)
 	w.send()
 	// A failed checkpoint write is counted in checkpoint_errors_total and

@@ -163,3 +163,40 @@ func TestLiveWarmStartIsLossless(t *testing.T) {
 		}
 	})
 }
+
+// TestLiveForcedCheckpointStampsLastTick: a checkpoint forced between ticks
+// is stamped with the last tick run, not the next one due, so a warm start
+// from it resumes exactly one Tick later. After 40 held ticks the stamp is
+// the sOAs' last tick, and the restored run's first tick sees a one-Tick dt.
+func TestLiveForcedCheckpointStampsLastTick(t *testing.T) {
+	dir := t.TempDir()
+	first := filepath.Join(dir, "first.json")
+	h := startLiveHarness(t, func(c *LiveConfig) { c.CheckpointPath = first })
+	var saved store.Checkpoint
+	savedAt, err := store.Decode(forceCheckpoint(t, h, 40), &saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.stop(t)
+	tick := DefaultLiveConfig().Tick
+	if want := DefaultLiveConfig().Start.Add(40 * tick); !savedAt.Equal(want) {
+		t.Fatalf("checkpoint forced after 40 ticks stamped %v, want the 40th tick %v", savedAt, want)
+	}
+
+	h = startLiveHarness(t, func(c *LiveConfig) {
+		c.RestorePath = first
+		c.CheckpointPath = filepath.Join(dir, "second.json")
+	})
+	var got store.Checkpoint
+	if _, err := store.Decode(forceCheckpoint(t, h, 1), &got); err != nil {
+		t.Fatal(err)
+	}
+	for name, before := range saved.SOAs {
+		if !before.LastTick.Equal(savedAt) {
+			t.Errorf("%s: checkpointed sOA last ticked at %v, stamp %v", name, before.LastTick, savedAt)
+		}
+		if dt := got.SOAs[name].LastTick.Sub(before.LastTick); dt != tick {
+			t.Errorf("%s: first restored tick saw dt %v, want one Tick %v", name, dt, tick)
+		}
+	}
+}
