@@ -144,10 +144,31 @@ func appendFloats(dst []byte, fs ...float64) []byte {
 var errTruncated = errors.New("agent: truncated frame")
 
 // frameReader walks a frame's bytes; the first short read sets err, and
-// every read after it returns zero.
+// every read after it returns zero. Strings come from names.
 type frameReader struct {
-	b   []byte
-	err error
+	b     []byte
+	err   error
+	names FrameNames
+}
+
+// FrameNames interns the strings one stream's frames repeat — message types
+// and agent names — so a steady stream decodes without allocating them. It
+// stops growing at maxFrameNames entries, after which a new string is
+// allocated per frame, so a peer that sends endless distinct names costs
+// allocations, not memory. A nil FrameNames interns nothing.
+type FrameNames map[string]string
+
+const maxFrameNames = 1024
+
+func (n FrameNames) intern(b []byte) string {
+	s, ok := n[string(b)]
+	if !ok {
+		s = string(b)
+		if n != nil && len(n) < maxFrameNames {
+			n[s] = s
+		}
+	}
+	return s
 }
 
 func (r *frameReader) next(n int) []byte {
@@ -181,16 +202,17 @@ func (r *frameReader) str() string {
 	if p == nil {
 		return ""
 	}
-	return string(r.next(int(binary.LittleEndian.Uint16(p))))
+	return r.names.intern(r.next(int(binary.LittleEndian.Uint16(p))))
 }
 
 // DecodeFrame parses one whole frame, its length field included. It refuses,
 // with an error and never a panic, a length over MaxFrameBytes, a truncated
 // frame, bytes after the body, an unknown version or body kind, an empty
 // type or to, and a typed body that is not finite — so a hostile or
-// corrupted peer can at worst have its frames discarded. A raw payload is
-// copied out of frame, so the caller may reuse it.
-func DecodeFrame(frame []byte) (Message, error) {
+// corrupted peer can at worst have its frames discarded. The strings it
+// returns come from names, which the decode extends; a raw payload is copied
+// out of frame, so the caller may reuse it.
+func DecodeFrame(frame []byte, names FrameNames) (Message, error) {
 	if len(frame) < 4 {
 		return Message{}, errTruncated
 	}
@@ -203,7 +225,7 @@ func DecodeFrame(frame []byte) (Message, error) {
 	case n < int64(len(frame)-4):
 		return Message{}, fmt.Errorf("agent: %d bytes after the frame", int64(len(frame)-4)-n)
 	}
-	r := frameReader{b: frame[4:]}
+	r := frameReader{b: frame[4:], names: names}
 	if v := r.u8(); r.err == nil && v != frameVersion {
 		return Message{}, fmt.Errorf("agent: unknown frame version %d", v)
 	}

@@ -63,7 +63,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if len(frame) != frameSize(msg) {
 			t.Errorf("%s: frame %d bytes, frameSize says %d", msg.Type, len(frame), frameSize(msg))
 		}
-		got, err := DecodeFrame(frame)
+		got, err := DecodeFrame(frame, nil)
 		if err != nil {
 			t.Fatalf("%s: decode of own encoding failed: %v", msg.Type, err)
 		}
@@ -140,7 +140,7 @@ func TestDecodeFrameRejects(t *testing.T) {
 		}
 	}
 	for name, in := range cases {
-		if msg, err := DecodeFrame(in); err == nil {
+		if msg, err := DecodeFrame(in, nil); err == nil {
 			t.Errorf("%s: DecodeFrame(% x) accepted %+v", name, in, msg)
 		}
 	}
@@ -152,7 +152,7 @@ func TestDecodeFrameOversized(t *testing.T) {
 	big := make([]byte, MaxFrameBytes+1)
 	binary.LittleEndian.PutUint32(big, uint32(len(big)-4))
 	copy(big[4:], mustFrame(t, frameSamples(t)[0])[4:])
-	if _, err := DecodeFrame(big); err == nil {
+	if _, err := DecodeFrame(big, nil); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
@@ -259,15 +259,39 @@ func TestAppendFrameAllocs(t *testing.T) {
 }
 
 // TestDecodeFrameAllocs: decoding a budget frame allocates at most the three
-// strings it returns.
+// strings it returns, and nothing once a stream's name table holds them.
 func TestDecodeFrameAllocs(t *testing.T) {
 	frame := mustFrame(t, BudgetMessage("goa.budget", "goa", "soa/lv-01", Budget{Watts: 431.5}))
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeFrame(frame); err != nil {
+		if _, err := DecodeFrame(frame, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 3 {
 		t.Fatalf("DecodeFrame of a budget allocates %.1f objects, want <= 3", allocs)
+	}
+	names := make(FrameNames)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeFrame(frame, names); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("decoding a budget through a name table allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestFrameNamesBounded: a stream's name table interns up to maxFrameNames
+// strings and then stops growing, still decoding every frame.
+func TestFrameNamesBounded(t *testing.T) {
+	names := make(FrameNames)
+	for i := 0; i < maxFrameNames+10; i++ {
+		to := fmt.Sprintf("soa/%d", i)
+		msg, err := DecodeFrame(mustFrame(t, BudgetMessage("goa.budget", "goa", to, Budget{Watts: 1})), names)
+		if err != nil || msg.To != to {
+			t.Fatalf("frame %d decoded to %+v, %v", i, msg, err)
+		}
+	}
+	if len(names) != maxFrameNames {
+		t.Fatalf("name table holds %d strings, want the bound %d", len(names), maxFrameNames)
 	}
 }
 
@@ -291,7 +315,7 @@ func FuzzMessageDecode(f *testing.F) {
 	f.Add(appendFrame(nil, BudgetMessage("goa.budget", "goa", "soa/a", Budget{Watts: math.NaN()})))
 	f.Add(appendFrame(nil, Message{Type: "ping", To: "b"}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := DecodeFrame(data)
+		msg, err := DecodeFrame(data, nil)
 		if err != nil {
 			return
 		}
@@ -299,10 +323,10 @@ func FuzzMessageDecode(f *testing.F) {
 	})
 }
 
-// FuzzFrameStream feeds a byte stream to the TCP read loop's framing: it
-// must never panic, every frame it reads either decodes to a routable
-// message that re-encodes to the frame or errors, and a stream ends only on
-// an io error or an over-limit length.
+// FuzzFrameStream feeds a byte stream to the TCP read loop's framing and
+// decoding, name table included: it must never panic, every frame it reads
+// either decodes to a routable message that re-encodes to the frame or
+// errors, and a stream ends only on an io error or an over-limit length.
 func FuzzFrameStream(f *testing.F) {
 	var stream []byte
 	for _, msg := range frameSamples(f) {
@@ -324,8 +348,9 @@ func FuzzFrameStream(f *testing.F) {
 		if err == nil {
 			t.Fatal("stream ended without an error")
 		}
+		names := make(FrameNames)
 		for _, frame := range frames {
-			if msg, err := DecodeFrame(frame); err == nil {
+			if msg, err := DecodeFrame(frame, names); err == nil {
 				checkReencodes(t, frame, msg)
 			}
 		}

@@ -43,7 +43,7 @@ func TestFrameRoundTripsSpan(t *testing.T) {
 		if got := binary.LittleEndian.Uint64(frame[6:]); got != span {
 			t.Fatalf("span field holds %d, want %d: % x", got, span, frame)
 		}
-		back, err := DecodeFrame(frame)
+		back, err := DecodeFrame(frame, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,8 @@ import (
 // AppendFrame) and dials peers on demand. Connections to peers are cached and
 // re-established on failure. Each outbound connection encodes into its own
 // reused buffer under its own lock, and each inbound one reads through a
-// reused buffer, so a message crosses a link without allocating a frame.
+// reused buffer and interns the names its frames repeat, so a typed message
+// crosses a link without allocating.
 // All methods are safe for concurrent use.
 type TCPNode struct {
 	name string
@@ -209,6 +210,7 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 	}()
 	r := bufio.NewReaderSize(conn, 64*1024)
 	var buf []byte
+	names := make(FrameNames)
 	for {
 		var err error
 		// A read error ends the link: a closed connection, a stream cut
@@ -217,7 +219,7 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		if buf, err = readFrame(r, buf); err != nil {
 			return
 		}
-		msg, err := DecodeFrame(buf)
+		msg, err := DecodeFrame(buf, names)
 		if err != nil {
 			continue // skip a malformed frame rather than killing the link
 		}
