@@ -14,8 +14,8 @@ import (
 // re-established on failure. Each outbound connection encodes into its own
 // reused buffer under its own lock, and each inbound one reads through a
 // reused buffer and interns the names its frames repeat, so a typed message
-// crosses a link without allocating.
-// All methods are safe for concurrent use.
+// crosses a link without allocating. All methods are safe for concurrent
+// use.
 type TCPNode struct {
 	name string
 
@@ -102,16 +102,13 @@ type peerConn struct {
 	buf []byte
 }
 
-// write frames msg into the connection's buffer and writes it, returning
-// the frame's size.
+// write frames msg, which passed checkFrame, into the connection's buffer
+// and writes it, returning the frame's size.
 func (pc *peerConn) write(msg Message) (int, error) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	var err error
-	if pc.buf, err = AppendFrame(pc.buf[:0], msg); err != nil {
-		return 0, err
-	}
-	_, err = pc.c.Write(pc.buf)
+	pc.buf = appendFrame(pc.buf[:0], msg)
+	_, err := pc.c.Write(pc.buf)
 	return len(pc.buf), err
 }
 
