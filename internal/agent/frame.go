@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // The wire frame, the unit the TCP transport writes and reads. All integers
@@ -100,8 +101,10 @@ func AppendFrame(dst []byte, msg Message) ([]byte, error) {
 
 // appendFrame is AppendFrame without the checks.
 func appendFrame(dst []byte, msg Message) []byte {
+	n := frameSize(msg)
+	dst = slices.Grow(dst, n)
 	le := binary.LittleEndian
-	dst = le.AppendUint32(dst, uint32(frameSize(msg)-4))
+	dst = le.AppendUint32(dst, uint32(n-4))
 	dst = append(dst, frameVersion, byte(msg.Body))
 	dst = le.AppendUint64(dst, msg.Span)
 	dst = appendString(dst, msg.Type)
@@ -143,14 +146,6 @@ func appendFloats(dst []byte, fs ...float64) []byte {
 
 var errTruncated = errors.New("agent: truncated frame")
 
-// frameReader walks a frame's bytes; the first short read sets err, and
-// every read after it returns zero. Strings come from names.
-type frameReader struct {
-	b     []byte
-	err   error
-	names FrameNames
-}
-
 // FrameNames interns the strings one stream's frames repeat — message types
 // and agent names — so a steady stream decodes without allocating them. It
 // stops growing at maxFrameNames entries, after which a new string is
@@ -169,6 +164,14 @@ func (n FrameNames) intern(b []byte) string {
 		}
 	}
 	return s
+}
+
+// frameReader walks a frame's bytes; the first short read sets err, and
+// every read after it returns zero. Strings come from names.
+type frameReader struct {
+	b     []byte
+	err   error
+	names FrameNames
 }
 
 func (r *frameReader) next(n int) []byte {
