@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 )
@@ -50,5 +51,32 @@ func TestFrameRoundTripsSpan(t *testing.T) {
 		if back.Span != span {
 			t.Fatalf("span %d came back as %d", span, back.Span)
 		}
+	}
+}
+
+// With provenance off the span is the header's zero field and nothing more:
+// it adds no bytes to the frame and never appears in the payload.
+func TestZeroSpanStaysOffTheWire(t *testing.T) {
+	msg, err := NewMessage("soa.profile", "soa-0", "goa", map[string]int{"cores": 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := EncodeFrame(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := binary.LittleEndian.Uint64(frame[6:]); got != 0 {
+		t.Fatalf("zero span written as %d: % x", got, frame)
+	}
+	if bytes.Contains(frame[frameHeader:], []byte("span")) {
+		t.Fatalf("zero span leaked past the header: %q", frame)
+	}
+	msg.Span = 42
+	spanned, err := EncodeFrame(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spanned) != len(frame) || !bytes.Equal(spanned[frameHeader:], frame[frameHeader:]) {
+		t.Fatalf("a span changed more than its header field:\n% x\n% x", frame, spanned)
 	}
 }
